@@ -1,14 +1,15 @@
 """Exact sparse linear maps on graded bases, with truncation windows.
 
-A SparseOp stores its action column by column over a GradedBasis. Since the
-bases are truncations of infinite modules, equality of stored matrices is
-meaningless by itself; instead every operator carries
+A SparseOp stores its action column by column over a GradedBasis, which holds
+every monomial of height <= cap (for a two-site basis: of total height <=
+cap). Since the bases are truncations of infinite modules, equality of stored
+matrices is meaningless by itself; instead every operator carries
 
   shift      -- an upper bound on (output height - input height),
   certified  -- the largest input total height at which the stored action
                 agrees exactly with the untruncated operator.
 
-Construction certifies columns up to cert_cap - max(0, shift); composition
+Construction certifies columns up to cap - max(0, shift); composition
 propagates certification and only tabulates certified columns. All zero tests
 take an explicit height window and refuse to look beyond certification, so a
 reported zero is a statement about the actual operators, not an artifact of
@@ -90,14 +91,14 @@ class SparseOp:
 def op_from_action(domain, action, shift, codomain=None):
     """Tabulate `action` (monomial -> {monomial: coeff}) as a SparseOp.
 
-    Columns of height <= cert_cap - max(0, shift) are checked: inside that
-    window every image monomial must respect the declared shift and the
+    Columns of height <= codomain cap - max(0, shift) are checked: inside
+    that window every image monomial must respect the declared shift and the
     codomain floors, and must land in the codomain basis. Beyond the window
     image monomials falling outside the basis are silently dropped (that is
     the truncation).
     """
     cod = codomain if codomain is not None else domain
-    certified = cod.cert_cap - max(0, shift)
+    certified = cod.cap - max(0, shift)
     cols = {}
     for i, mono in enumerate(domain.monomials):
         h = domain.heights[i]
@@ -133,7 +134,7 @@ def op_from_action(domain, action, shift, codomain=None):
 
 def zero_op(domain, codomain=None):
     cod = codomain if codomain is not None else domain
-    return SparseOp(domain, cod, {}, NEG_INF, cod.cert_cap)
+    return SparseOp(domain, cod, {}, NEG_INF, cod.cap)
 
 
 def identity_op(basis):
@@ -214,31 +215,35 @@ def commutator(a, b):
 
 
 def site_embed(op: SparseOp, site: int, pair: GradedBasis) -> SparseOp:
-    """Embed a one-site operator into a two-site tensor basis."""
+    """Embed a one-site operator into a two-site basis: m1*m2 maps to
+    op(m1)*m2 (site 1) or m1*op(m2) (site 2); image monomials above the pair
+    cap are dropped (that is the truncation)."""
     if pair.factors is None:
         raise BasisMismatch("site_embed target is not a tensor basis")
     b1, b2 = pair.factors
+    k = len(b1.vars)
     factor = b1 if site == 1 else b2
     _require_same(op.domain, factor, "site_embed")
     _require_same(op.codomain, factor, "site_embed")
-    n2 = len(b2)
-    cols = {}
-    if site == 1:
-        for i1, col in op.cols.items():
-            for i2 in range(n2):
-                cols[i1 * n2 + i2] = {r1 * n2 + i2: v for r1, v in col.items()}
-    else:
-        for i1 in range(len(b1)):
-            base = i1 * n2
-            for i2, col in op.cols.items():
-                cols[base + i2] = {base + r2: v for r2, v in col.items()}
     if op.shift == NEG_INF:
         return zero_op(pair)
-    # a site-local op is exact on a column as soon as its own site height is
-    # within op.certified and the shifted height fits the site cap; if that
-    # holds for every site height the embedding is exact on the whole box
-    site_exact = min(op.certified, factor.cap - max(0, op.shift))
-    certified = pair.cap if site_exact >= factor.cap else site_exact
+    cols = {}
+    for i, mono in enumerate(pair.monomials):
+        m1, m2 = mono[:k], mono[k:]
+        col = op.cols.get(factor.index[m1 if site == 1 else m2])
+        if not col:
+            continue
+        out = {}
+        for r, v in col.items():
+            img = factor.monomials[r]
+            j = pair.index.get(img + m2 if site == 1 else m1 + img)
+            if j is not None:
+                out[j] = v
+        if out:
+            cols[i] = out
+    # a site-local op is exact on a column as soon as its site height is
+    # within op.certified and the shifted total height fits the pair cap
+    certified = min(op.certified, pair.cap - max(0, op.shift))
     return SparseOp(pair, pair, cols, op.shift, certified)
 
 
@@ -247,15 +252,15 @@ def pair_swap(pair: GradedBasis) -> SparseOp:
     if pair.factors is None:
         raise BasisMismatch("pair_swap target is not a tensor basis")
     b1, b2 = pair.factors
+    k = len(b1.vars)
     if len(b1) != len(b2) or b1.weights != b2.weights or b1.floors != b2.floors:
         raise BasisMismatch("pair_swap needs structurally identical factors")
     if b1.monomials != b2.monomials:
         raise BasisMismatch("pair_swap needs identically enumerated factors")
-    n2 = len(b2)
-    cols = {}
-    for i1 in range(len(b1)):
-        for i2 in range(n2):
-            cols[i1 * n2 + i2] = {i2 * n2 + i1: Fraction(1)}
+    cols = {
+        i: {pair.index[m[k:] + m[:k]]: Fraction(1)}
+        for i, m in enumerate(pair.monomials)
+    }
     return SparseOp(pair, pair, cols, 0, pair.cap)
 
 
@@ -583,15 +588,12 @@ def laurent_conj(basis, sign, num, den, target):
 
 
 def run_pipeline(basis, stages):
-    """Feed every certified basis monomial through the stages; the final
-    output must lie in the basis again (no Laurent residue, no cap overflow
-    inside the certified window). Height-homogeneous stages only: shift 0."""
-    certified = basis.cert_cap
+    """Feed every basis monomial through the stages; the final output must
+    lie in the basis again (no Laurent residue, no cap overflow).
+    Height-homogeneous stages only: shift 0."""
     cols = {}
     index = basis.index
     for i, mono in enumerate(basis.monomials):
-        if basis.heights[i] > certified:
-            continue
         comb = {mono: Fraction(1)}
         for st in stages:
             comb = st(comb)
@@ -613,7 +615,7 @@ def run_pipeline(basis, stages):
             col[j] = c
         if col:
             cols[i] = col
-    return SparseOp(basis, basis, cols, 0, certified)
+    return SparseOp(basis, basis, cols, 0, basis.cap)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .exactnum import Rat, ZERO
 
-DEFAULT_SIZE_LIMIT = 2_000_000
+DEFAULT_SIZE_LIMIT = 50_000
 SIZE_LIMIT_ENV = "RFACTOR_SIZE_LIMIT"
 
 
@@ -51,7 +51,9 @@ def size_limit() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CapTooLarge(f"bad {SIZE_LIMIT_ENV} value {raw!r}") from None
+        raise CapTooLarge(
+            f"{SIZE_LIMIT_ENV} must be an integer, got {raw!r}"
+        ) from None
 
 
 class GradedBasis:
@@ -59,23 +61,22 @@ class GradedBasis:
 
     Monomials with all exponents nonnegative come first, ordered by height
     then by descending lexicographic order on exponent tuples; Laurent-padded
-    monomials follow in the same order. `cert_cap` is the smallest tensor
-    factor cap: the largest total height at which truncated operator algebra
-    can still be exact (see linop).
+    monomials follow in the same order. Two-site bases built by
+    `tensor_basis` keep the tensor factors' order instead. Every monomial has
+    height <= `cap`, the largest height at which truncated operator algebra
+    can be exact (see linop).
     """
 
     __slots__ = (
-        "vars", "cap", "monomials", "index", "site_caps", "cert_cap",
+        "vars", "cap", "monomials", "index",
         "weights", "floors", "heights", "factors", "n_poly",
     )
 
-    def __init__(self, vars, cap, monomials, site_caps, factors=None):
+    def __init__(self, vars, cap, monomials, factors=None):
         self.vars = tuple(vars)
         self.cap = cap
         self.monomials = list(monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.site_caps = tuple(site_caps)
-        self.cert_cap = min(self.site_caps)
         self.weights = tuple(v.weight for v in self.vars)
         self.floors = tuple(v.floor for v in self.vars)
         self.heights = [self.height(m) for m in self.monomials]
@@ -84,6 +85,11 @@ class GradedBasis:
 
     def __len__(self):
         return len(self.monomials)
+
+    @property
+    def cert_cap(self) -> int:
+        # read-only alias of cap, kept for perfbench/spans.py
+        return self.cap
 
     def height(self, mono) -> int:
         return sum(e * w for e, w in zip(mono, self.weights))
@@ -116,7 +122,6 @@ class GradedBasis:
             or (
                 self.vars == other.vars
                 and self.cap == other.cap
-                and self.site_caps == other.site_caps
                 and self.monomials == other.monomials
             )
         )
@@ -172,28 +177,29 @@ def enumerate_basis(var_specs, cap) -> GradedBasis:
     padded = [m for m in out if min(m, default=0) < 0]
     poly.sort(key=lambda m: _sort_key(m, weights))
     padded.sort(key=lambda m: _sort_key(m, weights))
-    return GradedBasis(specs, cap, poly + padded, (cap,))
+    return GradedBasis(specs, cap, poly + padded)
 
 
 def tensor_basis(b1: GradedBasis, b2: GradedBasis) -> GradedBasis:
-    """Tensor product basis; index pairing is i1 * len(b2) + i2."""
+    """Two-site basis: the products m1*m2 of total height <= min(b1.cap,
+    b2.cap), ordered by the index of m1 in b1, then by that of m2 in b2."""
     names1 = {v.name for v in b1.vars}
     names2 = {v.name for v in b2.vars}
     clash = names1 & names2
     if clash:
         raise NameCollision(f"tensor factors share variables {sorted(clash)}")
-    if len(b1) * len(b2) > size_limit():
-        raise CapTooLarge(
-            f"tensor basis of size {len(b1)}*{len(b2)} exceeds limit {size_limit()}"
+    cap = min(b1.cap, b2.cap)
+    limit = size_limit()
+    monomials = []
+    for m1, h1 in zip(b1.monomials, b1.heights):
+        monomials.extend(
+            m1 + m2 for m2, h2 in zip(b2.monomials, b2.heights) if h1 + h2 <= cap
         )
-    monomials = [m1 + m2 for m1 in b1.monomials for m2 in b2.monomials]
-    return GradedBasis(
-        b1.vars + b2.vars,
-        b1.cap + b2.cap,
-        monomials,
-        b1.site_caps + b2.site_caps,
-        factors=(b1, b2),
-    )
+        if len(monomials) > limit:
+            raise CapTooLarge(
+                f"tensor basis at cap {cap} exceeds size limit {limit}"
+            )
+    return GradedBasis(b1.vars + b2.vars, cap, monomials, factors=(b1, b2))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +229,7 @@ def comb_mul(c1, c2):
             if w:
                 out[m] = w
             else:
-                del out[m]
+                out.pop(m, None)
     return out
 
 

@@ -250,9 +250,8 @@ def charge_vectors(basis):
 
 
 def _charge_blocks(charges):
-    items = charges.items() if isinstance(charges, dict) else enumerate(charges)
     blocks = {}
-    for i, q in items:
+    for i, q in enumerate(charges):
         blocks.setdefault(q, []).append(i)
     return blocks
 
@@ -262,20 +261,16 @@ def intertwiner_oracle(constraints, basis, charges=None, expect_dim=None):
 
     The unknown X is restricted to the charge-preserving sector (the system
     splits by the row-minus-column charge difference of X, and the operators
-    being re-derived are charge-preserving, so that sector is complete), and
-    to the certified height window (tensor bases carry workspace monomials
-    beyond it that no valid equation can reach).  Equations are imposed on
-    every basis column m with height inside the certified windows of A and B.
+    being re-derived are charge-preserving, so that sector is complete).
+    Equations are imposed on every basis column m with height inside the
+    certified windows of A and B.
     Returns a list of solution operators, one per nullspace dimension; with
     expect_dim set, raises EmptyNullspace / MultiDimensional when the
     dimension comes out lower / higher.
     """
     if charges is None:
         charges = charge_vectors(basis)
-    cert = basis.cert_cap
-    blocks = _charge_blocks(
-        {i: q for i, q in enumerate(charges) if basis.heights[i] <= cert}
-    )
+    blocks = _charge_blocks(charges)
     unknowns = []
     for q in sorted(blocks):
         for r in blocks[q]:
@@ -283,7 +278,7 @@ def intertwiner_oracle(constraints, basis, charges=None, expect_dim=None):
                 unknowns.append((r, c))
     equations = []
     for A, B in constraints:
-        top = min(A.certified, B.certified, cert - max(0, A.shift))
+        top = min(A.certified, B.certified, basis.cap - max(0, A.shift))
         for m in range(len(basis)):
             if basis.heights[m] > top:
                 continue
@@ -311,20 +306,20 @@ def _solution_to_op(basis, sol):
     for (r, c), v in sol.items():
         if v:
             cols.setdefault(c, {})[r] = v
-    return SparseOp(basis, basis, cols, 0, basis.cert_cap)
+    return SparseOp(basis, basis, cols, 0, basis.cap)
 
 
 def _oracle_check(name, params, basis, constraints, closed, cap):
     sols = intertwiner_oracle(constraints, basis)
     if not sols:
-        return _fail(name, params, cap, basis.cert_cap, ("nullspace", "empty"))
+        return _fail(name, params, cap, basis.cap, ("nullspace", "empty"))
     if len(sols) > 1:
         return _skip(name, params, cap, f"nullspace dimension {len(sols)}")
     try:
         xn, cx = lwv_normalize(sols[0])
         rn, _ = lwv_normalize(closed)
     except NotLowestWeightStable as e:
-        return _fail(name, params, cap, basis.cert_cap, e.args[0])
+        return _fail(name, params, cap, basis.cap, e.args[0])
     window = min(xn.certified, rn.certified)
     ok, wit = op_equal(xn, rn, window)
     if not ok:

@@ -129,6 +129,39 @@ def test_usage_errors_exit_two(args):
     assert run_cli(*args).returncode == 2
 
 
+def test_report_exit_code_follows_the_statuses_not_the_stored_flag(tmp_path):
+    lying = tmp_path / "lying.json"
+    lying.write_text(json.dumps({
+        "suite": "sl2", "seed": 0, "cap": 4, "all_passed": True,
+        "checks": [
+            {"name": "F1", "params": ["1"], "status": "pass"},
+            {"name": "F2", "params": ["1"], "status": "fail",
+             "witness": {"monomial": "z1", "value": "1"}},
+        ],
+    }))
+    proc = run_cli("report", str(lying))
+    assert proc.returncode == 1
+    assert "1 failed" in proc.stdout
+
+
+def test_zero_shift_parameter_does_not_crash_sl3_invariance():
+    # the first parameter is the x shift of the group element
+    proc = run_cli("sl3", "--cap", "3", "--check", "sl3-invariance",
+                   "--params", "0,1/2,1/3,1/5,1/7,2/3")
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS  sl3-invariance" in proc.stdout
+
+
+@pytest.mark.parametrize("limit, code", [("45", 0), ("44", 2)])
+def test_size_limit_is_counted_on_the_pair_basis_built(limit, code):
+    # sl2 at cap 8 pairs 45 monomials of total height <= 8
+    proc = run_cli("sl2", "--cap", "8", "--check", "F1", "--trials", "1",
+                   env_extra={"RFACTOR_SIZE_LIMIT": limit})
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert "size limit" in proc.stderr
+
+
 def test_size_limit_env_var_caps_the_basis():
     proc = run_cli("sl2", "--cap", "8",
                    env_extra={"RFACTOR_SIZE_LIMIT": "10"})

@@ -161,21 +161,33 @@ def test_basis_mismatch():
 def test_site_embed_matches_kron_oracle():
     b1, b2 = zbasis(2, "z1"), zbasis(2, "z2")
     pair = tensor_basis(b1, b2)
-    d1 = diffop_to_op(b1, [term(b1, 1, None, {"z1": 1})])
-    emb = site_embed(d1, 1, pair)
     n1, n2 = len(b1), len(b2)
-    dense = [[d1.entry(r, c) for c in range(n1)] for r in range(n1)]
-    eye = mat_eye(n2)
-    expect = kron(dense, eye)
-    for c in range(n1 * n2):
-        for r in range(n1 * n2):
-            assert emb.entry(r, c) == expect[r][c]
-    d2 = diffop_to_op(b2, [term(b2, 1, None, {"z2": 1})])
-    emb2 = site_embed(d2, 2, pair)
-    expect2 = kron(mat_eye(n1), [[d2.entry(r, c) for c in range(n2)] for r in range(n2)])
-    for c in range(n1 * n2):
-        for r in range(n1 * n2):
-            assert emb2.entry(r, c) == expect2[r][c]
+    # kron indexes the full box: entry i1 * n2 + i2 is m1*m2
+    box = [m1 + m2 for m1 in b1.monomials for m2 in b2.monomials]
+
+    def check(emb, expect):
+        checked = 0
+        for c, mc in enumerate(box):
+            j = pair.index.get(mc)
+            if j is None or pair.heights[j] > emb.certified:
+                continue
+            checked += 1
+            for r, mr in enumerate(box):
+                i = pair.index.get(mr)
+                if i is None:
+                    assert not expect[r][c], (mc, mr)
+                else:
+                    assert emb.entry(i, j) == expect[r][c], (mc, mr)
+        return checked
+
+    # d/dz is certified on all 6 pair columns, z on the 3 of height <= 1
+    for kind, cols in (("der", 6), ("mult", 3)):
+        d1 = diffop_to_op(b1, [term(b1, 1, **{kind: {"z1": 1}})])
+        dense1 = [[d1.entry(r, c) for c in range(n1)] for r in range(n1)]
+        assert check(site_embed(d1, 1, pair), kron(dense1, mat_eye(n2))) == cols
+        d2 = diffop_to_op(b2, [term(b2, 1, **{kind: {"z2": 1}})])
+        dense2 = [[d2.entry(r, c) for c in range(n2)] for r in range(n2)]
+        assert check(site_embed(d2, 2, pair), kron(mat_eye(n1), dense2)) == cols
 
 
 def test_pair_swap_involution_and_conjugation():

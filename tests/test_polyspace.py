@@ -118,14 +118,10 @@ def test_tensor_basis_pairing():
     b1 = enumerate_basis([VarSpec("z1")], 2)
     b2 = enumerate_basis([VarSpec("z2")], 3)
     pair = tensor_basis(b1, b2)
-    assert len(pair) == 12
-    for i1, m1 in enumerate(b1.monomials):
-        for i2, m2 in enumerate(b2.monomials):
-            idx = i1 * len(b2) + i2
-            assert pair.monomials[idx] == m1 + m2
-            assert pair.heights[idx] == b1.heights[i1] + b2.heights[i2]
-    assert pair.cap == 5
-    assert pair.cert_cap == 2
+    # the box monomials of total height <= min cap, site-1 index major
+    assert pair.monomials == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert pair.heights == [0, 1, 2, 1, 2, 2]
+    assert pair.cap == 2
     assert pair.factors == (b1, b2)
 
 
@@ -172,6 +168,14 @@ def test_comb_pow_matches_repeated_mul(e):
     for _ in range(e):
         expect = comb_mul(expect, base)
     assert comb_pow(base, e, {}) == expect
+
+
+def test_comb_mul_drops_exact_zero_products():
+    # a zero coefficient (e.g. a zero shift parameter in x -> x + a) makes a
+    # product term exactly 0 at a monomial not yet in the result
+    x_plus_0 = {(1, 0, 0): F(1), (0, 0, 0): F(0)}
+    assert comb_mul(x_plus_0, x_plus_0) == {(2, 0, 0): F(1)}
+    assert comb_pow(x_plus_0, 3, {}) == {(3, 0, 0): F(1)}
 
 
 def test_comb_add_into_cancels_exact_zeros():
