@@ -13,11 +13,16 @@ import sys
 
 from .exactnum import rat_from_str
 from .polyspace import CapTooLarge
-from .verify import SuiteConfig, parse_mutate, report_to_json, run_suite
+from .verify import CATALOG, SuiteConfig, parse_mutate, report_to_json, run_suite
 
+# --op values: the catalog's oracle-* checks of each algebra, in catalog order
 ORACLE_OPS = {
-    "sl2": ("r1", "r2"),
-    "sl3": ("r1", "r2", "r3", "r3-single"),
+    algebra: tuple(
+        name.removeprefix("oracle-")
+        for alg, name in CATALOG
+        if alg == algebra and name.startswith("oracle-")
+    )
+    for algebra in ("sl2", "sl3")
 }
 
 ORACLE_DEFAULT_CAP = {"sl2": 6, "sl3": 3}

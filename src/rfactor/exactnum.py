@@ -10,7 +10,6 @@ bases: there the reflection through 1/Gamma produces exact zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rat = Fraction
@@ -27,13 +26,6 @@ class PoleAtParameter(ArithmeticError):
     """A Pochhammer denominator vanished at the given parameters."""
 
 
-def rat(p, q=1) -> Rat:
-    """Build a reduced rational with positive denominator."""
-    if q == 0:
-        raise DivisionByZero(f"rational {p}/{q}")
-    return Fraction(p, q)
-
-
 def rat_from_str(text: str) -> Rat:
     """Parse 'p/q' or 'p'."""
     try:
@@ -47,20 +39,6 @@ def rat_from_str(text: str) -> Rat:
 def rat_str(a: Rat) -> str:
     """Render as 'p/q', or 'p' when the denominator is 1."""
     return str(a)
-
-
-def rat_arith(a: Rat, b: Rat, op: str) -> Rat:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def pochhammer(a: Rat, k: int) -> Rat:
@@ -100,13 +78,3 @@ def gamma_ratio_shift(a: Rat, b: Rat, k: int) -> Rat:
         raise PoleAtParameter(f"Gamma({a}{k:+d})/Gamma({a}) pole")
     return num / den
 
-
-@dataclass(frozen=True)
-class Pochhammer:
-    """A rising factorial (base)_length, kept symbolic until value() is taken."""
-
-    base: Rat
-    length: int
-
-    def value(self) -> Rat:
-        return pochhammer(self.base, self.length)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import ZERO
+from .exactnum import ZERO, gamma_ratio_shift
 from .polyspace import GradedBasis, comb_add_into, comb_mul, comb_pow
 
 NEG_INF = -(10**9)  # shift of an identically zero operator
@@ -45,10 +45,6 @@ class LaurentLeak(ValueError):
 
 class WindowBeyondCertified(ValueError):
     """A zero test asked about heights the operator is not exact at."""
-
-
-class NotBlockDiagonal(ValueError):
-    """An operator failed to commute with the given charge operators."""
 
 
 class DegenerateDecomposition(ValueError):
@@ -139,13 +135,6 @@ def zero_op(domain, codomain=None):
 
 def identity_op(basis):
     cols = {i: {i: Fraction(1)} for i in range(len(basis))}
-    return SparseOp(basis, basis, cols, 0, basis.cap)
-
-
-def scalar_op(basis, c):
-    if not c:
-        return zero_op(basis)
-    cols = {i: {i: c} for i in range(len(basis))}
     return SparseOp(basis, basis, cols, 0, basis.cap)
 
 
@@ -289,30 +278,6 @@ def op_equal(a, b, window):
     return is_zero(op_sub(a, b), window)
 
 
-def weight_block_decompose(op: SparseOp, charges, window):
-    """Group basis indices by their charge-vector under diagonal operators
-    `charges`, after verifying that op commutes with each of them up to
-    `window`. Returns {charge tuple: [indices]}."""
-    basis = op.domain
-    eigs = []
-    for ch in charges:
-        vals = []
-        for i in range(len(basis)):
-            col = ch.col(i)
-            if set(col) - {i}:
-                raise NotBlockDiagonal("charge operator is not diagonal")
-            vals.append(col.get(i, ZERO))
-        eigs.append(vals)
-        ok, wit = is_zero(commutator(op, ch), window)
-        if not ok:
-            raise NotBlockDiagonal(f"operator does not preserve charge: {wit}")
-    blocks = {}
-    for i in range(len(basis)):
-        key = tuple(e[i] for e in eigs)
-        blocks.setdefault(key, []).append(i)
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # Exact sparse linear algebra: fraction-free echelon form and nullspaces
 
@@ -387,22 +352,9 @@ def int_echelon_nullspace(equations, unknowns):
 # falling factorials. mult and der are full-length exponent tuples over the
 # basis variables.
 
-def unit_exp(nvars, idx, e=1):
-    t = [0] * nvars
-    t[idx] = e
-    return tuple(t)
-
-
 def term(basis, coef, mult=None, der=None):
     """Readable term builder: mult/der given as {var name: exponent}."""
-    names = [v.name for v in basis.vars]
-    m = [0] * len(names)
-    d = [0] * len(names)
-    for src, dst in ((mult, m), (der, d)):
-        if src:
-            for name, e in src.items():
-                dst[names.index(name)] = e
-    return (Fraction(coef), tuple(m), tuple(d))
+    return (Fraction(coef), basis.mono(mult or {}), basis.mono(der or {}))
 
 
 def diffop_shift(terms, weights):
@@ -488,8 +440,6 @@ def stage_euler(basis, var, a, b, mutate=None):
     mutate=(k, factor) multiplies the eigenvalue at exponent k by factor;
     used only by the mutation-sensitivity harness.
     """
-    from .exactnum import gamma_ratio_shift
-
     cache = {}
 
     def eig(e):
@@ -540,13 +490,6 @@ def stage_laurent(basis, sign, num, den, target):
     return run
 
 
-def _name_index(basis, name):
-    for i, v in enumerate(basis.vars):
-        if v.name == name:
-            return i
-    raise KeyError(f"no variable {name!r} in basis")
-
-
 def subst_op(basis, rules, homogeneous=True):
     """Simultaneous substitution as an operator; rules: {var name: {monomial
     tuple: coeff}}. With homogeneous=True every replacement must preserve the
@@ -555,7 +498,7 @@ def subst_op(basis, rules, homogeneous=True):
     by_index = {}
     shift = 0
     for name, repl in rules.items():
-        vi = _name_index(basis, name)
+        vi = basis.var_index(name)
         w = basis.weights[vi]
         for mono in repl:
             h = basis.height(mono)
@@ -570,21 +513,6 @@ def subst_op(basis, rules, homogeneous=True):
         by_index[vi] = repl
     st = stage_subst(basis, by_index)
     return op_from_action(basis, lambda m: st({m: Fraction(1)}), shift)
-
-
-def euler_diag(basis, name, a, b):
-    """Diagonal Gamma-ratio operator in the exponent of one variable."""
-    st = stage_euler(basis, _name_index(basis, name), a, b)
-    return op_from_action(basis, lambda m: st({m: Fraction(1)}), 0)
-
-
-def laurent_conj(basis, sign, num, den, target):
-    """exp(sign*(num/den)*d/d(target)) as an operator on a padded basis."""
-    st = stage_laurent(
-        basis, sign, _name_index(basis, num), _name_index(basis, den),
-        _name_index(basis, target),
-    )
-    return op_from_action(basis, lambda m: st({m: Fraction(1)}), 0)
 
 
 def run_pipeline(basis, stages):
@@ -678,13 +606,6 @@ def lax_sub(A, B):
     return lax_add(A, B, Fraction(-1))
 
 
-def lax_lift_scalar(R: SparseOp, size: int) -> LaxOp:
-    z = zero_op(R.domain, R.codomain)
-    return LaxOp(
-        [[R if i == j else z for j in range(size)] for i in range(size)]
-    )
-
-
 def lax_compose_scalar(R: SparseOp, A: LaxOp, side: str) -> LaxOp:
     """Compose every block with a scalar (aux-identity) operator."""
     if side == "left":
@@ -752,10 +673,6 @@ def lax_is_zero(A: LaxOp, window: int):
             if not ok:
                 return False, (f"block ({i},{j})", wit[0], wit[1])
     return True, None
-
-
-def lax_certified(A: LaxOp) -> int:
-    return min(b.certified for row in A.blocks for b in row)
 
 
 # ---------------------------------------------------------------------------

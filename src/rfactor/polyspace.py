@@ -94,8 +94,19 @@ class GradedBasis:
     def height(self, mono) -> int:
         return sum(e * w for e, w in zip(mono, self.weights))
 
-    def in_basis(self, mono) -> bool:
-        return mono in self.index
+    def var_index(self, name) -> int:
+        """Position of the variable called `name` in the exponent tuples."""
+        for i, v in enumerate(self.vars):
+            if v.name == name:
+                return i
+        raise KeyError(f"no variable {name!r} in basis")
+
+    def mono(self, exps) -> tuple:
+        """Exponent tuple of the monomial {variable name: exponent}."""
+        t = [0] * len(self.vars)
+        for name, e in exps.items():
+            t[self.var_index(name)] = e
+        return tuple(t)
 
     def mono_str(self, mono) -> str:
         parts = []
@@ -124,12 +135,6 @@ class GradedBasis:
                 and self.cap == other.cap
                 and self.monomials == other.monomials
             )
-        )
-
-    def dump(self) -> str:
-        return "\n".join(
-            f"{i} {h} {self.mono_str(m)}"
-            for i, (m, h) in enumerate(zip(self.monomials, self.heights))
         )
 
 

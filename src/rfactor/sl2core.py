@@ -12,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rat, pochhammer
+from .exactnum import Rat
 from .polyspace import GradedBasis, VarSpec, enumerate_basis, tensor_basis
 from .linop import (
+    DegenerateDecomposition,
     LaxOp,
-    SparseOp,
     compose,
     diffop_to_op,
     identity_op,
     int_echelon_nullspace,
-    is_zero,
     kron,
+    lax_mul,
     mat_eye,
     mat_mul,
     mat_sub,
@@ -63,13 +63,6 @@ def sl2_site(cap: int, name: str = "z") -> GradedBasis:
 
 def sl2_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl2_site(cap, "z1"), sl2_site(cap, "z2"))
-
-
-def _vidx(basis, name):
-    for i, v in enumerate(basis.vars):
-        if v.name == name:
-            return i
-    raise KeyError(name)
 
 
 def sl2_generators(basis, ell, var="z"):
@@ -119,8 +112,6 @@ def sl2_lax_generator_form(basis, ell, u, var="z"):
 
 def sl2_lax_factored(basis, u1, u2, var="z"):
     """[[1,0],[z,1]] . [[u1-1, -d],[0, u2]] . [[1,0],[-z,1]]."""
-    from .linop import lax_mul
-
     one = identity_op(basis)
     z1 = {var: 1}
     zmul = diffop_to_op(basis, [term(basis, 1, z1, None)])
@@ -137,54 +128,14 @@ def sl2_lax_factored(basis, u1, u2, var="z"):
     return lax_mul(lax_mul(M_plus, D), M_minus)
 
 
-def subst_shift_op(basis, var, const):
-    """The substitution z -> z + const as an exact operator (shift 0)."""
-    vi = _vidx(basis, var)
-    st = stage_subst(
-        basis,
-        {
-            vi: {
-                _unit(basis, vi): Fraction(1),
-                _unit(basis, None): Fraction(const),
-            }
-        },
-    )
-    if const == 0:
-        return identity_op(basis)
-    return op_from_action(basis, lambda m: st({m: Fraction(1)}), 0)
-
-
-def _unit(basis, vi):
-    t = [0] * len(basis.vars)
-    if vi is not None:
-        t[vi] = 1
-    return tuple(t)
-
-
-def op_exp_nilpotent(op, lam):
-    """exp(lam * op) for strictly height-lowering op (terminating series)."""
-    if op.shift >= 0:
-        raise ValueError("series exponential needs a height-lowering operator")
-    acc = identity_op(op.domain)
-    cur = identity_op(op.domain)
-    k = 0
-    while True:
-        k += 1
-        cur = op_scale(compose(op, cur), Fraction(lam, k))
-        if not cur.cols:
-            break
-        acc = op_add(acc, cur)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # R-operators
 
 def sl2_r1(pair, u1, v1, v2, mutate=None):
     """Swap of the first parameter pair: diagonal (u1-v2, v1-v2) Pochhammer
     ratios on powers of (z2 - z1), conjugated back to the monomial basis."""
-    z1, z2 = _vidx(pair, "z1"), _vidx(pair, "z2")
-    e1, e2 = _unit(pair, z1), _unit(pair, z2)
+    z1, z2 = pair.var_index("z1"), pair.var_index("z2")
+    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
     plus = stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(1)}})
     diag = stage_euler(pair, z2, u1 - v2, v1 - v2, mutate=mutate)
     minus = stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(-1)}})
@@ -194,19 +145,21 @@ def sl2_r1(pair, u1, v1, v2, mutate=None):
 def sl2_r2(pair, u1, u2, v2, mutate=None):
     """Swap of the second parameter pair: diagonal (u1-v2, u1-u2) ratios on
     powers of (z1 - z2)."""
-    z1, z2 = _vidx(pair, "z1"), _vidx(pair, "z2")
-    e1, e2 = _unit(pair, z1), _unit(pair, z2)
+    z1, z2 = pair.var_index("z1"), pair.var_index("z2")
+    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
     plus = stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(1)}})
     diag = stage_euler(pair, z1, u1 - v2, u1 - u2, mutate=mutate)
     minus = stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(-1)}})
     return run_pipeline(pair, [plus, diag, minus])
 
 
-def sl2_r1_pairs(u1, v1, v2):
+def sl2_r1_pairs(u1, v1, v2, cap=None):
+    """Degeneracy-guard Pochhammer pairs of the r1 pipeline.  `cap` gives
+    the sl2 and sl3 guards one signature; no sl2 pole depends on it."""
     return [(u1 - v2, v1 - v2)]
 
 
-def sl2_r2_pairs(u1, u2, v2):
+def sl2_r2_pairs(u1, u2, v2, cap=None):
     return [(u1 - v2, u1 - u2)]
 
 
@@ -232,7 +185,7 @@ def sl2_rhat(pair, p1: Sl2Params, p2: Sl2Params, order=1, mutate=None):
     raise ValueError(f"order must be 1 or 2, not {order}")
 
 
-def sl2_rhat_pairs(p1, p2, order=1):
+def sl2_rhat_pairs(p1, p2, order=1, cap=None):
     u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
     if order == 1:
         return sl2_r1_pairs(u1, v1, u2) + sl2_r2_pairs(u1, u2, v2)
@@ -249,8 +202,8 @@ def sl2_rhat_closed(pair, l1, l2, w):
     parameters written directly through the weights: eigenvalues
     (2 l1, l1+l2-w) on powers of (z2-z1), then (l1+l2+w, 2 l1) on powers of
     (z1-z2), where w is the spectral parameter difference."""
-    z1, z2 = _vidx(pair, "z1"), _vidx(pair, "z2")
-    e1, e2 = _unit(pair, z1), _unit(pair, z2)
+    z1, z2 = pair.var_index("z1"), pair.var_index("z2")
+    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
     f1 = run_pipeline(
         pair,
         [
@@ -282,8 +235,6 @@ def sl2_spectral(cap, l1, l2, u, v, n_max):
     is asserted exactly. Raises DegenerateDecomposition if a kernel is not
     one-dimensional and ValueError on eigen-equation failure.
     """
-    from .linop import DegenerateDecomposition
-
     pair = sl2_pair(cap)
     p1, p2 = Sl2Params(l1, u), Sl2Params(l2, v)
     R = sl2_rmatrix(pair, p1, p2)
@@ -388,26 +339,3 @@ def ybe_fundamental_residual(u, v, d):
     lhs = mat_mul(mat_mul(r12, r13), r23)
     rhs = mat_mul(mat_mul(r23, r13), r12)
     return mat_sub(lhs, rhs)
-
-
-def sl2_raising_profile(basis, ell, cap, var="z"):
-    """Coefficients of the raising flow on the lowest-weight vector:
-    S+^k . 1 = (2 ell)_k z^k for k <= cap (exact also in the finite-
-    dimensional cases 2 ell = -n, where the series truncates)."""
-    g = sl2_generators(basis, ell, var)
-    vec = {0: Fraction(1)}
-    out = []
-    zpos = _vidx(basis, var)
-    for k in range(cap + 1):
-        expected = {basis.index[_unit_e(basis, zpos, k)]: pochhammer(2 * ell, k)}
-        expected = {i: c for i, c in expected.items() if c}
-        if vec != expected:
-            return False, (k, basis.comb_str(vec), basis.comb_str(expected))
-        vec = g["Sp"].apply_vec(vec)
-    return True, None
-
-
-def _unit_e(basis, vi, e):
-    t = [0] * len(basis.vars)
-    t[vi] = e
-    return tuple(t)

@@ -20,15 +20,14 @@ from .linop import (
     compose,
     diffop_to_op,
     identity_op,
+    lax_mul,
     op_add,
-    op_from_action,
     op_scale,
-    op_sub,
-    pair_swap,
     run_pipeline,
     stage_euler,
     stage_laurent,
     stage_subst,
+    subst_op,
     term,
     zero_op,
 )
@@ -204,46 +203,7 @@ def op_scalar_part(op):
 
 
 # ---------------------------------------------------------------------------
-# Fundamental representations
-
-def _neg_transpose(M):
-    return [[-M[j][i] for j in range(3)] for i in range(3)]
-
-
-def sl3_fundamental(kind):
-    """3x3 matrices of the generators in the two fundamental representations.
-
-    kind (1, 0): T_ab -> E_ab (weight basis e1, e2, e3);
-    kind (0, 1): T_ab -> -E_ba (the dual).
-    """
-    base = {name: GEN_COEFF_MATRICES[name] for name in GEN_NAMES}
-    if kind == (1, 0):
-        return {k: [row[:] for row in v] for k, v in base.items()}
-    if kind == (0, 1):
-        return {k: _neg_transpose(v) for k, v in base.items()}
-    raise ValueError(f"kind must be (1,0) or (0,1), not {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Finite-dimensional submodules
-
-def vec_series_exp(op, lam, vec, max_terms=200):
-    """exp(lam*op) applied to an index-keyed vector, requiring termination."""
-    acc = dict(vec)
-    cur = dict(vec)
-    for k in range(1, max_terms + 1):
-        cur = op.apply_vec(cur)
-        if not cur:
-            return acc
-        cur = {i: c * lam / k for i, c in cur.items()}
-        for i, c in cur.items():
-            w = acc.get(i, Fraction(0)) + c
-            if w:
-                acc[i] = w
-            else:
-                acc.pop(i, None)
-    raise ValueError("exponential series did not terminate")
-
 
 class _Span:
     """Row-reduced exact span with pivot bookkeeping."""
@@ -371,8 +331,6 @@ def sl3_lax_casimir_form(basis, m, n, u, suffix=""):
 
 def sl3_lax_factored(basis, u1, u2, u3, suffix=""):
     """Lower-triangular . upper-triangular . lower-triangular factorization."""
-    from .linop import lax_mul
-
     x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
 
     def t(c, mu=None, de=None):
@@ -420,42 +378,32 @@ def sl3_shift_flows(basis, a, b, c, suffix=""):
     """The group element exp(c (dz - x dy)) exp(b dy) exp(a dx) as an exact
     substitution operator, and its inverse."""
     x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
-    from .linop import subst_op
-
     fwd = subst_op(
         basis,
         {
-            x: {_m(basis, {x: 1}): Fraction(1), _m(basis, {}): Fraction(a)},
+            x: {basis.mono({x: 1}): Fraction(1), basis.mono({}): Fraction(a)},
             y: {
-                _m(basis, {y: 1}): Fraction(1),
-                _m(basis, {x: 1}): Fraction(-c),
-                _m(basis, {}): Fraction(b),
+                basis.mono({y: 1}): Fraction(1),
+                basis.mono({x: 1}): Fraction(-c),
+                basis.mono({}): Fraction(b),
             },
-            z: {_m(basis, {z: 1}): Fraction(1), _m(basis, {}): Fraction(c)},
+            z: {basis.mono({z: 1}): Fraction(1), basis.mono({}): Fraction(c)},
         },
         homogeneous=False,
     )
     inv = subst_op(
         basis,
         {
-            x: {_m(basis, {x: 1}): Fraction(1), _m(basis, {}): Fraction(-a)},
+            x: {basis.mono({x: 1}): Fraction(1), basis.mono({}): Fraction(-a)},
             y: {
-                _m(basis, {y: 1}): Fraction(1),
-                _m(basis, {x: 1}): Fraction(c),
-                _m(basis, {}): Fraction(-b - c * a)},
-            z: {_m(basis, {z: 1}): Fraction(1), _m(basis, {}): Fraction(-c)},
+                basis.mono({y: 1}): Fraction(1),
+                basis.mono({x: 1}): Fraction(c),
+                basis.mono({}): Fraction(-b - c * a)},
+            z: {basis.mono({z: 1}): Fraction(1), basis.mono({}): Fraction(-c)},
         },
         homogeneous=False,
     )
     return fwd, inv
-
-
-def _m(basis, d):
-    t = [0] * len(basis.vars)
-    names = [v.name for v in basis.vars]
-    for k, e in d.items():
-        t[names.index(k)] = e
-    return tuple(t)
 
 
 def sl3_invariance_matrix(a, b, c):
@@ -470,23 +418,9 @@ def sl3_invariance_matrix(a, b, c):
 # ---------------------------------------------------------------------------
 # Elementary R-operators
 #
-# Variable index helpers on the pair basis: site 1 = (x1, y1, z1), site 2 =
-# (x2, y2, z2). All stages below preserve total height; intermediate
-# monomials may carry negative exponents, the output may not.
-
-def _vi(pair, name):
-    for i, v in enumerate(pair.vars):
-        if v.name == name:
-            return i
-    raise KeyError(name)
-
-
-def _u(pair, **exps):
-    t = [0] * len(pair.vars)
-    for name, e in exps.items():
-        t[_vi(pair, name)] = e
-    return tuple(t)
-
+# Pair variables: site 1 = (x1, y1, z1), site 2 = (x2, y2, z2). All stages
+# below preserve total height; intermediate monomials may carry negative
+# exponents, the output may not.
 
 def _mut(mutate, tag):
     if mutate is not None and mutate[0] == tag:
@@ -500,40 +434,37 @@ def sl3_r1(pair, u1, v1, v2, v3, mutate=None):
     Conjugated by the shift to the difference frame and by the frame change
     y -> y + x z on site 2; the core is Gamma-ratio diagonals in the x2 and
     y2 exponents around Laurent flows exp(+-(y2/x2) dz2)."""
-    x1, y1, z1 = _vi(pair, "x1"), _vi(pair, "y1"), _vi(pair, "z1")
-    x2, y2, z2 = _vi(pair, "x2"), _vi(pair, "y2"), _vi(pair, "z2")
+    x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
+    x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
     one = Fraction(1)
     s1 = stage_subst(
         pair,
         {
-            x2: {_u(pair, x2=1): one, _u(pair, x1=1): one},
-            z2: {_u(pair, z2=1): one, _u(pair, z1=1): one},
+            x2: {pair.mono({"x2": 1}): one, pair.mono({"x1": 1}): one},
+            z2: {pair.mono({"z2": 1}): one, pair.mono({"z1": 1}): one},
             y2: {
-                _u(pair, y2=1): one,
-                _u(pair, y1=1): one,
-                _u(pair, z1=1, x2=1): -one,
+                pair.mono({"y2": 1}): one,
+                pair.mono({"y1": 1}): one,
+                pair.mono({"z1": 1, "x2": 1}): -one,
             },
         },
     )
     s1_inv = stage_subst(
         pair,
         {
-            x2: {_u(pair, x2=1): one, _u(pair, x1=1): -one},
-            z2: {_u(pair, z2=1): one, _u(pair, z1=1): -one},
+            x2: {pair.mono({"x2": 1}): one, pair.mono({"x1": 1}): -one},
+            z2: {pair.mono({"z2": 1}): one, pair.mono({"z1": 1}): -one},
             y2: {
-                _u(pair, y2=1): one,
-                _u(pair, y1=1): -one,
-                _u(pair, z1=1, x2=1): one,
-                _u(pair, z1=1, x1=1): -one,
+                pair.mono({"y2": 1}): one,
+                pair.mono({"y1": 1}): -one,
+                pair.mono({"z1": 1, "x2": 1}): one,
+                pair.mono({"z1": 1, "x1": 1}): -one,
             },
         },
     )
-    w_fwd = stage_subst(
-        pair, {y2: {_u(pair, y2=1): one, _u(pair, x2=1, z2=1): one}}
-    )
-    w_bwd = stage_subst(
-        pair, {y2: {_u(pair, y2=1): one, _u(pair, x2=1, z2=1): -one}}
-    )
+    xz2 = pair.mono({"x2": 1, "z2": 1})
+    w_fwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): one, xz2: one}})
+    w_bwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): one, xz2: -one}})
     stages = [
         s1,
         w_bwd,
@@ -552,31 +483,31 @@ def sl3_r1(pair, u1, v1, v2, v3, mutate=None):
 
 def sl3_r2(pair, u1, u2, v2, v3, mutate=None):
     """Second-slot swap u2 <-> v2."""
-    x1, y1, z1 = _vi(pair, "x1"), _vi(pair, "y1"), _vi(pair, "z1")
-    x2, y2, z2 = _vi(pair, "x2"), _vi(pair, "y2"), _vi(pair, "z2")
+    x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
+    x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
     one = Fraction(1)
     s2 = stage_subst(
         pair,
         {
-            x1: {_u(pair, x1=1): one, _u(pair, x2=1): one},
-            z2: {_u(pair, z2=1): one, _u(pair, z1=1): one},
+            x1: {pair.mono({"x1": 1}): one, pair.mono({"x2": 1}): one},
+            z2: {pair.mono({"z2": 1}): one, pair.mono({"z1": 1}): one},
             y1: {
-                _u(pair, y1=1): one,
-                _u(pair, y2=1): one,
-                _u(pair, x1=1, z1=1): -one,
+                pair.mono({"y1": 1}): one,
+                pair.mono({"y2": 1}): one,
+                pair.mono({"x1": 1, "z1": 1}): -one,
             },
         },
     )
     s2_inv = stage_subst(
         pair,
         {
-            x1: {_u(pair, x1=1): one, _u(pair, x2=1): -one},
-            z2: {_u(pair, z2=1): one, _u(pair, z1=1): -one},
+            x1: {pair.mono({"x1": 1}): one, pair.mono({"x2": 1}): -one},
+            z2: {pair.mono({"z2": 1}): one, pair.mono({"z1": 1}): -one},
             y1: {
-                _u(pair, y1=1): one,
-                _u(pair, y2=1): -one,
-                _u(pair, x1=1, z1=1): one,
-                _u(pair, x2=1, z1=1): -one,
+                pair.mono({"y1": 1}): one,
+                pair.mono({"y2": 1}): -one,
+                pair.mono({"x1": 1, "z1": 1}): one,
+                pair.mono({"x2": 1, "z1": 1}): -one,
             },
         },
     )
@@ -596,31 +527,31 @@ def sl3_r2(pair, u1, u2, v2, v3, mutate=None):
 
 def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
     """Third-slot swap u3 <-> v3."""
-    x1, y1, z1 = _vi(pair, "x1"), _vi(pair, "y1"), _vi(pair, "z1")
-    x2, y2, z2 = _vi(pair, "x2"), _vi(pair, "y2"), _vi(pair, "z2")
+    x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
+    x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
     one = Fraction(1)
     s3 = stage_subst(
         pair,
         {
-            x1: {_u(pair, x1=1): one, _u(pair, x2=1): one},
-            z1: {_u(pair, z1=1): one, _u(pair, z2=1): one},
+            x1: {pair.mono({"x1": 1}): one, pair.mono({"x2": 1}): one},
+            z1: {pair.mono({"z1": 1}): one, pair.mono({"z2": 1}): one},
             y1: {
-                _u(pair, y1=1): one,
-                _u(pair, y2=1): one,
-                _u(pair, x1=1, z2=1): -one,
+                pair.mono({"y1": 1}): one,
+                pair.mono({"y2": 1}): one,
+                pair.mono({"x1": 1, "z2": 1}): -one,
             },
         },
     )
     s3_inv = stage_subst(
         pair,
         {
-            x1: {_u(pair, x1=1): one, _u(pair, x2=1): -one},
-            z1: {_u(pair, z1=1): one, _u(pair, z2=1): -one},
+            x1: {pair.mono({"x1": 1}): one, pair.mono({"x2": 1}): -one},
+            z1: {pair.mono({"z1": 1}): one, pair.mono({"z2": 1}): -one},
             y1: {
-                _u(pair, y1=1): one,
-                _u(pair, y2=1): -one,
-                _u(pair, x1=1, z2=1): one,
-                _u(pair, x2=1, z2=1): -one,
+                pair.mono({"y1": 1}): one,
+                pair.mono({"y2": 1}): -one,
+                pair.mono({"x1": 1, "z2": 1}): one,
+                pair.mono({"x2": 1, "z2": 1}): -one,
             },
         },
     )
@@ -706,10 +637,6 @@ def sl3_rhat_pairs(p1, p2, order, cap):
     )
 
 
-def sl3_rmatrix(pair, p1, p2, order=1):
-    return compose(pair_swap(pair), sl3_rhat(pair, p1, p2, order))
-
-
 def sl3_weight_shifts(which, p1, p2):
     """Weight (m, n) of both sites after an elementary factor."""
     m1, n1, m2, n2 = p1.m, p1.n, p2.m, p2.n
@@ -738,9 +665,9 @@ def sl3_total_generators(pair, params1, params2):
 def sl3_r3_single(basis, u1, u2, u3, v3, suffix=""):
     """The third swap reduced to one site: Gamma-ratio diagonals in the z and
     y exponents around Laurent flows exp(-+(y/z) dx)."""
-    x = _vi(basis, "x" + suffix)
-    y = _vi(basis, "y" + suffix)
-    z = _vi(basis, "z" + suffix)
+    x = basis.var_index("x" + suffix)
+    y = basis.var_index("y" + suffix)
+    z = basis.var_index("z" + suffix)
     stages = [
         stage_euler(basis, z, 1, u2 - u3 + 1),
         stage_laurent(basis, -1, num=y, den=z, target=x),

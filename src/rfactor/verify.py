@@ -18,7 +18,9 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .exactnum import PoleAtParameter, rat_str
 from .linop import (
@@ -342,20 +344,6 @@ def residual_rll(R, L1, L2, L1p, L2p, window, name="rll", params=(), cap=None):
     return _fail(name, params, cap, window, wit)
 
 
-def residual_ybe(R12, R13, R23, name="ybe", params=(), cap=0):
-    """CheckResult for R12 R13 R23 - R23 R13 R12 on dense exact matrices."""
-    resid = mat_sub(
-        mat_mul(mat_mul(R12, R13), R23), mat_mul(mat_mul(R23, R13), R12)
-    )
-    for i, row in enumerate(resid):
-        for j, val in enumerate(row):
-            if val:
-                return _fail(
-                    name, params, cap, 0, (f"entry ({i},{j})", rat_str(val))
-                )
-    return _pass(name, params, cap, 0)
-
-
 def _commutes(R, op, name, params, cap):
     res = commutator(R, op)
     ok, wit = is_zero(res, res.certified)
@@ -435,75 +423,14 @@ def _sl2_lax_factor(cap, draws, mutate):
     return _pass("lax-factor", draws, cap, window)
 
 
-def _sl2_f1(cap, draws, mutate):
-    p1, p2 = _sl2_point(draws)
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
-    ok, reason = degeneracy_guard(sl2_r1_pairs(u1, v1, v2), cap)
-    if not ok:
-        return _skip("F1", draws, cap, reason)
-    pair = _pair2(cap)
-    inner = mutate[1] if mutate and mutate[0] == "r1" else None
-    R = sl2_r1(pair, u1, v1, v2, mutate=inner)
-    res = residual_rll(
-        R,
-        sl2_lax(pair, u1, u2, "z1"),
-        sl2_lax(pair, v1, v2, "z2"),
-        sl2_lax(pair, v1, u2, "z1"),
-        sl2_lax(pair, u1, v2, "z2"),
-        cap - 2,
-        name="F1",
-        params=draws,
-        cap=cap,
-    )
-    if res.status != "pass":
-        return res
-    return _commutes(R, _mult_op(pair, {"z1": 1}), "F1", draws, cap) or res
+# side relations: the sl2 factor R_k commutes with multiplication by z_k
+
+def _sl2_sides_r1(pair):
+    return [_mult_op(pair, {"z1": 1})]
 
 
-def _sl2_f2(cap, draws, mutate):
-    p1, p2 = _sl2_point(draws)
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
-    ok, reason = degeneracy_guard(sl2_r2_pairs(u1, u2, v2), cap)
-    if not ok:
-        return _skip("F2", draws, cap, reason)
-    pair = _pair2(cap)
-    inner = mutate[1] if mutate and mutate[0] == "r2" else None
-    R = sl2_r2(pair, u1, u2, v2, mutate=inner)
-    res = residual_rll(
-        R,
-        sl2_lax(pair, u1, u2, "z1"),
-        sl2_lax(pair, v1, v2, "z2"),
-        sl2_lax(pair, u1, v2, "z1"),
-        sl2_lax(pair, v1, u2, "z2"),
-        cap - 2,
-        name="F2",
-        params=draws,
-        cap=cap,
-    )
-    if res.status != "pass":
-        return res
-    return _commutes(R, _mult_op(pair, {"z2": 1}), "F2", draws, cap) or res
-
-
-def _sl2_orders(cap, draws, mutate):
-    p1, p2 = _sl2_point(draws)
-    pairs = sl2_rhat_pairs(p1, p2, 1) + sl2_rhat_pairs(p1, p2, 2)
-    ok, reason = degeneracy_guard(pairs, cap)
-    if not ok:
-        return _skip("rfact-orders", draws, cap, reason)
-    pair = _pair2(cap)
-    a1 = sl2_rhat(pair, p1, p2, 1, mutate=mutate)
-    a2 = sl2_rhat(pair, p1, p2, 2, mutate=mutate)
-    try:
-        n1, c1 = lwv_normalize(a1)
-        n2, _ = lwv_normalize(a2)
-    except NotLowestWeightStable as e:
-        return _fail("rfact-orders", draws, cap, cap, e.args[0])
-    window = min(n1.certified, n2.certified)
-    ok, wit = op_equal(n1, n2, window)
-    if not ok:
-        return _fail("rfact-orders", draws, cap, window, wit)
-    return _pass("rfact-orders", draws, cap, window, scalar=c1)
+def _sl2_sides_r2(pair):
+    return [_mult_op(pair, {"z2": 1})]
 
 
 def _sl2_spectral(cap, draws, mutate):
@@ -559,99 +486,6 @@ def _sl2_closed_form(cap, draws, mutate):
     if not ok:
         return _fail("closed-form", draws, cap, window, wit)
     return _pass("closed-form", draws, cap, window, scalar=c1)
-
-
-def _sl2_global(cap, draws, mutate):
-    p1, p2 = _sl2_point(draws)
-    ok, reason = degeneracy_guard(sl2_rhat_pairs(p1, p2, 1), cap)
-    if not ok:
-        return _skip("global", draws, cap, reason)
-    pair = _pair2(cap)
-    rhat = sl2_rhat(pair, p1, p2, 1, mutate=mutate)
-    L1 = sl2_lax(pair, p1.u1, p1.u2, "z1")
-    L2 = sl2_lax(pair, p2.u1, p2.u2, "z2")
-    res = residual_rll(
-        rhat,
-        L1,
-        L2,
-        sl2_lax(pair, p2.u1, p2.u2, "z1"),
-        sl2_lax(pair, p1.u1, p1.u2, "z2"),
-        cap - 2,
-        name="global",
-        params=draws,
-        cap=cap,
-    )
-    if res.status != "pass":
-        return res
-    # the aux-matrix ordering flips under the site permutation
-    R = compose(pair_swap(pair), rhat)
-    lhs = lax_compose_scalar(R, lax_mul(L1, L2), "left")
-    rhs = lax_compose_scalar(
-        R,
-        lax_mul(
-            sl2_lax(pair, p2.u1, p2.u2, "z2"), sl2_lax(pair, p1.u1, p1.u2, "z1")
-        ),
-        "right",
-    )
-    ok, wit = lax_is_zero(lax_sub(lhs, rhs), cap - 2)
-    if not ok:
-        return _fail("global", draws, cap, cap - 2, wit)
-    return res
-
-
-def _sl2_inverse(cap, draws, mutate):
-    p1, p2 = _sl2_point(draws)
-    pairs = sl2_rhat_pairs(p1, p2, 1) + sl2_rhat_pairs(p2, p1, 1)
-    ok, reason = degeneracy_guard(pairs, cap)
-    if not ok:
-        return _skip("inverse-scalar", draws, cap, reason)
-    pair = _pair2(cap)
-    comp = compose(sl2_rhat(pair, p2, p1, 1), sl2_rhat(pair, p1, p2, 1))
-    try:
-        n, c = lwv_normalize(comp)
-    except NotLowestWeightStable as e:
-        return _fail("inverse-scalar", draws, cap, cap, e.args[0])
-    ok, wit = op_equal(n, identity_op(pair), n.certified)
-    if not ok:
-        return _fail("inverse-scalar", draws, cap, n.certified, wit)
-    return _pass("inverse-scalar", draws, cap, n.certified, scalar=c)
-
-
-def _sl2_oracle(which):
-    def run(cap, draws, mutate):
-        name = f"oracle-{which}"
-        p1, p2 = _sl2_point(draws)
-        u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
-        if which == "r1":
-            gpairs = sl2_r1_pairs(u1, v1, v2)
-            bt1, bt2 = (v1, u2), (u1, v2)
-            side_var = "z1"
-        else:
-            gpairs = sl2_r2_pairs(u1, u2, v2)
-            bt1, bt2 = (u1, v2), (v1, u2)
-            side_var = "z2"
-        ok, reason = degeneracy_guard(gpairs, cap)
-        if not ok:
-            return _skip(name, draws, cap, reason)
-        pair = _pair2(cap)
-        A = lax_add(
-            sl2_lax(pair, u1, u2, "z1"), sl2_lax(pair, v1, v2, "z2")
-        )
-        B = lax_add(
-            sl2_lax(pair, bt1[0], bt1[1], "z1"),
-            sl2_lax(pair, bt2[0], bt2[1], "z2"),
-        )
-        side = _mult_op(pair, {side_var: 1})
-        constraints = [
-            (A.blocks[i][j], B.blocks[i][j]) for i in range(2) for j in range(2)
-        ] + [(side, side)]
-        if which == "r1":
-            closed = sl2_r1(pair, u1, v1, v2)
-        else:
-            closed = sl2_r2(pair, u1, u2, v2)
-        return _oracle_check(name, draws, pair, constraints, closed, cap)
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -813,127 +647,6 @@ def _sl3_sides_r3(pair):
     ]
 
 
-_SL3_FACTOR_TABLE = {
-    "r1": ("3F1", sl3_r1, sl3_r1_pairs, _sl3_sides_r1),
-    "r2": ("3F2", sl3_r2, sl3_r2_pairs, _sl3_sides_r2),
-    "r3": ("3F3", sl3_r3, sl3_r3_pairs, _sl3_sides_r3),
-}
-
-
-def _sl3_factor_args(which, p1, p2):
-    u1, u2, u3 = p1.triple
-    v1, v2, v3 = p2.triple
-    if which == "r1":
-        return (u1, v1, v2, v3), (v1, u2, u3), (u1, v2, v3)
-    if which == "r2":
-        return (u1, u2, v2, v3), (u1, v2, u3), (v1, u2, v3)
-    return (u1, u2, u3, v3), (u1, u2, v3), (v1, v2, u3)
-
-
-def _sl3_factor_check(which):
-    def run(cap, draws, mutate):
-        name, build, guard_pairs, sides = _SL3_FACTOR_TABLE[which]
-        p1, p2 = _sl3_point(draws)
-        args, bt1, bt2 = _sl3_factor_args(which, p1, p2)
-        ok, reason = degeneracy_guard(guard_pairs(*args, cap), cap)
-        if not ok:
-            return _skip(name, draws, cap, reason)
-        pair = _pair3(cap)
-        inner = mutate[1] if mutate and mutate[0] == which else None
-        try:
-            R = build(pair, *args, mutate=inner)
-        except PoleAtParameter as e:
-            return _skip(name, draws, cap, f"pole: {e}")
-        except LaurentLeak as e:
-            return _fail(name, draws, cap, cap, (str(e), ""))
-        res = residual_rll(
-            R,
-            sl3_lax(pair, *p1.triple, "1"),
-            sl3_lax(pair, *p2.triple, "2"),
-            sl3_lax(pair, *bt1, "1"),
-            sl3_lax(pair, *bt2, "2"),
-            cap - 2,
-            name=name,
-            params=draws,
-            cap=cap,
-        )
-        if res.status != "pass":
-            return res
-        for op in sides(pair):
-            bad = _commutes(R, op, name, draws, cap)
-            if bad is not None:
-                return bad
-        return res
-
-    return run
-
-
-def _sl3_orders(cap, draws, mutate):
-    p1, p2 = _sl3_point(draws)
-    pairs = sl3_rhat_pairs(p1, p2, 1, cap) + sl3_rhat_pairs(p1, p2, 2, cap)
-    ok, reason = degeneracy_guard(pairs, cap)
-    if not ok:
-        return _skip("rfact3-orders", draws, cap, reason)
-    pair = _pair3(cap)
-    try:
-        a1 = sl3_rhat(pair, p1, p2, 1, mutate=mutate)
-        a2 = sl3_rhat(pair, p1, p2, 2, mutate=mutate)
-    except PoleAtParameter as e:
-        return _skip("rfact3-orders", draws, cap, f"pole: {e}")
-    except LaurentLeak as e:
-        return _fail("rfact3-orders", draws, cap, cap, (str(e), ""))
-    try:
-        n1, c1 = lwv_normalize(a1)
-        n2, _ = lwv_normalize(a2)
-    except NotLowestWeightStable as e:
-        return _fail("rfact3-orders", draws, cap, cap, e.args[0])
-    window = min(n1.certified, n2.certified)
-    ok, wit = op_equal(n1, n2, window)
-    if not ok:
-        return _fail("rfact3-orders", draws, cap, window, wit)
-    return _pass("rfact3-orders", draws, cap, window, scalar=c1)
-
-
-def _sl3_def3(cap, draws, mutate):
-    p1, p2 = _sl3_point(draws)
-    ok, reason = degeneracy_guard(sl3_rhat_pairs(p1, p2, 1, cap), cap)
-    if not ok:
-        return _skip("def3", draws, cap, reason)
-    pair = _pair3(cap)
-    try:
-        rhat = sl3_rhat(pair, p1, p2, 1, mutate=mutate)
-    except PoleAtParameter as e:
-        return _skip("def3", draws, cap, f"pole: {e}")
-    except LaurentLeak as e:
-        return _fail("def3", draws, cap, cap, (str(e), ""))
-    L1 = sl3_lax(pair, *p1.triple, "1")
-    L2 = sl3_lax(pair, *p2.triple, "2")
-    res = residual_rll(
-        rhat,
-        L1,
-        L2,
-        sl3_lax(pair, *p2.triple, "1"),
-        sl3_lax(pair, *p1.triple, "2"),
-        cap - 2,
-        name="def3",
-        params=draws,
-        cap=cap,
-    )
-    if res.status != "pass":
-        return res
-    R = compose(pair_swap(pair), rhat)
-    lhs = lax_compose_scalar(R, lax_mul(L1, L2), "left")
-    rhs = lax_compose_scalar(
-        R,
-        lax_mul(sl3_lax(pair, *p2.triple, "2"), sl3_lax(pair, *p1.triple, "1")),
-        "right",
-    )
-    ok, wit = lax_is_zero(lax_sub(lhs, rhs), cap - 2)
-    if not ok:
-        return _fail("def3", draws, cap, cap - 2, wit)
-    return res
-
-
 def _sl3_global(cap, draws, mutate):
     """Weight-shift intertwining: each factor carries the total generators of
     the shifted weights; the full swap exchanges the site weights."""
@@ -944,14 +657,14 @@ def _sl3_global(cap, draws, mutate):
         return _skip("global3", draws, cap, reason)
     pair = _pair3(cap)
     jobs = []
-    for which in ("r1", "r2", "r3"):
-        args, _, _ = _sl3_factor_args(which, p1, p2)
-        build = _SL3_FACTOR_TABLE[which][1]
+    for k in (1, 2, 3):
+        args, _, _ = _factor_args(p1.triple, p2.triple, k)
+        build = _FACTORS["sl3", k][0]
         try:
             R = build(pair, *args)
         except PoleAtParameter as e:
             return _skip("global3", draws, cap, f"pole: {e}")
-        w1, w2 = sl3_weight_shifts(which, p1, p2)
+        w1, w2 = sl3_weight_shifts(f"r{k}", p1, p2)
         jobs.append((R, (p1.m, p1.n), (p2.m, p2.n), w1, w2))
     rhat = sl3_rhat(pair, p1, p2, 1)
     jobs.append((rhat, (p1.m, p1.n), (p2.m, p2.n), (p2.m, p2.n), (p1.m, p1.n)))
@@ -967,55 +680,6 @@ def _sl3_global(cap, draws, mutate):
             if not ok:
                 return _fail("global3", draws, cap, w, wit)
     return _pass("global3", draws, cap, window)
-
-
-def _sl3_inverse(cap, draws, mutate):
-    p1, p2 = _sl3_point(draws)
-    pairs = sl3_rhat_pairs(p1, p2, 1, cap) + sl3_rhat_pairs(p2, p1, 1, cap)
-    ok, reason = degeneracy_guard(pairs, cap)
-    if not ok:
-        return _skip("inverse-scalar3", draws, cap, reason)
-    pair = _pair3(cap)
-    try:
-        comp = compose(
-            sl3_rhat(pair, p2, p1, 1), sl3_rhat(pair, p1, p2, 1)
-        )
-    except PoleAtParameter as e:
-        return _skip("inverse-scalar3", draws, cap, f"pole: {e}")
-    try:
-        n, c = lwv_normalize(comp)
-    except NotLowestWeightStable as e:
-        return _fail("inverse-scalar3", draws, cap, cap, e.args[0])
-    ok, wit = op_equal(n, identity_op(pair), n.certified)
-    if not ok:
-        return _fail("inverse-scalar3", draws, cap, n.certified, wit)
-    return _pass("inverse-scalar3", draws, cap, n.certified, scalar=c)
-
-
-def _sl3_oracle(which):
-    def run(cap, draws, mutate):
-        name = f"oracle-{which}"
-        p1, p2 = _sl3_point(draws)
-        args, bt1, bt2 = _sl3_factor_args(which, p1, p2)
-        _, build, guard_pairs, sides = _SL3_FACTOR_TABLE[which]
-        ok, reason = degeneracy_guard(guard_pairs(*args, cap), cap)
-        if not ok:
-            return _skip(name, draws, cap, reason)
-        pair = _pair3(cap)
-        A = lax_add(
-            sl3_lax(pair, *p1.triple, "1"), sl3_lax(pair, *p2.triple, "2")
-        )
-        B = lax_add(sl3_lax(pair, *bt1, "1"), sl3_lax(pair, *bt2, "2"))
-        constraints = [
-            (A.blocks[i][j], B.blocks[i][j]) for i in range(3) for j in range(3)
-        ] + [(op, op) for op in sides(pair)]
-        try:
-            closed = build(pair, *args)
-        except PoleAtParameter as e:
-            return _skip(name, draws, cap, f"pole: {e}")
-        return _oracle_check(name, draws, pair, constraints, closed, cap)
-
-    return run
 
 
 def _sl3_oracle_single(cap, draws, mutate):
@@ -1077,6 +741,228 @@ def _sl3_oracle_single(cap, draws, mutate):
 
 
 # ---------------------------------------------------------------------------
+# Relations shared by sl2 and sl3
+#
+# Each relation below is written once over a per-algebra descriptor and a
+# factor table.  Both tables keep their functions as top-level tuple entries
+# of module-level dicts, which is where perfbench/spans.py rebinds functions
+# to trace them; it leaves plain tuples behind, so read a descriptor through
+# `_algebra`.
+
+class _Algebra(NamedTuple):
+    point: Callable  # draws -> (p1, p2)
+    slots: Callable  # params -> tuple of Lax parameters
+    lax: Callable  # (basis, *slots, site) -> LaxOp
+    sites: tuple  # the two site labels `lax` takes on the pair basis
+    pair: Callable  # cap -> pair basis
+    rhat: Callable  # (pair, p1, p2, order, mutate) -> full swap
+    rhat_pairs: Callable  # (p1, p2, order, cap) -> guard pairs
+
+
+_ALGEBRAS = {
+    "sl2": _Algebra(
+        point=_sl2_point,
+        slots=attrgetter("u1", "u2"),
+        lax=sl2_lax,
+        sites=("z1", "z2"),
+        pair=_pair2,
+        rhat=sl2_rhat,
+        rhat_pairs=sl2_rhat_pairs,
+    ),
+    "sl3": _Algebra(
+        point=_sl3_point,
+        slots=attrgetter("triple"),
+        lax=sl3_lax,
+        sites=("1", "2"),
+        pair=_pair3,
+        rhat=sl3_rhat,
+        rhat_pairs=sl3_rhat_pairs,
+    ),
+}
+
+# (algebra, factor k) -> (builder, guard pairs, side operators)
+_FACTORS = {
+    ("sl2", 1): (sl2_r1, sl2_r1_pairs, _sl2_sides_r1),
+    ("sl2", 2): (sl2_r2, sl2_r2_pairs, _sl2_sides_r2),
+    ("sl3", 1): (sl3_r1, sl3_r1_pairs, _sl3_sides_r1),
+    ("sl3", 2): (sl3_r2, sl3_r2_pairs, _sl3_sides_r2),
+    ("sl3", 3): (sl3_r3, sl3_r3_pairs, _sl3_sides_r3),
+}
+
+
+def _algebra(alg):
+    return _Algebra(*_ALGEBRAS[alg])
+
+
+def _factor_args(t, s, k):
+    """Elementary factor k (1-based) exchanges Lax slot k between the sites.
+
+    Returns its builder arguments t[:k] + s[k-1:] and the Lax parameters of
+    site 1 and site 2 after the exchange."""
+    j = k - 1
+    return t[:k] + s[j:], t[:j] + s[j:k] + t[k:], s[:j] + t[j:k] + s[k:]
+
+
+def _exchange_laxes(a, pair, t1, t2, q1, q2):
+    """L1(t1), L2(t2), L1(q1), L2(q2) on the pair basis."""
+    s1, s2 = a.sites
+    return (
+        a.lax(pair, *t1, s1),
+        a.lax(pair, *t2, s2),
+        a.lax(pair, *q1, s1),
+        a.lax(pair, *q2, s2),
+    )
+
+
+def _factor_exchange(name, alg, k, cap, draws, mutate):
+    """R_k L1(t) L2(s) = L1(t') L2(s') R_k, plus R_k's side relations."""
+    a = _algebra(alg)
+    build, guard_pairs, sides = _FACTORS[alg, k]
+    p1, p2 = a.point(draws)
+    t, s = a.slots(p1), a.slots(p2)
+    args, q1, q2 = _factor_args(t, s, k)
+    ok, reason = degeneracy_guard(guard_pairs(*args, cap), cap)
+    if not ok:
+        return _skip(name, draws, cap, reason)
+    pair = a.pair(cap)
+    inner = mutate[1] if mutate and mutate[0] == f"r{k}" else None
+    try:
+        R = build(pair, *args, mutate=inner)
+    except PoleAtParameter as e:
+        return _skip(name, draws, cap, f"pole: {e}")
+    except LaurentLeak as e:
+        return _fail(name, draws, cap, cap, (str(e), ""))
+    res = residual_rll(
+        R,
+        *_exchange_laxes(a, pair, t, s, q1, q2),
+        cap - 2,
+        name=name,
+        params=draws,
+        cap=cap,
+    )
+    if res.status != "pass":
+        return res
+    for op in sides(pair):
+        bad = _commutes(R, op, name, draws, cap)
+        if bad is not None:
+            return bad
+    return res
+
+
+def _factor_orders(name, alg, cap, draws, mutate):
+    """Both factorization orders of the full swap agree after lowest-weight
+    normalization."""
+    a = _algebra(alg)
+    p1, p2 = a.point(draws)
+    pairs = a.rhat_pairs(p1, p2, 1, cap) + a.rhat_pairs(p1, p2, 2, cap)
+    ok, reason = degeneracy_guard(pairs, cap)
+    if not ok:
+        return _skip(name, draws, cap, reason)
+    pair = a.pair(cap)
+    try:
+        a1 = a.rhat(pair, p1, p2, 1, mutate=mutate)
+        a2 = a.rhat(pair, p1, p2, 2, mutate=mutate)
+    except PoleAtParameter as e:
+        return _skip(name, draws, cap, f"pole: {e}")
+    except LaurentLeak as e:
+        return _fail(name, draws, cap, cap, (str(e), ""))
+    try:
+        n1, c1 = lwv_normalize(a1)
+        n2, _ = lwv_normalize(a2)
+    except NotLowestWeightStable as e:
+        return _fail(name, draws, cap, cap, e.args[0])
+    window = min(n1.certified, n2.certified)
+    ok, wit = op_equal(n1, n2, window)
+    if not ok:
+        return _fail(name, draws, cap, window, wit)
+    return _pass(name, draws, cap, window, scalar=c1)
+
+
+def _full_swap(name, alg, cap, draws, mutate):
+    """Rhat L1(t) L2(s) = L1(s) L2(t) Rhat, and its permuted form with
+    R = P Rhat."""
+    a = _algebra(alg)
+    p1, p2 = a.point(draws)
+    ok, reason = degeneracy_guard(a.rhat_pairs(p1, p2, 1, cap), cap)
+    if not ok:
+        return _skip(name, draws, cap, reason)
+    pair = a.pair(cap)
+    try:
+        rhat = a.rhat(pair, p1, p2, 1, mutate=mutate)
+    except PoleAtParameter as e:
+        return _skip(name, draws, cap, f"pole: {e}")
+    except LaurentLeak as e:
+        return _fail(name, draws, cap, cap, (str(e), ""))
+    t, s = a.slots(p1), a.slots(p2)
+    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
+    res = residual_rll(
+        rhat, L1, L2, L1p, L2p, cap - 2, name=name, params=draws, cap=cap
+    )
+    if res.status != "pass":
+        return res
+    # the aux-matrix ordering flips under the site permutation
+    R = compose(pair_swap(pair), rhat)
+    s1, s2 = a.sites
+    lhs = lax_compose_scalar(R, lax_mul(L1, L2), "left")
+    rhs = lax_compose_scalar(
+        R, lax_mul(a.lax(pair, *s, s2), a.lax(pair, *t, s1)), "right"
+    )
+    ok, wit = lax_is_zero(lax_sub(lhs, rhs), cap - 2)
+    if not ok:
+        return _fail(name, draws, cap, cap - 2, wit)
+    return res
+
+
+def _inverse_scalar(name, alg, cap, draws, mutate):
+    """The reverse swap after the forward one is a scalar."""
+    a = _algebra(alg)
+    p1, p2 = a.point(draws)
+    pairs = a.rhat_pairs(p1, p2, 1, cap) + a.rhat_pairs(p2, p1, 1, cap)
+    ok, reason = degeneracy_guard(pairs, cap)
+    if not ok:
+        return _skip(name, draws, cap, reason)
+    pair = a.pair(cap)
+    try:
+        comp = compose(a.rhat(pair, p2, p1, 1), a.rhat(pair, p1, p2, 1))
+    except PoleAtParameter as e:
+        return _skip(name, draws, cap, f"pole: {e}")
+    try:
+        n, c = lwv_normalize(comp)
+    except NotLowestWeightStable as e:
+        return _fail(name, draws, cap, cap, e.args[0])
+    ok, wit = op_equal(n, identity_op(pair), n.certified)
+    if not ok:
+        return _fail(name, draws, cap, n.certified, wit)
+    return _pass(name, draws, cap, n.certified, scalar=c)
+
+
+def _oracle(name, alg, k, cap, draws, mutate):
+    """Re-derive factor k from its exchange and side relations alone and
+    compare it with the closed-form pipeline."""
+    a = _algebra(alg)
+    build, guard_pairs, sides = _FACTORS[alg, k]
+    p1, p2 = a.point(draws)
+    t, s = a.slots(p1), a.slots(p2)
+    args, q1, q2 = _factor_args(t, s, k)
+    ok, reason = degeneracy_guard(guard_pairs(*args, cap), cap)
+    if not ok:
+        return _skip(name, draws, cap, reason)
+    pair = a.pair(cap)
+    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
+    A, B = lax_add(L1, L2), lax_add(L1p, L2p)
+    constraints = [
+        (A.blocks[i][j], B.blocks[i][j])
+        for i in range(A.size)
+        for j in range(A.size)
+    ] + [(op, op) for op in sides(pair)]
+    try:
+        closed = build(pair, *args)
+    except PoleAtParameter as e:
+        return _skip(name, draws, cap, f"pole: {e}")
+    return _oracle_check(name, draws, pair, constraints, closed, cap)
+
+
+# ---------------------------------------------------------------------------
 # Suite configuration and the runner
 
 SL2_DEFAULT_CHECKS = (
@@ -1110,31 +996,31 @@ CATALOG = {
     ("sl2", "commutators"): (_sl2_commutators, 1),
     ("sl2", "casimir"): (_sl2_casimir, 1),
     ("sl2", "lax-factor"): (_sl2_lax_factor, 2),
-    ("sl2", "F1"): (_sl2_f1, 4),
-    ("sl2", "F2"): (_sl2_f2, 4),
-    ("sl2", "rfact-orders"): (_sl2_orders, 4),
+    ("sl2", "F1"): (partial(_factor_exchange, "F1", "sl2", 1), 4),
+    ("sl2", "F2"): (partial(_factor_exchange, "F2", "sl2", 2), 4),
+    ("sl2", "rfact-orders"): (partial(_factor_orders, "rfact-orders", "sl2"), 4),
     ("sl2", "spectral"): (_sl2_spectral, 4),
     ("sl2", "ybe-fundamental"): (_ybe_fundamental, 2),
     ("sl2", "closed-form"): (_sl2_closed_form, 4),
-    ("sl2", "global"): (_sl2_global, 4),
-    ("sl2", "inverse-scalar"): (_sl2_inverse, 4),
-    ("sl2", "oracle-r1"): (_sl2_oracle("r1"), 4),
-    ("sl2", "oracle-r2"): (_sl2_oracle("r2"), 4),
+    ("sl2", "global"): (partial(_full_swap, "global", "sl2"), 4),
+    ("sl2", "inverse-scalar"): (partial(_inverse_scalar, "inverse-scalar", "sl2"), 4),
+    ("sl2", "oracle-r1"): (partial(_oracle, "oracle-r1", "sl2", 1), 4),
+    ("sl2", "oracle-r2"): (partial(_oracle, "oracle-r2", "sl2", 2), 4),
     ("sl3", "commutators"): (_sl3_commutators, 2),
     ("sl3", "casimirs"): (_sl3_casimirs, 2),
     ("sl3", "findim"): (_sl3_findim, 0),
     ("sl3", "lax-factor3"): (_sl3_lax_factor, 3),
     ("sl3", "sl3-invariance"): (_sl3_invariance, 6),
-    ("sl3", "3F1"): (_sl3_factor_check("r1"), 6),
-    ("sl3", "3F2"): (_sl3_factor_check("r2"), 6),
-    ("sl3", "3F3"): (_sl3_factor_check("r3"), 6),
-    ("sl3", "rfact3-orders"): (_sl3_orders, 6),
-    ("sl3", "def3"): (_sl3_def3, 6),
+    ("sl3", "3F1"): (partial(_factor_exchange, "3F1", "sl3", 1), 6),
+    ("sl3", "3F2"): (partial(_factor_exchange, "3F2", "sl3", 2), 6),
+    ("sl3", "3F3"): (partial(_factor_exchange, "3F3", "sl3", 3), 6),
+    ("sl3", "rfact3-orders"): (partial(_factor_orders, "rfact3-orders", "sl3"), 6),
+    ("sl3", "def3"): (partial(_full_swap, "def3", "sl3"), 6),
     ("sl3", "global3"): (_sl3_global, 6),
-    ("sl3", "inverse-scalar3"): (_sl3_inverse, 6),
-    ("sl3", "oracle-r1"): (_sl3_oracle("r1"), 6),
-    ("sl3", "oracle-r2"): (_sl3_oracle("r2"), 6),
-    ("sl3", "oracle-r3"): (_sl3_oracle("r3"), 6),
+    ("sl3", "inverse-scalar3"): (partial(_inverse_scalar, "inverse-scalar3", "sl3"), 6),
+    ("sl3", "oracle-r1"): (partial(_oracle, "oracle-r1", "sl3", 1), 6),
+    ("sl3", "oracle-r2"): (partial(_oracle, "oracle-r2", "sl3", 2), 6),
+    ("sl3", "oracle-r3"): (partial(_oracle, "oracle-r3", "sl3", 3), 6),
     ("sl3", "oracle-r3-single"): (_sl3_oracle_single, 6),
     ("ybe", "ybe-fundamental"): (_ybe_fundamental, 2),
 }

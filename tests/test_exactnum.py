@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 
 from rfactor.exactnum import (
     DivisionByZero,
-    Pochhammer,
     PoleAtParameter,
     gamma_ratio_shift,
     pochhammer,
     pochhammer_ratio,
-    rat,
-    rat_arith,
     rat_from_str,
     rat_str,
 )
@@ -102,23 +99,6 @@ def test_gamma_ratio_shift_recurrence(a, b, k):
     assert lhs == rhs
 
 
-def test_rat_construction_and_division_guard():
-    assert rat(6, 4) == F(3, 2)
-    with pytest.raises(DivisionByZero):
-        rat(1, 0)
-    with pytest.raises(DivisionByZero):
-        rat_arith(F(1), F(0), "/")
-    with pytest.raises(ValueError):
-        rat_arith(F(1), F(2), "%")
-
-
-def test_rat_arith_table():
-    assert rat_arith(F(1, 2), F(1, 3), "+") == F(5, 6)
-    assert rat_arith(F(1, 2), F(1, 3), "-") == F(1, 6)
-    assert rat_arith(F(1, 2), F(1, 3), "*") == F(1, 6)
-    assert rat_arith(F(1, 2), F(1, 3), "/") == F(3, 2)
-
-
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
 def test_parse_print_roundtrip(p, q):
     s = rat_str(F(p, q))
@@ -137,9 +117,3 @@ def test_parse_errors():
 def test_field_exactness(a, b):
     assert (a / b) * b == a
     assert (a + b) - b == a
-
-
-def test_pochhammer_dataclass():
-    p = Pochhammer(F(1, 2), 3)
-    assert p.value() == F(15, 8)
-    assert p == Pochhammer(F(1, 2), 3)

@@ -14,7 +14,6 @@ from rfactor.linop import (
     FloorViolation,
     LaurentLeak,
     LaxOp,
-    NotBlockDiagonal,
     ShiftViolation,
     SparseOp,
     WindowBeyondCertified,
@@ -41,13 +40,11 @@ from rfactor.linop import (
     op_sub,
     pair_swap,
     run_pipeline,
-    scalar_op,
     site_embed,
     stage_euler,
     stage_laurent,
     stage_subst,
     term,
-    weight_block_decompose,
     zero_op,
 )
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
@@ -60,7 +57,7 @@ def zbasis(cap, name="z"):
 def test_identity_and_scalar():
     b = zbasis(4)
     I = identity_op(b)
-    ok, _ = is_zero(op_sub(I, scalar_op(b, F(1))), 4)
+    ok, _ = is_zero(op_sub(op_scale(I, F(2)), op_add(I, I)), 4)
     assert ok
     assert I.certified == 4
 
@@ -202,16 +199,6 @@ def test_pair_swap_involution_and_conjugation():
     assert ok, wit
 
 
-def test_weight_block_decompose():
-    b = zbasis(4)
-    euler = diffop_to_op(b, [term(b, 1, {"z": 1}, {"z": 1})])
-    blocks = weight_block_decompose(euler, [euler], 3)
-    assert blocks == {(F(k),): [k] for k in range(5)}
-    zmul = diffop_to_op(b, [term(b, 1, {"z": 1}, None)])
-    with pytest.raises(NotBlockDiagonal):
-        weight_block_decompose(zmul, [euler], 2)
-
-
 def test_diffop_apply_falling_factorials():
     # d^2/dz^2 on z^5 = 20 z^3; on z gives 0
     out = diffop_apply([(F(1), (0,), (2,))], (5,))
@@ -262,7 +249,7 @@ def test_run_pipeline_roundtrip_is_identity():
     fwd = stage_subst(b, {0: {(1, 0, 0): F(1), (0, 0, 1): F(1)}})
     bwd = stage_subst(b, {0: {(1, 0, 0): F(1), (0, 0, 1): F(-1)}})
     op = run_pipeline(b, [fwd, bwd])
-    ok, wit = op_equal(op, identity_op(b), b.cert_cap)
+    ok, wit = op_equal(op, identity_op(b), b.cap)
     assert ok, wit
 
 

@@ -7,11 +7,8 @@ implementation was written.
 
 from fractions import Fraction as F
 
-import pytest
-
 from rfactor.exactnum import pochhammer
 from rfactor.linop import (
-    NotBlockDiagonal,
     commutator,
     compose,
     identity_op,
@@ -23,17 +20,16 @@ from rfactor.linop import (
     lax_mul_mat,
     lax_sub,
     mat_is_zero,
+    op_add,
     op_equal,
     op_scale,
     op_sub,
     pair_swap,
-    scalar_op,
     site_embed,
-    weight_block_decompose,
+    subst_op,
 )
 from rfactor.sl2core import (
     Sl2Params,
-    op_exp_nilpotent,
     sl2_casimir,
     sl2_generators,
     sl2_lax,
@@ -42,13 +38,11 @@ from rfactor.sl2core import (
     sl2_pair,
     sl2_r1,
     sl2_r2,
-    sl2_raising_profile,
     sl2_rhat,
     sl2_rhat_closed,
     sl2_rmatrix,
     sl2_site,
     sl2_spectral,
-    subst_shift_op,
     yang_r,
     ybe_fundamental_residual,
 )
@@ -94,26 +88,39 @@ def test_casimir_scalar_frozen():
     for ell, expected in ((F(2), F(2)), (F(1, 2), F(-1, 4)), (F(-1, 3), F(4, 9))):
         C, s = sl2_casimir(b, ell)
         assert s == expected == ell * (ell - 1)
-        ok, wit = is_zero(op_sub(C, scalar_op(b, s)), C.certified)
+        ok, wit = is_zero(op_sub(C, op_scale(identity_op(b), s)), C.certified)
         assert ok, wit
+
+
+def _translation(basis, c):
+    """The substitution z -> z + c as an operator."""
+    return subst_op(basis, {"z": {(1,): F(1), (0,): F(c)}}, homogeneous=False)
 
 
 def test_raising_profile_generic_and_finite():
     b = sl2_site(6)
     # S+^k 1 = (2 ell)_k z^k ; at 2 ell = -2 the module truncates after z^2
-    ok, wit = sl2_raising_profile(b, F(1), 6)
-    assert ok, wit
+    for ell in (F(1), F(-1)):
+        sp = sl2_generators(b, ell)["Sp"]
+        vec = {0: F(1)}
+        for k in range(7):
+            c = pochhammer(2 * ell, k)
+            assert vec == ({b.index[(k,)]: c} if c else {}), (ell, k)
+            vec = sp.apply_vec(vec)
     assert pochhammer(F(2), 2) == 6  # the z^2 coefficient at ell = 1
-    ok, wit = sl2_raising_profile(b, F(-1), 6)
-    assert ok, wit
 
 
 def test_lowering_flow_is_substitution():
+    # exp(lam S-) = exp(-lam d/dz), summed until S- kills every column
     b = sl2_site(6)
-    g = sl2_generators(b, F(1, 3))
-    flow = op_exp_nilpotent(g["Sm"], F(2, 7))
-    sub = subst_shift_op(b, "z", F(-2, 7))
-    ok, wit = op_equal(flow, sub, 6)
+    sm = sl2_generators(b, F(1, 3))["Sm"]
+    lam = F(2, 7)
+    flow = power = identity_op(b)
+    for k in range(1, 7):
+        power = op_scale(compose(sm, power), lam / k)
+        flow = op_add(flow, power)
+    assert not compose(sm, power).cols
+    ok, wit = op_equal(flow, _translation(b, -lam), 6)
     assert ok, wit
 
 
@@ -139,8 +146,8 @@ def test_lax_invariance_under_lowering_conjugation():
     Mp = [[F(1), F(0)], [lam, F(1)]]
     lhs = lax_mat_mul(Mm, lax_mul_mat(L, Mp))
     rhs = lax_compose_scalar(
-        subst_shift_op(b, "z", -lam),
-        lax_compose_scalar(subst_shift_op(b, "z", lam), L, "right"),
+        _translation(b, -lam),
+        lax_compose_scalar(_translation(b, lam), L, "right"),
         "left",
     )
     D = lax_sub(lhs, rhs)
@@ -261,12 +268,11 @@ def test_rhat_preserves_total_degree():
         pair,
         [term(pair, 1, {"z1": 1}, {"z1": 1}), term(pair, 1, {"z2": 1}, {"z2": 1})],
     )
-    blocks = weight_block_decompose(A, [deg], A.certified)
-    assert set(blocks) == {(F(n),) for n in range(5)}
-    with pytest.raises(NotBlockDiagonal):
-        weight_block_decompose(
-            A, [diffop_to_op(pair, [term(pair, 1, {"z1": 1}, None)])], 3
-        )
+    ok, wit = is_zero(commutator(A, deg), A.certified)
+    assert ok, wit
+    z1 = diffop_to_op(pair, [term(pair, 1, {"z1": 1}, None)])
+    ok, _ = is_zero(commutator(A, z1), 3)
+    assert not ok
 
 
 def test_inverse_is_scalar():

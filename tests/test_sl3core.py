@@ -28,20 +28,20 @@ from rfactor.linop import (
     op_equal,
     op_scale,
     op_sub,
+    pair_swap,
     run_pipeline,
-    scalar_op,
     site_embed,
     stage_euler,
     stage_laurent,
     subst_op,
 )
 from rfactor.sl3core import (
+    GEN_COEFF_MATRICES,
     GEN_NAMES,
     Sl3Params,
     sl3_casimirs,
     sl3_findim_dim,
     sl3_findim_module,
-    sl3_fundamental,
     sl3_generators,
     sl3_gl_ops,
     sl3_invariance_matrix,
@@ -54,13 +54,11 @@ from rfactor.sl3core import (
     sl3_r3,
     sl3_r3_single,
     sl3_rhat,
-    sl3_rmatrix,
     sl3_shift_flows,
     sl3_site,
     sl3_total_generators,
     sl3_weight_shifts,
     op_scalar_part,
-    vec_series_exp,
 )
 
 P1 = Sl3Params(F(1, 2), F(1, 3), F(2))
@@ -69,6 +67,24 @@ P2 = Sl3Params(F(1, 5), F(2, 7), F(0))
 
 def _idx(basis, **exps):
     return basis.index[tuple(exps.get(v.name, 0) for v in basis.vars)]
+
+
+def vec_series_exp(op, lam, vec, max_terms=200):
+    """exp(lam*op) applied to an index-keyed vector, requiring termination."""
+    acc = dict(vec)
+    cur = dict(vec)
+    for k in range(1, max_terms + 1):
+        cur = op.apply_vec(cur)
+        if not cur:
+            return acc
+        cur = {i: c * lam / k for i, c in cur.items()}
+        for i, c in cur.items():
+            w = acc.get(i, F(0)) + c
+            if w:
+                acc[i] = w
+            else:
+                acc.pop(i, None)
+    raise ValueError("exponential series did not terminate")
 
 
 def lax_min_cert(*laxes):
@@ -168,9 +184,10 @@ def test_casimirs_scalar_and_cross_cap_stable():
         s2, s3 = op_scalar_part(C2), op_scalar_part(C3)
         assert s2 == F(1448, 675)
         assert s3 == F(126776, 30375)
-        ok, wit = is_zero(op_sub(C2, scalar_op(b, s2)), min(C2.certified, cap - 2))
+        one = identity_op(b)
+        ok, wit = is_zero(op_sub(C2, op_scale(one, s2)), min(C2.certified, cap - 2))
         assert ok, wit
-        ok, wit = is_zero(op_sub(C3, scalar_op(b, s3)), min(C3.certified, cap - 2))
+        ok, wit = is_zero(op_sub(C3, op_scale(one, s3)), min(C3.certified, cap - 2))
         assert ok, wit
 
 
@@ -192,7 +209,7 @@ def test_fundamental_representation_correspondence():
         {_idx(b, z=1): F(1)},
         {_idx(b): F(1)},
     ]
-    mats = sl3_fundamental((1, 0))
+    mats = GEN_COEFF_MATRICES
     for name in GEN_NAMES:
         M = mats[name]
         for j in range(3):
@@ -206,7 +223,10 @@ def test_fundamental_representation_correspondence():
     # weight (0, 1): span {1, -x, -y} carries the dual T_ab -> -E_ba
     g = sl3_generators(b, F(0), F(1))
     e = [{_idx(b): F(1)}, {_idx(b, x=1): F(-1)}, {_idx(b, y=1): F(-1)}]
-    mats = sl3_fundamental((0, 1))
+    mats = {
+        name: [[-M[j][i] for j in range(3)] for i in range(3)]
+        for name, M in GEN_COEFF_MATRICES.items()
+    }
     for name in GEN_NAMES:
         M = mats[name]
         for j in range(3):
@@ -451,7 +471,7 @@ def test_full_defining_relation_and_permuted_form():
     ok, wit = _defining_residual(cap, A, t, q, q, t)
     assert ok, wit
     # R = P . Rhat intertwines with the site-swapped product
-    R = sl3_rmatrix(pair, P1, P2)
+    R = compose(pair_swap(pair), sl3_rhat(pair, P1, P2))
     Pd = _lax_pair_product(cap, t, q)
     Qd = lax_mul(
         sl3_lax(pair, q[0], q[1], q[2], "2"),
@@ -498,14 +518,12 @@ def test_inverse_is_identity():
 
 
 def test_single_site_third_factor_reduction():
-    from rfactor.sl3core import _vi
-
     pair = _pair(3)
     u1, u2, u3 = P1.triple
     v3 = P2.u3
     single = sl3_r3_single(pair.factors[0], u1, u2, u3, v3, suffix="1")
     emb = site_embed(single, 1, pair)
-    z1, y1, x1 = _vi(pair, "z1"), _vi(pair, "y1"), _vi(pair, "x1")
+    z1, y1, x1 = map(pair.var_index, ("z1", "y1", "x1"))
     core = run_pipeline(
         pair,
         [

@@ -5,6 +5,7 @@ empty / degenerate), and frozen parameter points pin the guard reasons, JSON
 schema, and mutation sensitivity of the seeded suites.
 """
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +32,6 @@ from rfactor.verify import (
     parse_mutate,
     report_to_json,
     residual_rll,
-    residual_ybe,
     run_one,
     run_suite,
 )
@@ -129,7 +129,7 @@ def test_oracle_unique_solution_is_the_identity():
     basis, sp = _raising_op(4, F(3, 2))
     sols = intertwiner_oracle([(sp, sp)], basis, expect_dim=1)
     n, _ = lwv_normalize(sols[0])
-    assert op_equal(n, identity_op(basis), basis.cert_cap)[0]
+    assert op_equal(n, identity_op(basis), basis.cap)[0]
 
 
 def test_oracle_scaled_relation_forces_a_geometric_diagonal():
@@ -185,16 +185,6 @@ def test_residual_rll_fails_with_a_block_witness_under_mutation():
     res = residual_rll(R, *laxes, 2, name="t", params=(), cap=4)
     assert res.status == "fail"
     assert "block" in res.witness[0]
-
-
-def test_residual_ybe_passes_on_identities_and_catches_noncommuting():
-    eye = [[F(1), F(0)], [F(0), F(1)]]
-    assert residual_ybe(eye, eye, eye).status == "pass"
-    upper = [[F(1), F(1)], [F(0), F(1)]]
-    lower = [[F(1), F(0)], [F(1), F(1)]]
-    res = residual_ybe(upper, lower, eye)
-    assert res.status == "fail"
-    assert res.witness == ("entry (0,0)", "1")
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +282,138 @@ def test_single_eigenvalue_mutations_are_detected():
     assert not rep["all_passed"]
     fails = [c for c in rep["checks"] if c["status"] == "fail"]
     assert fails and all("witness" in c for c in fails)
+
+
+# Exact failure entries at --trials 1 --seed 0 (default caps), recorded before
+# the sl2/sl3 relations were merged into one implementation each.
+
+@pytest.mark.parametrize(
+    "algebra,check,tag,entries",
+    [
+        ("sl2", "F1", "r1:1", [
+            {
+                "name": "F1",
+                "params": ["15", "-18/11", "-4", "-9"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "z2 in block (0,0)",
+                    "value": "(-202/11)*z2",
+                },
+            },
+            {
+                "name": "F1",
+                "params": ["35/2", "-2", "-34/7", "2"],
+                "reason": "(-4)_5 = 0",
+                "status": "skipped",
+            },
+        ]),
+        ("sl2", "F2", "r2:1", [
+            {
+                "name": "F2",
+                "params": ["36", "1/8", "-2", "-3/11"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "z1 in block (0,0)",
+                    "value": "(3027/88)*z2",
+                },
+            },
+        ]),
+        ("sl2", "rfact-orders", "r2:1", [
+            {
+                "name": "rfact-orders",
+                "params": ["-29/10", "11/9", "5/8", "1/9"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "z2",
+                    "value": "(-433/263)*z2 + (433/263)*z1",
+                },
+            },
+        ]),
+        ("sl2", "global", "r1:1", [
+            {
+                "name": "global",
+                "params": ["7/3", "-8", "-3/2", "-11/5"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "z2 in block (0,0)",
+                    "value": "(-14/3)*z2",
+                },
+            },
+        ]),
+        ("sl3", "3F1", "r1:a", [
+            {
+                "name": "3F1",
+                "params": ["-28/11", "20/7", "-17", "-5/2", "2", "25/7"],
+                "reason": "(-2)_3 = 0",
+                "status": "skipped",
+            },
+            {
+                "name": "3F1",
+                "params": ["-3/7", "1", "-19/5", "-4", "36/5", "-18"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "x2 in block (0,0)",
+                    "value": "(-348/35)*x2",
+                },
+            },
+        ]),
+        ("sl3", "3F2", "r2:b", [
+            {
+                "name": "3F2",
+                "params": ["-40/3", "-9/2", "-12", "-4", "5/3", "-29/8"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "x1 in block (0,0)",
+                    "value": "(-203/72)*x2",
+                },
+            },
+        ]),
+        ("sl3", "3F3", "r3:c", [
+            {
+                "name": "3F3",
+                "params": ["4", "2", "-5/3", "-26/5", "16/3", "-29/10"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "z1 in block (1,0)",
+                    "value": (
+                        "(19883/11340)*x2*z2 + (19883/11340)*y2 + (1139/2268)*x1*z2 + "
+                        "(1139/2268)*y1"
+                    ),
+                },
+            },
+        ]),
+        ("sl3", "rfact3-orders", "r2:b", [
+            {
+                "name": "rfact3-orders",
+                "params": ["-11", "-14/5", "0", "-9", "8/3", "-25/6"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "x2",
+                    "value": "(109/73)*x2 + (-109/73)*x1",
+                },
+            },
+        ]),
+        ("sl3", "def3", "r1:b", [
+            {
+                "name": "def3",
+                "params": ["-8", "-4/5", "-31/6", "-1/2", "-32/9", "3"],
+                "status": "fail",
+                "witness": {
+                    "monomial": "z2 in block (1,0)",
+                    "value": (
+                        "(-24999/8605)*x2*z2 + (-24999/8605)*y2 + (24999/8605)*x1*z2 + "
+                        "(24999/8605)*y1"
+                    ),
+                },
+            },
+        ]),
+    ],
+)
+def test_mutation_failure_entries_are_pinned(algebra, check, tag, entries):
+    cap = 8 if algebra == "sl2" else 3
+    rep = run_suite(SuiteConfig(algebra, cap, trials=1, seed=0, checks=(check,),
+                                mutate=parse_mutate(algebra, tag)))
+    assert json.loads(report_to_json(rep))["checks"] == entries
 
 
 # ---------------------------------------------------------------------------
