@@ -112,7 +112,7 @@ def _make_config(parser, args) -> SuiteConfig:
             mutate=mutate,
             jobs=args.jobs,
         )
-    except KeyError as e:
+    except (KeyError, ValueError) as e:
         parser.error(str(e.args[0]))
 
 

@@ -5,12 +5,17 @@ parameter ell. The Lax matrix mixes a two-dimensional auxiliary space with
 differential operators on the module; the R-operators are built as exact
 substitution/diagonal pipelines and every defining relation is checked to
 literal zero on certified windows.
+
+Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`), and per
+basis and variable the parameter-free blocks of the direct Lax matrix with
+the unit operators 1 and z that its parameters scale (`sl2_lax`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import Rat
 from .polyspace import GradedBasis, VarSpec, enumerate_basis, tensor_basis
@@ -57,10 +62,14 @@ class Sl2Params:
         return self.u - self.ell
 
 
+@lru_cache(maxsize=16)
 def sl2_site(cap: int, name: str = "z") -> GradedBasis:
+    """The one-variable module basis at `cap`, built once per process (the
+    size limit is read when it is first built)."""
     return enumerate_basis([VarSpec(name)], cap)
 
 
+@lru_cache(maxsize=4)
 def sl2_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl2_site(cap, "z1"), sl2_site(cap, "z2"))
 
@@ -85,16 +94,36 @@ def sl2_casimir(basis, ell, var="z"):
     return C, ell * (ell - 1)
 
 
-def sl2_lax(basis, u1, u2, var="z"):
-    """Direct Lax matrix [[u1 + z d, -d], [z^2 d + (u1-u2) z, u2 - z d]]."""
+@lru_cache(maxsize=8)
+def _sl2_lax_parts(basis, var):
+    """The parameter-free parts of the direct Lax blocks on `basis`, and the
+    unit operators 1 and z that the parameters scale."""
     z1 = {var: 1}
-    b00 = diffop_to_op(basis, [term(basis, u1), term(basis, 1, z1, z1)])
-    b01 = diffop_to_op(basis, [term(basis, -1, None, z1)])
-    b10 = diffop_to_op(
-        basis, [term(basis, 1, {var: 2}, z1), term(basis, u1 - u2, z1, None)]
+    return (
+        diffop_to_op(basis, [term(basis, 1, z1, z1)]),
+        diffop_to_op(basis, [term(basis, -1, None, z1)]),
+        diffop_to_op(basis, [term(basis, 1, {var: 2}, z1)]),
+        diffop_to_op(basis, [term(basis, -1, z1, z1)]),
+        identity_op(basis),
+        diffop_to_op(basis, [term(basis, 1, z1, None)]),
     )
-    b11 = diffop_to_op(basis, [term(basis, u2), term(basis, -1, z1, z1)])
-    return LaxOp([[b00, b01], [b10, b11]], params=(u1, u2))
+
+
+def sl2_lax(basis, u1, u2, var="z"):
+    """Direct Lax matrix [[u1 + z d, -d], [z^2 d + (u1-u2) z, u2 - z d]].
+
+    Each block is its cached parameter-free part plus parameter times unit
+    operator; op_add keeps the larger shift and the smaller certified
+    height, so both equal those of the whole term list even when a
+    parameter is 0."""
+    zd, md, zzd, mzd, one, z = _sl2_lax_parts(basis, var)
+    return LaxOp(
+        [
+            [op_add(zd, one, u1), md],
+            [op_add(zzd, z, u1 - u2), op_add(mzd, one, u2)],
+        ],
+        params=(u1, u2),
+    )
 
 
 def sl2_lax_generator_form(basis, ell, u, var="z"):

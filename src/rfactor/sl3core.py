@@ -6,12 +6,17 @@ three-dimensional auxiliary space; the full parameter swap factorizes into
 three elementary R-operators, each an exact substitution / Gamma-ratio /
 Laurent-flow pipeline whose intermediate terms may carry negative exponents
 but whose output is certified polynomial.
+
+Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`), and per
+basis and site suffix the parameter-free blocks of the direct Lax matrix with
+the unit operators 1, x, y, z and xz that its parameters scale (`sl3_lax`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import Rat
 from .polyspace import GradedBasis, VarSpec, enumerate_basis, tensor_basis
@@ -68,13 +73,17 @@ class Sl3Params:
 SL3_WEIGHTS = {"x": 1, "y": 2, "z": 1}
 
 
+@lru_cache(maxsize=16)
 def sl3_site(cap: int, suffix: str = "") -> GradedBasis:
+    """The x, y, z module basis at `cap`, built once per process (the size
+    limit is read when it is first built)."""
     return enumerate_basis(
         [VarSpec("x" + suffix, 1), VarSpec("y" + suffix, 2), VarSpec("z" + suffix, 1)],
         cap,
     )
 
 
+@lru_cache(maxsize=4)
 def sl3_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl3_site(cap, "1"), sl3_site(cap, "2"))
 
@@ -266,52 +275,67 @@ def sl3_findim_dim(M, N):
 # ---------------------------------------------------------------------------
 # Lax matrices
 
-def sl3_lax(basis, u1, u2, u3, suffix=""):
-    """Direct Lax matrix in the parameter triple (u1, u2, u3)."""
+@lru_cache(maxsize=8)
+def _sl3_lax_parts(basis, suffix):
+    """The parameter-free parts of the nine direct Lax blocks on `basis`, in
+    row order, and the unit operators 1, x, y, z, xz that the parameters
+    scale."""
     x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
 
-    def t(c, mu=None, de=None):
-        return term(basis, c, mu, de)
+    def op(*terms):
+        return diffop_to_op(basis, [term(basis, *t) for t in terms])
 
-    b00 = diffop_to_op(
-        basis, [t(1, {x: 1}, {x: 1}), t(1, {y: 1}, {y: 1}), t(u1 + 2)]
+    blocks = (
+        op((1, {x: 1}, {x: 1}), (1, {y: 1}, {y: 1})),
+        op((1, None, {x: 1})),
+        op((1, None, {y: 1})),
+        op(
+            (-1, {x: 2}, {x: 1}),
+            (-1, {x: 1, y: 1}, {y: 1}),
+            (1, {x: 1, z: 1}, {z: 1}),
+            (1, {y: 1}, {z: 1}),
+        ),
+        op((-1, {x: 1}, {x: 1}), (1, {z: 1}, {z: 1})),
+        op((1, None, {z: 1}), (-1, {x: 1}, {y: 1})),
+        op(
+            (-1, {x: 1, y: 1}, {x: 1}),
+            (-1, {y: 2}, {y: 1}),
+            (-1, {x: 1, z: 2}, {z: 1}),
+            (-1, {y: 1, z: 1}, {z: 1}),
+        ),
+        op((-1, {y: 1}, {x: 1}), (-1, {z: 2}, {z: 1})),
+        op((-1, {y: 1}, {y: 1}), (-1, {z: 1}, {z: 1})),
     )
-    b01 = diffop_to_op(basis, [t(1, None, {x: 1})])
-    b02 = diffop_to_op(basis, [t(1, None, {y: 1})])
-    b10 = diffop_to_op(
-        basis,
-        [
-            t(-1, {x: 2}, {x: 1}),
-            t(-1, {x: 1, y: 1}, {y: 1}),
-            t(1, {x: 1, z: 1}, {z: 1}),
-            t(1, {y: 1}, {z: 1}),
-            t(u2 - u1 - 1, {x: 1}),
-        ],
+    units = (
+        identity_op(basis),
+        op((1, {x: 1})),
+        op((1, {y: 1})),
+        op((1, {z: 1})),
+        op((1, {x: 1, z: 1})),
     )
-    b11 = diffop_to_op(
-        basis, [t(-1, {x: 1}, {x: 1}), t(1, {z: 1}, {z: 1}), t(u2 + 1)]
-    )
-    b12 = diffop_to_op(basis, [t(1, None, {z: 1}), t(-1, {x: 1}, {y: 1})])
-    b20 = diffop_to_op(
-        basis,
-        [
-            t(-1, {x: 1, y: 1}, {x: 1}),
-            t(-1, {y: 2}, {y: 1}),
-            t(-1, {x: 1, z: 2}, {z: 1}),
-            t(-1, {y: 1, z: 1}, {z: 1}),
-            t(u3 - u2 - 1, {x: 1, z: 1}),
-            t(u3 - u1 - 2, {y: 1}),
-        ],
-    )
-    b21 = diffop_to_op(
-        basis,
-        [t(-1, {y: 1}, {x: 1}), t(-1, {z: 2}, {z: 1}), t(u3 - u2 - 1, {z: 1})],
-    )
-    b22 = diffop_to_op(
-        basis, [t(-1, {y: 1}, {y: 1}), t(-1, {z: 1}, {z: 1}), t(u3)]
+    return blocks, units
+
+
+def sl3_lax(basis, u1, u2, u3, suffix=""):
+    """Direct Lax matrix in the parameter triple (u1, u2, u3).
+
+    Each block is its cached parameter-free part plus parameter times unit
+    operator; op_add keeps the larger shift and the smaller certified
+    height, so both equal those of the whole term list even when a
+    parameter is 0."""
+    (b00, b01, b02, b10, b11, b12, b20, b21, b22), (one, x, y, z, xz) = (
+        _sl3_lax_parts(basis, suffix)
     )
     return LaxOp(
-        [[b00, b01, b02], [b10, b11, b12], [b20, b21, b22]],
+        [
+            [op_add(b00, one, u1 + 2), b01, b02],
+            [op_add(b10, x, u2 - u1 - 1), op_add(b11, one, u2 + 1), b12],
+            [
+                op_add(op_add(b20, xz, u3 - u2 - 1), y, u3 - u1 - 2),
+                op_add(b21, z, u3 - u2 - 1),
+                op_add(b22, one, u3),
+            ],
+        ],
         params=(u1, u2, u3),
     )
 

@@ -332,10 +332,11 @@ def _oracle_check(name, params, basis, constraints, closed, cap):
 # ---------------------------------------------------------------------------
 # Residual helpers shared by the check catalog
 
-def residual_rll(R, L1, L2, L1p, L2p, window, name="rll", params=(), cap=None):
-    """CheckResult for R . (L1 L2) - (L1' L2') . R on the given window."""
-    lhs = lax_compose_scalar(R, lax_mul(L1, L2), "left")
-    rhs = lax_compose_scalar(R, lax_mul(L1p, L2p), "right")
+def residual_rll(R, P, Q, window, name="rll", params=(), cap=None):
+    """CheckResult for R . P - Q . R on the given window, where P = L1 L2 and
+    Q = L1' L2' are the Lax products on either side."""
+    lhs = lax_compose_scalar(R, P, "left")
+    rhs = lax_compose_scalar(R, Q, "right")
     ok, wit = lax_is_zero(lax_sub(lhs, rhs), window)
     if cap is None:
         cap = R.domain.cap
@@ -350,16 +351,6 @@ def _commutes(R, op, name, params, cap):
     if not ok:
         return _fail(name, params, cap, res.certified, wit)
     return None
-
-
-@lru_cache(maxsize=4)
-def _pair2(cap):
-    return sl2_pair(cap)
-
-
-@lru_cache(maxsize=4)
-def _pair3(cap):
-    return sl3_pair(cap)
 
 
 def _mult_op(pair, exps):
@@ -423,14 +414,17 @@ def _sl2_lax_factor(cap, draws, mutate):
     return _pass("lax-factor", draws, cap, window)
 
 
-# side relations: the sl2 factor R_k commutes with multiplication by z_k
+# side relations: the sl2 factor R_k commutes with multiplication by z_k.
+# Side operators are parameter-free, so they are built once per pair basis.
 
+@lru_cache(maxsize=4)
 def _sl2_sides_r1(pair):
-    return [_mult_op(pair, {"z1": 1})]
+    return (_mult_op(pair, {"z1": 1}),)
 
 
+@lru_cache(maxsize=4)
 def _sl2_sides_r2(pair):
-    return [_mult_op(pair, {"z2": 1})]
+    return (_mult_op(pair, {"z2": 1}),)
 
 
 def _sl2_spectral(cap, draws, mutate):
@@ -475,7 +469,7 @@ def _sl2_closed_form(cap, draws, mutate):
     ok, reason = degeneracy_guard(pairs, cap)
     if not ok:
         return _skip("closed-form", draws, cap, reason)
-    pair = _pair2(cap)
+    pair = sl2_pair(cap)
     try:
         n1, c1 = lwv_normalize(sl2_rhat(pair, p1, p2, 1))
         n2, _ = lwv_normalize(sl2_rhat_closed(pair, l1, l2, w))
@@ -605,6 +599,7 @@ def _sl3_invariance(cap, draws, mutate):
     return _pass("sl3-invariance", draws, cap, window)
 
 
+@lru_cache(maxsize=4)
 def _sl3_sides_r1(pair):
     mixed = diffop_to_op(
         pair,
@@ -614,37 +609,39 @@ def _sl3_sides_r1(pair):
             term(pair, 1, {"x1": 1}, {"y2": 1}),
         ],
     )
-    return [
+    return (
         _mult_op(pair, {"x1": 1}),
         _mult_op(pair, {"y1": 1}),
         _mult_op(pair, {"z1": 1}),
         mixed,
-    ]
+    )
 
 
+@lru_cache(maxsize=4)
 def _sl3_sides_r2(pair):
     shear = diffop_to_op(
         pair, [term(pair, 1, {"y1": 1}), term(pair, 1, {"x1": 1, "z1": 1})]
     )
-    return [
+    return (
         shear,
         _mult_op(pair, {"z1": 1}),
         _mult_op(pair, {"x2": 1}),
         _mult_op(pair, {"y2": 1}),
-    ]
+    )
 
 
+@lru_cache(maxsize=4)
 def _sl3_sides_r3(pair):
     mixed = diffop_to_op(
         pair,
         [term(pair, 1, None, {"x1": 1}), term(pair, -1, {"z2": 1}, {"y1": 1})],
     )
-    return [
+    return (
         _mult_op(pair, {"x2": 1}),
         _mult_op(pair, {"y2": 1}),
         _mult_op(pair, {"z2": 1}),
         mixed,
-    ]
+    )
 
 
 def _sl3_global(cap, draws, mutate):
@@ -655,7 +652,7 @@ def _sl3_global(cap, draws, mutate):
     ok, reason = degeneracy_guard(pairs, cap)
     if not ok:
         return _skip("global3", draws, cap, reason)
-    pair = _pair3(cap)
+    pair = sl3_pair(cap)
     jobs = []
     for k in (1, 2, 3):
         args, _, _ = _factor_args(p1.triple, p2.triple, k)
@@ -765,7 +762,7 @@ _ALGEBRAS = {
         slots=attrgetter("u1", "u2"),
         lax=sl2_lax,
         sites=("z1", "z2"),
-        pair=_pair2,
+        pair=sl2_pair,
         rhat=sl2_rhat,
         rhat_pairs=sl2_rhat_pairs,
     ),
@@ -774,7 +771,7 @@ _ALGEBRAS = {
         slots=attrgetter("triple"),
         lax=sl3_lax,
         sites=("1", "2"),
-        pair=_pair3,
+        pair=sl3_pair,
         rhat=sl3_rhat,
         rhat_pairs=sl3_rhat_pairs,
     ),
@@ -832,9 +829,11 @@ def _factor_exchange(name, alg, k, cap, draws, mutate):
         return _skip(name, draws, cap, f"pole: {e}")
     except LaurentLeak as e:
         return _fail(name, draws, cap, cap, (str(e), ""))
+    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
     res = residual_rll(
         R,
-        *_exchange_laxes(a, pair, t, s, q1, q2),
+        lax_mul(L1, L2),
+        lax_mul(L1p, L2p),
         cap - 2,
         name=name,
         params=draws,
@@ -895,18 +894,17 @@ def _full_swap(name, alg, cap, draws, mutate):
         return _fail(name, draws, cap, cap, (str(e), ""))
     t, s = a.slots(p1), a.slots(p2)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
+    P = lax_mul(L1, L2)
     res = residual_rll(
-        rhat, L1, L2, L1p, L2p, cap - 2, name=name, params=draws, cap=cap
+        rhat, P, lax_mul(L1p, L2p), cap - 2, name=name, params=draws, cap=cap
     )
     if res.status != "pass":
         return res
-    # the aux-matrix ordering flips under the site permutation
+    # the aux-matrix ordering flips under the site permutation: the right-hand
+    # side is L(s, site 2) L(t, site 1) = L2 L1
     R = compose(pair_swap(pair), rhat)
-    s1, s2 = a.sites
-    lhs = lax_compose_scalar(R, lax_mul(L1, L2), "left")
-    rhs = lax_compose_scalar(
-        R, lax_mul(a.lax(pair, *s, s2), a.lax(pair, *t, s1)), "right"
-    )
+    lhs = lax_compose_scalar(R, P, "left")
+    rhs = lax_compose_scalar(R, lax_mul(L2, L1), "right")
     ok, wit = lax_is_zero(lax_sub(lhs, rhs), cap - 2)
     if not ok:
         return _fail(name, draws, cap, cap - 2, wit)
@@ -1025,6 +1023,14 @@ CATALOG = {
     ("ybe", "ybe-fundamental"): (_ybe_fundamental, 2),
 }
 
+# the checks that pass a mutation on to the R-operator they build; every
+# other check ignores it
+MUTATION_CHECKS = tuple(
+    key
+    for key, (fn, _) in CATALOG.items()
+    if getattr(fn, "func", None) in (_factor_exchange, _factor_orders, _full_swap)
+)
+
 DEFAULT_CHECKS = {
     "sl2": SL2_DEFAULT_CHECKS,
     "sl3": SL3_DEFAULT_CHECKS,
@@ -1067,6 +1073,14 @@ class SuiteConfig:
         for name in self.checks:
             if (self.algebra, name) not in CATALOG:
                 raise KeyError(f"unknown {self.algebra} check {name!r}")
+        if self.mutate is not None and not any(
+            (self.algebra, name) in MUTATION_CHECKS for name in self.checks
+        ):
+            readers = [n for alg, n in MUTATION_CHECKS if alg == self.algebra]
+            raise ValueError(
+                "no selected check reads the mutation; "
+                f"{self.algebra} checks that do: {', '.join(readers)}"
+            )
 
 
 def run_one(algebra, name, trial, cap, seed, params, mutate):

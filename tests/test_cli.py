@@ -129,6 +129,32 @@ def test_usage_errors_exit_two(args):
     assert run_cli(*args).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sl2", "--check", "inverse-scalar", "--cap", "6", "--trials", "3"),
+        ("sl2", "--check", "oracle-r1", "--check", "casimir", "--cap", "4"),
+        ("sl3", "--check", "inverse-scalar3", "--check", "oracle-r2",
+         "--trials", "2"),
+    ],
+)
+def test_mutation_read_by_no_selected_check_is_refused(args):
+    tag = "r1:1" if args[0] == "sl2" else "r2:b"
+    proc = run_cli(*args, "--mutate", tag)
+    assert proc.returncode == 2
+    assert "no selected check reads the mutation" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_mutation_runs_when_one_selected_check_reads_it():
+    proc = run_cli("sl2", "--cap", "4", "--trials", "1", "--seed", "0",
+                   "--check", "inverse-scalar", "--check", "F1",
+                   "--mutate", "r1:1")
+    assert proc.returncode == 1
+    assert "FAIL  F1" in proc.stdout
+    assert "PASS  inverse-scalar" in proc.stdout
+
+
 def test_report_exit_code_follows_the_statuses_not_the_stored_flag(tmp_path):
     lying = tmp_path / "lying.json"
     lying.write_text(json.dumps({

@@ -7,10 +7,12 @@ implementation was written.
 
 from fractions import Fraction as F
 
+from rfactor import linop
 from rfactor.exactnum import pochhammer
 from rfactor.linop import (
     commutator,
     compose,
+    diffop_to_op,
     identity_op,
     is_zero,
     lax_compose_scalar,
@@ -27,7 +29,9 @@ from rfactor.linop import (
     pair_swap,
     site_embed,
     subst_op,
+    term,
 )
+from rfactor.polyspace import VarSpec, enumerate_basis
 from rfactor.sl2core import (
     Sl2Params,
     sl2_casimir,
@@ -136,6 +140,64 @@ def test_lax_direct_equals_generator_form_and_factorization():
     D2 = lax_sub(Ld, Lf)
     ok, wit = lax_is_zero(D2, lax_min_cert(D2))
     assert ok, wit
+
+
+def _lax_reference(basis, u1, u2, var="z"):
+    """The direct Lax blocks tabulated from their full term lists."""
+    z1 = {var: 1}
+    return [
+        [
+            diffop_to_op(basis, [term(basis, u1), term(basis, 1, z1, z1)]),
+            diffop_to_op(basis, [term(basis, -1, None, z1)]),
+        ],
+        [
+            diffop_to_op(
+                basis,
+                [term(basis, 1, {var: 2}, z1), term(basis, u1 - u2, z1, None)],
+            ),
+            diffop_to_op(basis, [term(basis, u2), term(basis, -1, z1, z1)]),
+        ],
+    ]
+
+
+def test_lax_matches_the_full_term_lists_at_every_point():
+    # ell = 0 makes the z coefficient u1 - u2 vanish; u1 = 0 and u2 = 0 the
+    # diagonal ones
+    points = [(U + L1, U - L1), (F(1, 2), F(1, 2)), (F(0), F(-3)), (F(2), F(0))]
+    pair = sl2_pair(4)
+    cases = [(sl2_site(6), "z"), (pair, "z1"), (pair, "z2")]
+    # every point is built before any is compared, so a later call that
+    # changed an earlier result would show
+    built = [
+        (basis, var, pt, sl2_lax(basis, *pt, var))
+        for basis, var in cases
+        for pt in points
+    ]
+    for basis, var, pt, L in built:
+        assert L.params == pt
+        for i, row in enumerate(_lax_reference(basis, *pt, var)):
+            for j, want in enumerate(row):
+                got = L.blocks[i][j]
+                assert got.shift == want.shift, (var, pt, i, j)
+                assert got.certified == want.certified, (var, pt, i, j)
+                assert got.cols == want.cols, (var, pt, i, j)
+
+
+def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
+    tabulated = []
+    real = linop.op_from_action
+
+    def counting(domain, *args, **kwargs):
+        tabulated.append(domain)
+        return real(domain, *args, **kwargs)
+
+    monkeypatch.setattr(linop, "op_from_action", counting)
+    basis = enumerate_basis([VarSpec("z")], 6)  # not yet seen by any cache
+    sl2_lax(basis, U + L1, U - L1)
+    assert tabulated
+    tabulated.clear()
+    sl2_lax(basis, F(-1), F(4, 7))
+    assert not tabulated
 
 
 def test_lax_invariance_under_lowering_conjugation():

@@ -11,10 +11,12 @@ from functools import lru_cache
 
 import pytest
 
-from rfactor.polyspace import comb_mul, comb_pow
+from rfactor import linop
+from rfactor.polyspace import VarSpec, comb_mul, comb_pow, enumerate_basis
 from rfactor.linop import (
     commutator,
     compose,
+    diffop_to_op,
     identity_op,
     is_zero,
     lax_compose_scalar,
@@ -34,6 +36,7 @@ from rfactor.linop import (
     stage_euler,
     stage_laurent,
     subst_op,
+    term,
 )
 from rfactor.sl3core import (
     GEN_COEFF_MATRICES,
@@ -341,6 +344,90 @@ def test_lax_band_structure():
     assert L.blocks[2][0].shift == 2
     for i in range(3):
         assert L.blocks[i][i].shift <= 0
+
+
+def _lax_reference(basis, u1, u2, u3, suffix=""):
+    """The nine direct Lax blocks tabulated from their full term lists."""
+    x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
+
+    def op(*terms):
+        return diffop_to_op(basis, [term(basis, *t) for t in terms])
+
+    return [
+        [
+            op((1, {x: 1}, {x: 1}), (1, {y: 1}, {y: 1}), (u1 + 2,)),
+            op((1, None, {x: 1})),
+            op((1, None, {y: 1})),
+        ],
+        [
+            op(
+                (-1, {x: 2}, {x: 1}),
+                (-1, {x: 1, y: 1}, {y: 1}),
+                (1, {x: 1, z: 1}, {z: 1}),
+                (1, {y: 1}, {z: 1}),
+                (u2 - u1 - 1, {x: 1}),
+            ),
+            op((-1, {x: 1}, {x: 1}), (1, {z: 1}, {z: 1}), (u2 + 1,)),
+            op((1, None, {z: 1}), (-1, {x: 1}, {y: 1})),
+        ],
+        [
+            op(
+                (-1, {x: 1, y: 1}, {x: 1}),
+                (-1, {y: 2}, {y: 1}),
+                (-1, {x: 1, z: 2}, {z: 1}),
+                (-1, {y: 1, z: 1}, {z: 1}),
+                (u3 - u2 - 1, {x: 1, z: 1}),
+                (u3 - u1 - 2, {y: 1}),
+            ),
+            op((-1, {y: 1}, {x: 1}), (-1, {z: 2}, {z: 1}), (u3 - u2 - 1, {z: 1})),
+            op((-1, {y: 1}, {y: 1}), (-1, {z: 1}, {z: 1}), (u3,)),
+        ],
+    ]
+
+
+def test_lax_matches_the_full_term_lists_at_every_point():
+    points = [
+        P1.triple,
+        Sl3Params(F(1, 2), F(0), F(1, 3)).triple,  # n = u2 - u1 - 1 = 0
+        Sl3Params(F(0), F(1, 5), F(2, 7)).triple,  # m = u3 - u2 - 1 = 0
+        (F(-2), F(1, 3), F(0)),  # u1 + 2 = 0 and u3 = 0
+        (F(0), F(-1), F(2)),  # u2 + 1 = 0 and u3 - u1 - 2 = 0
+    ]
+    pair = sl3_pair(3)
+    cases = [(sl3_site(4), ""), (pair, "1"), (pair, "2")]
+    # every point is built before any is compared, so a later call that
+    # changed an earlier result would show
+    built = [
+        (basis, sfx, pt, sl3_lax(basis, *pt, sfx))
+        for basis, sfx in cases
+        for pt in points
+    ]
+    for basis, sfx, pt, L in built:
+        assert L.params == pt
+        for i, row in enumerate(_lax_reference(basis, *pt, sfx)):
+            for j, want in enumerate(row):
+                got = L.blocks[i][j]
+                assert got.shift == want.shift, (sfx, pt, i, j)
+                assert got.certified == want.certified, (sfx, pt, i, j)
+                assert got.cols == want.cols, (sfx, pt, i, j)
+
+
+def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
+    tabulated = []
+    real = linop.op_from_action
+
+    def counting(domain, *args, **kwargs):
+        tabulated.append(domain)
+        return real(domain, *args, **kwargs)
+
+    monkeypatch.setattr(linop, "op_from_action", counting)
+    # a basis not yet seen by any cache
+    basis = enumerate_basis([VarSpec("x", 1), VarSpec("y", 2), VarSpec("z", 1)], 4)
+    sl3_lax(basis, *P1.triple)
+    assert tabulated
+    tabulated.clear()
+    sl3_lax(basis, *P2.triple)
+    assert not tabulated
 
 
 def test_shift_flow_inverse_and_lax_invariance():

@@ -10,7 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from rfactor.linop import diffop_to_op, identity_op, op_equal, op_scale, term
+from rfactor.linop import (
+    diffop_to_op, identity_op, lax_mul, op_equal, op_scale, term,
+)
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
 from rfactor.sl2core import sl2_lax, sl2_r1
 from rfactor.sl3core import sl3_pair, sl3_site
@@ -175,14 +177,16 @@ def _r1_setup(cap):
 def test_residual_rll_passes_on_the_exchange_relation():
     pair, args, laxes = _r1_setup(4)
     R = sl2_r1(pair, *args)
-    res = residual_rll(R, *laxes, 2, name="t", params=(), cap=4)
+    res = residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2,
+                       name="t", params=(), cap=4)
     assert res.status == "pass" and res.window == 2
 
 
 def test_residual_rll_fails_with_a_block_witness_under_mutation():
     pair, args, laxes = _r1_setup(4)
     R = sl2_r1(pair, *args, mutate=(1, F(2)))
-    res = residual_rll(R, *laxes, 2, name="t", params=(), cap=4)
+    res = residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2,
+                       name="t", params=(), cap=4)
     assert res.status == "fail"
     assert "block" in res.witness[0]
 
