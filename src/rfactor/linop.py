@@ -293,7 +293,8 @@ def _gcd_reduce(row):
 
 
 def _echelon_insert(row, echelon):
-    """Reduce an integer row against the echelon and insert if independent."""
+    """Reduce an integer row in place against the echelon and insert it if
+    it stays nonzero (it then becomes the pivot row of its lead)."""
     while row:
         lead = min(row)
         piv = echelon.get(lead)
@@ -302,30 +303,44 @@ def _echelon_insert(row, echelon):
             echelon[lead] = row
             return
         a, b = row[lead], piv[lead]
-        new = {k: b * v for k, v in row.items()}
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if b != 1:
+            for k in row:
+                row[k] *= b
         for k, v in piv.items():
-            w = new.get(k, 0) - a * v
+            w = row.get(k, 0) - a * v
             if w:
-                new[k] = w
+                row[k] = w
             else:
-                new.pop(k, None)
-        row = new
+                del row[k]
 
 
 def int_echelon_nullspace(equations, unknowns):
     """Exact nullspace basis of a sparse homogeneous linear system.
 
-    equations: iterable of {unknown id: coefficient}; unknowns: list of ids
-    (ids must be mutually orderable). Returns one solution dict per free
-    unknown, with value 1 at that unknown and other free unknowns at 0.
+    equations: iterable of {unknown id: rational coefficient}; unknowns: list
+    of ids (ids must be mutually orderable). Returns one solution dict per
+    free unknown, with value 1 at that unknown and other free unknowns at 0.
+
+    The result does not depend on the order of the equations. Every echelon
+    row's lead is its smallest unknown, so the leads are the pivot columns of
+    the row space whatever the elimination order, and the free unknowns with
+    them; the solution with 1 at one free unknown and 0 at the others is then
+    unique. Rows are therefore cleared of denominators and inserted sparsest
+    first (stable on ties), so dense rows are reduced against short pivots
+    instead of filling in every later row.
     """
-    echelon = {}
+    rows = []
     for eq in equations:
-        row = {k: Fraction(v) for k, v in eq.items() if v}
-        if not row:
-            continue
-        lcm = math.lcm(*(v.denominator for v in row.values()))
-        _echelon_insert({k: int(v * lcm) for k, v in row.items()}, echelon)
+        lcm = math.lcm(*(v.denominator for v in eq.values()))
+        row = {k: v.numerator * (lcm // v.denominator) for k, v in eq.items() if v}
+        if row:
+            rows.append(row)
+    rows.sort(key=len)
+    echelon = {}
+    for row in rows:
+        _echelon_insert(row, echelon)
     free = [u for u in unknowns if u not in echelon]
     leads = sorted(echelon, reverse=True)
     sols = []

@@ -12,6 +12,7 @@ monomial -> Fraction.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -54,6 +55,30 @@ def size_limit() -> int:
         raise CapTooLarge(
             f"{SIZE_LIMIT_ENV} must be an integer, got {raw!r}"
         ) from None
+
+
+def size_checked_cache(maxsize):
+    """Decorator: `functools.lru_cache` for a function returning a basis,
+    which still raises CapTooLarge on a cache hit when the basis exceeds the
+    size limit in force at that call."""
+
+    def decorate(build):
+        cached = functools.lru_cache(maxsize=maxsize)(build)
+
+        @functools.wraps(build)
+        def get(*args):
+            basis = cached(*args)
+            limit = size_limit()
+            if len(basis) > limit:
+                raise CapTooLarge(
+                    f"basis of {len(basis)} monomials at cap {basis.cap} "
+                    f"exceeds size limit {limit}"
+                )
+            return basis
+
+        return get
+
+    return decorate
 
 
 class GradedBasis:

@@ -18,7 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import Rat
-from .polyspace import GradedBasis, VarSpec, enumerate_basis, tensor_basis
+from .polyspace import (
+    GradedBasis,
+    VarSpec,
+    enumerate_basis,
+    size_checked_cache,
+    tensor_basis,
+)
 from .linop import (
     DegenerateDecomposition,
     LaxOp,
@@ -62,14 +68,14 @@ class Sl2Params:
         return self.u - self.ell
 
 
-@lru_cache(maxsize=16)
+@size_checked_cache(maxsize=16)
 def sl2_site(cap: int, name: str = "z") -> GradedBasis:
-    """The one-variable module basis at `cap`, built once per process (the
-    size limit is read when it is first built)."""
+    """The one-variable module basis at `cap`, built once per process and
+    held to the size limit in force at every call."""
     return enumerate_basis([VarSpec(name)], cap)
 
 
-@lru_cache(maxsize=4)
+@size_checked_cache(maxsize=4)
 def sl2_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl2_site(cap, "z1"), sl2_site(cap, "z2"))
 

@@ -19,7 +19,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import Rat
-from .polyspace import GradedBasis, VarSpec, enumerate_basis, tensor_basis
+from .polyspace import (
+    GradedBasis,
+    VarSpec,
+    enumerate_basis,
+    size_checked_cache,
+    tensor_basis,
+)
 from .linop import (
     LaxOp,
     compose,
@@ -73,17 +79,17 @@ class Sl3Params:
 SL3_WEIGHTS = {"x": 1, "y": 2, "z": 1}
 
 
-@lru_cache(maxsize=16)
+@size_checked_cache(maxsize=16)
 def sl3_site(cap: int, suffix: str = "") -> GradedBasis:
-    """The x, y, z module basis at `cap`, built once per process (the size
-    limit is read when it is first built)."""
+    """The x, y, z module basis at `cap`, built once per process and held to
+    the size limit in force at every call."""
     return enumerate_basis(
         [VarSpec("x" + suffix, 1), VarSpec("y" + suffix, 2), VarSpec("z" + suffix, 1)],
         cap,
     )
 
 
-@lru_cache(maxsize=4)
+@size_checked_cache(maxsize=4)
 def sl3_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl3_site(cap, "1"), sl3_site(cap, "2"))
 

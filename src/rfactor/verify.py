@@ -258,7 +258,7 @@ def _charge_blocks(charges):
     return blocks
 
 
-def intertwiner_oracle(constraints, basis, charges=None, expect_dim=None):
+def intertwiner_oracle(constraints, basis, expect_dim=None):
     """Solve X A = B X for all constraint pairs (A, B) simultaneously.
 
     The unknown X is restricted to the charge-preserving sector (the system
@@ -270,8 +270,7 @@ def intertwiner_oracle(constraints, basis, charges=None, expect_dim=None):
     expect_dim set, raises EmptyNullspace / MultiDimensional when the
     dimension comes out lower / higher.
     """
-    if charges is None:
-        charges = charge_vectors(basis)
+    charges = charge_vectors(basis)
     blocks = _charge_blocks(charges)
     unknowns = []
     for q in sorted(blocks):
@@ -662,12 +661,12 @@ def _sl3_global(cap, draws, mutate):
         except PoleAtParameter as e:
             return _skip("global3", draws, cap, f"pole: {e}")
         w1, w2 = sl3_weight_shifts(f"r{k}", p1, p2)
-        jobs.append((R, (p1.m, p1.n), (p2.m, p2.n), w1, w2))
+        jobs.append((R, w1, w2))
     rhat = sl3_rhat(pair, p1, p2, 1)
-    jobs.append((rhat, (p1.m, p1.n), (p2.m, p2.n), (p2.m, p2.n), (p1.m, p1.n)))
+    jobs.append((rhat, (p2.m, p2.n), (p1.m, p1.n)))
+    told = sl3_total_generators(pair, (p1.m, p1.n), (p2.m, p2.n))
     window = cap
-    for R, old1, old2, new1, new2 in jobs:
-        told = sl3_total_generators(pair, old1, old2)
+    for R, new1, new2 in jobs:
         tnew = sl3_total_generators(pair, new1, new2)
         for k in GEN_NAMES:
             res = op_sub(compose(R, told[k]), compose(tnew[k], R))

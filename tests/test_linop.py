@@ -7,6 +7,8 @@ loops and compared entry by entry on certified windows.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
@@ -301,6 +303,66 @@ def test_int_echelon_nullspace_small():
     assert int_echelon_nullspace(eqs2, [0, 1, 2]) == []
     # no equations: everything free
     assert len(int_echelon_nullspace([], [0, 1])) == 2
+
+
+def _fraction_rank(equations, unknowns):
+    """Rank by plain Fraction Gauss-Jordan elimination."""
+    rows = [[F(eq.get(u, 0)) for u in unknowns] for eq in equations]
+    rank = 0
+    for col in range(len(unknowns)):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for i, r in enumerate(rows):
+            if i != rank and r[col]:
+                c = r[col] / p[col]
+                rows[i] = [a - c * b for a, b in zip(r, p)]
+        rank += 1
+    return rank
+
+
+_COEFF = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-6, 6), st.integers(1, 5)),
+)
+
+
+@st.composite
+def _sparse_system(draw):
+    n = draw(st.integers(1, 6))
+    base = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, n - 1), _COEFF, max_size=n),
+            max_size=6,
+        )
+    )
+    dups = draw(st.lists(st.sampled_from(base), max_size=3)) if base else []
+    zeros = draw(st.lists(st.sampled_from([{}, {0: F(0)}, {0: 0, n - 1: F(0)}]),
+                          max_size=2))
+    return n, base + [dict(eq) for eq in dups] + zeros
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_system(), st.data())
+def test_int_echelon_nullspace_ignores_equation_order(system, data):
+    n, eqs = system
+    unknowns = list(range(n))
+    sols = int_echelon_nullspace(eqs, unknowns)
+    for eq in eqs:
+        for s in sols:
+            assert sum(F(c) * s.get(k, 0) for k, c in eq.items()) == 0
+    assert len(sols) == n - _fraction_rank(eqs, unknowns)
+    for s in sols:  # 1 at its own free unknown, 0 at every other's
+        assert any(
+            v == 1 and all(t.get(f, 0) == 0 for t in sols if t is not s)
+            for f, v in s.items()
+        )
+    orders = [eqs[::-1], sorted(eqs, key=len, reverse=True)]
+    orders += [data.draw(st.permutations(eqs)) for _ in range(3)]
+    for order in orders:
+        assert int_echelon_nullspace(order, unknowns) == sols
 
 
 def test_floor_violation_detected():

@@ -7,6 +7,8 @@ implementation was written.
 
 from fractions import Fraction as F
 
+import pytest
+
 from rfactor import linop
 from rfactor.exactnum import pochhammer
 from rfactor.linop import (
@@ -31,7 +33,7 @@ from rfactor.linop import (
     subst_op,
     term,
 )
-from rfactor.polyspace import VarSpec, enumerate_basis
+from rfactor.polyspace import CapTooLarge, VarSpec, enumerate_basis
 from rfactor.sl2core import (
     Sl2Params,
     sl2_casimir,
@@ -404,3 +406,16 @@ def test_site_embedding_consistency_with_pair_swap():
     conj = compose(P, compose(e1, P))
     ok, wit = op_equal(conj, e2, conj.certified)
     assert ok, wit
+
+
+def test_cached_bases_are_held_to_a_later_size_limit(monkeypatch):
+    pair = sl2_pair(8)  # 45 monomials, now cached
+    monkeypatch.setenv("RFACTOR_SIZE_LIMIT", "10")
+    with pytest.raises(CapTooLarge):
+        sl2_pair(8)
+    assert len(sl2_site(8, "z1")) == 9  # within the limit, still served
+    monkeypatch.setenv("RFACTOR_SIZE_LIMIT", "8")
+    with pytest.raises(CapTooLarge):
+        sl2_site(8, "z1")
+    monkeypatch.delenv("RFACTOR_SIZE_LIMIT")
+    assert sl2_pair(8) is pair

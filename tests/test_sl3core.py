@@ -12,7 +12,13 @@ from functools import lru_cache
 import pytest
 
 from rfactor import linop
-from rfactor.polyspace import VarSpec, comb_mul, comb_pow, enumerate_basis
+from rfactor.polyspace import (
+    CapTooLarge,
+    VarSpec,
+    comb_mul,
+    comb_pow,
+    enumerate_basis,
+)
 from rfactor.linop import (
     commutator,
     compose,
@@ -642,3 +648,16 @@ def test_mutation_breaks_defining_relation():
     A2 = sl3_rhat(pair, P1, P2, order=2)
     ok, wit = is_zero(op_sub(A1, A2), min(A1.certified, A2.certified))
     assert not ok and wit is not None
+
+
+def test_cached_bases_are_held_to_a_later_size_limit(monkeypatch):
+    pair, site = sl3_pair(3), sl3_site(3, "1")  # 45 and 13 monomials
+    monkeypatch.setenv("RFACTOR_SIZE_LIMIT", "44")
+    with pytest.raises(CapTooLarge):
+        sl3_pair(3)
+    assert sl3_site(3, "1") is site
+    monkeypatch.setenv("RFACTOR_SIZE_LIMIT", "12")
+    with pytest.raises(CapTooLarge):
+        sl3_site(3, "1")
+    monkeypatch.delenv("RFACTOR_SIZE_LIMIT")
+    assert sl3_pair(3) is pair
