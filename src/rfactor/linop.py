@@ -14,14 +14,25 @@ propagates certification and only tabulates certified columns. All zero tests
 take an explicit height window and refuse to look beyond certification, so a
 reported zero is a statement about the actual operators, not an artifact of
 truncation.
+
+Operators whose construction leaves the basis (substitutions, Gamma-ratio
+diagonals and Laurent flows with negative intermediate exponents) are built
+from stage lists. `run_pipeline` feeds every monomial through the stages at
+one point. A path table (`path_table`, cached per basis and stage list)
+runs the parameter-free stages once and keeps the Gamma-ratio diagonals as
+placeholders, so the operator at a point (`path_op`) is one eigenvalue per
+(stage, exponent) and integer sums; a Laurent term that does not cancel is
+then an error of the stage list, raised when the table is compiled.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
-from .exactnum import ZERO, gamma_ratio_shift
+from .exactnum import ONE, ZERO, PoleAtParameter, gamma_ratio_shift
 from .polyspace import GradedBasis, comb_add_into, comb_mul, comb_pow
 
 NEG_INF = -(10**9)  # shift of an identically zero operator
@@ -530,34 +541,176 @@ def subst_op(basis, rules, homogeneous=True):
     return op_from_action(basis, lambda m: st({m: Fraction(1)}), shift)
 
 
+def _output_index(basis, mono, m):
+    """Basis index of the pipeline output monomial m of input `mono`."""
+    j = basis.index.get(m)
+    if j is None:
+        if min(m) < 0:
+            raise LaurentLeak(
+                f"pipeline output of {basis.mono_str(mono)} kept a "
+                f"negative exponent: {m}"
+            )
+        raise ShiftViolation(
+            f"pipeline output of {basis.mono_str(mono)} left the basis: {m}"
+        )
+    return j
+
+
 def run_pipeline(basis, stages):
     """Feed every basis monomial through the stages; the final output must
     lie in the basis again (no Laurent residue, no cap overflow).
     Height-homogeneous stages only: shift 0."""
     cols = {}
-    index = basis.index
     for i, mono in enumerate(basis.monomials):
         comb = {mono: Fraction(1)}
         for st in stages:
             comb = st(comb)
         col = {}
         for m, c in comb.items():
-            if not c:
-                continue
-            j = index.get(m)
-            if j is None:
-                if min(m) < 0:
-                    raise LaurentLeak(
-                        f"pipeline output of {basis.mono_str(mono)} kept a "
-                        f"negative exponent: {m}"
-                    )
-                raise ShiftViolation(
-                    f"pipeline output of {basis.mono_str(mono)} left the "
-                    f"basis: {m}"
-                )
-            col[j] = c
+            if c:
+                col[_output_index(basis, mono, m)] = c
         if col:
             cols[i] = col
+    return SparseOp(basis, basis, cols, 0, basis.cap)
+
+
+# ---------------------------------------------------------------------------
+# Path tables: a stage list compiled once per basis.
+#
+# A stage list mixes parameter-free stage closures (stage_subst,
+# stage_laurent) with Euler placeholders, whose (a, b) depend on the point.
+# Compiling runs every basis monomial through the closures once, keeping the
+# paths apart by the exponents the placeholders see: entry (j, i) of the
+# operator is then sum_key T[i][j][key] * prod_s eig_s(key_s), with integer
+# path coefficients T and one Gamma-ratio eigenvalue per (stage, exponent).
+
+class Euler(NamedTuple):
+    """Placeholder for stage_euler(basis, var, a, b) in a stage list: each of
+    a and b is a constant or a function of the factor's arguments."""
+
+    var: int
+    a: object
+    b: object
+
+
+class PathTable(NamedTuple):
+    basis: GradedBasis
+    stages: tuple  # the stage list compiled
+    exps: tuple  # per Euler stage: every exponent a path showed it
+    keys: tuple  # the exponent tuples of the surviving paths
+    cols: dict  # i -> ((j, ((key index, int coefficient), ...)), ...)
+
+
+def _param(x, args):
+    return x(*args) if callable(x) else x
+
+
+def compile_path_table(basis, stages):
+    """Run every basis monomial through `stages` with the Euler stages left
+    symbolic.
+
+    A path that meets an Euler stage whose lower parameter b is the constant
+    1 at a negative exponent is dropped: 1/Gamma(e + 1) vanishes there for
+    every a. Every other Laurent term must cancel within its path key, so a
+    negative exponent left in the output raises LaurentLeak here, for all
+    parameters at once.
+    """
+    eulers = [st for st in stages if isinstance(st, Euler)]
+    exps = [set() for _ in eulers]
+    keys = {}
+    cols = {}
+    for i, mono in enumerate(basis.monomials):
+        paths = {(): {mono: Fraction(1)}}
+        s = 0
+        for st in stages:
+            if not isinstance(st, Euler):
+                paths = {key: out for key, comb in paths.items() if (out := st(comb))}
+                continue
+            prune = not callable(st.b) and st.b == 1
+            split = {}
+            for key, comb in paths.items():
+                for m, c in comb.items():
+                    e = m[st.var]
+                    exps[s].add(e)
+                    if e >= 0 or not prune:
+                        split.setdefault(key + (e,), {})[m] = c
+            paths = split
+            s += 1
+        entries = {}
+        for key, comb in paths.items():
+            k = keys.setdefault(key, len(keys))
+            for m, c in comb.items():
+                if c.denominator != 1:
+                    raise ValueError(f"path coefficient {c} is not an integer")
+                j = _output_index(basis, mono, m)
+                entries.setdefault(j, []).append((k, c.numerator))
+        if entries:
+            cols[i] = tuple((j, tuple(t)) for j, t in entries.items())
+    return PathTable(
+        basis, tuple(stages), tuple(map(sorted, exps)), tuple(keys), cols
+    )
+
+
+@lru_cache(maxsize=16)
+def path_table(basis, stage_list):
+    """The compiled table of `stage_list(basis)`, built once per basis."""
+    return compile_path_table(basis, stage_list(basis))
+
+
+def euler_stages(table, args, mutations):
+    """The table's stage list with each Euler placeholder made a stage_euler
+    at the point `args`; `mutations` gives each one's `mutate`."""
+    muts = iter(mutations)
+    return [
+        stage_euler(
+            table.basis, st.var, _param(st.a, args), _param(st.b, args), next(muts)
+        )
+        if isinstance(st, Euler)
+        else st
+        for st in table.stages
+    ]
+
+
+def path_op(table, args, mutations):
+    """The operator of a compiled stage list at the point `args`.
+
+    Each Euler eigenvalue is computed once per exponent a path showed,
+    dropped paths included, and multiplied by a mutation's factor exactly as
+    stage_euler does. Where one of them is a pole the point is handed to
+    run_pipeline, which raises PoleAtParameter only if a path with a nonzero
+    coefficient reaches it."""
+    eig = []
+    try:
+        for st, exps, mut in zip(
+            (st for st in table.stages if isinstance(st, Euler)), table.exps, mutations
+        ):
+            a, b = _param(st.a, args), _param(st.b, args)
+            vals = {e: gamma_ratio_shift(a, b, e) for e in exps}
+            if mut is not None and mut[0] in vals:
+                vals[mut[0]] *= mut[1]
+            eig.append(vals)
+    except PoleAtParameter:
+        return run_pipeline(table.basis, euler_stages(table, args, mutations))
+    prods = []
+    for key in table.keys:
+        p = ONE
+        for vals, e in zip(eig, key):
+            p *= vals[e]
+        prods.append(p)
+    den = math.lcm(*(p.denominator for p in prods))
+    nums = [p.numerator * (den // p.denominator) for p in prods]
+    cols = {}
+    for i, entries in table.cols.items():
+        col = {}
+        for j, terms in entries:
+            n = 0
+            for k, c in terms:
+                n += c * nums[k]
+            if n:
+                col[j] = Fraction(n, den)
+        if col:
+            cols[i] = col
+    basis = table.basis
     return SparseOp(basis, basis, cols, 0, basis.cap)
 
 

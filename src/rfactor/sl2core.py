@@ -6,9 +6,13 @@ differential operators on the module; the R-operators are built as exact
 substitution/diagonal pipelines and every defining relation is checked to
 literal zero on certified windows.
 
-Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`), and per
+Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); per
 basis and variable the parameter-free blocks of the direct Lax matrix with
-the unit operators 1 and z that its parameters scale (`sl2_lax`).
+the unit operators 1 and z that its parameters scale (`sl2_lax`); and per
+pair basis the path table of each elementary R-operator (`sl2_r1`,
+`sl2_r2`), so a factor at a point costs one Gamma ratio per exponent plus
+integer sums. The closed form (`sl2_rhat_closed`) runs its own pipelines at
+every call, so `closed-form` still compares two constructions.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .polyspace import (
 )
 from .linop import (
     DegenerateDecomposition,
+    Euler,
     LaxOp,
     compose,
     diffop_to_op,
@@ -42,6 +47,8 @@ from .linop import (
     op_scale,
     op_sub,
     pair_swap,
+    path_op,
+    path_table,
     run_pipeline,
     site_embed,
     stage_euler,
@@ -166,26 +173,36 @@ def sl2_lax_factored(basis, u1, u2, var="z"):
 # ---------------------------------------------------------------------------
 # R-operators
 
+def _sl2_r1_stages(pair):
+    z2 = pair.var_index("z2")
+    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
+    return (
+        stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(1)}}),
+        Euler(z2, lambda u1, v1, v2: u1 - v2, lambda u1, v1, v2: v1 - v2),
+        stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(-1)}}),
+    )
+
+
+def _sl2_r2_stages(pair):
+    z1 = pair.var_index("z1")
+    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
+    return (
+        stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(1)}}),
+        Euler(z1, lambda u1, u2, v2: u1 - v2, lambda u1, u2, v2: u1 - u2),
+        stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(-1)}}),
+    )
+
+
 def sl2_r1(pair, u1, v1, v2, mutate=None):
     """Swap of the first parameter pair: diagonal (u1-v2, v1-v2) Pochhammer
     ratios on powers of (z2 - z1), conjugated back to the monomial basis."""
-    z1, z2 = pair.var_index("z1"), pair.var_index("z2")
-    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
-    plus = stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(1)}})
-    diag = stage_euler(pair, z2, u1 - v2, v1 - v2, mutate=mutate)
-    minus = stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(-1)}})
-    return run_pipeline(pair, [plus, diag, minus])
+    return path_op(path_table(pair, _sl2_r1_stages), (u1, v1, v2), (mutate,))
 
 
 def sl2_r2(pair, u1, u2, v2, mutate=None):
     """Swap of the second parameter pair: diagonal (u1-v2, u1-u2) ratios on
     powers of (z1 - z2)."""
-    z1, z2 = pair.var_index("z1"), pair.var_index("z2")
-    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
-    plus = stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(1)}})
-    diag = stage_euler(pair, z1, u1 - v2, u1 - u2, mutate=mutate)
-    minus = stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(-1)}})
-    return run_pipeline(pair, [plus, diag, minus])
+    return path_op(path_table(pair, _sl2_r2_stages), (u1, u2, v2), (mutate,))
 
 
 def sl2_r1_pairs(u1, v1, v2, cap=None):

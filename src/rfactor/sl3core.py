@@ -3,13 +3,17 @@
 The module is spanned by monomials x^a y^b z^c with height a + 2b + c <= cap;
 1 is the lowest-weight vector of weight (m, n). The Lax matrix has a
 three-dimensional auxiliary space; the full parameter swap factorizes into
-three elementary R-operators, each an exact substitution / Gamma-ratio /
-Laurent-flow pipeline whose intermediate terms may carry negative exponents
-but whose output is certified polynomial.
+three elementary R-operators, each a stage list of substitutions,
+Gamma-ratio diagonals and Laurent flows whose intermediate terms may carry
+negative exponents but whose output is certified polynomial.
 
-Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`), and per
+Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); per
 basis and site suffix the parameter-free blocks of the direct Lax matrix with
-the unit operators 1, x, y, z and xz that its parameters scale (`sl3_lax`).
+the unit operators 1, x, y, z and xz that its parameters scale (`sl3_lax`);
+and per pair basis the path table of each elementary R-operator (`sl3_r1`,
+`sl3_r2`, `sl3_r3`), so a factor at a point costs one Gamma ratio per stage
+and exponent plus integer sums. `sl3_r3_single` runs its own pipeline at
+every call.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .polyspace import (
     tensor_basis,
 )
 from .linop import (
+    Euler,
     LaxOp,
     compose,
     diffop_to_op,
@@ -34,6 +39,8 @@ from .linop import (
     lax_mul,
     op_add,
     op_scale,
+    path_op,
+    path_table,
     run_pipeline,
     stage_euler,
     stage_laurent,
@@ -452,19 +459,17 @@ def sl3_invariance_matrix(a, b, c):
 # below preserve total height; intermediate monomials may carry negative
 # exponents, the output may not.
 
-def _mut(mutate, tag):
-    if mutate is not None and mutate[0] == tag:
-        return (mutate[1], Fraction(2))
-    return None
+def _muts(mutate):
+    """Per Euler stage of a factor's stage list (stages c, b, a in order),
+    the stage_euler mutation that the tag ('a' | 'b' | 'c', exponent) asks
+    for."""
+    return tuple(
+        (mutate[1], Fraction(2)) if mutate is not None and mutate[0] == tag else None
+        for tag in "cba"
+    )
 
 
-def sl3_r1(pair, u1, v1, v2, v3, mutate=None):
-    """First-slot swap u1 <-> v1.
-
-    Conjugated by the shift to the difference frame and by the frame change
-    y -> y + x z on site 2; the core is Gamma-ratio diagonals in the x2 and
-    y2 exponents around Laurent flows exp(+-(y2/x2) dz2)."""
-    x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
+def _sl3_r1_stages(pair):
     x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
     one = Fraction(1)
     s1 = stage_subst(
@@ -495,26 +500,22 @@ def sl3_r1(pair, u1, v1, v2, v3, mutate=None):
     xz2 = pair.mono({"x2": 1, "z2": 1})
     w_fwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): one, xz2: one}})
     w_bwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): one, xz2: -one}})
-    stages = [
+    return (
         s1,
         w_bwd,
-        stage_euler(pair, x2, 1, v1 - v2 + 1, mutate=_mut(mutate, "c")),
+        Euler(x2, 1, lambda u1, v1, v2, v3: v1 - v2 + 1),
         stage_laurent(pair, 1, num=y2, den=x2, target=z2),
-        stage_euler(
-            pair, y2, u1 - v3 + 1, v1 - v3 + 1, mutate=_mut(mutate, "b")
-        ),
+        Euler(y2, lambda u1, v1, v2, v3: u1 - v3 + 1,
+              lambda u1, v1, v2, v3: v1 - v3 + 1),
         stage_laurent(pair, -1, num=y2, den=x2, target=z2),
-        stage_euler(pair, x2, u1 - v2 + 1, 1, mutate=_mut(mutate, "a")),
+        Euler(x2, lambda u1, v1, v2, v3: u1 - v2 + 1, 1),
         w_fwd,
         s1_inv,
-    ]
-    return run_pipeline(pair, stages)
+    )
 
 
-def sl3_r2(pair, u1, u2, v2, v3, mutate=None):
-    """Second-slot swap u2 <-> v2."""
-    x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
-    x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
+def _sl3_r2_stages(pair):
+    x1, y1, z2 = map(pair.var_index, ("x1", "y1", "z2"))
     one = Fraction(1)
     s2 = stage_subst(
         pair,
@@ -541,24 +542,20 @@ def sl3_r2(pair, u1, u2, v2, v3, mutate=None):
             },
         },
     )
-    stages = [
+    return (
         s2,
-        stage_euler(pair, z2, 1, v2 - v3 + 1, mutate=_mut(mutate, "c")),
+        Euler(z2, 1, lambda u1, u2, v2, v3: v2 - v3 + 1),
         stage_laurent(pair, -1, num=y1, den=z2, target=x1),
-        stage_euler(
-            pair, x1, u1 - v2 + 1, u1 - u2 + 1, mutate=_mut(mutate, "b")
-        ),
+        Euler(x1, lambda u1, u2, v2, v3: u1 - v2 + 1,
+              lambda u1, u2, v2, v3: u1 - u2 + 1),
         stage_laurent(pair, 1, num=y1, den=z2, target=x1),
-        stage_euler(pair, z2, u2 - v3 + 1, 1, mutate=_mut(mutate, "a")),
+        Euler(z2, lambda u1, u2, v2, v3: u2 - v3 + 1, 1),
         s2_inv,
-    ]
-    return run_pipeline(pair, stages)
+    )
 
 
-def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
-    """Third-slot swap u3 <-> v3."""
+def _sl3_r3_stages(pair):
     x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
-    x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
     one = Fraction(1)
     s3 = stage_subst(
         pair,
@@ -585,18 +582,35 @@ def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
             },
         },
     )
-    stages = [
+    return (
         s3,
-        stage_euler(pair, z1, 1, u2 - u3 + 1, mutate=_mut(mutate, "c")),
+        Euler(z1, 1, lambda u1, u2, u3, v3: u2 - u3 + 1),
         stage_laurent(pair, -1, num=y1, den=z1, target=x1),
-        stage_euler(
-            pair, y1, u1 - v3 + 1, u1 - u3 + 1, mutate=_mut(mutate, "b")
-        ),
+        Euler(y1, lambda u1, u2, u3, v3: u1 - v3 + 1,
+              lambda u1, u2, u3, v3: u1 - u3 + 1),
         stage_laurent(pair, 1, num=y1, den=z1, target=x1),
-        stage_euler(pair, z1, u2 - v3 + 1, 1, mutate=_mut(mutate, "a")),
+        Euler(z1, lambda u1, u2, u3, v3: u2 - v3 + 1, 1),
         s3_inv,
-    ]
-    return run_pipeline(pair, stages)
+    )
+
+
+def sl3_r1(pair, u1, v1, v2, v3, mutate=None):
+    """First-slot swap u1 <-> v1.
+
+    Conjugated by the shift to the difference frame and by the frame change
+    y -> y + x z on site 2; the core is Gamma-ratio diagonals in the x2 and
+    y2 exponents around Laurent flows exp(+-(y2/x2) dz2)."""
+    return path_op(path_table(pair, _sl3_r1_stages), (u1, v1, v2, v3), _muts(mutate))
+
+
+def sl3_r2(pair, u1, u2, v2, v3, mutate=None):
+    """Second-slot swap u2 <-> v2."""
+    return path_op(path_table(pair, _sl3_r2_stages), (u1, u2, v2, v3), _muts(mutate))
+
+
+def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
+    """Third-slot swap u3 <-> v3."""
+    return path_op(path_table(pair, _sl3_r3_stages), (u1, u2, u3, v3), _muts(mutate))
 
 
 def sl3_r1_pairs(u1, v1, v2, v3, cap):

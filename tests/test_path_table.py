@@ -1,0 +1,226 @@
+"""Path tables: each elementary R-operator compiled once per pair basis.
+
+The reference is run_pipeline over the same stage list with every Euler
+placeholder made a stage_euler at the point, which is how the factors were
+built before the tables: the two must give the same operator at every point,
+raise PoleAtParameter together, and carry mutations the same way.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rfactor import linop
+from rfactor.exactnum import PoleAtParameter, gamma_ratio_shift
+from rfactor.linop import (
+    Euler,
+    LaurentLeak,
+    compile_path_table,
+    euler_stages,
+    identity_op,
+    path_op,
+    path_table,
+    run_pipeline,
+)
+from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
+from rfactor.sl2core import (
+    _sl2_r1_stages,
+    _sl2_r2_stages,
+    sl2_pair,
+    sl2_r1,
+    sl2_r1_pairs,
+    sl2_r2,
+    sl2_r2_pairs,
+)
+from rfactor.sl3core import (
+    _sl3_r1_stages,
+    _sl3_r2_stages,
+    _sl3_r3_stages,
+    sl3_pair,
+    sl3_r1,
+    sl3_r1_pairs,
+    sl3_r2,
+    sl3_r2_pairs,
+    sl3_r3,
+    sl3_r3_pairs,
+)
+from rfactor.verify import (
+    SL2_MUTATION_TAGS,
+    SL3_MUTATION_TAGS,
+    degeneracy_guard,
+    parse_mutate,
+)
+
+# factor -> (builder, stage list, guard pairs, pair basis, cap)
+FACTORS = {
+    "sl2-r1": (sl2_r1, _sl2_r1_stages, sl2_r1_pairs, sl2_pair, 6),
+    "sl2-r2": (sl2_r2, _sl2_r2_stages, sl2_r2_pairs, sl2_pair, 6),
+    "sl3-r1": (sl3_r1, _sl3_r1_stages, sl3_r1_pairs, sl3_pair, 3),
+    "sl3-r2": (sl3_r2, _sl3_r2_stages, sl3_r2_pairs, sl3_pair, 3),
+    "sl3-r3": (sl3_r3, _sl3_r3_stages, sl3_r3_pairs, sl3_pair, 3),
+}
+
+
+def _reference(table, args, mutations):
+    return run_pipeline(table.basis, euler_stages(table, args, mutations))
+
+
+def _same(a, b):
+    return (a.cols, a.shift, a.certified) == (b.cols, b.shift, b.certified)
+
+
+def _fresh_pair(algebra):
+    """A pair basis no cache has seen."""
+    if algebra == "sl2":
+        sites = [enumerate_basis([VarSpec(f"z{s}")], 5) for s in "12"]
+    else:
+        sites = [
+            enumerate_basis(
+                [VarSpec(f"x{s}", 1), VarSpec(f"y{s}", 2), VarSpec(f"z{s}", 1)], 2
+            )
+            for s in "12"
+        ]
+    return tensor_basis(*sites)
+
+
+@pytest.mark.parametrize("name", FACTORS)
+def test_second_factor_build_on_a_pair_compiles_nothing(name, monkeypatch):
+    build = FACTORS[name][0]
+    compiled = []
+    real = linop.compile_path_table
+
+    def counting(basis, stages):
+        compiled.append(basis)
+        return real(basis, stages)
+
+    monkeypatch.setattr(linop, "compile_path_table", counting)
+    pair = _fresh_pair(name[:3])
+    nargs = 3 if name.startswith("sl2") else 4
+    build(pair, *[F(k + 1, 7) for k in range(nargs)])
+    assert compiled == [pair]
+    compiled.clear()
+    build(pair, *[F(-k - 2, 5) for k in range(nargs)])
+    assert not compiled
+
+
+@pytest.mark.parametrize("stage_list", [_sl3_r1_stages, _sl3_r2_stages, _sl3_r3_stages])
+def test_laurent_terms_that_do_not_cancel_leak_at_compile_time(stage_list):
+    pair = sl3_pair(3)
+    stages = stage_list(pair)
+    compile_path_table(pair, stages)
+    # the closing Euler stage has lower parameter 1: without it, the paths
+    # its 1/Gamma zero removed keep their negative exponents, which a later
+    # substitution meets or, with the list cut there, the output keeps
+    (k,) = [k for k, st in enumerate(stages) if isinstance(st, Euler) and st.b == 1]
+    for broken in (stages[:k] + stages[k + 1:], stages[:k]):
+        with pytest.raises(LaurentLeak):
+            compile_path_table(pair, broken)
+
+
+@pytest.mark.parametrize(
+    "algebra, tag",
+    [("sl2", t) for t in SL2_MUTATION_TAGS] + [("sl3", t) for t in SL3_MUTATION_TAGS],
+)
+def test_a_mutated_table_equals_the_mutated_pipeline(algebra, tag):
+    factor, inner = parse_mutate(algebra, tag)
+    build, stage_list, _, pair_of, cap = FACTORS[f"{algebra}-{factor}"]
+    pair = pair_of(cap)
+    if algebra == "sl2":
+        args = (F(7, 3), F(-2, 5), F(1, 4))
+        mutations = (inner,)
+    else:
+        args = (F(7, 3), F(-2, 5), F(1, 4), F(5, 6))
+        # sl3 stage lists hold the Euler stages c, b, a in that order, and a
+        # tag scales the stage's eigenvalue at exponent 1 by 2
+        mutations = tuple((1, F(2)) if s == inner[0] else None for s in "cba")
+    got = build(pair, *args, mutate=inner)
+    want = _reference(path_table(pair, stage_list), args, mutations)
+    assert _same(got, want)
+    assert not _same(got, build(pair, *args))
+
+
+def _point(cap, nargs):
+    near_pole = st.integers(-cap - 1, cap + 1).map(F)
+    generic = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+    return st.tuples(*[near_pole | generic] * nargs)
+
+
+@st.composite
+def _case(draw, name):
+    _, _, _, _, cap = FACTORS[name]
+    if name.startswith("sl2"):
+        args = draw(_point(cap, 3))
+        mut = draw(st.none() | st.tuples(st.integers(0, cap), st.just(F(2))))
+        return args, (mut,)
+    args = draw(_point(cap, 4))
+    muts = tuple(
+        draw(st.none() | st.tuples(st.integers(-cap, cap), st.just(F(2))))
+        for _ in range(3)
+    )
+    return args, muts
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PoleAtParameter:
+        return None
+
+
+@pytest.mark.parametrize("name", FACTORS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
+    _, stage_list, guard_pairs, pair_of, cap = FACTORS[name]
+    pair = pair_of(cap)
+    table = path_table(pair, stage_list)
+    args, mutations = data.draw(_case(name))
+    want = _outcome(lambda: _reference(table, args, mutations))
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            linop, "run_pipeline", lambda *a: fallbacks.append(a) or run_pipeline(*a)
+        )
+        got = _outcome(lambda: path_op(table, args, mutations))
+    accepted, _ = degeneracy_guard(guard_pairs(*args, cap), cap)
+    if accepted:
+        assert want is not None and got is not None
+        assert not fallbacks
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and _same(got, want)
+
+
+@pytest.mark.parametrize("name", ["sl3-r1", "sl3-r2", "sl3-r3"])
+def test_the_closing_stage_pole_is_raised_only_where_a_kept_path_reaches_it(name):
+    build, _, _, pair_of, cap = FACTORS[name]
+    pair = pair_of(cap)
+    # the closing stage's upper parameter is 1 at both points: Gamma(e + 1) /
+    # Gamma(e + 1) has a pole at every negative exponent e
+    with pytest.raises(PoleAtParameter):
+        gamma_ratio_shift(F(1), F(1), -1)
+    # generic otherwise: the Laurent flows leave negative exponents for it
+    generic = {
+        "sl3-r1": (F(1, 2), F(1, 3), F(1, 2), F(1, 5)),  # u1 = v2
+        "sl3-r2": (F(1, 3), F(1, 2), F(1, 5), F(1, 2)),  # u2 = v3
+        "sl3-r3": (F(1, 3), F(1, 2), F(1, 5), F(1, 2)),  # u2 = v3
+    }
+    with pytest.raises(PoleAtParameter):
+        build(pair, *generic[name])
+    # all four arguments equal: the first two Euler stages are the identity,
+    # the flows cancel, and only dropped paths reach a negative exponent
+    got = build(pair, F(-3), F(-3), F(-3), F(-3))
+    assert _same(got, identity_op(pair))
+
+
+def test_only_a_lower_parameter_of_one_drops_negative_exponents():
+    basis = enumerate_basis([VarSpec("z", 1, -2)], 2)  # z^-2 ... z^2
+    args = (F(1, 2),)
+    for b, kept in ((lambda a: a + 1, 5), (1, 3)):
+        table = compile_path_table(basis, (Euler(0, lambda a: a, b),))
+        got = path_op(table, args, (None,))
+        assert _same(got, _reference(table, args, (None,)))
+        assert len(got.cols) == kept

@@ -19,8 +19,6 @@ from rfactor.sl3core import sl3_pair, sl3_site
 from rfactor.verify import (
     CATALOG,
     CheckResult,
-    EmptyNullspace,
-    MultiDimensional,
     NotLowestWeightStable,
     SL2_MUTATION_TAGS,
     SL3_MUTATION_TAGS,
@@ -129,14 +127,16 @@ def _raising_op(cap, ell):
 
 def test_oracle_unique_solution_is_the_identity():
     basis, sp = _raising_op(4, F(3, 2))
-    sols = intertwiner_oracle([(sp, sp)], basis, expect_dim=1)
+    sols = intertwiner_oracle([(sp, sp)], basis)
+    assert len(sols) == 1
     n, _ = lwv_normalize(sols[0])
     assert op_equal(n, identity_op(basis), basis.cap)[0]
 
 
 def test_oracle_scaled_relation_forces_a_geometric_diagonal():
     basis, sp = _raising_op(4, F(3, 2))
-    sols = intertwiner_oracle([(sp, op_scale(sp, F(2)))], basis, expect_dim=1)
+    sols = intertwiner_oracle([(sp, op_scale(sp, F(2)))], basis)
+    assert len(sols) == 1
     n, _ = lwv_normalize(sols[0])
     for k, h in enumerate(basis.heights):
         assert n.col(k) == {k: F(2) ** h}
@@ -145,17 +145,13 @@ def test_oracle_scaled_relation_forces_a_geometric_diagonal():
 def test_oracle_contradictory_relations_leave_no_solution():
     basis, sp = _raising_op(4, F(3, 2))
     constraints = [(sp, sp), (sp, op_scale(sp, F(2)))]
-    assert intertwiner_oracle(constraints, basis) == []
-    with pytest.raises(EmptyNullspace):
-        intertwiner_oracle(constraints, basis, expect_dim=1)
+    assert len(intertwiner_oracle(constraints, basis)) == 0
 
 
 def test_oracle_unconstrained_system_is_degenerate():
     basis = sl2_site(3)
     sols = intertwiner_oracle([], basis)
     assert len(sols) == len(basis)  # one free diagonal entry per degree
-    with pytest.raises(MultiDimensional):
-        intertwiner_oracle([], basis, expect_dim=1)
 
 
 # ---------------------------------------------------------------------------
