@@ -15,6 +15,15 @@ take an explicit height window and refuse to look beyond certification, so a
 reported zero is a statement about the actual operators, not an artifact of
 truncation.
 
+Entries are stored as nonzero integer numerators over one positive
+denominator `den` per operator, kept canonical: gcd(den, every numerator) is
+1 and an empty operator has den 1, so equal operators have equal
+(cols, den). The kernel (compose, op_add, op_scale, site_embed, is_zero,
+path_op) works in integers only. Fraction stays at the edges: parameters
+and scalars, `SparseOp.col`/`apply_vec` and zero-test witnesses, which
+return Fractions, and `rational_op`, which builds an operator from rational
+columns.
+
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
 from stage lists. `run_pipeline` feeds every monomial through the stages at
@@ -67,32 +76,64 @@ class NotHomogeneous(ValueError):
 
 
 class SparseOp:
-    __slots__ = ("domain", "codomain", "cols", "shift", "certified")
+    """Column-major integer numerators `cols` ({col: {row: int}}) over the
+    canonical denominator `den`."""
 
-    def __init__(self, domain, codomain, cols, shift, certified):
+    __slots__ = ("domain", "codomain", "cols", "den", "shift", "certified")
+
+    def __init__(self, domain, codomain, cols, den, shift, certified):
         self.domain = domain
         self.codomain = codomain
         self.cols = cols
+        self.den = den
         self.shift = shift
         self.certified = certified
 
     def col(self, i):
-        return self.cols.get(i, {})
+        """Column i as {row: Fraction}."""
+        den = self.den
+        return {r: Fraction(v, den) for r, v in self.cols.get(i, {}).items()}
 
     def apply_vec(self, vec):
         """Apply to an index-keyed vector {col: coeff}."""
         out = {}
         for i, c in vec.items():
-            for r, v in self.col(i).items():
-                w = out.get(r, ZERO) + c * v
+            for r, v in self.cols.get(i, {}).items():
+                w = out.get(r, 0) + c * v
                 if w:
                     out[r] = w
                 else:
                     del out[r]
-        return out
+        den = self.den
+        return {r: Fraction(w, den) for r, w in out.items()}
 
-    def entry(self, r, c):
-        return self.cols.get(c, {}).get(r, ZERO)
+
+def rational_op(domain, codomain, cols, shift, certified):
+    """The SparseOp of columns {col: {row: nonzero rational}}.
+
+    The least common denominator is canonical by itself: a prime power
+    exactly dividing it exactly divides some entry's reduced denominator, and
+    that entry's scaled numerator is prime to it."""
+    den = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
+    nums = {
+        i: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
+        for i, col in cols.items()
+    }
+    return SparseOp(domain, codomain, nums, den, shift, certified)
+
+
+def _reduced_op(domain, codomain, cols, den, shift, certified):
+    """The SparseOp of integer columns over den, with their common factor
+    divided out."""
+    g = den
+    for col in cols.values():
+        if g == 1:
+            break
+        g = math.gcd(g, *col.values())
+    if g > 1:
+        den //= g
+        cols = {i: {r: v // g for r, v in col.items()} for i, col in cols.items()}
+    return SparseOp(domain, codomain, cols, den, shift, certified)
 
 
 def op_from_action(domain, action, shift, codomain=None):
@@ -136,17 +177,17 @@ def op_from_action(domain, action, shift, codomain=None):
             col[j] = c
         if col:
             cols[i] = col
-    return SparseOp(domain, cod, cols, shift, certified)
+    return rational_op(domain, cod, cols, shift, certified)
 
 
 def zero_op(domain, codomain=None):
     cod = codomain if codomain is not None else domain
-    return SparseOp(domain, cod, {}, NEG_INF, cod.cap)
+    return SparseOp(domain, cod, {}, 1, NEG_INF, cod.cap)
 
 
 def identity_op(basis):
-    cols = {i: {i: Fraction(1)} for i in range(len(basis))}
-    return SparseOp(basis, basis, cols, 0, basis.cap)
+    cols = {i: {i: 1} for i in range(len(basis))}
+    return SparseOp(basis, basis, cols, 1, 0, basis.cap)
 
 
 def _require_same(b1, b2, what):
@@ -173,41 +214,61 @@ def compose(a: SparseOp, b: SparseOp) -> SparseOp:
             if not ac:
                 continue
             for r, v in ac.items():
-                w = out.get(r, ZERO) + c * v
+                w = out.get(r, 0) + c * v
                 if w:
                     out[r] = w
                 else:
                     del out[r]
         if out:
             cols[i] = out
-    return SparseOp(b.domain, a.codomain, cols, a.shift + b.shift, certified)
+    return _reduced_op(
+        b.domain, a.codomain, cols, a.den * b.den, a.shift + b.shift, certified
+    )
 
 
-def op_add(a: SparseOp, b: SparseOp, cb=None) -> SparseOp:
-    """a + cb*b (cb defaults to 1)."""
+def op_add(a: SparseOp, b: SparseOp, cb=1) -> SparseOp:
+    """a + cb*b for a rational cb. With cb = 0 the result is a, but shift
+    and certification are still those of a sum."""
     _require_same(a.domain, b.domain, "add")
     _require_same(a.codomain, b.codomain, "add")
+    # over den = lcm(a.den, b.den * cb.denominator): a scales by fa, b by fb
+    bden = b.den * cb.denominator
+    den = math.lcm(a.den, bden) if cb else a.den
+    fa = den // a.den
+    fb = den // bden * cb.numerator
     cols = {}
     for i in set(a.cols) | set(b.cols):
-        col = dict(a.col(i))
-        comb_add_into(col, b.col(i), cb)
+        ac = a.cols.get(i, {})
+        col = dict(ac) if fa == 1 else {r: v * fa for r, v in ac.items()}
+        bc = b.cols.get(i) if fb else None
+        if bc:
+            for r, v in bc.items():
+                w = col.get(r, 0) + v * fb
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
         if col:
             cols[i] = col
-    return SparseOp(
-        a.domain, a.codomain, cols,
+    return _reduced_op(
+        a.domain, a.codomain, cols, den,
         max(a.shift, b.shift), min(a.certified, b.certified),
     )
 
 
 def op_sub(a, b):
-    return op_add(a, b, Fraction(-1))
+    return op_add(a, b, -1)
 
 
 def op_scale(a: SparseOp, c) -> SparseOp:
+    """c*a for a rational c."""
     if not c:
         return zero_op(a.domain, a.codomain)
-    cols = {i: {r: c * v for r, v in col.items()} for i, col in a.cols.items()}
-    return SparseOp(a.domain, a.codomain, cols, a.shift, a.certified)
+    n = c.numerator
+    cols = {i: {r: n * v for r, v in col.items()} for i, col in a.cols.items()}
+    return _reduced_op(
+        a.domain, a.codomain, cols, a.den * c.denominator, a.shift, a.certified
+    )
 
 
 def commutator(a, b):
@@ -244,7 +305,7 @@ def site_embed(op: SparseOp, site: int, pair: GradedBasis) -> SparseOp:
     # a site-local op is exact on a column as soon as its site height is
     # within op.certified and the shifted total height fits the pair cap
     certified = min(op.certified, pair.cap - max(0, op.shift))
-    return SparseOp(pair, pair, cols, op.shift, certified)
+    return _reduced_op(pair, pair, cols, op.den, op.shift, certified)
 
 
 def pair_swap(pair: GradedBasis) -> SparseOp:
@@ -258,10 +319,10 @@ def pair_swap(pair: GradedBasis) -> SparseOp:
     if b1.monomials != b2.monomials:
         raise BasisMismatch("pair_swap needs identically enumerated factors")
     cols = {
-        i: {pair.index[m[k:] + m[:k]]: Fraction(1)}
+        i: {pair.index[m[k:] + m[:k]]: 1}
         for i, m in enumerate(pair.monomials)
     }
-    return SparseOp(pair, pair, cols, 0, pair.cap)
+    return SparseOp(pair, pair, cols, 1, 0, pair.cap)
 
 
 def is_zero(op: SparseOp, window: int):
@@ -281,7 +342,7 @@ def is_zero(op: SparseOp, window: int):
             best = i
     if best is None:
         return True, None
-    witness = (dom.mono_str(dom.monomials[best]), op.codomain.comb_str(op.cols[best]))
+    witness = (dom.mono_str(dom.monomials[best]), op.codomain.comb_str(op.col(best)))
     return False, witness
 
 
@@ -571,7 +632,7 @@ def run_pipeline(basis, stages):
                 col[_output_index(basis, mono, m)] = c
         if col:
             cols[i] = col
-    return SparseOp(basis, basis, cols, 0, basis.cap)
+    return rational_op(basis, basis, cols, 0, basis.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +768,11 @@ def path_op(table, args, mutations):
             for k, c in terms:
                 n += c * nums[k]
             if n:
-                col[j] = Fraction(n, den)
+                col[j] = n
         if col:
             cols[i] = col
     basis = table.basis
-    return SparseOp(basis, basis, cols, 0, basis.cap)
+    return _reduced_op(basis, basis, cols, den, 0, basis.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +822,7 @@ def lax_mul(A: LaxOp, B: LaxOp) -> LaxOp:
     return LaxOp(blocks)
 
 
-def lax_add(A, B, cb=None):
+def lax_add(A, B, cb=1):
     return LaxOp(
         [
             [op_add(A.blocks[i][j], B.blocks[i][j], cb) for j in range(A.size)]
@@ -771,7 +832,7 @@ def lax_add(A, B, cb=None):
 
 
 def lax_sub(A, B):
-    return lax_add(A, B, Fraction(-1))
+    return lax_add(A, B, -1)
 
 
 def lax_compose_scalar(R: SparseOp, A: LaxOp, side: str) -> LaxOp:

@@ -94,7 +94,7 @@ class GradedBasis:
 
     __slots__ = (
         "vars", "cap", "monomials", "index",
-        "weights", "floors", "heights", "factors", "n_poly",
+        "weights", "floors", "heights", "factors",
     )
 
     def __init__(self, vars, cap, monomials, factors=None):
@@ -106,7 +106,6 @@ class GradedBasis:
         self.floors = tuple(v.floor for v in self.vars)
         self.heights = [self.height(m) for m in self.monomials]
         self.factors = factors
-        self.n_poly = sum(1 for m in self.monomials if min(m, default=0) >= 0)
 
     def __len__(self):
         return len(self.monomials)

@@ -302,7 +302,8 @@ def sl2_spectral(cap, l1, l2, u, v, n_max):
         cols = [i for i, h in enumerate(pair.heights) if h == n]
         eqs = {}
         for i in cols:
-            for r, c in sm_tot.col(i).items():
+            # the equations are homogeneous: numerators over sm_tot.den will do
+            for r, c in sm_tot.cols.get(i, {}).items():
                 eqs.setdefault(r, {})[i] = c
         sols = int_echelon_nullspace(list(eqs.values()), cols)
         if len(sols) != 1:

@@ -46,6 +46,7 @@ from .linop import (
     op_scale,
     op_sub,
     pair_swap,
+    rational_op,
     term,
 )
 from .sl2core import (
@@ -269,20 +270,23 @@ def intertwiner_oracle(constraints, basis):
     equations = []
     for A, B in constraints:
         top = min(A.certified, B.certified, basis.cap - max(0, A.shift))
+        # X A = B X over the common denominator A.den * B.den: the numerators
+        # of A are scaled by B.den and those of B by A.den
+        fa, fb = B.den, A.den
         for m in range(len(basis)):
             if basis.heights[m] > top:
                 continue
             # row r collects the (r, c) entries of X A and the (rp, m)
             # entries of B X; for a fixed column m only (r, m) can be both
             rows = {}
-            for c, a in A.col(m).items():
+            for c, a in A.cols.get(m, {}).items():
                 for r in blocks[charges[c]]:
-                    rows.setdefault(r, {})[(r, c)] = a
+                    rows.setdefault(r, {})[(r, c)] = a * fa
             for rp in blocks[charges[m]]:
-                for r, b in B.col(rp).items():
+                for r, b in B.cols.get(rp, {}).items():
                     acc = rows.setdefault(r, {})
                     v = acc.get((rp, m))
-                    acc[(rp, m)] = -b if v is None else v - b
+                    acc[(rp, m)] = -b * fb if v is None else v - b * fb
             equations.extend(rows.values())
     sols = int_echelon_nullspace(equations, unknowns)
     return [_solution_to_op(basis, s) for s in sols]
@@ -293,7 +297,7 @@ def _solution_to_op(basis, sol):
     for (r, c), v in sol.items():
         if v:
             cols.setdefault(c, {})[r] = v
-    return SparseOp(basis, basis, cols, 0, basis.cap)
+    return rational_op(basis, basis, cols, 0, basis.cap)
 
 
 def _oracle_check(name, params, basis, constraints, closed, cap):

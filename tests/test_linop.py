@@ -4,6 +4,7 @@ Dense oracles: small operators are tabulated as dense matrices with explicit
 loops and compared entry by entry on certified windows.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,7 @@ from rfactor.linop import (
     op_scale,
     op_sub,
     pair_swap,
+    rational_op,
     run_pipeline,
     site_embed,
     stage_euler,
@@ -176,16 +178,16 @@ def test_site_embed_matches_kron_oracle():
                 if i is None:
                     assert not expect[r][c], (mc, mr)
                 else:
-                    assert emb.entry(i, j) == expect[r][c], (mc, mr)
+                    assert emb.col(j).get(i, 0) == expect[r][c], (mc, mr)
         return checked
 
     # d/dz is certified on all 6 pair columns, z on the 3 of height <= 1
     for kind, cols in (("der", 6), ("mult", 3)):
         d1 = diffop_to_op(b1, [term(b1, 1, **{kind: {"z1": 1}})])
-        dense1 = [[d1.entry(r, c) for c in range(n1)] for r in range(n1)]
+        dense1 = [[d1.col(c).get(r, 0) for c in range(n1)] for r in range(n1)]
         assert check(site_embed(d1, 1, pair), kron(dense1, mat_eye(n2))) == cols
         d2 = diffop_to_op(b2, [term(b2, 1, **{kind: {"z2": 1}})])
-        dense2 = [[d2.entry(r, c) for c in range(n2)] for r in range(n2)]
+        dense2 = [[d2.col(c).get(r, 0) for c in range(n2)] for r in range(n2)]
         assert check(site_embed(d2, 2, pair), kron(mat_eye(n1), dense2)) == cols
 
 
@@ -369,3 +371,138 @@ def test_floor_violation_detected():
     b = zbasis(3)
     with pytest.raises(FloorViolation):
         op_from_action(b, lambda m: {(m[0] - 1,): F(1)}, 0)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against dense Fraction arithmetic
+
+_PAIR = tensor_basis(zbasis(2, "z1"), zbasis(2, "z2"))
+# few denominators, so that sums and products cancel often
+_ENTRY = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 6]))
+_SCALAR = st.sampled_from([F(0), F(-1), F(1), F(2, 3), F(-5, 4), F(6)])
+
+
+@st.composite
+def _rational_ops(draw, basis):
+    """(operator, its dense matrix written from the drawn Fractions)."""
+    n = len(basis)
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            _ENTRY,
+            max_size=2 * n,
+        )
+    )
+    cols = {}
+    dense = [[F(0)] * n for _ in range(n)]
+    for (r, c), v in entries.items():
+        if v:
+            cols.setdefault(c, {})[r] = v
+            dense[r][c] = v
+    shift = draw(st.integers(-1, 1))
+    certified = draw(st.integers(0, basis.cap))
+    op = rational_op(basis, basis, cols, shift, certified)
+    _assert_canonical(op)
+    assert _dense(op) == dense
+    return op, dense
+
+
+def _assert_canonical(op):
+    nums = [v for col in op.cols.values() for v in col.values()]
+    assert type(op.den) is int and op.den >= 1
+    assert all(type(v) is int and v for v in nums)
+    assert all(op.cols.values())
+    assert math.gcd(op.den, *nums) == 1
+
+
+def _dense(op):
+    n = len(op.domain)
+    out = [[F(0)] * n for _ in range(len(op.codomain))]
+    for c in range(n):
+        for r, v in op.col(c).items():
+            out[r][c] = v
+    return out
+
+
+def _masked(dense, basis, top):
+    """dense with every column above height top cleared."""
+    return [
+        [v if basis.heights[c] <= top else F(0) for c, v in enumerate(row)]
+        for row in dense
+    ]
+
+
+def _zero_reference(dense, basis, window):
+    """is_zero's verdict and witness, read off a dense matrix."""
+    for c, h in enumerate(basis.heights):
+        col = {r: row[c] for r, row in enumerate(dense) if row[c]}
+        if h <= window and col:
+            return False, (basis.mono_str(basis.monomials[c]), basis.comb_str(col))
+    return True, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_ops(_PAIR), _rational_ops(_PAIR), _SCALAR, st.data())
+def test_integer_kernel_matches_dense_fractions(drawn_a, drawn_b, cb, data):
+    (a, da), (b, db) = drawn_a, drawn_b
+    n = len(_PAIR)
+
+    ab = compose(a, b)
+    _assert_canonical(ab)
+    assert ab.certified == min(b.certified, a.certified - b.shift)
+    assert _dense(ab) == _masked(mat_mul(da, db), _PAIR, ab.certified)
+
+    for got, c in ((op_add(a, b), F(1)), (op_add(a, b, cb), cb), (op_sub(a, b), F(-1))):
+        _assert_canonical(got)
+        assert (got.shift, got.certified) == (
+            max(a.shift, b.shift), min(a.certified, b.certified)
+        )
+        assert _dense(got) == [
+            [x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)
+        ]
+
+    scaled = op_scale(a, cb)
+    _assert_canonical(scaled)
+    assert _dense(scaled) == [[cb * x for x in row] for row in da]
+    if cb:
+        # canonical: equal operators store equal numerators and denominators
+        back = op_scale(scaled, 1 / cb)
+        assert (back.cols, back.den) == (a.cols, a.den)
+    gone = op_sub(a, a)
+    assert (gone.cols, gone.den) == ({}, 1)
+
+    vec = data.draw(st.dictionaries(st.integers(0, n - 1), _ENTRY.filter(bool)))
+    assert a.apply_vec(vec) == {
+        r: s
+        for r, row in enumerate(da)
+        if (s := sum((row[c] * v for c, v in vec.items()), F(0)))
+    }
+
+    for op, dense in ((a, da), (ab, _dense(ab)), (gone, [[F(0)] * n] * n)):
+        if op.certified >= 0:
+            window = data.draw(st.integers(0, min(op.certified, _PAIR.cap)))
+            assert is_zero(op, window) == _zero_reference(dense, _PAIR, window)
+
+
+# unequal factor caps: site 1 images above the pair cap are dropped
+_EMBED_PAIR = tensor_basis(zbasis(3, "z1"), zbasis(2, "z2"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _rational_ops(_EMBED_PAIR.factors[0]), _rational_ops(_EMBED_PAIR.factors[1])
+)
+def test_site_embed_matches_dense_fractions(op1, op2):
+    pair = _EMBED_PAIR
+    k = len(pair.factors[0].vars)
+    for site, (op, d) in ((1, op1), (2, op2)):
+        factor = pair.factors[site - 1]
+        emb = site_embed(op, site, pair)
+        _assert_canonical(emb)
+        want = [[F(0)] * len(pair) for _ in range(len(pair))]
+        for c, mc in enumerate(pair.monomials):
+            for r, mr in enumerate(pair.monomials):
+                own, rest = (slice(0, k), slice(k, None))[:: 1 if site == 1 else -1]
+                if mr[rest] == mc[rest]:  # the other site is left alone
+                    want[r][c] = d[factor.index[mr[own]]][factor.index[mc[own]]]
+        assert _dense(emb) == want

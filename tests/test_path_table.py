@@ -68,7 +68,9 @@ def _reference(table, args, mutations):
 
 
 def _same(a, b):
-    return (a.cols, a.shift, a.certified) == (b.cols, b.shift, b.certified)
+    return (a.cols, a.den, a.shift, a.certified) == (
+        b.cols, b.den, b.shift, b.certified
+    )
 
 
 def _fresh_pair(algebra):

@@ -415,7 +415,7 @@ def test_lax_matches_the_full_term_lists_at_every_point():
                 got = L.blocks[i][j]
                 assert got.shift == want.shift, (sfx, pt, i, j)
                 assert got.certified == want.certified, (sfx, pt, i, j)
-                assert got.cols == want.cols, (sfx, pt, i, j)
+                assert (got.cols, got.den) == (want.cols, want.den), (sfx, pt, i, j)
 
 
 def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
