@@ -72,7 +72,7 @@ class DegenerateDecomposition(ValueError):
 
 
 class NotHomogeneous(ValueError):
-    """A substitution rule does not preserve height."""
+    """A substitution rule raises height."""
 
 
 class SparseOp:
@@ -136,17 +136,16 @@ def _reduced_op(domain, codomain, cols, den, shift, certified):
     return SparseOp(domain, codomain, cols, den, shift, certified)
 
 
-def op_from_action(domain, action, shift, codomain=None):
-    """Tabulate `action` (monomial -> {monomial: coeff}) as a SparseOp.
+def op_from_action(domain, action, shift):
+    """Tabulate `action` (monomial -> {monomial: coeff}) as a SparseOp on
+    `domain`.
 
-    Columns of height <= codomain cap - max(0, shift) are checked: inside
-    that window every image monomial must respect the declared shift and the
-    codomain floors, and must land in the codomain basis. Beyond the window
-    image monomials falling outside the basis are silently dropped (that is
-    the truncation).
+    Columns of height <= cap - max(0, shift) are checked: inside that window
+    every image monomial must respect the declared shift and the basis
+    floors, and must land in the basis. Beyond the window image monomials
+    falling outside the basis are silently dropped (that is the truncation).
     """
-    cod = codomain if codomain is not None else domain
-    certified = cod.cap - max(0, shift)
+    certified = domain.cap - max(0, shift)
     cols = {}
     for i, mono in enumerate(domain.monomials):
         h = domain.heights[i]
@@ -156,28 +155,28 @@ def op_from_action(domain, action, shift, codomain=None):
         for m, c in img.items():
             if not c:
                 continue
-            j = cod.index.get(m)
+            j = domain.index.get(m)
             if j is None:
                 if not in_window:
                     continue
-                if any(e < f for e, f in zip(m, cod.floors)):
+                if any(e < f for e, f in zip(m, domain.floors)):
                     raise FloorViolation(
                         f"image of {domain.mono_str(mono)} has monomial "
                         f"below floor: exponents {m}"
                     )
                 raise ShiftViolation(
                     f"image of {domain.mono_str(mono)} leaves the basis at "
-                    f"height {cod.height(m)} (declared shift {shift})"
+                    f"height {domain.height(m)} (declared shift {shift})"
                 )
-            if in_window and cod.heights[j] - h > shift:
+            if in_window and domain.heights[j] - h > shift:
                 raise ShiftViolation(
                     f"image of {domain.mono_str(mono)} has height "
-                    f"{cod.heights[j]} > {h} + declared shift {shift}"
+                    f"{domain.heights[j]} > {h} + declared shift {shift}"
                 )
             col[j] = c
         if col:
             cols[i] = col
-    return rational_op(domain, cod, cols, shift, certified)
+    return rational_op(domain, domain, cols, shift, certified)
 
 
 def zero_op(domain, codomain=None):
@@ -388,6 +387,13 @@ def _echelon_insert(row, echelon):
                 del row[k]
 
 
+def int_row(vec):
+    """The nonzero entries of a rational vector {key: coefficient} times the
+    least common denominator: integers with the same span."""
+    lcm = math.lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (lcm // v.denominator) for k, v in vec.items() if v}
+
+
 def int_echelon_nullspace(equations, unknowns):
     """Exact nullspace basis of a sparse homogeneous linear system.
 
@@ -403,12 +409,7 @@ def int_echelon_nullspace(equations, unknowns):
     first (stable on ties), so dense rows are reduced against short pivots
     instead of filling in every later row.
     """
-    rows = []
-    for eq in equations:
-        lcm = math.lcm(*(v.denominator for v in eq.values()))
-        row = {k: v.numerator * (lcm // v.denominator) for k, v in eq.items() if v}
-        if row:
-            rows.append(row)
+    rows = [row for eq in equations if (row := int_row(eq))]
     rows.sort(key=len)
     echelon = {}
     for row in rows:
@@ -472,9 +473,8 @@ def diffop_apply(terms, mono):
     return out
 
 
-def diffop_to_op(basis, terms, shift=None):
-    if shift is None:
-        shift = diffop_shift(terms, basis.weights)
+def diffop_to_op(basis, terms):
+    shift = diffop_shift(terms, basis.weights)
     return op_from_action(basis, lambda m: diffop_apply(terms, m), shift)
 
 
@@ -524,16 +524,16 @@ def stage_euler(basis, var, a, b, mutate=None):
     """Diagonal stage: multiply by Gamma(n+a)/Gamma(n+b) normalized to 1 at
     n = 0, where n is the exponent of `var`. Exact on any integer exponent.
 
-    mutate=(k, factor) multiplies the eigenvalue at exponent k by factor;
-    used only by the mutation-sensitivity harness.
+    mutate=k doubles the eigenvalue at exponent k; used only by the
+    mutation-sensitivity harness.
     """
     cache = {}
 
     def eig(e):
         if e not in cache:
             v = gamma_ratio_shift(a, b, e)
-            if mutate is not None and e == mutate[0]:
-                v *= mutate[1]
+            if e == mutate:
+                v *= 2
             cache[e] = v
         return cache[e]
 
@@ -577,11 +577,10 @@ def stage_laurent(basis, sign, num, den, target):
     return run
 
 
-def subst_op(basis, rules, homogeneous=True):
+def subst_op(basis, rules):
     """Simultaneous substitution as an operator; rules: {var name: {monomial
-    tuple: coeff}}. With homogeneous=True every replacement must preserve the
-    variable's height exactly (shift 0); otherwise replacements may only
-    lower heights."""
+    tuple: coeff}}. A replacement may not raise the variable's height, so
+    the operator has shift 0."""
     by_index = {}
     shift = 0
     for name, repl in rules.items():
@@ -589,10 +588,6 @@ def subst_op(basis, rules, homogeneous=True):
         w = basis.weights[vi]
         for mono in repl:
             h = basis.height(mono)
-            if homogeneous and h != w:
-                raise NotHomogeneous(
-                    f"replacement term {mono} for {name} has height {h} != {w}"
-                )
             if h > w:
                 raise NotHomogeneous(
                     f"replacement term {mono} for {name} raises height"
@@ -718,40 +713,47 @@ def path_table(basis, stage_list):
     return compile_path_table(basis, stage_list(basis))
 
 
-def euler_stages(table, args, mutations):
+def _mutated_exponent(mutate, s):
+    """The exponent that mutate=(Euler stage, exponent) doubles at Euler
+    stage s, or None."""
+    return mutate[1] if mutate is not None and mutate[0] == s else None
+
+
+def euler_stages(table, args, mutate=None):
     """The table's stage list with each Euler placeholder made a stage_euler
-    at the point `args`; `mutations` gives each one's `mutate`."""
-    muts = iter(mutations)
-    return [
-        stage_euler(
-            table.basis, st.var, _param(st.a, args), _param(st.b, args), next(muts)
-        )
-        if isinstance(st, Euler)
-        else st
-        for st in table.stages
-    ]
+    at the point `args`; mutate=(s, k) doubles the eigenvalue of the s-th
+    Euler stage at exponent k."""
+    stages, s = [], 0
+    for st in table.stages:
+        if isinstance(st, Euler):
+            a, b = _param(st.a, args), _param(st.b, args)
+            st = stage_euler(table.basis, st.var, a, b, _mutated_exponent(mutate, s))
+            s += 1
+        stages.append(st)
+    return stages
 
 
-def path_op(table, args, mutations):
+def path_op(table, args, mutate=None):
     """The operator of a compiled stage list at the point `args`.
 
     Each Euler eigenvalue is computed once per exponent a path showed,
-    dropped paths included, and multiplied by a mutation's factor exactly as
+    dropped paths included, and doubled by a mutation exactly as
     stage_euler does. Where one of them is a pole the point is handed to
     run_pipeline, which raises PoleAtParameter only if a path with a nonzero
     coefficient reaches it."""
     eig = []
     try:
-        for st, exps, mut in zip(
-            (st for st in table.stages if isinstance(st, Euler)), table.exps, mutations
+        for s, (st, exps) in enumerate(
+            zip((st for st in table.stages if isinstance(st, Euler)), table.exps)
         ):
             a, b = _param(st.a, args), _param(st.b, args)
             vals = {e: gamma_ratio_shift(a, b, e) for e in exps}
-            if mut is not None and mut[0] in vals:
-                vals[mut[0]] *= mut[1]
+            k = _mutated_exponent(mutate, s)
+            if k in vals:
+                vals[k] *= 2
             eig.append(vals)
     except PoleAtParameter:
-        return run_pipeline(table.basis, euler_stages(table, args, mutations))
+        return run_pipeline(table.basis, euler_stages(table, args, mutate))
     prods = []
     for key in table.keys:
         p = ONE
@@ -786,12 +788,11 @@ class LaxOp:
     enforces that bound on declared shifts.
     """
 
-    __slots__ = ("size", "blocks", "params")
+    __slots__ = ("size", "blocks")
 
-    def __init__(self, blocks, params=None):
+    def __init__(self, blocks):
         self.size = len(blocks)
         self.blocks = blocks
-        self.params = params
         for i, row in enumerate(blocks):
             if len(row) != self.size:
                 raise ValueError("Lax matrix must be square")
@@ -843,11 +844,7 @@ def lax_compose_scalar(R: SparseOp, A: LaxOp, side: str) -> LaxOp:
         blocks = [[compose(b, R) for b in row] for row in A.blocks]
     else:
         raise ValueError(f"side must be left or right, not {side!r}")
-    out = LaxOp.__new__(LaxOp)
-    out.size = A.size
-    out.blocks = blocks
-    out.params = None
-    return out
+    return _lax_raw(blocks)
 
 
 def lax_mat_mul(M, A: LaxOp) -> LaxOp:
@@ -891,7 +888,6 @@ def _lax_raw(blocks):
     out = LaxOp.__new__(LaxOp)
     out.size = len(blocks)
     out.blocks = blocks
-    out.params = None
     return out
 
 

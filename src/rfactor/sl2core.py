@@ -2,9 +2,10 @@
 
 A module is spanned by z^k, k <= cap, with lowest-weight vector 1 and weight
 parameter ell. The Lax matrix mixes a two-dimensional auxiliary space with
-differential operators on the module; the R-operators are built as exact
-substitution/diagonal pipelines and every defining relation is checked to
-literal zero on certified windows.
+differential operators on the module; the two elementary R-operators are
+built as exact substitution/diagonal pipelines. Their product, the full swap
+Rhat, is assembled from the factor table in `rfactor.verify`, which checks
+every defining relation to literal zero on certified windows.
 
 Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); per
 basis and variable the parameter-free blocks of the direct Lax matrix with
@@ -46,7 +47,6 @@ from .linop import (
     op_from_action,
     op_scale,
     op_sub,
-    pair_swap,
     path_op,
     path_table,
     run_pipeline,
@@ -134,8 +134,7 @@ def sl2_lax(basis, u1, u2, var="z"):
         [
             [op_add(zd, one, u1), md],
             [op_add(zzd, z, u1 - u2), op_add(mzd, one, u2)],
-        ],
-        params=(u1, u2),
+        ]
     )
 
 
@@ -147,8 +146,7 @@ def sl2_lax_generator_form(basis, ell, u, var="z"):
         [
             [op_add(uid, g["S"]), g["Sm"]],
             [g["Sp"], op_sub(uid, g["S"])],
-        ],
-        params=(u + ell, u - ell),
+        ]
     )
 
 
@@ -195,14 +193,15 @@ def _sl2_r2_stages(pair):
 
 def sl2_r1(pair, u1, v1, v2, mutate=None):
     """Swap of the first parameter pair: diagonal (u1-v2, v1-v2) Pochhammer
-    ratios on powers of (z2 - z1), conjugated back to the monomial basis."""
-    return path_op(path_table(pair, _sl2_r1_stages), (u1, v1, v2), (mutate,))
+    ratios on powers of (z2 - z1), conjugated back to the monomial basis.
+    mutate=(0, k) doubles the diagonal eigenvalue at exponent k."""
+    return path_op(path_table(pair, _sl2_r1_stages), (u1, v1, v2), mutate)
 
 
 def sl2_r2(pair, u1, u2, v2, mutate=None):
     """Swap of the second parameter pair: diagonal (u1-v2, u1-u2) ratios on
     powers of (z1 - z2)."""
-    return path_op(path_table(pair, _sl2_r2_stages), (u1, u2, v2), (mutate,))
+    return path_op(path_table(pair, _sl2_r2_stages), (u1, u2, v2), mutate)
 
 
 def sl2_r1_pairs(u1, v1, v2, cap=None):
@@ -213,40 +212,6 @@ def sl2_r1_pairs(u1, v1, v2, cap=None):
 
 def sl2_r2_pairs(u1, u2, v2, cap=None):
     return [(u1 - v2, u1 - u2)]
-
-
-def sl2_rhat(pair, p1: Sl2Params, p2: Sl2Params, order=1, mutate=None):
-    """Full parameter swap as a product of the two elementary factors.
-
-    order=1: R1(u1 | v1, u2) after R2(u1, u2 | v2);
-    order=2: R2(v1, u2 | v2) after R1(u1 | v1, v2).
-    """
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
-    mut1 = mutate[1] if mutate and mutate[0] == "r1" else None
-    mut2 = mutate[1] if mutate and mutate[0] == "r2" else None
-    if order == 1:
-        return compose(
-            sl2_r1(pair, u1, v1, u2, mutate=mut1),
-            sl2_r2(pair, u1, u2, v2, mutate=mut2),
-        )
-    if order == 2:
-        return compose(
-            sl2_r2(pair, v1, u2, v2, mutate=mut2),
-            sl2_r1(pair, u1, v1, v2, mutate=mut1),
-        )
-    raise ValueError(f"order must be 1 or 2, not {order}")
-
-
-def sl2_rhat_pairs(p1, p2, order=1, cap=None):
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
-    if order == 1:
-        return sl2_r1_pairs(u1, v1, u2) + sl2_r2_pairs(u1, u2, v2)
-    return sl2_r1_pairs(u1, v1, v2) + sl2_r2_pairs(v1, u2, v2)
-
-
-def sl2_rmatrix(pair, p1, p2, order=1):
-    """P . Rhat: the operator entering the RLL relation."""
-    return compose(pair_swap(pair), sl2_rhat(pair, p1, p2, order))
 
 
 def sl2_rhat_closed(pair, l1, l2, w):
@@ -278,18 +243,18 @@ def sl2_rhat_closed(pair, l1, l2, w):
 # ---------------------------------------------------------------------------
 # Spectral decomposition
 
-def sl2_spectral(cap, l1, l2, u, v, n_max):
-    """Eigenvalues of P.Rhat on lowest-weight vectors per degree.
+def sl2_spectral(R, l1, l2, w, n_max):
+    """Eigenvalues of R = P.Rhat on lowest-weight vectors per degree, where
+    the sites carry weights l1, l2 and w is the spectral parameter
+    difference.
 
     Returns (rhos, ratios): rho_n is the eigenvalue on the degree-n kernel
     vector of the total lowering operator; the recurrence
-    rho_{n+1}/rho_n = -(w + l1 + l2 + n)/(-w + l1 + l2 + n), w = u - v,
-    is asserted exactly. Raises DegenerateDecomposition if a kernel is not
+    rho_{n+1}/rho_n = -(w + l1 + l2 + n)/(-w + l1 + l2 + n) is asserted
+    exactly. Raises DegenerateDecomposition if a kernel is not
     one-dimensional and ValueError on eigen-equation failure.
     """
-    pair = sl2_pair(cap)
-    p1, p2 = Sl2Params(l1, u), Sl2Params(l2, v)
-    R = sl2_rmatrix(pair, p1, p2)
+    pair = R.domain
     sm_tot = op_add(
         site_embed(diffop_to_op(b1 := pair.factors[0],
                                 [term(b1, -1, None, {"z1": 1})]), 1, pair),
@@ -297,7 +262,6 @@ def sl2_spectral(cap, l1, l2, u, v, n_max):
                                 [term(b2, -1, None, {"z2": 1})]), 2, pair),
     )
     rhos = []
-    w = u - v
     for n in range(n_max + 1):
         cols = [i for i, h in enumerate(pair.heights) if h == n]
         eqs = {}

@@ -2,10 +2,11 @@
 
 The module is spanned by monomials x^a y^b z^c with height a + 2b + c <= cap;
 1 is the lowest-weight vector of weight (m, n). The Lax matrix has a
-three-dimensional auxiliary space; the full parameter swap factorizes into
-three elementary R-operators, each a stage list of substitutions,
+three-dimensional auxiliary space; the full parameter swap Rhat factorizes
+into three elementary R-operators, each a stage list of substitutions,
 Gamma-ratio diagonals and Laurent flows whose intermediate terms may carry
-negative exponents but whose output is certified polynomial.
+negative exponents but whose output is certified polynomial. Rhat itself is
+assembled from the factor table in `rfactor.verify`, for sl2 and sl3 alike.
 
 Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); per
 basis and site suffix the parameter-free blocks of the direct Lax matrix with
@@ -33,9 +34,11 @@ from .polyspace import (
 from .linop import (
     Euler,
     LaxOp,
+    _echelon_insert,
     compose,
     diffop_to_op,
     identity_op,
+    int_row,
     lax_mul,
     op_add,
     op_scale,
@@ -227,58 +230,31 @@ def op_scalar_part(op):
 # ---------------------------------------------------------------------------
 # Finite-dimensional submodules
 
-class _Span:
-    """Row-reduced exact span with pivot bookkeeping."""
-
-    def __init__(self):
-        self.rows = {}
-
-    def insert(self, vec):
-        vec = dict(vec)
-        while vec:
-            p = min(vec)
-            row = self.rows.get(p)
-            if row is None:
-                c = vec[p]
-                self.rows[p] = {k: v / c for k, v in vec.items()}
-                return True
-            c = vec[p]
-            for k, v in row.items():
-                w = vec.get(k, Fraction(0)) - c * v
-                if w:
-                    vec[k] = w
-                else:
-                    vec.pop(k, None)
-        return False
-
-    def __len__(self):
-        return len(self.rows)
-
-
 def sl3_findim_module(M, N):
     """Grow the submodule generated by 1 for integer weight (M, N).
 
-    Returns (basis, span vectors). The internal cap 2(M+N)+2 keeps every
-    generator application certified on module vectors (top height 2(M+N)).
+    Returns (basis, span vectors): the integer echelon rows of the span, one
+    per dimension. The internal cap 2(M+N)+2 keeps every generator
+    application certified on module vectors (top height 2(M+N)).
     """
     if M < 0 or N < 0 or M != int(M) or N != int(N):
         raise ValueError("finite-dimensional weights must be nonnegative integers")
     cap = 2 * (int(M) + int(N)) + 2
     basis = sl3_site(cap)
     gens = sl3_generators(basis, Fraction(M), Fraction(N))
-    span = _Span()
-    span.insert({0: Fraction(1)})
-    frontier = [{0: Fraction(1)}]
+    echelon = {0: {0: 1}}
+    frontier = [{0: 1}]
     while frontier:
         new = []
         for vec in frontier:
             for op in gens.values():
                 w = op.apply_vec(vec)
-                if w and span.insert(dict(w)):
+                rank = len(echelon)
+                _echelon_insert(int_row(w), echelon)
+                if len(echelon) > rank:
                     new.append(w)
         frontier = new
-    vectors = [dict(r) for r in span.rows.values()]
-    return basis, vectors
+    return basis, list(echelon.values())
 
 
 def sl3_findim_dim(M, N):
@@ -348,8 +324,7 @@ def sl3_lax(basis, u1, u2, u3, suffix=""):
                 op_add(b21, z, u3 - u2 - 1),
                 op_add(b22, one, u3),
             ],
-        ],
-        params=(u1, u2, u3),
+        ]
     )
 
 
@@ -425,8 +400,7 @@ def sl3_shift_flows(basis, a, b, c, suffix=""):
                 basis.mono({}): Fraction(b),
             },
             z: {basis.mono({z: 1}): Fraction(1), basis.mono({}): Fraction(c)},
-        },
-        homogeneous=False,
+        }
     )
     inv = subst_op(
         basis,
@@ -437,8 +411,7 @@ def sl3_shift_flows(basis, a, b, c, suffix=""):
                 basis.mono({x: 1}): Fraction(c),
                 basis.mono({}): Fraction(-b - c * a)},
             z: {basis.mono({z: 1}): Fraction(1), basis.mono({}): Fraction(-c)},
-        },
-        homogeneous=False,
+        }
     )
     return fwd, inv
 
@@ -458,16 +431,6 @@ def sl3_invariance_matrix(a, b, c):
 # Pair variables: site 1 = (x1, y1, z1), site 2 = (x2, y2, z2). All stages
 # below preserve total height; intermediate monomials may carry negative
 # exponents, the output may not.
-
-def _muts(mutate):
-    """Per Euler stage of a factor's stage list (stages c, b, a in order),
-    the stage_euler mutation that the tag ('a' | 'b' | 'c', exponent) asks
-    for."""
-    return tuple(
-        (mutate[1], Fraction(2)) if mutate is not None and mutate[0] == tag else None
-        for tag in "cba"
-    )
-
 
 def _sl3_r1_stages(pair):
     x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
@@ -599,18 +562,20 @@ def sl3_r1(pair, u1, v1, v2, v3, mutate=None):
 
     Conjugated by the shift to the difference frame and by the frame change
     y -> y + x z on site 2; the core is Gamma-ratio diagonals in the x2 and
-    y2 exponents around Laurent flows exp(+-(y2/x2) dz2)."""
-    return path_op(path_table(pair, _sl3_r1_stages), (u1, v1, v2, v3), _muts(mutate))
+    y2 exponents around Laurent flows exp(+-(y2/x2) dz2). mutate=(s, k)
+    doubles the eigenvalue of Euler stage s (0, 1, 2 for the stages the
+    mutation tags call c, b, a) at exponent k."""
+    return path_op(path_table(pair, _sl3_r1_stages), (u1, v1, v2, v3), mutate)
 
 
 def sl3_r2(pair, u1, u2, v2, v3, mutate=None):
     """Second-slot swap u2 <-> v2."""
-    return path_op(path_table(pair, _sl3_r2_stages), (u1, u2, v2, v3), _muts(mutate))
+    return path_op(path_table(pair, _sl3_r2_stages), (u1, u2, v2, v3), mutate)
 
 
 def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
     """Third-slot swap u3 <-> v3."""
-    return path_op(path_table(pair, _sl3_r3_stages), (u1, u2, u3, v3), _muts(mutate))
+    return path_op(path_table(pair, _sl3_r3_stages), (u1, u2, u3, v3), mutate)
 
 
 def sl3_r1_pairs(u1, v1, v2, v3, cap):
@@ -638,47 +603,6 @@ def sl3_r3_pairs(u1, u2, u3, v3, cap):
         (u1 - v3 + 1, u1 - u3 + 1),
         (Fraction(1), u2 - v3 + 1 - cap),
     ]
-
-
-def sl3_rhat(pair, p1: Sl3Params, p2: Sl3Params, order=1, mutate=None):
-    """Full parameter swap as a product of the three elementary factors.
-
-    order=1: R1(u1 | v1 u2 u3) . R2(u1 u2 | v2 u3) . R3(u1 u2 u3 | v3);
-    order=2: R3(v1 v2 u3 | v3) . R2(v1 u2 | v2 v3) . R1(u1 | v1 v2 v3).
-    (Composition right to left.)
-    """
-    u1, u2, u3 = p1.triple
-    v1, v2, v3 = p2.triple
-    m1 = mutate[1] if mutate and mutate[0] == "r1" else None
-    m2 = mutate[1] if mutate and mutate[0] == "r2" else None
-    m3 = mutate[1] if mutate and mutate[0] == "r3" else None
-    if order == 1:
-        r3 = sl3_r3(pair, u1, u2, u3, v3, mutate=m3)
-        r2 = sl3_r2(pair, u1, u2, v2, u3, mutate=m2)
-        r1 = sl3_r1(pair, u1, v1, u2, u3, mutate=m1)
-        return compose(r1, compose(r2, r3))
-    if order == 2:
-        r1 = sl3_r1(pair, u1, v1, v2, v3, mutate=m1)
-        r2 = sl3_r2(pair, v1, u2, v2, v3, mutate=m2)
-        r3 = sl3_r3(pair, v1, v2, u3, v3, mutate=m3)
-        return compose(r3, compose(r2, r1))
-    raise ValueError(f"order must be 1 or 2, not {order}")
-
-
-def sl3_rhat_pairs(p1, p2, order, cap):
-    u1, u2, u3 = p1.triple
-    v1, v2, v3 = p2.triple
-    if order == 1:
-        return (
-            sl3_r3_pairs(u1, u2, u3, v3, cap)
-            + sl3_r2_pairs(u1, u2, v2, u3, cap)
-            + sl3_r1_pairs(u1, v1, u2, u3, cap)
-        )
-    return (
-        sl3_r1_pairs(u1, v1, v2, v3, cap)
-        + sl3_r2_pairs(v1, u2, v2, v3, cap)
-        + sl3_r3_pairs(v1, v2, u3, v3, cap)
-    )
 
 
 def sl3_weight_shifts(which, p1, p2):

@@ -61,9 +61,7 @@ from .sl2core import (
     sl2_r1_pairs,
     sl2_r2,
     sl2_r2_pairs,
-    sl2_rhat,
     sl2_rhat_closed,
-    sl2_rhat_pairs,
     sl2_site,
     sl2_spectral,
     sl2_spectral_pairs,
@@ -91,8 +89,6 @@ from .sl3core import (
     sl3_r3,
     sl3_r3_pairs,
     sl3_r3_single,
-    sl3_rhat,
-    sl3_rhat_pairs,
     sl3_shift_flows,
     sl3_site,
     sl3_total_generators,
@@ -358,6 +354,9 @@ def _sl2_point(draws):
     return Sl2Params(l1, u), Sl2Params(l2, v)
 
 
+_sl2_slots = attrgetter("u1", "u2")
+
+
 def _sl2_commutators(cap, draws, mutate):
     (ell,) = draws
     basis = sl2_site(cap)
@@ -418,14 +417,17 @@ def _sl2_sides_r2(pair):
 
 def _sl2_spectral(cap, draws, mutate):
     l1, l2, u, v = draws
-    p1, p2 = _sl2_point(draws)
+    t, s = map(_sl2_slots, _sl2_point(draws))
     n_max = min(6, cap - 1)
-    pairs = sl2_rhat_pairs(p1, p2, 1) + sl2_spectral_pairs(l1, l2, u - v, n_max)
+    pairs = rhat_guards("sl2", t, s, 1, cap)
+    pairs += sl2_spectral_pairs(l1, l2, u - v, n_max)
     ok, reason = degeneracy_guard(pairs, cap)
     if not ok:
         return _skip("spectral", draws, cap, reason)
+    pair = sl2_pair(cap)
     try:
-        sl2_spectral(cap, l1, l2, u, v, n_max)
+        R = compose(pair_swap(pair), rhat("sl2", pair, t, s))
+        sl2_spectral(R, l1, l2, u - v, n_max)
     except (DegenerateDecomposition, ValueError) as e:
         return _fail("spectral", draws, cap, n_max, (str(e), ""))
     return _pass("spectral", draws, cap, n_max)
@@ -451,7 +453,8 @@ def _ybe_fundamental(cap, draws, mutate):
 def _sl2_closed_form(cap, draws, mutate):
     p1, p2 = _sl2_point(draws)
     l1, l2, w = p1.ell, p2.ell, p1.u - p2.u
-    pairs = sl2_rhat_pairs(p1, p2, 1) + [
+    t, s = _sl2_slots(p1), _sl2_slots(p2)
+    pairs = rhat_guards("sl2", t, s, 1, cap) + [
         (2 * l1, l1 + l2 - w),
         (l1 + l2 + w, 2 * l1),
     ]
@@ -460,7 +463,7 @@ def _sl2_closed_form(cap, draws, mutate):
         return _skip("closed-form", draws, cap, reason)
     pair = sl2_pair(cap)
     try:
-        n1, c1 = lwv_normalize(sl2_rhat(pair, p1, p2, 1))
+        n1, c1 = lwv_normalize(rhat("sl2", pair, t, s))
         n2, _ = lwv_normalize(sl2_rhat_closed(pair, l1, l2, w))
     except NotLowestWeightStable as e:
         return _fail("closed-form", draws, cap, cap, e.args[0])
@@ -637,14 +640,15 @@ def _sl3_global(cap, draws, mutate):
     """Weight-shift intertwining: each factor carries the total generators of
     the shifted weights; the full swap exchanges the site weights."""
     p1, p2 = _sl3_point(draws)
-    pairs = sl3_rhat_pairs(p1, p2, 1, cap) + sl3_rhat_pairs(p1, p2, 2, cap)
+    t, s = p1.triple, p2.triple
+    pairs = rhat_guards("sl3", t, s, 1, cap) + rhat_guards("sl3", t, s, 2, cap)
     ok, reason = degeneracy_guard(pairs, cap)
     if not ok:
         return _skip("global3", draws, cap, reason)
     pair = sl3_pair(cap)
     jobs = []
     for k in (1, 2, 3):
-        args, _, _ = _factor_args(p1.triple, p2.triple, k)
+        args, _, _ = _factor_args(t, s, k)
         build = _FACTORS["sl3", k][0]
         try:
             R = build(pair, *args)
@@ -652,8 +656,7 @@ def _sl3_global(cap, draws, mutate):
             return _skip("global3", draws, cap, f"pole: {e}")
         w1, w2 = sl3_weight_shifts(f"r{k}", p1, p2)
         jobs.append((R, w1, w2))
-    rhat = sl3_rhat(pair, p1, p2, 1)
-    jobs.append((rhat, (p2.m, p2.n), (p1.m, p1.n)))
+    jobs.append((rhat("sl3", pair, t, s), (p2.m, p2.n), (p1.m, p1.n)))
     told = sl3_total_generators(pair, (p1.m, p1.n), (p2.m, p2.n))
     window = cap
     for R, new1, new2 in jobs:
@@ -741,19 +744,15 @@ class _Algebra(NamedTuple):
     lax: Callable  # (basis, *slots, site) -> LaxOp
     sites: tuple  # the two site labels `lax` takes on the pair basis
     pair: Callable  # cap -> pair basis
-    rhat: Callable  # (pair, p1, p2, order, mutate) -> full swap
-    rhat_pairs: Callable  # (p1, p2, order, cap) -> guard pairs
 
 
 _ALGEBRAS = {
     "sl2": _Algebra(
         point=_sl2_point,
-        slots=attrgetter("u1", "u2"),
+        slots=_sl2_slots,
         lax=sl2_lax,
         sites=("z1", "z2"),
         pair=sl2_pair,
-        rhat=sl2_rhat,
-        rhat_pairs=sl2_rhat_pairs,
     ),
     "sl3": _Algebra(
         point=_sl3_point,
@@ -761,8 +760,6 @@ _ALGEBRAS = {
         lax=sl3_lax,
         sites=("1", "2"),
         pair=sl3_pair,
-        rhat=sl3_rhat,
-        rhat_pairs=sl3_rhat_pairs,
     ),
 }
 
@@ -789,6 +786,44 @@ def _factor_args(t, s, k):
     return t[:k] + s[j:], t[:j] + s[j:k] + t[k:], s[:j] + t[j:k] + s[k:]
 
 
+def _factor_mutation(mutate, k):
+    """The (Euler stage, exponent) that mutate=(factor, stage, exponent)
+    asks factor k to double, or None."""
+    return mutate[1:] if mutate is not None and mutate[0] == k else None
+
+
+def _swap_factors(t, s, order):
+    """(k, builder arguments) of the elementary factors of the full swap of
+    the Lax slot tuples t and s, in the order they apply: factors n..1 for
+    order 1 and 1..n for order 2, each taking the slots the factors before
+    it left."""
+    n = len(t)
+    for k in range(n, 0, -1) if order == 1 else range(1, n + 1):
+        args, t, s = _factor_args(t, s, k)
+        yield k, args
+
+
+def rhat(alg, pair, t, s, order=1, mutate=None):
+    """The full swap Rhat(t | s) on `pair`: the product of the elementary
+    factors in the given order, each composed on the left of the factors
+    already applied. Order 1 is R1 . R2 (. R3), order 2 is (R3 .) R2 . R1."""
+    out = None
+    for k, args in _swap_factors(t, s, order):
+        R = _FACTORS[alg, k][0](pair, *args, mutate=_factor_mutation(mutate, k))
+        out = R if out is None else compose(R, out)
+    return out
+
+
+def rhat_guards(alg, t, s, order, cap):
+    """The degeneracy-guard pairs of every factor of rhat(alg, _, t, s,
+    order), in the order the factors apply."""
+    return [
+        p
+        for k, args in _swap_factors(t, s, order)
+        for p in _FACTORS[alg, k][1](*args, cap)
+    ]
+
+
 def _exchange_laxes(a, pair, t1, t2, q1, q2):
     """L1(t1), L2(t2), L1(q1), L2(q2) on the pair basis."""
     s1, s2 = a.sites
@@ -811,9 +846,8 @@ def _factor_exchange(name, alg, k, cap, draws, mutate):
     if not ok:
         return _skip(name, draws, cap, reason)
     pair = a.pair(cap)
-    inner = mutate[1] if mutate and mutate[0] == f"r{k}" else None
     try:
-        R = build(pair, *args, mutate=inner)
+        R = build(pair, *args, mutate=_factor_mutation(mutate, k))
     except PoleAtParameter as e:
         return _skip(name, draws, cap, f"pole: {e}")
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
@@ -839,15 +873,15 @@ def _factor_orders(name, alg, cap, draws, mutate):
     """Both factorization orders of the full swap agree after lowest-weight
     normalization."""
     a = _algebra(alg)
-    p1, p2 = a.point(draws)
-    pairs = a.rhat_pairs(p1, p2, 1, cap) + a.rhat_pairs(p1, p2, 2, cap)
+    t, s = map(a.slots, a.point(draws))
+    pairs = rhat_guards(alg, t, s, 1, cap) + rhat_guards(alg, t, s, 2, cap)
     ok, reason = degeneracy_guard(pairs, cap)
     if not ok:
         return _skip(name, draws, cap, reason)
     pair = a.pair(cap)
     try:
-        a1 = a.rhat(pair, p1, p2, 1, mutate=mutate)
-        a2 = a.rhat(pair, p1, p2, 2, mutate=mutate)
+        a1 = rhat(alg, pair, t, s, 1, mutate)
+        a2 = rhat(alg, pair, t, s, 2, mutate)
     except PoleAtParameter as e:
         return _skip(name, draws, cap, f"pole: {e}")
     try:
@@ -866,45 +900,46 @@ def _full_swap(name, alg, cap, draws, mutate):
     """Rhat L1(t) L2(s) = L1(s) L2(t) Rhat, and its permuted form with
     R = P Rhat."""
     a = _algebra(alg)
-    p1, p2 = a.point(draws)
-    ok, reason = degeneracy_guard(a.rhat_pairs(p1, p2, 1, cap), cap)
+    t, s = map(a.slots, a.point(draws))
+    ok, reason = degeneracy_guard(rhat_guards(alg, t, s, 1, cap), cap)
     if not ok:
         return _skip(name, draws, cap, reason)
     pair = a.pair(cap)
     try:
-        rhat = a.rhat(pair, p1, p2, 1, mutate=mutate)
+        A = rhat(alg, pair, t, s, 1, mutate)
     except PoleAtParameter as e:
         return _skip(name, draws, cap, f"pole: {e}")
-    t, s = a.slots(p1), a.slots(p2)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
     P = lax_mul(L1, L2)
     res = residual_rll(
-        rhat, P, lax_mul(L1p, L2p), cap - 2, name=name, params=draws, cap=cap
+        A, P, lax_mul(L1p, L2p), cap - 2, name=name, params=draws, cap=cap
     )
     if res.status != "pass":
         return res
     # the aux-matrix ordering flips under the site permutation: the right-hand
     # side is L(s, site 2) L(t, site 1) = L2 L1
-    R = compose(pair_swap(pair), rhat)
-    lhs = lax_compose_scalar(R, P, "left")
-    rhs = lax_compose_scalar(R, lax_mul(L2, L1), "right")
-    ok, wit = lax_is_zero(lax_sub(lhs, rhs), cap - 2)
-    if not ok:
-        return _fail(name, draws, cap, cap - 2, wit)
-    return res
+    return residual_rll(
+        compose(pair_swap(pair), A),
+        P,
+        lax_mul(L2, L1),
+        cap - 2,
+        name=name,
+        params=draws,
+        cap=cap,
+    )
 
 
 def _inverse_scalar(name, alg, cap, draws, mutate):
     """The reverse swap after the forward one is a scalar."""
     a = _algebra(alg)
-    p1, p2 = a.point(draws)
-    pairs = a.rhat_pairs(p1, p2, 1, cap) + a.rhat_pairs(p2, p1, 1, cap)
+    t, s = map(a.slots, a.point(draws))
+    pairs = rhat_guards(alg, t, s, 1, cap) + rhat_guards(alg, s, t, 1, cap)
     ok, reason = degeneracy_guard(pairs, cap)
     if not ok:
         return _skip(name, draws, cap, reason)
     pair = a.pair(cap)
     try:
-        comp = compose(a.rhat(pair, p2, p1, 1), a.rhat(pair, p1, p2, 1))
+        comp = compose(rhat(alg, pair, s, t), rhat(alg, pair, t, s))
     except PoleAtParameter as e:
         return _skip(name, draws, cap, f"pole: {e}")
     try:
@@ -1027,16 +1062,20 @@ SL3_MUTATION_TAGS = tuple(
 
 
 def parse_mutate(algebra: str, text: str):
-    """Mutation tags: sl2 'r1:K' scales the diagonal eigenvalue at exponent K
-    by 2; sl3 'r2:b' scales the first nontrivial eigenvalue of that stage."""
+    """The mutation (factor k, Euler stage, exponent) of a tag: the factor's
+    eigenvalue at that stage and exponent is doubled.
+
+    sl2 'r1:K' is (1, 0, K): the one diagonal of r1 at exponent K. sl3
+    'r2:b' is (2, 1, 1): the stage lists hold the stages c, b, a in that
+    order, and a tag names the first nontrivial exponent, 1."""
     fac, _, which = text.partition(":")
     if algebra == "sl2":
         if fac not in ("r1", "r2") or not which.isdigit() or int(which) < 1:
             raise ValueError(f"bad sl2 mutation tag {text!r}")
-        return (fac, (int(which), Fraction(2)))
+        return (int(fac[1]), 0, int(which))
     if fac not in ("r1", "r2", "r3") or which not in ("a", "b", "c"):
         raise ValueError(f"bad sl3 mutation tag {text!r}")
-    return (fac, (which, 1))
+    return (int(fac[1]), "cba".index(which), 1)
 
 
 @dataclass
@@ -1063,6 +1102,11 @@ class SuiteConfig:
             raise ValueError(
                 "no selected check reads the mutation; "
                 f"{self.algebra} checks that do: {', '.join(readers)}"
+            )
+        if self.mutate is not None and self.mutate[2] > self.cap:
+            raise ValueError(
+                f"mutation exponent {self.mutate[2]} is above cap {self.cap}: "
+                "no basis monomial reaches it"
             )
 
 

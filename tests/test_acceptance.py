@@ -16,11 +16,10 @@ import time
 from fractions import Fraction as F
 from functools import lru_cache
 
-from rfactor.linop import mat_is_zero
+from rfactor.linop import compose, mat_is_zero, pair_swap
 from rfactor.sl2core import (
     Sl2Params,
     sl2_pair,
-    sl2_rhat_pairs,
     sl2_spectral,
     sl2_spectral_pairs,
     ybe_fundamental_residual,
@@ -36,10 +35,18 @@ from rfactor.verify import (
     draw_rats,
     parse_mutate,
     report_to_json,
+    rhat,
+    rhat_guards,
     run_suite,
 )
 
 SEED = 0
+
+
+def _slots(ell, u):
+    """The sl2 Lax slots (u1, u2) of weight ell and spectral parameter u."""
+    p = Sl2Params(ell, u)
+    return p.u1, p.u2
 
 
 def _guarded_points(stream, ndraws, count, accept):
@@ -60,8 +67,8 @@ def _sl2_points():
 
     def ok(draws):
         l1, l2, u, v = draws
-        p1, p2 = Sl2Params(l1, u), Sl2Params(l2, v)
-        pairs = sl2_rhat_pairs(p1, p2, 1) + sl2_rhat_pairs(p1, p2, 2)
+        t, s = _slots(l1, u), _slots(l2, v)
+        pairs = rhat_guards("sl2", t, s, 1, 8) + rhat_guards("sl2", t, s, 2, 8)
         return degeneracy_guard(pairs, 8)[0]
 
     return tuple(_guarded_points("sl2-rll", 4, 20, ok))
@@ -90,18 +97,23 @@ def test_sl2_factorization_orders_agree_at_the_same_points():
 def test_sl2_spectral_recurrence_through_degree_six():
     def ok(draws):
         l1, l2, u, v = draws
-        p1, p2 = Sl2Params(l1, u), Sl2Params(l2, v)
-        pairs = sl2_rhat_pairs(p1, p2, 1) + sl2_spectral_pairs(l1, l2, u - v, 7)
+        t, s = _slots(l1, u), _slots(l2, v)
+        pairs = rhat_guards("sl2", t, s, 1, 8) + sl2_spectral_pairs(l1, l2, u - v, 7)
         return degeneracy_guard(pairs, 8)[0]
 
+    def spectral(l1, l2, u, v):
+        pair = sl2_pair(8)
+        R = rhat("sl2", pair, _slots(l1, u), _slots(l2, v))
+        return sl2_spectral(compose(pair_swap(pair), R), l1, l2, u - v, 7)
+
     for l1, l2, u, v in _guarded_points("spectral-accept", 4, 10, ok):
-        rhos, ratios = sl2_spectral(8, l1, l2, u, v, 7)
+        rhos, ratios = spectral(l1, l2, u, v)
         w = u - v
         assert len(ratios) == 7
         for n, got in enumerate(ratios):
             assert got == -(w + l1 + l2 + n) / (-w + l1 + l2 + n)
         assert all(rhos)
-    _, ratios = sl2_spectral(8, F(1), F(1), F(1, 2), F(0), 7)
+    _, ratios = spectral(F(1), F(1), F(1, 2), F(0))
     assert ratios[0] == F(-5, 3)
 
 

@@ -146,6 +146,16 @@ def test_mutation_read_by_no_selected_check_is_refused(args):
     assert proc.stdout == ""
 
 
+def test_mutation_exponent_above_the_cap_is_refused():
+    # no path of a cap-4 factor reaches exponent 9: the run would pass
+    # without ever applying the mutation
+    proc = run_cli("sl2", "--cap", "4", "--check", "F1", "--check", "F2",
+                   "--check", "rfact-orders", "--mutate", "r1:9")
+    assert proc.returncode == 2
+    assert "mutation exponent 9 is above cap 4" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_mutation_runs_when_one_selected_check_reads_it():
     proc = run_cli("sl2", "--cap", "4", "--trials", "1", "--seed", "0",
                    "--check", "inverse-scalar", "--check", "F1",

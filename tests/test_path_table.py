@@ -4,6 +4,7 @@ The reference is run_pipeline over the same stage list with every Euler
 placeholder made a stage_euler at the point, which is how the factors were
 built before the tables: the two must give the same operator at every point,
 raise PoleAtParameter together, and carry mutations the same way.
+A mutation is one (Euler stage, exponent) pair whose eigenvalue is doubled.
 """
 
 from fractions import Fraction as F
@@ -63,8 +64,8 @@ FACTORS = {
 }
 
 
-def _reference(table, args, mutations):
-    return run_pipeline(table.basis, euler_stages(table, args, mutations))
+def _reference(table, args, mutate=None):
+    return run_pipeline(table.basis, euler_stages(table, args, mutate))
 
 
 def _same(a, b):
@@ -126,19 +127,15 @@ def test_laurent_terms_that_do_not_cancel_leak_at_compile_time(stage_list):
     [("sl2", t) for t in SL2_MUTATION_TAGS] + [("sl3", t) for t in SL3_MUTATION_TAGS],
 )
 def test_a_mutated_table_equals_the_mutated_pipeline(algebra, tag):
-    factor, inner = parse_mutate(algebra, tag)
-    build, stage_list, _, pair_of, cap = FACTORS[f"{algebra}-{factor}"]
+    k, stage, exponent = parse_mutate(algebra, tag)
+    build, stage_list, _, pair_of, cap = FACTORS[f"{algebra}-r{k}"]
     pair = pair_of(cap)
     if algebra == "sl2":
         args = (F(7, 3), F(-2, 5), F(1, 4))
-        mutations = (inner,)
     else:
         args = (F(7, 3), F(-2, 5), F(1, 4), F(5, 6))
-        # sl3 stage lists hold the Euler stages c, b, a in that order, and a
-        # tag scales the stage's eigenvalue at exponent 1 by 2
-        mutations = tuple((1, F(2)) if s == inner[0] else None for s in "cba")
-    got = build(pair, *args, mutate=inner)
-    want = _reference(path_table(pair, stage_list), args, mutations)
+    got = build(pair, *args, mutate=(stage, exponent))
+    want = _reference(path_table(pair, stage_list), args, (stage, exponent))
     assert _same(got, want)
     assert not _same(got, build(pair, *args))
 
@@ -154,14 +151,11 @@ def _case(draw, name):
     _, _, _, _, cap = FACTORS[name]
     if name.startswith("sl2"):
         args = draw(_point(cap, 3))
-        mut = draw(st.none() | st.tuples(st.integers(0, cap), st.just(F(2))))
-        return args, (mut,)
+        mutate = draw(st.none() | st.tuples(st.just(0), st.integers(0, cap)))
+        return args, mutate
     args = draw(_point(cap, 4))
-    muts = tuple(
-        draw(st.none() | st.tuples(st.integers(-cap, cap), st.just(F(2))))
-        for _ in range(3)
-    )
-    return args, muts
+    mutate = draw(st.none() | st.tuples(st.integers(0, 2), st.integers(-cap, cap)))
+    return args, mutate
 
 
 def _outcome(fn):
@@ -178,14 +172,14 @@ def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
     _, stage_list, guard_pairs, pair_of, cap = FACTORS[name]
     pair = pair_of(cap)
     table = path_table(pair, stage_list)
-    args, mutations = data.draw(_case(name))
-    want = _outcome(lambda: _reference(table, args, mutations))
+    args, mutate = data.draw(_case(name))
+    want = _outcome(lambda: _reference(table, args, mutate))
     fallbacks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             linop, "run_pipeline", lambda *a: fallbacks.append(a) or run_pipeline(*a)
         )
-        got = _outcome(lambda: path_op(table, args, mutations))
+        got = _outcome(lambda: path_op(table, args, mutate))
     accepted, _ = degeneracy_guard(guard_pairs(*args, cap), cap)
     if accepted:
         assert want is not None and got is not None
@@ -223,6 +217,6 @@ def test_only_a_lower_parameter_of_one_drops_negative_exponents():
     args = (F(1, 2),)
     for b, kept in ((lambda a: a + 1, 5), (1, 3)):
         table = compile_path_table(basis, (Euler(0, lambda a: a, b),))
-        got = path_op(table, args, (None,))
-        assert _same(got, _reference(table, args, (None,)))
+        got = path_op(table, args)
+        assert _same(got, _reference(table, args))
         assert len(got.cols) == kept

@@ -20,10 +20,12 @@ from rfactor.polyspace import (
     enumerate_basis,
 )
 from rfactor.linop import (
+    _echelon_insert,
     commutator,
     compose,
     diffop_to_op,
     identity_op,
+    int_row,
     is_zero,
     lax_compose_scalar,
     lax_is_zero,
@@ -62,13 +64,13 @@ from rfactor.sl3core import (
     sl3_r2,
     sl3_r3,
     sl3_r3_single,
-    sl3_rhat,
     sl3_shift_flows,
     sl3_site,
     sl3_total_generators,
     sl3_weight_shifts,
     op_scalar_part,
 )
+from rfactor.verify import rhat
 
 P1 = Sl3Params(F(1, 2), F(1, 3), F(2))
 P2 = Sl3Params(F(1, 5), F(2, 7), F(0))
@@ -103,6 +105,10 @@ def lax_min_cert(*laxes):
 @lru_cache(maxsize=None)
 def _pair(cap):
     return sl3_pair(cap)
+
+
+def _rhat(pair, p1, p2, order=1, mutate=None):
+    return rhat("sl3", pair, p1.triple, p2.triple, order, mutate)
 
 
 @lru_cache(maxsize=None)
@@ -261,16 +267,16 @@ def test_findim_dimensions():
         basis, vectors = sl3_findim_module(M, N)
         assert sl3_findim_dim(M, N) == dim
         assert len(vectors) == dim, (M, N)
-        # closed under every generator
+        # independent, and closed under every generator
         gens = sl3_generators(basis, F(M), F(N))
-        from rfactor.sl3core import _Span
-
-        span = _Span()
+        echelon = {}
         for v in vectors:
-            span.insert(dict(v))
+            _echelon_insert(int_row(v), echelon)
+        assert len(echelon) == dim
         for v in vectors:
             for op in gens.values():
-                assert not span.insert(op.apply_vec(v))
+                _echelon_insert(int_row(op.apply_vec(v)), echelon)
+                assert len(echelon) == dim, (M, N)
 
 
 def test_findim_variable_support():
@@ -409,7 +415,6 @@ def test_lax_matches_the_full_term_lists_at_every_point():
         for pt in points
     ]
     for basis, sfx, pt, L in built:
-        assert L.params == pt
         for i, row in enumerate(_lax_reference(basis, *pt, sfx)):
             for j, want in enumerate(row):
                 got = L.blocks[i][j]
@@ -548,8 +553,8 @@ def test_factor_side_relations():
 
 def test_factorization_order_independence():
     pair = _pair(3)
-    A1 = sl3_rhat(pair, P1, P2, order=1)
-    A2 = sl3_rhat(pair, P1, P2, order=2)
+    A1 = _rhat(pair, P1, P2, order=1)
+    A2 = _rhat(pair, P1, P2, order=2)
     w = min(A1.certified, A2.certified)
     assert w == 3
     ok, wit = is_zero(op_sub(A1, A2), w)
@@ -560,11 +565,11 @@ def test_full_defining_relation_and_permuted_form():
     cap = 3
     pair = _pair(cap)
     t, q = P1.triple, P2.triple
-    A = sl3_rhat(pair, P1, P2)
+    A = _rhat(pair, P1, P2)
     ok, wit = _defining_residual(cap, A, t, q, q, t)
     assert ok, wit
     # R = P . Rhat intertwines with the site-swapped product
-    R = compose(pair_swap(pair), sl3_rhat(pair, P1, P2))
+    R = compose(pair_swap(pair), _rhat(pair, P1, P2))
     Pd = _lax_pair_product(cap, t, q)
     Qd = lax_mul(
         sl3_lax(pair, q[0], q[1], q[2], "2"),
@@ -591,7 +596,7 @@ def test_weight_shift_intertwining():
             ok, wit = is_zero(res, w)
             assert ok, (which, k, wit)
     # the full swap exchanges the two site weights
-    A = sl3_rhat(pair, P1, P2)
+    A = _rhat(pair, P1, P2)
     tnew = sl3_total_generators(pair, before2, before1)
     for k in GEN_NAMES:
         res = op_sub(compose(A, told[k]), compose(tnew[k], A))
@@ -602,8 +607,8 @@ def test_weight_shift_intertwining():
 
 def test_inverse_is_identity():
     pair = _pair(3)
-    A = sl3_rhat(pair, P1, P2)
-    B = sl3_rhat(pair, P2, P1)
+    A = _rhat(pair, P1, P2)
+    B = _rhat(pair, P2, P1)
     ok, wit = is_zero(
         op_sub(compose(B, A), identity_op(pair)), min(A.certified, B.certified)
     )
@@ -637,15 +642,15 @@ def test_mutation_breaks_defining_relation():
     pair = _pair(cap)
     u1, u2, u3 = P1.triple
     v1, v2, v3 = P2.triple
-    bad = sl3_r3(pair, u1, u2, u3, v3, mutate=("b", 1))
+    bad = sl3_r3(pair, u1, u2, u3, v3, mutate=(1, 1))
     ok, wit = _defining_residual(
         cap, bad, (u1, u2, u3), (v1, v2, v3), (u1, u2, v3), (v1, v2, u3)
     )
     assert not ok
     assert wit is not None and isinstance(wit[1], str)
     # mutating one factor inside the full swap also breaks order agreement
-    A1 = sl3_rhat(pair, P1, P2, order=1, mutate=("r2", ("a", 1)))
-    A2 = sl3_rhat(pair, P1, P2, order=2)
+    A1 = _rhat(pair, P1, P2, order=1, mutate=(2, 2, 1))
+    A2 = _rhat(pair, P1, P2, order=2)
     ok, wit = is_zero(op_sub(A1, A2), min(A1.certified, A2.certified))
     assert not ok and wit is not None
 

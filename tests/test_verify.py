@@ -9,15 +9,20 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
-    diffop_to_op, identity_op, lax_mul, op_equal, op_scale, term,
+    compose, diffop_to_op, identity_op, lax_mul, op_equal, op_scale, term,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
-from rfactor.sl2core import sl2_lax, sl2_r1
-from rfactor.sl3core import sl3_pair, sl3_site
+from rfactor.sl2core import sl2_lax, sl2_r1, sl2_r2
+from rfactor.sl3core import sl3_pair, sl3_r1, sl3_r2, sl3_r3, sl3_site
 from rfactor.verify import (
     CATALOG,
+    POOL_DEN,
+    POOL_NUM,
     CheckResult,
     NotLowestWeightStable,
     SL2_MUTATION_TAGS,
@@ -32,6 +37,8 @@ from rfactor.verify import (
     parse_mutate,
     report_to_json,
     residual_rll,
+    rhat,
+    rhat_guards,
     run_one,
     run_suite,
 )
@@ -88,6 +95,78 @@ def test_lwv_normalize_rejects_operators_moving_the_vacuum():
     with pytest.raises(NotLowestWeightStable) as err:
         lwv_normalize(d)
     assert err.value.args[0] == ("1", "0")
+
+
+# ---------------------------------------------------------------------------
+# The full swap and its guard list, built from the factor table
+
+def _same(a, b):
+    return (a.cols, a.den, a.certified) == (b.cols, b.den, b.certified)
+
+
+def test_rhat_composes_the_sl2_factors_in_both_orders():
+    pair = sl2_pair(5)
+    u1, u2, v1, v2 = F(4, 3), F(-2, 3), F(5, 7), F(-3, 7)
+    t, s = (u1, u2), (v1, v2)
+    want1 = compose(sl2_r1(pair, u1, v1, u2), sl2_r2(pair, u1, u2, v2))
+    want2 = compose(sl2_r2(pair, v1, u2, v2), sl2_r1(pair, u1, v1, v2))
+    assert _same(rhat("sl2", pair, t, s, 1), want1)
+    assert _same(rhat("sl2", pair, t, s, 2), want2)
+    mutated = compose(sl2_r1(pair, u1, v1, u2, mutate=(0, 2)), sl2_r2(pair, u1, u2, v2))
+    assert _same(rhat("sl2", pair, t, s, 1, (1, 0, 2)), mutated)
+    # order 1 names r2's pairs before r1's: the order the factors apply
+    assert rhat_guards("sl2", t, s, 1, 5) == [(u1 - v2, u1 - u2), (u1 - u2, v1 - u2)]
+    assert rhat_guards("sl2", t, s, 2, 5) == [(u1 - v2, v1 - v2), (v1 - v2, v1 - u2)]
+
+
+def test_rhat_composes_the_sl3_factors_in_both_orders():
+    pair = sl3_pair(3)
+    u1, u2, u3 = F(1, 2), F(-1, 3), F(5, 4)
+    v1, v2, v3 = F(2, 7), F(-3, 5), F(7, 6)
+    t, s = (u1, u2, u3), (v1, v2, v3)
+    want1 = compose(
+        sl3_r1(pair, u1, v1, u2, u3),
+        compose(sl3_r2(pair, u1, u2, v2, u3), sl3_r3(pair, u1, u2, u3, v3)),
+    )
+    want2 = compose(
+        sl3_r3(pair, v1, v2, u3, v3),
+        compose(sl3_r2(pair, v1, u2, v2, v3), sl3_r1(pair, u1, v1, v2, v3)),
+    )
+    assert _same(rhat("sl3", pair, t, s, 1), want1)
+    assert _same(rhat("sl3", pair, t, s, 2), want2)
+    mutated = compose(
+        sl3_r3(pair, v1, v2, u3, v3),
+        compose(
+            sl3_r2(pair, v1, u2, v2, v3, mutate=(1, 1)),
+            sl3_r1(pair, u1, v1, v2, v3),
+        ),
+    )
+    assert _same(rhat("sl3", pair, t, s, 2, (2, 1, 1)), mutated)
+    assert not _same(mutated, want2)
+
+
+def _near_pole(cap):
+    """Integers around the poles of a cap-`cap` guard, mixed with the draw
+    pool's rationals."""
+    return st.integers(-cap - 1, cap + 1).map(F) | st.builds(
+        F, st.integers(-POOL_NUM, POOL_NUM), st.integers(1, POOL_DEN)
+    )
+
+
+@pytest.mark.parametrize("alg, cap", [("sl2", 4), ("sl3", 3)])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_guard_accepted_full_swap_meets_no_pole(alg, cap, data):
+    n = 2 if alg == "sl2" else 3
+    t, s = (data.draw(st.tuples(*[_near_pole(cap)] * n)) for _ in range(2))
+    pair = sl2_pair(cap) if alg == "sl2" else sl3_pair(cap)
+    for order in (1, 2):
+        ok, _ = degeneracy_guard(rhat_guards(alg, t, s, order, cap), cap)
+        if ok:
+            try:
+                rhat(alg, pair, t, s, order)
+            except PoleAtParameter as e:
+                raise AssertionError(f"guard accepted order {order}: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +259,7 @@ def test_residual_rll_passes_on_the_exchange_relation():
 
 def test_residual_rll_fails_with_a_block_witness_under_mutation():
     pair, args, laxes = _r1_setup(4)
-    R = sl2_r1(pair, *args, mutate=(1, F(2)))
+    R = sl2_r1(pair, *args, mutate=(0, 1))
     res = residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2,
                        name="t", params=(), cap=4)
     assert res.status == "fail"
@@ -254,12 +333,13 @@ def test_suite_config_validates_check_names():
 # Mutation plumbing
 
 def test_parse_mutate_accepts_the_published_tags():
-    assert parse_mutate("sl2", "r1:2") == ("r1", (2, F(2)))
-    assert parse_mutate("sl3", "r2:b") == ("r2", ("b", 1))
+    assert parse_mutate("sl2", "r1:2") == (1, 0, 2)
+    assert parse_mutate("sl3", "r2:b") == (2, 1, 1)
+    assert parse_mutate("sl3", "r3:c") == (3, 0, 1)
     for algebra, tags in (("sl2", SL2_MUTATION_TAGS), ("sl3", SL3_MUTATION_TAGS)):
         for tag in tags:
-            fac, inner = parse_mutate(algebra, tag)
-            assert fac in ("r1", "r2", "r3") and len(inner) == 2
+            k, stage, exponent = parse_mutate(algebra, tag)
+            assert k in (1, 2, 3) and stage in (0, 1, 2) and exponent >= 1
 
 
 @pytest.mark.parametrize(
@@ -269,6 +349,14 @@ def test_parse_mutate_accepts_the_published_tags():
 def test_parse_mutate_rejects_malformed_tags(algebra, tag):
     with pytest.raises(ValueError):
         parse_mutate(algebra, tag)
+
+
+def test_a_mutation_exponent_above_the_cap_is_refused():
+    # no basis monomial reaches exponent 9 at cap 4, so the mutation would
+    # change nothing
+    with pytest.raises(ValueError, match="above cap 4"):
+        SuiteConfig("sl2", 4, checks=("F1",), mutate=parse_mutate("sl2", "r1:9"))
+    assert SuiteConfig("sl2", 4, checks=("F1",), mutate=parse_mutate("sl2", "r1:4"))
 
 
 def test_single_eigenvalue_mutations_are_detected():
