@@ -116,8 +116,38 @@ def _make_config(parser, args) -> SuiteConfig:
         parser.error(str(e.args[0]))
 
 
+STATUS_LABELS = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
+
+
+def _well_formed(check) -> bool:
+    """Whether a report entry has every field _summary_line reads."""
+    if not isinstance(check, dict):
+        return False
+    status, params = check.get("status"), check.get("params")
+    witness = check.get("witness", {"monomial": "", "value": ""})
+    return (
+        isinstance(status, str)
+        and status in STATUS_LABELS
+        and "name" in check
+        and isinstance(params, list)
+        and all(isinstance(p, str) for p in params)
+        and isinstance(witness, dict)
+        and {"monomial", "value"} <= witness.keys()
+    )
+
+
+def _check_shape(report):
+    """Raise ValueError unless `report` has every field _print_report reads."""
+    checks = report.get("checks") if isinstance(report, dict) else None
+    if not isinstance(checks, list) or "suite" not in report:
+        raise ValueError("expected an object with a suite and a list of checks")
+    for check in checks:
+        if not _well_formed(check):
+            raise ValueError(f"malformed check {check!r}")
+
+
 def _summary_line(check: dict) -> str:
-    label = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[check["status"]]
+    label = STATUS_LABELS[check["status"]]
     line = f"{label:<5} {check['name']} [{', '.join(check['params'])}]"
     if "witness" in check:
         w = check["witness"]
@@ -144,10 +174,11 @@ def _cmd_report(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
-        return _print_report(report)
-    except (OSError, json.JSONDecodeError, KeyError) as e:
+        _check_shape(report)
+    except (OSError, ValueError) as e:
         print(f"rfactor: cannot read report {path}: {e}", file=sys.stderr)
         return 2
+    return _print_report(report)
 
 
 def main(argv=None) -> int:

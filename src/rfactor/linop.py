@@ -669,7 +669,8 @@ def compile_path_table(basis, stages):
     1 at a negative exponent is dropped: 1/Gamma(e + 1) vanishes there for
     every a. Every other Laurent term must cancel within its path key, so a
     negative exponent left in the output raises LaurentLeak here, for all
-    parameters at once.
+    parameters at once. An Euler exponent outside [-cap, cap] is refused, so
+    that `pole_bases` covers every eigenvalue the table needs.
     """
     eulers = [st for st in stages if isinstance(st, Euler)]
     exps = [set() for _ in eulers]
@@ -702,6 +703,13 @@ def compile_path_table(basis, stages):
                 entries.setdefault(j, []).append((k, c.numerator))
         if entries:
             cols[i] = tuple((j, tuple(t)) for j, t in entries.items())
+    cap = basis.cap
+    for s, es in enumerate(exps):
+        if es and (min(es) < -cap or max(es) > cap):
+            raise ValueError(
+                f"Euler stage {s} sees exponents {min(es)}..{max(es)} "
+                f"beyond cap {cap}"
+            )
     return PathTable(
         basis, tuple(stages), tuple(map(sorted, exps)), tuple(keys), cols
     )
@@ -711,6 +719,29 @@ def compile_path_table(basis, stages):
 def path_table(basis, stage_list):
     """The compiled table of `stage_list(basis)`, built once per basis."""
     return compile_path_table(basis, stage_list(basis))
+
+
+def _eulers(table):
+    return (st for st in table.stages if isinstance(st, Euler))
+
+
+def pole_bases(table, args):
+    """The Pochhammer bases b whose (b)_k must not vanish for any k <= cap
+    for path_op(table, args) to meet no pole, in stage order.
+
+    An Euler stage's eigenvalue at an exponent 0 < e <= cap has denominator
+    (b)_e, which never vanishes when b is the constant 1; at -cap <= e < 0
+    it has denominator (a - 1)(a - 2)...(a + e), a factor of (a - cap)_cap.
+    So each stage gives b unless b is the constant 1, and a stage that saw
+    a negative exponent also gives a - cap."""
+    cap = table.basis.cap
+    out = []
+    for st, exps in zip(_eulers(table), table.exps):
+        if callable(st.b) or st.b != 1:
+            out.append(_param(st.b, args))
+        if exps and exps[0] < 0:
+            out.append(_param(st.a, args) - cap)
+    return out
 
 
 def _mutated_exponent(mutate, s):
@@ -738,14 +769,13 @@ def path_op(table, args, mutate=None):
 
     Each Euler eigenvalue is computed once per exponent a path showed,
     dropped paths included, and doubled by a mutation exactly as
-    stage_euler does. Where one of them is a pole the point is handed to
+    stage_euler does. None of them is a pole where a degeneracy guard over
+    `pole_bases(table, args)` accepts; elsewhere a pole hands the point to
     run_pipeline, which raises PoleAtParameter only if a path with a nonzero
     coefficient reaches it."""
     eig = []
     try:
-        for s, (st, exps) in enumerate(
-            zip((st for st in table.stages if isinstance(st, Euler)), table.exps)
-        ):
+        for s, (st, exps) in enumerate(zip(_eulers(table), table.exps)):
             a, b = _param(st.a, args), _param(st.b, args)
             vals = {e: gamma_ratio_shift(a, b, e) for e in exps}
             k = _mutated_exponent(mutate, s)
@@ -802,8 +832,12 @@ class LaxOp:
                         f"Lax block ({i},{j}) declares shift {b.shift} > {i - j}"
                     )
 
-    def basis(self):
-        return self.blocks[0][0].domain
+
+def lax_from_matrix(basis, M):
+    """The numeric matrix M as a LaxOp of scaled identities on `basis`; M
+    must be lower triangular, like every Lax band."""
+    one = identity_op(basis)
+    return LaxOp([[op_scale(one, c) for c in row] for row in M])
 
 
 def lax_mul(A: LaxOp, B: LaxOp) -> LaxOp:
@@ -844,51 +878,7 @@ def lax_compose_scalar(R: SparseOp, A: LaxOp, side: str) -> LaxOp:
         blocks = [[compose(b, R) for b in row] for row in A.blocks]
     else:
         raise ValueError(f"side must be left or right, not {side!r}")
-    return _lax_raw(blocks)
-
-
-def lax_mat_mul(M, A: LaxOp) -> LaxOp:
-    """Multiply by a numeric matrix on the left: (M A)_ik = sum_j M[i][j] A[j][k]."""
-    n = A.size
-    blocks = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = None
-            for j in range(n):
-                if not M[i][j]:
-                    continue
-                t = op_scale(A.blocks[j][k], M[i][j])
-                acc = t if acc is None else op_add(acc, t)
-            row.append(acc if acc is not None else zero_op(A.basis()))
-        blocks.append(row)
-    return _lax_raw(blocks)
-
-
-def lax_mul_mat(A: LaxOp, M) -> LaxOp:
-    n = A.size
-    blocks = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = None
-            for j in range(n):
-                if not M[j][k]:
-                    continue
-                t = op_scale(A.blocks[i][j], M[j][k])
-                acc = t if acc is None else op_add(acc, t)
-            row.append(acc if acc is not None else zero_op(A.basis()))
-        blocks.append(row)
-    return _lax_raw(blocks)
-
-
-def _lax_raw(blocks):
-    """LaxOp without the shift-bound check (for conjugated products whose
-    individual blocks may exceed the band bound transiently)."""
-    out = LaxOp.__new__(LaxOp)
-    out.size = len(blocks)
-    out.blocks = blocks
-    return out
+    return LaxOp(blocks)
 
 
 def lax_is_zero(A: LaxOp, window: int):

@@ -204,16 +204,6 @@ def sl2_r2(pair, u1, u2, v2, mutate=None):
     return path_op(path_table(pair, _sl2_r2_stages), (u1, u2, v2), mutate)
 
 
-def sl2_r1_pairs(u1, v1, v2, cap=None):
-    """Degeneracy-guard Pochhammer pairs of the r1 pipeline.  `cap` gives
-    the sl2 and sl3 guards one signature; no sl2 pole depends on it."""
-    return [(u1 - v2, v1 - v2)]
-
-
-def sl2_r2_pairs(u1, u2, v2, cap=None):
-    return [(u1 - v2, u1 - u2)]
-
-
 def sl2_rhat_closed(pair, l1, l2, w):
     """Independent closed form of Rhat as two Gamma-ratio conjugations with
     parameters written directly through the weights: eigenvalues
@@ -301,14 +291,9 @@ def sl2_spectral(R, l1, l2, w, n_max):
     return rhos, ratios
 
 
-def sl2_spectral_pairs(l1, l2, w, n_max):
-    """Degeneracy-guard pairs for the spectral check."""
-    return [
-        (Fraction(1), 2 * l1),
-        (Fraction(1), 2 * l2),
-        (Fraction(1), l1 + l2 + w),
-        (Fraction(1), l1 + l2 - w),
-    ]
+def sl2_spectral_bases(l1, l2, w):
+    """Degeneracy-guard Pochhammer bases of the spectral check."""
+    return [2 * l1, 2 * l2, l1 + l2 + w, l1 + l2 - w]
 
 
 # ---------------------------------------------------------------------------

@@ -578,33 +578,6 @@ def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
     return path_op(path_table(pair, _sl3_r3_stages), (u1, u2, u3, v3), mutate)
 
 
-def sl3_r1_pairs(u1, v1, v2, v3, cap):
-    """Degeneracy-guard Pochhammer pairs for the r1 pipeline at a given cap:
-    denominators of the two normalized diagonals plus the negative-exponent
-    window of the leftmost diagonal."""
-    return [
-        (Fraction(1), v1 - v2 + 1),
-        (u1 - v3 + 1, v1 - v3 + 1),
-        (Fraction(1), u1 - v2 + 1 - cap),
-    ]
-
-
-def sl3_r2_pairs(u1, u2, v2, v3, cap):
-    return [
-        (Fraction(1), v2 - v3 + 1),
-        (u1 - v2 + 1, u1 - u2 + 1),
-        (Fraction(1), u2 - v3 + 1 - cap),
-    ]
-
-
-def sl3_r3_pairs(u1, u2, u3, v3, cap):
-    return [
-        (Fraction(1), u2 - u3 + 1),
-        (u1 - v3 + 1, u1 - u3 + 1),
-        (Fraction(1), u2 - v3 + 1 - cap),
-    ]
-
-
 def sl3_weight_shifts(which, p1, p2):
     """Weight (m, n) of both sites after an elementary factor."""
     m1, n1, m2, n2 = p1.m, p1.n, p2.m, p2.n

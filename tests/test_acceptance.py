@@ -21,7 +21,7 @@ from rfactor.sl2core import (
     Sl2Params,
     sl2_pair,
     sl2_spectral,
-    sl2_spectral_pairs,
+    sl2_spectral_bases,
     ybe_fundamental_residual,
 )
 from rfactor.sl3core import sl3_findim_dim, sl3_pair
@@ -68,8 +68,9 @@ def _sl2_points():
     def ok(draws):
         l1, l2, u, v = draws
         t, s = _slots(l1, u), _slots(l2, v)
-        pairs = rhat_guards("sl2", t, s, 1, 8) + rhat_guards("sl2", t, s, 2, 8)
-        return degeneracy_guard(pairs, 8)[0]
+        pair = sl2_pair(8)
+        bases = rhat_guards("sl2", pair, t, s, 1) + rhat_guards("sl2", pair, t, s, 2)
+        return degeneracy_guard(bases, 8)[0]
 
     return tuple(_guarded_points("sl2-rll", 4, 20, ok))
 
@@ -98,8 +99,9 @@ def test_sl2_spectral_recurrence_through_degree_six():
     def ok(draws):
         l1, l2, u, v = draws
         t, s = _slots(l1, u), _slots(l2, v)
-        pairs = rhat_guards("sl2", t, s, 1, 8) + sl2_spectral_pairs(l1, l2, u - v, 7)
-        return degeneracy_guard(pairs, 8)[0]
+        bases = rhat_guards("sl2", sl2_pair(8), t, s, 1)
+        bases += sl2_spectral_bases(l1, l2, u - v)
+        return degeneracy_guard(bases, 8)[0]
 
     def spectral(l1, l2, u, v):
         pair = sl2_pair(8)

@@ -64,6 +64,16 @@ def test_guard_rejected_explicit_params_skip_and_exit_zero():
     assert "reason: (0)_1 = 0" in proc.stdout
 
 
+def test_guard_rejected_explicit_params_over_the_size_limit_exit_two():
+    # the guard is read off the factor's path table on the pair basis, so
+    # the pair is built, and held to the size limit, before the guard runs
+    proc = run_cli("sl2", "--cap", "8", "--check", "F1",
+                   "--params", "1,0,1/2,0",
+                   env_extra={"RFACTOR_SIZE_LIMIT": "44"})
+    assert proc.returncode == 2
+    assert "size limit" in proc.stderr
+
+
 def test_explicit_params_run_exactly_the_requested_point():
     proc = run_cli("sl3", "--cap", "4", "--check", "3F2",
                    "--params", "1/2,1/3,0,1/5,1/7,2/3")
@@ -106,6 +116,20 @@ def test_report_subcommand_roundtrip(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert run_cli("report", str(empty)).returncode == 2
+    # wrong shapes are refused before anything is printed
+    check = {"name": "F1", "params": ["1"], "status": "pass"}
+    for n, shape in enumerate([
+        [],
+        {"suite": "sl2", "checks": [1]},
+        {"suite": "sl2", "checks": "ab"},
+        {"suite": "sl2", "checks": [{**check, "params": 5}]},
+    ]):
+        path = tmp_path / f"shape{n}.json"
+        path.write_text(json.dumps(shape))
+        proc = run_cli("report", str(path))
+        assert proc.returncode == 2, (shape, proc.stderr)
+        assert proc.stdout == ""
+        assert "cannot read report" in proc.stderr
 
 
 @pytest.mark.parametrize(

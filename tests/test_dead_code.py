@@ -1,9 +1,11 @@
-"""Every module-level function and class of the package has a caller in it.
+"""Every function, class, method and property of the package has a caller in it.
 
-A name counts as used when a top-level statement of some rfactor module other
-than its own definition refers to it; imports alone do not count.  Exempt are
-the console entry points named in pyproject.toml and the names that
-perfbench/spans.py looks up in the package to trace them.
+A module-level name counts as used when a top-level statement of some rfactor
+module other than its own definition refers to it; imports alone do not
+count.  A method or property (dunder methods apart) counts as used when a
+statement outside its own definition names it, as an attribute or otherwise.
+Exempt are the console entry points named in pyproject.toml and the names
+that perfbench/spans.py looks up in the package to trace them.
 """
 
 import ast
@@ -42,21 +44,44 @@ def _referenced(node):
     return out
 
 
+def _definitions():
+    """(label, name, statements that may call it) for every module-level
+    function and class, and every method and property of a module-level
+    class."""
+    modules = {
+        path.name: ast.parse(path.read_text()).body
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    statements = [stmt for body in modules.values() for stmt in body]
+    for module, body in modules.items():
+        for stmt in body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            others = [o for o in statements if o is not stmt]
+            yield f"{module}:{stmt.name}", stmt.name, others
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for item in stmt.body:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("__"):
+                    continue
+                siblings = [o for o in stmt.body if o is not item]
+                label = f"{module}:{stmt.name}.{item.name}"
+                yield label, item.name, others + siblings
+
+
 def test_every_module_level_definition_has_a_caller_in_the_package():
-    defined = []  # (module, name, defining statement)
-    statements = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            statements.append(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.name, stmt.name, stmt))
-    uses = [(stmt, _referenced(stmt)) for stmt in statements]
+    refs = {}  # statement id -> names it refers to, computed once
+
+    def calls(stmt, name):
+        if id(stmt) not in refs:
+            refs[id(stmt)] = _referenced(stmt)
+        return name in refs[id(stmt)]
+
     exempt = _entry_points() | _traced_names()
     unused = [
-        f"{module}:{name}"
-        for module, name, own in defined
-        if name not in exempt
-        and not any(name in refs for stmt, refs in uses if stmt is not own)
+        label
+        for label, name, callers in _definitions()
+        if name not in exempt and not any(calls(stmt, name) for stmt in callers)
     ]
     assert not unused, "no caller in the package: " + ", ".join(unused)
 

@@ -5,12 +5,15 @@ placeholder made a stage_euler at the point, which is how the factors were
 built before the tables: the two must give the same operator at every point,
 raise PoleAtParameter together, and carry mutations the same way.
 A mutation is one (Euler stage, exponent) pair whose eigenvalue is doubled.
+The degeneracy guard of a factor is read off its table (`pole_bases`): where
+it accepts, the table meets no pole and never hands the point to the
+pipeline.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rfactor import linop
@@ -23,29 +26,19 @@ from rfactor.linop import (
     identity_op,
     path_op,
     path_table,
+    pole_bases,
     run_pipeline,
 )
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
-from rfactor.sl2core import (
-    _sl2_r1_stages,
-    _sl2_r2_stages,
-    sl2_pair,
-    sl2_r1,
-    sl2_r1_pairs,
-    sl2_r2,
-    sl2_r2_pairs,
-)
+from rfactor.sl2core import _sl2_r1_stages, _sl2_r2_stages, sl2_pair, sl2_r1, sl2_r2
 from rfactor.sl3core import (
     _sl3_r1_stages,
     _sl3_r2_stages,
     _sl3_r3_stages,
     sl3_pair,
     sl3_r1,
-    sl3_r1_pairs,
     sl3_r2,
-    sl3_r2_pairs,
     sl3_r3,
-    sl3_r3_pairs,
 )
 from rfactor.verify import (
     SL2_MUTATION_TAGS,
@@ -54,13 +47,13 @@ from rfactor.verify import (
     parse_mutate,
 )
 
-# factor -> (builder, stage list, guard pairs, pair basis, cap)
+# factor -> (builder, stage list, pair basis, cap)
 FACTORS = {
-    "sl2-r1": (sl2_r1, _sl2_r1_stages, sl2_r1_pairs, sl2_pair, 6),
-    "sl2-r2": (sl2_r2, _sl2_r2_stages, sl2_r2_pairs, sl2_pair, 6),
-    "sl3-r1": (sl3_r1, _sl3_r1_stages, sl3_r1_pairs, sl3_pair, 3),
-    "sl3-r2": (sl3_r2, _sl3_r2_stages, sl3_r2_pairs, sl3_pair, 3),
-    "sl3-r3": (sl3_r3, _sl3_r3_stages, sl3_r3_pairs, sl3_pair, 3),
+    "sl2-r1": (sl2_r1, _sl2_r1_stages, sl2_pair, 6),
+    "sl2-r2": (sl2_r2, _sl2_r2_stages, sl2_pair, 6),
+    "sl3-r1": (sl3_r1, _sl3_r1_stages, sl3_pair, 3),
+    "sl3-r2": (sl3_r2, _sl3_r2_stages, sl3_pair, 3),
+    "sl3-r3": (sl3_r3, _sl3_r3_stages, sl3_pair, 3),
 }
 
 
@@ -128,7 +121,7 @@ def test_laurent_terms_that_do_not_cancel_leak_at_compile_time(stage_list):
 )
 def test_a_mutated_table_equals_the_mutated_pipeline(algebra, tag):
     k, stage, exponent = parse_mutate(algebra, tag)
-    build, stage_list, _, pair_of, cap = FACTORS[f"{algebra}-r{k}"]
+    build, stage_list, pair_of, cap = FACTORS[f"{algebra}-r{k}"]
     pair = pair_of(cap)
     if algebra == "sl2":
         args = (F(7, 3), F(-2, 5), F(1, 4))
@@ -148,7 +141,7 @@ def _point(cap, nargs):
 
 @st.composite
 def _case(draw, name):
-    _, _, _, _, cap = FACTORS[name]
+    cap = FACTORS[name][3]
     if name.startswith("sl2"):
         args = draw(_point(cap, 3))
         mutate = draw(st.none() | st.tuples(st.just(0), st.integers(0, cap)))
@@ -169,7 +162,7 @@ def _outcome(fn):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
-    _, stage_list, guard_pairs, pair_of, cap = FACTORS[name]
+    _, stage_list, pair_of, cap = FACTORS[name]
     pair = pair_of(cap)
     table = path_table(pair, stage_list)
     args, mutate = data.draw(_case(name))
@@ -180,7 +173,7 @@ def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
             linop, "run_pipeline", lambda *a: fallbacks.append(a) or run_pipeline(*a)
         )
         got = _outcome(lambda: path_op(table, args, mutate))
-    accepted, _ = degeneracy_guard(guard_pairs(*args, cap), cap)
+    accepted, _ = degeneracy_guard(pole_bases(table, args), cap)
     if accepted:
         assert want is not None and got is not None
         assert not fallbacks
@@ -192,7 +185,7 @@ def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
 
 @pytest.mark.parametrize("name", ["sl3-r1", "sl3-r2", "sl3-r3"])
 def test_the_closing_stage_pole_is_raised_only_where_a_kept_path_reaches_it(name):
-    build, _, _, pair_of, cap = FACTORS[name]
+    build, _, pair_of, cap = FACTORS[name]
     pair = pair_of(cap)
     # the closing stage's upper parameter is 1 at both points: Gamma(e + 1) /
     # Gamma(e + 1) has a pole at every negative exponent e
@@ -220,3 +213,51 @@ def test_only_a_lower_parameter_of_one_drops_negative_exponents():
         got = path_op(table, args)
         assert _same(got, _reference(table, args))
         assert len(got.cols) == kept
+
+
+def test_an_euler_exponent_beyond_the_cap_is_refused():
+    # x^4 z^-2 has height 2: the padded basis holds x exponents up to 4
+    basis = enumerate_basis([VarSpec("x"), VarSpec("z", 1, -2)], 2)
+    assert basis.index.get((4, -2)) is not None
+    stage = Euler(1, lambda a: a, lambda a: a + 1)
+    assert compile_path_table(basis, (stage,)).exps == ([-2, -1, 0, 1, 2],)
+    with pytest.raises(ValueError, match="beyond cap 2"):
+        compile_path_table(basis, (stage._replace(var=0),))
+
+
+@pytest.mark.parametrize("name", FACTORS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_guard_accepted_point_needs_no_fallback_and_meets_no_pole(name, data):
+    _, stage_list, pair_of, cap = FACTORS[name]
+    table = path_table(pair_of(cap), stage_list)
+    args, mutate = data.draw(_case(name))
+    ok, _ = degeneracy_guard(pole_bases(table, args), cap)
+    assume(ok)
+
+    def no_fallback(*a):
+        raise AssertionError("path_op fell back to run_pipeline")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linop, "run_pipeline", no_fallback)
+        path_op(table, args, mutate)
+
+
+@pytest.mark.parametrize("name", FACTORS)
+def test_a_factor_at_cap_c_is_the_truncation_of_the_factor_at_c_plus_one(name):
+    build, _, pair_of, _ = FACTORS[name]
+    sl2 = name.startswith("sl2")
+    c = 5 if sl2 else 3
+    args = (F(7, 3), F(-2, 5), F(1, 4), F(5, 6))[: 3 if sl2 else 4]
+
+    def entries(op):
+        """{column monomial: {row monomial: entry}} on heights <= c."""
+        pair = op.domain
+        return {
+            pair.monomials[i]: {pair.monomials[j]: v for j, v in op.col(i).items()}
+            for i, h in enumerate(pair.heights)
+            if h <= c
+        }
+
+    small, big = (build(pair_of(cap), *args) for cap in (c, c + 1))
+    assert entries(small) == entries(big)

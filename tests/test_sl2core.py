@@ -18,10 +18,9 @@ from rfactor.linop import (
     identity_op,
     is_zero,
     lax_compose_scalar,
+    lax_from_matrix,
     lax_is_zero,
-    lax_mat_mul,
     lax_mul,
-    lax_mul_mat,
     lax_sub,
     mat_is_zero,
     op_add,
@@ -206,7 +205,7 @@ def test_lax_invariance_under_lowering_conjugation():
     L = sl2_lax(b, u + ell, u - ell)
     Mm = [[F(1), F(0)], [-lam, F(1)]]
     Mp = [[F(1), F(0)], [lam, F(1)]]
-    lhs = lax_mat_mul(Mm, lax_mul_mat(L, Mp))
+    lhs = lax_mul(lax_from_matrix(b, Mm), lax_mul(L, lax_from_matrix(b, Mp)))
     rhs = lax_compose_scalar(
         _translation(b, -lam),
         lax_compose_scalar(_translation(b, lam), L, "right"),

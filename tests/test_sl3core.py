@@ -28,10 +28,9 @@ from rfactor.linop import (
     int_row,
     is_zero,
     lax_compose_scalar,
+    lax_from_matrix,
     lax_is_zero,
-    lax_mat_mul,
     lax_mul,
-    lax_mul_mat,
     lax_sub,
     mat_inv,
     op_add,
@@ -454,7 +453,7 @@ def test_shift_flow_inverse_and_lax_invariance():
     p = Sl3Params(F(2, 3), F(1, 5), F(7, 11))
     L = sl3_lax(b, *p.triple)
     M = sl3_invariance_matrix(a_, b_, c_)
-    lhs = lax_mat_mul(mat_inv(M), lax_mul_mat(L, M))
+    lhs = lax_mul(lax_from_matrix(b, mat_inv(M)), lax_mul(L, lax_from_matrix(b, M)))
     rhs = lax_compose_scalar(
         Sinv, lax_compose_scalar(S, L, "right"), "left"
     )

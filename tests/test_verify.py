@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfactor import linop, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     compose, diffop_to_op, identity_op, lax_mul, op_equal, op_scale, term,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
 from rfactor.sl2core import sl2_lax, sl2_r1, sl2_r2
-from rfactor.sl3core import sl3_pair, sl3_r1, sl3_r2, sl3_r3, sl3_site
+from rfactor.sl3core import Sl3Params, sl3_pair, sl3_r1, sl3_r2, sl3_r3, sl3_site
 from rfactor.verify import (
     CATALOG,
     POOL_DEN,
@@ -64,17 +65,14 @@ def test_draw_rats_stays_in_the_pool():
 
 
 def test_degeneracy_guard_accepts_and_rejects():
-    ok, reason = degeneracy_guard([(F(3), F(5)), (F(-2), F(1, 2))], 6)
+    ok, reason = degeneracy_guard([F(5), F(1, 2)], 6)
     assert ok and reason is None
     # (b)_k vanishes iff b is one of 0, -1, ..., -(cap-1)
-    ok, reason = degeneracy_guard([(F(1), F(0))], 4)
+    ok, reason = degeneracy_guard([F(0)], 4)
     assert not ok and reason == "(0)_1 = 0"
-    ok, reason = degeneracy_guard([(F(1), F(-3))], 4)
+    ok, reason = degeneracy_guard([F(2), F(-3)], 4)
     assert not ok and reason == "(-3)_4 = 0"
-    ok, _ = degeneracy_guard([(F(1), F(-4))], 4)
-    assert ok
-    # the numerator entry of a pair is never inspected
-    ok, _ = degeneracy_guard([(F(0), F(9))], 4)
+    ok, _ = degeneracy_guard([F(-4)], 4)
     assert ok
 
 
@@ -114,9 +112,9 @@ def test_rhat_composes_the_sl2_factors_in_both_orders():
     assert _same(rhat("sl2", pair, t, s, 2), want2)
     mutated = compose(sl2_r1(pair, u1, v1, u2, mutate=(0, 2)), sl2_r2(pair, u1, u2, v2))
     assert _same(rhat("sl2", pair, t, s, 1, (1, 0, 2)), mutated)
-    # order 1 names r2's pairs before r1's: the order the factors apply
-    assert rhat_guards("sl2", t, s, 1, 5) == [(u1 - v2, u1 - u2), (u1 - u2, v1 - u2)]
-    assert rhat_guards("sl2", t, s, 2, 5) == [(u1 - v2, v1 - v2), (v1 - v2, v1 - u2)]
+    # order 1 names r2's bases before r1's: the order the factors apply
+    assert rhat_guards("sl2", pair, t, s, 1) == [u1 - u2, v1 - u2]
+    assert rhat_guards("sl2", pair, t, s, 2) == [v1 - v2, v1 - u2]
 
 
 def test_rhat_composes_the_sl3_factors_in_both_orders():
@@ -161,12 +159,40 @@ def test_a_guard_accepted_full_swap_meets_no_pole(alg, cap, data):
     t, s = (data.draw(st.tuples(*[_near_pole(cap)] * n)) for _ in range(2))
     pair = sl2_pair(cap) if alg == "sl2" else sl3_pair(cap)
     for order in (1, 2):
-        ok, _ = degeneracy_guard(rhat_guards(alg, t, s, order, cap), cap)
+        ok, _ = degeneracy_guard(rhat_guards(alg, pair, t, s, order), cap)
         if ok:
             try:
                 rhat(alg, pair, t, s, order)
             except PoleAtParameter as e:
                 raise AssertionError(f"guard accepted order {order}: {e}")
+
+
+def _sl3_draws(t, s):
+    """The global3 draws (m1, n1, u, m2, n2, v) whose Lax slots are t, s."""
+    out = []
+    for u1, u2, u3 in (t, s):
+        m, n = u3 - u2 - 1, u2 - u1 - 1
+        out += [m, n, u1 + 2 + (m + 2 * n) / 3]
+    assert (Sl3Params(*out[:3]).triple, Sl3Params(*out[3:]).triple) == (t, s)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_global3_guard_covers_every_factor_it_builds(data):
+    """global3 builds each factor at (t, s) besides both orders of the full
+    swap: where its guard accepts, none of them meets a pole or needs the
+    pipeline fallback."""
+    cap = 2
+    t, s = (data.draw(st.tuples(*[_near_pole(cap)] * 3)) for _ in range(2))
+
+    def no_fallback(*a):
+        raise AssertionError("path_op fell back to run_pipeline")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linop, "run_pipeline", no_fallback)
+        res = CATALOG["sl3", "global3"][0](cap, _sl3_draws(t, s), None)
+    assert res.status in ("pass", "skipped"), res
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +332,33 @@ def test_job_count_does_not_change_the_report():
     seq = run_suite(SuiteConfig(**cfg))
     par = run_suite(SuiteConfig(**cfg, jobs=2))
     assert report_to_json(seq) == report_to_json(par)
+
+
+def test_the_pool_never_outnumbers_the_tasks(monkeypatch):
+    made = []
+
+    class RecordingPool:
+        """Stands in for the process pool; starts no process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    cfg = dict(algebra="sl2", cap=4, trials=3, seed=1, checks=("casimir",))
+    seq = report_to_json(run_suite(SuiteConfig(**cfg)))
+    assert report_to_json(run_suite(SuiteConfig(**cfg, jobs=64))) == seq
+    assert made == [3]
+    run_suite(SuiteConfig("sl3", 3, checks=("findim",), jobs=64))
+    assert made == [3]  # one task runs serially
 
 
 def test_explicit_params_bypass_sampling_but_not_guards():
