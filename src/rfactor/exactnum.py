@@ -4,8 +4,9 @@ Every scalar in the package is a `fractions.Fraction`; no floating point is
 used anywhere in core code. Gamma-function ratios are only ever needed in the
 normalized form Gamma(k+a)/Gamma(k+b) divided by Gamma(a)/Gamma(b), which is a
 finite product of rationals (rising factorials). The extension to negative
-integer shifts k is needed for diagonal operators acting on Laurent-padded
-bases: there the reflection through 1/Gamma produces exact zeros.
+integer shifts k is needed for diagonal stages acting on the negative
+exponents that Laurent flows leave inside a stage list: there the reflection
+through 1/Gamma produces exact zeros.
 """
 
 from __future__ import annotations

@@ -26,12 +26,16 @@ columns.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
-from stage lists. `run_pipeline` feeds every monomial through the stages at
-one point. A path table (`path_table`, cached per basis and stage list)
-runs the parameter-free stages once and keeps the Gamma-ratio diagonals as
-placeholders, so the operator at a point (`path_op`) is one eigenvalue per
-(stage, exponent) and integer sums; a Laurent term that does not cancel is
-then an error of the stage list, raised when the table is compiled.
+from stage lists. Their intermediate terms are combinations over any integer
+exponents, so no basis ever holds a negative power. A path table
+(`path_table`, cached per basis and stage list) runs the parameter-free
+stages once and keeps the Gamma-ratio diagonals as placeholders, so the
+operator at a point (`path_op`) is one eigenvalue per (stage, exponent) and
+integer sums; a Laurent term that does not cancel is then an error of the
+stage list, raised when the table is compiled, and a pole is raised for
+every point whose table needs it. `run_pipeline` feeds every monomial
+through concrete stages at one point; it is kept as an evaluator independent
+of the tables (the sl2 closed form).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import ONE, ZERO, PoleAtParameter, gamma_ratio_shift
+from .exactnum import ONE, ZERO, gamma_ratio_shift
 from .polyspace import GradedBasis, comb_add_into, comb_mul, comb_pow
 
 NEG_INF = -(10**9)  # shift of an identically zero operator
@@ -55,12 +59,8 @@ class ShiftViolation(ValueError):
     """An image monomial exceeded the declared height shift."""
 
 
-class FloorViolation(ValueError):
-    """An image monomial fell below a variable's exponent floor."""
-
-
 class LaurentLeak(ValueError):
-    """A pipeline output kept a negative exponent that should have cancelled."""
+    """An image kept a negative exponent that should have cancelled."""
 
 
 class WindowBeyondCertified(ValueError):
@@ -141,9 +141,9 @@ def op_from_action(domain, action, shift):
     `domain`.
 
     Columns of height <= cap - max(0, shift) are checked: inside that window
-    every image monomial must respect the declared shift and the basis
-    floors, and must land in the basis. Beyond the window image monomials
-    falling outside the basis are silently dropped (that is the truncation).
+    every image monomial must respect the declared shift and land in the
+    basis. Beyond the window image monomials falling outside the basis are
+    silently dropped (that is the truncation).
     """
     certified = domain.cap - max(0, shift)
     cols = {}
@@ -159,15 +159,7 @@ def op_from_action(domain, action, shift):
             if j is None:
                 if not in_window:
                     continue
-                if any(e < f for e, f in zip(m, domain.floors)):
-                    raise FloorViolation(
-                        f"image of {domain.mono_str(mono)} has monomial "
-                        f"below floor: exponents {m}"
-                    )
-                raise ShiftViolation(
-                    f"image of {domain.mono_str(mono)} leaves the basis at "
-                    f"height {domain.height(m)} (declared shift {shift})"
-                )
+                j = _output_index(domain, mono, m)
             if in_window and domain.heights[j] - h > shift:
                 raise ShiftViolation(
                     f"image of {domain.mono_str(mono)} has height "
@@ -313,7 +305,7 @@ def pair_swap(pair: GradedBasis) -> SparseOp:
         raise BasisMismatch("pair_swap target is not a tensor basis")
     b1, b2 = pair.factors
     k = len(b1.vars)
-    if len(b1) != len(b2) or b1.weights != b2.weights or b1.floors != b2.floors:
+    if len(b1) != len(b2) or b1.weights != b2.weights:
         raise BasisMismatch("pair_swap needs structurally identical factors")
     if b1.monomials != b2.monomials:
         raise BasisMismatch("pair_swap needs identically enumerated factors")
@@ -520,21 +512,14 @@ def stage_subst(basis, rules):
     return run
 
 
-def stage_euler(basis, var, a, b, mutate=None):
+def stage_euler(basis, var, a, b):
     """Diagonal stage: multiply by Gamma(n+a)/Gamma(n+b) normalized to 1 at
-    n = 0, where n is the exponent of `var`. Exact on any integer exponent.
-
-    mutate=k doubles the eigenvalue at exponent k; used only by the
-    mutation-sensitivity harness.
-    """
+    n = 0, where n is the exponent of `var`. Exact on any integer exponent."""
     cache = {}
 
     def eig(e):
         if e not in cache:
-            v = gamma_ratio_shift(a, b, e)
-            if e == mutate:
-                v *= 2
-            cache[e] = v
+            cache[e] = gamma_ratio_shift(a, b, e)
         return cache[e]
 
     def run(comb):
@@ -553,7 +538,8 @@ def stage_laurent(basis, sign, num, den, target):
 
     On a monomial with target-exponent t >= 0 the series terminates after
     t+1 terms; each term moves j units of target-exponent onto num and -j
-    onto den, which may go negative (the Laurent padding)."""
+    onto den, which may go negative: a combination holds any integer
+    exponents, and only the final output must lie in the basis again."""
 
     def run(comb):
         out = {}
@@ -598,16 +584,15 @@ def subst_op(basis, rules):
 
 
 def _output_index(basis, mono, m):
-    """Basis index of the pipeline output monomial m of input `mono`."""
+    """Basis index of the image monomial m of input `mono`."""
     j = basis.index.get(m)
     if j is None:
         if min(m) < 0:
             raise LaurentLeak(
-                f"pipeline output of {basis.mono_str(mono)} kept a "
-                f"negative exponent: {m}"
+                f"image of {basis.mono_str(mono)} kept a negative exponent: {m}"
             )
         raise ShiftViolation(
-            f"pipeline output of {basis.mono_str(mono)} left the basis: {m}"
+            f"image of {basis.mono_str(mono)} left the basis: {m}"
         )
     return j
 
@@ -744,46 +729,22 @@ def pole_bases(table, args):
     return out
 
 
-def _mutated_exponent(mutate, s):
-    """The exponent that mutate=(Euler stage, exponent) doubles at Euler
-    stage s, or None."""
-    return mutate[1] if mutate is not None and mutate[0] == s else None
-
-
-def euler_stages(table, args, mutate=None):
-    """The table's stage list with each Euler placeholder made a stage_euler
-    at the point `args`; mutate=(s, k) doubles the eigenvalue of the s-th
-    Euler stage at exponent k."""
-    stages, s = [], 0
-    for st in table.stages:
-        if isinstance(st, Euler):
-            a, b = _param(st.a, args), _param(st.b, args)
-            st = stage_euler(table.basis, st.var, a, b, _mutated_exponent(mutate, s))
-            s += 1
-        stages.append(st)
-    return stages
-
-
 def path_op(table, args, mutate=None):
-    """The operator of a compiled stage list at the point `args`.
+    """The operator of a compiled stage list at the point `args`;
+    mutate=(s, k) doubles the eigenvalue of the s-th Euler stage at exponent
+    k.
 
     Each Euler eigenvalue is computed once per exponent a path showed,
-    dropped paths included, and doubled by a mutation exactly as
-    stage_euler does. None of them is a pole where a degeneracy guard over
-    `pole_bases(table, args)` accepts; elsewhere a pole hands the point to
-    run_pipeline, which raises PoleAtParameter only if a path with a nonzero
-    coefficient reaches it."""
+    dropped paths included, so this raises PoleAtParameter wherever one of
+    them is a pole, even if only dropped paths reach it. None of them is a
+    pole where a degeneracy guard over `pole_bases(table, args)` accepts."""
     eig = []
-    try:
-        for s, (st, exps) in enumerate(zip(_eulers(table), table.exps)):
-            a, b = _param(st.a, args), _param(st.b, args)
-            vals = {e: gamma_ratio_shift(a, b, e) for e in exps}
-            k = _mutated_exponent(mutate, s)
-            if k in vals:
-                vals[k] *= 2
-            eig.append(vals)
-    except PoleAtParameter:
-        return run_pipeline(table.basis, euler_stages(table, args, mutate))
+    for s, (st, exps) in enumerate(zip(_eulers(table), table.exps)):
+        a, b = _param(st.a, args), _param(st.b, args)
+        vals = {e: gamma_ratio_shift(a, b, e) for e in exps}
+        if mutate is not None and mutate[0] == s and mutate[1] in vals:
+            vals[mutate[1]] *= 2
+        eig.append(vals)
     prods = []
     for key in table.keys:
         p = ONE

@@ -2,9 +2,9 @@
 
 A module is spanned by monomials in weighted variables; the height of a
 monomial is the weighted exponent sum and bases are truncated at a height cap.
-Variables may be Laurent-padded (floor < 0) so that intermediate stages of
-operator pipelines can hold negative powers; padded monomials are enumerated
-after the polynomial block, so padding never renumbers polynomial indices.
+Every exponent in a basis is nonnegative: the negative powers that operator
+stage lists pass through live only in combinations, never in a basis (see
+linop).
 
 Monomials are plain exponent tuples; linear combinations are dicts mapping
 monomial -> Fraction.
@@ -32,17 +32,14 @@ class NameCollision(ValueError):
 
 @dataclass(frozen=True)
 class VarSpec:
-    """One variable: its name, height weight (>= 1) and exponent floor (<= 0)."""
+    """One variable: its name and height weight (>= 1)."""
 
     name: str
     weight: int = 1
-    floor: int = 0
 
     def __post_init__(self):
         if self.weight < 1:
             raise ValueError(f"weight of {self.name} must be >= 1")
-        if self.floor > 0:
-            raise ValueError(f"floor of {self.name} must be <= 0")
 
 
 def size_limit() -> int:
@@ -84,17 +81,15 @@ def size_checked_cache(maxsize):
 class GradedBasis:
     """Deterministically ordered monomial basis, graded by height.
 
-    Monomials with all exponents nonnegative come first, ordered by height
-    then by descending lexicographic order on exponent tuples; Laurent-padded
-    monomials follow in the same order. Two-site bases built by
-    `tensor_basis` keep the tensor factors' order instead. Every monomial has
-    height <= `cap`, the largest height at which truncated operator algebra
-    can be exact (see linop).
+    Monomials are ordered by height, then by descending lexicographic order
+    on exponent tuples; two-site bases built by `tensor_basis` keep the
+    tensor factors' order instead. Every monomial has height <= `cap`, the
+    largest height at which truncated operator algebra can be exact (see
+    linop).
     """
 
     __slots__ = (
-        "vars", "cap", "monomials", "index",
-        "weights", "floors", "heights", "factors",
+        "vars", "cap", "monomials", "index", "weights", "heights", "factors",
     )
 
     def __init__(self, vars, cap, monomials, factors=None):
@@ -103,7 +98,6 @@ class GradedBasis:
         self.monomials = list(monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.weights = tuple(v.weight for v in self.vars)
-        self.floors = tuple(v.floor for v in self.vars)
         self.heights = [self.height(m) for m in self.monomials]
         self.factors = factors
 
@@ -141,15 +135,12 @@ class GradedBasis:
         return "*".join(parts) if parts else "1"
 
     def comb_str(self, comb) -> str:
-        """Render an index- or monomial-keyed combination deterministically."""
-        items = []
-        for key, c in comb.items():
-            mono = self.monomials[key] if isinstance(key, int) else key
-            items.append((self.index.get(mono, len(self.monomials)), mono, c))
-        items.sort(key=lambda t: t[0])
-        if not items:
+        """Render an index-keyed combination in basis order."""
+        if not comb:
             return "0"
-        return " + ".join(f"({c})*{self.mono_str(m)}" for _, m, c in items)
+        return " + ".join(
+            f"({comb[i]})*{self.mono_str(self.monomials[i])}" for i in sorted(comb)
+        )
 
     def same(self, other) -> bool:
         return (
@@ -176,15 +167,7 @@ def enumerate_basis(var_specs, cap) -> GradedBasis:
     if len(set(names)) != len(names):
         raise NameCollision(f"duplicate variable names in {names}")
     weights = [v.weight for v in specs]
-    floors = [v.floor for v in specs]
     limit = size_limit()
-
-    # Minimal height the tail of the variable list can contribute: floors
-    # free up budget for earlier variables.
-    tail_min = [0] * (len(specs) + 1)
-    for i in range(len(specs) - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + floors[i] * weights[i]
-
     out = []
 
     def rec(i, prefix, used):
@@ -195,18 +178,14 @@ def enumerate_basis(var_specs, cap) -> GradedBasis:
                     f"basis over {names} at cap {cap} exceeds size limit {limit}"
                 )
             return
-        top = (cap - used - tail_min[i + 1]) // weights[i]
-        for e in range(floors[i], top + 1):
+        for e in range((cap - used) // weights[i] + 1):
             prefix.append(e)
             rec(i + 1, prefix, used + e * weights[i])
             prefix.pop()
 
     rec(0, [], 0)
-    poly = [m for m in out if min(m, default=0) >= 0]
-    padded = [m for m in out if min(m, default=0) < 0]
-    poly.sort(key=lambda m: _sort_key(m, weights))
-    padded.sort(key=lambda m: _sort_key(m, weights))
-    return GradedBasis(specs, cap, poly + padded)
+    out.sort(key=lambda m: _sort_key(m, weights))
+    return GradedBasis(specs, cap, out)
 
 
 def tensor_basis(b1: GradedBasis, b2: GradedBasis) -> GradedBasis:

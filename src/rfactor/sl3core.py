@@ -11,10 +11,10 @@ assembled from the factor table in `rfactor.verify`, for sl2 and sl3 alike.
 Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); per
 basis and site suffix the parameter-free blocks of the direct Lax matrix with
 the unit operators 1, x, y, z and xz that its parameters scale (`sl3_lax`);
-and per pair basis the path table of each elementary R-operator (`sl3_r1`,
-`sl3_r2`, `sl3_r3`), so a factor at a point costs one Gamma ratio per stage
-and exponent plus integer sums. `sl3_r3_single` runs its own pipeline at
-every call.
+per pair basis the path table of each elementary R-operator (`sl3_r1`,
+`sl3_r2`, `sl3_r3`), and per site basis that of the third swap reduced to
+one site (`sl3_r3_single`, the core of `sl3_r3`'s stage list), so a factor
+at a point costs one Gamma ratio per stage and exponent plus integer sums.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .linop import (
     op_scale,
     path_op,
     path_table,
-    run_pipeline,
-    stage_euler,
     stage_laurent,
     stage_subst,
     subst_op,
@@ -517,6 +515,20 @@ def _sl3_r2_stages(pair):
     )
 
 
+def _sl3_r3_core(basis, x, y, z):
+    """The stages of the third swap between its frame changes: Gamma-ratio
+    diagonals in the z and y exponents around Laurent flows exp(-+(y/z) dx),
+    on the variables at positions x, y, z of `basis`."""
+    return (
+        Euler(z, 1, lambda u1, u2, u3, v3: u2 - u3 + 1),
+        stage_laurent(basis, -1, num=y, den=z, target=x),
+        Euler(y, lambda u1, u2, u3, v3: u1 - v3 + 1,
+              lambda u1, u2, u3, v3: u1 - u3 + 1),
+        stage_laurent(basis, 1, num=y, den=z, target=x),
+        Euler(z, lambda u1, u2, u3, v3: u2 - v3 + 1, 1),
+    )
+
+
 def _sl3_r3_stages(pair):
     x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
     one = Fraction(1)
@@ -545,16 +557,14 @@ def _sl3_r3_stages(pair):
             },
         },
     )
-    return (
-        s3,
-        Euler(z1, 1, lambda u1, u2, u3, v3: u2 - u3 + 1),
-        stage_laurent(pair, -1, num=y1, den=z1, target=x1),
-        Euler(y1, lambda u1, u2, u3, v3: u1 - v3 + 1,
-              lambda u1, u2, u3, v3: u1 - u3 + 1),
-        stage_laurent(pair, 1, num=y1, den=z1, target=x1),
-        Euler(z1, lambda u1, u2, u3, v3: u2 - v3 + 1, 1),
-        s3_inv,
-    )
+    return (s3, *_sl3_r3_core(pair, x1, y1, z1), s3_inv)
+
+
+def _sl3_r3_single_stages(site):
+    """The third swap reduced to one site: the core of r3 alone, on the
+    site's x, y, z (whatever their label)."""
+    lead = [v.name[0] for v in site.vars]
+    return _sl3_r3_core(site, *map(lead.index, "xyz"))
 
 
 def sl3_r1(pair, u1, v1, v2, v3, mutate=None):
@@ -578,6 +588,11 @@ def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
     return path_op(path_table(pair, _sl3_r3_stages), (u1, u2, u3, v3), mutate)
 
 
+def sl3_r3_single(site, u1, u2, u3, v3):
+    """The third swap reduced to one site basis (oracle-r3-single)."""
+    return path_op(path_table(site, _sl3_r3_single_stages), (u1, u2, u3, v3))
+
+
 def sl3_weight_shifts(which, p1, p2):
     """Weight (m, n) of both sites after an elementary factor."""
     m1, n1, m2, n2 = p1.m, p1.n, p2.m, p2.n
@@ -598,22 +613,3 @@ def sl3_total_generators(pair, params1, params2):
     g1 = sl3_generators(pair, params1[0], params1[1], "1")
     g2 = sl3_generators(pair, params2[0], params2[1], "2")
     return {k: op_add(g1[k], g2[k]) for k in GEN_NAMES}
-
-
-# ---------------------------------------------------------------------------
-# Single-site reduced form of the third factor (used by the oracle tests)
-
-def sl3_r3_single(basis, u1, u2, u3, v3, suffix=""):
-    """The third swap reduced to one site: Gamma-ratio diagonals in the z and
-    y exponents around Laurent flows exp(-+(y/z) dx)."""
-    x = basis.var_index("x" + suffix)
-    y = basis.var_index("y" + suffix)
-    z = basis.var_index("z" + suffix)
-    stages = [
-        stage_euler(basis, z, 1, u2 - u3 + 1),
-        stage_laurent(basis, -1, num=y, den=z, target=x),
-        stage_euler(basis, y, u1 - v3 + 1, u1 - u3 + 1),
-        stage_laurent(basis, 1, num=y, den=z, target=x),
-        stage_euler(basis, z, u2 - v3 + 1, 1),
-    ]
-    return run_pipeline(basis, stages)

@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .exactnum import PoleAtParameter, rat_str
+from .exactnum import rat_str
 from .linop import (
     DegenerateDecomposition,
     SparseOp,
@@ -72,6 +72,7 @@ from .sl3core import (
     _sl3_r1_stages,
     _sl3_r2_stages,
     _sl3_r3_stages,
+    _sl3_r3_single_stages,
     GEN_COEFF_MATRICES,
     GEN_NAMES,
     Sl3Params,
@@ -673,13 +674,12 @@ def _sl3_oracle_single(cap, draws, mutate):
     p1, p2 = _sl3_point(draws)
     u1, u2, u3 = p1.triple
     v3 = p2.u3
-    # r3's bases; sl3_r3_single runs its own pipeline, which the arm below
-    # still guards
-    bases = _factor_guard("sl3", sl3_pair(cap), 3, (u1, u2, u3, v3))
+    basis = sl3_site(cap)
+    args = (u1, u2, u3, v3)
+    bases = pole_bases(path_table(basis, _sl3_r3_single_stages), args)
     ok, reason = degeneracy_guard(bases, cap)
     if not ok:
         return _skip(name, draws, cap, reason)
-    basis = sl3_site(cap)
 
     def dop(terms):
         return diffop_to_op(basis, [term(basis, c, mu, de) for c, mu, de in terms])
@@ -722,10 +722,7 @@ def _sl3_oracle_single(cap, draws, mutate):
         (cross, cross),
         (raise_y(u2 - u3 + 1, u1 - u3 + 2), raise_y(u2 - v3 + 1, u1 - v3 + 2)),
     ]
-    try:
-        closed = sl3_r3_single(basis, u1, u2, u3, v3)
-    except PoleAtParameter as e:
-        return _skip(name, draws, cap, f"pole: {e}")
+    closed = sl3_r3_single(basis, *args)
     return _oracle_check(name, draws, basis, constraints, closed, cap)
 
 
@@ -1086,6 +1083,12 @@ class SuiteConfig:
         for name in self.checks:
             if (self.algebra, name) not in CATALOG:
                 raise KeyError(f"unknown {self.algebra} check {name!r}")
+            ndraws = CATALOG[self.algebra, name][1]
+            if self.params is not None and len(self.params) != ndraws:
+                raise ValueError(
+                    f"check {name!r} takes {ndraws} parameters, "
+                    f"got {len(self.params)}"
+                )
         if self.mutate is not None and not any(
             (self.algebra, name) in MUTATION_CHECKS for name in self.checks
         ):
@@ -1102,17 +1105,12 @@ class SuiteConfig:
 
 
 def run_one(algebra, name, trial, cap, seed, params, mutate):
-    """One sampled instance of a check; guard-rejected draws are logged as
-    skipped entries and resampled from the same stream."""
+    """One sampled instance of a check, or the check at the explicit
+    `params` (whose count SuiteConfig has validated); guard-rejected draws
+    are logged as skipped entries and resampled from the same stream."""
     fn, ndraws = CATALOG[(algebra, name)]
-    if ndraws == 0:
-        return [fn(cap, (), mutate)]
     if params is not None:
-        if len(params) < ndraws:
-            raise ValueError(
-                f"check {name!r} needs {ndraws} parameters, got {len(params)}"
-            )
-        return [fn(cap, list(params[:ndraws]), mutate)]
+        return [fn(cap, list(params), mutate)]
     rng = check_rng(seed, name, trial)
     out = []
     for attempt in range(RESAMPLE_LIMIT):

@@ -156,6 +156,22 @@ def test_usage_errors_exit_two(args):
 @pytest.mark.parametrize(
     "args",
     [
+        ("sl2", "--check", "F1", "--params", "1,2"),
+        ("sl2", "--check", "casimir", "--params", "1,2,3"),
+        ("sl3", "--check", "findim", "--params", "1"),
+    ],
+)
+def test_explicit_params_of_the_wrong_count_exit_two(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "parameters, got" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("sl2", "--check", "inverse-scalar", "--cap", "6", "--trials", "3"),
         ("sl2", "--check", "oracle-r1", "--check", "casimir", "--cap", "4"),
         ("sl3", "--check", "inverse-scalar3", "--check", "oracle-r2",

@@ -1,11 +1,13 @@
-"""Every function, class, method and property of the package has a caller in it.
+"""Every function, class, method, property and slot of the package is used in it.
 
 A module-level name counts as used when a top-level statement of some rfactor
 module other than its own definition refers to it; imports alone do not
 count.  A method or property (dunder methods apart) counts as used when a
 statement outside its own definition names it, as an attribute or otherwise.
 Exempt are the console entry points named in pyproject.toml and the names
-that perfbench/spans.py looks up in the package to trace them.
+that perfbench/spans.py looks up in the package to trace them.  A
+`__slots__` attribute counts as used when the package reads it, as an
+attribute, outside its class's `__init__`.
 """
 
 import ast
@@ -89,3 +91,35 @@ def test_every_module_level_definition_has_a_caller_in_the_package():
 def test_the_exemptions_are_read_from_their_sources():
     assert "main" in _entry_points()
     assert {"mat_scale", "mat_is_zero", "cert_cap"} <= _traced_names()
+
+
+def test_every_slot_is_read_outside_its_init():
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    unread = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slots = [
+                ast.literal_eval(stmt.value)
+                for stmt in cls.body
+                if isinstance(stmt, ast.Assign)
+                and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]
+            ]
+            init = [f for f in cls.body if getattr(f, "name", None) == "__init__"]
+            skip = {id(n) for f in init for n in ast.walk(f)}
+            reads = {
+                n.attr
+                for t in trees
+                for n in ast.walk(t)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Load)
+                and id(n) not in skip
+            }
+            unread += [
+                f"{cls.name}.{name}"
+                for names in slots
+                for name in names
+                if name not in reads
+            ]
+    assert not unread, "slot never read outside __init__: " + ", ".join(unread)

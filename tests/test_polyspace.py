@@ -1,4 +1,4 @@
-"""Graded bases: enumeration order, Laurent padding, tensor pairing.
+"""Graded bases: enumeration order, tensor pairing, combination helpers.
 
 The brute-force oracles below enumerate exponent boxes with plain loops and
 set comparisons, independent of the production enumeration.
@@ -54,36 +54,6 @@ def test_sl3_cap3_matches_brute_force():
     basis = enumerate_basis(SL3_VARS, 3)
     assert set(basis.monomials) == brute_sl3_monomials(3)
     assert len(set(basis.monomials)) == len(basis)
-
-
-def test_laurent_padding_extends_without_renumbering():
-    plain = enumerate_basis(SL3_VARS, 2)
-    padded = enumerate_basis(
-        [VarSpec("x", 1), VarSpec("y", 2), VarSpec("z", 1, floor=-2)], 2
-    )
-    for i, m in enumerate(plain.monomials):
-        assert padded.monomials[i] == m
-        assert padded.index[m] == i
-    extra = padded.monomials[len(plain):]
-    assert extra and all(m[2] < 0 for m in extra)
-    assert set(extra) | set(plain.monomials) == set(padded.monomials)
-    assert sum(1 for m in padded.monomials if min(m) >= 0) == len(plain)
-
-
-def test_laurent_cap2_floor1_count():
-    padded = enumerate_basis(
-        [VarSpec("x", 1), VarSpec("y", 2), VarSpec("z", 1, floor=-1)], 2
-    )
-    # brute force: a,b >= 0, c >= -1, a + 2b + c <= 2
-    brute = {
-        (a, b, c)
-        for a in range(6)
-        for b in range(3)
-        for c in range(-1, 6)
-        if a + 2 * b + c <= 2
-    }
-    assert set(padded.monomials) == brute
-    assert len(padded) == 13
 
 
 def test_index_roundtrip_and_heights():
@@ -147,8 +117,6 @@ def test_size_limit_env(monkeypatch):
 def test_varspec_validation():
     with pytest.raises(ValueError):
         VarSpec("x", weight=0)
-    with pytest.raises(ValueError):
-        VarSpec("x", floor=1)
     with pytest.raises(ValueError):
         enumerate_basis(SL3_VARS, -1)
     with pytest.raises(NameCollision):

@@ -24,7 +24,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
         ("sl2-default", "sl2", 8, ("F1", "F2", "rfact-orders"), 3),
         ("sl3-default", "sl3", 3, ("3F1", "3F2", "3F3", "rfact3-orders", "def3"), 1),
         ("sl3-oracle", "sl3", 3, ("oracle-r3",), 1),
-        ("sl3-oracle", "sl3", 3, ("oracle-r3-single",), 1),
+        ("sl3-oracle", "sl3", 3, ("oracle-r3-single",), 6),
     ],
 )
 def test_seed0_slice_matches_reference(workload, algebra, cap, checks, trials):

@@ -618,7 +618,7 @@ def test_single_site_third_factor_reduction():
     pair = _pair(3)
     u1, u2, u3 = P1.triple
     v3 = P2.u3
-    single = sl3_r3_single(pair.factors[0], u1, u2, u3, v3, suffix="1")
+    single = sl3_r3_single(pair.factors[0], u1, u2, u3, v3)
     emb = site_embed(single, 1, pair)
     z1, y1, x1 = map(pair.var_index, ("z1", "y1", "x1"))
     core = run_pipeline(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfactor import linop, verify
+from rfactor import verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     compose, diffop_to_op, identity_op, lax_mul, op_equal, op_scale, term,
@@ -181,17 +181,24 @@ def _sl3_draws(t, s):
 @given(data=st.data())
 def test_the_global3_guard_covers_every_factor_it_builds(data):
     """global3 builds each factor at (t, s) besides both orders of the full
-    swap: where its guard accepts, none of them meets a pole or needs the
-    pipeline fallback."""
+    swap: where its guard accepts, none of them meets a pole."""
     cap = 2
     t, s = (data.draw(st.tuples(*[_near_pole(cap)] * 3)) for _ in range(2))
+    res = CATALOG["sl3", "global3"][0](cap, _sl3_draws(t, s), None)
+    assert res.status in ("pass", "skipped"), res
 
-    def no_fallback(*a):
-        raise AssertionError("path_op fell back to run_pipeline")
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linop, "run_pipeline", no_fallback)
-        res = CATALOG["sl3", "global3"][0](cap, _sl3_draws(t, s), None)
+@pytest.mark.parametrize("name", ["closed-form", "spectral"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_sl2_closed_form_and_spectral_guards_are_sound(name, data):
+    """Each of the two checks with a hand-written part in its guard list
+    either skips a near-pole point or passes there: it never raises and
+    never fails."""
+    cap = 4
+    half = st.integers(-2 * cap - 3, 2 * cap + 3).map(lambda k: F(k, 2))
+    draws = data.draw(st.lists(_near_pole(cap) | half, min_size=4, max_size=4))
+    res = CATALOG["sl2", name][0](cap, draws, None)
     assert res.status in ("pass", "skipped"), res
 
 
@@ -364,8 +371,9 @@ def test_the_pool_never_outnumbers_the_tasks(monkeypatch):
 def test_explicit_params_bypass_sampling_but_not_guards():
     out = run_one("sl2", "casimir", 0, 4, 0, (F(2),), None)
     assert len(out) == 1 and out[0].params == [F(2)]
-    with pytest.raises(ValueError):
-        run_one("sl2", "F1", 0, 4, 0, (F(1),), None)
+    for params in ((F(1),), (F(1),) * 5):
+        with pytest.raises(ValueError, match="takes 4 parameters"):
+            SuiteConfig("sl2", 4, checks=("F1",), params=params)
     # l2 = 0 makes the guard's (v1 - v2) Pochhammer vanish
     res = run_one("sl2", "F1", 0, 4, 0, (F(1), F(0), F(1, 2), F(0)), None)[0]
     assert res.status == "skipped" and res.reason == "(0)_1 = 0"
