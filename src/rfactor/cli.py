@@ -28,18 +28,21 @@ ORACLE_OPS = {
 ORACLE_DEFAULT_CAP = {"sl2": 6, "sl3": 3}
 
 
-def _add_common(sp, cap_default, trials_default):
+def _add_common(sp, cap_default, trials_default, select=True, mutate=True):
+    """The run options; --check and --mutate only where they are read."""
     sp.add_argument("--cap", type=int, default=cap_default,
                     help="height truncation of the representation spaces")
     sp.add_argument("--trials", type=int, default=trials_default,
                     help="sampled parameter points per check")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--check", action="append", metavar="NAME",
-                    help="run only this check (repeatable)")
+    if select:
+        sp.add_argument("--check", action="append", metavar="NAME",
+                        help="run only this check (repeatable)")
     sp.add_argument("--params", metavar="CSV",
                     help="explicit rational parameters, e.g. 1/2,1/3,0,1/5")
-    sp.add_argument("--mutate", metavar="TAG",
-                    help="inject an eigenvalue mutation, e.g. r1:1 or r2:b")
+    if mutate:
+        sp.add_argument("--mutate", metavar="TAG",
+                        help="inject an eigenvalue mutation, e.g. r1:1 or r2:b")
     sp.add_argument("--out", metavar="PATH",
                     help="write the JSON report here instead of stdout")
     sp.add_argument("--jobs", type=int, default=1)
@@ -53,12 +56,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("sl2", help="two-site sl2 suite"), 8, 20)
     _add_common(sub.add_parser("sl3", help="two-site sl3 suite"), 3, 10)
-    _add_common(sub.add_parser("ybe", help="dense fundamental Yang-Baxter"), 2, 10)
+    _add_common(sub.add_parser("ybe", help="dense fundamental Yang-Baxter"), 2, 10,
+                mutate=False)
     orc = sub.add_parser("oracle", help="independent linear-solve comparison")
     orc.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
     orc.add_argument("--op", required=True,
                      help="which R-operator: r1, r2, r3, r3-single")
-    _add_common(orc, None, 5)
+    _add_common(orc, None, 5, select=False, mutate=False)
     rpt = sub.add_parser("report", help="summarize an existing JSON report")
     rpt.add_argument("path")
     return parser
@@ -94,9 +98,7 @@ def _make_config(parser, args) -> SuiteConfig:
     if params is not None and len(checks) != 1:
         parser.error("--params requires exactly one --check")
     mutate = None
-    if args.mutate:
-        if algebra not in ("sl2", "sl3") or args.command == "oracle":
-            parser.error("--mutate applies to the sl2/sl3 suites only")
+    if getattr(args, "mutate", None):
         try:
             mutate = parse_mutate(algebra, args.mutate)
         except ValueError as e:

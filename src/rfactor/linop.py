@@ -801,6 +801,17 @@ def lax_from_matrix(basis, M):
     return LaxOp([[op_scale(one, c) for c in row] for row in M])
 
 
+def lax_from_gl(T, u):
+    """The Lax matrix of a gl(n) triangle T (keys (a, b), 1-indexed) at
+    spectral parameter u: block (i, j) is T[j+1, i+1] + delta_ij u."""
+    n = max(a for a, _ in T)
+    one = identity_op(T[1, 1].domain)
+    rows = range(1, n + 1)
+    return LaxOp(
+        [[op_add(T[j, i], one, u) if i == j else T[j, i] for j in rows] for i in rows]
+    )
+
+
 def lax_mul(A: LaxOp, B: LaxOp) -> LaxOp:
     n = A.size
     if B.size != n:

@@ -44,7 +44,6 @@ from .linop import (
     mat_mul,
     mat_sub,
     op_add,
-    op_from_action,
     op_scale,
     op_sub,
     path_op,
@@ -98,13 +97,32 @@ def sl2_generators(basis, ell, var="z"):
     return {"S": S, "Sp": Sp, "Sm": Sm}
 
 
-def sl2_casimir(basis, ell, var="z"):
-    """S^2 - S + S+ S-, equal to ell(ell-1) on the module."""
+# generator -> its 2x2 coefficient matrix in the defining representation
+SL2_GEN_COEFF_MATRICES = {
+    "S": [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(-1, 2)]],
+    "Sp": [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]],
+    "Sm": [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]],
+}
+
+
+def sl2_gl_ops(basis, ell, var="z"):
+    """The gl(2) triangle T[a, b], 1-indexed: T11 = S, T22 = -S, T12 = S+,
+    T21 = S-."""
+    g = sl2_generators(basis, ell, var)
+    return {
+        (1, 1): g["S"], (2, 2): op_scale(g["S"], -1),
+        (1, 2): g["Sp"], (2, 1): g["Sm"],
+    }
+
+
+def sl2_casimirs(basis, ell, var="z"):
+    """[(tag, operator, expected scalar)]: S^2 - S + S+ S-, equal to
+    ell(ell-1) on the module."""
     g = sl2_generators(basis, ell, var)
     C = op_add(
         op_sub(compose(g["S"], g["S"]), g["S"]), compose(g["Sp"], g["Sm"])
     )
-    return C, ell * (ell - 1)
+    return [("C", C, ell * (ell - 1))]
 
 
 @lru_cache(maxsize=8)
@@ -134,18 +152,6 @@ def sl2_lax(basis, u1, u2, var="z"):
         [
             [op_add(zd, one, u1), md],
             [op_add(zzd, z, u1 - u2), op_add(mzd, one, u2)],
-        ]
-    )
-
-
-def sl2_lax_generator_form(basis, ell, u, var="z"):
-    """[[u + S, S-], [S+, u - S]] assembled from the generator operators."""
-    g = sl2_generators(basis, ell, var)
-    uid = op_from_action(basis, lambda m: {m: Fraction(u)} if u else {}, 0)
-    return LaxOp(
-        [
-            [op_add(uid, g["S"]), g["Sm"]],
-            [g["Sp"], op_sub(uid, g["S"])],
         ]
     )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exactnum import Rat
 from .polyspace import (
@@ -149,9 +149,6 @@ def sl3_generators(basis, m, n, suffix=""):
     }
 
 
-GEN_NAMES = ("T12", "T13", "T23", "T21", "T31", "T32", "H1", "H2")
-
-
 def _ematrix(i, j):
     M = [[Fraction(0)] * 3 for _ in range(3)]
     M[i - 1][j - 1] = Fraction(1)
@@ -170,22 +167,7 @@ GEN_COEFF_MATRICES = {
 }
 
 
-def coeffs_to_op(C, gens, basis):
-    """Map a traceless 3x3 coefficient matrix to the operator
-    sum_{a != b} C[a][b] T_ab + C[0][0] H1 - C[2][2] H2."""
-    labels = {
-        (0, 1): "T12", (0, 2): "T13", (1, 2): "T23",
-        (1, 0): "T21", (2, 0): "T31", (2, 1): "T32",
-    }
-    acc = zero_op(basis)
-    for (a, b), name in labels.items():
-        if C[a][b]:
-            acc = op_add(acc, op_scale(gens[name], C[a][b]))
-    if C[0][0]:
-        acc = op_add(acc, op_scale(gens["H1"], C[0][0]))
-    if C[2][2]:
-        acc = op_add(acc, op_scale(gens["H2"], -C[2][2]))
-    return acc
+GEN_NAMES = tuple(GEN_COEFF_MATRICES)
 
 
 def sl3_gl_ops(basis, m, n, suffix=""):
@@ -202,22 +184,21 @@ def sl3_gl_ops(basis, m, n, suffix=""):
 
 
 def sl3_casimirs(basis, m, n, suffix=""):
-    """(C2, C3) = (sum T_ab T_ba, sum T_ab T_bc T_ca); both scalar on the
-    module. Returns the operators; scalarity is asserted by callers."""
+    """[(tag, operator, expected scalar or None)] for C2 = sum T_ab T_ba and
+    C3 = sum T_ab T_bc T_ca, both scalar on the module. C2's scalar is
+    sum(lam_a^2) + 2(m + n), with lam the diagonal weights of 1."""
     T = sl3_gl_ops(basis, m, n, suffix)
     rng = (1, 2, 3)
-    C2 = None
-    for a in rng:
-        for b in rng:
-            t = compose(T[a, b], T[b, a])
-            C2 = t if C2 is None else op_add(C2, t)
-    C3 = None
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                t = compose(T[a, b], compose(T[b, c], T[c, a]))
-                C3 = t if C3 is None else op_add(C3, t)
-    return C2, C3
+    C2 = reduce(op_add, (compose(T[a, b], T[b, a]) for a in rng for b in rng))
+    C3 = reduce(
+        op_add,
+        (
+            compose(T[a, b], compose(T[b, c], T[c, a]))
+            for a in rng for b in rng for c in rng
+        ),
+    )
+    lam = (-(m + 2 * n) / 3, (n - m) / 3, (n + 2 * m) / 3)
+    return [("C2", C2, sum(a * a for a in lam) + 2 * (m + n)), ("C3", C3, None)]
 
 
 def op_scalar_part(op):
@@ -322,19 +303,6 @@ def sl3_lax(basis, u1, u2, u3, suffix=""):
                 op_add(b21, z, u3 - u2 - 1),
                 op_add(b22, one, u3),
             ],
-        ]
-    )
-
-
-def sl3_lax_casimir_form(basis, m, n, u, suffix=""):
-    """[[T11+u, T21, T31], [T12, T22+u, T32], [T13, T23, T33+u]]."""
-    T = sl3_gl_ops(basis, m, n, suffix)
-    uop = op_scale(identity_op(basis), Fraction(u)) if u else zero_op(basis)
-    return LaxOp(
-        [
-            [op_add(T[1, 1], uop), T[2, 1], T[3, 1]],
-            [T[1, 2], op_add(T[2, 2], uop), T[3, 2]],
-            [T[1, 3], T[2, 3], op_add(T[3, 3], uop)],
         ]
     )
 

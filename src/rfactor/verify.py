@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -34,6 +35,7 @@ from .linop import (
     is_zero,
     lax_add,
     lax_compose_scalar,
+    lax_from_gl,
     lax_from_matrix,
     lax_is_zero,
     lax_mul,
@@ -41,6 +43,7 @@ from .linop import (
     mat_inv,
     mat_mul,
     mat_sub,
+    op_add,
     op_equal,
     op_scale,
     op_sub,
@@ -49,16 +52,18 @@ from .linop import (
     pole_bases,
     rational_op,
     term,
+    zero_op,
 )
 from .sl2core import (
     _sl2_r1_stages,
     _sl2_r2_stages,
+    SL2_GEN_COEFF_MATRICES,
     Sl2Params,
-    sl2_casimir,
+    sl2_casimirs,
     sl2_generators,
+    sl2_gl_ops,
     sl2_lax,
     sl2_lax_factored,
-    sl2_lax_generator_form,
     sl2_pair,
     sl2_r1,
     sl2_r2,
@@ -76,15 +81,14 @@ from .sl3core import (
     GEN_COEFF_MATRICES,
     GEN_NAMES,
     Sl3Params,
-    coeffs_to_op,
     op_scalar_part,
     sl3_casimirs,
     sl3_findim_dim,
     sl3_findim_module,
     sl3_generators,
+    sl3_gl_ops,
     sl3_invariance_matrix,
     sl3_lax,
-    sl3_lax_casimir_form,
     sl3_lax_factored,
     sl3_pair,
     sl3_r1,
@@ -344,10 +348,6 @@ def _mult_op(pair, exps):
     return diffop_to_op(pair, [term(pair, 1, exps)])
 
 
-def _mat_comm(A, B):
-    return mat_sub(mat_mul(A, B), mat_mul(B, A))
-
-
 # ---------------------------------------------------------------------------
 # sl2 checks
 
@@ -357,51 +357,6 @@ def _sl2_point(draws):
 
 
 _sl2_slots = attrgetter("u1", "u2")
-
-
-def _sl2_commutators(cap, draws, mutate):
-    (ell,) = draws
-    basis = sl2_site(cap)
-    g = sl2_generators(basis, ell)
-    rules = [
-        (commutator(g["S"], g["Sp"]), g["Sp"], Fraction(1)),
-        (commutator(g["S"], g["Sm"]), g["Sm"], Fraction(-1)),
-        (commutator(g["Sp"], g["Sm"]), g["S"], Fraction(2)),
-    ]
-    window = cap
-    for lhs, rhs, c in rules:
-        res = op_sub(lhs, op_scale(rhs, c))
-        window = min(window, res.certified)
-        ok, wit = is_zero(res, res.certified)
-        if not ok:
-            return _fail("commutators", draws, cap, res.certified, wit)
-    return _pass("commutators", draws, cap, window)
-
-
-def _sl2_casimir(cap, draws, mutate):
-    (ell,) = draws
-    basis = sl2_site(cap)
-    C, s = sl2_casimir(basis, ell)
-    res = op_sub(C, op_scale(identity_op(basis), s))
-    ok, wit = is_zero(res, res.certified)
-    if not ok:
-        return _fail("casimir", draws, cap, res.certified, wit)
-    return _pass("casimir", draws, cap, res.certified, scalar=s)
-
-
-def _sl2_lax_factor(cap, draws, mutate):
-    ell, u = draws
-    basis = sl2_site(cap)
-    direct = sl2_lax(basis, u + ell, u - ell)
-    window = cap - 2
-    for other in (
-        sl2_lax_generator_form(basis, ell, u),
-        sl2_lax_factored(basis, u + ell, u - ell),
-    ):
-        ok, wit = lax_is_zero(lax_sub(direct, other), window)
-        if not ok:
-            return _fail("lax-factor", draws, cap, window, wit)
-    return _pass("lax-factor", draws, cap, window)
 
 
 # side relations: the sl2 factor R_k commutes with multiplication by z_k.
@@ -456,8 +411,7 @@ def _sl2_closed_form(cap, draws, mutate):
     l1, l2, w = p1.ell, p2.ell, p1.u - p2.u
     t, s = _sl2_slots(p1), _sl2_slots(p2)
     pair = sl2_pair(cap)
-    bases = rhat_guards("sl2", pair, t, s, 1) + [l1 + l2 - w, 2 * l1]
-    ok, reason = degeneracy_guard(bases, cap)
+    ok, reason = degeneracy_guard(rhat_guards("sl2", pair, t, s, 1), cap)
     if not ok:
         return _skip("closed-form", draws, cap, reason)
     try:
@@ -480,51 +434,6 @@ def _sl3_point(draws):
     return Sl3Params(m1, n1, u), Sl3Params(m2, n2, v)
 
 
-def _sl3_commutators(cap, draws, mutate):
-    m, n = draws
-    basis = sl3_site(cap)
-    g = sl3_generators(basis, m, n)
-    window = cap
-    for i in range(len(GEN_NAMES)):
-        for j in range(i + 1, len(GEN_NAMES)):
-            a, b = GEN_NAMES[i], GEN_NAMES[j]
-            lhs = commutator(g[a], g[b])
-            rhs = coeffs_to_op(
-                _mat_comm(GEN_COEFF_MATRICES[a], GEN_COEFF_MATRICES[b]), g, basis
-            )
-            res = op_sub(lhs, rhs)
-            window = min(window, res.certified)
-            ok, wit = is_zero(res, res.certified)
-            if not ok:
-                return _fail("commutators", draws, cap, res.certified, wit)
-    return _pass("commutators", draws, cap, window)
-
-
-def _sl3_casimirs(cap, draws, mutate):
-    m, n = draws
-    basis = sl3_site(cap)
-    C2, C3 = sl3_casimirs(basis, m, n)
-    lam = (-(m + 2 * n) / 3, (n - m) / 3, (n + 2 * m) / 3)
-    s2_expected = sum(a * a for a in lam) + 2 * (m + n)
-    window = cap
-    for C, tag in ((C2, "C2"), (C3, "C3")):
-        s = op_scalar_part(C)
-        res = op_sub(C, op_scale(identity_op(basis), s))
-        window = min(window, res.certified)
-        ok, wit = is_zero(res, res.certified)
-        if not ok:
-            return _fail("casimirs", draws, cap, res.certified, wit)
-        if tag == "C2" and s != s2_expected:
-            return _fail(
-                "casimirs",
-                draws,
-                cap,
-                res.certified,
-                ("C2 scalar", f"{rat_str(s)} != {rat_str(s2_expected)}"),
-            )
-    return _pass("casimirs", draws, cap, window, scalar=op_scalar_part(C2))
-
-
 def _sl3_findim(cap, draws, mutate):
     want = {(1, 0): 3, (0, 1): 3, (1, 1): 8, (2, 0): 6, (0, 2): 6, (2, 1): 15}
     for (M, N), d in sorted(want.items()):
@@ -538,22 +447,6 @@ def _sl3_findim(cap, draws, mutate):
                 (f"(M,N)=({M},{N})", f"dim {len(vectors)}, want {d}"),
             )
     return _pass("findim", draws, cap, 0)
-
-
-def _sl3_lax_factor(cap, draws, mutate):
-    m, n, u = draws
-    basis = sl3_site(cap)
-    p = Sl3Params(m, n, u)
-    direct = sl3_lax(basis, *p.triple)
-    window = cap - 2
-    for other in (
-        sl3_lax_casimir_form(basis, m, n, u),
-        sl3_lax_factored(basis, *p.triple),
-    ):
-        ok, wit = lax_is_zero(lax_sub(direct, other), window)
-        if not ok:
-            return _fail("lax-factor3", draws, cap, window, wit)
-    return _pass("lax-factor3", draws, cap, window)
 
 
 def _sl3_invariance(cap, draws, mutate):
@@ -741,6 +634,13 @@ class _Algebra(NamedTuple):
     lax: Callable  # (basis, *slots, site) -> LaxOp
     sites: tuple  # the two site labels `lax` takes on the pair basis
     pair: Callable  # cap -> pair basis
+    site: Callable  # cap -> one-site basis
+    params: type  # (*weights, u) -> one-site parameters
+    generators: Callable  # (basis, *weights) -> {name: operator}
+    gen_coeffs: dict  # generator name -> its defining-representation matrix
+    casimirs: Callable  # (basis, *weights) -> [(tag, operator, scalar or None)]
+    gl: Callable  # (basis, *weights) -> gl triangle {(a, b): operator}
+    lax_factored: Callable  # (basis, *slots) -> triangular product LaxOp
 
 
 _ALGEBRAS = {
@@ -750,6 +650,13 @@ _ALGEBRAS = {
         lax=sl2_lax,
         sites=("z1", "z2"),
         pair=sl2_pair,
+        site=sl2_site,
+        params=Sl2Params,
+        generators=sl2_generators,
+        gen_coeffs=SL2_GEN_COEFF_MATRICES,
+        casimirs=sl2_casimirs,
+        gl=sl2_gl_ops,
+        lax_factored=sl2_lax_factored,
     ),
     "sl3": _Algebra(
         point=_sl3_point,
@@ -757,6 +664,13 @@ _ALGEBRAS = {
         lax=sl3_lax,
         sites=("1", "2"),
         pair=sl3_pair,
+        site=sl3_site,
+        params=Sl3Params,
+        generators=sl3_generators,
+        gen_coeffs=GEN_COEFF_MATRICES,
+        casimirs=sl3_casimirs,
+        gl=sl3_gl_ops,
+        lax_factored=sl3_lax_factored,
     ),
 }
 
@@ -773,6 +687,103 @@ _FACTORS = {
 
 def _algebra(alg):
     return _Algebra(*_ALGEBRAS[alg])
+
+
+def _in_generators(table, C):
+    """The traceless matrix C as ((generator, coefficient), ...) over the
+    generators of `table`, in table order: an off-diagonal entry through the
+    generator whose matrix is that unit, the diagonal through the diagonal
+    (Cartan) generators."""
+    n = len(C)
+    coeff, cartan = {}, []
+    for g, M in table.items():
+        unit = [(i, j) for i in range(n) for j in range(n) if i != j and M[i][j]]
+        if unit:
+            ((i, j),) = unit
+            coeff[g] = C[i][j] / M[i][j]
+        else:
+            cartan.append(g)
+    # a traceless diagonal is fixed by its first n - 1 entries
+    solve = mat_inv([[table[h][i][i] for h in cartan] for i in range(n - 1)])
+    for h, row in zip(cartan, solve):
+        coeff[h] = sum(r * C[i][i] for i, r in enumerate(row))
+    return tuple((g, coeff[g]) for g in table if coeff[g])
+
+
+@lru_cache(maxsize=None)
+def _structure_constants(alg):
+    """[(a, b, ((generator, coefficient), ...))]: the commutator [a, b] in
+    the generators, for each pair a before b in the coefficient table."""
+    table = _algebra(alg).gen_coeffs
+    out = []
+    for a, b in combinations(table, 2):
+        A, B = table[a], table[b]
+        comm = mat_sub(mat_mul(A, B), mat_mul(B, A))
+        out.append((a, b, _in_generators(table, comm)))
+    return out
+
+
+def _combination(basis, g, terms):
+    """The operator sum of coefficient * g[generator] over `terms`."""
+    acc = zero_op(basis)
+    for name, c in terms:
+        acc = op_add(acc, g[name], c)
+    return acc
+
+
+def _commutators(name, alg, cap, draws, mutate):
+    """Every commutator of two generators equals its structure-constant
+    combination; draws are the weights."""
+    a = _algebra(alg)
+    basis = a.site(cap)
+    g = a.generators(basis, *draws)
+    window = cap
+    for x, y, terms in _structure_constants(alg):
+        res = op_sub(commutator(g[x], g[y]), _combination(basis, g, terms))
+        window = min(window, res.certified)
+        ok, wit = is_zero(res, res.certified)
+        if not ok:
+            return _fail(name, draws, cap, res.certified, wit)
+    return _pass(name, draws, cap, window)
+
+
+def _casimirs(name, alg, cap, draws, mutate):
+    """Every Casimir is its scalar part times the identity, and that scalar
+    is the expected one where the algebra gives it; reports the first."""
+    a = _algebra(alg)
+    basis = a.site(cap)
+    casimirs = a.casimirs(basis, *draws)
+    window = cap
+    for tag, C, expected in casimirs:
+        s = op_scalar_part(C)
+        res = op_sub(C, op_scale(identity_op(basis), s))
+        window = min(window, res.certified)
+        ok, wit = is_zero(res, res.certified)
+        if not ok:
+            return _fail(name, draws, cap, res.certified, wit)
+        if expected is not None and s != expected:
+            wit = (f"{tag} scalar", f"{rat_str(s)} != {rat_str(expected)}")
+            return _fail(name, draws, cap, res.certified, wit)
+    return _pass(name, draws, cap, window, scalar=op_scalar_part(casimirs[0][1]))
+
+
+def _lax_factor(name, alg, cap, draws, mutate):
+    """The direct Lax matrix equals its gl-generator form and its triangular
+    product on window cap - 2; draws are the weights and u."""
+    a = _algebra(alg)
+    basis = a.site(cap)
+    *weights, u = draws
+    slots = a.slots(a.params(*draws))
+    direct = a.lax(basis, *slots)
+    window = cap - 2
+    for other in (
+        lax_from_gl(a.gl(basis, *weights), u),
+        a.lax_factored(basis, *slots),
+    ):
+        ok, wit = lax_is_zero(lax_sub(direct, other), window)
+        if not ok:
+            return _fail(name, draws, cap, window, wit)
+    return _pass(name, draws, cap, window)
 
 
 def _factor_args(t, s, k):
@@ -997,9 +1008,9 @@ YBE_DEFAULT_CHECKS = ("ybe-fundamental",)
 
 # name -> (function, number of sampled rationals)
 CATALOG = {
-    ("sl2", "commutators"): (_sl2_commutators, 1),
-    ("sl2", "casimir"): (_sl2_casimir, 1),
-    ("sl2", "lax-factor"): (_sl2_lax_factor, 2),
+    ("sl2", "commutators"): (partial(_commutators, "commutators", "sl2"), 1),
+    ("sl2", "casimir"): (partial(_casimirs, "casimir", "sl2"), 1),
+    ("sl2", "lax-factor"): (partial(_lax_factor, "lax-factor", "sl2"), 2),
     ("sl2", "F1"): (partial(_factor_exchange, "F1", "sl2", 1), 4),
     ("sl2", "F2"): (partial(_factor_exchange, "F2", "sl2", 2), 4),
     ("sl2", "rfact-orders"): (partial(_factor_orders, "rfact-orders", "sl2"), 4),
@@ -1010,10 +1021,10 @@ CATALOG = {
     ("sl2", "inverse-scalar"): (partial(_inverse_scalar, "inverse-scalar", "sl2"), 4),
     ("sl2", "oracle-r1"): (partial(_oracle, "oracle-r1", "sl2", 1), 4),
     ("sl2", "oracle-r2"): (partial(_oracle, "oracle-r2", "sl2", 2), 4),
-    ("sl3", "commutators"): (_sl3_commutators, 2),
-    ("sl3", "casimirs"): (_sl3_casimirs, 2),
+    ("sl3", "commutators"): (partial(_commutators, "commutators", "sl3"), 2),
+    ("sl3", "casimirs"): (partial(_casimirs, "casimirs", "sl3"), 2),
     ("sl3", "findim"): (_sl3_findim, 0),
-    ("sl3", "lax-factor3"): (_sl3_lax_factor, 3),
+    ("sl3", "lax-factor3"): (partial(_lax_factor, "lax-factor3", "sl3"), 3),
     ("sl3", "sl3-invariance"): (_sl3_invariance, 6),
     ("sl3", "3F1"): (partial(_factor_exchange, "3F1", "sl3", 1), 6),
     ("sl3", "3F2"): (partial(_factor_exchange, "3F2", "sl3", 2), 6),

@@ -147,6 +147,7 @@ def test_report_subcommand_roundtrip(tmp_path):
         ("sl2", "--check", "F1", "--mutate", "bogus"),
         ("ybe", "--mutate", "r1:1"),
         ("oracle", "--algebra", "sl2", "--op", "r1", "--mutate", "r1:1"),
+        ("oracle", "--algebra", "sl2", "--op", "r1", "--check", "F1"),
     ],
 )
 def test_usage_errors_exit_two(args):

@@ -25,6 +25,8 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
         ("sl3-default", "sl3", 3, ("3F1", "3F2", "3F3", "rfact3-orders", "def3"), 1),
         ("sl3-oracle", "sl3", 3, ("oracle-r3",), 1),
         ("sl3-oracle", "sl3", 3, ("oracle-r3-single",), 6),
+        ("sl2-default", "sl2", 8, ("commutators", "casimir", "lax-factor"), 20),
+        ("sl3-default", "sl3", 3, ("commutators", "casimirs", "lax-factor3"), 10),
     ],
 )
 def test_seed0_slice_matches_reference(workload, algebra, cap, checks, trials):

@@ -18,6 +18,7 @@ from rfactor.linop import (
     identity_op,
     is_zero,
     lax_compose_scalar,
+    lax_from_gl,
     lax_from_matrix,
     lax_is_zero,
     lax_mul,
@@ -35,11 +36,11 @@ from rfactor.linop import (
 from rfactor.polyspace import CapTooLarge, VarSpec, enumerate_basis
 from rfactor.sl2core import (
     Sl2Params,
-    sl2_casimir,
+    sl2_casimirs,
     sl2_generators,
+    sl2_gl_ops,
     sl2_lax,
     sl2_lax_factored,
-    sl2_lax_generator_form,
     sl2_pair,
     sl2_r1,
     sl2_r2,
@@ -90,8 +91,8 @@ def test_commutation_relations():
 def test_casimir_scalar_frozen():
     b = sl2_site(6)
     for ell, expected in ((F(2), F(2)), (F(1, 2), F(-1, 4)), (F(-1, 3), F(4, 9))):
-        C, s = sl2_casimir(b, ell)
-        assert s == expected == ell * (ell - 1)
+        ((tag, C, s),) = sl2_casimirs(b, ell)
+        assert tag == "C" and s == expected == ell * (ell - 1)
         ok, wit = is_zero(op_sub(C, op_scale(identity_op(b), s)), C.certified)
         assert ok, wit
 
@@ -132,7 +133,7 @@ def test_lax_direct_equals_generator_form_and_factorization():
     b = sl2_site(6)
     ell, u = F(2, 3), F(5, 7)
     Ld = sl2_lax(b, u + ell, u - ell)
-    Lg = sl2_lax_generator_form(b, ell, u)
+    Lg = lax_from_gl(sl2_gl_ops(b, ell), u)
     D = lax_sub(Ld, Lg)
     ok, wit = lax_is_zero(D, lax_min_cert(D))
     assert ok, wit

@@ -28,6 +28,7 @@ from rfactor.linop import (
     int_row,
     is_zero,
     lax_compose_scalar,
+    lax_from_gl,
     lax_from_matrix,
     lax_is_zero,
     lax_mul,
@@ -56,7 +57,6 @@ from rfactor.sl3core import (
     sl3_gl_ops,
     sl3_invariance_matrix,
     sl3_lax,
-    sl3_lax_casimir_form,
     sl3_lax_factored,
     sl3_pair,
     sl3_r1,
@@ -194,7 +194,7 @@ def test_casimirs_scalar_and_cross_cap_stable():
     m, n = F(2, 3), F(1, 5)
     for cap in (3, 4):
         b = sl3_site(cap)
-        C2, C3 = sl3_casimirs(b, m, n)
+        (_, C2, _), (_, C3, _) = sl3_casimirs(b, m, n)
         s2, s3 = op_scalar_part(C2), op_scalar_part(C3)
         assert s2 == F(1448, 675)
         assert s3 == F(126776, 30375)
@@ -210,8 +210,9 @@ def test_quadratic_casimir_closed_form():
     b = sl3_site(3)
     for m, n in ((F(1, 2), F(1, 3)), (F(-2, 7), F(3)), (F(0), F(1))):
         lam = (-(m + 2 * n) / 3, (n - m) / 3, (n + 2 * m) / 3)
-        C2, _ = sl3_casimirs(b, m, n)
-        assert op_scalar_part(C2) == sum(t * t for t in lam) + 2 * (m + n)
+        (tag, C2, expected), _ = sl3_casimirs(b, m, n)
+        assert tag == "C2"
+        assert op_scalar_part(C2) == expected == sum(t * t for t in lam) + 2 * (m + n)
 
 
 def test_fundamental_representation_correspondence():
@@ -334,7 +335,7 @@ def test_lax_direct_equals_casimir_form_and_factored():
     b = sl3_site(cap)
     p = Sl3Params(F(2, 3), F(1, 5), F(7, 11))
     Ld = sl3_lax(b, *p.triple)
-    Lc = sl3_lax_casimir_form(b, p.m, p.n, p.u)
+    Lc = lax_from_gl(sl3_gl_ops(b, p.m, p.n), p.u)
     D = lax_sub(Ld, Lc)
     assert lax_min_cert(D) >= cap - 2
     ok, wit = lax_is_zero(D, cap - 2)

@@ -192,14 +192,27 @@ def test_the_global3_guard_covers_every_factor_it_builds(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_the_sl2_closed_form_and_spectral_guards_are_sound(name, data):
-    """Each of the two checks with a hand-written part in its guard list
-    either skips a near-pole point or passes there: it never raises and
-    never fails."""
+    """closed-form (guarded by the full swap's factor bases alone) and
+    spectral (whose guard adds hand-written bases) either skip a near-pole
+    point or pass there: they never raise and never fail."""
     cap = 4
     half = st.integers(-2 * cap - 3, 2 * cap + 3).map(lambda k: F(k, 2))
     draws = data.draw(st.lists(_near_pole(cap) | half, min_size=4, max_size=4))
     res = CATALOG["sl2", name][0](cap, draws, None)
     assert res.status in ("pass", "skipped"), res
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_sl2_full_swap_guard_is_the_closed_form_lower_parameters(cap, data):
+    """r2's lower parameter u1 - u2 and r1's v1 - u2 at the full swap's
+    builder arguments are 2 l1 and l1 + l2 - w, the lower parameters of
+    sl2_rhat_closed's two Euler stages: the closed form needs no guard of
+    its own."""
+    l1, l2, u, v = data.draw(st.lists(_near_pole(cap), min_size=4, max_size=4))
+    t, s = (u + l1, u - l1), (v + l2, v - l2)
+    assert rhat_guards("sl2", sl2_pair(cap), t, s, 1) == [2 * l1, l1 + l2 - (u - v)]
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +576,46 @@ def test_mutation_failure_entries_are_pinned(algebra, check, tag, entries):
     rep = run_suite(SuiteConfig(algebra, cap, trials=1, seed=0, checks=(check,),
                                 mutate=parse_mutate(algebra, tag)))
     assert json.loads(report_to_json(rep))["checks"] == entries
+
+
+# ---------------------------------------------------------------------------
+# Single-site relations from the generator tables
+
+@pytest.mark.parametrize("alg, weights", [
+    ("sl2", (F(2, 3),)),
+    ("sl3", (F(2, 3), F(-1, 5))),
+])
+def test_each_coefficient_matrix_maps_back_to_its_generator(alg, weights):
+    a = verify._algebra(alg)
+    basis = a.site(4)
+    g = a.generators(basis, *weights)
+    for name, M in a.gen_coeffs.items():
+        terms = verify._in_generators(a.gen_coeffs, M)
+        assert terms == ((name, 1),)
+        op = verify._combination(basis, g, terms)
+        ok, wit = op_equal(op, g[name], g[name].certified)
+        assert ok, (name, wit)
+
+
+def test_the_sl2_structure_constants_are_the_defining_relations():
+    assert verify._structure_constants("sl2") == [
+        ("S", "Sp", (("Sp", 1),)),
+        ("S", "Sm", (("Sm", -1),)),
+        ("Sp", "Sm", (("S", 2),)),
+    ]
+
+
+def test_a_wrong_sl2_coefficient_table_fails_the_commutators(monkeypatch):
+    wrong = dict(verify._algebra("sl2").gen_coeffs, S=[[F(1), F(0)], [F(0), F(-1)]])
+    monkeypatch.setitem(
+        verify._ALGEBRAS, "sl2", verify._algebra("sl2")._replace(gen_coeffs=wrong)
+    )
+    verify._structure_constants.cache_clear()
+    try:
+        res = CATALOG["sl2", "commutators"][0](4, [F(1, 3)], None)
+    finally:
+        verify._structure_constants.cache_clear()
+    assert res.status == "fail" and res.witness is not None
 
 
 # ---------------------------------------------------------------------------
