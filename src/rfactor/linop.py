@@ -22,7 +22,9 @@ denominator `den` per operator, kept canonical: gcd(den, every numerator) is
 path_op) works in integers only. Fraction stays at the edges: parameters
 and scalars, `SparseOp.col`/`apply_vec` and zero-test witnesses, which
 return Fractions, and `rational_op`, which builds an operator from rational
-columns.
+columns. A parameter-free differential operator (`diffop`) is tabulated in
+integers once per basis and term list; one with parameters is such a cached
+part plus parameter times cached unit operators.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -41,11 +43,12 @@ of the tables (the sl2 closed form).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import ONE, ZERO, gamma_ratio_shift
+from .exactnum import ONE, gamma_ratio_shift
 from .polyspace import GradedBasis, comb_add_into, comb_mul, comb_pow
 
 NEG_INF = -(10**9)  # shift of an identically zero operator
@@ -426,26 +429,15 @@ def int_echelon_nullspace(equations, unknowns):
 
 
 # ---------------------------------------------------------------------------
-# Differential-operator term lists
+# Differential operators
 #
-# A term is (coef, mult, der): coef * x^mult * d^der acting on monomials by
-# falling factorials. mult and der are full-length exponent tuples over the
-# basis variables.
-
-def term(basis, coef, mult=None, der=None):
-    """Readable term builder: mult/der given as {var name: exponent}."""
-    return (Fraction(coef), basis.mono(mult or {}), basis.mono(der or {}))
-
-
-def diffop_shift(terms, weights):
-    return max(
-        sum((m - d) * w for m, d, w in zip(mult, der, weights))
-        for _, mult, der in terms
-    )
-
+# A term (coef, mult, der) is coef times the variables named in `mult` times
+# the derivatives named in `der` (a name listed k times is a k-th power),
+# acting on monomials by falling factorials.
 
 def diffop_apply(terms, mono):
-    """Apply a term list to a single monomial; returns {monomial: coeff}."""
+    """Apply terms (coef, mult, der), with mult and der full-length exponent
+    tuples, to a single monomial; returns {monomial: coeff}."""
     out = {}
     for coef, mult, der in terms:
         c = coef
@@ -457,7 +449,7 @@ def diffop_apply(terms, mono):
         if not c:
             continue
         m = tuple(e - d + g for e, d, g in zip(mono, der, mult))
-        w = out.get(m, ZERO) + c
+        w = out.get(m, 0) + c
         if w:
             out[m] = w
         else:
@@ -465,9 +457,20 @@ def diffop_apply(terms, mono):
     return out
 
 
-def diffop_to_op(basis, terms):
-    shift = diffop_shift(terms, basis.weights)
-    return op_from_action(basis, lambda m: diffop_apply(terms, m), shift)
+# a run of the whole sl3 catalog tabulates 104 term lists, the sl2 one 20
+@lru_cache(maxsize=128)
+def diffop(basis, *terms):
+    """The operator of a parameter-free term list on `basis`, tabulated once
+    per process; with integer coefficients it is tabulated in integers.
+
+    An operator whose term list has parameters is built at each point as
+    such a cached part plus parameter times a cached unit operator
+    (`op_add`), which keeps the shift and certified height of the whole
+    list even where a parameter is 0. Callers share the cached operator, so
+    none may change it."""
+    tab = [(c, basis.mono(Counter(mu)), basis.mono(Counter(de))) for c, mu, de in terms]
+    shift = max(basis.height(mu) - basis.height(de) for _, mu, de in tab)
+    return op_from_action(basis, lambda mono: diffop_apply(tab, mono), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -871,22 +874,23 @@ def mat_eye(n):
 
 def mat_mul(A, B):
     m = len(B[0])
+    nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     out = []
     for row_a in A:
         acc = [Fraction(0)] * m
         for k, a in enumerate(row_a):
             if not a:
                 continue
-            row_b = B[k]
-            for j, b in enumerate(row_b):
-                if b:
-                    acc[j] += a * b
+            for j, b in nonzero[k]:
+                acc[j] += a * b
         out.append(acc)
     return out
 
 
 def mat_add(A, B, c=Fraction(1)):
-    return [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [
+        [a + c * b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(A, B)
+    ]
 
 
 def mat_sub(A, B):
@@ -931,6 +935,7 @@ def kron(A, B):
                 a = A[i][j]
                 if not a:
                     continue
-                for l in range(mb):
-                    row[j * mb + l] = a * B[k][l]
+                for l, b in enumerate(B[k]):
+                    if b:
+                        row[j * mb + l] = a * b
     return out

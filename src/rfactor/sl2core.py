@@ -7,12 +7,14 @@ built as exact substitution/diagonal pipelines. Their product, the full swap
 Rhat, is assembled from the factor table in `rfactor.verify`, which checks
 every defining relation to literal zero on certified windows.
 
-Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); per
-basis and variable the parameter-free blocks of the direct Lax matrix with
-the unit operators 1 and z that its parameters scale (`sl2_lax`); and per
-pair basis the path table of each elementary R-operator (`sl2_r1`,
-`sl2_r2`), so a factor at a point costs one Gamma ratio per exponent plus
-integer sums. The closed form (`sl2_rhat_closed`) runs its own pipelines at
+Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); every
+parameter-free term list, once per basis (`linop.diffop`), so the
+generators and the direct and factored Lax matrices at a point are cached
+parts plus parameter times the unit operators 1 and z; and per pair basis
+the path table of each elementary R-operator (`sl2_r1`, `sl2_r2`), so a
+factor at a point costs one Gamma ratio per exponent plus integer sums.
+Each form keeps its own term lists, so `lax-factor` still compares three
+formulas. The closed form (`sl2_rhat_closed`) runs its own pipelines at
 every call, so `closed-form` still compares two constructions.
 """
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import Rat
 from .polyspace import (
@@ -35,8 +36,7 @@ from .linop import (
     Euler,
     LaxOp,
     compose,
-    diffop_to_op,
-    identity_op,
+    diffop,
     int_echelon_nullspace,
     kron,
     lax_mul,
@@ -52,7 +52,6 @@ from .linop import (
     site_embed,
     stage_euler,
     stage_subst,
-    term,
     zero_op,
 )
 
@@ -88,13 +87,14 @@ def sl2_pair(cap: int) -> GradedBasis:
 
 def sl2_generators(basis, ell, var="z"):
     """S = ell + z d/dz, S- = -d/dz, S+ = z^2 d/dz + 2 ell z."""
-    z1 = {var: 1}
-    S = diffop_to_op(basis, [term(basis, ell), term(basis, 1, z1, z1)])
-    Sm = diffop_to_op(basis, [term(basis, -1, None, z1)])
-    Sp = diffop_to_op(
-        basis, [term(basis, 1, {var: 2}, z1), term(basis, 2 * ell, z1, None)]
-    )
-    return {"S": S, "Sp": Sp, "Sm": Sm}
+    z = (var,)
+    return {
+        "S": op_add(diffop(basis, (1, z, z)), diffop(basis, (1, (), ())), ell),
+        "Sp": op_add(
+            diffop(basis, (1, (var, var), z)), diffop(basis, (1, z, ())), 2 * ell
+        ),
+        "Sm": diffop(basis, (-1, (), z)),
+    }
 
 
 # generator -> its 2x2 coefficient matrix in the defining representation
@@ -125,49 +125,31 @@ def sl2_casimirs(basis, ell, var="z"):
     return [("C", C, ell * (ell - 1))]
 
 
-@lru_cache(maxsize=8)
-def _sl2_lax_parts(basis, var):
-    """The parameter-free parts of the direct Lax blocks on `basis`, and the
-    unit operators 1 and z that the parameters scale."""
-    z1 = {var: 1}
-    return (
-        diffop_to_op(basis, [term(basis, 1, z1, z1)]),
-        diffop_to_op(basis, [term(basis, -1, None, z1)]),
-        diffop_to_op(basis, [term(basis, 1, {var: 2}, z1)]),
-        diffop_to_op(basis, [term(basis, -1, z1, z1)]),
-        identity_op(basis),
-        diffop_to_op(basis, [term(basis, 1, z1, None)]),
-    )
-
-
 def sl2_lax(basis, u1, u2, var="z"):
-    """Direct Lax matrix [[u1 + z d, -d], [z^2 d + (u1-u2) z, u2 - z d]].
-
-    Each block is its cached parameter-free part plus parameter times unit
-    operator; op_add keeps the larger shift and the smaller certified
-    height, so both equal those of the whole term list even when a
-    parameter is 0."""
-    zd, md, zzd, mzd, one, z = _sl2_lax_parts(basis, var)
+    """Direct Lax matrix [[u1 + z d, -d], [z^2 d + (u1-u2) z, u2 - z d]]."""
+    z = (var,)
+    one, zm = diffop(basis, (1, (), ())), diffop(basis, (1, z, ()))
     return LaxOp(
         [
-            [op_add(zd, one, u1), md],
-            [op_add(zzd, z, u1 - u2), op_add(mzd, one, u2)],
+            [op_add(diffop(basis, (1, z, z)), one, u1), diffop(basis, (-1, (), z))],
+            [
+                op_add(diffop(basis, (1, (var, var), z)), zm, u1 - u2),
+                op_add(diffop(basis, (-1, z, z)), one, u2),
+            ],
         ]
     )
 
 
 def sl2_lax_factored(basis, u1, u2, var="z"):
     """[[1,0],[z,1]] . [[u1-1, -d],[0, u2]] . [[1,0],[-z,1]]."""
-    one = identity_op(basis)
-    z1 = {var: 1}
-    zmul = diffop_to_op(basis, [term(basis, 1, z1, None)])
-    dz = diffop_to_op(basis, [term(basis, -1, None, z1)])
+    z = (var,)
+    one = diffop(basis, (1, (), ()))
     zero = zero_op(basis)
-    M_plus = LaxOp([[one, zero], [zmul, one]])
-    M_minus = LaxOp([[one, zero], [op_scale(zmul, Fraction(-1)), one]])
+    M_plus = LaxOp([[one, zero], [diffop(basis, (1, z, ())), one]])
+    M_minus = LaxOp([[one, zero], [diffop(basis, (-1, z, ())), one]])
     D = LaxOp(
         [
-            [op_scale(one, u1 - 1), dz],
+            [op_scale(one, u1 - 1), diffop(basis, (-1, (), z))],
             [zero, op_scale(one, u2)],
         ]
     )
@@ -251,11 +233,10 @@ def sl2_spectral(R, l1, l2, w, n_max):
     one-dimensional and ValueError on eigen-equation failure.
     """
     pair = R.domain
+    b1, b2 = pair.factors
     sm_tot = op_add(
-        site_embed(diffop_to_op(b1 := pair.factors[0],
-                                [term(b1, -1, None, {"z1": 1})]), 1, pair),
-        site_embed(diffop_to_op(b2 := pair.factors[1],
-                                [term(b2, -1, None, {"z2": 1})]), 2, pair),
+        site_embed(diffop(b1, (-1, (), ("z1",))), 1, pair),
+        site_embed(diffop(b2, (-1, (), ("z2",))), 2, pair),
     )
     rhos = []
     for n in range(n_max + 1):

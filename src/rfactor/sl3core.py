@@ -8,20 +8,23 @@ Gamma-ratio diagonals and Laurent flows whose intermediate terms may carry
 negative exponents but whose output is certified polynomial. Rhat itself is
 assembled from the factor table in `rfactor.verify`, for sl2 and sl3 alike.
 
-Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); per
-basis and site suffix the parameter-free blocks of the direct Lax matrix with
-the unit operators 1, x, y, z and xz that its parameters scale (`sl3_lax`);
-per pair basis the path table of each elementary R-operator (`sl3_r1`,
-`sl3_r2`, `sl3_r3`), and per site basis that of the third swap reduced to
-one site (`sl3_r3_single`, the core of `sl3_r3`'s stage list), so a factor
-at a point costs one Gamma ratio per stage and exponent plus integer sums.
+Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); every
+parameter-free term list, once per basis (`linop.diffop`), so the
+generators and the direct and factored Lax matrices at a point are cached
+parts plus parameters times the unit operators 1, x, y, z and xz, while
+each form keeps its own term lists and `lax-factor3` still compares three
+formulas; per pair basis the path table of each elementary R-operator
+(`sl3_r1`, `sl3_r2`, `sl3_r3`), and per site basis that of the third swap
+reduced to one site (`sl3_r3_single`, the core of `sl3_r3`'s stage list),
+so a factor at a point costs one Gamma ratio per stage and exponent plus
+integer sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .exactnum import Rat
 from .polyspace import (
@@ -36,8 +39,7 @@ from .linop import (
     LaxOp,
     _echelon_insert,
     compose,
-    diffop_to_op,
-    identity_op,
+    diffop,
     int_row,
     lax_mul,
     op_add,
@@ -47,7 +49,6 @@ from .linop import (
     stage_laurent,
     stage_subst,
     subst_op,
-    term,
     zero_op,
 )
 
@@ -106,46 +107,41 @@ def sl3_generators(basis, m, n, suffix=""):
     """The eight generators acting on C[x, y, z] with lowest weight (m, n)."""
     x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
 
-    def t(c, mu=None, de=None):
-        return term(basis, c, mu, de)
+    def op(*terms):
+        return diffop(basis, *terms)
 
+    one = op((1, (), ()))
     return {
-        "T21": diffop_to_op(basis, [t(1, None, {x: 1})]),
-        "T31": diffop_to_op(basis, [t(1, None, {y: 1})]),
-        "T32": diffop_to_op(basis, [t(1, None, {z: 1}), t(-1, {x: 1}, {y: 1})]),
-        "T12": diffop_to_op(
-            basis,
-            [
-                t(-1, {x: 2}, {x: 1}),
-                t(-1, {x: 1, y: 1}, {y: 1}),
-                t(1, {x: 1, z: 1}, {z: 1}),
-                t(1, {y: 1}, {z: 1}),
-                t(n, {x: 1}),
-            ],
+        "T21": op((1, (), (x,))),
+        "T31": op((1, (), (y,))),
+        "T32": op((1, (), (z,)), (-1, (x,), (y,))),
+        "T12": op_add(
+            op(
+                (-1, (x, x), (x,)),
+                (-1, (x, y), (y,)),
+                (1, (x, z), (z,)),
+                (1, (y,), (z,)),
+            ),
+            op((1, (x,), ())),
+            n,
         ),
-        "T23": diffop_to_op(
-            basis,
-            [t(-1, {z: 2}, {z: 1}), t(-1, {y: 1}, {x: 1}), t(m, {z: 1})],
+        "T23": op_add(op((-1, (z, z), (z,)), (-1, (y,), (x,))), op((1, (z,), ())), m),
+        "T13": op_add(
+            op_add(
+                op(
+                    (-1, (y, y), (y,)),
+                    (-1, (x, y), (x,)),
+                    (-1, (y, z), (z,)),
+                    (-1, (x, z, z), (z,)),
+                ),
+                op((1, (y,), ())),
+                m + n,
+            ),
+            op((1, (x, z), ())),
+            m,
         ),
-        "T13": diffop_to_op(
-            basis,
-            [
-                t(-1, {y: 2}, {y: 1}),
-                t(-1, {x: 1, y: 1}, {x: 1}),
-                t(-1, {y: 1, z: 1}, {z: 1}),
-                t(-1, {x: 1, z: 2}, {z: 1}),
-                t(m + n, {y: 1}),
-                t(m, {x: 1, z: 1}),
-            ],
-        ),
-        "H1": diffop_to_op(
-            basis,
-            [t(2, {x: 1}, {x: 1}), t(1, {y: 1}, {y: 1}), t(-1, {z: 1}, {z: 1}), t(-n)],
-        ),
-        "H2": diffop_to_op(
-            basis,
-            [t(2, {z: 1}, {z: 1}), t(1, {y: 1}, {y: 1}), t(-1, {x: 1}, {x: 1}), t(-m)],
-        ),
+        "H1": op_add(op((2, (x,), (x,)), (1, (y,), (y,)), (-1, (z,), (z,))), one, -n),
+        "H2": op_add(op((2, (z,), (z,)), (1, (y,), (y,)), (-1, (x,), (x,))), one, -m),
     }
 
 
@@ -243,65 +239,53 @@ def sl3_findim_dim(M, N):
 # ---------------------------------------------------------------------------
 # Lax matrices
 
-@lru_cache(maxsize=8)
-def _sl3_lax_parts(basis, suffix):
-    """The parameter-free parts of the nine direct Lax blocks on `basis`, in
-    row order, and the unit operators 1, x, y, z, xz that the parameters
-    scale."""
+def sl3_lax(basis, u1, u2, u3, suffix=""):
+    """Direct Lax matrix in the parameter triple (u1, u2, u3)."""
     x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
 
     def op(*terms):
-        return diffop_to_op(basis, [term(basis, *t) for t in terms])
+        return diffop(basis, *terms)
 
-    blocks = (
-        op((1, {x: 1}, {x: 1}), (1, {y: 1}, {y: 1})),
-        op((1, None, {x: 1})),
-        op((1, None, {y: 1})),
-        op(
-            (-1, {x: 2}, {x: 1}),
-            (-1, {x: 1, y: 1}, {y: 1}),
-            (1, {x: 1, z: 1}, {z: 1}),
-            (1, {y: 1}, {z: 1}),
-        ),
-        op((-1, {x: 1}, {x: 1}), (1, {z: 1}, {z: 1})),
-        op((1, None, {z: 1}), (-1, {x: 1}, {y: 1})),
-        op(
-            (-1, {x: 1, y: 1}, {x: 1}),
-            (-1, {y: 2}, {y: 1}),
-            (-1, {x: 1, z: 2}, {z: 1}),
-            (-1, {y: 1, z: 1}, {z: 1}),
-        ),
-        op((-1, {y: 1}, {x: 1}), (-1, {z: 2}, {z: 1})),
-        op((-1, {y: 1}, {y: 1}), (-1, {z: 1}, {z: 1})),
-    )
-    units = (
-        identity_op(basis),
-        op((1, {x: 1})),
-        op((1, {y: 1})),
-        op((1, {z: 1})),
-        op((1, {x: 1, z: 1})),
-    )
-    return blocks, units
-
-
-def sl3_lax(basis, u1, u2, u3, suffix=""):
-    """Direct Lax matrix in the parameter triple (u1, u2, u3).
-
-    Each block is its cached parameter-free part plus parameter times unit
-    operator; op_add keeps the larger shift and the smaller certified
-    height, so both equal those of the whole term list even when a
-    parameter is 0."""
-    (b00, b01, b02, b10, b11, b12, b20, b21, b22), (one, x, y, z, xz) = (
-        _sl3_lax_parts(basis, suffix)
+    one = op((1, (), ()))
+    b20 = op(
+        (-1, (x, y), (x,)),
+        (-1, (y, y), (y,)),
+        (-1, (x, z, z), (z,)),
+        (-1, (y, z), (z,)),
     )
     return LaxOp(
         [
-            [op_add(b00, one, u1 + 2), b01, b02],
-            [op_add(b10, x, u2 - u1 - 1), op_add(b11, one, u2 + 1), b12],
             [
-                op_add(op_add(b20, xz, u3 - u2 - 1), y, u3 - u1 - 2),
-                op_add(b21, z, u3 - u2 - 1),
-                op_add(b22, one, u3),
+                op_add(op((1, (x,), (x,)), (1, (y,), (y,))), one, u1 + 2),
+                op((1, (), (x,))),
+                op((1, (), (y,))),
+            ],
+            [
+                op_add(
+                    op(
+                        (-1, (x, x), (x,)),
+                        (-1, (x, y), (y,)),
+                        (1, (x, z), (z,)),
+                        (1, (y,), (z,)),
+                    ),
+                    op((1, (x,), ())),
+                    u2 - u1 - 1,
+                ),
+                op_add(op((-1, (x,), (x,)), (1, (z,), (z,))), one, u2 + 1),
+                op((1, (), (z,)), (-1, (x,), (y,))),
+            ],
+            [
+                op_add(
+                    op_add(b20, op((1, (x, z), ())), u3 - u2 - 1),
+                    op((1, (y,), ())),
+                    u3 - u1 - 2,
+                ),
+                op_add(
+                    op((-1, (y,), (x,)), (-1, (z, z), (z,))),
+                    op((1, (z,), ())),
+                    u3 - u2 - 1,
+                ),
+                op_add(op((-1, (y,), (y,)), (-1, (z,), (z,))), one, u3),
             ],
         ]
     )
@@ -311,40 +295,34 @@ def sl3_lax_factored(basis, u1, u2, u3, suffix=""):
     """Lower-triangular . upper-triangular . lower-triangular factorization."""
     x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
 
-    def t(c, mu=None, de=None):
-        return term(basis, c, mu, de)
+    def op(*terms):
+        return diffop(basis, *terms)
 
-    def mul(terms):
-        return diffop_to_op(basis, [t(c, mu) for c, mu in terms])
-
-    one = identity_op(basis)
+    one = op((1, (), ()))
     zero = zero_op(basis)
-    xm = mul([(1, {x: 1})])
-    zm = mul([(1, {z: 1})])
-    ym = mul([(1, {y: 1})])
-    yxz = mul([(1, {y: 1}), (1, {x: 1, z: 1})])
     M_left = LaxOp(
         [
             [one, zero, zero],
-            [op_scale(xm, Fraction(-1)), one, zero],
-            [op_scale(ym, Fraction(-1)), op_scale(zm, Fraction(-1)), one],
+            [op((-1, (x,), ())), one, zero],
+            [op((-1, (y,), ())), op((-1, (z,), ())), one],
         ]
     )
-    dxzy = diffop_to_op(basis, [t(1, None, {x: 1}), t(-1, {z: 1}, {y: 1})])
-    dy = diffop_to_op(basis, [t(1, None, {y: 1})])
-    dz = diffop_to_op(basis, [t(1, None, {z: 1})])
     U = LaxOp(
         [
-            [op_scale(one, u1), dxzy, dy],
-            [zero, op_scale(one, u2), dz],
+            [
+                op_scale(one, u1),
+                op((1, (), (x,)), (-1, (z,), (y,))),
+                op((1, (), (y,))),
+            ],
+            [zero, op_scale(one, u2), op((1, (), (z,)))],
             [zero, zero, op_scale(one, u3)],
         ]
     )
     M_right = LaxOp(
         [
             [one, zero, zero],
-            [xm, one, zero],
-            [yxz, zm, one],
+            [op((1, (x,), ())), one, zero],
+            [op((1, (y,), ()), (1, (x, z), ())), op((1, (z,), ())), one],
         ]
     )
     # associate as M_left . (U . M_right): keeps every block certified to

@@ -29,7 +29,7 @@ from .linop import (
     SparseOp,
     commutator,
     compose,
-    diffop_to_op,
+    diffop,
     identity_op,
     int_echelon_nullspace,
     is_zero,
@@ -51,7 +51,6 @@ from .linop import (
     path_table,
     pole_bases,
     rational_op,
-    term,
     zero_op,
 )
 from .sl2core import (
@@ -344,10 +343,6 @@ def _commutes(R, op, name, params, cap):
     return None
 
 
-def _mult_op(pair, exps):
-    return diffop_to_op(pair, [term(pair, 1, exps)])
-
-
 # ---------------------------------------------------------------------------
 # sl2 checks
 
@@ -360,16 +355,15 @@ _sl2_slots = attrgetter("u1", "u2")
 
 
 # side relations: the sl2 factor R_k commutes with multiplication by z_k.
-# Side operators are parameter-free, so they are built once per pair basis.
+# Side operators are parameter-free, so `diffop` tabulates them once per pair
+# basis.
 
-@lru_cache(maxsize=4)
 def _sl2_sides_r1(pair):
-    return (_mult_op(pair, {"z1": 1}),)
+    return (diffop(pair, (1, ("z1",), ())),)
 
 
-@lru_cache(maxsize=4)
 def _sl2_sides_r2(pair):
-    return (_mult_op(pair, {"z2": 1}),)
+    return (diffop(pair, (1, ("z2",), ())),)
 
 
 def _sl2_spectral(cap, draws, mutate):
@@ -484,48 +478,30 @@ def _sl3_invariance(cap, draws, mutate):
     return _pass("sl3-invariance", draws, cap, window)
 
 
-@lru_cache(maxsize=4)
 def _sl3_sides_r1(pair):
-    mixed = diffop_to_op(
-        pair,
-        [
-            term(pair, 1, None, {"z2": 1}),
-            term(pair, -1, {"x2": 1}, {"y2": 1}),
-            term(pair, 1, {"x1": 1}, {"y2": 1}),
-        ],
-    )
     return (
-        _mult_op(pair, {"x1": 1}),
-        _mult_op(pair, {"y1": 1}),
-        _mult_op(pair, {"z1": 1}),
-        mixed,
+        diffop(pair, (1, ("x1",), ())),
+        diffop(pair, (1, ("y1",), ())),
+        diffop(pair, (1, ("z1",), ())),
+        diffop(pair, (1, (), ("z2",)), (-1, ("x2",), ("y2",)), (1, ("x1",), ("y2",))),
     )
 
 
-@lru_cache(maxsize=4)
 def _sl3_sides_r2(pair):
-    shear = diffop_to_op(
-        pair, [term(pair, 1, {"y1": 1}), term(pair, 1, {"x1": 1, "z1": 1})]
-    )
     return (
-        shear,
-        _mult_op(pair, {"z1": 1}),
-        _mult_op(pair, {"x2": 1}),
-        _mult_op(pair, {"y2": 1}),
+        diffop(pair, (1, ("y1",), ()), (1, ("x1", "z1"), ())),
+        diffop(pair, (1, ("z1",), ())),
+        diffop(pair, (1, ("x2",), ())),
+        diffop(pair, (1, ("y2",), ())),
     )
 
 
-@lru_cache(maxsize=4)
 def _sl3_sides_r3(pair):
-    mixed = diffop_to_op(
-        pair,
-        [term(pair, 1, None, {"x1": 1}), term(pair, -1, {"z2": 1}, {"y1": 1})],
-    )
     return (
-        _mult_op(pair, {"x2": 1}),
-        _mult_op(pair, {"y2": 1}),
-        _mult_op(pair, {"z2": 1}),
-        mixed,
+        diffop(pair, (1, ("x2",), ())),
+        diffop(pair, (1, ("y2",), ())),
+        diffop(pair, (1, ("z2",), ())),
+        diffop(pair, (1, (), ("x1",)), (-1, ("z2",), ("y1",))),
     )
 
 
@@ -562,6 +538,49 @@ def _sl3_global(cap, draws, mutate):
     return _pass("global3", draws, cap, window)
 
 
+def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
+    """The pairs (A, B) with R A = B R that pin the one-site third swap on
+    the x, y, z site `basis`: each operator is a cached parameter-free part
+    plus parameters times cached unit operators."""
+
+    def op(*terms):
+        return diffop(basis, *terms)
+
+    xz, y = op((1, ("x", "z"), ())), op((1, ("y",), ()))
+    dx = op((1, (), ("x",)))
+    cross = op_add(
+        op(
+            (1, ("x", "x"), ("x",)),
+            (1, ("x", "y"), ("y",)),
+            (-1, ("x", "z"), ("z",)),
+            (-1, ("y",), ("z",)),
+        ),
+        op((1, ("x",), ())),
+        u1 - u2 + 1,
+    )
+
+    def raise_z(c0):
+        return op_add(
+            op((1, ("y",), ("x",)), (1, ("z", "z"), ("z",))), op((1, ("z",), ())), c0
+        )
+
+    def raise_y(cz, cy):
+        part = op(
+            (1, ("x", "y"), ("x",)),
+            (1, ("x", "z", "z"), ("z",)),
+            (1, ("y", "y"), ("y",)),
+            (1, ("y", "z"), ("z",)),
+        )
+        return op_add(op_add(part, xz, cz), y, cy)
+
+    return [
+        (dx, dx),
+        (raise_z(u2 - u3 + 1), raise_z(u2 - v3 + 1)),
+        (cross, cross),
+        (raise_y(u2 - u3 + 1, u1 - u3 + 2), raise_y(u2 - v3 + 1, u1 - v3 + 2)),
+    ]
+
+
 def _sl3_oracle_single(cap, draws, mutate):
     name = "oracle-r3-single"
     p1, p2 = _sl3_point(draws)
@@ -573,48 +592,7 @@ def _sl3_oracle_single(cap, draws, mutate):
     ok, reason = degeneracy_guard(bases, cap)
     if not ok:
         return _skip(name, draws, cap, reason)
-
-    def dop(terms):
-        return diffop_to_op(basis, [term(basis, c, mu, de) for c, mu, de in terms])
-
-    dx = dop([(1, None, {"x": 1})])
-
-    def raise_z(c0):
-        return dop(
-            [
-                (1, {"y": 1}, {"x": 1}),
-                (1, {"z": 2}, {"z": 1}),
-                (c0, {"z": 1}, None),
-            ]
-        )
-
-    cross = dop(
-        [
-            (1, {"x": 2}, {"x": 1}),
-            (1, {"x": 1, "y": 1}, {"y": 1}),
-            (-1, {"x": 1, "z": 1}, {"z": 1}),
-            (-1, {"y": 1}, {"z": 1}),
-            (u1 - u2 + 1, {"x": 1}, None),
-        ]
-    )
-
-    def raise_y(cz, cy):
-        return dop(
-            [
-                (1, {"x": 1, "y": 1}, {"x": 1}),
-                (1, {"x": 1, "z": 2}, {"z": 1}),
-                (cz, {"x": 1, "z": 1}, None),
-                (1, {"y": 2}, {"y": 1}),
-                (1, {"y": 1, "z": 1}, {"z": 1}),
-                (cy, {"y": 1}, None),
-            ]
-        )
-    constraints = [
-        (dx, dx),
-        (raise_z(u2 - u3 + 1), raise_z(u2 - v3 + 1)),
-        (cross, cross),
-        (raise_y(u2 - u3 + 1, u1 - u3 + 2), raise_y(u2 - v3 + 1, u1 - v3 + 2)),
-    ]
+    constraints = _sl3_r3_single_constraints(basis, *args)
     closed = sl3_r3_single(basis, *args)
     return _oracle_check(name, draws, basis, constraints, closed, cap)
 

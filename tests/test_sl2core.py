@@ -9,12 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from rfactor import linop
 from rfactor.exactnum import pochhammer
 from rfactor.linop import (
+    LaxOp,
     commutator,
     compose,
-    diffop_to_op,
+    diffop,
     identity_op,
     is_zero,
     lax_compose_scalar,
@@ -31,7 +31,7 @@ from rfactor.linop import (
     pair_swap,
     site_embed,
     subst_op,
-    term,
+    zero_op,
 )
 from rfactor.polyspace import CapTooLarge, VarSpec, enumerate_basis
 from rfactor.sl2core import (
@@ -51,6 +51,7 @@ from rfactor.sl2core import (
     ybe_fundamental_residual,
 )
 from rfactor.verify import rhat
+from termlists import assert_same_op, tabulate, tabulated_columns
 
 L1, L2, U, V = F(1, 3), F(2, 5), F(7, 11), F(1, 7)
 
@@ -148,56 +149,95 @@ def _lax_reference(basis, u1, u2, var="z"):
     z1 = {var: 1}
     return [
         [
-            diffop_to_op(basis, [term(basis, u1), term(basis, 1, z1, z1)]),
-            diffop_to_op(basis, [term(basis, -1, None, z1)]),
+            tabulate(basis, (u1,), (1, z1, z1)),
+            tabulate(basis, (-1, None, z1)),
         ],
         [
-            diffop_to_op(
-                basis,
-                [term(basis, 1, {var: 2}, z1), term(basis, u1 - u2, z1, None)],
-            ),
-            diffop_to_op(basis, [term(basis, u2), term(basis, -1, z1, z1)]),
+            tabulate(basis, (1, {var: 2}, z1), (u1 - u2, z1, None)),
+            tabulate(basis, (u2,), (-1, z1, z1)),
         ],
     ]
+
+
+def _factored_reference(basis, u1, u2, var="z"):
+    """The triangular product with every factor block tabulated from its
+    full term list."""
+    z1 = {var: 1}
+    one, zero = tabulate(basis, (1,)), zero_op(basis)
+    M_plus = LaxOp([[one, zero], [tabulate(basis, (1, z1, None)), one]])
+    D = LaxOp(
+        [
+            [tabulate(basis, (u1 - 1,)), tabulate(basis, (-1, None, z1))],
+            [zero, tabulate(basis, (u2,))],
+        ]
+    )
+    M_minus = LaxOp([[one, zero], [tabulate(basis, (-1, z1, None)), one]])
+    return lax_mul(lax_mul(M_plus, D), M_minus)
+
+
+def _generators_reference(basis, ell, var="z"):
+    z1 = {var: 1}
+    return {
+        "S": tabulate(basis, (ell,), (1, z1, z1)),
+        "Sp": tabulate(basis, (1, {var: 2}, z1), (2 * ell, z1, None)),
+        "Sm": tabulate(basis, (-1, None, z1)),
+    }
 
 
 def test_lax_matches_the_full_term_lists_at_every_point():
-    # ell = 0 makes the z coefficient u1 - u2 vanish; u1 = 0 and u2 = 0 the
-    # diagonal ones
-    points = [(U + L1, U - L1), (F(1, 2), F(1, 2)), (F(0), F(-3)), (F(2), F(0))]
+    # ell = 0 (u1 = u2) makes the z coefficient u1 - u2 and the generators'
+    # ell terms vanish; u1 = 0 and u2 = 0 the direct diagonal ones, u1 = 1
+    # and u2 = 0 the factored ones
+    points = [
+        (U + L1, U - L1), (F(1, 2), F(1, 2)), (F(0), F(-3)), (F(2), F(0)),
+        (F(1), F(2, 3)),
+    ]
     pair = sl2_pair(4)
     cases = [(sl2_site(6), "z"), (pair, "z1"), (pair, "z2")]
     # every point is built before any is compared, so a later call that
-    # changed an earlier result would show
+    # changed an earlier result through the shared cache would show
     built = [
-        (basis, var, pt, sl2_lax(basis, *pt, var))
+        (
+            basis, var, pt,
+            sl2_lax(basis, *pt, var),
+            sl2_lax_factored(basis, *pt, var),
+            sl2_generators(basis, (pt[0] - pt[1]) / 2, var),
+        )
         for basis, var in cases
         for pt in points
     ]
-    for basis, var, pt, L in built:
+    for basis, var, pt, L, Lf, g in built:
         for i, row in enumerate(_lax_reference(basis, *pt, var)):
             for j, want in enumerate(row):
-                got = L.blocks[i][j]
-                assert got.shift == want.shift, (var, pt, i, j)
-                assert got.certified == want.certified, (var, pt, i, j)
-                assert (got.cols, got.den) == (want.cols, want.den), (var, pt, i, j)
+                assert_same_op(L.blocks[i][j], want, (var, pt, i, j))
+        want = _factored_reference(basis, *pt, var)
+        for i, row in enumerate(want.blocks):
+            for j, w in enumerate(row):
+                assert_same_op(Lf.blocks[i][j], w, ("factored", var, pt, i, j))
+        ell = (pt[0] - pt[1]) / 2
+        for name, w in _generators_reference(basis, ell, var).items():
+            assert_same_op(g[name], w, (name, var, pt))
 
 
 def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
-    tabulated = []
-    real = linop.op_from_action
-
-    def counting(domain, *args, **kwargs):
-        tabulated.append(domain)
-        return real(domain, *args, **kwargs)
-
-    monkeypatch.setattr(linop, "op_from_action", counting)
+    # nor do the factored Lax matrix, the generators, the gl triangle and
+    # the Casimirs: every term list they need was tabulated at the first
+    tabulated = tabulated_columns(monkeypatch)
     basis = enumerate_basis([VarSpec("z")], 6)  # not yet seen by any cache
-    sl2_lax(basis, U + L1, U - L1)
-    assert tabulated
+
+    def build(u1, u2):
+        ell = (u1 - u2) / 2
+        sl2_lax(basis, u1, u2)
+        sl2_lax_factored(basis, u1, u2)
+        sl2_generators(basis, ell)
+        sl2_gl_ops(basis, ell)
+        sl2_casimirs(basis, ell)
+
+    build(U + L1, U - L1)
+    assert sum(tabulated) > 0
     tabulated.clear()
-    sl2_lax(basis, F(-1), F(4, 7))
-    assert not tabulated
+    build(F(-1), F(4, 7))
+    assert sum(tabulated) == 0
 
 
 def test_lax_invariance_under_lowering_conjugation():
@@ -258,9 +298,7 @@ def test_defining_relation_first_factor():
     ok, wit = lax_is_zero(D, cap - 2)
     assert ok, wit
     # side relation: R1 commutes with multiplication by z1
-    from rfactor.linop import diffop_to_op, term
-
-    z1 = diffop_to_op(pair, [term(pair, 1, {"z1": 1}, None)])
+    z1 = diffop(pair, (1, ("z1",), ()))
     c = commutator(R1, z1)
     ok, wit = is_zero(c, c.certified)
     assert ok, wit
@@ -278,9 +316,7 @@ def test_defining_relation_second_factor():
     )
     ok, wit = lax_is_zero(D, cap - 2)
     assert ok, wit
-    from rfactor.linop import diffop_to_op, term
-
-    z2 = diffop_to_op(pair, [term(pair, 1, {"z2": 1}, None)])
+    z2 = diffop(pair, (1, ("z2",), ()))
     c = commutator(R2, z2)
     ok, wit = is_zero(c, c.certified)
     assert ok, wit
@@ -335,15 +371,10 @@ def test_closed_form_two_factor_product():
 def test_rhat_preserves_total_degree():
     pair, p1, p2 = _pair_setup(4)
     A = _rhat(pair, p1, p2)
-    from rfactor.linop import diffop_to_op, term
-
-    deg = diffop_to_op(
-        pair,
-        [term(pair, 1, {"z1": 1}, {"z1": 1}), term(pair, 1, {"z2": 1}, {"z2": 1})],
-    )
+    deg = diffop(pair, (1, ("z1",), ("z1",)), (1, ("z2",), ("z2",)))
     ok, wit = is_zero(commutator(A, deg), A.certified)
     assert ok, wit
-    z1 = diffop_to_op(pair, [term(pair, 1, {"z1": 1}, None)])
+    z1 = diffop(pair, (1, ("z1",), ()))
     ok, _ = is_zero(commutator(A, z1), 3)
     assert not ok
 

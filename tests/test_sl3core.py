@@ -11,7 +11,6 @@ from functools import lru_cache
 
 import pytest
 
-from rfactor import linop
 from rfactor.polyspace import (
     CapTooLarge,
     VarSpec,
@@ -20,10 +19,10 @@ from rfactor.polyspace import (
     enumerate_basis,
 )
 from rfactor.linop import (
+    LaxOp,
     _echelon_insert,
     commutator,
     compose,
-    diffop_to_op,
     identity_op,
     int_row,
     is_zero,
@@ -44,7 +43,7 @@ from rfactor.linop import (
     stage_euler,
     stage_laurent,
     subst_op,
-    term,
+    zero_op,
 )
 from rfactor.sl3core import (
     GEN_COEFF_MATRICES,
@@ -70,6 +69,7 @@ from rfactor.sl3core import (
     op_scalar_part,
 )
 from rfactor.verify import rhat
+from termlists import assert_same_op, tabulate, tabulated_columns
 
 P1 = Sl3Params(F(1, 2), F(1, 3), F(2))
 P2 = Sl3Params(F(1, 5), F(2, 7), F(0))
@@ -363,7 +363,7 @@ def _lax_reference(basis, u1, u2, u3, suffix=""):
     x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
 
     def op(*terms):
-        return diffop_to_op(basis, [term(basis, *t) for t in terms])
+        return tabulate(basis, *terms)
 
     return [
         [
@@ -397,48 +397,131 @@ def _lax_reference(basis, u1, u2, u3, suffix=""):
     ]
 
 
+def _generators_reference(basis, m, n, suffix=""):
+    """The eight generators tabulated from their full term lists."""
+    x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
+
+    def op(*terms):
+        return tabulate(basis, *terms)
+
+    return {
+        "T21": op((1, None, {x: 1})),
+        "T31": op((1, None, {y: 1})),
+        "T32": op((1, None, {z: 1}), (-1, {x: 1}, {y: 1})),
+        "T12": op(
+            (-1, {x: 2}, {x: 1}),
+            (-1, {x: 1, y: 1}, {y: 1}),
+            (1, {x: 1, z: 1}, {z: 1}),
+            (1, {y: 1}, {z: 1}),
+            (n, {x: 1}),
+        ),
+        "T23": op((-1, {z: 2}, {z: 1}), (-1, {y: 1}, {x: 1}), (m, {z: 1})),
+        "T13": op(
+            (-1, {y: 2}, {y: 1}),
+            (-1, {x: 1, y: 1}, {x: 1}),
+            (-1, {y: 1, z: 1}, {z: 1}),
+            (-1, {x: 1, z: 2}, {z: 1}),
+            (m + n, {y: 1}),
+            (m, {x: 1, z: 1}),
+        ),
+        "H1": op((2, {x: 1}, {x: 1}), (1, {y: 1}, {y: 1}), (-1, {z: 1}, {z: 1}), (-n,)),
+        "H2": op((2, {z: 1}, {z: 1}), (1, {y: 1}, {y: 1}), (-1, {x: 1}, {x: 1}), (-m,)),
+    }
+
+
+def _factored_reference(basis, u1, u2, u3, suffix=""):
+    """The triangular product with every factor block tabulated from its
+    full term list."""
+    x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
+
+    def op(*terms):
+        return tabulate(basis, *terms)
+
+    one, zero = op((1,)), zero_op(basis)
+    M_left = LaxOp(
+        [
+            [one, zero, zero],
+            [op((-1, {x: 1})), one, zero],
+            [op((-1, {y: 1})), op((-1, {z: 1})), one],
+        ]
+    )
+    U = LaxOp(
+        [
+            [
+                op((u1,)),
+                op((1, None, {x: 1}), (-1, {z: 1}, {y: 1})),
+                op((1, None, {y: 1})),
+            ],
+            [zero, op((u2,)), op((1, None, {z: 1}))],
+            [zero, zero, op((u3,))],
+        ]
+    )
+    M_right = LaxOp(
+        [
+            [one, zero, zero],
+            [op((1, {x: 1})), one, zero],
+            [op((1, {y: 1}), (1, {x: 1, z: 1})), op((1, {z: 1})), one],
+        ]
+    )
+    return lax_mul(M_left, lax_mul(U, M_right))
+
+
 def test_lax_matches_the_full_term_lists_at_every_point():
     points = [
         P1.triple,
         Sl3Params(F(1, 2), F(0), F(1, 3)).triple,  # n = u2 - u1 - 1 = 0
         Sl3Params(F(0), F(1, 5), F(2, 7)).triple,  # m = u3 - u2 - 1 = 0
+        Sl3Params(F(2, 5), F(-2, 5), F(1, 3)).triple,  # m + n = 0
         (F(-2), F(1, 3), F(0)),  # u1 + 2 = 0 and u3 = 0
-        (F(0), F(-1), F(2)),  # u2 + 1 = 0 and u3 - u1 - 2 = 0
+        (F(0), F(-1), F(2)),  # u2 + 1 = 0, u3 - u1 - 2 = 0 and u1 = 0
+        (F(1, 4), F(0), F(3, 5)),  # u2 = 0
     ]
     pair = sl3_pair(3)
     cases = [(sl3_site(4), ""), (pair, "1"), (pair, "2")]
     # every point is built before any is compared, so a later call that
-    # changed an earlier result would show
-    built = [
-        (basis, sfx, pt, sl3_lax(basis, *pt, sfx))
-        for basis, sfx in cases
-        for pt in points
-    ]
-    for basis, sfx, pt, L in built:
+    # changed an earlier result through the shared cache would show
+    built = []
+    for basis, sfx in cases:
+        for pt in points:
+            m, n = pt[2] - pt[1] - 1, pt[1] - pt[0] - 1
+            built.append(
+                (
+                    basis, sfx, pt, (m, n),
+                    sl3_lax(basis, *pt, sfx),
+                    sl3_lax_factored(basis, *pt, sfx),
+                    sl3_generators(basis, m, n, sfx),
+                )
+            )
+    for basis, sfx, pt, weights, L, Lf, g in built:
         for i, row in enumerate(_lax_reference(basis, *pt, sfx)):
             for j, want in enumerate(row):
-                got = L.blocks[i][j]
-                assert got.shift == want.shift, (sfx, pt, i, j)
-                assert got.certified == want.certified, (sfx, pt, i, j)
-                assert (got.cols, got.den) == (want.cols, want.den), (sfx, pt, i, j)
+                assert_same_op(L.blocks[i][j], want, (sfx, pt, i, j))
+        for i, row in enumerate(_factored_reference(basis, *pt, sfx).blocks):
+            for j, want in enumerate(row):
+                assert_same_op(Lf.blocks[i][j], want, ("factored", sfx, pt, i, j))
+        for name, want in _generators_reference(basis, *weights, sfx).items():
+            assert_same_op(g[name], want, (name, sfx, pt))
 
 
 def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
-    tabulated = []
-    real = linop.op_from_action
-
-    def counting(domain, *args, **kwargs):
-        tabulated.append(domain)
-        return real(domain, *args, **kwargs)
-
-    monkeypatch.setattr(linop, "op_from_action", counting)
+    # nor do the factored Lax matrix, the generators, the gl triangle and
+    # the Casimirs: every term list they need was tabulated at the first
+    tabulated = tabulated_columns(monkeypatch)
     # a basis not yet seen by any cache
     basis = enumerate_basis([VarSpec("x", 1), VarSpec("y", 2), VarSpec("z", 1)], 4)
-    sl3_lax(basis, *P1.triple)
-    assert tabulated
+
+    def build(p):
+        sl3_lax(basis, *p.triple)
+        sl3_lax_factored(basis, *p.triple)
+        sl3_generators(basis, p.m, p.n)
+        sl3_gl_ops(basis, p.m, p.n)
+        sl3_casimirs(basis, p.m, p.n)
+
+    build(P1)
+    assert sum(tabulated) > 0
     tabulated.clear()
-    sl3_lax(basis, *P2.triple)
-    assert not tabulated
+    build(P2)
+    assert sum(tabulated) == 0
 
 
 def test_shift_flow_inverse_and_lax_invariance():
@@ -508,16 +591,8 @@ def test_defining_relation_each_factor():
 
 
 def test_factor_side_relations():
-    from rfactor.linop import diffop_to_op, term
-
     pair = _pair(3)
     r1, r2, r3 = _factors(3)
-
-    def mult(terms):
-        return diffop_to_op(pair, [term(pair, c, mu, None) for c, mu in terms])
-
-    def dop(terms):
-        return diffop_to_op(pair, [term(pair, c, mu, de) for c, mu, de in terms])
 
     def commutes(R, op):
         res = commutator(R, op)
@@ -526,10 +601,13 @@ def test_factor_side_relations():
 
     # first factor: site-1 multiplications and one mixed derivative
     for terms in ([(1, {"x1": 1})], [(1, {"y1": 1})], [(1, {"z1": 1})]):
-        ok, wit = commutes(r1, mult(terms))
+        ok, wit = commutes(r1, tabulate(pair, *terms))
         assert ok, wit
-    side = dop(
-        [(1, None, {"z2": 1}), (-1, {"x2": 1}, {"y2": 1}), (1, {"x1": 1}, {"y2": 1})]
+    side = tabulate(
+        pair,
+        (1, None, {"z2": 1}),
+        (-1, {"x2": 1}, {"y2": 1}),
+        (1, {"x1": 1}, {"y2": 1}),
     )
     ok, wit = commutes(r1, side)
     assert ok, wit
@@ -540,13 +618,13 @@ def test_factor_side_relations():
         [(1, {"x2": 1})],
         [(1, {"y2": 1})],
     ):
-        ok, wit = commutes(r2, mult(terms))
+        ok, wit = commutes(r2, tabulate(pair, *terms))
         assert ok, wit
     # third factor
     for terms in ([(1, {"x2": 1})], [(1, {"y2": 1})], [(1, {"z2": 1})]):
-        ok, wit = commutes(r3, mult(terms))
+        ok, wit = commutes(r3, tabulate(pair, *terms))
         assert ok, wit
-    side = dop([(1, None, {"x1": 1}), (-1, {"z2": 1}, {"y1": 1})])
+    side = tabulate(pair, (1, None, {"x1": 1}), (-1, {"z2": 1}, {"y1": 1}))
     ok, wit = commutes(r3, side)
     assert ok, wit
 

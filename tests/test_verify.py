@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rfactor import verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
-    compose, diffop_to_op, identity_op, lax_mul, op_equal, op_scale, term,
+    compose, diffop, identity_op, lax_mul, op_equal, op_scale,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
 from rfactor.sl2core import sl2_lax, sl2_r1, sl2_r2
@@ -43,6 +43,7 @@ from rfactor.verify import (
     run_one,
     run_suite,
 )
+from termlists import assert_same_op, tabulate, tabulated_columns
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +86,11 @@ def test_lwv_normalize_scales_the_vacuum_coefficient_away():
 
 def test_lwv_normalize_rejects_operators_moving_the_vacuum():
     basis = sl2_site(3)
-    z = diffop_to_op(basis, [term(basis, 1, {"z": 1})])
+    z = diffop(basis, (1, ("z",), ()))
     with pytest.raises(NotLowestWeightStable) as err:
         lwv_normalize(z)
     assert err.value.args[0] == ("z", "1")
-    d = diffop_to_op(basis, [term(basis, 1, None, {"z": 1})])
+    d = diffop(basis, (1, (), ("z",)))
     with pytest.raises(NotLowestWeightStable) as err:
         lwv_normalize(d)
     assert err.value.args[0] == ("1", "0")
@@ -629,3 +630,72 @@ def test_catalog_oracles_rederive_the_closed_forms():
     point3 = [F(1, 2), F(1, 3), F(0), F(1, 5), F(1, 7), F(2, 3)]
     res = CATALOG[("sl3", "oracle-r3-single")][0](3, point3, None)
     assert res.status == "pass" and res.window == 3
+
+
+def _r3_single_constraints_reference(basis, u1, u2, u3, v3):
+    """oracle-r3-single's constraint pairs tabulated from their full term
+    lists."""
+
+    def op(*terms):
+        return tabulate(basis, *terms)
+
+    dx = op((1, None, {"x": 1}))
+
+    def raise_z(c0):
+        return op((1, {"y": 1}, {"x": 1}), (1, {"z": 2}, {"z": 1}), (c0, {"z": 1}))
+
+    cross = op(
+        (1, {"x": 2}, {"x": 1}),
+        (1, {"x": 1, "y": 1}, {"y": 1}),
+        (-1, {"x": 1, "z": 1}, {"z": 1}),
+        (-1, {"y": 1}, {"z": 1}),
+        (u1 - u2 + 1, {"x": 1}),
+    )
+
+    def raise_y(cz, cy):
+        return op(
+            (1, {"x": 1, "y": 1}, {"x": 1}),
+            (1, {"x": 1, "z": 2}, {"z": 1}),
+            (cz, {"x": 1, "z": 1}),
+            (1, {"y": 2}, {"y": 1}),
+            (1, {"y": 1, "z": 1}, {"z": 1}),
+            (cy, {"y": 1}),
+        )
+
+    return [
+        (dx, dx),
+        (raise_z(u2 - u3 + 1), raise_z(u2 - v3 + 1)),
+        (cross, cross),
+        (raise_y(u2 - u3 + 1, u1 - u3 + 2), raise_y(u2 - v3 + 1, u1 - v3 + 2)),
+    ]
+
+
+def test_the_r3_single_constraints_match_the_full_term_lists():
+    points = [
+        (F(1, 2), F(1, 3), F(2), F(-1, 5)),
+        (F(-2, 3), F(1, 3), F(1, 2), F(1, 7)),  # n = -(u1 - u2 + 1) = 0
+        (F(1, 5), F(1, 2), F(3, 2), F(2, 9)),  # m = -(u2 - u3 + 1) = 0
+        (F(1, 5), F(3, 7), F(11, 5), F(1, 3)),  # m + n = -(u1 - u3 + 2) = 0
+        (F(1, 4), F(1, 3), F(2, 5), F(4, 3)),  # u2 - v3 + 1 = 0
+        (F(1, 4), F(1, 3), F(2, 5), F(9, 4)),  # u1 - v3 + 2 = 0
+    ]
+    basis = sl3_site(3)
+    # every point is built before any is compared, so a later call that
+    # changed an earlier result through the shared cache would show
+    built = [(pt, verify._sl3_r3_single_constraints(basis, *pt)) for pt in points]
+    for pt, got in built:
+        want = _r3_single_constraints_reference(basis, *pt)
+        assert len(got) == len(want)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_same_op(g[0], w[0], (pt, k, "A"))
+            assert_same_op(g[1], w[1], (pt, k, "B"))
+
+
+def test_a_second_oracle_r3_single_point_tabulates_no_column(monkeypatch):
+    cols = tabulated_columns(monkeypatch)
+    check = CATALOG[("sl3", "oracle-r3-single")][0]
+    first = check(3, [F(1, 2), F(1, 3), F(0), F(1, 5), F(1, 7), F(2, 3)], None)
+    cols.clear()
+    second = check(3, [F(2, 3), F(1, 5), F(1, 4), F(3, 7), F(1, 2), F(-1, 3)], None)
+    assert first.status == second.status == "pass"
+    assert sum(cols) == 0
