@@ -18,8 +18,8 @@ truncation.
 Entries are stored as nonzero integer numerators over one positive
 denominator `den` per operator, kept canonical: gcd(den, every numerator) is
 1 and an empty operator has den 1, so equal operators have equal
-(cols, den). The kernel (compose, op_add, op_scale, site_embed, is_zero,
-path_op) works in integers only. Fraction stays at the edges: parameters
+(cols, den). The kernel (compose, op_add, op_scale, is_zero, path_op)
+works in integers only. Fraction stays at the edges: parameters
 and scalars, `SparseOp.col`/`apply_vec` and zero-test witnesses, which
 return Fractions, and `rational_op`, which builds an operator from rational
 columns. A parameter-free differential operator (`diffop`) is tabulated in
@@ -180,8 +180,8 @@ def zero_op(domain, codomain=None):
 
 
 def identity_op(basis):
-    cols = {i: {i: 1} for i in range(len(basis))}
-    return SparseOp(basis, basis, cols, 1, 0, basis.cap)
+    """The unit operator on `basis`, tabulated once per basis (`diffop`)."""
+    return diffop(basis, (1, (), ()))
 
 
 def _require_same(b1, b2, what):
@@ -267,39 +267,6 @@ def op_scale(a: SparseOp, c) -> SparseOp:
 
 def commutator(a, b):
     return op_sub(compose(a, b), compose(b, a))
-
-
-def site_embed(op: SparseOp, site: int, pair: GradedBasis) -> SparseOp:
-    """Embed a one-site operator into a two-site basis: m1*m2 maps to
-    op(m1)*m2 (site 1) or m1*op(m2) (site 2); image monomials above the pair
-    cap are dropped (that is the truncation)."""
-    if pair.factors is None:
-        raise BasisMismatch("site_embed target is not a tensor basis")
-    b1, b2 = pair.factors
-    k = len(b1.vars)
-    factor = b1 if site == 1 else b2
-    _require_same(op.domain, factor, "site_embed")
-    _require_same(op.codomain, factor, "site_embed")
-    if op.shift == NEG_INF:
-        return zero_op(pair)
-    cols = {}
-    for i, mono in enumerate(pair.monomials):
-        m1, m2 = mono[:k], mono[k:]
-        col = op.cols.get(factor.index[m1 if site == 1 else m2])
-        if not col:
-            continue
-        out = {}
-        for r, v in col.items():
-            img = factor.monomials[r]
-            j = pair.index.get(img + m2 if site == 1 else m1 + img)
-            if j is not None:
-                out[j] = v
-        if out:
-            cols[i] = out
-    # a site-local op is exact on a column as soon as its site height is
-    # within op.certified and the shifted total height fits the pair cap
-    certified = min(op.certified, pair.cap - max(0, op.shift))
-    return _reduced_op(pair, pair, cols, op.den, op.shift, certified)
 
 
 def pair_swap(pair: GradedBasis) -> SparseOp:

@@ -49,7 +49,6 @@ from .linop import (
     path_op,
     path_table,
     run_pipeline,
-    site_embed,
     stage_euler,
     stage_subst,
     zero_op,
@@ -85,13 +84,13 @@ def sl2_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl2_site(cap, "z1"), sl2_site(cap, "z2"))
 
 
-def sl2_generators(basis, ell, var="z"):
+def sl2_generators(basis, ell):
     """S = ell + z d/dz, S- = -d/dz, S+ = z^2 d/dz + 2 ell z."""
-    z = (var,)
+    z = ("z",)
     return {
         "S": op_add(diffop(basis, (1, z, z)), diffop(basis, (1, (), ())), ell),
         "Sp": op_add(
-            diffop(basis, (1, (var, var), z)), diffop(basis, (1, z, ())), 2 * ell
+            diffop(basis, (1, ("z", "z"), z)), diffop(basis, (1, z, ())), 2 * ell
         ),
         "Sm": diffop(basis, (-1, (), z)),
     }
@@ -105,20 +104,20 @@ SL2_GEN_COEFF_MATRICES = {
 }
 
 
-def sl2_gl_ops(basis, ell, var="z"):
+def sl2_gl_ops(basis, ell):
     """The gl(2) triangle T[a, b], 1-indexed: T11 = S, T22 = -S, T12 = S+,
     T21 = S-."""
-    g = sl2_generators(basis, ell, var)
+    g = sl2_generators(basis, ell)
     return {
         (1, 1): g["S"], (2, 2): op_scale(g["S"], -1),
         (1, 2): g["Sp"], (2, 1): g["Sm"],
     }
 
 
-def sl2_casimirs(basis, ell, var="z"):
+def sl2_casimirs(basis, ell):
     """[(tag, operator, expected scalar)]: S^2 - S + S+ S-, equal to
     ell(ell-1) on the module."""
-    g = sl2_generators(basis, ell, var)
+    g = sl2_generators(basis, ell)
     C = op_add(
         op_sub(compose(g["S"], g["S"]), g["S"]), compose(g["Sp"], g["Sm"])
     )
@@ -140,9 +139,9 @@ def sl2_lax(basis, u1, u2, var="z"):
     )
 
 
-def sl2_lax_factored(basis, u1, u2, var="z"):
+def sl2_lax_factored(basis, u1, u2):
     """[[1,0],[z,1]] . [[u1-1, -d],[0, u2]] . [[1,0],[-z,1]]."""
-    z = (var,)
+    z = ("z",)
     one = diffop(basis, (1, (), ()))
     zero = zero_op(basis)
     M_plus = LaxOp([[one, zero], [diffop(basis, (1, z, ())), one]])
@@ -233,11 +232,7 @@ def sl2_spectral(R, l1, l2, w, n_max):
     one-dimensional and ValueError on eigen-equation failure.
     """
     pair = R.domain
-    b1, b2 = pair.factors
-    sm_tot = op_add(
-        site_embed(diffop(b1, (-1, (), ("z1",))), 1, pair),
-        site_embed(diffop(b2, (-1, (), ("z2",))), 2, pair),
-    )
+    sm_tot = diffop(pair, (-1, (), ("z1",)), (-1, (), ("z2",)))
     rhos = []
     for n in range(n_max + 1):
         cols = [i for i, h in enumerate(pair.heights) if h == n]

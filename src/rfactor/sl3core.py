@@ -166,9 +166,9 @@ GEN_COEFF_MATRICES = {
 GEN_NAMES = tuple(GEN_COEFF_MATRICES)
 
 
-def sl3_gl_ops(basis, m, n, suffix=""):
+def sl3_gl_ops(basis, m, n):
     """Full gl(3) triangle: T[a][b] for 1 <= a, b <= 3 (1-indexed dict)."""
-    g = sl3_generators(basis, m, n, suffix)
+    g = sl3_generators(basis, m, n)
     T11 = op_add(op_scale(g["H1"], 2 * THIRD), op_scale(g["H2"], THIRD))
     T22 = op_add(op_scale(g["H2"], THIRD), op_scale(g["H1"], -THIRD))
     T33 = op_add(op_scale(g["H1"], -THIRD), op_scale(g["H2"], -2 * THIRD))
@@ -179,11 +179,11 @@ def sl3_gl_ops(basis, m, n, suffix=""):
     }
 
 
-def sl3_casimirs(basis, m, n, suffix=""):
+def sl3_casimirs(basis, m, n):
     """[(tag, operator, expected scalar or None)] for C2 = sum T_ab T_ba and
     C3 = sum T_ab T_bc T_ca, both scalar on the module. C2's scalar is
     sum(lam_a^2) + 2(m + n), with lam the diagonal weights of 1."""
-    T = sl3_gl_ops(basis, m, n, suffix)
+    T = sl3_gl_ops(basis, m, n)
     rng = (1, 2, 3)
     C2 = reduce(op_add, (compose(T[a, b], T[b, a]) for a in rng for b in rng))
     C3 = reduce(
@@ -291,9 +291,8 @@ def sl3_lax(basis, u1, u2, u3, suffix=""):
     )
 
 
-def sl3_lax_factored(basis, u1, u2, u3, suffix=""):
+def sl3_lax_factored(basis, u1, u2, u3):
     """Lower-triangular . upper-triangular . lower-triangular factorization."""
-    x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
 
     def op(*terms):
         return diffop(basis, *terms)
@@ -303,26 +302,26 @@ def sl3_lax_factored(basis, u1, u2, u3, suffix=""):
     M_left = LaxOp(
         [
             [one, zero, zero],
-            [op((-1, (x,), ())), one, zero],
-            [op((-1, (y,), ())), op((-1, (z,), ())), one],
+            [op((-1, ("x",), ())), one, zero],
+            [op((-1, ("y",), ())), op((-1, ("z",), ())), one],
         ]
     )
     U = LaxOp(
         [
             [
                 op_scale(one, u1),
-                op((1, (), (x,)), (-1, (z,), (y,))),
-                op((1, (), (y,))),
+                op((1, (), ("x",)), (-1, ("z",), ("y",))),
+                op((1, (), ("y",))),
             ],
-            [zero, op_scale(one, u2), op((1, (), (z,)))],
+            [zero, op_scale(one, u2), op((1, (), ("z",)))],
             [zero, zero, op_scale(one, u3)],
         ]
     )
     M_right = LaxOp(
         [
             [one, zero, zero],
-            [op((1, (x,), ())), one, zero],
-            [op((1, (y,), ()), (1, (x, z), ())), op((1, (z,), ())), one],
+            [op((1, ("x",), ())), one, zero],
+            [op((1, ("y",), ()), (1, ("x", "z"), ())), op((1, ("z",), ())), one],
         ]
     )
     # associate as M_left . (U . M_right): keeps every block certified to
@@ -330,31 +329,30 @@ def sl3_lax_factored(basis, u1, u2, u3, suffix=""):
     return lax_mul(M_left, lax_mul(U, M_right))
 
 
-def sl3_shift_flows(basis, a, b, c, suffix=""):
+def sl3_shift_flows(basis, a, b, c):
     """The group element exp(c (dz - x dy)) exp(b dy) exp(a dx) as an exact
     substitution operator, and its inverse."""
-    x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
     fwd = subst_op(
         basis,
         {
-            x: {basis.mono({x: 1}): Fraction(1), basis.mono({}): Fraction(a)},
-            y: {
-                basis.mono({y: 1}): Fraction(1),
-                basis.mono({x: 1}): Fraction(-c),
+            "x": {basis.mono({"x": 1}): Fraction(1), basis.mono({}): Fraction(a)},
+            "y": {
+                basis.mono({"y": 1}): Fraction(1),
+                basis.mono({"x": 1}): Fraction(-c),
                 basis.mono({}): Fraction(b),
             },
-            z: {basis.mono({z: 1}): Fraction(1), basis.mono({}): Fraction(c)},
+            "z": {basis.mono({"z": 1}): Fraction(1), basis.mono({}): Fraction(c)},
         }
     )
     inv = subst_op(
         basis,
         {
-            x: {basis.mono({x: 1}): Fraction(1), basis.mono({}): Fraction(-a)},
-            y: {
-                basis.mono({y: 1}): Fraction(1),
-                basis.mono({x: 1}): Fraction(c),
+            "x": {basis.mono({"x": 1}): Fraction(1), basis.mono({}): Fraction(-a)},
+            "y": {
+                basis.mono({"y": 1}): Fraction(1),
+                basis.mono({"x": 1}): Fraction(c),
                 basis.mono({}): Fraction(-b - c * a)},
-            z: {basis.mono({z: 1}): Fraction(1), basis.mono({}): Fraction(-c)},
+            "z": {basis.mono({"z": 1}): Fraction(1), basis.mono({}): Fraction(-c)},
         }
     )
     return fwd, inv

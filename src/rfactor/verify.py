@@ -1,8 +1,10 @@
 """Seeded residual suites and an independent linear-solve oracle.
 
 Every check rebuilds its operators from scratch at exact rational parameter
-points, evaluates a defining identity on the certified window, and reports
-pass/fail with a monomial witness on failure.  Points are drawn from a seeded
+points and evaluates its defining identities on certified windows: it returns
+(window, scalar) when all hold and raises CheckFailed with a monomial witness
+at the first that does not, or CheckSkipped at a degenerate point; `run_check`
+turns either outcome into a CheckResult.  Points are drawn from a seeded
 pool and filtered by a Pochhammer degeneracy guard, so a report is a pure
 function of (suite, seed, cap).  The oracle checks re-derive each elementary
 R-operator as the nullspace of its first-order intertwining system by
@@ -105,6 +107,20 @@ class NotLowestWeightStable(ValueError):
     """The operator does not fix the line through the vacuum vector."""
 
 
+class CheckSkipped(Exception):
+    """The parameter point is degenerate for the check; args[0] is the
+    reason."""
+
+
+class CheckFailed(Exception):
+    """A relation of the check fails on `window`, first at `witness`."""
+
+    def __init__(self, window, witness):
+        super().__init__(window, witness)
+        self.window = window
+        self.witness = witness
+
+
 # ---------------------------------------------------------------------------
 # Check results and report serialization
 
@@ -112,7 +128,6 @@ class NotLowestWeightStable(ValueError):
 class CheckResult:
     name: str
     params: list
-    cap: int
     window: int
     status: str  # "pass" | "fail" | "skipped"
     witness: tuple | None = None
@@ -139,25 +154,9 @@ class CheckResult:
 
 
 def _fmt_witness(wit):
-    if wit is None:
-        return ("", "")
     if len(wit) == 3:  # Lax witnesses carry the block label in front
         return (f"{wit[1]} in {wit[0]}", wit[2])
     return (str(wit[0]), str(wit[1]))
-
-
-def _pass(name, params, cap, window, scalar=None):
-    return CheckResult(name, list(params), cap, window, "pass", scalar=scalar)
-
-
-def _fail(name, params, cap, window, wit):
-    return CheckResult(
-        name, list(params), cap, window, "fail", witness=_fmt_witness(wit)
-    )
-
-
-def _skip(name, params, cap, reason):
-    return CheckResult(name, list(params), cap, 0, "skipped", reason=reason)
 
 
 def report_to_json(report) -> str:
@@ -192,6 +191,13 @@ def degeneracy_guard(bases, cap):
             if b + j == 0:
                 return False, f"({rat_str(b)})_{j + 1} = 0"
     return True, None
+
+
+def _guard(bases, cap):
+    """Raise CheckSkipped where degeneracy_guard rejects the bases."""
+    ok, reason = degeneracy_guard(bases, cap)
+    if not ok:
+        raise CheckSkipped(reason)
 
 
 def lwv_normalize(op: SparseOp):
@@ -301,46 +307,48 @@ def _solution_to_op(basis, sol):
     return rational_op(basis, basis, cols, 0, basis.cap)
 
 
-def _oracle_check(name, params, basis, constraints, closed, cap):
+def _oracle_check(basis, constraints, closed):
+    """The oracle's one solution and `closed` span the same line."""
     sols = intertwiner_oracle(constraints, basis)
     if not sols:
-        return _fail(name, params, cap, basis.cap, ("nullspace", "empty"))
+        raise CheckFailed(basis.cap, ("nullspace", "empty"))
     if len(sols) > 1:
-        return _skip(name, params, cap, f"nullspace dimension {len(sols)}")
-    try:
-        xn, cx = lwv_normalize(sols[0])
-        rn, _ = lwv_normalize(closed)
-    except NotLowestWeightStable as e:
-        return _fail(name, params, cap, basis.cap, e.args[0])
-    window = min(xn.certified, rn.certified)
-    ok, wit = op_equal(xn, rn, window)
-    if not ok:
-        return _fail(name, params, cap, window, wit)
-    return _pass(name, params, cap, window, scalar=cx)
+        raise CheckSkipped(f"nullspace dimension {len(sols)}")
+    return _same_line(sols[0], closed)
 
 
 # ---------------------------------------------------------------------------
-# Residual helpers shared by the check catalog
+# Relation helpers shared by the check catalog: each raises CheckFailed on
+# the first failure
 
-def residual_rll(R, P, Q, window, name="rll", params=(), cap=None):
-    """CheckResult for R . P - Q . R on the given window, where P = L1 L2 and
+def _zero(op, window):
+    ok, wit = is_zero(op, window)
+    if not ok:
+        raise CheckFailed(window, wit)
+
+
+def _lax_zero(A, window):
+    ok, wit = lax_is_zero(A, window)
+    if not ok:
+        raise CheckFailed(window, wit)
+
+
+def residual_rll(R, P, Q, window):
+    """R . P - Q . R vanishes on the window, where P = L1 L2 and
     Q = L1' L2' are the Lax products on either side."""
     lhs = lax_compose_scalar(R, P, "left")
     rhs = lax_compose_scalar(R, Q, "right")
-    ok, wit = lax_is_zero(lax_sub(lhs, rhs), window)
-    if cap is None:
-        cap = R.domain.cap
-    if ok:
-        return _pass(name, params, cap, window)
-    return _fail(name, params, cap, window, wit)
+    _lax_zero(lax_sub(lhs, rhs), window)
 
 
-def _commutes(R, op, name, params, cap):
-    res = commutator(R, op)
-    ok, wit = is_zero(res, res.certified)
-    if not ok:
-        return _fail(name, params, cap, res.certified, wit)
-    return None
+def _same_line(A, B):
+    """A and B agree after lowest-weight normalization on their common
+    certified window; returns (that window, A's vacuum coefficient)."""
+    a, c = lwv_normalize(A)
+    b, _ = lwv_normalize(B)
+    window = min(a.certified, b.certified)
+    _zero(op_sub(a, b), window)
+    return window, c
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +379,13 @@ def _sl2_spectral(cap, draws, mutate):
     t, s = map(_sl2_slots, _sl2_point(draws))
     n_max = min(6, cap - 1)
     pair = sl2_pair(cap)
-    bases = rhat_guards("sl2", pair, t, s, 1) + sl2_spectral_bases(l1, l2, u - v)
-    ok, reason = degeneracy_guard(bases, cap)
-    if not ok:
-        return _skip("spectral", draws, cap, reason)
+    _guard(rhat_guards("sl2", pair, t, s, 1) + sl2_spectral_bases(l1, l2, u - v), cap)
     try:
         R = compose(pair_swap(pair), rhat("sl2", pair, t, s))
         sl2_spectral(R, l1, l2, u - v, n_max)
     except (DegenerateDecomposition, ValueError) as e:
-        return _fail("spectral", draws, cap, n_max, (str(e), ""))
-    return _pass("spectral", draws, cap, n_max)
+        raise CheckFailed(n_max, (str(e), ""))
+    return n_max, None
 
 
 def _ybe_fundamental(cap, draws, mutate):
@@ -390,14 +395,8 @@ def _ybe_fundamental(cap, draws, mutate):
         for i, row in enumerate(r12):
             for j, val in enumerate(row):
                 if val:
-                    return _fail(
-                        "ybe-fundamental",
-                        draws,
-                        cap,
-                        0,
-                        (f"d={d} entry ({i},{j})", rat_str(val)),
-                    )
-    return _pass("ybe-fundamental", draws, cap, 0)
+                    raise CheckFailed(0, (f"d={d} entry ({i},{j})", rat_str(val)))
+    return 0, None
 
 
 def _sl2_closed_form(cap, draws, mutate):
@@ -405,19 +404,8 @@ def _sl2_closed_form(cap, draws, mutate):
     l1, l2, w = p1.ell, p2.ell, p1.u - p2.u
     t, s = _sl2_slots(p1), _sl2_slots(p2)
     pair = sl2_pair(cap)
-    ok, reason = degeneracy_guard(rhat_guards("sl2", pair, t, s, 1), cap)
-    if not ok:
-        return _skip("closed-form", draws, cap, reason)
-    try:
-        n1, c1 = lwv_normalize(rhat("sl2", pair, t, s))
-        n2, _ = lwv_normalize(sl2_rhat_closed(pair, l1, l2, w))
-    except NotLowestWeightStable as e:
-        return _fail("closed-form", draws, cap, cap, e.args[0])
-    window = min(n1.certified, n2.certified)
-    ok, wit = op_equal(n1, n2, window)
-    if not ok:
-        return _fail("closed-form", draws, cap, window, wit)
-    return _pass("closed-form", draws, cap, window, scalar=c1)
+    _guard(rhat_guards("sl2", pair, t, s, 1), cap)
+    return _same_line(rhat("sl2", pair, t, s), sl2_rhat_closed(pair, l1, l2, w))
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +421,17 @@ def _sl3_findim(cap, draws, mutate):
     for (M, N), d in sorted(want.items()):
         _, vectors = sl3_findim_module(M, N)
         if len(vectors) != d or sl3_findim_dim(M, N) != d:
-            return _fail(
-                "findim",
-                draws,
-                cap,
-                0,
-                (f"(M,N)=({M},{N})", f"dim {len(vectors)}, want {d}"),
-            )
-    return _pass("findim", draws, cap, 0)
+            raise CheckFailed(0, (f"(M,N)=({M},{N})", f"dim {len(vectors)}, want {d}"))
+    return 0, None
 
 
 def _sl3_invariance(cap, draws, mutate):
     a, b, c, m, n, u = draws
     basis = sl3_site(cap)
     fwd, inv = sl3_shift_flows(basis, a, b, c)
-    ident = identity_op(basis)
     for left, right in ((fwd, inv), (inv, fwd)):
         comp = compose(left, right)
-        ok, wit = op_equal(comp, ident, comp.certified)
-        if not ok:
-            return _fail("sl3-invariance", draws, cap, comp.certified, wit)
+        _zero(op_sub(comp, identity_op(basis)), comp.certified)
     M = sl3_invariance_matrix(a, b, c)
     L = sl3_lax(basis, *Sl3Params(m, n, u).triple)
     lhs = lax_mul(
@@ -468,14 +447,8 @@ def _sl3_invariance(cap, draws, mutate):
         for j in range(3):
             ok, wit = op_equal(lhs.blocks[i][j], rhs_blocks[i][j], window)
             if not ok:
-                return _fail(
-                    "sl3-invariance",
-                    draws,
-                    cap,
-                    window,
-                    (f"block ({i},{j})", wit[0] + " -> " + wit[1]),
-                )
-    return _pass("sl3-invariance", draws, cap, window)
+                raise CheckFailed(window, (f"block ({i},{j})", f"{wit[0]} -> {wit[1]}"))
+    return window, None
 
 
 def _sl3_sides_r1(pair):
@@ -515,9 +488,7 @@ def _sl3_global(cap, draws, mutate):
     direct = [(k, _factor_args(t, s, k)[0]) for k in (1, 2, 3)]
     bases = rhat_guards("sl3", pair, t, s, 1) + rhat_guards("sl3", pair, t, s, 2)
     bases += [b for k, args in direct for b in _factor_guard("sl3", pair, k, args)]
-    ok, reason = degeneracy_guard(bases, cap)
-    if not ok:
-        return _skip("global3", draws, cap, reason)
+    _guard(bases, cap)
     jobs = []
     for k, args in direct:
         R = _FACTORS["sl3", k][0](pair, *args)
@@ -532,10 +503,8 @@ def _sl3_global(cap, draws, mutate):
             res = op_sub(compose(R, told[k]), compose(tnew[k], R))
             w = min(res.certified, cap - max(0, told[k].shift))
             window = min(window, w)
-            ok, wit = is_zero(res, w)
-            if not ok:
-                return _fail("global3", draws, cap, w, wit)
-    return _pass("global3", draws, cap, window)
+            _zero(res, w)
+    return window, None
 
 
 def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
@@ -582,19 +551,14 @@ def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
 
 
 def _sl3_oracle_single(cap, draws, mutate):
-    name = "oracle-r3-single"
     p1, p2 = _sl3_point(draws)
     u1, u2, u3 = p1.triple
     v3 = p2.u3
     basis = sl3_site(cap)
     args = (u1, u2, u3, v3)
-    bases = pole_bases(path_table(basis, _sl3_r3_single_stages), args)
-    ok, reason = degeneracy_guard(bases, cap)
-    if not ok:
-        return _skip(name, draws, cap, reason)
+    _guard(pole_bases(path_table(basis, _sl3_r3_single_stages), args), cap)
     constraints = _sl3_r3_single_constraints(basis, *args)
-    closed = sl3_r3_single(basis, *args)
-    return _oracle_check(name, draws, basis, constraints, closed, cap)
+    return _oracle_check(basis, constraints, sl3_r3_single(basis, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +673,7 @@ def _combination(basis, g, terms):
     return acc
 
 
-def _commutators(name, alg, cap, draws, mutate):
+def _commutators(alg, cap, draws, mutate):
     """Every commutator of two generators equals its structure-constant
     combination; draws are the weights."""
     a = _algebra(alg)
@@ -719,13 +683,11 @@ def _commutators(name, alg, cap, draws, mutate):
     for x, y, terms in _structure_constants(alg):
         res = op_sub(commutator(g[x], g[y]), _combination(basis, g, terms))
         window = min(window, res.certified)
-        ok, wit = is_zero(res, res.certified)
-        if not ok:
-            return _fail(name, draws, cap, res.certified, wit)
-    return _pass(name, draws, cap, window)
+        _zero(res, res.certified)
+    return window, None
 
 
-def _casimirs(name, alg, cap, draws, mutate):
+def _casimirs(alg, cap, draws, mutate):
     """Every Casimir is its scalar part times the identity, and that scalar
     is the expected one where the algebra gives it; reports the first."""
     a = _algebra(alg)
@@ -736,16 +698,14 @@ def _casimirs(name, alg, cap, draws, mutate):
         s = op_scalar_part(C)
         res = op_sub(C, op_scale(identity_op(basis), s))
         window = min(window, res.certified)
-        ok, wit = is_zero(res, res.certified)
-        if not ok:
-            return _fail(name, draws, cap, res.certified, wit)
+        _zero(res, res.certified)
         if expected is not None and s != expected:
             wit = (f"{tag} scalar", f"{rat_str(s)} != {rat_str(expected)}")
-            return _fail(name, draws, cap, res.certified, wit)
-    return _pass(name, draws, cap, window, scalar=op_scalar_part(casimirs[0][1]))
+            raise CheckFailed(res.certified, wit)
+    return window, op_scalar_part(casimirs[0][1])
 
 
-def _lax_factor(name, alg, cap, draws, mutate):
+def _lax_factor(alg, cap, draws, mutate):
     """The direct Lax matrix equals its gl-generator form and its triangular
     product on window cap - 2; draws are the weights and u."""
     a = _algebra(alg)
@@ -758,10 +718,8 @@ def _lax_factor(name, alg, cap, draws, mutate):
         lax_from_gl(a.gl(basis, *weights), u),
         a.lax_factored(basis, *slots),
     ):
-        ok, wit = lax_is_zero(lax_sub(direct, other), window)
-        if not ok:
-            return _fail(name, draws, cap, window, wit)
-    return _pass(name, draws, cap, window)
+        _lax_zero(lax_sub(direct, other), window)
+    return window, None
 
 
 def _factor_args(t, s, k):
@@ -829,7 +787,7 @@ def _exchange_laxes(a, pair, t1, t2, q1, q2):
     )
 
 
-def _factor_exchange(name, alg, k, cap, draws, mutate):
+def _factor_exchange(alg, k, cap, draws, mutate):
     """R_k L1(t) L2(s) = L1(t') L2(s') R_k, plus R_k's side relations."""
     a = _algebra(alg)
     build, _, sides = _FACTORS[alg, k]
@@ -837,102 +795,56 @@ def _factor_exchange(name, alg, k, cap, draws, mutate):
     t, s = a.slots(p1), a.slots(p2)
     args, q1, q2 = _factor_args(t, s, k)
     pair = a.pair(cap)
-    ok, reason = degeneracy_guard(_factor_guard(alg, pair, k, args), cap)
-    if not ok:
-        return _skip(name, draws, cap, reason)
+    _guard(_factor_guard(alg, pair, k, args), cap)
     R = build(pair, *args, mutate=_factor_mutation(mutate, k))
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
-    res = residual_rll(
-        R,
-        lax_mul(L1, L2),
-        lax_mul(L1p, L2p),
-        cap - 2,
-        name=name,
-        params=draws,
-        cap=cap,
-    )
-    if res.status != "pass":
-        return res
+    residual_rll(R, lax_mul(L1, L2), lax_mul(L1p, L2p), cap - 2)
     for op in sides(pair):
-        bad = _commutes(R, op, name, draws, cap)
-        if bad is not None:
-            return bad
-    return res
+        res = commutator(R, op)
+        _zero(res, res.certified)
+    return cap - 2, None
 
 
-def _factor_orders(name, alg, cap, draws, mutate):
+def _factor_orders(alg, cap, draws, mutate):
     """Both factorization orders of the full swap agree after lowest-weight
     normalization."""
     a = _algebra(alg)
     t, s = map(a.slots, a.point(draws))
     pair = a.pair(cap)
-    bases = rhat_guards(alg, pair, t, s, 1) + rhat_guards(alg, pair, t, s, 2)
-    ok, reason = degeneracy_guard(bases, cap)
-    if not ok:
-        return _skip(name, draws, cap, reason)
-    try:
-        n1, c1 = lwv_normalize(rhat(alg, pair, t, s, 1, mutate))
-        n2, _ = lwv_normalize(rhat(alg, pair, t, s, 2, mutate))
-    except NotLowestWeightStable as e:
-        return _fail(name, draws, cap, cap, e.args[0])
-    window = min(n1.certified, n2.certified)
-    ok, wit = op_equal(n1, n2, window)
-    if not ok:
-        return _fail(name, draws, cap, window, wit)
-    return _pass(name, draws, cap, window, scalar=c1)
+    _guard(rhat_guards(alg, pair, t, s, 1) + rhat_guards(alg, pair, t, s, 2), cap)
+    return _same_line(
+        rhat(alg, pair, t, s, 1, mutate), rhat(alg, pair, t, s, 2, mutate)
+    )
 
 
-def _full_swap(name, alg, cap, draws, mutate):
+def _full_swap(alg, cap, draws, mutate):
     """Rhat L1(t) L2(s) = L1(s) L2(t) Rhat, and its permuted form with
     R = P Rhat."""
     a = _algebra(alg)
     t, s = map(a.slots, a.point(draws))
     pair = a.pair(cap)
-    ok, reason = degeneracy_guard(rhat_guards(alg, pair, t, s, 1), cap)
-    if not ok:
-        return _skip(name, draws, cap, reason)
+    _guard(rhat_guards(alg, pair, t, s, 1), cap)
     A = rhat(alg, pair, t, s, 1, mutate)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
     P = lax_mul(L1, L2)
-    res = residual_rll(
-        A, P, lax_mul(L1p, L2p), cap - 2, name=name, params=draws, cap=cap
-    )
-    if res.status != "pass":
-        return res
+    residual_rll(A, P, lax_mul(L1p, L2p), cap - 2)
     # the aux-matrix ordering flips under the site permutation: the right-hand
     # side is L(s, site 2) L(t, site 1) = L2 L1
-    return residual_rll(
-        compose(pair_swap(pair), A),
-        P,
-        lax_mul(L2, L1),
-        cap - 2,
-        name=name,
-        params=draws,
-        cap=cap,
-    )
+    residual_rll(compose(pair_swap(pair), A), P, lax_mul(L2, L1), cap - 2)
+    return cap - 2, None
 
 
-def _inverse_scalar(name, alg, cap, draws, mutate):
+def _inverse_scalar(alg, cap, draws, mutate):
     """The reverse swap after the forward one is a scalar."""
     a = _algebra(alg)
     t, s = map(a.slots, a.point(draws))
     pair = a.pair(cap)
-    bases = rhat_guards(alg, pair, t, s, 1) + rhat_guards(alg, pair, s, t, 1)
-    ok, reason = degeneracy_guard(bases, cap)
-    if not ok:
-        return _skip(name, draws, cap, reason)
+    _guard(rhat_guards(alg, pair, t, s, 1) + rhat_guards(alg, pair, s, t, 1), cap)
     comp = compose(rhat(alg, pair, s, t), rhat(alg, pair, t, s))
-    try:
-        n, c = lwv_normalize(comp)
-    except NotLowestWeightStable as e:
-        return _fail(name, draws, cap, cap, e.args[0])
-    ok, wit = op_equal(n, identity_op(pair), n.certified)
-    if not ok:
-        return _fail(name, draws, cap, n.certified, wit)
-    return _pass(name, draws, cap, n.certified, scalar=c)
+    return _same_line(comp, identity_op(pair))
 
 
-def _oracle(name, alg, k, cap, draws, mutate):
+def _oracle(alg, k, cap, draws, mutate):
     """Re-derive factor k from its exchange and side relations alone and
     compare it with the closed-form pipeline."""
     a = _algebra(alg)
@@ -941,9 +853,7 @@ def _oracle(name, alg, k, cap, draws, mutate):
     t, s = a.slots(p1), a.slots(p2)
     args, q1, q2 = _factor_args(t, s, k)
     pair = a.pair(cap)
-    ok, reason = degeneracy_guard(_factor_guard(alg, pair, k, args), cap)
-    if not ok:
-        return _skip(name, draws, cap, reason)
+    _guard(_factor_guard(alg, pair, k, args), cap)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
     A, B = lax_add(L1, L2), lax_add(L1p, L2p)
     constraints = [
@@ -951,8 +861,7 @@ def _oracle(name, alg, k, cap, draws, mutate):
         for i in range(A.size)
         for j in range(A.size)
     ] + [(op, op) for op in sides(pair)]
-    closed = build(pair, *args)
-    return _oracle_check(name, draws, pair, constraints, closed, cap)
+    return _oracle_check(pair, constraints, build(pair, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -984,36 +893,39 @@ SL3_DEFAULT_CHECKS = (
 
 YBE_DEFAULT_CHECKS = ("ybe-fundamental",)
 
-# name -> (function, number of sampled rationals)
+# (algebra, name) -> (check, number of sampled rationals). A check takes
+# (cap, draws, mutate) and returns (window, scalar or None) on a pass; it
+# raises CheckSkipped at a degenerate point and CheckFailed on a failing
+# relation, and run_check labels the outcome with the name and the draws.
 CATALOG = {
-    ("sl2", "commutators"): (partial(_commutators, "commutators", "sl2"), 1),
-    ("sl2", "casimir"): (partial(_casimirs, "casimir", "sl2"), 1),
-    ("sl2", "lax-factor"): (partial(_lax_factor, "lax-factor", "sl2"), 2),
-    ("sl2", "F1"): (partial(_factor_exchange, "F1", "sl2", 1), 4),
-    ("sl2", "F2"): (partial(_factor_exchange, "F2", "sl2", 2), 4),
-    ("sl2", "rfact-orders"): (partial(_factor_orders, "rfact-orders", "sl2"), 4),
+    ("sl2", "commutators"): (partial(_commutators, "sl2"), 1),
+    ("sl2", "casimir"): (partial(_casimirs, "sl2"), 1),
+    ("sl2", "lax-factor"): (partial(_lax_factor, "sl2"), 2),
+    ("sl2", "F1"): (partial(_factor_exchange, "sl2", 1), 4),
+    ("sl2", "F2"): (partial(_factor_exchange, "sl2", 2), 4),
+    ("sl2", "rfact-orders"): (partial(_factor_orders, "sl2"), 4),
     ("sl2", "spectral"): (_sl2_spectral, 4),
     ("sl2", "ybe-fundamental"): (_ybe_fundamental, 2),
     ("sl2", "closed-form"): (_sl2_closed_form, 4),
-    ("sl2", "global"): (partial(_full_swap, "global", "sl2"), 4),
-    ("sl2", "inverse-scalar"): (partial(_inverse_scalar, "inverse-scalar", "sl2"), 4),
-    ("sl2", "oracle-r1"): (partial(_oracle, "oracle-r1", "sl2", 1), 4),
-    ("sl2", "oracle-r2"): (partial(_oracle, "oracle-r2", "sl2", 2), 4),
-    ("sl3", "commutators"): (partial(_commutators, "commutators", "sl3"), 2),
-    ("sl3", "casimirs"): (partial(_casimirs, "casimirs", "sl3"), 2),
+    ("sl2", "global"): (partial(_full_swap, "sl2"), 4),
+    ("sl2", "inverse-scalar"): (partial(_inverse_scalar, "sl2"), 4),
+    ("sl2", "oracle-r1"): (partial(_oracle, "sl2", 1), 4),
+    ("sl2", "oracle-r2"): (partial(_oracle, "sl2", 2), 4),
+    ("sl3", "commutators"): (partial(_commutators, "sl3"), 2),
+    ("sl3", "casimirs"): (partial(_casimirs, "sl3"), 2),
     ("sl3", "findim"): (_sl3_findim, 0),
-    ("sl3", "lax-factor3"): (partial(_lax_factor, "lax-factor3", "sl3"), 3),
+    ("sl3", "lax-factor3"): (partial(_lax_factor, "sl3"), 3),
     ("sl3", "sl3-invariance"): (_sl3_invariance, 6),
-    ("sl3", "3F1"): (partial(_factor_exchange, "3F1", "sl3", 1), 6),
-    ("sl3", "3F2"): (partial(_factor_exchange, "3F2", "sl3", 2), 6),
-    ("sl3", "3F3"): (partial(_factor_exchange, "3F3", "sl3", 3), 6),
-    ("sl3", "rfact3-orders"): (partial(_factor_orders, "rfact3-orders", "sl3"), 6),
-    ("sl3", "def3"): (partial(_full_swap, "def3", "sl3"), 6),
+    ("sl3", "3F1"): (partial(_factor_exchange, "sl3", 1), 6),
+    ("sl3", "3F2"): (partial(_factor_exchange, "sl3", 2), 6),
+    ("sl3", "3F3"): (partial(_factor_exchange, "sl3", 3), 6),
+    ("sl3", "rfact3-orders"): (partial(_factor_orders, "sl3"), 6),
+    ("sl3", "def3"): (partial(_full_swap, "sl3"), 6),
     ("sl3", "global3"): (_sl3_global, 6),
-    ("sl3", "inverse-scalar3"): (partial(_inverse_scalar, "inverse-scalar3", "sl3"), 6),
-    ("sl3", "oracle-r1"): (partial(_oracle, "oracle-r1", "sl3", 1), 6),
-    ("sl3", "oracle-r2"): (partial(_oracle, "oracle-r2", "sl3", 2), 6),
-    ("sl3", "oracle-r3"): (partial(_oracle, "oracle-r3", "sl3", 3), 6),
+    ("sl3", "inverse-scalar3"): (partial(_inverse_scalar, "sl3"), 6),
+    ("sl3", "oracle-r1"): (partial(_oracle, "sl3", 1), 6),
+    ("sl3", "oracle-r2"): (partial(_oracle, "sl3", 2), 6),
+    ("sl3", "oracle-r3"): (partial(_oracle, "sl3", 3), 6),
     ("sl3", "oracle-r3-single"): (_sl3_oracle_single, 6),
     ("ybe", "ybe-fundamental"): (_ybe_fundamental, 2),
 }
@@ -1093,19 +1005,39 @@ class SuiteConfig:
             )
 
 
+def run_check(algebra, name, cap, draws, mutate=None):
+    """The CheckResult of catalog check (algebra, name) at `draws`: a pass
+    with its window and scalar, a skip with its reason, or a fail with its
+    window and witness. An operator that moves the vacuum line fails at
+    window cap."""
+    fn, _ = CATALOG[algebra, name]
+    params = list(draws)
+    try:
+        window, scalar = fn(cap, params, mutate)
+    except CheckSkipped as e:
+        return CheckResult(name, params, 0, "skipped", reason=e.args[0])
+    except CheckFailed as e:
+        return CheckResult(
+            name, params, e.window, "fail", witness=_fmt_witness(e.witness)
+        )
+    except NotLowestWeightStable as e:
+        return CheckResult(name, params, cap, "fail", witness=_fmt_witness(e.args[0]))
+    return CheckResult(name, params, window, "pass", scalar=scalar)
+
+
 def run_one(algebra, name, trial, cap, seed, params, mutate):
     """One sampled instance of a check, or the check at the explicit
     `params` (whose count SuiteConfig has validated); guard-rejected draws
     are logged as skipped entries and resampled from the same stream."""
-    fn, ndraws = CATALOG[(algebra, name)]
     if params is not None:
-        return [fn(cap, list(params), mutate)]
+        return [run_check(algebra, name, cap, params, mutate)]
+    ndraws = CATALOG[algebra, name][1]
     rng = check_rng(seed, name, trial)
     out = []
-    for attempt in range(RESAMPLE_LIMIT):
-        res = fn(cap, draw_rats(rng, ndraws), mutate)
+    for _ in range(RESAMPLE_LIMIT):
+        res = run_check(algebra, name, cap, draw_rats(rng, ndraws), mutate)
         out.append(res)
-        if res.status != "skipped" or attempt == RESAMPLE_LIMIT - 1:
+        if res.status != "skipped":
             break
     return out
 

@@ -37,6 +37,7 @@ from rfactor.verify import (
     report_to_json,
     rhat,
     rhat_guards,
+    run_check,
     run_suite,
 )
 
@@ -79,18 +80,16 @@ def test_sl2_defining_relations_exact_at_twenty_points():
     assert len(sl2_pair(8)) == 45  # two-site monomials of total height <= 8
     t0 = time.monotonic()
     for name in ("F1", "F2"):
-        fn = CATALOG[("sl2", name)][0]
         for draws in _sl2_points():
-            res = fn(8, list(draws), None)
+            res = run_check("sl2", name, 8, draws)
             assert res.status == "pass", (name, draws, res.witness)
             assert res.window == 6  # cap - 2
     assert time.monotonic() - t0 < 30.0
 
 
 def test_sl2_factorization_orders_agree_at_the_same_points():
-    fn = CATALOG[("sl2", "rfact-orders")][0]
     for draws in _sl2_points():
-        res = fn(8, list(draws), None)
+        res = run_check("sl2", "rfact-orders", 8, draws)
         assert res.status == "pass", (draws, res.witness)
         assert res.scalar is not None  # lowest-weight normalization constant
 
@@ -129,43 +128,38 @@ def test_fundamental_ybe_dense_exact_and_fast():
 
 
 def test_sl3_structure_constants_casimirs_and_module_dims():
-    comm = CATALOG[("sl3", "commutators")][0]
-    cas = CATALOG[("sl3", "casimirs")][0]
     for trial in range(10):
         draws = draw_rats(check_rng(SEED, "sl3-structure", trial), 2)
-        assert comm(4, draws, None).status == "pass", draws
-        res = cas(4, draws, None)
+        assert run_check("sl3", "commutators", 4, draws).status == "pass", draws
+        res = run_check("sl3", "casimirs", 4, draws)
         assert res.status == "pass" and res.scalar is not None, draws
     shapes = ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1))
     dims = [sl3_findim_dim(M, N) for M, N in shapes]
     assert dims == [3, 3, 8, 6, 6, 15]
     for (M, N), d in zip(shapes, dims):
         assert d == (M + 1) * (N + 1) * (M + N + 2) // 2
-    assert CATALOG[("sl3", "findim")][0](4, (), None).status == "pass"
+    assert run_check("sl3", "findim", 4, ()).status == "pass"
 
 
 def test_sl3_lax_triple_product_and_invariance_at_five_points():
-    factor = CATALOG[("sl3", "lax-factor3")][0]
-    invariance = CATALOG[("sl3", "sl3-invariance")][0]
     for trial in range(5):
         draws = draw_rats(check_rng(SEED, "sl3-lax", trial), 6)
-        res = factor(4, draws[:3], None)
+        res = run_check("sl3", "lax-factor3", 4, draws[:3])
         assert res.status == "pass", (draws, res.witness)
         assert res.window == 2  # cap - 2
-        res = invariance(4, draws, None)
+        res = run_check("sl3", "sl3-invariance", 4, draws)
         assert res.status == "pass", (draws, res.witness)
 
 
 def test_sl3_r_operator_relations_and_orderings_at_shared_points():
     assert len(sl3_pair(3)) == 45  # two-site monomials of total height <= 3
     names = ("3F1", "3F2", "3F3", "rfact3-orders", "def3")
-    fns = [CATALOG[("sl3", n)][0] for n in names]
     good = 0
     elapsed = 0.0
     for trial in range(200):
         draws = draw_rats(check_rng(SEED, "sl3-rll", trial), 6)
         t0 = time.monotonic()
-        results = [fn(3, draws, None) for fn in fns]
+        results = [run_check("sl3", name, 3, draws) for name in names]
         dt = time.monotonic() - t0
         if any(r.status == "skipped" for r in results):
             continue
@@ -192,11 +186,11 @@ def test_oracle_rederives_every_elementary_r_operator():
         ("sl3", "oracle-r3-single", 3),
     )
     for algebra, name, cap in jobs:
-        fn, ndraws = CATALOG[(algebra, name)]
+        ndraws = CATALOG[algebra, name][1]
         good = 0
         for trial in range(100):
             draws = draw_rats(check_rng(SEED, name, trial), ndraws)
-            res = fn(cap, draws, None)
+            res = run_check(algebra, name, cap, draws)
             if res.status == "skipped":
                 # only degeneracy-guard or pole skips are tolerable here; a
                 # multi-dimensional nullspace at a guarded point is a failure

@@ -1,4 +1,4 @@
-"""Sparse operators: certification windows, composition, embeddings.
+"""Sparse operators: certification windows, composition, two-site operators.
 
 Dense oracles: small operators are tabulated as dense matrices with explicit
 loops and compared entry by entry on certified windows.
@@ -43,7 +43,6 @@ from rfactor.linop import (
     pair_swap,
     rational_op,
     run_pipeline,
-    site_embed,
     stage_euler,
     stage_laurent,
     stage_subst,
@@ -153,7 +152,10 @@ def test_basis_mismatch():
         compose(identity_op(zbasis(3)), identity_op(zbasis(4)))
 
 
-def test_site_embed_matches_kron_oracle():
+def test_pair_diffop_matches_kron_oracle():
+    """A one-site term list tabulated on the pair basis acts on its own
+    site's factor of every monomial, as the Kronecker product with the
+    identity does."""
     b1, b2 = zbasis(2, "z1"), zbasis(2, "z2")
     pair = tensor_basis(b1, b2)
     n1, n2 = len(b1), len(b2)
@@ -177,12 +179,14 @@ def test_site_embed_matches_kron_oracle():
 
     # d/dz is certified on all 6 pair columns, z on the 3 of height <= 1
     for der, cols in ((True, 6), (False, 3)):
-        d1 = diffop(b1, (1, (), ("z1",)) if der else (1, ("z1",), ()))
+        t1 = (1, (), ("z1",)) if der else (1, ("z1",), ())
+        d1 = diffop(b1, t1)
         dense1 = [[d1.col(c).get(r, 0) for c in range(n1)] for r in range(n1)]
-        assert check(site_embed(d1, 1, pair), kron(dense1, mat_eye(n2))) == cols
-        d2 = diffop(b2, (1, (), ("z2",)) if der else (1, ("z2",), ()))
+        assert check(diffop(pair, t1), kron(dense1, mat_eye(n2))) == cols
+        t2 = (1, (), ("z2",)) if der else (1, ("z2",), ())
+        d2 = diffop(b2, t2)
         dense2 = [[d2.col(c).get(r, 0) for c in range(n2)] for r in range(n2)]
-        assert check(site_embed(d2, 2, pair), kron(mat_eye(n1), dense2)) == cols
+        assert check(diffop(pair, t2), kron(mat_eye(n1), dense2)) == cols
 
 
 def test_pair_swap_involution_and_conjugation():
@@ -191,8 +195,8 @@ def test_pair_swap_involution_and_conjugation():
     P = pair_swap(pair)
     ok, _ = op_equal(compose(P, P), identity_op(pair), pair.cap)
     assert ok
-    d1 = site_embed(diffop(b1, (1, (), ("z1",))), 1, pair)
-    d2 = site_embed(diffop(b2, (1, (), ("z2",))), 2, pair)
+    d1 = diffop(pair, (1, (), ("z1",)))
+    d2 = diffop(pair, (1, (), ("z2",)))
     ok, wit = op_equal(compose(P, compose(d1, P)), d2, pair.cap)
     assert ok, wit
 
@@ -474,27 +478,3 @@ def test_integer_kernel_matches_dense_fractions(drawn_a, drawn_b, cb, data):
         if op.certified >= 0:
             window = data.draw(st.integers(0, min(op.certified, _PAIR.cap)))
             assert is_zero(op, window) == _zero_reference(dense, _PAIR, window)
-
-
-# unequal factor caps: site 1 images above the pair cap are dropped
-_EMBED_PAIR = tensor_basis(zbasis(3, "z1"), zbasis(2, "z2"))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    _rational_ops(_EMBED_PAIR.factors[0]), _rational_ops(_EMBED_PAIR.factors[1])
-)
-def test_site_embed_matches_dense_fractions(op1, op2):
-    pair = _EMBED_PAIR
-    k = len(pair.factors[0].vars)
-    for site, (op, d) in ((1, op1), (2, op2)):
-        factor = pair.factors[site - 1]
-        emb = site_embed(op, site, pair)
-        _assert_canonical(emb)
-        want = [[F(0)] * len(pair) for _ in range(len(pair))]
-        for c, mc in enumerate(pair.monomials):
-            for r, mr in enumerate(pair.monomials):
-                own, rest = (slice(0, k), slice(k, None))[:: 1 if site == 1 else -1]
-                if mr[rest] == mc[rest]:  # the other site is left alone
-                    want[r][c] = d[factor.index[mr[own]]][factor.index[mc[own]]]
-        assert _dense(emb) == want

@@ -29,7 +29,6 @@ from rfactor.linop import (
     op_scale,
     op_sub,
     pair_swap,
-    site_embed,
     subst_op,
     zero_op,
 )
@@ -159,10 +158,10 @@ def _lax_reference(basis, u1, u2, var="z"):
     ]
 
 
-def _factored_reference(basis, u1, u2, var="z"):
+def _factored_reference(basis, u1, u2):
     """The triangular product with every factor block tabulated from its
     full term list."""
-    z1 = {var: 1}
+    z1 = {"z": 1}
     one, zero = tabulate(basis, (1,)), zero_op(basis)
     M_plus = LaxOp([[one, zero], [tabulate(basis, (1, z1, None)), one]])
     D = LaxOp(
@@ -175,11 +174,11 @@ def _factored_reference(basis, u1, u2, var="z"):
     return lax_mul(lax_mul(M_plus, D), M_minus)
 
 
-def _generators_reference(basis, ell, var="z"):
-    z1 = {var: 1}
+def _generators_reference(basis, ell):
+    z1 = {"z": 1}
     return {
         "S": tabulate(basis, (ell,), (1, z1, z1)),
-        "Sp": tabulate(basis, (1, {var: 2}, z1), (2 * ell, z1, None)),
+        "Sp": tabulate(basis, (1, {"z": 2}, z1), (2 * ell, z1, None)),
         "Sm": tabulate(basis, (-1, None, z1)),
     }
 
@@ -192,31 +191,33 @@ def test_lax_matches_the_full_term_lists_at_every_point():
         (U + L1, U - L1), (F(1, 2), F(1, 2)), (F(0), F(-3)), (F(2), F(0)),
         (F(1), F(2, 3)),
     ]
-    pair = sl2_pair(4)
-    cases = [(sl2_site(6), "z"), (pair, "z1"), (pair, "z2")]
+    site, pair = sl2_site(6), sl2_pair(4)
+    cases = [(site, "z"), (pair, "z1"), (pair, "z2")]
     # every point is built before any is compared, so a later call that
-    # changed an earlier result through the shared cache would show
+    # changed an earlier result through the shared cache would show; the
+    # factored Lax matrix and the generators take no site label and are
+    # built on the one-site basis only
     built = [
-        (
-            basis, var, pt,
-            sl2_lax(basis, *pt, var),
-            sl2_lax_factored(basis, *pt, var),
-            sl2_generators(basis, (pt[0] - pt[1]) / 2, var),
-        )
+        (basis, var, pt, sl2_lax(basis, *pt, var))
         for basis, var in cases
         for pt in points
     ]
-    for basis, var, pt, L, Lf, g in built:
+    one_site = [
+        (pt, sl2_lax_factored(site, *pt), sl2_generators(site, (pt[0] - pt[1]) / 2))
+        for pt in points
+    ]
+    for basis, var, pt, L in built:
         for i, row in enumerate(_lax_reference(basis, *pt, var)):
             for j, want in enumerate(row):
                 assert_same_op(L.blocks[i][j], want, (var, pt, i, j))
-        want = _factored_reference(basis, *pt, var)
+    for pt, Lf, g in one_site:
+        want = _factored_reference(site, *pt)
         for i, row in enumerate(want.blocks):
             for j, w in enumerate(row):
-                assert_same_op(Lf.blocks[i][j], w, ("factored", var, pt, i, j))
+                assert_same_op(Lf.blocks[i][j], w, ("factored", pt, i, j))
         ell = (pt[0] - pt[1]) / 2
-        for name, w in _generators_reference(basis, ell, var).items():
-            assert_same_op(g[name], w, (name, var, pt))
+        for name, w in _generators_reference(site, ell).items():
+            assert_same_op(g[name], w, (name, pt))
 
 
 def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
@@ -436,13 +437,17 @@ def test_mutated_eigenvalue_breaks_defining_relation():
 
 
 def test_site_embedding_consistency_with_pair_swap():
+    """The raising operator S+ = z^2 d + 2 ell z of one site, tabulated on
+    the pair basis, is carried to the other site's by the swap."""
     pair, p1, p2 = _pair_setup(3)
     P = pair_swap(pair)
-    b1, b2 = pair.factors
-    g1 = sl2_generators(b1, F(1, 2), "z1")
-    g2 = sl2_generators(b2, F(1, 2), "z2")
-    e1 = site_embed(g1["Sp"], 1, pair)
-    e2 = site_embed(g2["Sp"], 2, pair)
+
+    def raising(z, ell):
+        return op_add(
+            diffop(pair, (1, (z, z), (z,))), diffop(pair, (1, (z,), ())), 2 * ell
+        )
+
+    e1, e2 = raising("z1", F(1, 2)), raising("z2", F(1, 2))
     conj = compose(P, compose(e1, P))
     ok, wit = op_equal(conj, e2, conj.certified)
     assert ok, wit

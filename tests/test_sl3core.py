@@ -39,7 +39,6 @@ from rfactor.linop import (
     op_sub,
     pair_swap,
     run_pipeline,
-    site_embed,
     stage_euler,
     stage_laurent,
     subst_op,
@@ -429,10 +428,10 @@ def _generators_reference(basis, m, n, suffix=""):
     }
 
 
-def _factored_reference(basis, u1, u2, u3, suffix=""):
+def _factored_reference(basis, u1, u2, u3):
     """The triangular product with every factor block tabulated from its
     full term list."""
-    x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
+    x, y, z = "x", "y", "z"
 
     def op(*terms):
         return tabulate(basis, *terms)
@@ -476,10 +475,12 @@ def test_lax_matches_the_full_term_lists_at_every_point():
         (F(0), F(-1), F(2)),  # u2 + 1 = 0, u3 - u1 - 2 = 0 and u1 = 0
         (F(1, 4), F(0), F(3, 5)),  # u2 = 0
     ]
-    pair = sl3_pair(3)
-    cases = [(sl3_site(4), ""), (pair, "1"), (pair, "2")]
+    site, pair = sl3_site(4), sl3_pair(3)
+    cases = [(site, ""), (pair, "1"), (pair, "2")]
     # every point is built before any is compared, so a later call that
-    # changed an earlier result through the shared cache would show
+    # changed an earlier result through the shared cache would show; the
+    # factored Lax matrix takes no site label and is built on the one-site
+    # basis only
     built = []
     for basis, sfx in cases:
         for pt in points:
@@ -488,19 +489,20 @@ def test_lax_matches_the_full_term_lists_at_every_point():
                 (
                     basis, sfx, pt, (m, n),
                     sl3_lax(basis, *pt, sfx),
-                    sl3_lax_factored(basis, *pt, sfx),
                     sl3_generators(basis, m, n, sfx),
                 )
             )
-    for basis, sfx, pt, weights, L, Lf, g in built:
+    factored = [(pt, sl3_lax_factored(site, *pt)) for pt in points]
+    for basis, sfx, pt, weights, L, g in built:
         for i, row in enumerate(_lax_reference(basis, *pt, sfx)):
             for j, want in enumerate(row):
                 assert_same_op(L.blocks[i][j], want, (sfx, pt, i, j))
-        for i, row in enumerate(_factored_reference(basis, *pt, sfx).blocks):
-            for j, want in enumerate(row):
-                assert_same_op(Lf.blocks[i][j], want, ("factored", sfx, pt, i, j))
         for name, want in _generators_reference(basis, *weights, sfx).items():
             assert_same_op(g[name], want, (name, sfx, pt))
+    for pt, Lf in factored:
+        for i, row in enumerate(_factored_reference(site, *pt).blocks):
+            for j, want in enumerate(row):
+                assert_same_op(Lf.blocks[i][j], want, ("factored", pt, i, j))
 
 
 def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
@@ -694,24 +696,23 @@ def test_inverse_is_identity():
 
 
 def test_single_site_third_factor_reduction():
-    pair = _pair(3)
+    site = _pair(3).factors[0]
     u1, u2, u3 = P1.triple
     v3 = P2.u3
-    single = sl3_r3_single(pair.factors[0], u1, u2, u3, v3)
-    emb = site_embed(single, 1, pair)
-    z1, y1, x1 = map(pair.var_index, ("z1", "y1", "x1"))
+    single = sl3_r3_single(site, u1, u2, u3, v3)
+    z1, y1, x1 = map(site.var_index, ("z1", "y1", "x1"))
     core = run_pipeline(
-        pair,
+        site,
         [
-            stage_euler(pair, z1, 1, u2 - u3 + 1),
-            stage_laurent(pair, -1, num=y1, den=z1, target=x1),
-            stage_euler(pair, y1, u1 - v3 + 1, u1 - u3 + 1),
-            stage_laurent(pair, 1, num=y1, den=z1, target=x1),
-            stage_euler(pair, z1, u2 - v3 + 1, 1),
+            stage_euler(site, z1, 1, u2 - u3 + 1),
+            stage_laurent(site, -1, num=y1, den=z1, target=x1),
+            stage_euler(site, y1, u1 - v3 + 1, u1 - u3 + 1),
+            stage_laurent(site, 1, num=y1, den=z1, target=x1),
+            stage_euler(site, z1, u2 - v3 + 1, 1),
         ],
     )
-    w = min(emb.certified, core.certified)
-    ok, wit = is_zero(op_sub(emb, core), w)
+    w = min(single.certified, core.certified)
+    ok, wit = is_zero(op_sub(single, core), w)
     assert ok, wit
 
 

@@ -21,9 +21,9 @@ from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
 from rfactor.sl2core import sl2_lax, sl2_r1, sl2_r2
 from rfactor.sl3core import Sl3Params, sl3_pair, sl3_r1, sl3_r2, sl3_r3, sl3_site
 from rfactor.verify import (
-    CATALOG,
     POOL_DEN,
     POOL_NUM,
+    CheckFailed,
     CheckResult,
     NotLowestWeightStable,
     SL2_MUTATION_TAGS,
@@ -40,6 +40,7 @@ from rfactor.verify import (
     residual_rll,
     rhat,
     rhat_guards,
+    run_check,
     run_one,
     run_suite,
 )
@@ -185,7 +186,7 @@ def test_the_global3_guard_covers_every_factor_it_builds(data):
     swap: where its guard accepts, none of them meets a pole."""
     cap = 2
     t, s = (data.draw(st.tuples(*[_near_pole(cap)] * 3)) for _ in range(2))
-    res = CATALOG["sl3", "global3"][0](cap, _sl3_draws(t, s), None)
+    res = run_check("sl3", "global3", cap, _sl3_draws(t, s))
     assert res.status in ("pass", "skipped"), res
 
 
@@ -199,7 +200,7 @@ def test_the_sl2_closed_form_and_spectral_guards_are_sound(name, data):
     cap = 4
     half = st.integers(-2 * cap - 3, 2 * cap + 3).map(lambda k: F(k, 2))
     draws = data.draw(st.lists(_near_pole(cap) | half, min_size=4, max_size=4))
-    res = CATALOG["sl2", name][0](cap, draws, None)
+    res = run_check("sl2", name, cap, draws)
     assert res.status in ("pass", "skipped"), res
 
 
@@ -299,38 +300,77 @@ def _r1_setup(cap):
 def test_residual_rll_passes_on_the_exchange_relation():
     pair, args, laxes = _r1_setup(4)
     R = sl2_r1(pair, *args)
-    res = residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2,
-                       name="t", params=(), cap=4)
-    assert res.status == "pass" and res.window == 2
+    assert residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2) is None
 
 
 def test_residual_rll_fails_with_a_block_witness_under_mutation():
     pair, args, laxes = _r1_setup(4)
     R = sl2_r1(pair, *args, mutate=(0, 1))
-    res = residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2,
-                       name="t", params=(), cap=4)
-    assert res.status == "fail"
-    assert "block" in res.witness[0]
+    with pytest.raises(CheckFailed) as err:
+        residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2)
+    assert err.value.window == 2
+    assert err.value.witness[0].startswith("block")
 
 
 # ---------------------------------------------------------------------------
 # Result schema and serialization
 
 def test_check_result_json_schema():
-    ok = CheckResult("c", [F(1, 2)], 4, 2, "pass", scalar=F(-3, 7))
+    ok = CheckResult("c", [F(1, 2)], 2, "pass", scalar=F(-3, 7))
     assert ok.to_json() == {
         "name": "c", "params": ["1/2"], "status": "pass", "scalar": "-3/7"
     }
-    bad = CheckResult("c", [], 4, 2, "fail", witness=("z1", "5/3"))
+    bad = CheckResult("c", [], 2, "fail", witness=("z1", "5/3"))
     assert bad.to_json()["witness"] == {"monomial": "z1", "value": "5/3"}
     assert "reason" not in bad.to_json()
-    skip = CheckResult("c", [], 4, 0, "skipped", reason="(0)_1 = 0")
+    skip = CheckResult("c", [], 0, "skipped", reason="(0)_1 = 0")
     assert skip.to_json()["reason"] == "(0)_1 = 0"
 
 
 def test_failing_result_requires_a_witness():
     with pytest.raises(ValueError):
-        CheckResult("c", [], 4, 2, "fail")
+        CheckResult("c", [], 2, "fail")
+
+
+# ---------------------------------------------------------------------------
+# run_check: one place labels every outcome
+
+_POINT = [F(1), F(1, 2), F(1, 3), F(-1, 4)]
+
+
+def test_run_check_labels_a_pass_with_its_scalar():
+    res = run_check("sl2", "rfact-orders", 4, _POINT)
+    pair = sl2_pair(4)
+    p1, p2 = Sl2Params(F(1), F(1, 3)), Sl2Params(F(1, 2), F(-1, 4))
+    _, want = lwv_normalize(rhat("sl2", pair, (p1.u1, p1.u2), (p2.u1, p2.u2)))
+    assert (res.name, res.params, res.status) == ("rfact-orders", _POINT, "pass")
+    assert res.scalar == want and res.window == 4
+    assert res.witness is None and res.reason is None
+
+
+def test_run_check_labels_a_guard_rejected_point_skipped():
+    # l1 = -1: r2's lower parameter u1 - u2 = 2 l1 = -2
+    res = run_check("sl2", "rfact-orders", 4, [F(-1), F(1, 2), F(1, 3), F(-1, 4)])
+    assert res.status == "skipped" and res.reason == "(-2)_3 = 0"
+    assert res.window == 0 and res.witness is None and res.scalar is None
+
+
+def test_run_check_labels_a_mutated_factor_failed_with_a_block_witness():
+    res = run_check("sl2", "F1", 4, _POINT, mutate=parse_mutate("sl2", "r1:1"))
+    assert res.status == "fail" and res.window == 2
+    monomial, value = res.witness
+    assert " in block (" in monomial and value
+    assert res.to_json()["witness"] == {"monomial": monomial, "value": value}
+
+
+def test_run_check_fails_a_check_that_moves_the_vacuum_at_the_cap(monkeypatch):
+    def moves_the_vacuum(cap, draws, mutate):
+        raise NotLowestWeightStable(("z1", "3/2"))
+
+    monkeypatch.setitem(verify.CATALOG, ("sl2", "closed-form"), (moves_the_vacuum, 4))
+    res = run_check("sl2", "closed-form", 4, _POINT)
+    assert res.status == "fail" and res.window == 4
+    assert res.witness == ("z1", "3/2")
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +653,7 @@ def test_a_wrong_sl2_coefficient_table_fails_the_commutators(monkeypatch):
     )
     verify._structure_constants.cache_clear()
     try:
-        res = CATALOG["sl2", "commutators"][0](4, [F(1, 3)], None)
+        res = run_check("sl2", "commutators", 4, [F(1, 3)])
     finally:
         verify._structure_constants.cache_clear()
     assert res.status == "fail" and res.witness is not None
@@ -625,10 +665,10 @@ def test_a_wrong_sl2_coefficient_table_fails_the_commutators(monkeypatch):
 def test_catalog_oracles_rederive_the_closed_forms():
     point2 = [F(1), F(1, 2), F(1, 3), F(-1, 4)]
     for name in ("oracle-r1", "oracle-r2"):
-        res = CATALOG[("sl2", name)][0](4, point2, None)
+        res = run_check("sl2", name, 4, point2)
         assert res.status == "pass" and res.scalar is not None
     point3 = [F(1, 2), F(1, 3), F(0), F(1, 5), F(1, 7), F(2, 3)]
-    res = CATALOG[("sl3", "oracle-r3-single")][0](3, point3, None)
+    res = run_check("sl3", "oracle-r3-single", 3, point3)
     assert res.status == "pass" and res.window == 3
 
 
@@ -693,9 +733,12 @@ def test_the_r3_single_constraints_match_the_full_term_lists():
 
 def test_a_second_oracle_r3_single_point_tabulates_no_column(monkeypatch):
     cols = tabulated_columns(monkeypatch)
-    check = CATALOG[("sl3", "oracle-r3-single")][0]
-    first = check(3, [F(1, 2), F(1, 3), F(0), F(1, 5), F(1, 7), F(2, 3)], None)
+    points = (
+        [F(1, 2), F(1, 3), F(0), F(1, 5), F(1, 7), F(2, 3)],
+        [F(2, 3), F(1, 5), F(1, 4), F(3, 7), F(1, 2), F(-1, 3)],
+    )
+    first = run_check("sl3", "oracle-r3-single", 3, points[0])
     cols.clear()
-    second = check(3, [F(2, 3), F(1, 5), F(1, 4), F(3, 7), F(1, 2), F(-1, 3)], None)
+    second = run_check("sl3", "oracle-r3-single", 3, points[1])
     assert first.status == second.status == "pass"
     assert sum(cols) == 0
