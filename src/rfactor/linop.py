@@ -307,10 +307,6 @@ def is_zero(op: SparseOp, window: int):
     return False, witness
 
 
-def op_equal(a, b, window):
-    return is_zero(op_sub(a, b), window)
-
-
 # ---------------------------------------------------------------------------
 # Exact sparse linear algebra: fraction-free echelon form and nullspaces
 

@@ -220,6 +220,11 @@ def sl2_rhat_closed(pair, l1, l2, w):
 # ---------------------------------------------------------------------------
 # Spectral decomposition
 
+class SpectralMismatch(ValueError):
+    """A lowest-weight vector is not an eigenvector of P.Rhat, or the
+    eigenvalues break the spectral recurrence."""
+
+
 def sl2_spectral(R, l1, l2, w, n_max):
     """Eigenvalues of R = P.Rhat on lowest-weight vectors per degree, where
     the sites carry weights l1, l2 and w is the spectral parameter
@@ -229,7 +234,7 @@ def sl2_spectral(R, l1, l2, w, n_max):
     vector of the total lowering operator; the recurrence
     rho_{n+1}/rho_n = -(w + l1 + l2 + n)/(-w + l1 + l2 + n) is asserted
     exactly. Raises DegenerateDecomposition if a kernel is not
-    one-dimensional and ValueError on eigen-equation failure.
+    one-dimensional and SpectralMismatch where either equation fails.
     """
     pair = R.domain
     sm_tot = diffop(pair, (-1, (), ("z1",)), (-1, (), ("z2",)))
@@ -255,7 +260,7 @@ def sl2_spectral(R, l1, l2, w, n_max):
             for k in set(omega) | set(image)
         }
         if any(diff.values()):
-            raise ValueError(
+            raise SpectralMismatch(
                 f"degree {n} kernel vector is not an eigenvector: "
                 f"{pair.comb_str({k: v2 for k, v2 in diff.items() if v2})}"
             )
@@ -266,7 +271,7 @@ def sl2_spectral(R, l1, l2, w, n_max):
         expected = -(w + l1 + l2 + n) / den
         got = rhos[n + 1] / rhos[n]
         if got != expected:
-            raise ValueError(
+            raise SpectralMismatch(
                 f"spectral recurrence fails at degree {n}: {got} != {expected}"
             )
         ratios.append(got)

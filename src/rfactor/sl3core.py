@@ -1,12 +1,16 @@
 """sl(3) on truncated polynomial modules C[x, y, z].
 
 The module is spanned by monomials x^a y^b z^c with height a + 2b + c <= cap;
-1 is the lowest-weight vector of weight (m, n). The Lax matrix has a
-three-dimensional auxiliary space; the full parameter swap Rhat factorizes
-into three elementary R-operators, each a stage list of substitutions,
-Gamma-ratio diagonals and Laurent flows whose intermediate terms may carry
-negative exponents but whose output is certified polynomial. Rhat itself is
-assembled from the factor table in `rfactor.verify`, for sl2 and sl3 alike.
+1 is the lowest-weight vector of weight (m, n), which `sl3_weights` reads
+off a Lax parameter triple. The Lax matrix has a three-dimensional auxiliary
+space; the full parameter swap Rhat factorizes into three elementary
+R-operators, each a stage list of Gamma-ratio diagonals and Laurent flows
+conjugated into the difference frame by one translation
+g(a, b, c) = exp(c (dz - x dy)) exp(b dy) exp(a dx) of one site's variables
+by the other's (`sl3_translation`, which also gives the numeric shift flows).
+Intermediate terms may carry negative exponents, but the output is
+certified polynomial. Rhat itself is assembled from the factor table in
+`rfactor.verify`, for sl2 and sl3 alike.
 
 Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
@@ -30,6 +34,8 @@ from .exactnum import Rat
 from .polyspace import (
     GradedBasis,
     VarSpec,
+    comb_add_into,
+    comb_mul,
     enumerate_basis,
     size_checked_cache,
     tensor_basis,
@@ -61,7 +67,7 @@ class Sl3Params:
 
     The Lax parameter triple is
       u1 = u - 2 - (m + 2n)/3, u2 = u - 1 + (n - m)/3, u3 = u + (n + 2m)/3,
-    so that m = u3 - u2 - 1 and n = u2 - u1 - 1.
+    which `sl3_weights` inverts.
     """
 
     m: Rat
@@ -85,7 +91,9 @@ class Sl3Params:
         return (self.u1, self.u2, self.u3)
 
 
-SL3_WEIGHTS = {"x": 1, "y": 2, "z": 1}
+def sl3_weights(u1, u2, u3):
+    """The weight (m, n) of the Lax parameter triple (u1, u2, u3)."""
+    return u3 - u2 - 1, u2 - u1 - 1
 
 
 @size_checked_cache(maxsize=16)
@@ -242,6 +250,7 @@ def sl3_findim_dim(M, N):
 def sl3_lax(basis, u1, u2, u3, suffix=""):
     """Direct Lax matrix in the parameter triple (u1, u2, u3)."""
     x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
+    m, n = sl3_weights(u1, u2, u3)
 
     def op(*terms):
         return diffop(basis, *terms)
@@ -269,21 +278,21 @@ def sl3_lax(basis, u1, u2, u3, suffix=""):
                         (1, (y,), (z,)),
                     ),
                     op((1, (x,), ())),
-                    u2 - u1 - 1,
+                    n,
                 ),
                 op_add(op((-1, (x,), (x,)), (1, (z,), (z,))), one, u2 + 1),
                 op((1, (), (z,)), (-1, (x,), (y,))),
             ],
             [
                 op_add(
-                    op_add(b20, op((1, (x, z), ())), u3 - u2 - 1),
+                    op_add(b20, op((1, (x, z), ())), m),
                     op((1, (y,), ())),
-                    u3 - u1 - 2,
+                    m + n,
                 ),
                 op_add(
                     op((-1, (y,), (x,)), (-1, (z, z), (z,))),
                     op((1, (z,), ())),
-                    u3 - u2 - 1,
+                    m,
                 ),
                 op_add(op((-1, (y,), (y,)), (-1, (z,), (z,))), one, u3),
             ],
@@ -329,33 +338,36 @@ def sl3_lax_factored(basis, u1, u2, u3):
     return lax_mul(M_left, lax_mul(U, M_right))
 
 
+def sl3_translation(basis, names, a, b, c):
+    """The substitution rules {variable name: combination} of the group
+    element g(a, b, c) = exp(c (dz - x dy)) exp(b dy) exp(a dx) on the
+    variables `names` = (x, y, z) of `basis`,
+        x -> x + a,  y -> y + b - c x,  z -> z + c,
+    and those of its inverse g(-a, -b - c a, -c). a, b and c are
+    combinations {monomial: coefficient} free of x, y and z."""
+    x, y, z = ({basis.mono({v: 1}): Fraction(1)} for v in names)
+
+    def rules(a, b, c):
+        return {
+            names[0]: comb_add_into(dict(x), a),
+            names[1]: comb_add_into(comb_add_into(dict(y), b), comb_mul(c, x), -1),
+            names[2]: comb_add_into(dict(z), c),
+        }
+
+    def neg(comb):
+        return comb_add_into({}, comb, -1)
+
+    ca = comb_mul(c, a)
+    return rules(a, b, c), rules(neg(a), neg(comb_add_into(dict(b), ca)), neg(c))
+
+
 def sl3_shift_flows(basis, a, b, c):
-    """The group element exp(c (dz - x dy)) exp(b dy) exp(a dx) as an exact
-    substitution operator, and its inverse."""
-    fwd = subst_op(
-        basis,
-        {
-            "x": {basis.mono({"x": 1}): Fraction(1), basis.mono({}): Fraction(a)},
-            "y": {
-                basis.mono({"y": 1}): Fraction(1),
-                basis.mono({"x": 1}): Fraction(-c),
-                basis.mono({}): Fraction(b),
-            },
-            "z": {basis.mono({"z": 1}): Fraction(1), basis.mono({}): Fraction(c)},
-        }
-    )
-    inv = subst_op(
-        basis,
-        {
-            "x": {basis.mono({"x": 1}): Fraction(1), basis.mono({}): Fraction(-a)},
-            "y": {
-                basis.mono({"y": 1}): Fraction(1),
-                basis.mono({"x": 1}): Fraction(c),
-                basis.mono({}): Fraction(-b - c * a)},
-            "z": {basis.mono({"z": 1}): Fraction(1), basis.mono({}): Fraction(-c)},
-        }
-    )
-    return fwd, inv
+    """The translation g(a, b, c) by numbers as an exact substitution
+    operator on the x, y, z site `basis`, and its inverse."""
+    one = basis.mono({})
+    consts = ({one: Fraction(v)} for v in (a, b, c))
+    both = sl3_translation(basis, ("x", "y", "z"), *consts)
+    return tuple(subst_op(basis, rules) for rules in both)
 
 
 def sl3_invariance_matrix(a, b, c):
@@ -370,38 +382,27 @@ def sl3_invariance_matrix(a, b, c):
 # ---------------------------------------------------------------------------
 # Elementary R-operators
 #
-# Pair variables: site 1 = (x1, y1, z1), site 2 = (x2, y2, z2). All stages
-# below preserve total height; intermediate monomials may carry negative
-# exponents, the output may not.
+# Pair variables: site 1 = (x1, y1, z1), site 2 = (x2, y2, z2). Each stage
+# list opens with the translation g of three variables of one site by three
+# of the other (`_sl3_frame`), the change into the difference frame, and
+# closes with its inverse. All stages preserve total height; intermediate
+# monomials may carry negative exponents, the output may not.
+
+def _sl3_frame(pair, names, by):
+    """The stages of the translation g(a, b, c) of the pair variables
+    `names` = (x, y, z) by the variables `by` = (a, b, c), and of its
+    inverse."""
+    a, b, c = ({pair.mono({v: 1}): Fraction(1)} for v in by)
+    return tuple(
+        stage_subst(pair, {pair.var_index(v): r for v, r in rules.items()})
+        for rules in sl3_translation(pair, names, a, b, c)
+    )
+
 
 def _sl3_r1_stages(pair):
     x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
+    s1, s1_inv = _sl3_frame(pair, ("x2", "y2", "z2"), ("x1", "y1", "z1"))
     one = Fraction(1)
-    s1 = stage_subst(
-        pair,
-        {
-            x2: {pair.mono({"x2": 1}): one, pair.mono({"x1": 1}): one},
-            z2: {pair.mono({"z2": 1}): one, pair.mono({"z1": 1}): one},
-            y2: {
-                pair.mono({"y2": 1}): one,
-                pair.mono({"y1": 1}): one,
-                pair.mono({"z1": 1, "x2": 1}): -one,
-            },
-        },
-    )
-    s1_inv = stage_subst(
-        pair,
-        {
-            x2: {pair.mono({"x2": 1}): one, pair.mono({"x1": 1}): -one},
-            z2: {pair.mono({"z2": 1}): one, pair.mono({"z1": 1}): -one},
-            y2: {
-                pair.mono({"y2": 1}): one,
-                pair.mono({"y1": 1}): -one,
-                pair.mono({"z1": 1, "x2": 1}): one,
-                pair.mono({"z1": 1, "x1": 1}): -one,
-            },
-        },
-    )
     xz2 = pair.mono({"x2": 1, "z2": 1})
     w_fwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): one, xz2: one}})
     w_bwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): one, xz2: -one}})
@@ -421,32 +422,7 @@ def _sl3_r1_stages(pair):
 
 def _sl3_r2_stages(pair):
     x1, y1, z2 = map(pair.var_index, ("x1", "y1", "z2"))
-    one = Fraction(1)
-    s2 = stage_subst(
-        pair,
-        {
-            x1: {pair.mono({"x1": 1}): one, pair.mono({"x2": 1}): one},
-            z2: {pair.mono({"z2": 1}): one, pair.mono({"z1": 1}): one},
-            y1: {
-                pair.mono({"y1": 1}): one,
-                pair.mono({"y2": 1}): one,
-                pair.mono({"x1": 1, "z1": 1}): -one,
-            },
-        },
-    )
-    s2_inv = stage_subst(
-        pair,
-        {
-            x1: {pair.mono({"x1": 1}): one, pair.mono({"x2": 1}): -one},
-            z2: {pair.mono({"z2": 1}): one, pair.mono({"z1": 1}): -one},
-            y1: {
-                pair.mono({"y1": 1}): one,
-                pair.mono({"y2": 1}): -one,
-                pair.mono({"x1": 1, "z1": 1}): one,
-                pair.mono({"x2": 1, "z1": 1}): -one,
-            },
-        },
-    )
+    s2, s2_inv = _sl3_frame(pair, ("x1", "y1", "z2"), ("x2", "y2", "z1"))
     return (
         s2,
         Euler(z2, 1, lambda u1, u2, v2, v3: v2 - v3 + 1),
@@ -475,32 +451,7 @@ def _sl3_r3_core(basis, x, y, z):
 
 def _sl3_r3_stages(pair):
     x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
-    one = Fraction(1)
-    s3 = stage_subst(
-        pair,
-        {
-            x1: {pair.mono({"x1": 1}): one, pair.mono({"x2": 1}): one},
-            z1: {pair.mono({"z1": 1}): one, pair.mono({"z2": 1}): one},
-            y1: {
-                pair.mono({"y1": 1}): one,
-                pair.mono({"y2": 1}): one,
-                pair.mono({"x1": 1, "z2": 1}): -one,
-            },
-        },
-    )
-    s3_inv = stage_subst(
-        pair,
-        {
-            x1: {pair.mono({"x1": 1}): one, pair.mono({"x2": 1}): -one},
-            z1: {pair.mono({"z1": 1}): one, pair.mono({"z2": 1}): -one},
-            y1: {
-                pair.mono({"y1": 1}): one,
-                pair.mono({"y2": 1}): -one,
-                pair.mono({"x1": 1, "z2": 1}): one,
-                pair.mono({"x2": 1, "z2": 1}): -one,
-            },
-        },
-    )
+    s3, s3_inv = _sl3_frame(pair, ("x1", "y1", "z1"), ("x2", "y2", "z2"))
     return (s3, *_sl3_r3_core(pair, x1, y1, z1), s3_inv)
 
 
@@ -535,21 +486,6 @@ def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
 def sl3_r3_single(site, u1, u2, u3, v3):
     """The third swap reduced to one site basis (oracle-r3-single)."""
     return path_op(path_table(site, _sl3_r3_single_stages), (u1, u2, u3, v3))
-
-
-def sl3_weight_shifts(which, p1, p2):
-    """Weight (m, n) of both sites after an elementary factor."""
-    m1, n1, m2, n2 = p1.m, p1.n, p2.m, p2.n
-    if which == "r1":
-        xi = p1.u1 - p2.u1
-        return (m1, n1 + xi), (m2, n2 - xi)
-    if which == "r2":
-        xi = p1.u2 - p2.u2
-        return (m1 + xi, n1 - xi), (m2 - xi, n2 + xi)
-    if which == "r3":
-        xi = p1.u3 - p2.u3
-        return (m1 - xi, n1), (m2 + xi, n2)
-    raise ValueError(which)
 
 
 def sl3_total_generators(pair, params1, params2):

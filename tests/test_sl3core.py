@@ -10,6 +10,8 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfactor.polyspace import (
     CapTooLarge,
@@ -34,7 +36,6 @@ from rfactor.linop import (
     lax_sub,
     mat_inv,
     op_add,
-    op_equal,
     op_scale,
     op_sub,
     pair_swap,
@@ -45,6 +46,9 @@ from rfactor.linop import (
     zero_op,
 )
 from rfactor.sl3core import (
+    _sl3_r1_stages,
+    _sl3_r2_stages,
+    _sl3_r3_stages,
     GEN_COEFF_MATRICES,
     GEN_NAMES,
     Sl3Params,
@@ -64,7 +68,7 @@ from rfactor.sl3core import (
     sl3_shift_flows,
     sl3_site,
     sl3_total_generators,
-    sl3_weight_shifts,
+    sl3_weights,
     op_scalar_part,
 )
 from rfactor.verify import rhat
@@ -548,6 +552,29 @@ def test_shift_flow_inverse_and_lax_invariance():
     assert ok, wit
 
 
+@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize(
+    "stages", [_sl3_r1_stages, _sl3_r2_stages, _sl3_r3_stages], ids=["s1", "s2", "s3"]
+)
+def test_each_frame_change_is_undone_by_its_inverse(stages, cap):
+    pair = sl3_pair(cap)
+    # every stage list opens with its translation and closes with the inverse
+    fwd, *_, inv = stages(pair)
+    for first, second in ((fwd, inv), (inv, fwd)):
+        op = run_pipeline(pair, [first, second])
+        ok, wit = is_zero(op_sub(op, identity_op(pair)), pair.cap)
+        assert ok, wit
+
+
+_RATS = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATS, _RATS, _RATS)
+def test_the_weight_map_inverts_the_parameter_triple(m, n, u):
+    assert sl3_weights(*Sl3Params(m, n, u).triple) == (m, n)
+
+
 def test_r_factors_fix_vacuum_and_frozen_columns():
     pair = _pair(3)
     r1, r2, r3 = _factors(3)
@@ -665,11 +692,17 @@ def test_full_defining_relation_and_permuted_form():
 def test_weight_shift_intertwining():
     pair = _pair(3)
     r1, r2, r3 = _factors(3)
-    before1, before2 = (P1.m, P1.n), (P2.m, P2.n)
-    told = sl3_total_generators(pair, before1, before2)
-    for which, R in (("r1", r1), ("r2", r2), ("r3", r3)):
-        w1, w2 = sl3_weight_shifts(which, P1, P2)
-        tnew = sl3_total_generators(pair, w1, w2)
+    t, q = P1.triple, P2.triple
+    (u1, u2, u3), (v1, v2, v3) = t, q
+    told = sl3_total_generators(pair, sl3_weights(*t), sl3_weights(*q))
+    # each factor carries the total generators of the weights of the slot
+    # tuples it leaves on the two sites
+    for which, R, q1, q2 in (
+        ("r1", r1, (v1, u2, u3), (u1, v2, v3)),
+        ("r2", r2, (u1, v2, u3), (v1, u2, v3)),
+        ("r3", r3, (u1, u2, v3), (v1, v2, u3)),
+    ):
+        tnew = sl3_total_generators(pair, sl3_weights(*q1), sl3_weights(*q2))
         for k in GEN_NAMES:
             res = op_sub(compose(R, told[k]), compose(tnew[k], R))
             w = min(res.certified, 3 - max(0, told[k].shift))
@@ -677,7 +710,7 @@ def test_weight_shift_intertwining():
             assert ok, (which, k, wit)
     # the full swap exchanges the two site weights
     A = _rhat(pair, P1, P2)
-    tnew = sl3_total_generators(pair, before2, before1)
+    tnew = sl3_total_generators(pair, sl3_weights(*q), sl3_weights(*t))
     for k in GEN_NAMES:
         res = op_sub(compose(A, told[k]), compose(tnew[k], A))
         w = min(res.certified, 3 - max(0, told[k].shift))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rfactor import verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
-    compose, diffop, identity_op, lax_mul, op_equal, op_scale,
+    LaurentLeak, compose, diffop, identity_op, is_zero, lax_mul, op_scale, op_sub,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
 from rfactor.sl2core import sl2_lax, sl2_r1, sl2_r2
@@ -82,7 +82,7 @@ def test_lwv_normalize_scales_the_vacuum_coefficient_away():
     basis = sl2_site(3)
     n, c = lwv_normalize(op_scale(identity_op(basis), F(5)))
     assert c == 5
-    assert op_equal(n, identity_op(basis), 3)[0]
+    assert is_zero(op_sub(n, identity_op(basis)), 3)[0]
 
 
 def test_lwv_normalize_rejects_operators_moving_the_vacuum():
@@ -257,7 +257,7 @@ def test_oracle_unique_solution_is_the_identity():
     sols = intertwiner_oracle([(sp, sp)], basis)
     assert len(sols) == 1
     n, _ = lwv_normalize(sols[0])
-    assert op_equal(n, identity_op(basis), basis.cap)[0]
+    assert is_zero(op_sub(n, identity_op(basis)), basis.cap)[0]
 
 
 def test_oracle_scaled_relation_forces_a_geometric_diagonal():
@@ -371,6 +371,50 @@ def test_run_check_fails_a_check_that_moves_the_vacuum_at_the_cap(monkeypatch):
     res = run_check("sl2", "closed-form", 4, _POINT)
     assert res.status == "fail" and res.window == 4
     assert res.witness == ("z1", "3/2")
+
+
+def test_a_failing_sl3_invariance_reports_through_the_lax_zero_test(monkeypatch):
+    real = verify.sl3_invariance_matrix
+    monkeypatch.setattr(
+        verify, "sl3_invariance_matrix", lambda a, b, c: real(a, b, 2 * c)
+    )
+    point = [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(2, 3), F(1, 4)]
+    res = run_check("sl3", "sl3-invariance", 3, point)
+    assert res.status == "fail" and res.window == 1
+    assert res.to_json()["witness"] == {
+        "monomial": "z in block (1,1)",
+        "value": "(-1/5)*1",
+    }
+
+
+_SPECTRAL_POINT = [F(1, 2), F(1, 3), F(2), F(1, 5)]
+
+
+def test_a_construction_error_in_the_spectral_check_is_raised(monkeypatch):
+    def leaks(pair):
+        raise LaurentLeak("image of z1 kept a negative exponent")
+
+    assert run_check("sl2", "spectral", 4, _SPECTRAL_POINT).status == "pass"
+    monkeypatch.setattr(verify, "pair_swap", leaks)
+    with pytest.raises(LaurentLeak):
+        run_check("sl2", "spectral", 4, _SPECTRAL_POINT)
+
+
+def test_a_failing_spectral_recurrence_is_a_spectral_fail(monkeypatch):
+    # P times (total degree + 1): each lowest-weight vector stays an
+    # eigenvector, but the eigenvalue of degree n gains the factor n + 1
+    real = verify.pair_swap
+
+    def scaled(pair):
+        degree_plus_one = diffop(
+            pair, (1, (), ()), (1, ("z1",), ("z1",)), (1, ("z2",), ("z2",))
+        )
+        return compose(real(pair), degree_plus_one)
+
+    monkeypatch.setattr(verify, "pair_swap", scaled)
+    res = run_check("sl2", "spectral", 4, _SPECTRAL_POINT)
+    assert res.status == "fail"
+    assert res.witness[0].startswith("spectral recurrence fails at degree 0")
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +678,7 @@ def test_each_coefficient_matrix_maps_back_to_its_generator(alg, weights):
         terms = verify._in_generators(a.gen_coeffs, M)
         assert terms == ((name, 1),)
         op = verify._combination(basis, g, terms)
-        ok, wit = op_equal(op, g[name], g[name].certified)
+        ok, wit = is_zero(op_sub(op, g[name]), g[name].certified)
         assert ok, (name, wit)
 
 
@@ -726,9 +770,11 @@ def test_the_r3_single_constraints_match_the_full_term_lists():
     for pt, got in built:
         want = _r3_single_constraints_reference(basis, *pt)
         assert len(got) == len(want)
-        for k, (g, w) in enumerate(zip(got, want)):
-            assert_same_op(g[0], w[0], (pt, k, "A"))
-            assert_same_op(g[1], w[1], (pt, k, "B"))
+        # the constraints are the generators T21, T23, T12, T13; the
+        # reference lists are T21 and the negatives of the other three
+        for k, (g, w, sign) in enumerate(zip(got, want, (1, -1, -1, -1))):
+            assert_same_op(op_scale(g[0], sign), w[0], (pt, k, "A"))
+            assert_same_op(op_scale(g[1], sign), w[1], (pt, k, "B"))
 
 
 def test_a_second_oracle_r3_single_point_tabulates_no_column(monkeypatch):

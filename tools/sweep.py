@@ -1,7 +1,8 @@
 """Parity sweep: run a fixed set of CLI configurations and hash what each leaves.
 
 Covers every catalog check of sl2 at caps 8 and 4 and of sl3 at caps 3 and 4,
-at seeds 0 and 1, plus every mutation tag on its algebra's default suite. Each
+at seeds 0 and 1, every mutation tag on its algebra's default suite, and the
+`ybe` command and every `oracle --algebra A --op OP` at their defaults. Each
 configuration runs in-process through `rfactor.cli.main` with a fresh
 `--out` file. Prints one JSON object, keyed by the space-joined arguments
 (without `--out`):
@@ -28,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 from rfactor import cli
+from rfactor.cli import ORACLE_OPS
 from rfactor.verify import CATALOG, SL2_MUTATION_TAGS, SL3_MUTATION_TAGS
 
 CAPS = {"sl2": (8, 4), "sl3": (3, 4)}
@@ -46,6 +48,10 @@ def configurations():
     for algebra, tags in (("sl2", SL2_MUTATION_TAGS), ("sl3", SL3_MUTATION_TAGS)):
         for tag in tags:
             yield [algebra, "--mutate", tag]
+    yield ["ybe"]
+    for algebra, ops in ORACLE_OPS.items():
+        for op in ops:
+            yield ["oracle", "--algebra", algebra, "--op", op]
 
 
 def _sha(data: bytes) -> str:
