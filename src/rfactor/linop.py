@@ -347,17 +347,40 @@ def _echelon_insert(row, echelon):
 
 def int_row(vec):
     """The nonzero entries of a rational vector {key: coefficient} times the
-    least common denominator: integers with the same span."""
-    lcm = math.lcm(*(v.denominator for v in vec.values()))
+    least common denominator: integers with the same span, in a new dict.
+    A row of nonzero ints is copied as it is."""
+    vals = vec.values()
+    if all(type(v) is int for v in vals) and 0 not in vals:
+        return dict(vec)
+    lcm = math.lcm(*(v.denominator for v in vals))
     return {k: v.numerator * (lcm // v.denominator) for k, v in vec.items() if v}
+
+
+def _kernel_vector(echelon, leads, free):
+    """Back-substitution: the solution with 1 at `free` and 0 at every other
+    unknown that leads no echelon row; `leads` is the echelon's leads in
+    decreasing order."""
+    x = {free: Fraction(1)}
+    for lead in leads:
+        row = echelon[lead]
+        s = Fraction(0)
+        for k, v in row.items():
+            if k != lead:
+                xv = x.get(k)
+                if xv:
+                    s += v * xv
+        if s:
+            x[lead] = -s / row[lead]
+    return {k: v for k, v in x.items() if v}
 
 
 def int_echelon_nullspace(equations, unknowns):
     """Exact nullspace basis of a sparse homogeneous linear system.
 
-    equations: iterable of {unknown id: rational coefficient}; unknowns: list
-    of ids (ids must be mutually orderable). Returns one solution dict per
-    free unknown, with value 1 at that unknown and other free unknowns at 0.
+    equations: iterable of {unknown id: rational coefficient}, each key one of
+    `unknowns`, a list of mutually orderable ids. The equations are not
+    modified. Returns one solution dict per free unknown, with value 1 at that
+    unknown and other free unknowns at 0.
 
     The result does not depend on the order of the equations. Every echelon
     row's lead is its smallest unknown, so the leads are the pivot columns of
@@ -366,29 +389,33 @@ def int_echelon_nullspace(equations, unknowns):
     unique. Rows are therefore cleared of denominators and inserted sparsest
     first (stable on ties), so dense rows are reduced against short pivots
     instead of filling in every later row.
+
+    Once the rank is one short of the number of unknowns, the kernel is the
+    line of the single back-substituted solution x. A rank n - 1 row space is
+    exactly the set of rows orthogonal to x, so a remaining row r with
+    r.x = 0 would reduce to zero and leave every pivot row as it is: it is
+    tested by that dot product instead of being reduced. The first row with
+    r.x != 0 is inserted, which makes the rank full and the nullspace empty.
+    The echelon, the free unknowns and the result are those of eliminating
+    every row.
     """
-    rows = [row for eq in equations if (row := int_row(eq))]
-    rows.sort(key=len)
+    rows = sorted(equations, key=len)
     echelon = {}
-    for row in rows:
-        _echelon_insert(row, echelon)
-    free = [u for u in unknowns if u not in echelon]
+    for i, eq in enumerate(rows):
+        if len(echelon) == len(unknowns) - 1:
+            free = next(u for u in unknowns if u not in echelon)
+            x = _kernel_vector(echelon, sorted(echelon, reverse=True), free)
+            xi = int_row(x)
+            for r in rows[i:]:
+                if sum(v * xi.get(k, 0) for k, v in r.items()):
+                    _echelon_insert(int_row(r), echelon)
+                    return []
+            return [x]
+        row = int_row(eq)
+        if row:
+            _echelon_insert(row, echelon)
     leads = sorted(echelon, reverse=True)
-    sols = []
-    for f in free:
-        x = {f: Fraction(1)}
-        for lead in leads:
-            row = echelon[lead]
-            s = Fraction(0)
-            for k, v in row.items():
-                if k != lead:
-                    xv = x.get(k)
-                    if xv:
-                        s += v * xv
-            if s:
-                x[lead] = -s / row[lead]
-        sols.append({k: v for k, v in x.items() if v})
-    return sols
+    return [_kernel_vector(echelon, leads, f) for f in unknowns if f not in echelon]
 
 
 # ---------------------------------------------------------------------------

@@ -292,9 +292,12 @@ def intertwiner_oracle(constraints, basis):
             for rp in blocks[charges[m]]:
                 for r, b in B.cols.get(rp, {}).items():
                     acc = rows.setdefault(r, {})
-                    v = acc.get((rp, m))
-                    acc[(rp, m)] = -b * fb if v is None else v - b * fb
-            equations.extend(rows.values())
+                    v = acc.get((rp, m), 0) - b * fb
+                    if v:
+                        acc[(rp, m)] = v
+                    else:
+                        del acc[(rp, m)]
+            equations.extend(row for row in rows.values() if row)
     sols = int_echelon_nullspace(equations, unknowns)
     return [_solution_to_op(basis, s) for s in sols]
 

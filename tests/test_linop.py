@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfactor import linop
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     BasisMismatch,
@@ -300,6 +301,49 @@ def test_int_echelon_nullspace_small():
     assert int_echelon_nullspace(eqs2, [0, 1, 2]) == []
     # no equations: everything free
     assert len(int_echelon_nullspace([], [0, 1])) == 2
+
+
+# x0 = x1 = x2 = x3: a one-line kernel, (1, 1, 1, 1)
+_CHAIN = [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 3: -1}]
+
+
+def _counting_inserts(monkeypatch):
+    inserted = []
+    insert = linop._echelon_insert
+
+    def counting(row, echelon):
+        inserted.append(dict(row))
+        return insert(row, echelon)
+
+    monkeypatch.setattr(linop, "_echelon_insert", counting)
+    return inserted
+
+
+def test_a_row_orthogonal_to_the_kernel_line_is_not_reduced(monkeypatch):
+    inserted = _counting_inserts(monkeypatch)
+    eqs = _CHAIN + [{0: 1, 1: 1, 2: -1, 3: -1}]
+    sols = int_echelon_nullspace(eqs, [0, 1, 2, 3])
+    assert sols == [{0: 1, 1: 1, 2: 1, 3: 1}]
+    assert inserted == _CHAIN  # rank 3 of 4 before the longer row
+
+
+def test_a_row_off_the_kernel_line_empties_the_nullspace(monkeypatch):
+    inserted = _counting_inserts(monkeypatch)
+    eqs = _CHAIN + [{0: 1, 1: 1, 2: 1, 3: 1}]
+    assert int_echelon_nullspace(eqs, [0, 1, 2, 3]) == []
+    assert len(inserted) == 4
+
+
+@pytest.mark.parametrize("scale", [1, F(2, 3)], ids=["int", "fraction"])
+def test_int_echelon_nullspace_leaves_its_equations_unchanged(scale):
+    eqs = [{k: scale * v for k, v in eq.items()} for eq in _CHAIN]
+    eqs += [{0: scale, 1: 0, 3: -scale}, {}, {2: 0}]
+    for system in (eqs, eqs + [{k: scale for k in range(4)}], eqs[1:]):
+        before = [dict(eq) for eq in system]
+        int_echelon_nullspace(system, [0, 1, 2, 3])
+        assert system == before
+        assert all(type(a) is type(b) for eq, old in zip(system, before)
+                   for a, b in zip(eq.values(), old.values()))
 
 
 def _fraction_rank(equations, unknowns):

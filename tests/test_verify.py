@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfactor import verify
+from rfactor import linop, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, diffop, identity_op, is_zero, lax_mul, op_scale, op_sub,
@@ -701,6 +701,99 @@ def test_a_wrong_sl2_coefficient_table_fails_the_commutators(monkeypatch):
     finally:
         verify._structure_constants.cache_clear()
     assert res.status == "fail" and res.witness is not None
+
+
+# ---------------------------------------------------------------------------
+# The oracle's exact solve at sl3 cap 3
+
+_ORACLE_POINT = [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(2, 3), F(1, 4)]
+
+
+def _recorded_solves(monkeypatch):
+    """(equations, unknowns, solutions, rows inserted) of every later
+    oracle solve."""
+    solves, inserted = [], [0]
+    insert, solve = linop._echelon_insert, verify.int_echelon_nullspace
+
+    def counting(row, echelon):
+        inserted[0] += 1
+        return insert(row, echelon)
+
+    def recording(equations, unknowns):
+        inserted[0] = 0
+        sols = solve(equations, unknowns)
+        solves.append((equations, unknowns, sols, inserted[0]))
+        return sols
+
+    monkeypatch.setattr(linop, "_echelon_insert", counting)
+    monkeypatch.setattr(verify, "int_echelon_nullspace", recording)
+    return solves
+
+
+def _full_elimination_nullspace(equations, unknowns):
+    """Every row reduced in Fractions against pivot rows with lead 1, then
+    back-substituted once per free unknown."""
+    pivots = {}
+    for eq in sorted(equations, key=len):
+        row = {k: F(v) for k, v in eq.items() if v}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = {k: v / row[lead] for k, v in row.items()}
+                break
+            c = row[lead]
+            for k, v in pivots[lead].items():
+                w = row.get(k, 0) - c * v
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+    sols = []
+    for f in (u for u in unknowns if u not in pivots):
+        x = {f: F(1)}
+        for lead in sorted(pivots, reverse=True):
+            s = sum(v * x.get(k, 0) for k, v in pivots[lead].items() if k != lead)
+            if s:
+                x[lead] = -s
+        sols.append(x)
+    return sols
+
+
+def test_the_oracle_solve_stops_reducing_at_a_one_line_kernel(monkeypatch):
+    solves = _recorded_solves(monkeypatch)
+    assert run_check("sl3", "oracle-r1", 3, _ORACLE_POINT).status == "pass"
+    ((eqs, unknowns, sols, inserted),) = solves
+    assert inserted < sum(1 for eq in eqs if any(eq.values()))
+    assert sols == _full_elimination_nullspace(eqs, unknowns)
+
+
+@pytest.mark.parametrize(
+    "name", ["oracle-r1", "oracle-r2", "oracle-r3", "oracle-r3-single"]
+)
+def test_the_oracle_hands_the_solver_nonempty_rows_of_nonzero_ints(monkeypatch, name):
+    solves = _recorded_solves(monkeypatch)
+    assert run_check("sl3", name, 3, _ORACLE_POINT).status == "pass"
+    ((eqs, *_),) = solves
+    assert eqs
+    for eq in eqs:
+        assert eq and all(type(v) is int and v for v in eq.values())
+
+
+def test_a_contradictory_constraint_empties_the_oracle_nullspace_early(monkeypatch):
+    calls = []
+    check = verify._oracle_check
+    monkeypatch.setattr(
+        verify, "_oracle_check", lambda *args: calls.append(args) or check(*args)
+    )
+    assert run_check("sl3", "oracle-r1", 3, _ORACLE_POINT).status == "pass"
+    ((pair, constraints, closed),) = calls
+    one = identity_op(pair)
+    solves = _recorded_solves(monkeypatch)
+    with pytest.raises(CheckFailed) as failed:
+        check(pair, constraints + [(one, op_scale(one, F(2)))], closed)
+    assert failed.value.args == (3, ("nullspace", "empty"))
+    ((eqs, _, sols, inserted),) = solves
+    assert sols == [] and inserted < sum(1 for eq in eqs if any(eq.values()))
 
 
 # ---------------------------------------------------------------------------
