@@ -202,9 +202,8 @@ def main(argv=None) -> int:
         except OSError as e:
             print(f"rfactor: cannot write {args.out}: {e}", file=sys.stderr)
             return 2
-        code = _print_report(report)
-    else:
-        code = _print_report(report)
+    code = _print_report(report)
+    if not args.out:
         sys.stdout.write(text)
     return code
 

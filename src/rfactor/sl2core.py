@@ -3,9 +3,10 @@
 A module is spanned by z^k, k <= cap, with lowest-weight vector 1 and weight
 parameter ell. The Lax matrix mixes a two-dimensional auxiliary space with
 differential operators on the module; the two elementary R-operators are
-built as exact substitution/diagonal pipelines. Their product, the full swap
-Rhat, is assembled from the factor table in `rfactor.verify`, which checks
-every defining relation to literal zero on certified windows.
+compiled stage lists of substitutions and Gamma-ratio diagonals. Their
+product, the full swap Rhat, is assembled from the factor table in
+`rfactor.verify`, which checks every defining relation to literal zero on
+certified windows.
 
 Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the

@@ -5,11 +5,13 @@ points and evaluates its defining identities on certified windows: it returns
 (window, scalar) when all hold and raises CheckFailed with a monomial witness
 at the first that does not, or CheckSkipped at a degenerate point; `run_check`
 turns either outcome into a CheckResult.  Points are drawn from a seeded
-pool and filtered by a Pochhammer degeneracy guard, so a report is a pure
-function of (suite, seed, cap).  The oracle checks re-derive each elementary
+pool, so a report is a pure function of (suite, seed, cap).  Every factor a
+check builds guards itself: `_factor` raises CheckSkipped where a Pochhammer
+symbol of the factor's path table vanishes, before it evaluates the table,
+and a resample follows.  The oracle checks re-derive each elementary
 R-operator as the nullspace of its first-order intertwining system by
 fraction-free elimination and compare the normalized generator with the
-closed-form construction, entry by entry.
+factor its path table gives, entry by entry.
 """
 
 from __future__ import annotations
@@ -382,8 +384,9 @@ def _sl2_spectral(cap, draws, mutate):
     t, s = map(_sl2_slots, _sl2_point(draws))
     n_max = min(6, cap - 1)
     pair = sl2_pair(cap)
-    _guard(rhat_guards("sl2", pair, t, s, 1) + sl2_spectral_bases(l1, l2, u - v), cap)
-    R = compose(pair_swap(pair), rhat("sl2", pair, t, s))
+    swap = rhat("sl2", pair, t, s)
+    _guard(sl2_spectral_bases(l1, l2, u - v), cap)
+    R = compose(pair_swap(pair), swap)
     try:
         sl2_spectral(R, l1, l2, u - v, n_max)
     except (DegenerateDecomposition, SpectralMismatch) as e:
@@ -407,7 +410,6 @@ def _sl2_closed_form(cap, draws, mutate):
     l1, l2, w = p1.ell, p2.ell, p1.u - p2.u
     t, s = _sl2_slots(p1), _sl2_slots(p2)
     pair = sl2_pair(cap)
-    _guard(rhat_guards("sl2", pair, t, s, 1), cap)
     return _same_line(rhat("sl2", pair, t, s), sl2_rhat_closed(pair, l1, l2, w))
 
 
@@ -478,18 +480,13 @@ def _sl3_global(cap, draws, mutate):
     the shifted weights; the full swap exchanges the site weights."""
     t, s = (p.triple for p in _sl3_point(draws))
     pair = sl3_pair(cap)
-    # besides both orders of the full swap, each factor k at (t, s): its
-    # builder arguments and the slot tuples it leaves
-    direct = {k: _factor_args(t, s, k) for k in (1, 2, 3)}
-    bases = rhat_guards("sl3", pair, t, s, 1) + rhat_guards("sl3", pair, t, s, 2)
-    for k, (args, _, _) in direct.items():
-        bases += _factor_guard("sl3", pair, k, args)
-    _guard(bases, cap)
-    jobs = [
-        (_FACTORS["sl3", k][0](pair, *args), q1, q2)
-        for k, (args, q1, q2) in direct.items()
-    ]
-    jobs.append((rhat("sl3", pair, t, s), s, t))
+    swap = rhat("sl3", pair, t, s)
+    # each factor k at (t, s) and the slot tuples it leaves, then the full swap
+    jobs = []
+    for k in (1, 2, 3):
+        args, q1, q2 = _factor_args(t, s, k)
+        jobs.append((_factor("sl3", k, pair, args), q1, q2))
+    jobs.append((swap, s, t))
     told = sl3_total_generators(pair, sl3_weights(*t), sl3_weights(*s))
     window = cap
     for R, q1, q2 in jobs:
@@ -517,9 +514,9 @@ def _sl3_oracle_single(cap, draws, mutate):
     v3 = p2.u3
     basis = sl3_site(cap)
     args = (u1, u2, u3, v3)
-    _guard(pole_bases(path_table(basis, _sl3_r3_single_stages), args), cap)
+    R = _factor("sl3", "r3-single", basis, args)
     constraints = _sl3_r3_single_constraints(basis, *args)
-    return _oracle_check(basis, constraints, sl3_r3_single(basis, *args))
+    return _oracle_check(basis, constraints, R)
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +575,15 @@ _ALGEBRAS = {
 }
 
 # (algebra, factor k) -> (builder, stage list, side operators); the builder
-# evaluates the stage list's path table
+# evaluates the stage list's path table. "r3-single" is the third swap reduced
+# to one site, which has no side operators and takes no mutation.
 _FACTORS = {
     ("sl2", 1): (sl2_r1, _sl2_r1_stages, _sl2_sides_r1),
     ("sl2", 2): (sl2_r2, _sl2_r2_stages, _sl2_sides_r2),
     ("sl3", 1): (sl3_r1, _sl3_r1_stages, _sl3_sides_r1),
     ("sl3", 2): (sl3_r2, _sl3_r2_stages, _sl3_sides_r2),
     ("sl3", 3): (sl3_r3, _sl3_r3_stages, _sl3_sides_r3),
+    ("sl3", "r3-single"): (sl3_r3_single, _sl3_r3_single_stages, None),
 }
 
 
@@ -709,32 +708,29 @@ def _swap_factors(t, s, order):
         yield k, args
 
 
+def _factor(alg, k, basis, args, mutate=None):
+    """Factor k of `alg` on `basis` at builder arguments `args`, with the
+    eigenvalue mutation `mutate` if one is given (the one-site swap takes
+    none). Raises CheckSkipped where degeneracy_guard rejects the Pochhammer
+    bases of its path table, so a factor that builds meets no pole."""
+    build, stages, _ = _FACTORS[alg, k]
+    _guard(pole_bases(path_table(basis, stages), args), basis.cap)
+    if mutate is None:
+        return build(basis, *args)
+    return build(basis, *args, mutate=mutate)
+
+
 def rhat(alg, pair, t, s, order=1, mutate=None):
     """The full swap Rhat(t | s) on `pair`: the product of the elementary
     factors in the given order, each composed on the left of the factors
-    already applied. Order 1 is R1 . R2 (. R3), order 2 is (R3 .) R2 . R1."""
+    already applied. Order 1 is R1 . R2 (. R3), order 2 is (R3 .) R2 . R1.
+    Each factor guards itself as it is built, so this raises CheckSkipped
+    at the first factor, in the order they apply, that would meet a pole."""
     out = None
     for k, args in _swap_factors(t, s, order):
-        R = _FACTORS[alg, k][0](pair, *args, mutate=_factor_mutation(mutate, k))
+        R = _factor(alg, k, pair, args, _factor_mutation(mutate, k))
         out = R if out is None else compose(R, out)
     return out
-
-
-def _factor_guard(alg, pair, k, args):
-    """The Pochhammer bases of factor k at builder arguments `args`, read
-    off its path table on `pair`: where degeneracy_guard accepts them, the
-    build meets no pole."""
-    return pole_bases(path_table(pair, _FACTORS[alg, k][1]), args)
-
-
-def rhat_guards(alg, pair, t, s, order):
-    """The Pochhammer bases of every factor of rhat(alg, pair, t, s, order),
-    in the order the factors apply."""
-    return [
-        b
-        for k, args in _swap_factors(t, s, order)
-        for b in _factor_guard(alg, pair, k, args)
-    ]
 
 
 def _exchange_laxes(a, pair, t1, t2, q1, q2):
@@ -751,13 +747,12 @@ def _exchange_laxes(a, pair, t1, t2, q1, q2):
 def _factor_exchange(alg, k, cap, draws, mutate):
     """R_k L1(t) L2(s) = L1(t') L2(s') R_k, plus R_k's side relations."""
     a = _algebra(alg)
-    build, _, sides = _FACTORS[alg, k]
+    sides = _FACTORS[alg, k][2]
     p1, p2 = a.point(draws)
     t, s = a.slots(p1), a.slots(p2)
     args, q1, q2 = _factor_args(t, s, k)
     pair = a.pair(cap)
-    _guard(_factor_guard(alg, pair, k, args), cap)
-    R = build(pair, *args, mutate=_factor_mutation(mutate, k))
+    R = _factor(alg, k, pair, args, _factor_mutation(mutate, k))
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
     residual_rll(R, lax_mul(L1, L2), lax_mul(L1p, L2p), cap - 2)
     for op in sides(pair):
@@ -772,7 +767,6 @@ def _factor_orders(alg, cap, draws, mutate):
     a = _algebra(alg)
     t, s = map(a.slots, a.point(draws))
     pair = a.pair(cap)
-    _guard(rhat_guards(alg, pair, t, s, 1) + rhat_guards(alg, pair, t, s, 2), cap)
     return _same_line(
         rhat(alg, pair, t, s, 1, mutate), rhat(alg, pair, t, s, 2, mutate)
     )
@@ -784,7 +778,6 @@ def _full_swap(alg, cap, draws, mutate):
     a = _algebra(alg)
     t, s = map(a.slots, a.point(draws))
     pair = a.pair(cap)
-    _guard(rhat_guards(alg, pair, t, s, 1), cap)
     A = rhat(alg, pair, t, s, 1, mutate)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
     P = lax_mul(L1, L2)
@@ -800,21 +793,20 @@ def _inverse_scalar(alg, cap, draws, mutate):
     a = _algebra(alg)
     t, s = map(a.slots, a.point(draws))
     pair = a.pair(cap)
-    _guard(rhat_guards(alg, pair, t, s, 1) + rhat_guards(alg, pair, s, t, 1), cap)
-    comp = compose(rhat(alg, pair, s, t), rhat(alg, pair, t, s))
-    return _same_line(comp, identity_op(pair))
+    forward = rhat(alg, pair, t, s)
+    return _same_line(compose(rhat(alg, pair, s, t), forward), identity_op(pair))
 
 
 def _oracle(alg, k, cap, draws, mutate):
     """Re-derive factor k from its exchange and side relations alone and
-    compare it with the closed-form pipeline."""
+    compare it with the factor its path table gives."""
     a = _algebra(alg)
-    build, _, sides = _FACTORS[alg, k]
+    sides = _FACTORS[alg, k][2]
     p1, p2 = a.point(draws)
     t, s = a.slots(p1), a.slots(p2)
     args, q1, q2 = _factor_args(t, s, k)
     pair = a.pair(cap)
-    _guard(_factor_guard(alg, pair, k, args), cap)
+    R = _factor(alg, k, pair, args)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
     A, B = lax_add(L1, L2), lax_add(L1p, L2p)
     constraints = [
@@ -822,7 +814,7 @@ def _oracle(alg, k, cap, draws, mutate):
         for i in range(A.size)
         for j in range(A.size)
     ] + [(op, op) for op in sides(pair)]
-    return _oracle_check(pair, constraints, build(pair, *args))
+    return _oracle_check(pair, constraints, R)
 
 
 # ---------------------------------------------------------------------------

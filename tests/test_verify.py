@@ -16,15 +16,17 @@ from rfactor import linop, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, diffop, identity_op, is_zero, lax_mul, op_scale, op_sub,
+    path_table, pole_bases,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
-from rfactor.sl2core import sl2_lax, sl2_r1, sl2_r2
+from rfactor.sl2core import _sl2_r1_stages, _sl2_r2_stages, sl2_lax, sl2_r1, sl2_r2
 from rfactor.sl3core import Sl3Params, sl3_pair, sl3_r1, sl3_r2, sl3_r3, sl3_site
 from rfactor.verify import (
     POOL_DEN,
     POOL_NUM,
     CheckFailed,
     CheckResult,
+    CheckSkipped,
     NotLowestWeightStable,
     SL2_MUTATION_TAGS,
     SL3_MUTATION_TAGS,
@@ -39,7 +41,6 @@ from rfactor.verify import (
     report_to_json,
     residual_rll,
     rhat,
-    rhat_guards,
     run_check,
     run_one,
     run_suite,
@@ -98,7 +99,7 @@ def test_lwv_normalize_rejects_operators_moving_the_vacuum():
 
 
 # ---------------------------------------------------------------------------
-# The full swap and its guard list, built from the factor table
+# The full swap, built from the factor table; each factor guards itself
 
 def _same(a, b):
     return (a.cols, a.den, a.certified) == (b.cols, b.den, b.certified)
@@ -114,9 +115,15 @@ def test_rhat_composes_the_sl2_factors_in_both_orders():
     assert _same(rhat("sl2", pair, t, s, 2), want2)
     mutated = compose(sl2_r1(pair, u1, v1, u2, mutate=(0, 2)), sl2_r2(pair, u1, u2, v2))
     assert _same(rhat("sl2", pair, t, s, 1, (1, 0, 2)), mutated)
-    # order 1 names r2's bases before r1's: the order the factors apply
-    assert rhat_guards("sl2", pair, t, s, 1) == [u1 - u2, v1 - u2]
-    assert rhat_guards("sl2", pair, t, s, 2) == [v1 - v2, v1 - u2]
+    # each factor guards itself in the order the factors apply: order 1
+    # meets r2's lower parameter u1 - u2 = -1 before r1's v1 - u2 = 0; order
+    # 2 passes r1's v1 - v2 = -1/3 and meets r2's, 0
+    pair = sl2_pair(4)
+    t, s = (F(-1), F(0)), (F(0), F(1, 3))
+    with pytest.raises(CheckSkipped, match=r"^\(-1\)_2 = 0$"):
+        rhat("sl2", pair, t, s, 1)
+    with pytest.raises(CheckSkipped, match=r"^\(0\)_1 = 0$"):
+        rhat("sl2", pair, t, s, 2)
 
 
 def test_rhat_composes_the_sl3_factors_in_both_orders():
@@ -157,16 +164,18 @@ def _near_pole(cap):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_a_guard_accepted_full_swap_meets_no_pole(alg, cap, data):
+    """Near a pole the full swap either skips or builds: no factor's guard
+    lets a pole through."""
     n = 2 if alg == "sl2" else 3
     t, s = (data.draw(st.tuples(*[_near_pole(cap)] * n)) for _ in range(2))
     pair = sl2_pair(cap) if alg == "sl2" else sl3_pair(cap)
     for order in (1, 2):
-        ok, _ = degeneracy_guard(rhat_guards(alg, pair, t, s, order), cap)
-        if ok:
-            try:
-                rhat(alg, pair, t, s, order)
-            except PoleAtParameter as e:
-                raise AssertionError(f"guard accepted order {order}: {e}")
+        try:
+            rhat(alg, pair, t, s, order)
+        except CheckSkipped:
+            pass
+        except PoleAtParameter as e:
+            raise AssertionError(f"guard accepted order {order}: {e}")
 
 
 def _sl3_draws(t, s):
@@ -182,11 +191,58 @@ def _sl3_draws(t, s):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_the_global3_guard_covers_every_factor_it_builds(data):
-    """global3 builds each factor at (t, s) besides both orders of the full
-    swap: where its guard accepts, none of them meets a pole."""
+    """global3 builds each factor at (t, s) besides the full swap in order
+    1: near a pole it either skips or passes, and none of them raises."""
     cap = 2
     t, s = (data.draw(st.tuples(*[_near_pole(cap)] * 3)) for _ in range(2))
     res = run_check("sl3", "global3", cap, _sl3_draws(t, s))
+    assert res.status in ("pass", "skipped"), res
+
+
+def test_global3_passes_where_only_a_swap_it_never_builds_meets_a_pole():
+    """At this draw the order-2 full swap's third factor has lower parameter
+    0, but global3 builds only the order-1 swap and the factors at (t, s),
+    and all of them exist, so the check passes rather than skipping."""
+    draws = [F(8, 7), F(-2, 5), F(27), F(-3), F(37, 12), F(-25, 8)]
+    res = run_check("sl3", "global3", 3, draws)
+    assert res.status == "pass", res
+
+
+def _sl2_draws(t, s):
+    """The sl2 pair-check draws (l1, l2, u, v) whose Lax slots are t, s."""
+    (u1, u2), (v1, v2) = t, s
+    return [(u1 - u2) / 2, (v1 - v2) / 2, (u1 + u2) / 2, (v1 + v2) / 2]
+
+
+# every factor-building check that no test above samples near a pole, with
+# the cap it is sampled at
+FACTOR_CHECKS = [
+    ("sl2", name, 3)
+    for name in (
+        "F1", "F2", "rfact-orders", "global", "inverse-scalar",
+        "oracle-r1", "oracle-r2",
+    )
+] + [
+    ("sl3", name, 3)
+    for name in (
+        "3F1", "3F2", "3F3", "rfact3-orders", "def3", "inverse-scalar3",
+        "oracle-r1", "oracle-r2", "oracle-r3", "oracle-r3-single",
+    )
+]
+
+
+@pytest.mark.parametrize("alg, name, cap", FACTOR_CHECKS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_factor_building_check_skips_or_passes_near_a_pole(
+    alg, name, cap, data
+):
+    """Lax slots at and around the poles of a cap-`cap` guard: each factor
+    the check builds guards itself, so the check skips or passes there and
+    raises nothing."""
+    n, draws = (2, _sl2_draws) if alg == "sl2" else (3, _sl3_draws)
+    t, s = (data.draw(st.tuples(*[_near_pole(cap)] * n)) for _ in range(2))
+    res = run_check(alg, name, cap, draws(t, s))
     assert res.status in ("pass", "skipped"), res
 
 
@@ -213,8 +269,12 @@ def test_the_sl2_full_swap_guard_is_the_closed_form_lower_parameters(cap, data):
     sl2_rhat_closed's two Euler stages: the closed form needs no guard of
     its own."""
     l1, l2, u, v = data.draw(st.lists(_near_pole(cap), min_size=4, max_size=4))
-    t, s = (u + l1, u - l1), (v + l2, v - l2)
-    assert rhat_guards("sl2", sl2_pair(cap), t, s, 1) == [2 * l1, l1 + l2 - (u - v)]
+    (u1, u2), (v1, v2) = (u + l1, u - l1), (v + l2, v - l2)
+    # order 1 applies r2 at (u1, u2, v2), then r1 at (u1, v1, u2)
+    pair = sl2_pair(cap)
+    bases = pole_bases(path_table(pair, _sl2_r2_stages), (u1, u2, v2))
+    bases += pole_bases(path_table(pair, _sl2_r1_stages), (u1, v1, u2))
+    assert bases == [2 * l1, l1 + l2 - (u - v)]
 
 
 # ---------------------------------------------------------------------------
