@@ -177,7 +177,7 @@ def _cmd_report(path: str) -> int:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
         _check_shape(report)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         print(f"rfactor: cannot read report {path}: {e}", file=sys.stderr)
         return 2
     return _print_report(report)

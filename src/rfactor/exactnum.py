@@ -11,12 +11,15 @@ through 1/Gamma produces exact zeros.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -28,13 +31,14 @@ class PoleAtParameter(ArithmeticError):
 
 
 def rat_from_str(text: str) -> Rat:
-    """Parse 'p/q' or 'p'."""
+    """Parse 'p/q' or 'p' (ASCII digits, optional sign and whitespace);
+    decimals, exponents and digit separators raise ValueError."""
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise ValueError(f"bad rational literal {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise DivisionByZero(f"zero denominator in {text!r}") from None
-    except ValueError:
-        raise ValueError(f"bad rational literal {text!r}") from None
 
 
 def rat_str(a: Rat) -> str:

@@ -8,11 +8,15 @@ product, the full swap Rhat, is assembled from the factor table in
 `rfactor.verify`, which checks every defining relation to literal zero on
 certified windows.
 
+A site is labelled by a suffix: `sl2_site(cap, "1")` is C[z1], and the pair
+basis joins sites "1" and "2". Both elementary R-operators are one stage
+list with the sites' roles swapped (`_sl2_swap_stages`).
+
 Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
 generators and the direct and factored Lax matrices at a point are cached
 parts plus parameter times the unit operators 1 and z; and per pair basis
-the path table of each elementary R-operator (`sl2_r1`, `sl2_r2`), so a
+the path table of each elementary R-operator (`linop.path_table`), so a
 factor at a point costs one Gamma ratio per exponent plus integer sums.
 Each form keeps its own term lists, so `lax-factor` still compares three
 formulas. The closed form (`sl2_rhat_closed`) runs its own pipelines at
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .exactnum import Rat
 from .polyspace import (
@@ -47,8 +52,6 @@ from .linop import (
     op_add,
     op_scale,
     op_sub,
-    path_op,
-    path_table,
     run_pipeline,
     stage_euler,
     stage_subst,
@@ -74,15 +77,15 @@ class Sl2Params:
 
 
 @size_checked_cache(maxsize=16)
-def sl2_site(cap: int, name: str = "z") -> GradedBasis:
-    """The one-variable module basis at `cap`, built once per process and
+def sl2_site(cap: int, suffix: str = "") -> GradedBasis:
+    """The module basis in z + suffix at `cap`, built once per process and
     held to the size limit in force at every call."""
-    return enumerate_basis([VarSpec(name)], cap)
+    return enumerate_basis([VarSpec("z" + suffix)], cap)
 
 
 @size_checked_cache(maxsize=4)
 def sl2_pair(cap: int) -> GradedBasis:
-    return tensor_basis(sl2_site(cap, "z1"), sl2_site(cap, "z2"))
+    return tensor_basis(sl2_site(cap, "1"), sl2_site(cap, "2"))
 
 
 def sl2_generators(basis, ell):
@@ -125,15 +128,16 @@ def sl2_casimirs(basis, ell):
     return [("C", C, ell * (ell - 1))]
 
 
-def sl2_lax(basis, u1, u2, var="z"):
-    """Direct Lax matrix [[u1 + z d, -d], [z^2 d + (u1-u2) z, u2 - z d]]."""
-    z = (var,)
+def sl2_lax(basis, u1, u2, suffix=""):
+    """Direct Lax matrix [[u1 + z d, -d], [z^2 d + (u1-u2) z, u2 - z d]] in
+    the variable z + suffix."""
+    z = ("z" + suffix,)
     one, zm = diffop(basis, (1, (), ())), diffop(basis, (1, z, ()))
     return LaxOp(
         [
             [op_add(diffop(basis, (1, z, z)), one, u1), diffop(basis, (-1, (), z))],
             [
-                op_add(diffop(basis, (1, (var, var), z)), zm, u1 - u2),
+                op_add(diffop(basis, (1, z + z, z)), zm, u1 - u2),
                 op_add(diffop(basis, (-1, z, z)), one, u2),
             ],
         ]
@@ -159,37 +163,25 @@ def sl2_lax_factored(basis, u1, u2):
 # ---------------------------------------------------------------------------
 # R-operators
 
-def _sl2_r1_stages(pair):
-    z2 = pair.var_index("z2")
-    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
+def _sl2_swap_stages(moved, fixed, b, pair):
+    """Swap of one parameter pair at arguments (u1, _, v2): diagonal
+    (u1 - v2, b(u1, _, v2)) Pochhammer ratios on powers of z_moved - z_fixed
+    for the site labels `moved`, `fixed`, conjugated back to the monomial
+    basis. mutate=(0, k) doubles the diagonal eigenvalue at exponent k."""
+    z = pair.var_index("z" + moved)
+    em, ef = pair.mono({"z" + moved: 1}), pair.mono({"z" + fixed: 1})
     return (
-        stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(1)}}),
-        Euler(z2, lambda u1, v1, v2: u1 - v2, lambda u1, v1, v2: v1 - v2),
-        stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(-1)}}),
+        stage_subst(pair, {z: {em: Fraction(1), ef: Fraction(1)}}),
+        Euler(z, lambda u1, _, v2: u1 - v2, b),
+        stage_subst(pair, {z: {em: Fraction(1), ef: Fraction(-1)}}),
     )
 
 
-def _sl2_r2_stages(pair):
-    z1 = pair.var_index("z1")
-    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
-    return (
-        stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(1)}}),
-        Euler(z1, lambda u1, u2, v2: u1 - v2, lambda u1, u2, v2: u1 - u2),
-        stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(-1)}}),
-    )
-
-
-def sl2_r1(pair, u1, v1, v2, mutate=None):
-    """Swap of the first parameter pair: diagonal (u1-v2, v1-v2) Pochhammer
-    ratios on powers of (z2 - z1), conjugated back to the monomial basis.
-    mutate=(0, k) doubles the diagonal eigenvalue at exponent k."""
-    return path_op(path_table(pair, _sl2_r1_stages), (u1, v1, v2), mutate)
-
-
-def sl2_r2(pair, u1, u2, v2, mutate=None):
-    """Swap of the second parameter pair: diagonal (u1-v2, u1-u2) ratios on
-    powers of (z1 - z2)."""
-    return path_op(path_table(pair, _sl2_r2_stages), (u1, u2, v2), mutate)
+# r1 swaps the first parameter pair at (u1, v1, v2): diagonal (u1 - v2, v1 - v2)
+# on powers of z2 - z1. r2 swaps the second at (u1, u2, v2): diagonal
+# (u1 - v2, u1 - u2) on powers of z1 - z2.
+_sl2_r1_stages = partial(_sl2_swap_stages, "2", "1", lambda u1, v1, v2: v1 - v2)
+_sl2_r2_stages = partial(_sl2_swap_stages, "1", "2", lambda u1, u2, v2: u1 - u2)
 
 
 def sl2_rhat_closed(pair, l1, l2, w):

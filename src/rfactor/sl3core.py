@@ -18,10 +18,9 @@ generators and the direct and factored Lax matrices at a point are cached
 parts plus parameters times the unit operators 1, x, y, z and xz, while
 each form keeps its own term lists and `lax-factor3` still compares three
 formulas; per pair basis the path table of each elementary R-operator
-(`sl3_r1`, `sl3_r2`, `sl3_r3`), and per site basis that of the third swap
-reduced to one site (`sl3_r3_single`, the core of `sl3_r3`'s stage list),
-so a factor at a point costs one Gamma ratio per stage and exponent plus
-integer sums.
+(`linop.path_table`), and per site basis that of the third swap reduced to
+one site (`_sl3_r3_single_stages`, the core of r3's stage list), so a factor
+at a point costs one Gamma ratio per stage and exponent plus integer sums.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ from .linop import (
     lax_mul,
     op_add,
     op_scale,
-    path_op,
-    path_table,
     stage_laurent,
     stage_subst,
     subst_op,
@@ -386,7 +383,9 @@ def sl3_invariance_matrix(a, b, c):
 # list opens with the translation g of three variables of one site by three
 # of the other (`_sl3_frame`), the change into the difference frame, and
 # closes with its inverse. All stages preserve total height; intermediate
-# monomials may carry negative exponents, the output may not.
+# monomials may carry negative exponents, the output may not. A mutation
+# (s, k) of a factor doubles the eigenvalue of its Euler stage s at exponent
+# k; the stages s = 0, 1, 2 are those the mutation tags call c, b, a.
 
 def _sl3_frame(pair, names, by):
     """The stages of the translation g(a, b, c) of the pair variables
@@ -400,6 +399,11 @@ def _sl3_frame(pair, names, by):
 
 
 def _sl3_r1_stages(pair):
+    """First-slot swap u1 <-> v1, at arguments (u1, v1, v2, v3).
+
+    Conjugated by the shift to the difference frame and by the frame change
+    y -> y + x z on site 2; the core is Gamma-ratio diagonals in the x2 and
+    y2 exponents around Laurent flows exp(+-(y2/x2) dz2)."""
     x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
     s1, s1_inv = _sl3_frame(pair, ("x2", "y2", "z2"), ("x1", "y1", "z1"))
     one = Fraction(1)
@@ -421,6 +425,7 @@ def _sl3_r1_stages(pair):
 
 
 def _sl3_r2_stages(pair):
+    """Second-slot swap u2 <-> v2, at arguments (u1, u2, v2, v3)."""
     x1, y1, z2 = map(pair.var_index, ("x1", "y1", "z2"))
     s2, s2_inv = _sl3_frame(pair, ("x1", "y1", "z2"), ("x2", "y2", "z1"))
     return (
@@ -435,10 +440,12 @@ def _sl3_r2_stages(pair):
     )
 
 
-def _sl3_r3_core(basis, x, y, z):
-    """The stages of the third swap between its frame changes: Gamma-ratio
-    diagonals in the z and y exponents around Laurent flows exp(-+(y/z) dx),
-    on the variables at positions x, y, z of `basis`."""
+def _sl3_r3_single_stages(basis, suffix=""):
+    """The third swap reduced to one site (oracle-r3-single), at r3's
+    arguments: Gamma-ratio diagonals in the z and y exponents around Laurent
+    flows exp(-+(y/z) dx), on the variables x, y, z + suffix of `basis`. On
+    site 1 of the pair it is r3 between its frame changes."""
+    x, y, z = (basis.var_index(v + suffix) for v in "xyz")
     return (
         Euler(z, 1, lambda u1, u2, u3, v3: u2 - u3 + 1),
         stage_laurent(basis, -1, num=y, den=z, target=x),
@@ -450,42 +457,9 @@ def _sl3_r3_core(basis, x, y, z):
 
 
 def _sl3_r3_stages(pair):
-    x1, y1, z1 = map(pair.var_index, ("x1", "y1", "z1"))
+    """Third-slot swap u3 <-> v3, at arguments (u1, u2, u3, v3)."""
     s3, s3_inv = _sl3_frame(pair, ("x1", "y1", "z1"), ("x2", "y2", "z2"))
-    return (s3, *_sl3_r3_core(pair, x1, y1, z1), s3_inv)
-
-
-def _sl3_r3_single_stages(site):
-    """The third swap reduced to one site: the core of r3 alone, on the
-    site's x, y, z (whatever their label)."""
-    lead = [v.name[0] for v in site.vars]
-    return _sl3_r3_core(site, *map(lead.index, "xyz"))
-
-
-def sl3_r1(pair, u1, v1, v2, v3, mutate=None):
-    """First-slot swap u1 <-> v1.
-
-    Conjugated by the shift to the difference frame and by the frame change
-    y -> y + x z on site 2; the core is Gamma-ratio diagonals in the x2 and
-    y2 exponents around Laurent flows exp(+-(y2/x2) dz2). mutate=(s, k)
-    doubles the eigenvalue of Euler stage s (0, 1, 2 for the stages the
-    mutation tags call c, b, a) at exponent k."""
-    return path_op(path_table(pair, _sl3_r1_stages), (u1, v1, v2, v3), mutate)
-
-
-def sl3_r2(pair, u1, u2, v2, v3, mutate=None):
-    """Second-slot swap u2 <-> v2."""
-    return path_op(path_table(pair, _sl3_r2_stages), (u1, u2, v2, v3), mutate)
-
-
-def sl3_r3(pair, u1, u2, u3, v3, mutate=None):
-    """Third-slot swap u3 <-> v3."""
-    return path_op(path_table(pair, _sl3_r3_stages), (u1, u2, u3, v3), mutate)
-
-
-def sl3_r3_single(site, u1, u2, u3, v3):
-    """The third swap reduced to one site basis (oracle-r3-single)."""
-    return path_op(path_table(site, _sl3_r3_single_stages), (u1, u2, u3, v3))
+    return (s3, *_sl3_r3_single_stages(pair, "1"), s3_inv)
 
 
 def sl3_total_generators(pair, params1, params2):

@@ -51,6 +51,7 @@ from .linop import (
     op_scale,
     op_sub,
     pair_swap,
+    path_op,
     path_table,
     pole_bases,
     rational_op,
@@ -68,8 +69,6 @@ from .sl2core import (
     sl2_lax,
     sl2_lax_factored,
     sl2_pair,
-    sl2_r1,
-    sl2_r2,
     sl2_rhat_closed,
     sl2_site,
     sl2_spectral,
@@ -94,10 +93,6 @@ from .sl3core import (
     sl3_lax,
     sl3_lax_factored,
     sl3_pair,
-    sl3_r1,
-    sl3_r2,
-    sl3_r3,
-    sl3_r3_single,
     sl3_shift_flows,
     sl3_site,
     sl3_total_generators,
@@ -367,16 +362,10 @@ def _sl2_point(draws):
 _sl2_slots = attrgetter("u1", "u2")
 
 
-# side relations: the sl2 factor R_k commutes with multiplication by z_k.
-# Side operators are parameter-free, so `diffop` tabulates them once per pair
-# basis.
-
-def _sl2_sides_r1(pair):
-    return (diffop(pair, (1, ("z1",), ())),)
-
-
-def _sl2_sides_r2(pair):
-    return (diffop(pair, (1, ("z2",), ())),)
+def _sl2_sides(fixed, pair):
+    """The side relations of the sl2 factor that leaves site `fixed` in
+    place: it commutes with multiplication by that site's variable."""
+    return (diffop(pair, (1, ("z" + fixed,), ())),)
 
 
 def _sl2_spectral(cap, draws, mutate):
@@ -510,29 +499,25 @@ def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
 
 def _sl3_oracle_single(cap, draws, mutate):
     p1, p2 = _sl3_point(draws)
-    u1, u2, u3 = p1.triple
-    v3 = p2.u3
+    args = (*p1.triple, p2.u3)
     basis = sl3_site(cap)
-    args = (u1, u2, u3, v3)
     R = _factor("sl3", "r3-single", basis, args)
-    constraints = _sl3_r3_single_constraints(basis, *args)
-    return _oracle_check(basis, constraints, R)
+    return _oracle_check(basis, _sl3_r3_single_constraints(basis, *args), R)
 
 
 # ---------------------------------------------------------------------------
 # Relations shared by sl2 and sl3
 #
 # Each relation below is written once over a per-algebra descriptor and a
-# factor table.  Both tables keep their functions as top-level tuple entries
-# of module-level dicts, which is where perfbench/spans.py rebinds functions
-# to trace them; it leaves plain tuples behind, so read a descriptor through
-# `_algebra`.
+# factor table.  The descriptors keep their functions as top-level tuple
+# entries of a module-level dict, which is where perfbench/spans.py rebinds
+# the public sl2core/sl3core functions; it leaves plain tuples behind, so
+# read a descriptor through `_algebra`.  It traces no factor table entry.
 
 class _Algebra(NamedTuple):
     point: Callable  # draws -> (p1, p2)
     slots: Callable  # params -> tuple of Lax parameters
-    lax: Callable  # (basis, *slots, site) -> LaxOp
-    sites: tuple  # the two site labels `lax` takes on the pair basis
+    lax: Callable  # (basis, *slots, site label) -> LaxOp
     pair: Callable  # cap -> pair basis
     site: Callable  # cap -> one-site basis
     params: type  # (*weights, u) -> one-site parameters
@@ -548,7 +533,6 @@ _ALGEBRAS = {
         point=_sl2_point,
         slots=_sl2_slots,
         lax=sl2_lax,
-        sites=("z1", "z2"),
         pair=sl2_pair,
         site=sl2_site,
         params=Sl2Params,
@@ -562,7 +546,6 @@ _ALGEBRAS = {
         point=_sl3_point,
         slots=attrgetter("triple"),
         lax=sl3_lax,
-        sites=("1", "2"),
         pair=sl3_pair,
         site=sl3_site,
         params=Sl3Params,
@@ -574,16 +557,16 @@ _ALGEBRAS = {
     ),
 }
 
-# (algebra, factor k) -> (builder, stage list, side operators); the builder
-# evaluates the stage list's path table. "r3-single" is the third swap reduced
-# to one site, which has no side operators and takes no mutation.
+# (algebra, factor k) -> (stage list, side operators commuting with the
+# factor), taking the basis. "r3-single" is the third swap reduced to one
+# site, which has no side operators.
 _FACTORS = {
-    ("sl2", 1): (sl2_r1, _sl2_r1_stages, _sl2_sides_r1),
-    ("sl2", 2): (sl2_r2, _sl2_r2_stages, _sl2_sides_r2),
-    ("sl3", 1): (sl3_r1, _sl3_r1_stages, _sl3_sides_r1),
-    ("sl3", 2): (sl3_r2, _sl3_r2_stages, _sl3_sides_r2),
-    ("sl3", 3): (sl3_r3, _sl3_r3_stages, _sl3_sides_r3),
-    ("sl3", "r3-single"): (sl3_r3_single, _sl3_r3_single_stages, None),
+    ("sl2", 1): (_sl2_r1_stages, partial(_sl2_sides, "1")),
+    ("sl2", 2): (_sl2_r2_stages, partial(_sl2_sides, "2")),
+    ("sl3", 1): (_sl3_r1_stages, _sl3_sides_r1),
+    ("sl3", 2): (_sl3_r2_stages, _sl3_sides_r2),
+    ("sl3", 3): (_sl3_r3_stages, _sl3_sides_r3),
+    ("sl3", "r3-single"): (_sl3_r3_single_stages, None),
 }
 
 
@@ -685,7 +668,7 @@ def _lax_factor(alg, cap, draws, mutate):
 def _factor_args(t, s, k):
     """Elementary factor k (1-based) exchanges Lax slot k between the sites.
 
-    Returns its builder arguments t[:k] + s[k-1:] and the Lax parameters of
+    Returns its arguments t[:k] + s[k-1:] and the Lax parameters of
     site 1 and site 2 after the exchange."""
     j = k - 1
     return t[:k] + s[j:], t[:j] + s[j:k] + t[k:], s[:j] + t[j:k] + s[k:]
@@ -698,7 +681,7 @@ def _factor_mutation(mutate, k):
 
 
 def _swap_factors(t, s, order):
-    """(k, builder arguments) of the elementary factors of the full swap of
+    """(k, arguments) of the elementary factors of the full swap of
     the Lax slot tuples t and s, in the order they apply: factors n..1 for
     order 1 and 1..n for order 2, each taking the slots the factors before
     it left."""
@@ -709,15 +692,13 @@ def _swap_factors(t, s, order):
 
 
 def _factor(alg, k, basis, args, mutate=None):
-    """Factor k of `alg` on `basis` at builder arguments `args`, with the
-    eigenvalue mutation `mutate` if one is given (the one-site swap takes
-    none). Raises CheckSkipped where degeneracy_guard rejects the Pochhammer
-    bases of its path table, so a factor that builds meets no pole."""
-    build, stages, _ = _FACTORS[alg, k]
-    _guard(pole_bases(path_table(basis, stages), args), basis.cap)
-    if mutate is None:
-        return build(basis, *args)
-    return build(basis, *args, mutate=mutate)
+    """Factor k of `alg` on `basis`: the path table of its stage list at
+    `args`, with the eigenvalue mutation (Euler stage, exponent) `mutate` if
+    one is given. Raises CheckSkipped where degeneracy_guard rejects the
+    Pochhammer bases of the table, so a factor that builds meets no pole."""
+    table = path_table(basis, _FACTORS[alg, k][0])
+    _guard(pole_bases(table, args), basis.cap)
+    return path_op(table, args, mutate)
 
 
 def rhat(alg, pair, t, s, order=1, mutate=None):
@@ -735,27 +716,33 @@ def rhat(alg, pair, t, s, order=1, mutate=None):
 
 def _exchange_laxes(a, pair, t1, t2, q1, q2):
     """L1(t1), L2(t2), L1(q1), L2(q2) on the pair basis."""
-    s1, s2 = a.sites
     return (
-        a.lax(pair, *t1, s1),
-        a.lax(pair, *t2, s2),
-        a.lax(pair, *q1, s1),
-        a.lax(pair, *q2, s2),
+        a.lax(pair, *t1, "1"),
+        a.lax(pair, *t2, "2"),
+        a.lax(pair, *q1, "1"),
+        a.lax(pair, *q2, "2"),
     )
+
+
+def _exchange(alg, k, cap, draws, mutate):
+    """Factor k at the point of `draws`, built on the pair basis with
+    `mutate`, and the Lax matrices L1(t), L2(s), L1(t'), L2(s') it exchanges.
+    Returns (pair, factor, Lax matrices)."""
+    a = _algebra(alg)
+    t, s = map(a.slots, a.point(draws))
+    args, q1, q2 = _factor_args(t, s, k)
+    pair = a.pair(cap)
+    R = _factor(alg, k, pair, args, mutate)
+    return pair, R, _exchange_laxes(a, pair, t, s, q1, q2)
 
 
 def _factor_exchange(alg, k, cap, draws, mutate):
     """R_k L1(t) L2(s) = L1(t') L2(s') R_k, plus R_k's side relations."""
-    a = _algebra(alg)
-    sides = _FACTORS[alg, k][2]
-    p1, p2 = a.point(draws)
-    t, s = a.slots(p1), a.slots(p2)
-    args, q1, q2 = _factor_args(t, s, k)
-    pair = a.pair(cap)
-    R = _factor(alg, k, pair, args, _factor_mutation(mutate, k))
-    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
+    pair, R, (L1, L2, L1p, L2p) = _exchange(
+        alg, k, cap, draws, _factor_mutation(mutate, k)
+    )
     residual_rll(R, lax_mul(L1, L2), lax_mul(L1p, L2p), cap - 2)
-    for op in sides(pair):
+    for op in _FACTORS[alg, k][1](pair):
         res = commutator(R, op)
         _zero(res, res.certified)
     return cap - 2, None
@@ -800,20 +787,13 @@ def _inverse_scalar(alg, cap, draws, mutate):
 def _oracle(alg, k, cap, draws, mutate):
     """Re-derive factor k from its exchange and side relations alone and
     compare it with the factor its path table gives."""
-    a = _algebra(alg)
-    sides = _FACTORS[alg, k][2]
-    p1, p2 = a.point(draws)
-    t, s = a.slots(p1), a.slots(p2)
-    args, q1, q2 = _factor_args(t, s, k)
-    pair = a.pair(cap)
-    R = _factor(alg, k, pair, args)
-    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
+    pair, R, (L1, L2, L1p, L2p) = _exchange(alg, k, cap, draws, None)
     A, B = lax_add(L1, L2), lax_add(L1p, L2p)
     constraints = [
         (A.blocks[i][j], B.blocks[i][j])
         for i in range(A.size)
         for j in range(A.size)
-    ] + [(op, op) for op in sides(pair)]
+    ] + [(op, op) for op in _FACTORS[alg, k][1](pair)]
     return _oracle_check(pair, constraints, R)
 
 

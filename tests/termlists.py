@@ -4,11 +4,13 @@
 through `op_from_action`, bypassing the per-basis cache that `linop.diffop`
 keeps, so a test can compare the per-point operators (cached part plus
 parameter times unit operator) with the whole list. `tabulated_columns`
-counts the columns every tabulation touches.
+counts the columns every tabulation touches. `factor` evaluates an
+elementary R-operator the way the checks do, minus their guard.
 """
 
 from rfactor import linop
-from rfactor.linop import diffop_apply, op_from_action
+from rfactor.linop import diffop_apply, op_from_action, path_op, path_table
+from rfactor.verify import _FACTORS
 
 
 def _term(basis, coef, mult=None, der=None):
@@ -40,3 +42,10 @@ def tabulated_columns(monkeypatch):
 
     monkeypatch.setattr(linop, "op_from_action", counting)
     return cols
+
+
+def factor(alg, k, basis, *args, mutate=None):
+    """Factor k of `alg` on `basis` at `args`: the path table of the stage
+    list in the checks' factor table, evaluated with no guard in front, so a
+    pole raises PoleAtParameter."""
+    return path_op(path_table(basis, _FACTORS[alg, k][0]), args, mutate)

@@ -113,6 +113,10 @@ def test_report_subcommand_roundtrip(tmp_path):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json")
     assert run_cli("report", str(garbage)).returncode == 2
+    deep = tmp_path / "deep.json"  # deeper than the JSON reader recurses
+    deep.write_text("[" * 100000 + "]" * 100000)
+    proc = run_cli("report", str(deep))
+    assert proc.returncode == 2 and "cannot read report" in proc.stderr
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert run_cli("report", str(empty)).returncode == 2
@@ -148,6 +152,7 @@ def test_report_subcommand_roundtrip(tmp_path):
         ("ybe", "--mutate", "r1:1"),
         ("oracle", "--algebra", "sl2", "--op", "r1", "--mutate", "r1:1"),
         ("oracle", "--algebra", "sl2", "--op", "r1", "--check", "F1"),
+        ("sl2", "--check", "F1", "--params", "1e5000,1,1,1", "--cap", "4"),
     ],
 )
 def test_usage_errors_exit_two(args):

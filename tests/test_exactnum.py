@@ -113,6 +113,12 @@ def test_parse_errors():
     assert rat_from_str(" -7/2 ") == F(-7, 2)
 
 
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1_000", "1e5000", "3/-4", "/2", "1/"])
+def test_only_sign_digits_and_one_slash_parse(text):
+    with pytest.raises(ValueError):
+        rat_from_str(text)
+
+
 @given(a=rationals, b=rationals.filter(lambda x: x != 0))
 def test_field_exactness(a, b):
     assert (a / b) * b == a

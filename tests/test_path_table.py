@@ -1,11 +1,13 @@
 """Path tables: each elementary R-operator compiled once per basis.
 
-The factors are the five on a pair basis and the third swap reduced to one
-site basis (`sl3_r3_single`). The reference is run_pipeline over the same
-stage list with every Euler placeholder made a stage_euler at the point,
-which is how the factors were built before the tables: the two must give the
-same operator wherever the pipeline builds one, carry mutations the same way,
-and the table must raise PoleAtParameter wherever the pipeline does. A
+The factors are those of the checks' own table, `verify._FACTORS`: the five
+on a pair basis and the third swap reduced to one site basis (`r3-single`),
+each evaluated as path_op(path_table(basis, stage list), args, mutate) with
+no guard in front. The reference is run_pipeline over the same stage list
+with every Euler placeholder made a stage_euler at the point, which is how
+the factors were built before the tables: the two must give the same
+operator wherever the pipeline builds one, carry mutations the same way, and
+the table must raise PoleAtParameter wherever the pipeline does. A
 mutation is one (Euler stage, exponent) pair whose eigenvalue is doubled.
 The degeneracy guard of a factor is read off its table (`pole_bases`): where
 it accepts, the table meets no pole.
@@ -31,36 +33,39 @@ from rfactor.linop import (
     stage_euler,
 )
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
-from rfactor.sl2core import _sl2_r1_stages, _sl2_r2_stages, sl2_pair, sl2_r1, sl2_r2
 from rfactor.sl3core import (
     _sl3_r1_stages,
     _sl3_r2_stages,
-    _sl3_r3_single_stages,
     _sl3_r3_stages,
     sl3_pair,
-    sl3_r1,
-    sl3_r2,
-    sl3_r3,
-    sl3_r3_single,
     sl3_site,
 )
 from rfactor.verify import (
+    _FACTORS,
+    _algebra,
     SL2_MUTATION_TAGS,
     SL3_MUTATION_TAGS,
     degeneracy_guard,
     parse_mutate,
 )
 
-# factor -> (builder, stage list, basis, cap)
+CAPS = {"sl2": 6, "sl3": 3}
+# factor -> (stage list, basis, cap), read from the checks' factor table; the
+# one factor without side operators is the third swap on the sl3 site basis
 FACTORS = {
-    "sl2-r1": (sl2_r1, _sl2_r1_stages, sl2_pair, 6),
-    "sl2-r2": (sl2_r2, _sl2_r2_stages, sl2_pair, 6),
-    "sl3-r1": (sl3_r1, _sl3_r1_stages, sl3_pair, 3),
-    "sl3-r2": (sl3_r2, _sl3_r2_stages, sl3_pair, 3),
-    "sl3-r3": (sl3_r3, _sl3_r3_stages, sl3_pair, 3),
-    "sl3-r3-single": (sl3_r3_single, _sl3_r3_single_stages, sl3_site, 3),
+    f"{alg}-{k}" if k == "r3-single" else f"{alg}-r{k}": (
+        stages,
+        _algebra(alg).pair if sides else sl3_site,
+        CAPS[alg],
+    )
+    for (alg, k), (stages, sides) in _FACTORS.items()
 }
-PAIR_FACTORS = [name for name in FACTORS if FACTORS[name][2] is not sl3_site]
+PAIR_FACTORS = [name for name in FACTORS if FACTORS[name][1] is not sl3_site]
+
+
+def _build(name, basis, args, mutate=None):
+    """The factor `name` on `basis` at `args`, unguarded."""
+    return path_op(path_table(basis, FACTORS[name][0]), args, mutate)
 
 
 def _doubled_at(stage, var, k):
@@ -113,7 +118,6 @@ def _fresh_pair(algebra):
 
 @pytest.mark.parametrize("name", PAIR_FACTORS)
 def test_second_factor_build_on_a_pair_compiles_nothing(name, monkeypatch):
-    build = FACTORS[name][0]
     compiled = []
     real = linop.compile_path_table
 
@@ -124,10 +128,10 @@ def test_second_factor_build_on_a_pair_compiles_nothing(name, monkeypatch):
     monkeypatch.setattr(linop, "compile_path_table", counting)
     pair = _fresh_pair(name[:3])
     nargs = 3 if name.startswith("sl2") else 4
-    build(pair, *[F(k + 1, 7) for k in range(nargs)])
+    _build(name, pair, [F(k + 1, 7) for k in range(nargs)])
     assert compiled == [pair]
     compiled.clear()
-    build(pair, *[F(-k - 2, 5) for k in range(nargs)])
+    _build(name, pair, [F(-k - 2, 5) for k in range(nargs)])
     assert not compiled
 
 
@@ -151,16 +155,17 @@ def test_laurent_terms_that_do_not_cancel_leak_at_compile_time(stage_list):
 )
 def test_a_mutated_table_equals_the_mutated_pipeline(algebra, tag):
     k, stage, exponent = parse_mutate(algebra, tag)
-    build, stage_list, pair_of, cap = FACTORS[f"{algebra}-r{k}"]
+    name = f"{algebra}-r{k}"
+    stage_list, pair_of, cap = FACTORS[name]
     pair = pair_of(cap)
     if algebra == "sl2":
         args = (F(7, 3), F(-2, 5), F(1, 4))
     else:
         args = (F(7, 3), F(-2, 5), F(1, 4), F(5, 6))
-    got = build(pair, *args, mutate=(stage, exponent))
+    got = _build(name, pair, args, (stage, exponent))
     want = _reference(path_table(pair, stage_list), args, (stage, exponent))
     assert _same(got, want)
-    assert not _same(got, build(pair, *args))
+    assert not _same(got, _build(name, pair, args))
 
 
 def _point(cap, nargs):
@@ -171,7 +176,7 @@ def _point(cap, nargs):
 
 @st.composite
 def _case(draw, name):
-    cap = FACTORS[name][3]
+    cap = FACTORS[name][2]
     if name.startswith("sl2"):
         args = draw(_point(cap, 3))
         mutate = draw(st.none() | st.tuples(st.just(0), st.integers(0, cap)))
@@ -192,7 +197,7 @@ def _outcome(fn):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
-    _, stage_list, pair_of, cap = FACTORS[name]
+    stage_list, pair_of, cap = FACTORS[name]
     pair = pair_of(cap)
     table = path_table(pair, stage_list)
     args, mutate = data.draw(_case(name))
@@ -209,7 +214,7 @@ def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
 
 @pytest.mark.parametrize("name", ["sl3-r1", "sl3-r2", "sl3-r3"])
 def test_the_closing_stage_pole_is_raised_only_where_a_kept_path_reaches_it(name):
-    build, _, pair_of, cap = FACTORS[name]
+    _, pair_of, cap = FACTORS[name]
     pair = pair_of(cap)
     # the closing stage's upper parameter is 1 at both points: Gamma(e + 1) /
     # Gamma(e + 1) has a pole at every negative exponent e
@@ -222,17 +227,17 @@ def test_the_closing_stage_pole_is_raised_only_where_a_kept_path_reaches_it(name
         "sl3-r3": (F(1, 3), F(1, 2), F(1, 5), F(1, 2)),  # u2 = v3
     }
     with pytest.raises(PoleAtParameter):
-        build(pair, *generic[name])
+        _build(name, pair, generic[name])
     # all four arguments equal: the first two Euler stages are the identity,
     # the flows cancel, and only dropped paths reach a negative exponent; the
     # pipeline builds the identity there, but the guard rejects the point and
     # the table, which computes every eigenvalue it has a path for, raises
     args = (F(-3),) * 4
-    table = path_table(pair, FACTORS[name][1])
+    table = path_table(pair, FACTORS[name][0])
     assert _same(_reference(table, args), identity_op(pair))
     assert not degeneracy_guard(pole_bases(table, args), cap)[0]
     with pytest.raises(PoleAtParameter):
-        build(pair, *args)
+        _build(name, pair, args)
 
 
 def test_only_a_lower_parameter_of_one_drops_negative_exponents():
@@ -259,7 +264,7 @@ def test_an_euler_exponent_beyond_the_cap_is_refused():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_a_guard_accepted_point_needs_no_fallback_and_meets_no_pole(name, data):
-    _, stage_list, pair_of, cap = FACTORS[name]
+    stage_list, pair_of, cap = FACTORS[name]
     table = path_table(pair_of(cap), stage_list)
     args, mutate = data.draw(_case(name))
     ok, _ = degeneracy_guard(pole_bases(table, args), cap)
@@ -269,7 +274,7 @@ def test_a_guard_accepted_point_needs_no_fallback_and_meets_no_pole(name, data):
 
 @pytest.mark.parametrize("name", FACTORS)
 def test_a_factor_at_cap_c_is_the_truncation_of_the_factor_at_c_plus_one(name):
-    build, _, pair_of, _ = FACTORS[name]
+    pair_of = FACTORS[name][1]
     sl2 = name.startswith("sl2")
     c = 5 if sl2 else 3
     args = (F(7, 3), F(-2, 5), F(1, 4), F(5, 6))[: 3 if sl2 else 4]
@@ -283,5 +288,5 @@ def test_a_factor_at_cap_c_is_the_truncation_of_the_factor_at_c_plus_one(name):
             if h <= c
         }
 
-    small, big = (build(pair_of(cap), *args) for cap in (c, c + 1))
+    small, big = (_build(name, pair_of(cap), args) for cap in (c, c + 1))
     assert entries(small) == entries(big)

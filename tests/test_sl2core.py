@@ -40,8 +40,6 @@ from rfactor.sl2core import (
     sl2_lax,
     sl2_lax_factored,
     sl2_pair,
-    sl2_r1,
-    sl2_r2,
     sl2_rhat_closed,
     sl2_site,
     sl2_spectral,
@@ -49,7 +47,7 @@ from rfactor.sl2core import (
     ybe_fundamental_residual,
 )
 from rfactor.verify import rhat
-from termlists import assert_same_op, tabulate, tabulated_columns
+from termlists import assert_same_op, factor, tabulate, tabulated_columns
 
 L1, L2, U, V = F(1, 3), F(2, 5), F(7, 11), F(1, 7)
 
@@ -191,24 +189,24 @@ def test_lax_matches_the_full_term_lists_at_every_point():
         (F(1), F(2, 3)),
     ]
     site, pair = sl2_site(6), sl2_pair(4)
-    cases = [(site, "z"), (pair, "z1"), (pair, "z2")]
+    cases = [(site, ""), (pair, "1"), (pair, "2")]
     # every point is built before any is compared, so a later call that
     # changed an earlier result through the shared cache would show; the
     # factored Lax matrix and the generators take no site label and are
     # built on the one-site basis only
     built = [
-        (basis, var, pt, sl2_lax(basis, *pt, var))
-        for basis, var in cases
+        (basis, suffix, pt, sl2_lax(basis, *pt, suffix))
+        for basis, suffix in cases
         for pt in points
     ]
     one_site = [
         (pt, sl2_lax_factored(site, *pt), sl2_generators(site, (pt[0] - pt[1]) / 2))
         for pt in points
     ]
-    for basis, var, pt, L in built:
-        for i, row in enumerate(_lax_reference(basis, *pt, var)):
+    for basis, suffix, pt, L in built:
+        for i, row in enumerate(_lax_reference(basis, *pt, "z" + suffix)):
             for j, want in enumerate(row):
-                assert_same_op(L.blocks[i][j], want, (var, pt, i, j))
+                assert_same_op(L.blocks[i][j], want, (suffix, pt, i, j))
     for pt, Lf, g in one_site:
         want = _factored_reference(site, *pt)
         for i, row in enumerate(want.blocks):
@@ -277,7 +275,7 @@ def _spectral(cap, l1, l2, u, v, n_max):
 def test_r1_fixes_vacuum_and_diagonal_eigenvalue():
     pair, p1, p2 = _pair_setup(4)
     u1, v1, v2 = p1.u1, p2.u1, p2.u2
-    R1 = sl2_r1(pair, u1, v1, v2)
+    R1 = factor("sl2", 1, pair, u1, v1, v2)
     assert R1.col(0) == {0: F(1)}
     vec = {pair.index[(0, 1)]: F(1), pair.index[(1, 0)]: F(-1)}
     out = R1.apply_vec(vec)
@@ -285,13 +283,35 @@ def test_r1_fixes_vacuum_and_diagonal_eigenvalue():
     assert out == {k: ratio * c for k, c in vec.items()}
 
 
+@pytest.mark.parametrize("cap", [4, 8])
+def test_the_two_factors_are_one_stage_list_with_the_sites_swapped(cap):
+    """P r1(u1, v1, v2) P = r2(u1, u1 - v1 + v2, v2), entry for entry: both
+    are the diagonal (u1 - v2, v1 - v2) on powers of the moved site's
+    variable minus the fixed one's, and the swap P exchanges the sites."""
+    pair = sl2_pair(cap)
+    P = pair_swap(pair)
+    points = [
+        (L1 + U, L2 + V, V - L2, None),
+        (F(7, 3), F(-2, 5), F(1, 4), None),
+        (F(-5, 6), F(9, 4), F(-1, 3), (0, 2)),
+    ]
+    for u1, v1, v2, mutate in points:
+        r1 = factor("sl2", 1, pair, u1, v1, v2, mutate=mutate)
+        r2 = factor("sl2", 2, pair, u1, u1 - v1 + v2, v2, mutate=mutate)
+        swapped = compose(P, compose(r1, P))
+        assert (swapped.cols, swapped.den) == (r2.cols, r2.den), (u1, v1, v2)
+        if mutate is not None:
+            plain = factor("sl2", 2, pair, u1, u1 - v1 + v2, v2)
+            assert (plain.cols, plain.den) != (r2.cols, r2.den)
+
+
 def test_defining_relation_first_factor():
     cap = 5
     pair, p1, p2 = _pair_setup(cap)
     u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
-    R1 = sl2_r1(pair, u1, v1, v2)
-    P = lax_mul(sl2_lax(pair, u1, u2, "z1"), sl2_lax(pair, v1, v2, "z2"))
-    Q = lax_mul(sl2_lax(pair, v1, u2, "z1"), sl2_lax(pair, u1, v2, "z2"))
+    R1 = factor("sl2", 1, pair, u1, v1, v2)
+    P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
+    Q = lax_mul(sl2_lax(pair, v1, u2, "1"), sl2_lax(pair, u1, v2, "2"))
     D = lax_sub(
         lax_compose_scalar(R1, P, "left"), lax_compose_scalar(R1, Q, "right")
     )
@@ -308,9 +328,9 @@ def test_defining_relation_second_factor():
     cap = 5
     pair, p1, p2 = _pair_setup(cap)
     u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
-    R2 = sl2_r2(pair, u1, u2, v2)
-    P = lax_mul(sl2_lax(pair, u1, u2, "z1"), sl2_lax(pair, v1, v2, "z2"))
-    Q = lax_mul(sl2_lax(pair, u1, v2, "z1"), sl2_lax(pair, v1, u2, "z2"))
+    R2 = factor("sl2", 2, pair, u1, u2, v2)
+    P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
+    Q = lax_mul(sl2_lax(pair, u1, v2, "1"), sl2_lax(pair, v1, u2, "2"))
     D = lax_sub(
         lax_compose_scalar(R2, P, "left"), lax_compose_scalar(R2, Q, "right")
     )
@@ -336,8 +356,8 @@ def test_full_defining_relation():
     pair, p1, p2 = _pair_setup(cap)
     u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
     Rhat = _rhat(pair, p1, p2)
-    P = lax_mul(sl2_lax(pair, u1, u2, "z1"), sl2_lax(pair, v1, v2, "z2"))
-    Q = lax_mul(sl2_lax(pair, v1, v2, "z1"), sl2_lax(pair, u1, u2, "z2"))
+    P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
+    Q = lax_mul(sl2_lax(pair, v1, v2, "1"), sl2_lax(pair, u1, u2, "2"))
     D = lax_sub(
         lax_compose_scalar(Rhat, P, "left"),
         lax_compose_scalar(Rhat, Q, "right"),
@@ -351,8 +371,8 @@ def test_rll_form_with_permutation():
     pair, p1, p2 = _pair_setup(cap)
     u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
     R = compose(pair_swap(pair), _rhat(pair, p1, p2))
-    P = lax_mul(sl2_lax(pair, u1, u2, "z1"), sl2_lax(pair, v1, v2, "z2"))
-    Q = lax_mul(sl2_lax(pair, v1, v2, "z2"), sl2_lax(pair, u1, u2, "z1"))
+    P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
+    Q = lax_mul(sl2_lax(pair, v1, v2, "2"), sl2_lax(pair, u1, u2, "1"))
     D = lax_sub(
         lax_compose_scalar(R, P, "left"), lax_compose_scalar(R, Q, "right")
     )
@@ -425,9 +445,9 @@ def test_mutated_eigenvalue_breaks_defining_relation():
     cap = 4
     pair, p1, p2 = _pair_setup(cap)
     u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
-    R1 = sl2_r1(pair, u1, v1, v2, mutate=(0, 1))
-    P = lax_mul(sl2_lax(pair, u1, u2, "z1"), sl2_lax(pair, v1, v2, "z2"))
-    Q = lax_mul(sl2_lax(pair, v1, u2, "z1"), sl2_lax(pair, u1, v2, "z2"))
+    R1 = factor("sl2", 1, pair, u1, v1, v2, mutate=(0, 1))
+    P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
+    Q = lax_mul(sl2_lax(pair, v1, u2, "1"), sl2_lax(pair, u1, v2, "2"))
     D = lax_sub(
         lax_compose_scalar(R1, P, "left"), lax_compose_scalar(R1, Q, "right")
     )
@@ -457,9 +477,9 @@ def test_cached_bases_are_held_to_a_later_size_limit(monkeypatch):
     monkeypatch.setenv("RFACTOR_SIZE_LIMIT", "10")
     with pytest.raises(CapTooLarge):
         sl2_pair(8)
-    assert len(sl2_site(8, "z1")) == 9  # within the limit, still served
+    assert len(sl2_site(8, "1")) == 9  # within the limit, still served
     monkeypatch.setenv("RFACTOR_SIZE_LIMIT", "8")
     with pytest.raises(CapTooLarge):
-        sl2_site(8, "z1")
+        sl2_site(8, "1")
     monkeypatch.delenv("RFACTOR_SIZE_LIMIT")
     assert sl2_pair(8) is pair

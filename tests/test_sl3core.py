@@ -61,10 +61,6 @@ from rfactor.sl3core import (
     sl3_lax,
     sl3_lax_factored,
     sl3_pair,
-    sl3_r1,
-    sl3_r2,
-    sl3_r3,
-    sl3_r3_single,
     sl3_shift_flows,
     sl3_site,
     sl3_total_generators,
@@ -72,7 +68,7 @@ from rfactor.sl3core import (
     op_scalar_part,
 )
 from rfactor.verify import rhat
-from termlists import assert_same_op, tabulate, tabulated_columns
+from termlists import assert_same_op, factor, tabulate, tabulated_columns
 
 P1 = Sl3Params(F(1, 2), F(1, 3), F(2))
 P2 = Sl3Params(F(1, 5), F(2, 7), F(0))
@@ -118,9 +114,9 @@ def _factors(cap):
     pair = _pair(cap)
     u1, u2, u3 = P1.triple
     v1, v2, v3 = P2.triple
-    r1 = sl3_r1(pair, u1, v1, v2, v3)
-    r2 = sl3_r2(pair, u1, u2, v2, v3)
-    r3 = sl3_r3(pair, u1, u2, u3, v3)
+    r1 = factor("sl3", 1, pair, u1, v1, v2, v3)
+    r2 = factor("sl3", 2, pair, u1, u2, v2, v3)
+    r3 = factor("sl3", 3, pair, u1, u2, u3, v3)
     return r1, r2, r3
 
 
@@ -729,19 +725,19 @@ def test_inverse_is_identity():
 
 
 def test_single_site_third_factor_reduction():
-    site = _pair(3).factors[0]
+    site = sl3_site(3)
     u1, u2, u3 = P1.triple
     v3 = P2.u3
-    single = sl3_r3_single(site, u1, u2, u3, v3)
-    z1, y1, x1 = map(site.var_index, ("z1", "y1", "x1"))
+    single = factor("sl3", "r3-single", site, u1, u2, u3, v3)
+    z, y, x = map(site.var_index, "zyx")
     core = run_pipeline(
         site,
         [
-            stage_euler(site, z1, 1, u2 - u3 + 1),
-            stage_laurent(site, -1, num=y1, den=z1, target=x1),
-            stage_euler(site, y1, u1 - v3 + 1, u1 - u3 + 1),
-            stage_laurent(site, 1, num=y1, den=z1, target=x1),
-            stage_euler(site, z1, u2 - v3 + 1, 1),
+            stage_euler(site, z, 1, u2 - u3 + 1),
+            stage_laurent(site, -1, num=y, den=z, target=x),
+            stage_euler(site, y, u1 - v3 + 1, u1 - u3 + 1),
+            stage_laurent(site, 1, num=y, den=z, target=x),
+            stage_euler(site, z, u2 - v3 + 1, 1),
         ],
     )
     w = min(single.certified, core.certified)
@@ -754,7 +750,7 @@ def test_mutation_breaks_defining_relation():
     pair = _pair(cap)
     u1, u2, u3 = P1.triple
     v1, v2, v3 = P2.triple
-    bad = sl3_r3(pair, u1, u2, u3, v3, mutate=(1, 1))
+    bad = factor("sl3", 3, pair, u1, u2, u3, v3, mutate=(1, 1))
     ok, wit = _defining_residual(
         cap, bad, (u1, u2, u3), (v1, v2, v3), (u1, u2, v3), (v1, v2, u3)
     )

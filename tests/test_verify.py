@@ -7,6 +7,7 @@ schema, and mutation sensitivity of the seeded suites.
 
 import json
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,8 @@ from rfactor.linop import (
     path_table, pole_bases,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
-from rfactor.sl2core import _sl2_r1_stages, _sl2_r2_stages, sl2_lax, sl2_r1, sl2_r2
-from rfactor.sl3core import Sl3Params, sl3_pair, sl3_r1, sl3_r2, sl3_r3, sl3_site
+from rfactor.sl2core import _sl2_r1_stages, _sl2_r2_stages, sl2_lax
+from rfactor.sl3core import Sl3Params, sl3_pair, sl3_site
 from rfactor.verify import (
     POOL_DEN,
     POOL_NUM,
@@ -45,7 +46,7 @@ from rfactor.verify import (
     run_one,
     run_suite,
 )
-from termlists import assert_same_op, tabulate, tabulated_columns
+from termlists import assert_same_op, factor, tabulate, tabulated_columns
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +110,13 @@ def test_rhat_composes_the_sl2_factors_in_both_orders():
     pair = sl2_pair(5)
     u1, u2, v1, v2 = F(4, 3), F(-2, 3), F(5, 7), F(-3, 7)
     t, s = (u1, u2), (v1, v2)
-    want1 = compose(sl2_r1(pair, u1, v1, u2), sl2_r2(pair, u1, u2, v2))
-    want2 = compose(sl2_r2(pair, v1, u2, v2), sl2_r1(pair, u1, v1, v2))
+    r1 = partial(factor, "sl2", 1, pair)
+    r2 = partial(factor, "sl2", 2, pair)
+    want1 = compose(r1(u1, v1, u2), r2(u1, u2, v2))
+    want2 = compose(r2(v1, u2, v2), r1(u1, v1, v2))
     assert _same(rhat("sl2", pair, t, s, 1), want1)
     assert _same(rhat("sl2", pair, t, s, 2), want2)
-    mutated = compose(sl2_r1(pair, u1, v1, u2, mutate=(0, 2)), sl2_r2(pair, u1, u2, v2))
+    mutated = compose(r1(u1, v1, u2, mutate=(0, 2)), r2(u1, u2, v2))
     assert _same(rhat("sl2", pair, t, s, 1, (1, 0, 2)), mutated)
     # each factor guards itself in the order the factors apply: order 1
     # meets r2's lower parameter u1 - u2 = -1 before r1's v1 - u2 = 0; order
@@ -131,22 +134,20 @@ def test_rhat_composes_the_sl3_factors_in_both_orders():
     u1, u2, u3 = F(1, 2), F(-1, 3), F(5, 4)
     v1, v2, v3 = F(2, 7), F(-3, 5), F(7, 6)
     t, s = (u1, u2, u3), (v1, v2, v3)
+    r1, r2, r3 = (partial(factor, "sl3", k, pair) for k in (1, 2, 3))
     want1 = compose(
-        sl3_r1(pair, u1, v1, u2, u3),
-        compose(sl3_r2(pair, u1, u2, v2, u3), sl3_r3(pair, u1, u2, u3, v3)),
+        r1(u1, v1, u2, u3),
+        compose(r2(u1, u2, v2, u3), r3(u1, u2, u3, v3)),
     )
     want2 = compose(
-        sl3_r3(pair, v1, v2, u3, v3),
-        compose(sl3_r2(pair, v1, u2, v2, v3), sl3_r1(pair, u1, v1, v2, v3)),
+        r3(v1, v2, u3, v3),
+        compose(r2(v1, u2, v2, v3), r1(u1, v1, v2, v3)),
     )
     assert _same(rhat("sl3", pair, t, s, 1), want1)
     assert _same(rhat("sl3", pair, t, s, 2), want2)
     mutated = compose(
-        sl3_r3(pair, v1, v2, u3, v3),
-        compose(
-            sl3_r2(pair, v1, u2, v2, v3, mutate=(1, 1)),
-            sl3_r1(pair, u1, v1, v2, v3),
-        ),
+        r3(v1, v2, u3, v3),
+        compose(r2(v1, u2, v2, v3, mutate=(1, 1)), r1(u1, v1, v2, v3)),
     )
     assert _same(rhat("sl3", pair, t, s, 2, (2, 1, 1)), mutated)
     assert not _same(mutated, want2)
@@ -349,23 +350,23 @@ def _r1_setup(cap):
     p1, p2 = Sl2Params(F(1), F(1, 3)), Sl2Params(F(1, 2), F(-1, 4))
     u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
     laxes = (
-        sl2_lax(pair, u1, u2, "z1"),
-        sl2_lax(pair, v1, v2, "z2"),
-        sl2_lax(pair, v1, u2, "z1"),
-        sl2_lax(pair, u1, v2, "z2"),
+        sl2_lax(pair, u1, u2, "1"),
+        sl2_lax(pair, v1, v2, "2"),
+        sl2_lax(pair, v1, u2, "1"),
+        sl2_lax(pair, u1, v2, "2"),
     )
     return pair, (u1, v1, v2), laxes
 
 
 def test_residual_rll_passes_on_the_exchange_relation():
     pair, args, laxes = _r1_setup(4)
-    R = sl2_r1(pair, *args)
+    R = factor("sl2", 1, pair, *args)
     assert residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2) is None
 
 
 def test_residual_rll_fails_with_a_block_witness_under_mutation():
     pair, args, laxes = _r1_setup(4)
-    R = sl2_r1(pair, *args, mutate=(0, 1))
+    R = factor("sl2", 1, pair, *args, mutate=(0, 1))
     with pytest.raises(CheckFailed) as err:
         residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2)
     assert err.value.window == 2
