@@ -21,6 +21,11 @@ ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+# Report values grow to about 4 * cap digits per literal digit (the sl2
+# oracle-r2 scalar), so below cap 50 reports stay under Python's 4,300-digit
+# int-to-str limit.
+MAX_DIGITS = 20
+
 
 class DivisionByZero(ZeroDivisionError):
     pass
@@ -32,9 +37,11 @@ class PoleAtParameter(ArithmeticError):
 
 def rat_from_str(text: str) -> Rat:
     """Parse 'p/q' or 'p' (ASCII digits, optional sign and whitespace);
-    decimals, exponents and digit separators raise ValueError."""
+    decimals, exponents, separators and over MAX_DIGITS digits raise ValueError."""
     if not _RATIONAL.fullmatch(text.strip()):
         raise ValueError(f"bad rational literal {text!r}")
+    if max(map(len, re.findall("[0-9]+", text))) > MAX_DIGITS:
+        raise ValueError(f"rational literal over {MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -10,7 +10,8 @@ matrices is meaningless by itself; instead every operator carries
                 agrees exactly with the untruncated operator.
 
 Construction certifies columns up to cap - max(0, shift); composition
-propagates certification and only tabulates certified columns. All zero tests
+propagates certification and tabulates only the columns certified for its
+result, none above an optional height limit `upto`. All zero tests
 take an explicit height window and refuse to look beyond certification, so a
 reported zero is a statement about the actual operators, not an artifact of
 truncation.
@@ -189,14 +190,16 @@ def _require_same(b1, b2, what):
         raise BasisMismatch(f"{what}: bases differ")
 
 
-def compose(a: SparseOp, b: SparseOp) -> SparseOp:
-    """a after b. Only columns certified for the result are tabulated."""
+def compose(a: SparseOp, b: SparseOp, *, upto=None) -> SparseOp:
+    """a after b, certified at min(b.certified, a.certified - b.shift, upto):
+    only those columns are tabulated."""
     _require_same(a.domain, b.codomain, "compose")
+    limit = a.codomain.cap if upto is None else min(upto, a.codomain.cap)
     if b.shift == NEG_INF or a.shift == NEG_INF:
-        return zero_op(b.domain, a.codomain)
+        return SparseOp(b.domain, a.codomain, {}, 1, NEG_INF, limit)
     # b sends height h to heights <= h + b.shift, so a must be exact up to
     # h + b.shift; a negative b.shift gains certification room
-    certified = min(b.certified, a.certified - b.shift)
+    certified = min(b.certified, a.certified - b.shift, limit)
     cols = {}
     heights = b.domain.heights
     for i, bc in b.cols.items():
@@ -805,7 +808,8 @@ def lax_from_gl(T, u):
     )
 
 
-def lax_mul(A: LaxOp, B: LaxOp) -> LaxOp:
+def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
+    """A B, no block tabulated or certified above height `upto`."""
     n = A.size
     if B.size != n:
         raise BasisMismatch("Lax sizes differ")
@@ -815,7 +819,7 @@ def lax_mul(A: LaxOp, B: LaxOp) -> LaxOp:
         for k in range(n):
             acc = None
             for j in range(n):
-                t = compose(A.blocks[i][j], B.blocks[j][k])
+                t = compose(A.blocks[i][j], B.blocks[j][k], upto=upto)
                 acc = t if acc is None else op_add(acc, t)
             row.append(acc)
         blocks.append(row)

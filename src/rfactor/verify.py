@@ -335,7 +335,8 @@ def _lax_zero(A, window):
 
 def residual_rll(R, P, Q, window):
     """R . P - Q . R vanishes on the window, where P = L1 L2 and
-    Q = L1' L2' are the Lax products on either side."""
+    Q = L1' L2' are the Lax products on either side. They need only be
+    certified up to the window; each composition here then stops there."""
     lhs = lax_compose_scalar(R, P, "left")
     rhs = lax_compose_scalar(R, Q, "right")
     _lax_zero(lax_sub(lhs, rhs), window)
@@ -428,13 +429,14 @@ def _sl3_invariance(cap, draws, mutate):
         _zero(op_sub(comp, identity_op(basis)), comp.certified)
     M = sl3_invariance_matrix(a, b, c)
     L = sl3_lax(basis, *Sl3Params(m, n, u).triple)
+    w = cap - 2
     lhs = lax_mul(
-        lax_from_matrix(basis, mat_inv(M)), lax_mul(L, lax_from_matrix(basis, M))
+        lax_from_matrix(basis, mat_inv(M)), lax_mul(L, lax_from_matrix(basis, M), w), w
     )
     # conjugate the module side: S^-1 . L . S, blockwise
     rhs = lax_compose_scalar(inv, lax_compose_scalar(fwd, L, "right"), "left")
-    _lax_zero(lax_sub(lhs, rhs), cap - 2)
-    return cap - 2, None
+    _lax_zero(lax_sub(lhs, rhs), w)
+    return w, None
 
 
 def _sl3_sides_r1(pair):
@@ -741,11 +743,12 @@ def _factor_exchange(alg, k, cap, draws, mutate):
     pair, R, (L1, L2, L1p, L2p) = _exchange(
         alg, k, cap, draws, _factor_mutation(mutate, k)
     )
-    residual_rll(R, lax_mul(L1, L2), lax_mul(L1p, L2p), cap - 2)
+    w = cap - 2
+    residual_rll(R, lax_mul(L1, L2, w), lax_mul(L1p, L2p, w), w)
     for op in _FACTORS[alg, k][1](pair):
         res = commutator(R, op)
         _zero(res, res.certified)
-    return cap - 2, None
+    return w, None
 
 
 def _factor_orders(alg, cap, draws, mutate):
@@ -767,12 +770,13 @@ def _full_swap(alg, cap, draws, mutate):
     pair = a.pair(cap)
     A = rhat(alg, pair, t, s, 1, mutate)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
-    P = lax_mul(L1, L2)
-    residual_rll(A, P, lax_mul(L1p, L2p), cap - 2)
+    w = cap - 2
+    P = lax_mul(L1, L2, w)
+    residual_rll(A, P, lax_mul(L1p, L2p, w), w)
     # the aux-matrix ordering flips under the site permutation: the right-hand
     # side is L(s, site 2) L(t, site 1) = L2 L1
-    residual_rll(compose(pair_swap(pair), A), P, lax_mul(L2, L1), cap - 2)
-    return cap - 2, None
+    residual_rll(compose(pair_swap(pair), A), P, lax_mul(L2, L1, w), w)
+    return w, None
 
 
 def _inverse_scalar(alg, cap, draws, mutate):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfactor.exactnum import (
+    MAX_DIGITS,
     DivisionByZero,
     PoleAtParameter,
     gamma_ratio_shift,
@@ -117,6 +118,15 @@ def test_parse_errors():
 def test_only_sign_digits_and_one_slash_parse(text):
     with pytest.raises(ValueError):
         rat_from_str(text)
+
+
+def test_literals_up_to_the_digit_bound_parse():
+    top = "7" * MAX_DIGITS
+    assert rat_from_str(top) == int(top)
+    assert rat_from_str(f" -1/{top} ") == F(-1, int(top))
+    for text in (top + "7", f"1/{top}7"):
+        with pytest.raises(ValueError, match="digits"):
+            rat_from_str(text)
 
 
 @given(a=rationals, b=rationals.filter(lambda x: x != 0))

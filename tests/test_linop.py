@@ -49,6 +49,8 @@ from rfactor.linop import (
     zero_op,
 )
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
+from rfactor.sl2core import sl2_lax, sl2_pair
+from rfactor.sl3core import sl3_lax, sl3_pair
 
 
 def zbasis(cap, name="z"):
@@ -118,6 +120,13 @@ def test_compose_certification_formula():
     assert ok, wit
     ok, wit = is_zero(op_sub(dz, op_add(euler, identity_op(b))), 5)
     assert ok, wit
+    # a result limit caps the formula and is never raised above it
+    assert compose(z, d, upto=3).certified == 3
+    assert compose(d, z, upto=9).certified == 5
+    assert compose(zero_op(b), d, upto=2).certified == 2
+    assert max(b.heights[i] for i in compose(z, d, upto=3).cols) == 3
+    with pytest.raises(TypeError):
+        compose(z, d, 3)  # keyword-only: a positional limit is refused
 
 
 def test_compose_against_larger_cap_oracle():
@@ -279,6 +288,24 @@ def test_lax_mul_blockwise():
     P = lax_mul(A, B)
     ok, wit = lax_is_zero(lax_sub(P, LaxOp([[one, zero], [zero, one]])), 3)
     assert ok, wit
+
+
+@pytest.mark.parametrize("lax, pair", [(sl2_lax, sl2_pair(6)), (sl3_lax, sl3_pair(4))])
+def test_a_windowed_lax_product_is_the_whole_one_below_its_limit(lax, pair):
+    nslots = 2 if lax is sl2_lax else 3
+    A = lax(pair, *[F(k + 1, 3) for k in range(nslots)], "1")
+    B = lax(pair, *[F(-2, k + 5) for k in range(nslots)], "2")
+    whole = lax_mul(A, B)
+    heights = pair.heights
+    for w in range(pair.cap + 1):
+        part = lax_mul(A, B, upto=w)
+        for row, whole_row in zip(part.blocks, whole.blocks):
+            for blk, ref in zip(row, whole_row):
+                assert blk.certified == min(ref.certified, w)
+                assert all(heights[i] <= w for i in blk.cols)
+                for i in range(len(pair)):
+                    if heights[i] <= blk.certified:
+                        assert blk.col(i) == ref.col(i)
 
 
 def test_dense_helpers_and_inverse():

@@ -373,6 +373,47 @@ def test_residual_rll_fails_with_a_block_witness_under_mutation():
     assert err.value.witness[0].startswith("block")
 
 
+@pytest.mark.parametrize(
+    "alg, k, cap, tag, draws",
+    [
+        ("sl2", 1, 8, "r1:1", [F(1), F(1, 2), F(1, 3), F(-1, 4)]),
+        ("sl3", 2, 3, "r2:b", [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(2, 3), F(1, 4)]),
+    ],
+)
+def test_a_failing_exchange_fails_as_its_whole_products_do(alg, k, cap, tag, draws):
+    # the check builds its Lax products on window cap - 2 only; the residual
+    # of the whole products must fail at the same window with the same witness
+    mutate = parse_mutate(alg, tag)
+    pair, R, (L1, L2, L1p, L2p) = verify._exchange(
+        alg, k, cap, draws, verify._factor_mutation(mutate, k)
+    )
+    with pytest.raises(CheckFailed) as whole:
+        residual_rll(R, lax_mul(L1, L2), lax_mul(L1p, L2p), cap - 2)
+    with pytest.raises(CheckFailed) as windowed:
+        verify._factor_exchange(alg, k, cap, draws, mutate)
+    assert windowed.value.window == whole.value.window == cap - 2
+    assert windowed.value.witness == whole.value.witness
+
+
+@pytest.mark.parametrize("name", ["3F2", "def3", "sl3-invariance"])
+def test_lax_products_read_only_on_window_cap_minus_two_stop_there(monkeypatch, name):
+    products = []
+
+    def recording(A, B, *args, **kwargs):
+        out = lax_mul(A, B, *args, **kwargs)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(verify, "lax_mul", recording)
+    cap = 3
+    draws = draw_rats(check_rng(0, name, 0), verify.CATALOG["sl3", name][1])
+    assert run_check("sl3", name, cap, draws).status == "pass"
+    assert products
+    for P in products:
+        for row in P.blocks:
+            assert all(block.certified <= cap - 2 for block in row)
+
+
 # ---------------------------------------------------------------------------
 # Result schema and serialization
 
