@@ -19,13 +19,13 @@ truncation.
 Entries are stored as nonzero integer numerators over one positive
 denominator `den` per operator, kept canonical: gcd(den, every numerator) is
 1 and an empty operator has den 1, so equal operators have equal
-(cols, den). The kernel (compose, op_add, op_scale, is_zero, path_op)
-works in integers only. Fraction stays at the edges: parameters
-and scalars, `SparseOp.col`/`apply_vec` and zero-test witnesses, which
-return Fractions, and `rational_op`, which builds an operator from rational
-columns. A parameter-free differential operator (`diffop`) is tabulated in
-integers once per basis and term list; one with parameters is such a cached
-part plus parameter times cached unit operators.
+(cols, den). The kernel (compose, op_add, op_scale, is_zero, path_op) and
+the nullspace solver work in integers only. Fraction stays at the edges:
+parameters and scalars, `SparseOp.col`/`apply_vec`, zero-test witnesses and
+nullspace solutions, which are Fractions, and `rational_op`, which builds an
+operator from rational columns. A parameter-free differential operator
+(`diffop`) is tabulated in integers once per basis and term list; one with
+parameters is such a cached part plus parameter times cached unit operators.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -360,21 +360,32 @@ def int_row(vec):
 
 
 def _kernel_vector(echelon, leads, free):
-    """Back-substitution: the solution with 1 at `free` and 0 at every other
-    unknown that leads no echelon row; `leads` is the echelon's leads in
-    decreasing order."""
-    x = {free: Fraction(1)}
+    """Fraction-free back-substitution: d*x for an integer d, where x is the
+    solution with 1 at `free` and 0 at every other unknown that leads no
+    echelon row; `leads` is the echelon's leads in decreasing order. Where a
+    pivot does not divide the running sum, d grows by pivot/gcd; entry k is
+    kept as (n, d_k), x_k = n/d_k, and scaled to the final d once."""
+    d = 1
+    y = {free: (1, 1)}
     for lead in leads:
         row = echelon[lead]
-        s = Fraction(0)
+        s = 0
         for k, v in row.items():
-            if k != lead:
-                xv = x.get(k)
-                if xv:
-                    s += v * xv
+            e = y.get(k)
+            if e:
+                s += v * e[0] * (d // e[1])
         if s:
-            x[lead] = -s / row[lead]
-    return {k: v for k, v in x.items() if v}
+            p = row[lead]
+            g = math.gcd(s, p)
+            if p != g:
+                d *= p // g
+            y[lead] = (-s // g, d)
+    return {k: n * (d // dk) for k, (n, dk) in y.items()}
+
+
+def _solution(y, free):
+    """The kernel vector y divided by its entry at `free`."""
+    return {k: Fraction(v, y[free]) for k, v in y.items()}
 
 
 def int_echelon_nullspace(equations, unknowns):
@@ -399,26 +410,40 @@ def int_echelon_nullspace(equations, unknowns):
     r.x = 0 would reduce to zero and leave every pivot row as it is: it is
     tested by that dot product instead of being reduced. The first row with
     r.x != 0 is inserted, which makes the rank full and the nullspace empty.
-    The echelon, the free unknowns and the result are those of eliminating
+
+    A row that keeps one entry forces its unknown u to zero (e_u is in the
+    row space), and later rows are stripped of forced zeros before use,
+    which leaves the row space as it is. If u leads no pivot row yet, {u: 1}
+    becomes one without reduction; otherwise the row is inserted as usual,
+    since storing {u: 1} over a longer pivot row would lose its equation.
+    The leads, the free unknowns and the result are those of eliminating
     every row.
     """
     rows = sorted(equations, key=len)
-    echelon = {}
+    echelon, zero = {}, set()
     for i, eq in enumerate(rows):
         if len(echelon) == len(unknowns) - 1:
             free = next(u for u in unknowns if u not in echelon)
-            x = _kernel_vector(echelon, sorted(echelon, reverse=True), free)
-            xi = int_row(x)
+            y = _kernel_vector(echelon, sorted(echelon, reverse=True), free)
             for r in rows[i:]:
-                if sum(v * xi.get(k, 0) for k, v in r.items()):
+                if sum(v * y.get(k, 0) for k, v in r.items()):
                     _echelon_insert(int_row(r), echelon)
                     return []
-            return [x]
+            return [_solution(y, free)]
         row = int_row(eq)
+        for u in zero.intersection(row):
+            del row[u]
+        if len(row) == 1:
+            (u,) = row
+            zero.add(u)
+            if u not in echelon:
+                echelon[u] = {u: 1}
+                continue
         if row:
             _echelon_insert(row, echelon)
     leads = sorted(echelon, reverse=True)
-    return [_kernel_vector(echelon, leads, f) for f in unknowns if f not in echelon]
+    free = [u for u in unknowns if u not in echelon]
+    return [_solution(_kernel_vector(echelon, leads, f), f) for f in free]
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,22 @@ def _charge_blocks(charges):
     return blocks
 
 
+def _vacuous(A, B, fa, fb, blocks):
+    """Whether A and B are diagonal on the columns of `blocks` with one value
+    A*fa = B*fb per block, so that X A = B X holds for every
+    charge-preserving X there: lambda X_q - X_q lambda = 0."""
+    for cols in blocks:
+        values = set()
+        for m in cols:
+            a, b = A.cols.get(m, {}), B.cols.get(m, {})
+            if len(a) > (m in a) or len(b) > (m in b):
+                return False
+            values |= {a.get(m, 0) * fa, b.get(m, 0) * fb}
+        if len(values) > 1:
+            return False
+    return True
+
+
 def intertwiner_oracle(constraints, basis):
     """Solve X A = B X for all constraint pairs (A, B) simultaneously.
 
@@ -261,7 +277,9 @@ def intertwiner_oracle(constraints, basis):
     splits by the row-minus-column charge difference of X, and the operators
     being re-derived are charge-preserving, so that sector is complete).
     Equations are imposed on every basis column m with height inside the
-    certified windows of A and B.
+    certified windows of A and B. A pair that is diagonal there with one
+    value per charge block, the same for A and B, holds for every such X;
+    it is skipped, since all its rows would cancel.
     Returns a list of solution operators, one per nullspace dimension.
     """
     charges = charge_vectors(basis)
@@ -277,6 +295,9 @@ def intertwiner_oracle(constraints, basis):
         # X A = B X over the common denominator A.den * B.den: the numerators
         # of A are scaled by B.den and those of B by A.den
         fa, fb = B.den, A.den
+        imposed = [q for q in blocks.values() if basis.heights[q[0]] <= top]
+        if _vacuous(A, B, fa, fb, imposed):  # a block has one height
+            continue
         for m in range(len(basis)):
             if basis.heights[m] > top:
                 continue

@@ -361,6 +361,23 @@ def test_a_row_off_the_kernel_line_empties_the_nullspace(monkeypatch):
     assert len(inserted) == 4
 
 
+def test_a_forced_zero_on_a_pivot_lead_is_inserted_not_pinned_over_it():
+    # {0: 1, 2: 1} strips to {0: 1} once 2 is pinned; 0 already leads
+    # {0: 1, 1: 1}, so the row must be reduced (to x1 = 0), not stored over it
+    eqs = [{2: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}]
+    assert int_echelon_nullspace(eqs, [0, 1, 2, 3]) == [{3: 1}]
+
+
+def test_forced_zeros_alone_reach_the_one_line_kernel(monkeypatch):
+    inserted = _counting_inserts(monkeypatch)
+    pins = [{0: 3}, {1: F(-1, 2)}, {2: 1}]
+    dense = {0: 1, 1: 1, 2: -1}
+    assert int_echelon_nullspace(pins + [dense], [0, 1, 2, 3]) == [{3: 1}]
+    assert inserted == []
+    assert int_echelon_nullspace(pins + [dense | {3: 1}], [0, 1, 2, 3]) == []
+    assert inserted == [{0: 1, 1: 1, 2: -1, 3: 1}]
+
+
 @pytest.mark.parametrize("scale", [1, F(2, 3)], ids=["int", "fraction"])
 def test_int_echelon_nullspace_leaves_its_equations_unchanged(scale):
     eqs = [{k: scale * v for k, v in eq.items()} for eq in _CHAIN]

@@ -17,7 +17,7 @@ from rfactor import linop, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, diffop, identity_op, is_zero, lax_mul, op_scale, op_sub,
-    path_table, pole_bases,
+    path_table, pole_bases, rational_op,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
 from rfactor.sl2core import _sl2_r1_stages, _sl2_r2_stages, sl2_lax
@@ -861,9 +861,18 @@ def _full_elimination_nullspace(equations, unknowns):
     return sols
 
 
-def test_the_oracle_solve_stops_reducing_at_a_one_line_kernel(monkeypatch):
+@pytest.mark.parametrize(
+    "alg, name, cap",
+    [("sl3", name, 3)
+     for name in ("oracle-r1", "oracle-r2", "oracle-r3", "oracle-r3-single")]
+    + [("sl2", "oracle-r1", 8), ("sl2", "oracle-r2", 8)],
+)
+def test_the_oracle_solve_stops_reducing_at_a_one_line_kernel(
+    monkeypatch, alg, name, cap
+):
     solves = _recorded_solves(monkeypatch)
-    assert run_check("sl3", "oracle-r1", 3, _ORACLE_POINT).status == "pass"
+    draws = _ORACLE_POINT[: verify.CATALOG[alg, name][1]]
+    assert run_check(alg, name, cap, draws).status == "pass"
     ((eqs, unknowns, sols, inserted),) = solves
     assert inserted < sum(1 for eq in eqs if any(eq.values()))
     assert sols == _full_elimination_nullspace(eqs, unknowns)
@@ -881,18 +890,24 @@ def test_the_oracle_hands_the_solver_nonempty_rows_of_nonzero_ints(monkeypatch, 
         assert eq and all(type(v) is int and v for v in eq.values())
 
 
-def test_a_contradictory_constraint_empties_the_oracle_nullspace_early(monkeypatch):
+def _oracle_r1_system(monkeypatch):
+    """(pair, constraints, closed form) of sl3 oracle-r1 at _ORACLE_POINT."""
     calls = []
     check = verify._oracle_check
     monkeypatch.setattr(
         verify, "_oracle_check", lambda *args: calls.append(args) or check(*args)
     )
     assert run_check("sl3", "oracle-r1", 3, _ORACLE_POINT).status == "pass"
-    ((pair, constraints, closed),) = calls
+    (system,) = calls
+    return system
+
+
+def test_a_contradictory_constraint_empties_the_oracle_nullspace_early(monkeypatch):
+    pair, constraints, closed = _oracle_r1_system(monkeypatch)
     one = identity_op(pair)
     solves = _recorded_solves(monkeypatch)
     with pytest.raises(CheckFailed) as failed:
-        check(pair, constraints + [(one, op_scale(one, F(2)))], closed)
+        verify._oracle_check(pair, constraints + [(one, op_scale(one, F(2)))], closed)
     assert failed.value.args == (3, ("nullspace", "empty"))
     ((eqs, _, sols, inserted),) = solves
     assert sols == [] and inserted < sum(1 for eq in eqs if any(eq.values()))
@@ -983,3 +998,66 @@ def test_a_second_oracle_r3_single_point_tabulates_no_column(monkeypatch):
     second = run_check("sl3", "oracle-r3-single", 3, points[1])
     assert first.status == second.status == "pass"
     assert sum(cols) == 0
+
+
+def _build_and_drop_rows(constraints, basis):
+    """Reference assembly of the oracle's equations: every row of every pair
+    built, the empty ones dropped."""
+    charges = charge_vectors(basis)
+    blocks = {}
+    for i, q in enumerate(charges):
+        blocks.setdefault(q, []).append(i)
+    equations = []
+    for A, B in constraints:
+        top = min(A.certified, B.certified, basis.cap - max(0, A.shift))
+        for m in range(len(basis)):
+            if basis.heights[m] > top:
+                continue
+            rows = {}
+            for c, a in A.cols.get(m, {}).items():
+                for r in blocks[charges[c]]:
+                    rows.setdefault(r, {})[(r, c)] = a * B.den
+            for rp in blocks[charges[m]]:
+                for r, b in B.cols.get(rp, {}).items():
+                    acc = rows.setdefault(r, {})
+                    acc[(rp, m)] = acc.get((rp, m), 0) - b * A.den
+                    if not acc[(rp, m)]:
+                        del acc[(rp, m)]
+            equations.extend(row for row in rows.values() if row)
+    return equations
+
+
+def _oracle_equations(monkeypatch, constraints, basis):
+    """The equation list intertwiner_oracle hands its solver (not solved)."""
+    handed = []
+    monkeypatch.setattr(
+        verify, "int_echelon_nullspace", lambda eqs, unknowns: handed.append(eqs) or []
+    )
+    intertwiner_oracle(constraints, basis)
+    (eqs,) = handed
+    return eqs
+
+
+def test_vacuous_constraint_pairs_add_no_equations(monkeypatch):
+    pair, constraints, _ = _oracle_r1_system(monkeypatch)
+    charges = charge_vectors(pair)
+    eqs = _oracle_equations(monkeypatch, constraints, pair)
+    assert eqs == _build_and_drop_rows(constraints, pair)
+    # the three diagonal Lax blocks of L1 + L2 and L1' + L2' say nothing
+    lax_rows = [bool(_build_and_drop_rows([ab], pair)) for ab in constraints[:9]]
+    assert lax_rows == [i != j for i in range(3) for j in range(3)]
+
+    def diagonal(value):
+        cols = {m: {m: value(m)} for m in range(len(pair)) if value(m)}
+        return rational_op(pair, pair, cols, 0, pair.cap)
+
+    one = identity_op(pair)
+    by_block = diagonal(lambda m: F(charges[m][0] - 3 * charges[m][1], 5))
+    assert by_block.cols.keys() != set(range(len(pair)))  # a zero block too
+    more = constraints + [(one, one), (by_block, by_block)]
+    assert _oracle_equations(monkeypatch, more, pair) == eqs
+    by_monomial = diagonal(lambda m: F(m + 1))
+    more = constraints + [(by_monomial, by_monomial)]
+    longer = _oracle_equations(monkeypatch, more, pair)
+    assert longer[: len(eqs)] == eqs and len(longer) > len(eqs)
+    assert longer == _build_and_drop_rows(more, pair)
