@@ -56,7 +56,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("sl2", help="two-site sl2 suite"), 8, 20)
     _add_common(sub.add_parser("sl3", help="two-site sl3 suite"), 3, 10)
-    _add_common(sub.add_parser("ybe", help="dense fundamental Yang-Baxter"), 2, 10,
+    _add_common(sub.add_parser("ybe", help="fundamental Yang-Baxter"), 2, 10,
                 mutate=False)
     orc = sub.add_parser("oracle", help="independent linear-solve comparison")
     orc.add_argument("--algebra", required=True, choices=("sl2", "sl3"))

@@ -33,7 +33,8 @@ from stage lists. Their intermediate terms are combinations over any integer
 exponents, so no basis ever holds a negative power. A path table
 (`path_table`, cached per basis and stage list) runs the parameter-free
 stages once and keeps the Gamma-ratio diagonals as placeholders, so the
-operator at a point (`path_op`) is one eigenvalue per (stage, exponent) and
+operator at a point (`path_op`) is one eigenvalue per (stage, exponent),
+each read off running integer products of the Pochhammer factors, and
 integer sums; a Laurent term that does not cancel is then an error of the
 stage list, raised when the table is compiled, and a pole is raised for
 every point whose table needs it. `run_pipeline` feeds every monomial
@@ -750,6 +751,32 @@ def pole_bases(table, args):
     return out
 
 
+def _euler_eigenvalues(a, b, exps):
+    """{e: gamma_ratio_shift(a, b, e) for e in exps}, for sorted integer
+    exps, by running integer products outward from e = 0: one Fraction per
+    exponent. Pochhammer zeros are monotone in |e|, so the sorted sweep of
+    gamma_ratio_shift meets its first pole at exps[0] if a negative exponent
+    meets one, else at the first e >= 0 that does; that call raises it."""
+    pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
+    vals = {}
+    for side in ([e for e in reversed(exps) if e < 0], [e for e in exps if e >= 0]):
+        num = den = 1
+        at = 0
+        for e in side:
+            while at < e:
+                num *= (pa + at * qa) * qb
+                den *= (pb + at * qb) * qa
+                at += 1
+            while at > e:
+                at -= 1
+                num *= (pb + at * qb) * qa
+                den *= (pa + at * qa) * qb
+            if not den:
+                gamma_ratio_shift(a, b, exps[0] if e < 0 else e)
+            vals[e] = Fraction(num, den)
+    return vals
+
+
 def path_op(table, args, mutate=None):
     """The operator of a compiled stage list at the point `args`;
     mutate=(s, k) doubles the eigenvalue of the s-th Euler stage at exponent
@@ -762,7 +789,7 @@ def path_op(table, args, mutate=None):
     eig = []
     for s, (st, exps) in enumerate(zip(_eulers(table), table.exps)):
         a, b = _param(st.a, args), _param(st.b, args)
-        vals = {e: gamma_ratio_shift(a, b, e) for e in exps}
+        vals = _euler_eigenvalues(a, b, exps)
         if mutate is not None and mutate[0] == s and mutate[1] in vals:
             vals[mutate[1]] *= 2
         eig.append(vals)
@@ -885,7 +912,7 @@ def lax_is_zero(A: LaxOp, window: int):
 
 
 # ---------------------------------------------------------------------------
-# Dense exact matrices (for fundamental representations and small YBE checks)
+# Dense exact matrices (for fundamental representations and structure constants)
 
 def mat_eye(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]

@@ -21,6 +21,9 @@ factor at a point costs one Gamma ratio per exponent plus integer sums.
 Each form keeps its own term lists, so `lax-factor` still compares three
 formulas. The closed form (`sl2_rhat_closed`) runs its own pipelines at
 every call, so `closed-form` still compares two constructions.
+
+The fundamental check applies Yang's R = u + P on (C^d)^3 to basis triples
+in integers (`ybe_fundamental_residual`); no matrix is formed.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 from .exactnum import Rat
 from .polyspace import (
@@ -44,11 +48,7 @@ from .linop import (
     compose,
     diffop,
     int_echelon_nullspace,
-    kron,
     lax_mul,
-    mat_eye,
-    mat_mul,
-    mat_sub,
     op_add,
     op_scale,
     op_sub,
@@ -277,47 +277,36 @@ def sl2_spectral_bases(l1, l2, w):
 
 
 # ---------------------------------------------------------------------------
-# Fundamental (dense) Yangian R-matrix
-
-def yang_r(u, d):
-    """u * Id + P on C^d tensor C^d."""
-    n = d * d
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            out[i * d + j][i * d + j] += Fraction(u)
-            out[i * d + j][j * d + i] += 1
-    return out
-
-
-def dense_embed_pair(R, d, pos):
-    """Embed a two-site dense matrix into three tensor factors C^d."""
-    eye = mat_eye(d)
-    if pos == (0, 1):
-        return kron(R, eye)
-    if pos == (1, 2):
-        return kron(eye, R)
-    if pos == (0, 2):
-        n = d * d * d
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    row = (i * d + j) * d + k
-                    for i2 in range(d):
-                        for k2 in range(d):
-                            c = R[i * d + k][i2 * d + k2]
-                            if c:
-                                out[row][(i2 * d + j) * d + k2] = c
-        return out
-    raise ValueError(f"bad pair position {pos}")
-
+# Fundamental Yangian R-matrix on index triples
 
 def ybe_fundamental_residual(u, v, d):
-    """R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v) on (C^d)^3."""
-    r12 = dense_embed_pair(yang_r(u - v, d), d, (0, 1))
-    r13 = dense_embed_pair(yang_r(u, d), d, (0, 2))
-    r23 = dense_embed_pair(yang_r(v, d), d, (1, 2))
-    lhs = mat_mul(mat_mul(r12, r13), r23)
-    rhs = mat_mul(mat_mul(r23, r13), r12)
-    return mat_sub(lhs, rhs)
+    """R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v) on (C^d)^3 as
+    {(row, col): value} over its nonzero entries, triple (i, j, k) at index
+    (i d + j) d + k. R_ab(w) = w + P_ab, P_ab swapping slots a and b, acts
+    on basis triples as the integer operator p + q P_ab for w = p/q, so both
+    sides carry the factor q = den(u - v) den(u) den(v)."""
+    w12, w13, w23 = Fraction(u - v), Fraction(u), Fraction(v)
+    q = w12.denominator * w13.denominator * w23.denominator
+    triples = list(product(range(d), repeat=3))
+    index = {t: n for n, t in enumerate(triples)}
+    p12, p13, p23 = (
+        [index[tuple(t[{a: b, b: a}.get(i, i)] for i in range(3))] for t in triples]
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    )
+
+    def apply(w, perm, vec):
+        out = {}
+        for n, c in vec.items():
+            out[n] = out.get(n, 0) + w.numerator * c
+            out[perm[n]] = out.get(perm[n], 0) + w.denominator * c
+        return out
+
+    res = {}
+    for col in range(len(triples)):
+        lhs = apply(w12, p12, apply(w13, p13, apply(w23, p23, {col: 1})))
+        rhs = apply(w23, p23, apply(w13, p13, apply(w12, p12, {col: 1})))
+        for row in lhs.keys() | rhs.keys():
+            x = lhs.get(row, 0) - rhs.get(row, 0)
+            if x:
+                res[row, col] = Fraction(x, q)
+    return res

@@ -408,11 +408,10 @@ def _sl2_spectral(cap, draws, mutate):
 def _ybe_fundamental(cap, draws, mutate):
     u, v = draws
     for d in (2, 3):
-        r12 = ybe_fundamental_residual(u, v, d)
-        for i, row in enumerate(r12):
-            for j, val in enumerate(row):
-                if val:
-                    raise CheckFailed(0, (f"d={d} entry ({i},{j})", rat_str(val)))
+        res = ybe_fundamental_residual(u, v, d)
+        if res:
+            i, j = min(res)
+            raise CheckFailed(0, (f"d={d} entry ({i},{j})", rat_str(res[i, j])))
     return 0, None
 
 

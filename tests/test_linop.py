@@ -429,8 +429,28 @@ def _sparse_system(draw):
     return n, base + [dict(eq) for eq in dups] + zeros
 
 
+@st.composite
+def _pinned_chains(draw):
+    """Systems that reach the pin path on a lead: single-entry rows pin some
+    unknowns, then each link is a row {u, w} that leads u's pivot and a row
+    {u, p} with p pinned, which strips to {u} on that lead. Links share
+    unknowns, so they chain."""
+    nonzero = _COEFF.filter(bool)
+    n = draw(st.integers(3, 6))
+    pins = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 2,
+                         unique=True))
+    free = [u for u in range(n) if u not in pins]
+    eqs = [{p: draw(nonzero)} for p in pins]
+    for _ in range(draw(st.integers(1, 3))):
+        u, w = sorted(draw(st.lists(st.sampled_from(free), min_size=2,
+                                    max_size=2, unique=True)))
+        eqs.append({u: draw(nonzero), w: draw(nonzero)})
+        eqs.append({u: draw(nonzero), draw(st.sampled_from(pins)): draw(nonzero)})
+    return n, eqs
+
+
 @settings(max_examples=150, deadline=None)
-@given(_sparse_system(), st.data())
+@given(_sparse_system() | _pinned_chains(), st.data())
 def test_int_echelon_nullspace_ignores_equation_order(system, data):
     n, eqs = system
     unknowns = list(range(n))

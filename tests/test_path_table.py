@@ -193,6 +193,47 @@ def _outcome(fn):
         return None
 
 
+def _eigenvalues_or_pole(fn):
+    try:
+        return fn()
+    except PoleAtParameter as e:
+        return str(e)
+
+
+_EIG_CAP = 8
+_EXPONENTS = st.tuples(
+    st.integers(-_EIG_CAP, _EIG_CAP), st.integers(-_EIG_CAP, _EIG_CAP)
+).map(lambda t: list(range(min(t), max(t) + 1))) | st.sets(
+    st.integers(-_EIG_CAP, _EIG_CAP)
+).map(sorted)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point(_EIG_CAP, 1), _point(_EIG_CAP, 1) | st.just((1,)), _EXPONENTS)
+def test_running_eigenvalues_are_the_gamma_ratios_or_their_pole(a, b, exps):
+    (a,), (b,) = a, b
+    want = _eigenvalues_or_pole(lambda: {e: gamma_ratio_shift(a, b, e) for e in exps})
+    got = _eigenvalues_or_pole(lambda: linop._euler_eigenvalues(a, b, exps))
+    assert got == want
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (F(1, 2), F(-1), "(-1)_3 = 0"),  # (b)_e = 0 from e = 2 on
+    (F(1), F(1, 2), "Gamma(1-4)/Gamma(1) pole"),  # a - 1 = 0 from e = -1 on
+])
+def test_a_pole_in_a_gap_of_the_exponents_is_raised_as_the_sweep_raises_it(
+    a, b, message
+):
+    for fn in (
+        lambda: {e: gamma_ratio_shift(a, b, e) for e in [-4, -2, 0, 3]},
+        lambda: linop._euler_eigenvalues(a, b, [-4, -2, 0, 3]),
+    ):
+        with pytest.raises(PoleAtParameter) as raised:
+            fn()
+        assert str(raised.value) == message
+    assert linop._euler_eigenvalues(a, b, [0]) == {0: 1}
+
+
 @pytest.mark.parametrize("name", FACTORS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

@@ -23,7 +23,11 @@ from rfactor.linop import (
     lax_is_zero,
     lax_mul,
     lax_sub,
-    mat_is_zero,
+    kron,
+    mat_add,
+    mat_eye,
+    mat_mul,
+    mat_sub,
     op_add,
     op_scale,
     op_sub,
@@ -43,7 +47,6 @@ from rfactor.sl2core import (
     sl2_rhat_closed,
     sl2_site,
     sl2_spectral,
-    yang_r,
     ybe_fundamental_residual,
 )
 from rfactor.verify import rhat
@@ -433,12 +436,40 @@ def test_spectral_shifted_by_second_parameter():
     assert r1 == r2
 
 
-def test_yang_r_and_fundamental_ybe():
-    R = yang_r(F(2), 2)
-    assert R[0][0] == 3 and R[1][2] == 1 and R[1][1] == 2
+def test_fundamental_ybe_residual_vanishes():
     for d in (2, 3):
-        assert mat_is_zero(ybe_fundamental_residual(F(3, 7), F(-2, 5), d))
-        assert mat_is_zero(ybe_fundamental_residual(F(0), F(5, 3), d))
+        assert ybe_fundamental_residual(F(3, 7), F(-2, 5), d) == {}
+        assert ybe_fundamental_residual(F(0), F(5, 3), d) == {}
+
+
+def _dense_ybe_residual(u, v, d):
+    """The residual as products of dense (C^d)^3 matrices: P12 and P23 by
+    Kronecker products, P13 = P12 P23 P12."""
+    swap = [[F(int(r == (c % d) * d + c // d)) for c in range(d * d)]
+            for r in range(d * d)]
+    eye = mat_eye(d)
+    p12, p23 = kron(swap, eye), kron(eye, swap)
+    p13 = mat_mul(mat_mul(p12, p23), p12)
+
+    def r(w, p):
+        return mat_add(p, mat_eye(d ** 3), F(w))
+
+    r12, r13, r23 = r(u - v, p12), r(u, p13), r(v, p23)
+    lhs = mat_mul(mat_mul(r12, r13), r23)
+    rhs = mat_mul(mat_mul(r23, r13), r12)
+    return mat_sub(lhs, rhs)
+
+
+@pytest.mark.parametrize("u, v", [
+    (F(3, 7), F(-2, 5)), (F(2, 9), F(2, 9)), (F(0), F(5, 3)), (F(0), F(0)),
+    (F(10**15 + 37, 10**12 + 39), F(-(10**13) - 1, 999_983)),
+])
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_triple_residual_is_the_dense_product(u, v, d):
+    dense = _dense_ybe_residual(u, v, d)
+    assert ybe_fundamental_residual(u, v, d) == {
+        (i, j): x for i, row in enumerate(dense) for j, x in enumerate(row) if x
+    }
 
 
 def test_mutated_eigenvalue_breaks_defining_relation():

@@ -489,6 +489,20 @@ def test_a_failing_sl3_invariance_reports_through_the_lax_zero_test(monkeypatch)
     }
 
 
+def test_a_failing_ybe_residual_reports_its_row_major_first_entry(monkeypatch):
+    residuals = {2: {(5, 1): F(3), (2, 6): F(1, 2), (2, 4): F(-5, 3)},
+                 3: {(0, 0): F(7)}}
+    monkeypatch.setattr(
+        verify, "ybe_fundamental_residual", lambda u, v, d: residuals[d]
+    )
+    res = run_check("ybe", "ybe-fundamental", 2, [F(1, 2), F(1, 3)])
+    assert res.status == "fail" and res.window == 0
+    assert res.witness == ("d=2 entry (2,4)", "-5/3")
+    residuals[2] = {}
+    res = run_check("ybe", "ybe-fundamental", 2, [F(1, 2), F(1, 3)])
+    assert res.witness == ("d=3 entry (0,0)", "7")
+
+
 _SPECTRAL_POINT = [F(1, 2), F(1, 3), F(2), F(1, 5)]
 
 
