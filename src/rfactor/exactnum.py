@@ -16,7 +16,6 @@ from fractions import Fraction
 
 Rat = Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

@@ -32,12 +32,15 @@ diagonals and Laurent flows with negative intermediate exponents) are built
 from stage lists. Their intermediate terms are combinations over any integer
 exponents, so no basis ever holds a negative power. A path table
 (`path_table`, cached per basis and stage list) runs the parameter-free
-stages once and keeps the Gamma-ratio diagonals as placeholders, so the
-operator at a point (`path_op`) is one eigenvalue per (stage, exponent),
-each read off running integer products of the Pochhammer factors, and
-integer sums; a Laurent term that does not cancel is then an error of the
-stage list, raised when the table is compiled, and a pole is raised for
-every point whose table needs it. `run_pipeline` feeds every monomial
+stages once and keeps the Gamma-ratio diagonals as placeholders; with
+integer substitution rules every path is compiled in ints, seeded with 1,
+and no Fraction is formed. The operator at a point (`path_op`) is one
+eigenvalue per (stage, exponent), each an integer numerator over one
+positive denominator per stage, read off running integer products of the
+Pochhammer factors, and integer sums of integer key products; a Laurent term
+that does not cancel is then an error of the stage list, raised when the
+table is compiled, and a pole is raised for every point whose table needs
+it. `run_pipeline` feeds every monomial
 through concrete stages at one point; it is kept as an evaluator independent
 of the tables (the sl2 closed form).
 """
@@ -50,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import ONE, gamma_ratio_shift
+from .exactnum import gamma_ratio_shift
 from .polyspace import GradedBasis, comb_add_into, comb_mul, comb_pow
 
 NEG_INF = -(10**9)  # shift of an identically zero operator
@@ -118,7 +121,10 @@ def rational_op(domain, codomain, cols, shift, certified):
 
     The least common denominator is canonical by itself: a prime power
     exactly dividing it exactly divides some entry's reduced denominator, and
-    that entry's scaled numerator is prime to it."""
+    that entry's scaled numerator is prime to it. Columns of ints have
+    denominator 1 and are kept as they are."""
+    if all(type(v) is int for col in cols.values() for v in col.values()):
+        return SparseOp(domain, codomain, cols, 1, shift, certified)
     den = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
     nums = {
         i: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
@@ -476,7 +482,14 @@ def diffop_apply(terms, mono):
     return out
 
 
-# a run of the whole sl3 catalog tabulates 104 term lists, the sl2 one 20
+def diffop_terms(basis, terms):
+    """Terms (coef, mult, der) with the variable names in mult and der (a
+    name listed k times is a k-th power) as exponent tuples of `basis`, the
+    form `diffop_apply` takes."""
+    return [(c, basis.mono(Counter(mu)), basis.mono(Counter(de))) for c, mu, de in terms]
+
+
+# a seed-0 run of the whole sl3 catalog tabulates 62 term lists, the sl2 one 19
 @lru_cache(maxsize=128)
 def diffop(basis, *terms):
     """The operator of a parameter-free term list on `basis`, tabulated once
@@ -487,14 +500,15 @@ def diffop(basis, *terms):
     (`op_add`), which keeps the shift and certified height of the whole
     list even where a parameter is 0. Callers share the cached operator, so
     none may change it."""
-    tab = [(c, basis.mono(Counter(mu)), basis.mono(Counter(de))) for c, mu, de in terms]
+    tab = diffop_terms(basis, terms)
     shift = max(basis.height(mu) - basis.height(de) for _, mu, de in tab)
     return op_from_action(basis, lambda mono: diffop_apply(tab, mono), shift)
 
 
 # ---------------------------------------------------------------------------
-# Pipeline stages: exact maps on combinations (dict monomial -> Rat), used to
-# build operators whose intermediate stages leave the truncated basis.
+# Pipeline stages: exact maps on combinations (dict monomial -> int or
+# Fraction), used to build operators whose intermediate stages leave the
+# truncated basis. Integer combinations stay integer.
 
 def stage_subst(basis, rules):
     """Simultaneous substitution var -> combination; rules keyed by var index.
@@ -571,15 +585,19 @@ def stage_laurent(basis, sign, num, den, target):
                 raise LaurentLeak(
                     f"flow stage needs polynomial {basis.vars[target].name}: {mono}"
                 )
-            coef = c
             m = list(mono)
-            comb_add_into(out, {mono: c})
-            for j in range(1, t + 1):
-                coef = coef * sign * (t - j + 1) / j
-                m[target] -= 1
-                m[num] += 1
-                m[den] -= 1
-                comb_add_into(out, {tuple(m): coef})
+            for j in range(t + 1):
+                if j:
+                    m[target] -= 1
+                    m[num] += 1
+                    m[den] -= 1
+                # term j: c (sign num/den)^j C(t, j), in ints for an int c
+                key = tuple(m)
+                w = out.get(key, 0) + c * sign**j * math.comb(t, j)
+                if w:
+                    out[key] = w
+                else:
+                    out.pop(key, None)
         return out
 
     return run
@@ -602,7 +620,7 @@ def subst_op(basis, rules):
                 )
         by_index[vi] = repl
     st = stage_subst(basis, by_index)
-    return op_from_action(basis, lambda m: st({m: Fraction(1)}), shift)
+    return op_from_action(basis, lambda m: st({m: 1}), shift)
 
 
 def _output_index(basis, mono, m):
@@ -684,7 +702,7 @@ def compile_path_table(basis, stages):
     keys = {}
     cols = {}
     for i, mono in enumerate(basis.monomials):
-        paths = {(): {mono: Fraction(1)}}
+        paths = {(): {mono: 1}}
         s = 0
         for st in stages:
             if not isinstance(st, Euler):
@@ -752,16 +770,22 @@ def pole_bases(table, args):
 
 
 def _euler_eigenvalues(a, b, exps):
-    """{e: gamma_ratio_shift(a, b, e) for e in exps}, for sorted integer
-    exps, by running integer products outward from e = 0: one Fraction per
-    exponent. Pochhammer zeros are monotone in |e|, so the sorted sweep of
-    gamma_ratio_shift meets its first pole at exps[0] if a negative exponent
-    meets one, else at the first e >= 0 that does; that call raises it."""
+    """({e: N_e}, D) with integer numerators N_e over one positive
+    denominator D, N_e / D = gamma_ratio_shift(a, b, e), for sorted integer
+    exps, by running integer products outward from e = 0. On each side of 0
+    the running denominator at the outermost exponent is a multiple of every
+    inner one; D is the product of the two sides' outermost ones, divided by
+    its common factor with every N_e, which makes it the least common
+    denominator of the eigenvalues. Pochhammer zeros are monotone in |e|,
+    so the sorted sweep of gamma_ratio_shift meets its first pole at exps[0]
+    if a negative exponent meets one, else at the first e >= 0 that does;
+    that call raises it."""
     pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
-    vals = {}
+    sides = []
     for side in ([e for e in reversed(exps) if e < 0], [e for e in exps if e >= 0]):
         num = den = 1
         at = 0
+        run = []
         for e in side:
             while at < e:
                 num *= (pa + at * qa) * qb
@@ -773,8 +797,21 @@ def _euler_eigenvalues(a, b, exps):
                 den *= (pa + at * qa) * qb
             if not den:
                 gamma_ratio_shift(a, b, exps[0] if e < 0 else e)
-            vals[e] = Fraction(num, den)
-    return vals
+            run.append((e, num, den))
+        sides.append((run, den))
+    (neg, dneg), (pos, dpos) = sides
+    den = dneg * dpos
+    vals = {}
+    for run, top, other in ((neg, dneg, dpos), (pos, dpos, dneg)):
+        for e, num, d in run:
+            vals[e] = num * (top // d) * other
+    g = math.gcd(den, *vals.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        vals = {e: v // g for e, v in vals.items()}
+    return vals, den
 
 
 def path_op(table, args, mutate=None):
@@ -785,22 +822,23 @@ def path_op(table, args, mutate=None):
     Each Euler eigenvalue is computed once per exponent a path showed,
     dropped paths included, so this raises PoleAtParameter wherever one of
     them is a pole, even if only dropped paths reach it. None of them is a
-    pole where a degeneracy guard over `pole_bases(table, args)` accepts."""
+    pole where a degeneracy guard over `pole_bases(table, args)` accepts.
+    A path key's eigenvalue product is an integer product of numerators
+    over the product of the stage denominators."""
     eig = []
+    den = 1
     for s, (st, exps) in enumerate(zip(_eulers(table), table.exps)):
-        a, b = _param(st.a, args), _param(st.b, args)
-        vals = _euler_eigenvalues(a, b, exps)
+        vals, d = _euler_eigenvalues(_param(st.a, args), _param(st.b, args), exps)
         if mutate is not None and mutate[0] == s and mutate[1] in vals:
             vals[mutate[1]] *= 2
         eig.append(vals)
-    prods = []
+        den *= d
+    nums = []
     for key in table.keys:
-        p = ONE
+        p = 1
         for vals, e in zip(eig, key):
             p *= vals[e]
-        prods.append(p)
-    den = math.lcm(*(p.denominator for p in prods))
-    nums = [p.numerator * (den // p.denominator) for p in prods]
+        nums.append(p)
     cols = {}
     for i, entries in table.cols.items():
         col = {}

@@ -7,7 +7,9 @@ stage lists pass through live only in combinations, never in a basis (see
 linop).
 
 Monomials are plain exponent tuples; linear combinations are dicts mapping
-monomial -> Fraction.
+monomial -> coefficient, an int or a Fraction: the combination helpers start
+from the int 0 and 1, so combinations of integer coefficients stay in
+integers.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-
-from .exactnum import Rat, ZERO
 
 DEFAULT_SIZE_LIMIT = 50_000
 SIZE_LIMIT_ENV = "RFACTOR_SIZE_LIMIT"
@@ -211,7 +211,7 @@ def tensor_basis(b1: GradedBasis, b2: GradedBasis) -> GradedBasis:
 
 
 # ---------------------------------------------------------------------------
-# Combination helpers (dict monomial -> Rat)
+# Combination helpers (dict monomial -> int or Fraction)
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -220,7 +220,7 @@ def mono_mul(a, b):
 def comb_add_into(dst, src, c=None):
     """dst += c * src, dropping exact zeros."""
     for m, v in src.items():
-        w = dst.get(m, ZERO) + (v if c is None else c * v)
+        w = dst.get(m, 0) + (v if c is None else c * v)
         if w:
             dst[m] = w
         else:
@@ -233,7 +233,7 @@ def comb_mul(c1, c2):
     for m1, v1 in c1.items():
         for m2, v2 in c2.items():
             m = mono_mul(m1, m2)
-            w = out.get(m, ZERO) + v1 * v2
+            w = out.get(m, 0) + v1 * v2
             if w:
                 out[m] = w
             else:
@@ -249,7 +249,7 @@ def comb_pow(base, e, cache=None):
         return cache[e]
     if e == 0:
         nvars = len(next(iter(base)))
-        result = {tuple([0] * nvars): Rat(1)}
+        result = {tuple([0] * nvars): 1}
     elif e == 1:
         result = dict(base)
     else:

@@ -171,9 +171,9 @@ def _sl2_swap_stages(moved, fixed, b, pair):
     z = pair.var_index("z" + moved)
     em, ef = pair.mono({"z" + moved: 1}), pair.mono({"z" + fixed: 1})
     return (
-        stage_subst(pair, {z: {em: Fraction(1), ef: Fraction(1)}}),
+        stage_subst(pair, {z: {em: 1, ef: 1}}),
         Euler(z, lambda u1, _, v2: u1 - v2, b),
-        stage_subst(pair, {z: {em: Fraction(1), ef: Fraction(-1)}}),
+        stage_subst(pair, {z: {em: 1, ef: -1}}),
     )
 
 

@@ -21,13 +21,15 @@ formulas; per pair basis the path table of each elementary R-operator
 (`linop.path_table`), and per site basis that of the third swap reduced to
 one site (`_sl3_r3_single_stages`, the core of r3's stage list), so a factor
 at a point costs one Gamma ratio per stage and exponent plus integer sums.
+The generators' term lists are stated once (`_GENERATOR_TERMS`): the
+finite-dimensional modules apply them to monomials and tabulate nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .exactnum import Rat
 from .polyspace import (
@@ -45,7 +47,8 @@ from .linop import (
     _echelon_insert,
     compose,
     diffop,
-    int_row,
+    diffop_apply,
+    diffop_terms,
     lax_mul,
     op_add,
     op_scale,
@@ -108,46 +111,70 @@ def sl3_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl3_site(cap, "1"), sl3_site(cap, "2"))
 
 
-def sl3_generators(basis, m, n, suffix=""):
-    """The eight generators acting on C[x, y, z] with lowest weight (m, n)."""
-    x, y, z = "x" + suffix, "y" + suffix, "z" + suffix
+# The eight generators acting on C[x, y, z] with lowest weight (m, n), each
+# as its parameter-free term list (coef, mult, der) and its weight parts
+# ((i, j), mult): i m + j n times the variables named in mult.
+_GENERATOR_TERMS = {
+    "T21": (((1, (), ("x",)),), ()),
+    "T31": (((1, (), ("y",)),), ()),
+    "T32": (((1, (), ("z",)), (-1, ("x",), ("y",))), ()),
+    "T12": (
+        (
+            (-1, ("x", "x"), ("x",)),
+            (-1, ("x", "y"), ("y",)),
+            (1, ("x", "z"), ("z",)),
+            (1, ("y",), ("z",)),
+        ),
+        (((0, 1), ("x",)),),
+    ),
+    "T23": (((-1, ("z", "z"), ("z",)), (-1, ("y",), ("x",))), (((1, 0), ("z",)),)),
+    "T13": (
+        (
+            (-1, ("y", "y"), ("y",)),
+            (-1, ("x", "y"), ("x",)),
+            (-1, ("y", "z"), ("z",)),
+            (-1, ("x", "z", "z"), ("z",)),
+        ),
+        (((1, 1), ("y",)), ((1, 0), ("x", "z"))),
+    ),
+    "H1": (
+        ((2, ("x",), ("x",)), (1, ("y",), ("y",)), (-1, ("z",), ("z",))),
+        (((0, -1), ()),),
+    ),
+    "H2": (
+        ((2, ("z",), ("z",)), (1, ("y",), ("y",)), (-1, ("x",), ("x",))),
+        (((-1, 0), ()),),
+    ),
+}
 
-    def op(*terms):
-        return diffop(basis, *terms)
 
-    one = op((1, (), ()))
+@lru_cache(maxsize=4)
+def _generator_terms(suffix):
+    """The generators' term lists on the variables x, y, z + suffix."""
+
+    def named(vs):
+        return tuple(v + suffix for v in vs)
+
     return {
-        "T21": op((1, (), (x,))),
-        "T31": op((1, (), (y,))),
-        "T32": op((1, (), (z,)), (-1, (x,), (y,))),
-        "T12": op_add(
-            op(
-                (-1, (x, x), (x,)),
-                (-1, (x, y), (y,)),
-                (1, (x, z), (z,)),
-                (1, (y,), (z,)),
-            ),
-            op((1, (x,), ())),
-            n,
-        ),
-        "T23": op_add(op((-1, (z, z), (z,)), (-1, (y,), (x,))), op((1, (z,), ())), m),
-        "T13": op_add(
-            op_add(
-                op(
-                    (-1, (y, y), (y,)),
-                    (-1, (x, y), (x,)),
-                    (-1, (y, z), (z,)),
-                    (-1, (x, z, z), (z,)),
-                ),
-                op((1, (y,), ())),
-                m + n,
-            ),
-            op((1, (x, z), ())),
-            m,
-        ),
-        "H1": op_add(op((2, (x,), (x,)), (1, (y,), (y,)), (-1, (z,), (z,))), one, -n),
-        "H2": op_add(op((2, (z,), (z,)), (1, (y,), (y,)), (-1, (x,), (x,))), one, -m),
+        k: (
+            tuple((c, named(mu), named(de)) for c, mu, de in free),
+            tuple((w, named(mu)) for w, mu in parts),
+        )
+        for k, (free, parts) in _GENERATOR_TERMS.items()
     }
+
+
+def sl3_generators(basis, m, n, suffix=""):
+    """The eight generators acting on C[x, y, z] with lowest weight (m, n):
+    each is its cached parameter-free part plus weights times cached unit
+    operators."""
+    out = {}
+    for k, (free, parts) in _generator_terms(suffix).items():
+        op = diffop(basis, *free)
+        for (i, j), mult in parts:
+            op = op_add(op, diffop(basis, (1, mult, ())), i * m + j * n)
+        out[k] = op
+    return out
 
 
 def _ematrix(i, j):
@@ -214,23 +241,36 @@ def sl3_findim_module(M, N):
     """Grow the submodule generated by 1 for integer weight (M, N).
 
     Returns (basis, span vectors): the integer echelon rows of the span, one
-    per dimension. The internal cap 2(M+N)+2 keeps every generator
-    application certified on module vectors (top height 2(M+N)).
+    per dimension. Each generator's term list is applied to the monomials of
+    the vectors in integers, so no operator is tabulated; the internal cap
+    2(M+N)+2 holds every image of a module vector (top height 2(M+N)).
     """
     if M < 0 or N < 0 or M != int(M) or N != int(N):
         raise ValueError("finite-dimensional weights must be nonnegative integers")
-    cap = 2 * (int(M) + int(N)) + 2
-    basis = sl3_site(cap)
-    gens = sl3_generators(basis, Fraction(M), Fraction(N))
+    M, N = int(M), int(N)
+    basis = sl3_site(2 * (M + N) + 2)
+    gens = [
+        diffop_terms(basis, free + tuple((i * M + j * N, mu, ()) for (i, j), mu in ws))
+        for free, ws in _generator_terms("").values()
+    ]
+    monos, index = basis.monomials, basis.index
     echelon = {0: {0: 1}}
     frontier = [{0: 1}]
     while frontier:
         new = []
         for vec in frontier:
-            for op in gens.values():
-                w = op.apply_vec(vec)
+            for terms in gens:
+                w = {}
+                for k, c in vec.items():
+                    for m, v in diffop_apply(terms, monos[k]).items():
+                        j = index[m]
+                        s = w.get(j, 0) + c * v
+                        if s:
+                            w[j] = s
+                        else:
+                            del w[j]
                 rank = len(echelon)
-                _echelon_insert(int_row(w), echelon)
+                _echelon_insert(dict(w), echelon)
                 if len(echelon) > rank:
                     new.append(w)
         frontier = new
@@ -342,7 +382,7 @@ def sl3_translation(basis, names, a, b, c):
         x -> x + a,  y -> y + b - c x,  z -> z + c,
     and those of its inverse g(-a, -b - c a, -c). a, b and c are
     combinations {monomial: coefficient} free of x, y and z."""
-    x, y, z = ({basis.mono({v: 1}): Fraction(1)} for v in names)
+    x, y, z = ({basis.mono({v: 1}): 1} for v in names)
 
     def rules(a, b, c):
         return {
@@ -391,7 +431,7 @@ def _sl3_frame(pair, names, by):
     """The stages of the translation g(a, b, c) of the pair variables
     `names` = (x, y, z) by the variables `by` = (a, b, c), and of its
     inverse."""
-    a, b, c = ({pair.mono({v: 1}): Fraction(1)} for v in by)
+    a, b, c = ({pair.mono({v: 1}): 1} for v in by)
     return tuple(
         stage_subst(pair, {pair.var_index(v): r for v, r in rules.items()})
         for rules in sl3_translation(pair, names, a, b, c)
@@ -406,10 +446,9 @@ def _sl3_r1_stages(pair):
     y2 exponents around Laurent flows exp(+-(y2/x2) dz2)."""
     x2, y2, z2 = map(pair.var_index, ("x2", "y2", "z2"))
     s1, s1_inv = _sl3_frame(pair, ("x2", "y2", "z2"), ("x1", "y1", "z1"))
-    one = Fraction(1)
     xz2 = pair.mono({"x2": 1, "z2": 1})
-    w_fwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): one, xz2: one}})
-    w_bwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): one, xz2: -one}})
+    w_fwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): 1, xz2: 1}})
+    w_bwd = stage_subst(pair, {y2: {pair.mono({"y2": 1}): 1, xz2: -1}})
     return (
         s1,
         w_bwd,

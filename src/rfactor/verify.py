@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -1001,6 +1000,15 @@ def run_one(algebra, name, trial, cap, seed, params, mutate):
 
 def _run_one_task(task):
     return run_one(*task)
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures' process pool, imported at the first call: only
+    `--jobs` > 1 runs one, and the import would cost every run start-up
+    time."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def run_suite(config: SuiteConfig):

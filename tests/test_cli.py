@@ -227,6 +227,16 @@ def test_report_exit_code_follows_the_statuses_not_the_stored_flag(tmp_path):
     assert "1 failed" in proc.stdout
 
 
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # only --jobs > 1 runs a process pool; importing it costs start-up time
+    code = "import sys, rfactor.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_zero_shift_parameter_does_not_crash_sl3_invariance():
     # the first parameter is the x shift of the group element
     proc = run_cli("sl3", "--cap", "3", "--check", "sl3-invariance",

@@ -253,6 +253,22 @@ def test_stage_laurent_flow():
     assert out2 == {(2, 0, 0): F(1), (1, 1, -1): F(2), (0, 2, -2): F(1)}
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_stage_laurent_terms_are_exact_binomials(sign):
+    # term j of exp(sign (y/z) d/dx) on c x^t y z^2 is
+    # c sign^j C(t, j) x^(t-j) y^(1+j) z^(2-j): exact for a Fraction c, an
+    # int for an int c
+    b = enumerate_basis([VarSpec("x"), VarSpec("y", 2), VarSpec("z")], 3)
+    st = stage_laurent(b, sign, num=1, den=2, target=0)
+    t = 6
+    for c in (F(1, 3), F(-5, 7), 3):
+        out = st({(t, 1, 2): c})
+        assert out == {
+            (t - j, 1 + j, 2 - j): c * sign**j * math.comb(t, j) for j in range(t + 1)
+        }
+        assert {type(v) for v in out.values()} == {type(c)}
+
+
 def test_run_pipeline_roundtrip_is_identity():
     b = enumerate_basis([VarSpec("x"), VarSpec("y", 2), VarSpec("z")], 3)
     fwd = stage_subst(b, {0: {(1, 0, 0): F(1), (0, 0, 1): F(1)}})

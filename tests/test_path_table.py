@@ -13,6 +13,7 @@ The degeneracy guard of a factor is read off its table (`pole_bases`): where
 it accepts, the table meets no pole.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -135,6 +136,31 @@ def test_second_factor_build_on_a_pair_compiles_nothing(name, monkeypatch):
     assert not compiled
 
 
+@pytest.mark.parametrize("name", FACTORS)
+def test_tables_compile_in_integers(name):
+    # every stage closure keeps the integer paths it is fed integer, so the
+    # table's path coefficients are ints and no Fraction is ever formed
+    stage_list, basis_of, _ = FACTORS[name]
+    basis = basis_of({"sl2": 8, "sl3": 3}[name[:3]])
+    seen = set()
+
+    def watched(stage):
+        def run(comb):
+            out = stage(comb)
+            seen.update(map(type, out.values()))
+            return out
+
+        return run
+
+    stages = [s if isinstance(s, Euler) else watched(s) for s in stage_list(basis)]
+    table = compile_path_table(basis, stages)
+    assert seen == {int}
+    coefficients = {
+        type(c) for col in table.cols.values() for _, terms in col for _, c in terms
+    }
+    assert coefficients == {int}
+
+
 @pytest.mark.parametrize("stage_list", [_sl3_r1_stages, _sl3_r2_stages, _sl3_r3_stages])
 def test_laurent_terms_that_do_not_cancel_leak_at_compile_time(stage_list):
     pair = sl3_pair(3)
@@ -200,6 +226,16 @@ def _eigenvalues_or_pole(fn):
         return str(e)
 
 
+def _running_eigenvalues(a, b, exps):
+    """The eigenvalues N_e / D of _euler_eigenvalues, whose numerators must
+    be ints over one positive int D, their least common denominator."""
+    nums, den = linop._euler_eigenvalues(a, b, exps)
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    return {e: F(v, den) for e, v in nums.items()}
+
+
 _EIG_CAP = 8
 _EXPONENTS = st.tuples(
     st.integers(-_EIG_CAP, _EIG_CAP), st.integers(-_EIG_CAP, _EIG_CAP)
@@ -213,7 +249,7 @@ _EXPONENTS = st.tuples(
 def test_running_eigenvalues_are_the_gamma_ratios_or_their_pole(a, b, exps):
     (a,), (b,) = a, b
     want = _eigenvalues_or_pole(lambda: {e: gamma_ratio_shift(a, b, e) for e in exps})
-    got = _eigenvalues_or_pole(lambda: linop._euler_eigenvalues(a, b, exps))
+    got = _eigenvalues_or_pole(lambda: _running_eigenvalues(a, b, exps))
     assert got == want
 
 
@@ -226,12 +262,12 @@ def test_a_pole_in_a_gap_of_the_exponents_is_raised_as_the_sweep_raises_it(
 ):
     for fn in (
         lambda: {e: gamma_ratio_shift(a, b, e) for e in [-4, -2, 0, 3]},
-        lambda: linop._euler_eigenvalues(a, b, [-4, -2, 0, 3]),
+        lambda: _running_eigenvalues(a, b, [-4, -2, 0, 3]),
     ):
         with pytest.raises(PoleAtParameter) as raised:
             fn()
         assert str(raised.value) == message
-    assert linop._euler_eigenvalues(a, b, [0]) == {0: 1}
+    assert _running_eigenvalues(a, b, [0]) == {0: 1}
 
 
 @pytest.mark.parametrize("name", FACTORS)

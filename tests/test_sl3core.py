@@ -25,6 +25,7 @@ from rfactor.linop import (
     _echelon_insert,
     commutator,
     compose,
+    diffop,
     identity_op,
     int_row,
     is_zero,
@@ -276,6 +277,32 @@ def test_findim_dimensions():
             for op in gens.values():
                 _echelon_insert(int_row(op.apply_vec(v)), echelon)
                 assert len(echelon) == dim, (M, N)
+
+
+def test_findim_tabulates_nothing_and_grows_the_tabulated_generators_module():
+    shapes = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]
+    diffop.cache_clear()  # so that a tabulation shows as a miss
+    before = diffop.cache_info()
+    grown = {(M, N): sl3_findim_module(M, N) for M, N in shapes}
+    after = diffop.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    # the echelon rows, in order, of growing the module with the tabulated
+    # generators
+    for (M, N), (basis, vectors) in grown.items():
+        gens = sl3_generators(basis, F(M), F(N))
+        echelon = {0: {0: 1}}
+        frontier = [{0: 1}]
+        while frontier:
+            new = []
+            for vec in frontier:
+                for op in gens.values():
+                    w = op.apply_vec(vec)
+                    rank = len(echelon)
+                    _echelon_insert(int_row(w), echelon)
+                    if len(echelon) > rank:
+                        new.append(w)
+            frontier = new
+        assert vectors == list(echelon.values()), (M, N)
 
 
 def test_findim_variable_support():
