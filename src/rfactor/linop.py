@@ -19,13 +19,24 @@ truncation.
 Entries are stored as nonzero integer numerators over one positive
 denominator `den` per operator, kept canonical: gcd(den, every numerator) is
 1 and an empty operator has den 1, so equal operators have equal
-(cols, den). The kernel (compose, op_add, op_scale, is_zero, path_op) and
-the nullspace solver work in integers only. Fraction stays at the edges:
+(cols, den). Two kernels do all operator arithmetic, in integers over one
+common denominator per call: `compose_sum` (sum of c * (a after b), of which
+`compose` is the one-term case) and `op_comb` (sum of c * a, of which
+`op_add` is the two-term case and `op_scale` the one-term one); with
+is_zero, path_op and the nullspace solver they work in integers only.
+Fraction stays at the edges:
 parameters and scalars, `SparseOp.col`/`apply_vec`, zero-test witnesses and
 nullspace solutions, which are Fractions, and `rational_op`, which builds an
 operator from rational columns. A parameter-free differential operator
 (`diffop`) is tabulated in integers once per basis and term list; one with
 parameters is such a cached part plus parameter times cached unit operators.
+
+A Lax matrix (`LaxOp`) keeps such a block as its terms ((cached part, 1),
+(cached unit, coefficient), ...), so building one at a point tabulates and
+copies nothing. `lax_mul` makes each product block one `compose_sum` over
+the products of the factors' terms, the exchange residual R P - Q R
+(`lax_residual`) is one `compose_sum` per block, and a block becomes one operator (`lax_block`, an
+`op_comb`) only where a zero test reads it.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -49,6 +60,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import add
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -197,67 +209,114 @@ def _require_same(b1, b2, what):
         raise BasisMismatch(f"{what}: bases differ")
 
 
+def compose_sum(terms, *, upto=None) -> SparseOp:
+    """The sum of c*(a after b) over a nonempty iterable of terms (a, b, c)
+    with rational c, in one pass over one common denominator.
+
+    A term is certified at min(b.certified, a.certified - b.shift, upto) and
+    shifted by a.shift + b.shift, a term with a zero factor at the height
+    limit with shift NEG_INF; the sum is certified at the least and shifted
+    by the largest of its terms', zero coefficients included, and only the
+    columns it is certified at are tabulated."""
+    dom = None
+    shift, den = NEG_INF, 1
+    live = []
+    for a, b, c in terms:
+        if dom is None:
+            dom, cod = b.domain, a.codomain
+            certified = cod.cap if upto is None or upto > cod.cap else upto
+        if not (a.domain is b.codomain and b.domain is dom and a.codomain is cod):
+            _require_same(a.domain, b.codomain, "compose")
+            _require_same(b.domain, dom, "compose")
+            _require_same(a.codomain, cod, "compose")
+        if b.shift == NEG_INF or a.shift == NEG_INF:
+            continue
+        # b sends height h to heights <= h + b.shift, so a must be exact up to
+        # h + b.shift; a negative b.shift gains certification room
+        certified = min(certified, b.certified, a.certified - b.shift)
+        if a.shift + b.shift > shift:
+            shift = a.shift + b.shift
+        if c:
+            live.append((a, b, c))
+            d = a.den * b.den * c.denominator
+            den = d if den == 1 else math.lcm(den, d)
+    heights = dom.heights
+    cols = {}
+    for a, b, c in live:
+        f = den // (a.den * b.den * c.denominator) * c.numerator
+        acols, unscaled = a.cols, f == 1
+        for i, bc in b.cols.items():
+            if heights[i] > certified:
+                continue
+            out = cols.get(i) or {}
+            for k, v in bc.items():
+                ac = acols.get(k)
+                if ac is None:
+                    continue
+                s = v if unscaled else f * v
+                for r, x in ac.items():
+                    w = out.get(r, 0) + s * x
+                    if w:
+                        out[r] = w
+                    else:
+                        del out[r]
+            if out:
+                cols[i] = out
+            else:
+                cols.pop(i, None)
+    return _reduced_op(dom, cod, cols, den, shift, certified)
+
+
 def compose(a: SparseOp, b: SparseOp, *, upto=None) -> SparseOp:
     """a after b, certified at min(b.certified, a.certified - b.shift, upto):
     only those columns are tabulated."""
-    _require_same(a.domain, b.codomain, "compose")
-    limit = a.codomain.cap if upto is None else min(upto, a.codomain.cap)
-    if b.shift == NEG_INF or a.shift == NEG_INF:
-        return SparseOp(b.domain, a.codomain, {}, 1, NEG_INF, limit)
-    # b sends height h to heights <= h + b.shift, so a must be exact up to
-    # h + b.shift; a negative b.shift gains certification room
-    certified = min(b.certified, a.certified - b.shift, limit)
+    return compose_sum(((a, b, 1),), upto=upto)
+
+
+def op_comb(terms) -> SparseOp:
+    """The sum of c*a over a nonempty iterable of terms (a, c) with rational
+    c, in one pass over one common denominator, on every column. The sum is
+    shifted by the largest and certified at the least of its terms', zero
+    coefficients included."""
+    dom = None
+    shift, certified, den = NEG_INF, -NEG_INF, 1
+    live = []
+    for a, c in terms:
+        if dom is None:
+            dom, cod = a.domain, a.codomain
+        elif not (a.domain is dom and a.codomain is cod):
+            _require_same(a.domain, dom, "add")
+            _require_same(a.codomain, cod, "add")
+        if a.shift > shift:
+            shift = a.shift
+        if a.certified < certified:
+            certified = a.certified
+        if c:
+            live.append((a, c))
+            den = math.lcm(den, a.den * c.denominator)
     cols = {}
-    heights = b.domain.heights
-    for i, bc in b.cols.items():
-        if heights[i] > certified:
-            continue
-        out = {}
-        for k, c in bc.items():
-            ac = a.cols.get(k)
-            if not ac:
+    for a, c in live:
+        f = den // (a.den * c.denominator) * c.numerator
+        for i, ac in a.cols.items():
+            col = cols.get(i)
+            if col is None:
+                cols[i] = dict(ac) if f == 1 else {r: v * f for r, v in ac.items()}
                 continue
             for r, v in ac.items():
-                w = out.get(r, 0) + c * v
+                w = col.get(r, 0) + v * f
                 if w:
-                    out[r] = w
+                    col[r] = w
                 else:
-                    del out[r]
-        if out:
-            cols[i] = out
-    return _reduced_op(
-        b.domain, a.codomain, cols, a.den * b.den, a.shift + b.shift, certified
-    )
+                    del col[r]
+            if not col:
+                del cols[i]
+    return _reduced_op(dom, cod, cols, den, shift, certified)
 
 
 def op_add(a: SparseOp, b: SparseOp, cb=1) -> SparseOp:
     """a + cb*b for a rational cb. With cb = 0 the result is a, but shift
     and certification are still those of a sum."""
-    _require_same(a.domain, b.domain, "add")
-    _require_same(a.codomain, b.codomain, "add")
-    # over den = lcm(a.den, b.den * cb.denominator): a scales by fa, b by fb
-    bden = b.den * cb.denominator
-    den = math.lcm(a.den, bden) if cb else a.den
-    fa = den // a.den
-    fb = den // bden * cb.numerator
-    cols = {}
-    for i in set(a.cols) | set(b.cols):
-        ac = a.cols.get(i, {})
-        col = dict(ac) if fa == 1 else {r: v * fa for r, v in ac.items()}
-        bc = b.cols.get(i) if fb else None
-        if bc:
-            for r, v in bc.items():
-                w = col.get(r, 0) + v * fb
-                if w:
-                    col[r] = w
-                else:
-                    del col[r]
-        if col:
-            cols[i] = col
-    return _reduced_op(
-        a.domain, a.codomain, cols, den,
-        max(a.shift, b.shift), min(a.certified, b.certified),
-    )
+    return op_comb(((a, 1), (b, cb)))
 
 
 def op_sub(a, b):
@@ -265,18 +324,14 @@ def op_sub(a, b):
 
 
 def op_scale(a: SparseOp, c) -> SparseOp:
-    """c*a for a rational c."""
+    """c*a for a rational c; the zero operator where c is 0."""
     if not c:
         return zero_op(a.domain, a.codomain)
-    n = c.numerator
-    cols = {i: {r: n * v for r, v in col.items()} for i, col in a.cols.items()}
-    return _reduced_op(
-        a.domain, a.codomain, cols, a.den * c.denominator, a.shift, a.certified
-    )
+    return op_comb(((a, c),))
 
 
 def commutator(a, b):
-    return op_sub(compose(a, b), compose(b, a))
+    return compose_sum(((a, b, 1), (b, a, -1)))
 
 
 def pair_swap(pair: GradedBasis) -> SparseOp:
@@ -496,10 +551,10 @@ def diffop(basis, *terms):
     per process; with integer coefficients it is tabulated in integers.
 
     An operator whose term list has parameters is built at each point as
-    such a cached part plus parameter times a cached unit operator
-    (`op_add`), which keeps the shift and certified height of the whole
-    list even where a parameter is 0. Callers share the cached operator, so
-    none may change it."""
+    such a cached part plus parameter times cached unit operators (one
+    `op_comb`, or those terms kept as a Lax block), which keeps the shift
+    and certified height of the whole list even where a parameter is 0.
+    Callers share the cached operator, so none may change it."""
     tab = diffop_terms(basis, terms)
     shift = max(basis.height(mu) - basis.height(de) for _, mu, de in tab)
     return op_from_action(basis, lambda mono: diffop_apply(tab, mono), shift)
@@ -516,7 +571,6 @@ def stage_subst(basis, rules):
     Substituted variables must not carry negative exponents when the stage
     runs (that would need the inverse of a polynomial).
     """
-    nvars = len(basis.vars)
     caches = {v: {} for v in rules}
     items = sorted(rules.items())
 
@@ -540,9 +594,15 @@ def stage_subst(basis, rules):
             )
             if acc is None:
                 comb_add_into(out, {rest: c})
-            else:
-                comb_add_into(out, {tuple(a + b for a, b in zip(m, rest)): v2
-                                    for m, v2 in acc.items()}, c)
+                continue
+            # out += c * (acc shifted by rest), term by term
+            for m, v2 in acc.items():
+                key = tuple(map(add, m, rest))
+                w = out.get(key, 0) + c * v2
+                if w:
+                    out[key] = w
+                else:
+                    out.pop(key, None)
         return out
 
     return run
@@ -855,14 +915,30 @@ def path_op(table, args, mutate=None):
 
 
 # ---------------------------------------------------------------------------
-# Lax matrices: small matrices of SparseOps over an auxiliary space.
+# Lax matrices: small matrices of blocks over an auxiliary space. A block is
+# a SparseOp or a tuple of its terms ((SparseOp, rational coefficient), ...):
+# a block with parameters is kept as its cached parts times their
+# coefficients, and products and sums expand the terms into one fused kernel
+# call per block.
+
+def lax_terms(block):
+    """The terms ((operator, coefficient), ...) of a Lax block."""
+    return ((block, 1),) if isinstance(block, SparseOp) else block
+
+
+def scaled_block(op, c):
+    """The Lax block c*op; the zero operator where c is 0, as `op_scale`
+    gives it."""
+    return ((op, c),) if c else zero_op(op.domain, op.codomain)
+
 
 class LaxOp:
-    """A size x size matrix of operators on a common module basis.
+    """A size x size matrix of blocks on a common module basis.
 
     Auxiliary-space row/column indices are ordered by descending weight, so
     entry (i, j) may raise the height by at most i - j; the constructor
-    enforces that bound on declared shifts.
+    enforces that bound on declared shifts, a block's shift being the
+    largest of its terms'.
     """
 
     __slots__ = ("size", "blocks")
@@ -874,17 +950,24 @@ class LaxOp:
             if len(row) != self.size:
                 raise ValueError("Lax matrix must be square")
             for j, b in enumerate(row):
-                if b.shift != NEG_INF and b.shift > i - j:
+                shift = max(t.shift for t, _ in lax_terms(b))
+                if shift != NEG_INF and shift > i - j:
                     raise ShiftViolation(
-                        f"Lax block ({i},{j}) declares shift {b.shift} > {i - j}"
+                        f"Lax block ({i},{j}) declares shift {shift} > {i - j}"
                     )
+
+
+def lax_block(A: LaxOp, i, j) -> SparseOp:
+    """Block (i, j) of A as one operator."""
+    b = A.blocks[i][j]
+    return b if isinstance(b, SparseOp) else op_comb(b)
 
 
 def lax_from_matrix(basis, M):
     """The numeric matrix M as a LaxOp of scaled identities on `basis`; M
     must be lower triangular, like every Lax band."""
     one = identity_op(basis)
-    return LaxOp([[op_scale(one, c) for c in row] for row in M])
+    return LaxOp([[scaled_block(one, c) for c in row] for row in M])
 
 
 def lax_from_gl(T, u):
@@ -894,33 +977,47 @@ def lax_from_gl(T, u):
     one = identity_op(T[1, 1].domain)
     rows = range(1, n + 1)
     return LaxOp(
-        [[op_add(T[j, i], one, u) if i == j else T[j, i] for j in rows] for i in rows]
+        [[((T[i, i], 1), (one, u)) if i == j else T[j, i] for j in rows] for i in rows]
     )
 
 
 def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
-    """A B, no block tabulated or certified above height `upto`."""
+    """A B, no block tabulated or certified above height `upto`; each block
+    is one `compose_sum` over the products of the factors' terms."""
     n = A.size
     if B.size != n:
         raise BasisMismatch("Lax sizes differ")
-    blocks = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = None
-            for j in range(n):
-                t = compose(A.blocks[i][j], B.blocks[j][k], upto=upto)
-                acc = t if acc is None else op_add(acc, t)
-            row.append(acc)
-        blocks.append(row)
-    return LaxOp(blocks)
+    # a coefficient 1 is not multiplied: 1 * Fraction builds a new Fraction
+    return LaxOp(
+        [
+            [
+                compose_sum(
+                    (
+                        (a, b, cb if ca == 1 else ca if cb == 1 else ca * cb)
+                        for j in range(n)
+                        for a, ca in lax_terms(A.blocks[i][j])
+                        for b, cb in lax_terms(B.blocks[j][k])
+                    ),
+                    upto=upto,
+                )
+                for k in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
 
 
 def lax_add(A, B, cb=1):
+    """A + cb*B, each block one `op_comb` over both blocks' terms."""
     return LaxOp(
         [
-            [op_add(A.blocks[i][j], B.blocks[i][j], cb) for j in range(A.size)]
-            for i in range(A.size)
+            [
+                op_comb(
+                    lax_terms(a) + tuple((t, cb * c) for t, c in lax_terms(b))
+                )
+                for a, b in zip(row_a, row_b)
+            ]
+            for row_a, row_b in zip(A.blocks, B.blocks)
         ]
     )
 
@@ -932,18 +1029,42 @@ def lax_sub(A, B):
 def lax_compose_scalar(R: SparseOp, A: LaxOp, side: str) -> LaxOp:
     """Compose every block with a scalar (aux-identity) operator."""
     if side == "left":
-        blocks = [[compose(R, b) for b in row] for row in A.blocks]
+        blocks = [
+            [compose_sum((R, t, c) for t, c in lax_terms(b)) for b in row]
+            for row in A.blocks
+        ]
     elif side == "right":
-        blocks = [[compose(b, R) for b in row] for row in A.blocks]
+        blocks = [
+            [compose_sum((t, R, c) for t, c in lax_terms(b)) for b in row]
+            for row in A.blocks
+        ]
     else:
         raise ValueError(f"side must be left or right, not {side!r}")
     return LaxOp(blocks)
 
 
+def lax_residual(R: SparseOp, P: LaxOp, Q: LaxOp, upto=None) -> LaxOp:
+    """R P - Q R for a scalar (aux-identity) R, each block one `compose_sum`
+    over the terms of P's and Q's blocks, tabulated up to height `upto`."""
+    return LaxOp(
+        [
+            [
+                compose_sum(
+                    [(R, t, c) for t, c in lax_terms(p)]
+                    + [(t, R, -c) for t, c in lax_terms(q)],
+                    upto=upto,
+                )
+                for p, q in zip(prow, qrow)
+            ]
+            for prow, qrow in zip(P.blocks, Q.blocks)
+        ]
+    )
+
+
 def lax_is_zero(A: LaxOp, window: int):
-    for i, row in enumerate(A.blocks):
-        for j, b in enumerate(row):
-            ok, wit = is_zero(b, window)
+    for i in range(A.size):
+        for j in range(A.size):
+            ok, wit = is_zero(lax_block(A, i, j), window)
             if not ok:
                 return False, (f"block ({i},{j})", wit[0], wit[1])
     return True, None

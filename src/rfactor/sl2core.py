@@ -46,13 +46,15 @@ from .linop import (
     Euler,
     LaxOp,
     compose,
+    compose_sum,
     diffop,
+    identity_op,
     int_echelon_nullspace,
     lax_mul,
     op_add,
     op_scale,
-    op_sub,
     run_pipeline,
+    scaled_block,
     stage_euler,
     stage_subst,
     zero_op,
@@ -122,9 +124,8 @@ def sl2_casimirs(basis, ell):
     """[(tag, operator, expected scalar)]: S^2 - S + S+ S-, equal to
     ell(ell-1) on the module."""
     g = sl2_generators(basis, ell)
-    C = op_add(
-        op_sub(compose(g["S"], g["S"]), g["S"]), compose(g["Sp"], g["Sm"])
-    )
+    S, one = g["S"], identity_op(basis)
+    C = compose_sum(((S, S, 1), (S, one, -1), (g["Sp"], g["Sm"], 1)))
     return [("C", C, ell * (ell - 1))]
 
 
@@ -132,13 +133,13 @@ def sl2_lax(basis, u1, u2, suffix=""):
     """Direct Lax matrix [[u1 + z d, -d], [z^2 d + (u1-u2) z, u2 - z d]] in
     the variable z + suffix."""
     z = ("z" + suffix,)
-    one, zm = diffop(basis, (1, (), ())), diffop(basis, (1, z, ()))
+    one, zm = identity_op(basis), diffop(basis, (1, z, ()))
     return LaxOp(
         [
-            [op_add(diffop(basis, (1, z, z)), one, u1), diffop(basis, (-1, (), z))],
+            [((diffop(basis, (1, z, z)), 1), (one, u1)), diffop(basis, (-1, (), z))],
             [
-                op_add(diffop(basis, (1, z + z, z)), zm, u1 - u2),
-                op_add(diffop(basis, (-1, z, z)), one, u2),
+                ((diffop(basis, (1, z + z, z)), 1), (zm, u1 - u2)),
+                ((diffop(basis, (-1, z, z)), 1), (one, u2)),
             ],
         ]
     )
@@ -147,14 +148,14 @@ def sl2_lax(basis, u1, u2, suffix=""):
 def sl2_lax_factored(basis, u1, u2):
     """[[1,0],[z,1]] . [[u1-1, -d],[0, u2]] . [[1,0],[-z,1]]."""
     z = ("z",)
-    one = diffop(basis, (1, (), ()))
+    one = identity_op(basis)
     zero = zero_op(basis)
     M_plus = LaxOp([[one, zero], [diffop(basis, (1, z, ())), one]])
     M_minus = LaxOp([[one, zero], [diffop(basis, (-1, z, ())), one]])
     D = LaxOp(
         [
-            [op_scale(one, u1 - 1), diffop(basis, (-1, (), z))],
-            [zero, op_scale(one, u2)],
+            [scaled_block(one, u1 - 1), diffop(basis, (-1, (), z))],
+            [zero, scaled_block(one, u2)],
         ]
     )
     return lax_mul(lax_mul(M_plus, D), M_minus)

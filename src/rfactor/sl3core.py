@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .exactnum import Rat
 from .polyspace import (
@@ -45,13 +45,15 @@ from .linop import (
     Euler,
     LaxOp,
     _echelon_insert,
-    compose,
+    compose_sum,
     diffop,
     diffop_apply,
     diffop_terms,
+    identity_op,
     lax_mul,
     op_add,
-    op_scale,
+    op_comb,
+    scaled_block,
     stage_laurent,
     stage_subst,
     subst_op,
@@ -171,8 +173,9 @@ def sl3_generators(basis, m, n, suffix=""):
     out = {}
     for k, (free, parts) in _generator_terms(suffix).items():
         op = diffop(basis, *free)
-        for (i, j), mult in parts:
-            op = op_add(op, diffop(basis, (1, mult, ())), i * m + j * n)
+        if parts:
+            weights = ((diffop(basis, (1, mu, ())), i * m + j * n) for (i, j), mu in parts)
+            op = op_comb(((op, 1), *weights))
         out[k] = op
     return out
 
@@ -201,9 +204,9 @@ GEN_NAMES = tuple(GEN_COEFF_MATRICES)
 def sl3_gl_ops(basis, m, n):
     """Full gl(3) triangle: T[a][b] for 1 <= a, b <= 3 (1-indexed dict)."""
     g = sl3_generators(basis, m, n)
-    T11 = op_add(op_scale(g["H1"], 2 * THIRD), op_scale(g["H2"], THIRD))
-    T22 = op_add(op_scale(g["H2"], THIRD), op_scale(g["H1"], -THIRD))
-    T33 = op_add(op_scale(g["H1"], -THIRD), op_scale(g["H2"], -2 * THIRD))
+    T11 = op_comb(((g["H1"], 2 * THIRD), (g["H2"], THIRD)))
+    T22 = op_comb(((g["H2"], THIRD), (g["H1"], -THIRD)))
+    T33 = op_comb(((g["H1"], -THIRD), (g["H2"], -2 * THIRD)))
     return {
         (1, 1): T11, (2, 2): T22, (3, 3): T33,
         (1, 2): g["T12"], (1, 3): g["T13"], (2, 3): g["T23"],
@@ -217,14 +220,13 @@ def sl3_casimirs(basis, m, n):
     sum(lam_a^2) + 2(m + n), with lam the diagonal weights of 1."""
     T = sl3_gl_ops(basis, m, n)
     rng = (1, 2, 3)
-    C2 = reduce(op_add, (compose(T[a, b], T[b, a]) for a in rng for b in rng))
-    C3 = reduce(
-        op_add,
-        (
-            compose(T[a, b], compose(T[b, c], T[c, a]))
-            for a in rng for b in rng for c in rng
-        ),
-    )
+    # TT[b, a] = sum_c T_bc T_ca: C2 is its trace and C3 = sum T_ab TT[b, a]
+    TT = {
+        (b, a): compose_sum((T[b, c], T[c, a], 1) for c in rng)
+        for b in rng for a in rng
+    }
+    C2 = op_comb((TT[a, a], 1) for a in rng)
+    C3 = compose_sum((T[a, b], TT[b, a], 1) for a in rng for b in rng)
     lam = (-(m + 2 * n) / 3, (n - m) / 3, (n + 2 * m) / 3)
     return [("C2", C2, sum(a * a for a in lam) + 2 * (m + n)), ("C3", C3, None)]
 
@@ -292,46 +294,37 @@ def sl3_lax(basis, u1, u2, u3, suffix=""):
     def op(*terms):
         return diffop(basis, *terms)
 
-    one = op((1, (), ()))
+    one = identity_op(basis)
+    b10 = op(
+        (-1, (x, x), (x,)),
+        (-1, (x, y), (y,)),
+        (1, (x, z), (z,)),
+        (1, (y,), (z,)),
+    )
     b20 = op(
         (-1, (x, y), (x,)),
         (-1, (y, y), (y,)),
         (-1, (x, z, z), (z,)),
         (-1, (y, z), (z,)),
     )
+    b21 = op((-1, (y,), (x,)), (-1, (z, z), (z,)))
+    # a block with parameters is its terms (cached part, coefficient)
     return LaxOp(
         [
             [
-                op_add(op((1, (x,), (x,)), (1, (y,), (y,))), one, u1 + 2),
+                ((op((1, (x,), (x,)), (1, (y,), (y,))), 1), (one, u1 + 2)),
                 op((1, (), (x,))),
                 op((1, (), (y,))),
             ],
             [
-                op_add(
-                    op(
-                        (-1, (x, x), (x,)),
-                        (-1, (x, y), (y,)),
-                        (1, (x, z), (z,)),
-                        (1, (y,), (z,)),
-                    ),
-                    op((1, (x,), ())),
-                    n,
-                ),
-                op_add(op((-1, (x,), (x,)), (1, (z,), (z,))), one, u2 + 1),
+                ((b10, 1), (op((1, (x,), ())), n)),
+                ((op((-1, (x,), (x,)), (1, (z,), (z,))), 1), (one, u2 + 1)),
                 op((1, (), (z,)), (-1, (x,), (y,))),
             ],
             [
-                op_add(
-                    op_add(b20, op((1, (x, z), ())), m),
-                    op((1, (y,), ())),
-                    m + n,
-                ),
-                op_add(
-                    op((-1, (y,), (x,)), (-1, (z, z), (z,))),
-                    op((1, (z,), ())),
-                    m,
-                ),
-                op_add(op((-1, (y,), (y,)), (-1, (z,), (z,))), one, u3),
+                ((b20, 1), (op((1, (x, z), ())), m), (op((1, (y,), ())), m + n)),
+                ((b21, 1), (op((1, (z,), ())), m)),
+                ((op((-1, (y,), (y,)), (-1, (z,), (z,))), 1), (one, u3)),
             ],
         ]
     )
@@ -343,7 +336,7 @@ def sl3_lax_factored(basis, u1, u2, u3):
     def op(*terms):
         return diffop(basis, *terms)
 
-    one = op((1, (), ()))
+    one = identity_op(basis)
     zero = zero_op(basis)
     M_left = LaxOp(
         [
@@ -355,12 +348,12 @@ def sl3_lax_factored(basis, u1, u2, u3):
     U = LaxOp(
         [
             [
-                op_scale(one, u1),
+                scaled_block(one, u1),
                 op((1, (), ("x",)), (-1, ("z",), ("y",))),
                 op((1, (), ("y",))),
             ],
-            [zero, op_scale(one, u2), op((1, (), ("z",)))],
-            [zero, zero, op_scale(one, u3)],
+            [zero, scaled_block(one, u2), op((1, (), ("z",)))],
+            [zero, zero, scaled_block(one, u3)],
         ]
     )
     M_right = LaxOp(

@@ -32,6 +32,7 @@ from .linop import (
     SparseOp,
     commutator,
     compose,
+    compose_sum,
     diffop,
     identity_op,
     int_echelon_nullspace,
@@ -42,11 +43,12 @@ from .linop import (
     lax_from_matrix,
     lax_is_zero,
     lax_mul,
+    lax_residual,
     lax_sub,
     mat_inv,
     mat_mul,
     mat_sub,
-    op_add,
+    op_comb,
     op_scale,
     op_sub,
     pair_swap,
@@ -356,10 +358,9 @@ def _lax_zero(A, window):
 def residual_rll(R, P, Q, window):
     """R . P - Q . R vanishes on the window, where P = L1 L2 and
     Q = L1' L2' are the Lax products on either side. They need only be
-    certified up to the window; each composition here then stops there."""
-    lhs = lax_compose_scalar(R, P, "left")
-    rhs = lax_compose_scalar(R, Q, "right")
-    _lax_zero(lax_sub(lhs, rhs), window)
+    certified up to the window; each residual block is then one
+    `compose_sum` that stops there."""
+    _lax_zero(lax_residual(R, P, Q, window), window)
 
 
 def _same_line(A, B):
@@ -502,7 +503,7 @@ def _sl3_global(cap, draws, mutate):
     for R, q1, q2 in jobs:
         tnew = sl3_total_generators(pair, sl3_weights(*q1), sl3_weights(*q2))
         for k in GEN_NAMES:
-            res = op_sub(compose(R, told[k]), compose(tnew[k], R))
+            res = compose_sum(((R, told[k], 1), (tnew[k], R, -1)))
             w = min(res.certified, cap - max(0, told[k].shift))
             window = min(window, w)
             _zero(res, w)
@@ -631,10 +632,7 @@ def _structure_constants(alg):
 
 def _combination(basis, g, terms):
     """The operator sum of coefficient * g[generator] over `terms`."""
-    acc = zero_op(basis)
-    for name, c in terms:
-        acc = op_add(acc, g[name], c)
-    return acc
+    return op_comb(((zero_op(basis), 1),) + tuple((g[name], c) for name, c in terms))
 
 
 def _commutators(alg, cap, draws, mutate):

@@ -17,11 +17,13 @@ from rfactor.linop import (
     BasisMismatch,
     LaurentLeak,
     LaxOp,
+    NEG_INF,
     ShiftViolation,
     SparseOp,
     WindowBeyondCertified,
     commutator,
     compose,
+    compose_sum,
     diffop,
     diffop_apply,
     identity_op,
@@ -37,6 +39,7 @@ from rfactor.linop import (
     mat_mul,
     mat_sub,
     op_add,
+    op_comb,
     op_from_action,
     op_scale,
     op_sub,
@@ -601,3 +604,89 @@ def test_integer_kernel_matches_dense_fractions(drawn_a, drawn_b, cb, data):
         if op.certified >= 0:
             window = data.draw(st.integers(0, min(op.certified, _PAIR.cap)))
             assert is_zero(op, window) == _zero_reference(dense, _PAIR, window)
+
+
+# ---------------------------------------------------------------------------
+# The fused kernels against chained compositions and sums
+
+def _factor(drawn, data):
+    """A drawn operator, the zero operator or the cached identity."""
+    return data.draw(
+        st.sampled_from([drawn[0], zero_op(_PAIR), identity_op(_PAIR)]),
+        label="factor",
+    )
+
+
+def _certified_part(op, top):
+    """op with every column above height top dropped, kept canonical."""
+    cols = {i: op.col(i) for i in op.cols if _PAIR.heights[i] <= top}
+    return rational_op(_PAIR, _PAIR, cols, op.shift, op.certified)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_rational_ops(_PAIR), _rational_ops(_PAIR), _SCALAR),
+        min_size=1,
+        max_size=4,
+    ),
+    st.none() | st.integers(0, _PAIR.cap),
+    st.data(),
+)
+def test_compose_sum_is_the_chained_compositions_on_its_certified_columns(
+    drawn, upto, data
+):
+    terms = [(_factor(da, data), _factor(db, data), c) for da, db, c in drawn]
+    got = compose_sum(terms, upto=upto)
+    _assert_canonical(got)
+    assert all(_PAIR.heights[i] <= got.certified for i in got.cols)
+    chained = zero_op(_PAIR)
+    for a, b, c in terms:
+        chained = op_add(chained, compose(a, b, upto=upto), c)
+    want = _certified_part(chained, chained.certified)
+    assert (got.cols, got.den, got.shift, got.certified) == (
+        want.cols, want.den, want.shift, want.certified
+    )
+    # the rule itself: a term with a zero factor counts for neither, one with
+    # a zero coefficient for both
+    live = [
+        (a, b) for a, b, _ in terms if NEG_INF not in (a.shift, b.shift)
+    ]
+    limit = _PAIR.cap if upto is None else upto
+    assert got.certified == min(
+        [limit] + [min(b.certified, a.certified - b.shift) for a, b in live]
+    )
+    assert got.shift == max([NEG_INF] + [a.shift + b.shift for a, b in live])
+    n = len(_PAIR)
+    dense = [[F(0)] * n for _ in range(n)]
+    for a, b, c in terms:
+        for r, row in enumerate(mat_mul(_dense(a), _dense(b))):
+            for k, v in enumerate(row):
+                dense[r][k] += c * v
+    assert _dense(got) == _masked(dense, _PAIR, got.certified)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_rational_ops(_PAIR), _SCALAR), min_size=1, max_size=4),
+    st.data(),
+)
+def test_op_comb_is_the_chained_sums(drawn, data):
+    terms = [(_factor(d, data), c) for d, c in drawn]
+    got = op_comb(terms)
+    _assert_canonical(got)
+    (first, c0), *rest = terms
+    chained = op_scale(first, c0) if c0 else op_add(zero_op(_PAIR), first, 0)
+    for a, c in rest:
+        chained = op_add(chained, a, c)
+    assert (got.cols, got.den, got.shift, got.certified) == (
+        chained.cols, chained.den, chained.shift, chained.certified
+    )
+    # a zero coefficient still counts toward the shift and certification
+    assert got.shift == max(a.shift for a, _ in terms)
+    assert got.certified == min(a.certified for a, _ in terms)
+    n = len(_PAIR)
+    assert _dense(got) == [
+        [sum((c * _dense(a)[r][k] for a, c in terms), F(0)) for k in range(n)]
+        for r in range(n)
+    ]

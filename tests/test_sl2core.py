@@ -17,6 +17,7 @@ from rfactor.linop import (
     diffop,
     identity_op,
     is_zero,
+    lax_block,
     lax_compose_scalar,
     lax_from_gl,
     lax_from_matrix,
@@ -209,7 +210,7 @@ def test_lax_matches_the_full_term_lists_at_every_point():
     for basis, suffix, pt, L in built:
         for i, row in enumerate(_lax_reference(basis, *pt, "z" + suffix)):
             for j, want in enumerate(row):
-                assert_same_op(L.blocks[i][j], want, (suffix, pt, i, j))
+                assert_same_op(lax_block(L, i, j), want, (suffix, pt, i, j))
     for pt, Lf, g in one_site:
         want = _factored_reference(site, *pt)
         for i, row in enumerate(want.blocks):

@@ -29,6 +29,7 @@ from rfactor.linop import (
     identity_op,
     int_row,
     is_zero,
+    lax_block,
     lax_compose_scalar,
     lax_from_gl,
     lax_from_matrix,
@@ -376,12 +377,12 @@ def test_lax_direct_equals_casimir_form_and_factored():
 def test_lax_band_structure():
     b = sl3_site(4)
     L = sl3_lax(b, F(1, 2), F(1, 3), F(1, 5))
-    assert L.blocks[0][1].shift == -1  # d/dx
-    assert L.blocks[0][2].shift == -2  # d/dy
-    assert L.blocks[1][0].shift == 1
-    assert L.blocks[2][0].shift == 2
+    assert lax_block(L, 0, 1).shift == -1  # d/dx
+    assert lax_block(L, 0, 2).shift == -2  # d/dy
+    assert lax_block(L, 1, 0).shift == 1
+    assert lax_block(L, 2, 0).shift == 2
     for i in range(3):
-        assert L.blocks[i][i].shift <= 0
+        assert lax_block(L, i, i).shift <= 0
 
 
 def _lax_reference(basis, u1, u2, u3, suffix=""):
@@ -523,7 +524,7 @@ def test_lax_matches_the_full_term_lists_at_every_point():
     for basis, sfx, pt, weights, L, g in built:
         for i, row in enumerate(_lax_reference(basis, *pt, sfx)):
             for j, want in enumerate(row):
-                assert_same_op(L.blocks[i][j], want, (sfx, pt, i, j))
+                assert_same_op(lax_block(L, i, j), want, (sfx, pt, i, j))
         for name, want in _generators_reference(basis, *weights, sfx).items():
             assert_same_op(g[name], want, (name, sfx, pt))
     for pt, Lf in factored:

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from rfactor import linop, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
-    LaurentLeak, compose, diffop, identity_op, is_zero, lax_mul, op_scale, op_sub,
-    path_table, pole_bases, rational_op,
+    LaurentLeak, compose, diffop, identity_op, is_zero, lax_compose_scalar,
+    lax_is_zero, lax_mul, lax_sub, op_scale, op_sub, path_table, pole_bases,
+    rational_op,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
 from rfactor.sl2core import _sl2_r1_stages, _sl2_r2_stages, sl2_lax
@@ -387,12 +388,19 @@ def test_a_failing_exchange_fails_as_its_whole_products_do(alg, k, cap, tag, dra
     pair, R, (L1, L2, L1p, L2p) = verify._exchange(
         alg, k, cap, draws, verify._factor_mutation(mutate, k)
     )
+    P, Q = lax_mul(L1, L2), lax_mul(L1p, L2p)
     with pytest.raises(CheckFailed) as whole:
-        residual_rll(R, lax_mul(L1, L2), lax_mul(L1p, L2p), cap - 2)
+        residual_rll(R, P, Q, cap - 2)
     with pytest.raises(CheckFailed) as windowed:
         verify._factor_exchange(alg, k, cap, draws, mutate)
     assert windowed.value.window == whole.value.window == cap - 2
     assert windowed.value.witness == whole.value.witness
+    # the fused residual blocks fail as R P - Q R built blockwise does
+    ok, blockwise = lax_is_zero(
+        lax_sub(lax_compose_scalar(R, P, "left"), lax_compose_scalar(R, Q, "right")),
+        cap - 2,
+    )
+    assert not ok and blockwise == whole.value.witness
 
 
 @pytest.mark.parametrize("name", ["3F2", "def3", "sl3-invariance"])
