@@ -9,12 +9,12 @@ matrices is meaningless by itself; instead every operator carries
   certified  -- the largest input total height at which the stored action
                 agrees exactly with the untruncated operator.
 
-Construction certifies columns up to cap - max(0, shift); composition
-propagates certification and tabulates only the columns certified for its
-result, none above an optional height limit `upto`. All zero tests
-take an explicit height window and refuse to look beyond certification, so a
-reported zero is a statement about the actual operators, not an artifact of
-truncation.
+Construction and composition follow one rule: no column above `certified`
+is stored. Construction certifies columns up to cap - max(0, shift);
+composition propagates certification, none above an optional height limit
+`upto`. All zero tests take an explicit height window and refuse to look
+beyond certification, so a reported zero is a statement about the actual
+operators, not an artifact of truncation.
 
 Entries are stored as nonzero integer numerators over one positive
 denominator `den` per operator, kept canonical: gcd(den, every numerator) is
@@ -50,8 +50,9 @@ eigenvalue per (stage, exponent), each an integer numerator over one
 positive denominator per stage, read off running integer products of the
 Pochhammer factors, and integer sums of integer key products; a Laurent term
 that does not cancel is then an error of the stage list, raised when the
-table is compiled, and a pole is raised for every point whose table needs
-it. `run_pipeline` feeds every monomial
+table is compiled, and a pole is raised, as the Pochhammer symbol that
+vanishes, for every point whose table needs it; that is the one statement
+of where a factor's poles lie. `run_pipeline` feeds every monomial
 through concrete stages at one point; it is kept as an evaluator independent
 of the tables (the sl2 closed form).
 """
@@ -65,7 +66,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import gamma_ratio_shift
+from .exactnum import PoleAtParameter, gamma_ratio_shift
 from .polyspace import GradedBasis, comb_add_into, comb_mul, comb_pow
 
 NEG_INF = -(10**9)  # shift of an identically zero operator
@@ -161,29 +162,24 @@ def _reduced_op(domain, codomain, cols, den, shift, certified):
 
 def op_from_action(domain, action, shift):
     """Tabulate `action` (monomial -> {monomial: coeff}) as a SparseOp on
-    `domain`.
+    `domain`, certified at cap - max(0, shift).
 
-    Columns of height <= cap - max(0, shift) are checked: inside that window
-    every image monomial must respect the declared shift and land in the
-    basis. Beyond the window image monomials falling outside the basis are
-    silently dropped (that is the truncation).
+    No column above `certified` is stored: that is the truncation. Every
+    image monomial of a stored column must land in the basis and respect
+    the declared shift.
     """
     certified = domain.cap - max(0, shift)
     cols = {}
     for i, mono in enumerate(domain.monomials):
         h = domain.heights[i]
-        img = action(mono)
-        in_window = h <= certified
+        if h > certified:
+            continue
         col = {}
-        for m, c in img.items():
+        for m, c in action(mono).items():
             if not c:
                 continue
-            j = domain.index.get(m)
-            if j is None:
-                if not in_window:
-                    continue
-                j = _output_index(domain, mono, m)
-            if in_window and domain.heights[j] - h > shift:
+            j = _output_index(domain, mono, m)
+            if domain.heights[j] - h > shift:
                 raise ShiftViolation(
                     f"image of {domain.mono_str(mono)} has height "
                     f"{domain.heights[j]} > {h} + declared shift {shift}"
@@ -755,7 +751,7 @@ def compile_path_table(basis, stages):
     every a. Every other Laurent term must cancel within its path key, so a
     negative exponent left in the output raises LaurentLeak here, for all
     parameters at once. An Euler exponent outside [-cap, cap] is refused, so
-    that `pole_bases` covers every eigenvalue the table needs.
+    a pole is a Pochhammer symbol of length <= cap.
     """
     eulers = [st for st in stages if isinstance(st, Euler)]
     exps = [set() for _ in eulers]
@@ -806,43 +802,24 @@ def path_table(basis, stage_list):
     return compile_path_table(basis, stage_list(basis))
 
 
-def _eulers(table):
-    return (st for st in table.stages if isinstance(st, Euler))
-
-
-def pole_bases(table, args):
-    """The Pochhammer bases b whose (b)_k must not vanish for any k <= cap
-    for path_op(table, args) to meet no pole, in stage order.
-
-    An Euler stage's eigenvalue at an exponent 0 < e <= cap has denominator
-    (b)_e, which never vanishes when b is the constant 1; at -cap <= e < 0
-    it has denominator (a - 1)(a - 2)...(a + e), a factor of (a - cap)_cap.
-    So each stage gives b unless b is the constant 1, and a stage that saw
-    a negative exponent also gives a - cap."""
-    cap = table.basis.cap
-    out = []
-    for st, exps in zip(_eulers(table), table.exps):
-        if callable(st.b) or st.b != 1:
-            out.append(_param(st.b, args))
-        if exps and exps[0] < 0:
-            out.append(_param(st.a, args) - cap)
-    return out
-
-
-def _euler_eigenvalues(a, b, exps):
+def _euler_eigenvalues(a, b, exps, cap):
     """({e: N_e}, D) with integer numerators N_e over one positive
     denominator D, N_e / D = gamma_ratio_shift(a, b, e), for sorted integer
-    exps, by running integer products outward from e = 0. On each side of 0
-    the running denominator at the outermost exponent is a multiple of every
-    inner one; D is the product of the two sides' outermost ones, divided by
-    its common factor with every N_e, which makes it the least common
-    denominator of the eigenvalues. Pochhammer zeros are monotone in |e|,
-    so the sorted sweep of gamma_ratio_shift meets its first pole at exps[0]
-    if a negative exponent meets one, else at the first e >= 0 that does;
-    that call raises it."""
+    exps in [-cap, cap], by running integer products outward from e = 0. On
+    each side of 0 the running denominator at the outermost exponent is a
+    multiple of every inner one; D is the product of the two sides' outermost
+    ones, divided by its common factor with every N_e, which makes it the
+    least common denominator of the eigenvalues.
+
+    A vanishing denominator is a pole, raised as PoleAtParameter with the
+    Pochhammer symbol of length <= cap that vanishes, the positive side
+    first. For e > 0 the denominator is (b)_e, which vanishes from e = 1 - b
+    on for b in {0, -1, ...}: ({b})_{1 - b} = 0. For e < 0 it is
+    (a - 1)(a - 2)...(a + e), which vanishes from e = -a on for a in {1, 2,
+    ...}, and is a factor of (a - cap)_cap: ({a - cap})_{cap - a + 1} = 0."""
     pa, qa, pb, qb = a.numerator, a.denominator, b.numerator, b.denominator
     sides = []
-    for side in ([e for e in reversed(exps) if e < 0], [e for e in exps if e >= 0]):
+    for side in ([e for e in exps if e >= 0], [e for e in reversed(exps) if e < 0]):
         num = den = 1
         at = 0
         run = []
@@ -856,10 +833,12 @@ def _euler_eigenvalues(a, b, exps):
                 num *= (pb + at * qb) * qa
                 den *= (pa + at * qa) * qb
             if not den:
-                gamma_ratio_shift(a, b, exps[0] if e < 0 else e)
+                if e > 0:
+                    raise PoleAtParameter(f"({b})_{1 - b} = 0")
+                raise PoleAtParameter(f"({a - cap})_{cap - a + 1} = 0")
             run.append((e, num, den))
         sides.append((run, den))
-    (neg, dneg), (pos, dpos) = sides
+    (pos, dpos), (neg, dneg) = sides
     den = dneg * dpos
     vals = {}
     for run, top, other in ((neg, dneg, dpos), (pos, dpos, dneg)):
@@ -881,14 +860,19 @@ def path_op(table, args, mutate=None):
 
     Each Euler eigenvalue is computed once per exponent a path showed,
     dropped paths included, so this raises PoleAtParameter wherever one of
-    them is a pole, even if only dropped paths reach it. None of them is a
-    pole where a degeneracy guard over `pole_bases(table, args)` accepts.
-    A path key's eigenvalue product is an integer product of numerators
-    over the product of the stage denominators."""
+    them is a pole, even if only dropped paths reach it: at the first stage
+    that meets one, with the Pochhammer symbol that vanishes
+    (`_euler_eigenvalues`). This is the one statement of where a factor's
+    poles lie. A path key's eigenvalue product is an integer product of
+    numerators over the product of the stage denominators."""
+    basis = table.basis
     eig = []
     den = 1
-    for s, (st, exps) in enumerate(zip(_eulers(table), table.exps)):
-        vals, d = _euler_eigenvalues(_param(st.a, args), _param(st.b, args), exps)
+    eulers = (st for st in table.stages if isinstance(st, Euler))
+    for s, (st, exps) in enumerate(zip(eulers, table.exps)):
+        vals, d = _euler_eigenvalues(
+            _param(st.a, args), _param(st.b, args), exps, basis.cap
+        )
         if mutate is not None and mutate[0] == s and mutate[1] in vals:
             vals[mutate[1]] *= 2
         eig.append(vals)
@@ -910,7 +894,6 @@ def path_op(table, args, mutate=None):
                 col[j] = n
         if col:
             cols[i] = col
-    basis = table.basis
     return _reduced_op(basis, basis, cols, den, 0, basis.cap)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
+from operator import add
 
 DEFAULT_SIZE_LIMIT = 50_000
 SIZE_LIMIT_ENV = "RFACTOR_SIZE_LIMIT"
@@ -214,7 +215,7 @@ def tensor_basis(b1: GradedBasis, b2: GradedBasis) -> GradedBasis:
 # Combination helpers (dict monomial -> int or Fraction)
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def comb_add_into(dst, src, c=None):

@@ -6,12 +6,12 @@ points and evaluates its defining identities on certified windows: it returns
 at the first that does not, or CheckSkipped at a degenerate point; `run_check`
 turns either outcome into a CheckResult.  Points are drawn from a seeded
 pool, so a report is a pure function of (suite, seed, cap).  Every factor a
-check builds guards itself: `_factor` raises CheckSkipped where a Pochhammer
-symbol of the factor's path table vanishes, before it evaluates the table,
-and a resample follows.  The oracle checks re-derive each elementary
-R-operator as the nullspace of its first-order intertwining system by
-fraction-free elimination and compare the normalized generator with the
-factor its path table gives, entry by entry.
+check builds skips itself: `_factor` turns the pole that evaluating its path
+table meets into CheckSkipped, with the Pochhammer symbol that vanishes as
+the reason, and a resample follows.  The oracle checks re-derive each
+elementary R-operator as the nullspace of its first-order intertwining
+system by fraction-free elimination and compare the normalized generator
+with the factor its path table gives, entry by entry.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import combinations
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .exactnum import rat_str
+from .exactnum import PoleAtParameter, rat_str
 from .linop import (
     DegenerateDecomposition,
     SparseOp,
@@ -54,7 +54,6 @@ from .linop import (
     pair_swap,
     path_op,
     path_table,
-    pole_bases,
     rational_op,
     zero_op,
 )
@@ -189,13 +188,6 @@ def degeneracy_guard(bases, cap):
             if b + j == 0:
                 return False, f"({rat_str(b)})_{j + 1} = 0"
     return True, None
-
-
-def _guard(bases, cap):
-    """Raise CheckSkipped where degeneracy_guard rejects the bases."""
-    ok, reason = degeneracy_guard(bases, cap)
-    if not ok:
-        raise CheckSkipped(reason)
 
 
 def lwv_normalize(op: SparseOp):
@@ -396,7 +388,9 @@ def _sl2_spectral(cap, draws, mutate):
     n_max = min(6, cap - 1)
     pair = sl2_pair(cap)
     swap = rhat("sl2", pair, t, s)
-    _guard(sl2_spectral_bases(l1, l2, u - v), cap)
+    ok, reason = degeneracy_guard(sl2_spectral_bases(l1, l2, u - v), cap)
+    if not ok:
+        raise CheckSkipped(reason)
     R = compose(pair_swap(pair), swap)
     try:
         sl2_spectral(R, l1, l2, u - v, n_max)
@@ -713,19 +707,21 @@ def _swap_factors(t, s, order):
 def _factor(alg, k, basis, args, mutate=None):
     """Factor k of `alg` on `basis`: the path table of its stage list at
     `args`, with the eigenvalue mutation (Euler stage, exponent) `mutate` if
-    one is given. Raises CheckSkipped where degeneracy_guard rejects the
-    Pochhammer bases of the table, so a factor that builds meets no pole."""
-    table = path_table(basis, _FACTORS[alg, k][0])
-    _guard(pole_bases(table, args), basis.cap)
-    return path_op(table, args, mutate)
+    one is given. Raises CheckSkipped, with the Pochhammer symbol that
+    vanishes as its reason, exactly where evaluating the table meets a
+    pole."""
+    try:
+        return path_op(path_table(basis, _FACTORS[alg, k][0]), args, mutate)
+    except PoleAtParameter as e:
+        raise CheckSkipped(str(e)) from None
 
 
 def rhat(alg, pair, t, s, order=1, mutate=None):
     """The full swap Rhat(t | s) on `pair`: the product of the elementary
     factors in the given order, each composed on the left of the factors
     already applied. Order 1 is R1 . R2 (. R3), order 2 is (R3 .) R2 . R1.
-    Each factor guards itself as it is built, so this raises CheckSkipped
-    at the first factor, in the order they apply, that would meet a pole."""
+    Each factor skips itself as it is built, so this raises CheckSkipped
+    at the first factor, in the order they apply, that meets a pole."""
     out = None
     for k, args in _swap_factors(t, s, order):
         R = _factor(alg, k, pair, args, _factor_mutation(mutate, k))

@@ -46,6 +46,6 @@ def tabulated_columns(monkeypatch):
 
 def factor(alg, k, basis, *args, mutate=None):
     """Factor k of `alg` on `basis` at `args`: the path table of the stage
-    list in the checks' factor table, evaluated with no guard in front, so a
-    pole raises PoleAtParameter."""
+    list in the checks' factor table, evaluated directly rather than through
+    `verify._factor`, so a pole raises PoleAtParameter."""
     return path_op(path_table(basis, _FACTORS[alg, k][0]), args, mutate)

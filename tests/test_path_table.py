@@ -9,15 +9,18 @@ the factors were built before the tables: the two must give the same
 operator wherever the pipeline builds one, carry mutations the same way, and
 the table must raise PoleAtParameter wherever the pipeline does. A
 mutation is one (Euler stage, exponent) pair whose eigenvalue is doubled.
-The degeneracy guard of a factor is read off its table (`pole_bases`): where
-it accepts, the table meets no pole.
+The table states where a factor's poles lie: it raises exactly where the
+Fraction sweep of its eigenvalues meets a pole, in the words of the
+Pochhammer symbol that vanishes, and the checks' `_factor` turns that into
+CheckSkipped, so a factor builds or skips and never raises.
 """
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfactor import linop
@@ -29,7 +32,6 @@ from rfactor.linop import (
     identity_op,
     path_op,
     path_table,
-    pole_bases,
     run_pipeline,
     stage_euler,
 )
@@ -44,6 +46,8 @@ from rfactor.sl3core import (
 from rfactor.verify import (
     _FACTORS,
     _algebra,
+    _factor,
+    CheckSkipped,
     SL2_MUTATION_TAGS,
     SL3_MUTATION_TAGS,
     degeneracy_guard,
@@ -51,15 +55,20 @@ from rfactor.verify import (
 )
 
 CAPS = {"sl2": 6, "sl3": 3}
+# factor name -> its key (algebra, factor) in the checks' factor table
+KEYS = {
+    f"{alg}-{k}" if k == "r3-single" else f"{alg}-r{k}": (alg, k)
+    for alg, k in _FACTORS
+}
 # factor -> (stage list, basis, cap), read from the checks' factor table; the
 # one factor without side operators is the third swap on the sl3 site basis
 FACTORS = {
-    f"{alg}-{k}" if k == "r3-single" else f"{alg}-r{k}": (
-        stages,
-        _algebra(alg).pair if sides else sl3_site,
-        CAPS[alg],
+    name: (
+        _FACTORS[key][0],
+        _algebra(key[0]).pair if _FACTORS[key][1] else sl3_site,
+        CAPS[key[0]],
     )
-    for (alg, k), (stages, sides) in _FACTORS.items()
+    for name, key in KEYS.items()
 }
 PAIR_FACTORS = [name for name in FACTORS if FACTORS[name][1] is not sl3_site]
 
@@ -226,10 +235,22 @@ def _eigenvalues_or_pole(fn):
         return str(e)
 
 
-def _running_eigenvalues(a, b, exps):
+def _fraction_sweep(a, b, exps, cap):
+    """{e: gamma_ratio_shift(a, b, e)} over exps or, where that sweep meets a
+    pole, the reason degeneracy_guard gives at cap for the base of the side
+    that meets it: b if a positive exponent does, else a - cap."""
+    poles = [e for e in exps if _outcome(lambda: gamma_ratio_shift(a, b, e)) is None]
+    if not poles:
+        return {e: gamma_ratio_shift(a, b, e) for e in exps}
+    ok, reason = degeneracy_guard([b if poles[-1] > 0 else a - cap], cap)
+    assert not ok
+    return reason
+
+
+def _running_eigenvalues(a, b, exps, cap):
     """The eigenvalues N_e / D of _euler_eigenvalues, whose numerators must
     be ints over one positive int D, their least common denominator."""
-    nums, den = linop._euler_eigenvalues(a, b, exps)
+    nums, den = linop._euler_eigenvalues(a, b, exps, cap)
     assert type(den) is int and den > 0
     assert all(type(v) is int for v in nums.values())
     assert math.gcd(den, *nums.values()) == 1
@@ -248,26 +269,27 @@ _EXPONENTS = st.tuples(
 @given(_point(_EIG_CAP, 1), _point(_EIG_CAP, 1) | st.just((1,)), _EXPONENTS)
 def test_running_eigenvalues_are_the_gamma_ratios_or_their_pole(a, b, exps):
     (a,), (b,) = a, b
-    want = _eigenvalues_or_pole(lambda: {e: gamma_ratio_shift(a, b, e) for e in exps})
-    got = _eigenvalues_or_pole(lambda: _running_eigenvalues(a, b, exps))
-    assert got == want
+    got = _eigenvalues_or_pole(lambda: _running_eigenvalues(a, b, exps, _EIG_CAP))
+    assert got == _fraction_sweep(a, b, exps, _EIG_CAP)
 
 
 @pytest.mark.parametrize("a, b, message", [
-    (F(1, 2), F(-1), "(-1)_3 = 0"),  # (b)_e = 0 from e = 2 on
-    (F(1), F(1, 2), "Gamma(1-4)/Gamma(1) pole"),  # a - 1 = 0 from e = -1 on
+    (F(1, 2), F(-1), "(-1)_2 = 0"),  # (b)_e = 0 from e = 2 on
+    (F(1), F(1, 2), "(-3)_4 = 0"),  # a - 1 = 0 from e = -1 on
+    (F(1), F(-1), "(-1)_2 = 0"),  # both sides: the b side is raised
 ])
 def test_a_pole_in_a_gap_of_the_exponents_is_raised_as_the_sweep_raises_it(
     a, b, message
 ):
-    for fn in (
-        lambda: {e: gamma_ratio_shift(a, b, e) for e in [-4, -2, 0, 3]},
-        lambda: _running_eigenvalues(a, b, [-4, -2, 0, 3]),
-    ):
-        with pytest.raises(PoleAtParameter) as raised:
-            fn()
-        assert str(raised.value) == message
-    assert _running_eigenvalues(a, b, [0]) == {0: 1}
+    # raised wherever the Fraction sweep raises, in the guard's words: the
+    # vanishing symbol is named, not the exponent that first reaches it
+    exps = [-4, -2, 0, 3]
+    with pytest.raises(PoleAtParameter):
+        {e: gamma_ratio_shift(a, b, e) for e in exps}
+    with pytest.raises(PoleAtParameter) as raised:
+        _running_eigenvalues(a, b, exps, 4)
+    assert str(raised.value) == message
+    assert _running_eigenvalues(a, b, [0], 4) == {0: 1}
 
 
 @pytest.mark.parametrize("name", FACTORS)
@@ -280,9 +302,16 @@ def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
     args, mutate = data.draw(_case(name))
     want = _outcome(lambda: _reference(table, args, mutate))
     got = _outcome(lambda: path_op(table, args, mutate))
-    accepted, _ = degeneracy_guard(pole_bases(table, args), cap)
-    if accepted:
-        assert want is not None and got is not None
+    # the table raises exactly where the Fraction sweep of the eigenvalues
+    # it computes meets a pole, dropped paths included
+    eulers = [stage for stage in table.stages if isinstance(stage, Euler)]
+    sweeps = [
+        _fraction_sweep(
+            *(x(*args) if callable(x) else x for x in (stage.a, stage.b)), exps, cap
+        )
+        for stage, exps in zip(eulers, table.exps)
+    ]
+    assert (got is None) == any(isinstance(v, str) for v in sweeps)
     if want is None:
         assert got is None
     if got is not None:
@@ -307,14 +336,16 @@ def test_the_closing_stage_pole_is_raised_only_where_a_kept_path_reaches_it(name
         _build(name, pair, generic[name])
     # all four arguments equal: the first two Euler stages are the identity,
     # the flows cancel, and only dropped paths reach a negative exponent; the
-    # pipeline builds the identity there, but the guard rejects the point and
-    # the table, which computes every eigenvalue it has a path for, raises
+    # pipeline builds the identity there, but the table, which computes every
+    # eigenvalue it has a path for, raises at the closing stage's upper
+    # parameter 1, and the factor skips with that reason
     args = (F(-3),) * 4
     table = path_table(pair, FACTORS[name][0])
     assert _same(_reference(table, args), identity_op(pair))
-    assert not degeneracy_guard(pole_bases(table, args), cap)[0]
-    with pytest.raises(PoleAtParameter):
+    with pytest.raises(PoleAtParameter, match=r"^\(-2\)_3 = 0$"):
         _build(name, pair, args)
+    with pytest.raises(CheckSkipped, match=r"^\(-2\)_3 = 0$"):
+        _factor(*KEYS[name], pair, args)
 
 
 def test_only_a_lower_parameter_of_one_drops_negative_exponents():
@@ -340,13 +371,27 @@ def test_an_euler_exponent_beyond_the_cap_is_refused():
 @pytest.mark.parametrize("name", FACTORS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_a_guard_accepted_point_needs_no_fallback_and_meets_no_pole(name, data):
-    stage_list, pair_of, cap = FACTORS[name]
-    table = path_table(pair_of(cap), stage_list)
+def test_a_factor_builds_or_skips_and_never_raises_a_pole(name, data):
+    """`_factor` builds the table's operator or raises CheckSkipped, whose
+    reason names a Pochhammer symbol of length <= cap that vanishes; a
+    PoleAtParameter never gets through."""
+    _, pair_of, cap = FACTORS[name]
+    pair = pair_of(cap)
     args, mutate = data.draw(_case(name))
-    ok, _ = degeneracy_guard(pole_bases(table, args), cap)
-    assume(ok)
-    path_op(table, args, mutate)
+    try:
+        got = _factor(*KEYS[name], pair, args, mutate)
+    except CheckSkipped as e:
+        base, length = re.fullmatch(r"\((-?\d+)\)_(\d+) = 0", e.args[0]).groups()
+        assert 1 <= int(length) <= cap and int(base) + int(length) - 1 == 0
+        return
+    assert _same(got, _build(name, pair, args, mutate))
+
+
+def test_a_negative_side_pole_skips_in_the_guards_words():
+    # the closing Euler stage's upper parameter u1 - v2 + 1 is 1: (a - 1) = 0
+    # at every negative exponent, which (a - cap)_cap = (-2)_3 states
+    with pytest.raises(CheckSkipped, match=r"^\(-2\)_3 = 0$"):
+        _factor("sl3", 1, sl3_pair(3), (F(1, 2),) * 4)
 
 
 @pytest.mark.parametrize("name", FACTORS)

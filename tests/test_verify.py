@@ -17,11 +17,10 @@ from rfactor import linop, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, diffop, identity_op, is_zero, lax_compose_scalar,
-    lax_is_zero, lax_mul, lax_sub, op_scale, op_sub, path_table, pole_bases,
-    rational_op,
+    lax_is_zero, lax_mul, lax_sub, op_scale, op_sub, rational_op,
 )
 from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
-from rfactor.sl2core import _sl2_r1_stages, _sl2_r2_stages, sl2_lax
+from rfactor.sl2core import sl2_lax, sl2_rhat_closed
 from rfactor.sl3core import Sl3Params, sl3_pair, sl3_site
 from rfactor.verify import (
     POOL_DEN,
@@ -252,7 +251,7 @@ def test_every_factor_building_check_skips_or_passes_near_a_pole(
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_the_sl2_closed_form_and_spectral_guards_are_sound(name, data):
-    """closed-form (guarded by the full swap's factor bases alone) and
+    """closed-form (skipped by the full swap's factors alone) and
     spectral (whose guard adds hand-written bases) either skip a near-pole
     point or pass there: they never raise and never fail."""
     cap = 4
@@ -266,17 +265,23 @@ def test_the_sl2_closed_form_and_spectral_guards_are_sound(name, data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_the_sl2_full_swap_guard_is_the_closed_form_lower_parameters(cap, data):
-    """r2's lower parameter u1 - u2 and r1's v1 - u2 at the full swap's
-    builder arguments are 2 l1 and l1 + l2 - w, the lower parameters of
-    sl2_rhat_closed's two Euler stages: the closed form needs no guard of
-    its own."""
+    """Order 1 applies r2 at (u1, u2, v2), then r1 at (u1, v1, u2); their
+    lower parameters u1 - u2 and v1 - u2 are 2 l1 and l1 + l2 - w, the lower
+    parameters of sl2_rhat_closed's two Euler stages. The full swap skips
+    exactly where a guard over those two rejects, with its reason, and
+    where it builds, sl2_rhat_closed builds: the closed form needs no guard
+    of its own."""
     l1, l2, u, v = data.draw(st.lists(_near_pole(cap), min_size=4, max_size=4))
-    (u1, u2), (v1, v2) = (u + l1, u - l1), (v + l2, v - l2)
-    # order 1 applies r2 at (u1, u2, v2), then r1 at (u1, v1, u2)
+    t, s = (u + l1, u - l1), (v + l2, v - l2)
     pair = sl2_pair(cap)
-    bases = pole_bases(path_table(pair, _sl2_r2_stages), (u1, u2, v2))
-    bases += pole_bases(path_table(pair, _sl2_r1_stages), (u1, v1, u2))
-    assert bases == [2 * l1, l1 + l2 - (u - v)]
+    ok, reason = degeneracy_guard([2 * l1, l1 + l2 - (u - v)], cap)
+    try:
+        rhat("sl2", pair, t, s)
+    except CheckSkipped as e:
+        assert e.args[0] == reason
+        return
+    assert ok
+    sl2_rhat_closed(pair, l1, l2, u - v)
 
 
 # ---------------------------------------------------------------------------
