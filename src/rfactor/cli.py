@@ -94,7 +94,7 @@ def _make_config(parser, args) -> SuiteConfig:
         parser.error("--trials must be positive")
     if args.jobs < 1:
         parser.error("--jobs must be positive")
-    params = _parse_params(parser, args.params) if args.params else None
+    params = _parse_params(parser, args.params) if args.params is not None else None
     if params is not None and len(checks) != 1:
         parser.error("--params requires exactly one --check")
     mutate = None

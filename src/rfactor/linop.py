@@ -9,12 +9,13 @@ matrices is meaningless by itself; instead every operator carries
   certified  -- the largest input total height at which the stored action
                 agrees exactly with the untruncated operator.
 
-Construction and composition follow one rule: no column above `certified`
-is stored. Construction certifies columns up to cap - max(0, shift);
-composition propagates certification, none above an optional height limit
-`upto`. All zero tests take an explicit height window and refuse to look
-beyond certification, so a reported zero is a statement about the actual
-operators, not an artifact of truncation.
+Every kernel follows one rule: no column above `certified` is stored.
+Construction certifies columns up to cap - max(0, shift); composition
+propagates certification, none above an optional height limit `upto`; a sum
+is certified at the least of its terms' heights. All zero tests take an
+explicit height window and refuse to look beyond certification, so a
+reported zero is a statement about the actual operators, not an artifact of
+truncation.
 
 Entries are stored as nonzero integer numerators over one positive
 denominator `den` per operator, kept canonical: gcd(den, every numerator) is
@@ -30,6 +31,9 @@ nullspace solutions, which are Fractions, and `rational_op`, which builds an
 operator from rational columns. A parameter-free differential operator
 (`diffop`) is tabulated in integers once per basis and term list; one with
 parameters is such a cached part plus parameter times cached unit operators.
+An algebra's generators are built so from its generator table (`generators`),
+which names each generator's parameter-free term list, its weight parts and
+its matrix in the defining representation.
 
 A Lax matrix (`LaxOp`) keeps such a block as its terms ((cached part, 1),
 (cached unit, coefficient), ...), so building one at a point tabulates and
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from operator import add
+from operator import add, mul
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -271,9 +275,9 @@ def compose(a: SparseOp, b: SparseOp, *, upto=None) -> SparseOp:
 
 def op_comb(terms) -> SparseOp:
     """The sum of c*a over a nonempty iterable of terms (a, c) with rational
-    c, in one pass over one common denominator, on every column. The sum is
-    shifted by the largest and certified at the least of its terms', zero
-    coefficients included."""
+    c, in one pass over one common denominator. The sum is shifted by the
+    largest and certified at the least of its terms', zero coefficients
+    included, and only the columns it is certified at are stored."""
     dom = None
     shift, certified, den = NEG_INF, -NEG_INF, 1
     live = []
@@ -290,10 +294,13 @@ def op_comb(terms) -> SparseOp:
         if c:
             live.append((a, c))
             den = math.lcm(den, a.den * c.denominator)
+    heights = dom.heights
     cols = {}
     for a, c in live:
         f = den // (a.den * c.denominator) * c.numerator
         for i, ac in a.cols.items():
+            if heights[i] > certified:
+                continue
             col = cols.get(i)
             if col is None:
                 cols[i] = dict(ac) if f == 1 else {r: v * f for r, v in ac.items()}
@@ -554,6 +561,31 @@ def diffop(basis, *terms):
     tab = diffop_terms(basis, terms)
     shift = max(basis.height(mu) - basis.height(de) for _, mu, de in tab)
     return op_from_action(basis, lambda mono: diffop_apply(tab, mono), shift)
+
+
+def generators(basis, table, weights, suffix=""):
+    """The generators of `table` ({name: (term list, weight parts, defining
+    matrix)}) on `basis` at `weights`, in table order, on the table's
+    variables + suffix. Each is its cached parameter-free part plus, per
+    weight part (c, mult), the dot product c.weights times the cached unit
+    operator of the variables in mult."""
+    def named(vs):
+        return tuple(v + suffix for v in vs)
+
+    out = {}
+    for name, (free, parts, _) in table.items():
+        if suffix:
+            free = tuple((c, named(mu), named(de)) for c, mu, de in free)
+            parts = tuple((c, named(mu)) for c, mu in parts)
+        op = diffop(basis, *free)
+        if parts:
+            units = (
+                (diffop(basis, (1, mu, ())), sum(map(mul, c, weights)))
+                for c, mu in parts
+            )
+            op = op_comb(((op, 1), *units))
+        out[name] = op
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ the path table of each elementary R-operator (`linop.path_table`), so a
 factor at a point costs one Gamma ratio per exponent plus integer sums.
 Each form keeps its own term lists, so `lax-factor` still compares three
 formulas. The closed form (`sl2_rhat_closed`) runs its own pipelines at
-every call, so `closed-form` still compares two constructions.
+every call, so `closed-form` still compares two constructions. The
+generators are stated once, in the table `SL2_GENERATORS` of term lists,
+weight parts and defining matrices: `linop.generators` tabulates them, and
+`rfactor.verify` derives the structure constants and the gl(2) triangle
+from the matrices.
 
 The fundamental check applies Yang's R = u + P on (C^d)^3 to basis triples
 in integers (`ybe_fundamental_residual`); no matrix is formed.
@@ -51,14 +55,15 @@ from .linop import (
     identity_op,
     int_echelon_nullspace,
     lax_mul,
-    op_add,
-    op_scale,
     run_pipeline,
     scaled_block,
     stage_euler,
     stage_subst,
     zero_op,
 )
+
+
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -90,42 +95,22 @@ def sl2_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl2_site(cap, "1"), sl2_site(cap, "2"))
 
 
-def sl2_generators(basis, ell):
-    """S = ell + z d/dz, S- = -d/dz, S+ = z^2 d/dz + 2 ell z."""
-    z = ("z",)
-    return {
-        "S": op_add(diffop(basis, (1, z, z)), diffop(basis, (1, (), ())), ell),
-        "Sp": op_add(
-            diffop(basis, (1, ("z", "z"), z)), diffop(basis, (1, z, ())), 2 * ell
-        ),
-        "Sm": diffop(basis, (-1, (), z)),
-    }
-
-
-# generator -> its 2x2 coefficient matrix in the defining representation
-SL2_GEN_COEFF_MATRICES = {
-    "S": [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(-1, 2)]],
-    "Sp": [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]],
-    "Sm": [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]],
+# generator -> (parameter-free term list, weight parts (c, mult): c ell times
+# the variables named in mult, 2x2 matrix in the defining representation):
+# S = ell + z d/dz, S+ = z^2 d/dz + 2 ell z, S- = -d/dz
+SL2_GENERATORS = {
+    "S": (((1, ("z",), ("z",)),), (((1,), ()),), [[HALF, 0], [0, -HALF]]),
+    "Sp": (((1, ("z", "z"), ("z",)),), (((2,), ("z",)),), [[0, 1], [0, 0]]),
+    "Sm": (((-1, (), ("z",)),), (), [[0, 0], [1, 0]]),
 }
 
 
-def sl2_gl_ops(basis, ell):
-    """The gl(2) triangle T[a, b], 1-indexed: T11 = S, T22 = -S, T12 = S+,
-    T21 = S-."""
-    g = sl2_generators(basis, ell)
-    return {
-        (1, 1): g["S"], (2, 2): op_scale(g["S"], -1),
-        (1, 2): g["Sp"], (2, 1): g["Sm"],
-    }
-
-
-def sl2_casimirs(basis, ell):
-    """[(tag, operator, expected scalar)]: S^2 - S + S+ S-, equal to
-    ell(ell-1) on the module."""
-    g = sl2_generators(basis, ell)
-    S, one = g["S"], identity_op(basis)
-    C = compose_sum(((S, S, 1), (S, one, -1), (g["Sp"], g["Sm"], 1)))
+def sl2_casimirs(T, ell):
+    """[(tag, operator, expected scalar)] from the gl(2) triangle T:
+    T11^2 - T11 + T12 T21, that is S^2 - S + S+ S-, equal to ell(ell-1) on
+    the module."""
+    S, one = T[1, 1], identity_op(T[1, 1].domain)
+    C = compose_sum(((S, S, 1), (S, one, -1), (T[1, 2], T[2, 1], 1)))
     return [("C", C, ell * (ell - 1))]
 
 

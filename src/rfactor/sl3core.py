@@ -21,15 +21,17 @@ formulas; per pair basis the path table of each elementary R-operator
 (`linop.path_table`), and per site basis that of the third swap reduced to
 one site (`_sl3_r3_single_stages`, the core of r3's stage list), so a factor
 at a point costs one Gamma ratio per stage and exponent plus integer sums.
-The generators' term lists are stated once (`_GENERATOR_TERMS`): the
-finite-dimensional modules apply them to monomials and tabulate nothing.
+The generators are stated once, in the table `SL3_GENERATORS` of term lists,
+weight parts and defining matrices: `linop.generators` tabulates them,
+`rfactor.verify` derives the structure constants and the gl(3) triangle
+from the matrices, and the finite-dimensional modules apply the term lists
+to monomials and tabulate nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import Rat
 from .polyspace import (
@@ -49,6 +51,7 @@ from .linop import (
     diffop,
     diffop_apply,
     diffop_terms,
+    generators,
     identity_op,
     lax_mul,
     op_add,
@@ -113,13 +116,17 @@ def sl3_pair(cap: int) -> GradedBasis:
     return tensor_basis(sl3_site(cap, "1"), sl3_site(cap, "2"))
 
 
-# The eight generators acting on C[x, y, z] with lowest weight (m, n), each
-# as its parameter-free term list (coef, mult, der) and its weight parts
-# ((i, j), mult): i m + j n times the variables named in mult.
-_GENERATOR_TERMS = {
-    "T21": (((1, (), ("x",)),), ()),
-    "T31": (((1, (), ("y",)),), ()),
-    "T32": (((1, (), ("z",)), (-1, ("x",), ("y",))), ()),
+def _ematrix(i, j):
+    M = [[Fraction(0)] * 3 for _ in range(3)]
+    M[i - 1][j - 1] = Fraction(1)
+    return M
+
+
+# The eight generators acting on C[x, y, z] with lowest weight (m, n): each
+# is its parameter-free term list (coef, mult, der), its weight parts
+# ((i, j), mult): i m + j n times the variables named in mult, and its 3x3
+# matrix in the defining representation.
+SL3_GENERATORS = {
     "T12": (
         (
             (-1, ("x", "x"), ("x",)),
@@ -128,8 +135,8 @@ _GENERATOR_TERMS = {
             (1, ("y",), ("z",)),
         ),
         (((0, 1), ("x",)),),
+        _ematrix(1, 2),
     ),
-    "T23": (((-1, ("z", "z"), ("z",)), (-1, ("y",), ("x",))), (((1, 0), ("z",)),)),
     "T13": (
         (
             (-1, ("y", "y"), ("y",)),
@@ -138,87 +145,37 @@ _GENERATOR_TERMS = {
             (-1, ("x", "z", "z"), ("z",)),
         ),
         (((1, 1), ("y",)), ((1, 0), ("x", "z"))),
+        _ematrix(1, 3),
     ),
+    "T23": (
+        ((-1, ("z", "z"), ("z",)), (-1, ("y",), ("x",))),
+        (((1, 0), ("z",)),),
+        _ematrix(2, 3),
+    ),
+    "T21": (((1, (), ("x",)),), (), _ematrix(2, 1)),
+    "T31": (((1, (), ("y",)),), (), _ematrix(3, 1)),
+    "T32": (((1, (), ("z",)), (-1, ("x",), ("y",))), (), _ematrix(3, 2)),
     "H1": (
         ((2, ("x",), ("x",)), (1, ("y",), ("y",)), (-1, ("z",), ("z",))),
         (((0, -1), ()),),
+        [[Fraction(1), 0, 0], [0, Fraction(-1), 0], [0, 0, Fraction(0)]],
     ),
     "H2": (
         ((2, ("z",), ("z",)), (1, ("y",), ("y",)), (-1, ("x",), ("x",))),
         (((-1, 0), ()),),
+        [[Fraction(0), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(-1)]],
     ),
 }
 
 
-@lru_cache(maxsize=4)
-def _generator_terms(suffix):
-    """The generators' term lists on the variables x, y, z + suffix."""
-
-    def named(vs):
-        return tuple(v + suffix for v in vs)
-
-    return {
-        k: (
-            tuple((c, named(mu), named(de)) for c, mu, de in free),
-            tuple((w, named(mu)) for w, mu in parts),
-        )
-        for k, (free, parts) in _GENERATOR_TERMS.items()
-    }
+GEN_NAMES = tuple(SL3_GENERATORS)
 
 
-def sl3_generators(basis, m, n, suffix=""):
-    """The eight generators acting on C[x, y, z] with lowest weight (m, n):
-    each is its cached parameter-free part plus weights times cached unit
-    operators."""
-    out = {}
-    for k, (free, parts) in _generator_terms(suffix).items():
-        op = diffop(basis, *free)
-        if parts:
-            weights = ((diffop(basis, (1, mu, ())), i * m + j * n) for (i, j), mu in parts)
-            op = op_comb(((op, 1), *weights))
-        out[k] = op
-    return out
-
-
-def _ematrix(i, j):
-    M = [[Fraction(0)] * 3 for _ in range(3)]
-    M[i - 1][j - 1] = Fraction(1)
-    return M
-
-
-GEN_COEFF_MATRICES = {
-    "T12": _ematrix(1, 2),
-    "T13": _ematrix(1, 3),
-    "T23": _ematrix(2, 3),
-    "T21": _ematrix(2, 1),
-    "T31": _ematrix(3, 1),
-    "T32": _ematrix(3, 2),
-    "H1": [[Fraction(1), 0, 0], [0, Fraction(-1), 0], [0, 0, Fraction(0)]],
-    "H2": [[Fraction(0), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(-1)]],
-}
-
-
-GEN_NAMES = tuple(GEN_COEFF_MATRICES)
-
-
-def sl3_gl_ops(basis, m, n):
-    """Full gl(3) triangle: T[a][b] for 1 <= a, b <= 3 (1-indexed dict)."""
-    g = sl3_generators(basis, m, n)
-    T11 = op_comb(((g["H1"], 2 * THIRD), (g["H2"], THIRD)))
-    T22 = op_comb(((g["H2"], THIRD), (g["H1"], -THIRD)))
-    T33 = op_comb(((g["H1"], -THIRD), (g["H2"], -2 * THIRD)))
-    return {
-        (1, 1): T11, (2, 2): T22, (3, 3): T33,
-        (1, 2): g["T12"], (1, 3): g["T13"], (2, 3): g["T23"],
-        (2, 1): g["T21"], (3, 1): g["T31"], (3, 2): g["T32"],
-    }
-
-
-def sl3_casimirs(basis, m, n):
-    """[(tag, operator, expected scalar or None)] for C2 = sum T_ab T_ba and
-    C3 = sum T_ab T_bc T_ca, both scalar on the module. C2's scalar is
-    sum(lam_a^2) + 2(m + n), with lam the diagonal weights of 1."""
-    T = sl3_gl_ops(basis, m, n)
+def sl3_casimirs(T, m, n):
+    """[(tag, operator, expected scalar or None)] from the gl(3) triangle T
+    at weight (m, n): C2 = sum T_ab T_ba and C3 = sum T_ab T_bc T_ca, both
+    scalar on the module. C2's scalar is sum(lam_a^2) + 2(m + n), with lam
+    the diagonal weights of 1."""
     rng = (1, 2, 3)
     # TT[b, a] = sum_c T_bc T_ca: C2 is its trace and C3 = sum T_ab TT[b, a]
     TT = {
@@ -253,7 +210,7 @@ def sl3_findim_module(M, N):
     basis = sl3_site(2 * (M + N) + 2)
     gens = [
         diffop_terms(basis, free + tuple((i * M + j * N, mu, ()) for (i, j), mu in ws))
-        for free, ws in _generator_terms("").values()
+        for free, ws, _ in SL3_GENERATORS.values()
     ]
     monos, index = basis.monomials, basis.index
     echelon = {0: {0: 1}}
@@ -496,6 +453,6 @@ def _sl3_r3_stages(pair):
 
 def sl3_total_generators(pair, params1, params2):
     """Sums of site generators; params are (m, n) pairs."""
-    g1 = sl3_generators(pair, params1[0], params1[1], "1")
-    g2 = sl3_generators(pair, params2[0], params2[1], "2")
+    g1 = generators(pair, SL3_GENERATORS, params1, "1")
+    g2 = generators(pair, SL3_GENERATORS, params2, "2")
     return {k: op_add(g1[k], g2[k]) for k in GEN_NAMES}

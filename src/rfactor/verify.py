@@ -34,6 +34,7 @@ from .linop import (
     compose,
     compose_sum,
     diffop,
+    generators,
     identity_op,
     int_echelon_nullspace,
     is_zero,
@@ -60,12 +61,10 @@ from .linop import (
 from .sl2core import (
     _sl2_r1_stages,
     _sl2_r2_stages,
-    SL2_GEN_COEFF_MATRICES,
+    SL2_GENERATORS,
     Sl2Params,
     SpectralMismatch,
     sl2_casimirs,
-    sl2_generators,
-    sl2_gl_ops,
     sl2_lax,
     sl2_lax_factored,
     sl2_pair,
@@ -80,15 +79,13 @@ from .sl3core import (
     _sl3_r2_stages,
     _sl3_r3_stages,
     _sl3_r3_single_stages,
-    GEN_COEFF_MATRICES,
     GEN_NAMES,
+    SL3_GENERATORS,
     Sl3Params,
     op_scalar_part,
     sl3_casimirs,
     sl3_findim_dim,
     sl3_findim_module,
-    sl3_generators,
-    sl3_gl_ops,
     sl3_invariance_matrix,
     sl3_lax,
     sl3_lax_factored,
@@ -284,7 +281,7 @@ def intertwiner_oracle(constraints, basis):
                 unknowns.append((r, c))
     equations = []
     for A, B in constraints:
-        top = min(A.certified, B.certified, basis.cap - max(0, A.shift))
+        top = min(A.certified, B.certified)
         # X A = B X over the common denominator A.den * B.den: the numerators
         # of A are scaled by B.den and those of B by A.den
         fa, fb = B.den, A.den
@@ -498,9 +495,8 @@ def _sl3_global(cap, draws, mutate):
         tnew = sl3_total_generators(pair, sl3_weights(*q1), sl3_weights(*q2))
         for k in GEN_NAMES:
             res = compose_sum(((R, told[k], 1), (tnew[k], R, -1)))
-            w = min(res.certified, cap - max(0, told[k].shift))
-            window = min(window, w)
-            _zero(res, w)
+            window = min(window, res.certified)
+            _zero(res, res.certified)
     return window, None
 
 
@@ -508,8 +504,8 @@ def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
     """The pairs (A, B) with R A = B R that pin the one-site third swap on
     the x, y, z site `basis`: the generators T21, T23, T12 and T13 at the
     weights of (u1, u2, u3) and of (u1, u2, v3)."""
-    g = sl3_generators(basis, *sl3_weights(u1, u2, u3))
-    h = sl3_generators(basis, *sl3_weights(u1, u2, v3))
+    g = generators(basis, SL3_GENERATORS, sl3_weights(u1, u2, u3))
+    h = generators(basis, SL3_GENERATORS, sl3_weights(u1, u2, v3))
     return [(g[k], h[k]) for k in ("T21", "T23", "T12", "T13")]
 
 
@@ -537,10 +533,8 @@ class _Algebra(NamedTuple):
     pair: Callable  # cap -> pair basis
     site: Callable  # cap -> one-site basis
     params: type  # (*weights, u) -> one-site parameters
-    generators: Callable  # (basis, *weights) -> {name: operator}
-    gen_coeffs: dict  # generator name -> its defining-representation matrix
-    casimirs: Callable  # (basis, *weights) -> [(tag, operator, scalar or None)]
-    gl: Callable  # (basis, *weights) -> gl triangle {(a, b): operator}
+    table: dict  # generator name -> (term list, weight parts, defining matrix)
+    casimirs: Callable  # (gl triangle, *weights) -> [(tag, operator, scalar or None)]
     lax_factored: Callable  # (basis, *slots) -> triangular product LaxOp
 
 
@@ -552,10 +546,8 @@ _ALGEBRAS = {
         pair=sl2_pair,
         site=sl2_site,
         params=Sl2Params,
-        generators=sl2_generators,
-        gen_coeffs=SL2_GEN_COEFF_MATRICES,
+        table=SL2_GENERATORS,
         casimirs=sl2_casimirs,
-        gl=sl2_gl_ops,
         lax_factored=sl2_lax_factored,
     ),
     "sl3": _Algebra(
@@ -565,10 +557,8 @@ _ALGEBRAS = {
         pair=sl3_pair,
         site=sl3_site,
         params=Sl3Params,
-        generators=sl3_generators,
-        gen_coeffs=GEN_COEFF_MATRICES,
+        table=SL3_GENERATORS,
         casimirs=sl3_casimirs,
-        gl=sl3_gl_ops,
         lax_factored=sl3_lax_factored,
     ),
 }
@@ -593,19 +583,19 @@ def _algebra(alg):
 def _in_generators(table, C):
     """The traceless matrix C as ((generator, coefficient), ...) over the
     generators of `table`, in table order: an off-diagonal entry through the
-    generator whose matrix is that unit, the diagonal through the diagonal
-    (Cartan) generators."""
+    generator whose defining matrix is that unit, the diagonal through the
+    diagonal (Cartan) generators."""
     n = len(C)
     coeff, cartan = {}, []
-    for g, M in table.items():
+    for g, (_, _, M) in table.items():
         unit = [(i, j) for i in range(n) for j in range(n) if i != j and M[i][j]]
         if unit:
             ((i, j),) = unit
-            coeff[g] = C[i][j] / M[i][j]
+            coeff[g] = Fraction(C[i][j], M[i][j])
         else:
             cartan.append(g)
     # a traceless diagonal is fixed by its first n - 1 entries
-    solve = mat_inv([[table[h][i][i] for h in cartan] for i in range(n - 1)])
+    solve = mat_inv([[table[h][2][i][i] for h in cartan] for i in range(n - 1)])
     for h, row in zip(cartan, solve):
         coeff[h] = sum(r * C[i][i] for i, r in enumerate(row))
     return tuple((g, coeff[g]) for g in table if coeff[g])
@@ -614,19 +604,47 @@ def _in_generators(table, C):
 @lru_cache(maxsize=None)
 def _structure_constants(alg):
     """[(a, b, ((generator, coefficient), ...))]: the commutator [a, b] in
-    the generators, for each pair a before b in the coefficient table."""
-    table = _algebra(alg).gen_coeffs
+    the generators, for each pair a before b in the generator table."""
+    table = _algebra(alg).table
     out = []
     for a, b in combinations(table, 2):
-        A, B = table[a], table[b]
+        A, B = table[a][2], table[b][2]
         comm = mat_sub(mat_mul(A, B), mat_mul(B, A))
         out.append((a, b, _in_generators(table, comm)))
     return out
 
 
+@lru_cache(maxsize=None)
+def _gl_terms(alg):
+    """{(a, b): ((generator, coefficient), ...)}, 1-indexed: the traceless
+    part of each unit matrix E_ab in the generators, so that the gl(n)
+    triangle entry T_ab is that combination."""
+    table = _algebra(alg).table
+    n = len(next(iter(table.values()))[2])
+    rng = range(n)
+    out = {}
+    for a in rng:
+        for b in rng:
+            # E_ab less its trace part, the identity over n where a == b
+            C = [[Fraction(int(i == j and a == b), -n) for j in rng] for i in rng]
+            C[a][b] += 1
+            out[a + 1, b + 1] = _in_generators(table, C)
+    return out
+
+
 def _combination(basis, g, terms):
-    """The operator sum of coefficient * g[generator] over `terms`."""
+    """The operator sum of coefficient * g[generator] over `terms`; a single
+    unit term is the generator itself."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return g[terms[0][0]]
     return op_comb(((zero_op(basis), 1),) + tuple((g[name], c) for name, c in terms))
+
+
+def _gl(alg, basis, weights):
+    """The gl(n) triangle {(a, b): T_ab}, 1-indexed, on `basis` at
+    `weights`, from the generator table alone."""
+    g = generators(basis, _algebra(alg).table, weights)
+    return {ab: _combination(basis, g, terms) for ab, terms in _gl_terms(alg).items()}
 
 
 def _commutators(alg, cap, draws, mutate):
@@ -634,7 +652,7 @@ def _commutators(alg, cap, draws, mutate):
     combination; draws are the weights."""
     a = _algebra(alg)
     basis = a.site(cap)
-    g = a.generators(basis, *draws)
+    g = generators(basis, a.table, draws)
     window = cap
     for x, y, terms in _structure_constants(alg):
         res = op_sub(commutator(g[x], g[y]), _combination(basis, g, terms))
@@ -648,7 +666,7 @@ def _casimirs(alg, cap, draws, mutate):
     is the expected one where the algebra gives it; reports the first."""
     a = _algebra(alg)
     basis = a.site(cap)
-    casimirs = a.casimirs(basis, *draws)
+    casimirs = a.casimirs(_gl(alg, basis, draws), *draws)
     window = cap
     for tag, C, expected in casimirs:
         s = op_scalar_part(C)
@@ -671,7 +689,7 @@ def _lax_factor(alg, cap, draws, mutate):
     direct = a.lax(basis, *slots)
     window = cap - 2
     for other in (
-        lax_from_gl(a.gl(basis, *weights), u),
+        lax_from_gl(_gl(alg, basis, weights), u),
         a.lax_factored(basis, *slots),
     ):
         _lax_zero(lax_sub(direct, other), window)

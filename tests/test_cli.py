@@ -154,6 +154,7 @@ def test_report_subcommand_roundtrip(tmp_path):
         ("oracle", "--algebra", "sl2", "--op", "r1", "--check", "F1"),
         ("sl2", "--check", "F1", "--params", "1e5000,1,1,1", "--cap", "4"),
         ("sl2", "--check", "casimir", "--params", "7" * 4000, "--cap", "2"),
+        ("sl2", "--check", "casimir", "--params", ""),
     ],
 )
 def test_usage_errors_exit_two(args):

@@ -1,4 +1,5 @@
-"""Every function, class, method, property and slot of the package is used in it.
+"""Every function, class, method, property, slot and import of the package is
+used in it.
 
 A module-level name counts as used when a top-level statement of some rfactor
 module other than its own definition refers to it; imports alone do not
@@ -7,7 +8,9 @@ statement outside its own definition names it, as an attribute or otherwise.
 Exempt are the console entry points named in pyproject.toml and the names
 that perfbench/spans.py looks up in the package to trace them.  A
 `__slots__` attribute counts as used when the package reads it, as an
-attribute, outside its class's `__init__`.
+attribute, outside its class's `__init__`.  A name a module imports at top
+level (`__future__` features apart) counts as used when another top-level
+statement of that module refers to it.
 """
 
 import ast
@@ -123,3 +126,19 @@ def test_every_slot_is_read_outside_its_init():
                 if name not in reads
             ]
     assert not unread, "slot never read outside __init__: " + ", ".join(unread)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        imports = [s for s in body if isinstance(s, (ast.Import, ast.ImportFrom))]
+        refs = set().union(*(_referenced(s) for s in body if s not in imports))
+        for stmt in imports:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in refs:
+                    unused.append(f"{path.name}:{name}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -579,17 +579,19 @@ def test_integer_kernel_matches_dense_fractions(drawn_a, drawn_b, cb, data):
         assert (got.shift, got.certified) == (
             max(a.shift, b.shift), min(a.certified, b.certified)
         )
-        assert _dense(got) == [
-            [x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)
-        ]
+        sums = [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+        assert _dense(got) == _masked(sums, _PAIR, got.certified)
 
     scaled = op_scale(a, cb)
     _assert_canonical(scaled)
-    assert _dense(scaled) == [[cb * x for x in row] for row in da]
+    assert _dense(scaled) == _masked(
+        [[cb * x for x in row] for row in da], _PAIR, a.certified
+    )
     if cb:
         # canonical: equal operators store equal numerators and denominators
         back = op_scale(scaled, 1 / cb)
-        assert (back.cols, back.den) == (a.cols, a.den)
+        want = _certified_part(a, a.certified)
+        assert (back.cols, back.den) == (want.cols, want.den)
     gone = op_sub(a, a)
     assert (gone.cols, gone.den) == ({}, 1)
 
@@ -686,7 +688,8 @@ def test_op_comb_is_the_chained_sums(drawn, data):
     assert got.shift == max(a.shift for a, _ in terms)
     assert got.certified == min(a.certified for a, _ in terms)
     n = len(_PAIR)
-    assert _dense(got) == [
+    sums = [
         [sum((c * _dense(a)[r][k] for a, c in terms), F(0)) for k in range(n)]
         for r in range(n)
     ]
+    assert _dense(got) == _masked(sums, _PAIR, got.certified)

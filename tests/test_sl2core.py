@@ -15,6 +15,7 @@ from rfactor.linop import (
     commutator,
     compose,
     diffop,
+    generators,
     identity_op,
     is_zero,
     lax_block,
@@ -39,9 +40,8 @@ from rfactor.linop import (
 from rfactor.polyspace import CapTooLarge, VarSpec, enumerate_basis
 from rfactor.sl2core import (
     Sl2Params,
+    SL2_GENERATORS,
     sl2_casimirs,
-    sl2_generators,
-    sl2_gl_ops,
     sl2_lax,
     sl2_lax_factored,
     sl2_pair,
@@ -50,6 +50,7 @@ from rfactor.sl2core import (
     sl2_spectral,
     ybe_fundamental_residual,
 )
+from rfactor import verify
 from rfactor.verify import rhat
 from termlists import assert_same_op, factor, tabulate, tabulated_columns
 
@@ -62,7 +63,7 @@ def lax_min_cert(*laxes):
 
 def test_generator_actions_frozen():
     b = sl2_site(6)
-    g = sl2_generators(b, F(1, 2))
+    g = generators(b, SL2_GENERATORS, (F(1, 2),))
     # (z d/dz + 1/2) z^2 = 5/2 z^2
     assert g["S"].col(2) == {2: F(5, 2)}
     assert g["Sm"].col(3) == {2: F(-3)}
@@ -74,7 +75,7 @@ def test_generator_actions_frozen():
 def test_commutation_relations():
     b = sl2_site(7)
     for ell in (F(1), F(-3, 4), F(5, 2)):
-        g = sl2_generators(b, ell)
+        g = generators(b, SL2_GENERATORS, (ell,))
         ok, wit = is_zero(
             op_sub(commutator(g["S"], g["Sp"]), g["Sp"]), g["Sp"].certified
         )
@@ -92,7 +93,7 @@ def test_commutation_relations():
 def test_casimir_scalar_frozen():
     b = sl2_site(6)
     for ell, expected in ((F(2), F(2)), (F(1, 2), F(-1, 4)), (F(-1, 3), F(4, 9))):
-        ((tag, C, s),) = sl2_casimirs(b, ell)
+        ((tag, C, s),) = sl2_casimirs(verify._gl("sl2", b, (ell,)), ell)
         assert tag == "C" and s == expected == ell * (ell - 1)
         ok, wit = is_zero(op_sub(C, op_scale(identity_op(b), s)), C.certified)
         assert ok, wit
@@ -107,7 +108,7 @@ def test_raising_profile_generic_and_finite():
     b = sl2_site(6)
     # S+^k 1 = (2 ell)_k z^k ; at 2 ell = -2 the module truncates after z^2
     for ell in (F(1), F(-1)):
-        sp = sl2_generators(b, ell)["Sp"]
+        sp = generators(b, SL2_GENERATORS, (ell,))["Sp"]
         vec = {0: F(1)}
         for k in range(7):
             c = pochhammer(2 * ell, k)
@@ -119,7 +120,7 @@ def test_raising_profile_generic_and_finite():
 def test_lowering_flow_is_substitution():
     # exp(lam S-) = exp(-lam d/dz), summed until S- kills every column
     b = sl2_site(6)
-    sm = sl2_generators(b, F(1, 3))["Sm"]
+    sm = generators(b, SL2_GENERATORS, (F(1, 3),))["Sm"]
     lam = F(2, 7)
     flow = power = identity_op(b)
     for k in range(1, 7):
@@ -134,7 +135,7 @@ def test_lax_direct_equals_generator_form_and_factorization():
     b = sl2_site(6)
     ell, u = F(2, 3), F(5, 7)
     Ld = sl2_lax(b, u + ell, u - ell)
-    Lg = lax_from_gl(sl2_gl_ops(b, ell), u)
+    Lg = lax_from_gl(verify._gl("sl2", b, (ell,)), u)
     D = lax_sub(Ld, Lg)
     ok, wit = lax_is_zero(D, lax_min_cert(D))
     assert ok, wit
@@ -204,7 +205,11 @@ def test_lax_matches_the_full_term_lists_at_every_point():
         for pt in points
     ]
     one_site = [
-        (pt, sl2_lax_factored(site, *pt), sl2_generators(site, (pt[0] - pt[1]) / 2))
+        (
+            pt,
+            sl2_lax_factored(site, *pt),
+            generators(site, SL2_GENERATORS, ((pt[0] - pt[1]) / 2,)),
+        )
         for pt in points
     ]
     for basis, suffix, pt, L in built:
@@ -231,9 +236,9 @@ def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
         ell = (u1 - u2) / 2
         sl2_lax(basis, u1, u2)
         sl2_lax_factored(basis, u1, u2)
-        sl2_generators(basis, ell)
-        sl2_gl_ops(basis, ell)
-        sl2_casimirs(basis, ell)
+        generators(basis, SL2_GENERATORS, (ell,))
+        verify._gl("sl2", basis, (ell,))
+        sl2_casimirs(verify._gl("sl2", basis, (ell,)), ell)
 
     build(U + L1, U - L1)
     assert sum(tabulated) > 0

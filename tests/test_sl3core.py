@@ -26,6 +26,7 @@ from rfactor.linop import (
     commutator,
     compose,
     diffop,
+    generators,
     identity_op,
     int_row,
     is_zero,
@@ -51,14 +52,12 @@ from rfactor.sl3core import (
     _sl3_r1_stages,
     _sl3_r2_stages,
     _sl3_r3_stages,
-    GEN_COEFF_MATRICES,
     GEN_NAMES,
+    SL3_GENERATORS,
     Sl3Params,
     sl3_casimirs,
     sl3_findim_dim,
     sl3_findim_module,
-    sl3_generators,
-    sl3_gl_ops,
     sl3_invariance_matrix,
     sl3_lax,
     sl3_lax_factored,
@@ -69,6 +68,7 @@ from rfactor.sl3core import (
     sl3_weights,
     op_scalar_part,
 )
+from rfactor import verify
 from rfactor.verify import rhat
 from termlists import assert_same_op, factor, tabulate, tabulated_columns
 
@@ -155,7 +155,7 @@ def test_parameter_triple_frozen():
 def test_generator_actions_frozen():
     b = sl3_site(4)
     m, n = F(1, 2), F(1, 3)
-    g = sl3_generators(b, m, n)
+    g = generators(b, SL3_GENERATORS, (m, n))
     one = _idx(b)
     assert g["T23"].col(one) == {_idx(b, z=1): m}
     assert g["T12"].col(one) == {_idx(b, x=1): n}
@@ -168,11 +168,20 @@ def test_generator_actions_frozen():
     assert g["T32"].col(_idx(b, z=1)) == {one: F(1)}
 
 
-def test_gl_commutation_relations():
-    b = sl3_site(5)
-    for m, n in ((F(1), F(0)), (F(2, 3), F(1, 5)), (F(-3, 4), F(5, 2))):
-        T = sl3_gl_ops(b, m, n)
-        rng = (1, 2, 3)
+_GL_POINTS = {
+    "sl2": ((F(1),), (F(2, 3),), (F(-3, 4),)),
+    "sl3": ((F(1), F(0)), (F(2, 3), F(1, 5)), (F(-3, 4), F(5, 2))),
+}
+
+
+@pytest.mark.parametrize("alg", ["sl2", "sl3"])
+def test_gl_commutation_relations(alg):
+    # [T_ab, T_cd] = delta_bc T_ad - delta_da T_cb for the triangle derived
+    # from the generator table
+    b = verify._algebra(alg).site(5)
+    for weights in _GL_POINTS[alg]:
+        T = verify._gl(alg, b, weights)
+        rng = range(1, max(a for a, _ in T) + 1)
         for a in rng:
             for bb in rng:
                 for c in rng:
@@ -195,7 +204,7 @@ def test_casimirs_scalar_and_cross_cap_stable():
     m, n = F(2, 3), F(1, 5)
     for cap in (3, 4):
         b = sl3_site(cap)
-        (_, C2, _), (_, C3, _) = sl3_casimirs(b, m, n)
+        (_, C2, _), (_, C3, _) = sl3_casimirs(verify._gl("sl3", b, (m, n)), m, n)
         s2, s3 = op_scalar_part(C2), op_scalar_part(C3)
         assert s2 == F(1448, 675)
         assert s3 == F(126776, 30375)
@@ -211,7 +220,7 @@ def test_quadratic_casimir_closed_form():
     b = sl3_site(3)
     for m, n in ((F(1, 2), F(1, 3)), (F(-2, 7), F(3)), (F(0), F(1))):
         lam = (-(m + 2 * n) / 3, (n - m) / 3, (n + 2 * m) / 3)
-        (tag, C2, expected), _ = sl3_casimirs(b, m, n)
+        (tag, C2, expected), _ = sl3_casimirs(verify._gl("sl3", b, (m, n)), m, n)
         assert tag == "C2"
         assert op_scalar_part(C2) == expected == sum(t * t for t in lam) + 2 * (m + n)
 
@@ -219,13 +228,13 @@ def test_quadratic_casimir_closed_form():
 def test_fundamental_representation_correspondence():
     # weight (1, 0): the module span {y + x z, z, 1} carries T_ab -> E_ab
     b = sl3_site(4)
-    g = sl3_generators(b, F(1), F(0))
+    g = generators(b, SL3_GENERATORS, (F(1), F(0)))
     e = [
         {_idx(b, y=1): F(1), _idx(b, x=1, z=1): F(1)},
         {_idx(b, z=1): F(1)},
         {_idx(b): F(1)},
     ]
-    mats = GEN_COEFF_MATRICES
+    mats = {name: M for name, (_, _, M) in SL3_GENERATORS.items()}
     for name in GEN_NAMES:
         M = mats[name]
         for j in range(3):
@@ -237,11 +246,11 @@ def test_fundamental_representation_correspondence():
                         want[k] = want.get(k, F(0)) + M[i][j] * c
             assert got == {k: c for k, c in want.items() if c}, (name, j)
     # weight (0, 1): span {1, -x, -y} carries the dual T_ab -> -E_ba
-    g = sl3_generators(b, F(0), F(1))
+    g = generators(b, SL3_GENERATORS, (F(0), F(1)))
     e = [{_idx(b): F(1)}, {_idx(b, x=1): F(-1)}, {_idx(b, y=1): F(-1)}]
     mats = {
         name: [[-M[j][i] for j in range(3)] for i in range(3)]
-        for name, M in GEN_COEFF_MATRICES.items()
+        for name, (_, _, M) in SL3_GENERATORS.items()
     }
     for name in GEN_NAMES:
         M = mats[name]
@@ -269,7 +278,7 @@ def test_findim_dimensions():
         assert sl3_findim_dim(M, N) == dim
         assert len(vectors) == dim, (M, N)
         # independent, and closed under every generator
-        gens = sl3_generators(basis, F(M), F(N))
+        gens = generators(basis, SL3_GENERATORS, (F(M), F(N)))
         echelon = {}
         for v in vectors:
             _echelon_insert(int_row(v), echelon)
@@ -290,7 +299,7 @@ def test_findim_tabulates_nothing_and_grows_the_tabulated_generators_module():
     # the echelon rows, in order, of growing the module with the tabulated
     # generators
     for (M, N), (basis, vectors) in grown.items():
-        gens = sl3_generators(basis, F(M), F(N))
+        gens = generators(basis, SL3_GENERATORS, (F(M), F(N)))
         echelon = {0: {0: 1}}
         frontier = [{0: 1}]
         while frontier:
@@ -334,7 +343,7 @@ def test_raising_flow_generating_function():
     #   = (1 + mu x + lam y)^N (1 + nu z + (lam + mu nu)(y + x z))^M
     M, N = 2, 1
     basis = sl3_site(2 * (M + N) + 2)
-    g = sl3_generators(basis, F(M), F(N))
+    g = generators(basis, SL3_GENERATORS, (F(M), F(N)))
     mu, nu, lam = F(1, 2), F(-2, 3), F(3, 5)
     v = vec_series_exp(g["T13"], lam, {_idx(basis): F(1)})
     v = vec_series_exp(g["T23"], nu, v)
@@ -362,7 +371,7 @@ def test_lax_direct_equals_casimir_form_and_factored():
     b = sl3_site(cap)
     p = Sl3Params(F(2, 3), F(1, 5), F(7, 11))
     Ld = sl3_lax(b, *p.triple)
-    Lc = lax_from_gl(sl3_gl_ops(b, p.m, p.n), p.u)
+    Lc = lax_from_gl(verify._gl("sl3", b, (p.m, p.n)), p.u)
     D = lax_sub(Ld, Lc)
     assert lax_min_cert(D) >= cap - 2
     ok, wit = lax_is_zero(D, cap - 2)
@@ -517,7 +526,7 @@ def test_lax_matches_the_full_term_lists_at_every_point():
                 (
                     basis, sfx, pt, (m, n),
                     sl3_lax(basis, *pt, sfx),
-                    sl3_generators(basis, m, n, sfx),
+                    generators(basis, SL3_GENERATORS, (m, n), sfx),
                 )
             )
     factored = [(pt, sl3_lax_factored(site, *pt)) for pt in points]
@@ -543,9 +552,9 @@ def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
     def build(p):
         sl3_lax(basis, *p.triple)
         sl3_lax_factored(basis, *p.triple)
-        sl3_generators(basis, p.m, p.n)
-        sl3_gl_ops(basis, p.m, p.n)
-        sl3_casimirs(basis, p.m, p.n)
+        generators(basis, SL3_GENERATORS, (p.m, p.n))
+        verify._gl("sl3", basis, (p.m, p.n))
+        sl3_casimirs(verify._gl("sl3", basis, (p.m, p.n)), p.m, p.n)
 
     build(P1)
     assert sum(tabulated) > 0

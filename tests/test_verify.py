@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from rfactor import linop, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
-    LaurentLeak, compose, diffop, identity_op, is_zero, lax_compose_scalar,
+    LaurentLeak, compose, diffop, generators, identity_op, is_zero, lax_compose_scalar,
     lax_is_zero, lax_mul, lax_sub, op_scale, op_sub, rational_op,
 )
-from rfactor.sl2core import Sl2Params, sl2_generators, sl2_pair, sl2_site
+from rfactor.sl2core import SL2_GENERATORS, Sl2Params, sl2_pair, sl2_site
 from rfactor.sl2core import sl2_lax, sl2_rhat_closed
 from rfactor.sl3core import Sl3Params, sl3_pair, sl3_site
 from rfactor.verify import (
@@ -316,7 +316,7 @@ def test_charge_vectors_sl3_single_variables():
 
 def _raising_op(cap, ell):
     basis = sl2_site(cap)
-    return basis, sl2_generators(basis, ell)["Sp"]
+    return basis, generators(basis, SL2_GENERATORS, (ell,))["Sp"]
 
 
 def test_oracle_unique_solution_is_the_identity():
@@ -802,9 +802,9 @@ def test_mutation_failure_entries_are_pinned(algebra, check, tag, entries):
 def test_each_coefficient_matrix_maps_back_to_its_generator(alg, weights):
     a = verify._algebra(alg)
     basis = a.site(4)
-    g = a.generators(basis, *weights)
-    for name, M in a.gen_coeffs.items():
-        terms = verify._in_generators(a.gen_coeffs, M)
+    g = generators(basis, a.table, weights)
+    for name, (_, _, M) in a.table.items():
+        terms = verify._in_generators(a.table, M)
         assert terms == ((name, 1),)
         op = verify._combination(basis, g, terms)
         ok, wit = is_zero(op_sub(op, g[name]), g[name].certified)
@@ -819,17 +819,43 @@ def test_the_sl2_structure_constants_are_the_defining_relations():
     ]
 
 
+def test_the_gl_triangles_are_the_traceless_units_in_the_generators():
+    third = F(1, 3)
+    assert verify._gl_terms("sl2") == {
+        (1, 1): (("S", 1),), (2, 2): (("S", -1),),
+        (1, 2): (("Sp", 1),), (2, 1): (("Sm", 1),),
+    }
+    assert verify._gl_terms("sl3") == {
+        (1, 1): (("H1", 2 * third), ("H2", third)),
+        (2, 2): (("H1", -third), ("H2", third)),
+        (3, 3): (("H1", -third), ("H2", -2 * third)),
+        **{(a, b): ((f"T{a}{b}", 1),) for a in (1, 2, 3) for b in (1, 2, 3) if a != b},
+    }
+
+
 def test_a_wrong_sl2_coefficient_table_fails_the_commutators(monkeypatch):
-    wrong = dict(verify._algebra("sl2").gen_coeffs, S=[[F(1), F(0)], [F(0), F(-1)]])
+    # S's defining matrix doubled: the structure constants and the gl(2)
+    # triangle derived from the table are both wrong
+    table = verify._algebra("sl2").table
+    terms, parts, _ = table["S"]
+    wrong = dict(table, S=(terms, parts, [[F(1), F(0)], [F(0), F(-1)]]))
     monkeypatch.setitem(
-        verify._ALGEBRAS, "sl2", verify._algebra("sl2")._replace(gen_coeffs=wrong)
+        verify._ALGEBRAS, "sl2", verify._algebra("sl2")._replace(table=wrong)
     )
-    verify._structure_constants.cache_clear()
+    derived = (verify._structure_constants, verify._gl_terms)
+    for cached in derived:
+        cached.cache_clear()
     try:
-        res = run_check("sl2", "commutators", 4, [F(1, 3)])
+        results = [
+            run_check("sl2", "commutators", 4, [F(1, 3)]),
+            run_check("sl2", "lax-factor", 4, [F(1, 3), F(2, 7)]),
+            run_check("sl2", "casimir", 4, [F(1, 3)]),
+        ]
     finally:
-        verify._structure_constants.cache_clear()
-    assert res.status == "fail" and res.witness is not None
+        for cached in derived:
+            cached.cache_clear()
+    for res in results:
+        assert res.status == "fail" and res.witness is not None, res.name
 
 
 # ---------------------------------------------------------------------------
