@@ -60,8 +60,8 @@ def build_parser():
                 mutate=False)
     orc = sub.add_parser("oracle", help="independent linear-solve comparison")
     orc.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
-    orc.add_argument("--op", required=True,
-                     help="which R-operator: r1, r2, r3, r3-single")
+    choices = "; ".join(f"{alg}: {', '.join(ops)}" for alg, ops in ORACLE_OPS.items())
+    orc.add_argument("--op", required=True, help=f"which R-operator ({choices})")
     _add_common(orc, None, 5, select=False, mutate=False)
     rpt = sub.add_parser("report", help="summarize an existing JSON report")
     rpt.add_argument("path")

@@ -38,9 +38,10 @@ its matrix in the defining representation.
 A Lax matrix (`LaxOp`) keeps such a block as its terms ((cached part, 1),
 (cached unit, coefficient), ...), so building one at a point tabulates and
 copies nothing. `lax_mul` makes each product block one `compose_sum` over
-the products of the factors' terms, the exchange residual R P - Q R
-(`lax_residual`) is one `compose_sum` per block, and a block becomes one operator (`lax_block`, an
-`op_comb`) only where a zero test reads it.
+the products of the factors' terms, an intertwining residual R A - B R of
+two blocks is one `compose_sum` over both blocks' terms (`lax_terms`), and
+a block becomes one operator (`lax_block`, an `op_comb`) only where a zero
+test reads it.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -1039,41 +1040,6 @@ def lax_add(A, B, cb=1):
 
 def lax_sub(A, B):
     return lax_add(A, B, -1)
-
-
-def lax_compose_scalar(R: SparseOp, A: LaxOp, side: str) -> LaxOp:
-    """Compose every block with a scalar (aux-identity) operator."""
-    if side == "left":
-        blocks = [
-            [compose_sum((R, t, c) for t, c in lax_terms(b)) for b in row]
-            for row in A.blocks
-        ]
-    elif side == "right":
-        blocks = [
-            [compose_sum((t, R, c) for t, c in lax_terms(b)) for b in row]
-            for row in A.blocks
-        ]
-    else:
-        raise ValueError(f"side must be left or right, not {side!r}")
-    return LaxOp(blocks)
-
-
-def lax_residual(R: SparseOp, P: LaxOp, Q: LaxOp, upto=None) -> LaxOp:
-    """R P - Q R for a scalar (aux-identity) R, each block one `compose_sum`
-    over the terms of P's and Q's blocks, tabulated up to height `upto`."""
-    return LaxOp(
-        [
-            [
-                compose_sum(
-                    [(R, t, c) for t, c in lax_terms(p)]
-                    + [(t, R, -c) for t, c in lax_terms(q)],
-                    upto=upto,
-                )
-                for p, q in zip(prow, qrow)
-            ]
-            for prow, qrow in zip(P.blocks, Q.blocks)
-        ]
-    )
 
 
 def lax_is_zero(A: LaxOp, window: int):

@@ -209,11 +209,12 @@ def sl2_spectral(R, l1, l2, w, n_max):
     the sites carry weights l1, l2 and w is the spectral parameter
     difference.
 
-    Returns (rhos, ratios): rho_n is the eigenvalue on the degree-n kernel
-    vector of the total lowering operator; the recurrence
-    rho_{n+1}/rho_n = -(w + l1 + l2 + n)/(-w + l1 + l2 + n) is asserted
-    exactly. Raises DegenerateDecomposition if a kernel is not
-    one-dimensional and SpectralMismatch where either equation fails.
+    Returns rhos: rho_n is the eigenvalue on the degree-n kernel vector of
+    the total lowering operator. The recurrence is asserted multiplied out,
+    rho_{n+1} (l1 + l2 - w + n) = -(l1 + l2 + w + n) rho_n, so it divides by
+    nothing and holds wherever R exists. Raises DegenerateDecomposition if a
+    kernel is not one-dimensional and SpectralMismatch where either equation
+    fails.
     """
     pair = R.domain
     sm_tot = diffop(pair, (-1, (), ("z1",)), (-1, (), ("z2",)))
@@ -244,22 +245,14 @@ def sl2_spectral(R, l1, l2, w, n_max):
                 f"{pair.comb_str({k: v2 for k, v2 in diff.items() if v2})}"
             )
         rhos.append(rho)
-    ratios = []
     for n in range(n_max):
-        den = -w + l1 + l2 + n
-        expected = -(w + l1 + l2 + n) / den
-        got = rhos[n + 1] / rhos[n]
-        if got != expected:
+        lhs = rhos[n + 1] * (l1 + l2 - w + n)
+        rhs = -(l1 + l2 + w + n) * rhos[n]
+        if lhs != rhs:
             raise SpectralMismatch(
-                f"spectral recurrence fails at degree {n}: {got} != {expected}"
+                f"spectral recurrence fails at degree {n}: {lhs} != {rhs}"
             )
-        ratios.append(got)
-    return rhos, ratios
-
-
-def sl2_spectral_bases(l1, l2, w):
-    """Degeneracy-guard Pochhammer bases of the spectral check."""
-    return [2 * l1, 2 * l2, l1 + l2 + w, l1 + l2 - w]
+    return rhos
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,8 @@ from .linop import (
     diffop,
     diffop_apply,
     diffop_terms,
-    generators,
     identity_op,
     lax_mul,
-    op_add,
     op_comb,
     scaled_block,
     stage_laurent,
@@ -166,9 +164,6 @@ SL3_GENERATORS = {
         [[Fraction(0), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(-1)]],
     ),
 }
-
-
-GEN_NAMES = tuple(SL3_GENERATORS)
 
 
 def sl3_casimirs(T, m, n):
@@ -449,10 +444,3 @@ def _sl3_r3_stages(pair):
     """Third-slot swap u3 <-> v3, at arguments (u1, u2, u3, v3)."""
     s3, s3_inv = _sl3_frame(pair, ("x1", "y1", "z1"), ("x2", "y2", "z2"))
     return (s3, *_sl3_r3_single_stages(pair, "1"), s3_inv)
-
-
-def sl3_total_generators(pair, params1, params2):
-    """Sums of site generators; params are (m, n) pairs."""
-    g1 = generators(pair, SL3_GENERATORS, params1, "1")
-    g2 = generators(pair, SL3_GENERATORS, params2, "2")
-    return {k: op_add(g1[k], g2[k]) for k in GEN_NAMES}

@@ -8,10 +8,13 @@ turns either outcome into a CheckResult.  Points are drawn from a seeded
 pool, so a report is a pure function of (suite, seed, cap).  Every factor a
 check builds skips itself: `_factor` turns the pole that evaluating its path
 table meets into CheckSkipped, with the Pochhammer symbol that vanishes as
-the reason, and a resample follows.  The oracle checks re-derive each
-elementary R-operator as the nullspace of its first-order intertwining
-system by fraction-free elimination and compare the normalized generator
-with the factor its path table gives, entry by entry.
+the reason, and a resample follows.  Every intertwining relation R A = B R
+is tested through `_intertwines` over labelled pairs (A, B): Lax blocks,
+generators or side operators.  The oracle checks re-derive each elementary
+R-operator as the nullspace of its first-order intertwining system, the
+same pairs (`_first_order` and the side pairs), by fraction-free
+elimination and compare the normalized generator with the factor its path
+table gives, entry by entry.
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ from .linop import (
     int_echelon_nullspace,
     is_zero,
     lax_add,
-    lax_compose_scalar,
     lax_from_gl,
     lax_from_matrix,
     lax_is_zero,
     lax_mul,
-    lax_residual,
     lax_sub,
+    lax_terms,
     mat_inv,
     mat_mul,
     mat_sub,
@@ -71,7 +73,6 @@ from .sl2core import (
     sl2_rhat_closed,
     sl2_site,
     sl2_spectral,
-    sl2_spectral_bases,
     ybe_fundamental_residual,
 )
 from .sl3core import (
@@ -79,7 +80,6 @@ from .sl3core import (
     _sl3_r2_stages,
     _sl3_r3_stages,
     _sl3_r3_single_stages,
-    GEN_NAMES,
     SL3_GENERATORS,
     Sl3Params,
     op_scalar_part,
@@ -92,7 +92,6 @@ from .sl3core import (
     sl3_pair,
     sl3_shift_flows,
     sl3_site,
-    sl3_total_generators,
     sl3_weights,
 )
 
@@ -158,7 +157,7 @@ def report_to_json(report) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parameter sampling and degeneracy guards
+# Parameter sampling and lowest-weight normalization
 
 POOL_NUM = 40
 POOL_DEN = 12
@@ -175,16 +174,6 @@ def draw_rats(rng: random.Random, k: int):
         Fraction(rng.randint(-POOL_NUM, POOL_NUM), rng.randint(1, POOL_DEN))
         for _ in range(k)
     ]
-
-
-def degeneracy_guard(bases, cap):
-    """Reject a parameter point when a required denominator Pochhammer symbol
-    (b)_k vanishes for some base b and some k <= cap. Returns (ok, reason)."""
-    for b in bases:
-        for j in range(cap):
-            if b + j == 0:
-                return False, f"({rat_str(b)})_{j + 1} = 0"
-    return True, None
 
 
 def lwv_normalize(op: SparseOp):
@@ -344,12 +333,37 @@ def _lax_zero(A, window):
         raise CheckFailed(window, wit)
 
 
-def residual_rll(R, P, Q, window):
-    """R . P - Q . R vanishes on the window, where P = L1 L2 and
-    Q = L1' L2' are the Lax products on either side. They need only be
-    certified up to the window; each residual block is then one
-    `compose_sum` that stops there."""
-    _lax_zero(lax_residual(R, P, Q, window), window)
+def _blocks(A, B):
+    """The block pairs ("block (i,j)", A_ij, B_ij) of two Lax matrices, in
+    row-major order."""
+    n = A.size
+    return [
+        (f"block ({i},{j})", A.blocks[i][j], B.blocks[i][j])
+        for i in range(n)
+        for j in range(n)
+    ]
+
+
+def _intertwines(R, pairs, window=None):
+    """R A = B R for each (label, A, B) of `pairs`, A and B operators or Lax
+    blocks. Each residual R A - B R is one `compose_sum` over their terms,
+    tabulated up to `window` and zero-tested there, or on its own certified
+    height when no window is given. Raises CheckFailed at the first that
+    fails, its label (unless None) in front of the witness; returns the
+    least height tested."""
+    tested = []
+    for label, A, B in pairs:
+        res = compose_sum(
+            [(R, t, c) for t, c in lax_terms(A)]
+            + [(t, R, -c) for t, c in lax_terms(B)],
+            upto=window,
+        )
+        h = res.certified if window is None else window
+        ok, wit = is_zero(res, h)
+        if not ok:
+            raise CheckFailed(h, wit if label is None else (label, *wit))
+        tested.append(h)
+    return min(tested)
 
 
 def _same_line(A, B):
@@ -385,9 +399,6 @@ def _sl2_spectral(cap, draws, mutate):
     n_max = min(6, cap - 1)
     pair = sl2_pair(cap)
     swap = rhat("sl2", pair, t, s)
-    ok, reason = degeneracy_guard(sl2_spectral_bases(l1, l2, u - v), cap)
-    if not ok:
-        raise CheckSkipped(reason)
     R = compose(pair_swap(pair), swap)
     try:
         sl2_spectral(R, l1, l2, u - v, n_max)
@@ -444,10 +455,9 @@ def _sl3_invariance(cap, draws, mutate):
     lhs = lax_mul(
         lax_from_matrix(basis, mat_inv(M)), lax_mul(L, lax_from_matrix(basis, M), w), w
     )
-    # conjugate the module side: S^-1 . L . S, blockwise
-    rhs = lax_compose_scalar(inv, lax_compose_scalar(fwd, L, "right"), "left")
-    _lax_zero(lax_sub(lhs, rhs), w)
-    return w, None
+    # M^-1 L M = S^-1 L S on the module side, S = fwd: with inv . fwd = 1
+    # tested above, that is S (M^-1 L M) = L S
+    return _intertwines(fwd, _blocks(lhs, L), w), None
 
 
 def _sl3_sides_r1(pair):
@@ -478,10 +488,13 @@ def _sl3_sides_r3(pair):
 
 
 def _sl3_global(cap, draws, mutate):
-    """Weight-shift intertwining: each factor carries the total generators of
-    the shifted weights; the full swap exchanges the site weights."""
-    t, s = (p.triple for p in _sl3_point(draws))
-    pair = sl3_pair(cap)
+    """Weight-shift intertwining: each factor, and the full swap, carries
+    its first-order pairs, the blocks of L1 + L2 at (t, s) to those at the
+    slot tuples it leaves, which are the total generators at the shifted
+    weights."""
+    a = _algebra("sl3")
+    t, s = map(a.slots, a.point(draws))
+    pair = a.pair(cap)
     swap = rhat("sl3", pair, t, s)
     # each factor k at (t, s) and the slot tuples it leaves, then the full swap
     jobs = []
@@ -489,14 +502,9 @@ def _sl3_global(cap, draws, mutate):
         args, q1, q2 = _factor_args(t, s, k)
         jobs.append((_factor("sl3", k, pair, args), q1, q2))
     jobs.append((swap, s, t))
-    told = sl3_total_generators(pair, sl3_weights(*t), sl3_weights(*s))
-    window = cap
-    for R, q1, q2 in jobs:
-        tnew = sl3_total_generators(pair, sl3_weights(*q1), sl3_weights(*q2))
-        for k in GEN_NAMES:
-            res = compose_sum(((R, told[k], 1), (tnew[k], R, -1)))
-            window = min(window, res.certified)
-            _zero(res, res.certified)
+    window = min(
+        _intertwines(R, _first_order(a, pair, t, s, q1, q2)) for R, q1, q2 in jobs
+    )
     return window, None
 
 
@@ -757,28 +765,40 @@ def _exchange_laxes(a, pair, t1, t2, q1, q2):
     )
 
 
+def _first_order(a, pair, t, s, q1, q2):
+    """The first-order pairs of the exchange of L1(t) L2(s) for
+    L1(q1) L2(q2): the blocks of L1(t) + L2(s) against those of
+    L1(q1) + L2(q2)."""
+    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
+    return _blocks(lax_add(L1, L2), lax_add(L1p, L2p))
+
+
+def _side_pairs(alg, k, pair):
+    """The side relations of factor k as pairs (None, op, op): it commutes
+    with each side operator."""
+    return [(None, op, op) for op in _FACTORS[alg, k][1](pair)]
+
+
 def _exchange(alg, k, cap, draws, mutate):
     """Factor k at the point of `draws`, built on the pair basis with
-    `mutate`, and the Lax matrices L1(t), L2(s), L1(t'), L2(s') it exchanges.
-    Returns (pair, factor, Lax matrices)."""
+    `mutate`, and what it exchanges. Returns (algebra, pair, factor,
+    (t, s, t', s')), the Lax slot tuples taking L1(t) L2(s) to
+    L1(t') L2(s')."""
     a = _algebra(alg)
     t, s = map(a.slots, a.point(draws))
     args, q1, q2 = _factor_args(t, s, k)
     pair = a.pair(cap)
     R = _factor(alg, k, pair, args, mutate)
-    return pair, R, _exchange_laxes(a, pair, t, s, q1, q2)
+    return a, pair, R, (t, s, q1, q2)
 
 
 def _factor_exchange(alg, k, cap, draws, mutate):
     """R_k L1(t) L2(s) = L1(t') L2(s') R_k, plus R_k's side relations."""
-    pair, R, (L1, L2, L1p, L2p) = _exchange(
-        alg, k, cap, draws, _factor_mutation(mutate, k)
-    )
+    a, pair, R, slots = _exchange(alg, k, cap, draws, _factor_mutation(mutate, k))
+    L1, L2, L1p, L2p = _exchange_laxes(a, pair, *slots)
     w = cap - 2
-    residual_rll(R, lax_mul(L1, L2, w), lax_mul(L1p, L2p, w), w)
-    for op in _FACTORS[alg, k][1](pair):
-        res = commutator(R, op)
-        _zero(res, res.certified)
+    _intertwines(R, _blocks(lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)), w)
+    _intertwines(R, _side_pairs(alg, k, pair))
     return w, None
 
 
@@ -803,10 +823,10 @@ def _full_swap(alg, cap, draws, mutate):
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
     w = cap - 2
     P = lax_mul(L1, L2, w)
-    residual_rll(A, P, lax_mul(L1p, L2p, w), w)
+    _intertwines(A, _blocks(P, lax_mul(L1p, L2p, w)), w)
     # the aux-matrix ordering flips under the site permutation: the right-hand
     # side is L(s, site 2) L(t, site 1) = L2 L1
-    residual_rll(compose(pair_swap(pair), A), P, lax_mul(L2, L1, w), w)
+    _intertwines(compose(pair_swap(pair), A), _blocks(P, lax_mul(L2, L1, w)), w)
     return w, None
 
 
@@ -822,14 +842,9 @@ def _inverse_scalar(alg, cap, draws, mutate):
 def _oracle(alg, k, cap, draws, mutate):
     """Re-derive factor k from its exchange and side relations alone and
     compare it with the factor its path table gives."""
-    pair, R, (L1, L2, L1p, L2p) = _exchange(alg, k, cap, draws, None)
-    A, B = lax_add(L1, L2), lax_add(L1p, L2p)
-    constraints = [
-        (A.blocks[i][j], B.blocks[i][j])
-        for i in range(A.size)
-        for j in range(A.size)
-    ] + [(op, op) for op in _FACTORS[alg, k][1](pair)]
-    return _oracle_check(pair, constraints, R)
+    a, pair, R, slots = _exchange(alg, k, cap, draws, None)
+    pairs = _first_order(a, pair, *slots) + _side_pairs(alg, k, pair)
+    return _oracle_check(pair, [(A, B) for _, A, B in pairs], R)
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +1010,9 @@ def run_check(algebra, name, cap, draws, mutate=None):
 
 def run_one(algebra, name, trial, cap, seed, params, mutate):
     """One sampled instance of a check, or the check at the explicit
-    `params` (whose count SuiteConfig has validated); guard-rejected draws
-    are logged as skipped entries and resampled from the same stream."""
+    `params` (whose count SuiteConfig has validated); draws at which the
+    check skips are logged as skipped entries and resampled from the same
+    stream."""
     if params is not None:
         return [run_check(algebra, name, cap, params, mutate)]
     ndraws = CATALOG[algebra, name][1]

@@ -50,9 +50,9 @@ from rfactor.verify import (
     CheckSkipped,
     SL2_MUTATION_TAGS,
     SL3_MUTATION_TAGS,
-    degeneracy_guard,
     parse_mutate,
 )
+from termlists import vanishing_pochhammer
 
 CAPS = {"sl2": 6, "sl3": 3}
 # factor name -> its key (algebra, factor) in the checks' factor table
@@ -237,13 +237,13 @@ def _eigenvalues_or_pole(fn):
 
 def _fraction_sweep(a, b, exps, cap):
     """{e: gamma_ratio_shift(a, b, e)} over exps or, where that sweep meets a
-    pole, the reason degeneracy_guard gives at cap for the base of the side
+    pole, the reason a Pochhammer guard at cap gives for the base of the side
     that meets it: b if a positive exponent does, else a - cap."""
     poles = [e for e in exps if _outcome(lambda: gamma_ratio_shift(a, b, e)) is None]
     if not poles:
         return {e: gamma_ratio_shift(a, b, e) for e in exps}
-    ok, reason = degeneracy_guard([b if poles[-1] > 0 else a - cap], cap)
-    assert not ok
+    reason = vanishing_pochhammer([b if poles[-1] > 0 else a - cap], cap)
+    assert reason is not None
     return reason
 
 

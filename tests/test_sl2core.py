@@ -19,7 +19,6 @@ from rfactor.linop import (
     identity_op,
     is_zero,
     lax_block,
-    lax_compose_scalar,
     lax_from_gl,
     lax_from_matrix,
     lax_is_zero,
@@ -51,7 +50,7 @@ from rfactor.sl2core import (
     ybe_fundamental_residual,
 )
 from rfactor import verify
-from rfactor.verify import rhat
+from rfactor.verify import CheckFailed, rhat
 from termlists import assert_same_op, factor, tabulate, tabulated_columns
 
 L1, L2, U, V = F(1, 3), F(2, 5), F(7, 11), F(1, 7)
@@ -254,14 +253,9 @@ def test_lax_invariance_under_lowering_conjugation():
     Mm = [[F(1), F(0)], [-lam, F(1)]]
     Mp = [[F(1), F(0)], [lam, F(1)]]
     lhs = lax_mul(lax_from_matrix(b, Mm), lax_mul(L, lax_from_matrix(b, Mp)))
-    rhs = lax_compose_scalar(
-        _translation(b, -lam),
-        lax_compose_scalar(_translation(b, lam), L, "right"),
-        "left",
-    )
-    D = lax_sub(lhs, rhs)
-    ok, wit = lax_is_zero(D, lax_min_cert(D))
-    assert ok, wit
+    # lhs = T(-lam) L T(lam) on the module side, T(-lam) being T(lam)'s
+    # inverse: T(lam) lhs = L T(lam), on every certified column
+    verify._intertwines(_translation(b, lam), verify._blocks(lhs, L))
 
 
 def _pair_setup(cap):
@@ -275,10 +269,12 @@ def _rhat(pair, p1, p2, order=1):
 
 
 def _spectral(cap, l1, l2, u, v, n_max):
-    """sl2_spectral of P . Rhat at weights l1, l2 and spectral parameters u, v."""
+    """The ratios rho_{n+1} / rho_n of the eigenvalues sl2_spectral finds for
+    P . Rhat at weights l1, l2 and spectral parameters u, v, and rho_0."""
     pair = sl2_pair(cap)
     R = compose(pair_swap(pair), _rhat(pair, Sl2Params(l1, u), Sl2Params(l2, v)))
-    return sl2_spectral(R, l1, l2, u - v, n_max)
+    rhos = sl2_spectral(R, l1, l2, u - v, n_max)
+    return rhos[0], [b / a for a, b in zip(rhos, rhos[1:])]
 
 
 def test_r1_fixes_vacuum_and_diagonal_eigenvalue():
@@ -321,11 +317,7 @@ def test_defining_relation_first_factor():
     R1 = factor("sl2", 1, pair, u1, v1, v2)
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, v1, u2, "1"), sl2_lax(pair, u1, v2, "2"))
-    D = lax_sub(
-        lax_compose_scalar(R1, P, "left"), lax_compose_scalar(R1, Q, "right")
-    )
-    ok, wit = lax_is_zero(D, cap - 2)
-    assert ok, wit
+    verify._intertwines(R1, verify._blocks(P, Q), cap - 2)
     # side relation: R1 commutes with multiplication by z1
     z1 = diffop(pair, (1, ("z1",), ()))
     c = commutator(R1, z1)
@@ -340,11 +332,7 @@ def test_defining_relation_second_factor():
     R2 = factor("sl2", 2, pair, u1, u2, v2)
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, u1, v2, "1"), sl2_lax(pair, v1, u2, "2"))
-    D = lax_sub(
-        lax_compose_scalar(R2, P, "left"), lax_compose_scalar(R2, Q, "right")
-    )
-    ok, wit = lax_is_zero(D, cap - 2)
-    assert ok, wit
+    verify._intertwines(R2, verify._blocks(P, Q), cap - 2)
     z2 = diffop(pair, (1, ("z2",), ()))
     c = commutator(R2, z2)
     ok, wit = is_zero(c, c.certified)
@@ -367,12 +355,7 @@ def test_full_defining_relation():
     Rhat = _rhat(pair, p1, p2)
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, v1, v2, "1"), sl2_lax(pair, u1, u2, "2"))
-    D = lax_sub(
-        lax_compose_scalar(Rhat, P, "left"),
-        lax_compose_scalar(Rhat, Q, "right"),
-    )
-    ok, wit = lax_is_zero(D, cap - 2)
-    assert ok, wit
+    verify._intertwines(Rhat, verify._blocks(P, Q), cap - 2)
 
 
 def test_rll_form_with_permutation():
@@ -382,11 +365,7 @@ def test_rll_form_with_permutation():
     R = compose(pair_swap(pair), _rhat(pair, p1, p2))
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, v1, v2, "2"), sl2_lax(pair, u1, u2, "1"))
-    D = lax_sub(
-        lax_compose_scalar(R, P, "left"), lax_compose_scalar(R, Q, "right")
-    )
-    ok, wit = lax_is_zero(D, cap - 2)
-    assert ok, wit
+    verify._intertwines(R, verify._blocks(P, Q), cap - 2)
 
 
 def test_closed_form_two_factor_product():
@@ -421,14 +400,14 @@ def test_inverse_is_scalar():
 
 
 def test_spectral_frozen_ratio():
-    rhos, ratios = _spectral(6, F(1), F(1), F(1, 2), F(0), 4)
-    assert rhos[0] == 1
+    rho0, ratios = _spectral(6, F(1), F(1), F(1, 2), F(0), 4)
+    assert rho0 == 1
     assert ratios[0] == F(-5, 3)
     assert ratios == [F(-5, 3), F(-7, 5), F(-9, 7), F(-11, 9)]
 
 
 def test_spectral_generic_parameters():
-    rhos, ratios = _spectral(5, F(2, 3), F(3, 4), F(5, 7), F(1, 5), 3)
+    _, ratios = _spectral(5, F(2, 3), F(3, 4), F(5, 7), F(1, 5), 3)
     w = F(5, 7) - F(1, 5)
     s = F(2, 3) + F(3, 4)
     for n, r in enumerate(ratios):
@@ -485,11 +464,9 @@ def test_mutated_eigenvalue_breaks_defining_relation():
     R1 = factor("sl2", 1, pair, u1, v1, v2, mutate=(0, 1))
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, v1, u2, "1"), sl2_lax(pair, u1, v2, "2"))
-    D = lax_sub(
-        lax_compose_scalar(R1, P, "left"), lax_compose_scalar(R1, Q, "right")
-    )
-    ok, wit = lax_is_zero(D, cap - 2)
-    assert not ok and wit is not None
+    with pytest.raises(CheckFailed) as err:
+        verify._intertwines(R1, verify._blocks(P, Q), cap - 2)
+    assert err.value.witness[0].startswith("block (")
 
 
 def test_site_embedding_consistency_with_pair_swap():

@@ -31,7 +31,6 @@ from rfactor.linop import (
     int_row,
     is_zero,
     lax_block,
-    lax_compose_scalar,
     lax_from_gl,
     lax_from_matrix,
     lax_is_zero,
@@ -52,7 +51,6 @@ from rfactor.sl3core import (
     _sl3_r1_stages,
     _sl3_r2_stages,
     _sl3_r3_stages,
-    GEN_NAMES,
     SL3_GENERATORS,
     Sl3Params,
     sl3_casimirs,
@@ -64,12 +62,11 @@ from rfactor.sl3core import (
     sl3_pair,
     sl3_shift_flows,
     sl3_site,
-    sl3_total_generators,
     sl3_weights,
     op_scalar_part,
 )
 from rfactor import verify
-from rfactor.verify import rhat
+from rfactor.verify import CheckFailed, rhat
 from termlists import assert_same_op, factor, tabulate, tabulated_columns
 
 P1 = Sl3Params(F(1, 2), F(1, 3), F(2))
@@ -132,13 +129,15 @@ def _lax_pair_product(cap, t1, t2):
 
 
 def _defining_residual(cap, R, t1, t2, q1, q2):
-    """R . L1(t1) L2(t2) - L1(q1) L2(q2) . R, window cap - 2."""
+    """R . L1(t1) L2(t2) - L1(q1) L2(q2) . R on window cap - 2: (True, None),
+    or (False, the block witness) where it fails."""
     P = _lax_pair_product(cap, t1, t2)
     Q = _lax_pair_product(cap, q1, q2)
-    D = lax_sub(
-        lax_compose_scalar(R, P, "left"), lax_compose_scalar(R, Q, "right")
-    )
-    return lax_is_zero(D, cap - 2)
+    try:
+        verify._intertwines(R, verify._blocks(P, Q), cap - 2)
+    except CheckFailed as e:
+        return False, e.witness
+    return True, None
 
 
 def test_parameter_triple_frozen():
@@ -235,7 +234,7 @@ def test_fundamental_representation_correspondence():
         {_idx(b): F(1)},
     ]
     mats = {name: M for name, (_, _, M) in SL3_GENERATORS.items()}
-    for name in GEN_NAMES:
+    for name in SL3_GENERATORS:
         M = mats[name]
         for j in range(3):
             got = g[name].apply_vec(e[j])
@@ -252,7 +251,7 @@ def test_fundamental_representation_correspondence():
         name: [[-M[j][i] for j in range(3)] for i in range(3)]
         for name, (_, _, M) in SL3_GENERATORS.items()
     }
-    for name in GEN_NAMES:
+    for name in SL3_GENERATORS:
         M = mats[name]
         for j in range(3):
             got = g[name].apply_vec(e[j])
@@ -577,12 +576,8 @@ def test_shift_flow_inverse_and_lax_invariance():
     L = sl3_lax(b, *p.triple)
     M = sl3_invariance_matrix(a_, b_, c_)
     lhs = lax_mul(lax_from_matrix(b, mat_inv(M)), lax_mul(L, lax_from_matrix(b, M)))
-    rhs = lax_compose_scalar(
-        Sinv, lax_compose_scalar(S, L, "right"), "left"
-    )
-    D = lax_sub(lhs, rhs)
-    ok, wit = lax_is_zero(D, cap - 2)
-    assert ok, wit
+    # lhs = Sinv L S on the module side, that is S lhs = L S
+    verify._intertwines(S, verify._blocks(lhs, L), cap - 2)
 
 
 @pytest.mark.parametrize("cap", [3, 4])
@@ -715,11 +710,15 @@ def test_full_defining_relation_and_permuted_form():
         sl3_lax(pair, q[0], q[1], q[2], "2"),
         sl3_lax(pair, t[0], t[1], t[2], "1"),
     )
-    D = lax_sub(
-        lax_compose_scalar(R, Pd, "left"), lax_compose_scalar(R, Qd, "right")
-    )
-    ok, wit = lax_is_zero(D, cap - 2)
-    assert ok, wit
+    verify._intertwines(R, verify._blocks(Pd, Qd), cap - 2)
+
+
+def _total_generators(pair, t1, t2):
+    """{name: generator on site 1 at the weights of t1 plus the same on site 2
+    at those of t2}."""
+    g1 = generators(pair, SL3_GENERATORS, sl3_weights(*t1), "1")
+    g2 = generators(pair, SL3_GENERATORS, sl3_weights(*t2), "2")
+    return {k: op_add(g1[k], g2[k]) for k in SL3_GENERATORS}
 
 
 def test_weight_shift_intertwining():
@@ -727,28 +726,20 @@ def test_weight_shift_intertwining():
     r1, r2, r3 = _factors(3)
     t, q = P1.triple, P2.triple
     (u1, u2, u3), (v1, v2, v3) = t, q
-    told = sl3_total_generators(pair, sl3_weights(*t), sl3_weights(*q))
+    told = _total_generators(pair, t, q)
     # each factor carries the total generators of the weights of the slot
-    # tuples it leaves on the two sites
-    for which, R, q1, q2 in (
-        ("r1", r1, (v1, u2, u3), (u1, v2, v3)),
-        ("r2", r2, (u1, v2, u3), (v1, u2, v3)),
-        ("r3", r3, (u1, u2, v3), (v1, v2, u3)),
+    # tuples it leaves on the two sites; the full swap exchanges the two site
+    # weights
+    for R, q1, q2 in (
+        (r1, (v1, u2, u3), (u1, v2, v3)),
+        (r2, (u1, v2, u3), (v1, u2, v3)),
+        (r3, (u1, u2, v3), (v1, v2, u3)),
+        (_rhat(pair, P1, P2), q, t),
     ):
-        tnew = sl3_total_generators(pair, sl3_weights(*q1), sl3_weights(*q2))
-        for k in GEN_NAMES:
-            res = op_sub(compose(R, told[k]), compose(tnew[k], R))
-            w = min(res.certified, 3 - max(0, told[k].shift))
-            ok, wit = is_zero(res, w)
-            assert ok, (which, k, wit)
-    # the full swap exchanges the two site weights
-    A = _rhat(pair, P1, P2)
-    tnew = sl3_total_generators(pair, sl3_weights(*q), sl3_weights(*t))
-    for k in GEN_NAMES:
-        res = op_sub(compose(A, told[k]), compose(tnew[k], A))
-        w = min(res.certified, 3 - max(0, told[k].shift))
-        ok, wit = is_zero(res, w)
-        assert ok, (k, wit)
+        tnew = _total_generators(pair, q1, q2)
+        pairs = [(k, told[k], tnew[k]) for k in SL3_GENERATORS]
+        # a generator raising the height by 2 is exact up to cap - 2 only
+        assert verify._intertwines(R, pairs) == 1
 
 
 def test_inverse_is_identity():

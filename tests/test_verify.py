@@ -1,4 +1,4 @@
-"""Check runner, degeneracy guards, normalization, and the intertwining oracle.
+"""Check runner, skips, normalization, intertwining pairs and the oracle.
 
 Small deterministic systems exercise the oracle's nullspace handling (unique /
 empty / degenerate), and frozen parameter points pin the guard reasons, JSON
@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from rfactor import linop, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
-    LaurentLeak, compose, diffop, generators, identity_op, is_zero, lax_compose_scalar,
-    lax_is_zero, lax_mul, lax_sub, op_scale, op_sub, rational_op,
+    LaurentLeak, compose, diffop, generators, identity_op, is_zero, lax_is_zero,
+    lax_mul, op_scale, op_sub, pair_swap, rational_op,
 )
 from rfactor.sl2core import SL2_GENERATORS, Sl2Params, sl2_pair, sl2_site
-from rfactor.sl2core import sl2_lax, sl2_rhat_closed
+from rfactor.sl2core import sl2_lax, sl2_rhat_closed, sl2_spectral
 from rfactor.sl3core import Sl3Params, sl3_pair, sl3_site
 from rfactor.verify import (
     POOL_DEN,
@@ -34,23 +34,28 @@ from rfactor.verify import (
     SuiteConfig,
     charge_vectors,
     check_rng,
-    degeneracy_guard,
     draw_rats,
     intertwiner_oracle,
     lwv_normalize,
     parse_mutate,
     report_to_json,
-    residual_rll,
     rhat,
     run_check,
     run_one,
     run_suite,
 )
-from termlists import assert_same_op, factor, tabulate, tabulated_columns
+from termlists import (
+    assert_same_op,
+    blockwise_residual,
+    factor,
+    tabulate,
+    tabulated_columns,
+    vanishing_pochhammer,
+)
 
 
 # ---------------------------------------------------------------------------
-# Sampling and guards
+# Sampling
 
 def test_check_rng_is_a_pure_function_of_its_key():
     a = draw_rats(check_rng(7, "F1", 3), 4)
@@ -66,18 +71,6 @@ def test_draw_rats_stays_in_the_pool():
     assert all(isinstance(v, F) for v in vals)
     assert all(abs(v) <= 40 for v in vals)
     assert all(v.denominator <= 12 for v in vals)
-
-
-def test_degeneracy_guard_accepts_and_rejects():
-    ok, reason = degeneracy_guard([F(5), F(1, 2)], 6)
-    assert ok and reason is None
-    # (b)_k vanishes iff b is one of 0, -1, ..., -(cap-1)
-    ok, reason = degeneracy_guard([F(0)], 4)
-    assert not ok and reason == "(0)_1 = 0"
-    ok, reason = degeneracy_guard([F(2), F(-3)], 4)
-    assert not ok and reason == "(-3)_4 = 0"
-    ok, _ = degeneracy_guard([F(-4)], 4)
-    assert ok
 
 
 def test_lwv_normalize_scales_the_vacuum_coefficient_away():
@@ -251,9 +244,9 @@ def test_every_factor_building_check_skips_or_passes_near_a_pole(
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_the_sl2_closed_form_and_spectral_guards_are_sound(name, data):
-    """closed-form (skipped by the full swap's factors alone) and
-    spectral (whose guard adds hand-written bases) either skip a near-pole
-    point or pass there: they never raise and never fail."""
+    """closed-form and spectral, each skipped by the full swap's factors
+    alone, either skip a near-pole point or pass there: they never raise and
+    never fail."""
     cap = 4
     half = st.integers(-2 * cap - 3, 2 * cap + 3).map(lambda k: F(k, 2))
     draws = data.draw(st.lists(_near_pole(cap) | half, min_size=4, max_size=4))
@@ -274,13 +267,13 @@ def test_the_sl2_full_swap_guard_is_the_closed_form_lower_parameters(cap, data):
     l1, l2, u, v = data.draw(st.lists(_near_pole(cap), min_size=4, max_size=4))
     t, s = (u + l1, u - l1), (v + l2, v - l2)
     pair = sl2_pair(cap)
-    ok, reason = degeneracy_guard([2 * l1, l1 + l2 - (u - v)], cap)
+    reason = vanishing_pochhammer([2 * l1, l1 + l2 - (u - v)], cap)
     try:
         rhat("sl2", pair, t, s)
     except CheckSkipped as e:
         assert e.args[0] == reason
         return
-    assert ok
+    assert reason is None
     sl2_rhat_closed(pair, l1, l2, u - v)
 
 
@@ -364,19 +357,80 @@ def _r1_setup(cap):
     return pair, (u1, v1, v2), laxes
 
 
-def test_residual_rll_passes_on_the_exchange_relation():
+def test_intertwines_passes_on_the_exchange_relation():
     pair, args, laxes = _r1_setup(4)
     R = factor("sl2", 1, pair, *args)
-    assert residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2) is None
+    pairs = verify._blocks(lax_mul(*laxes[:2]), lax_mul(*laxes[2:]))
+    assert [label for label, _, _ in pairs] == [
+        "block (0,0)", "block (0,1)", "block (1,0)", "block (1,1)"
+    ]
+    assert verify._intertwines(R, pairs, 2) == 2
 
 
-def test_residual_rll_fails_with_a_block_witness_under_mutation():
+def test_intertwines_fails_with_a_block_witness_under_mutation():
     pair, args, laxes = _r1_setup(4)
     R = factor("sl2", 1, pair, *args, mutate=(0, 1))
+    pairs = verify._blocks(lax_mul(*laxes[:2]), lax_mul(*laxes[2:]))
     with pytest.raises(CheckFailed) as err:
-        residual_rll(R, lax_mul(*laxes[:2]), lax_mul(*laxes[2:]), 2)
+        verify._intertwines(R, pairs, 2)
     assert err.value.window == 2
     assert err.value.witness[0].startswith("block")
+
+
+_GENERIC = {
+    "sl2": (6, [F(1), F(1, 2), F(1, 3), F(-1, 4)]),
+    "sl3": (3, [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(2, 3), F(1, 4)]),
+}
+
+
+@pytest.mark.parametrize(
+    "alg, k, tag",
+    [("sl2", 1, "r1:1"), ("sl2", 2, None), ("sl3", 1, None), ("sl3", 2, "r2:b"),
+     ("sl3", 3, None)],
+)
+def test_each_factor_meets_its_first_order_pairs_on_every_certified_column(
+    alg, k, tag
+):
+    """The oracle's pairs, the blocks of L1 + L2 on either side and the side
+    operators, hold for each factor on every column each residual is
+    certified at: down to cap - 1 for sl2 and cap - 2 for sl3, whose lowest
+    blocks raise the height by 1 and 2. A mutated factor fails them with a
+    block witness."""
+    cap, draws = _GENERIC[alg]
+    a, pair, R, slots = verify._exchange(alg, k, cap, draws, None)
+    pairs = verify._first_order(a, pair, *slots) + verify._side_pairs(alg, k, pair)
+    n = 2 if alg == "sl2" else 3
+    sides = verify._FACTORS[alg, k][1](pair)
+    assert [label for label, _, _ in pairs] == [
+        f"block ({i},{j})" for i in range(n) for j in range(n)
+    ] + [None] * len(sides)
+    assert verify._intertwines(R, pairs) == (cap - 1 if alg == "sl2" else cap - 2)
+    if tag is None:
+        return
+    mutate = verify._factor_mutation(parse_mutate(alg, tag), k)
+    _, _, bad, _ = verify._exchange(alg, k, cap, draws, mutate)
+    with pytest.raises(CheckFailed) as err:
+        verify._intertwines(bad, pairs)
+    assert err.value.witness[0].startswith("block (")
+
+
+@pytest.mark.parametrize(
+    "alg, k", [("sl2", 1), ("sl2", 2), ("sl3", 1), ("sl3", 2), ("sl3", 3)]
+)
+def test_the_oracle_solves_the_first_order_and_side_pairs(monkeypatch, alg, k):
+    handed = []
+    monkeypatch.setattr(
+        verify, "_oracle_check", lambda basis, pairs, closed: handed.append(pairs)
+    )
+    cap, draws = _GENERIC[alg]
+    verify._oracle(alg, k, cap, draws, None)
+    a, pair, _, slots = verify._exchange(alg, k, cap, draws, None)
+    pairs = verify._first_order(a, pair, *slots) + verify._side_pairs(alg, k, pair)
+    (got,) = handed
+    assert len(got) == len(pairs)
+    for (A, B), (_, A2, B2) in zip(got, pairs):
+        assert_same_op(A, A2, (alg, k))
+        assert_same_op(B, B2, (alg, k))
 
 
 @pytest.mark.parametrize(
@@ -390,21 +444,19 @@ def test_a_failing_exchange_fails_as_its_whole_products_do(alg, k, cap, tag, dra
     # the check builds its Lax products on window cap - 2 only; the residual
     # of the whole products must fail at the same window with the same witness
     mutate = parse_mutate(alg, tag)
-    pair, R, (L1, L2, L1p, L2p) = verify._exchange(
+    a, pair, R, slots = verify._exchange(
         alg, k, cap, draws, verify._factor_mutation(mutate, k)
     )
+    L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, *slots)
     P, Q = lax_mul(L1, L2), lax_mul(L1p, L2p)
     with pytest.raises(CheckFailed) as whole:
-        residual_rll(R, P, Q, cap - 2)
+        verify._intertwines(R, verify._blocks(P, Q), cap - 2)
     with pytest.raises(CheckFailed) as windowed:
         verify._factor_exchange(alg, k, cap, draws, mutate)
     assert windowed.value.window == whole.value.window == cap - 2
     assert windowed.value.witness == whole.value.witness
     # the fused residual blocks fail as R P - Q R built blockwise does
-    ok, blockwise = lax_is_zero(
-        lax_sub(lax_compose_scalar(R, P, "left"), lax_compose_scalar(R, Q, "right")),
-        cap - 2,
-    )
+    ok, blockwise = lax_is_zero(blockwise_residual(R, P, Q), cap - 2)
     assert not ok and blockwise == whole.value.witness
 
 
@@ -544,6 +596,22 @@ def test_a_failing_spectral_recurrence_is_a_spectral_fail(monkeypatch):
     res = run_check("sl2", "spectral", 4, _SPECTRAL_POINT)
     assert res.status == "fail"
     assert res.witness[0].startswith("spectral recurrence fails at degree 0")
+
+
+def test_the_spectral_check_passes_where_an_eigenvalue_vanishes():
+    """At l1 + l2 + w = -4 the recurrence sends rho_5 and rho_6 to zero.
+    Multiplied out it divides by no eigenvalue and still holds, and the
+    full swap exists there, so the check passes rather than skipping with
+    (-4)_5 = 0."""
+    draws = [F(-15, 4), F(-3, 11), F(-5, 4), F(-14, 11)]
+    res = run_check("sl2", "spectral", 8, draws)
+    assert res.status == "pass" and res.window == 6, res
+    l1, l2, u, v = draws
+    p1, p2 = Sl2Params(l1, u), Sl2Params(l2, v)
+    pair = sl2_pair(8)
+    swap = rhat("sl2", pair, (p1.u1, p1.u2), (p2.u1, p2.u2))
+    rhos = sl2_spectral(compose(pair_swap(pair), swap), l1, l2, u - v, 6)
+    assert all(rhos[:5]) and rhos[5] == rhos[6] == 0
 
 
 # ---------------------------------------------------------------------------
