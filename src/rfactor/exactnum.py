@@ -1,12 +1,11 @@
-"""Exact rational scalars and Pochhammer-symbol machinery.
+"""Exact rational scalars: parsing, rendering and the scalar errors.
 
 Every scalar in the package is a `fractions.Fraction`; no floating point is
-used anywhere in core code. Gamma-function ratios are only ever needed in the
-normalized form Gamma(k+a)/Gamma(k+b) divided by Gamma(a)/Gamma(b), which is a
-finite product of rationals (rising factorials). The extension to negative
-integer shifts k is needed for diagonal stages acting on the negative
-exponents that Laurent flows leave inside a stage list: there the reflection
-through 1/Gamma produces exact zeros.
+used anywhere in core code. Rationals are read from the command line by
+`rat_from_str`, bounded to MAX_DIGITS digits, and written to reports by
+`rat_str`. `PoleAtParameter` is raised where a Gamma-ratio diagonal, a
+finite ratio of rising factorials, meets a vanishing Pochhammer symbol;
+`linop.path_op` evaluates those diagonals.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import re
 from fractions import Fraction
 
 Rat = Fraction
-
-ONE = Fraction(1)
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -50,42 +47,3 @@ def rat_from_str(text: str) -> Rat:
 def rat_str(a: Rat) -> str:
     """Render as 'p/q', or 'p' when the denominator is 1."""
     return str(a)
-
-
-def pochhammer(a: Rat, k: int) -> Rat:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
-    if k < 0:
-        raise ValueError(f"pochhammer length must be nonnegative, got {k}")
-    out = ONE
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def pochhammer_ratio(a: Rat, b: Rat, k: int) -> Rat:
-    """(a)_k / (b)_k for k >= 0."""
-    den = pochhammer(b, k)
-    if den == 0:
-        raise PoleAtParameter(f"({b})_{k} = 0")
-    return pochhammer(a, k) / den
-
-
-def gamma_ratio_shift(a: Rat, b: Rat, k: int) -> Rat:
-    """Gamma(k+a)/Gamma(k+b) normalized so the value at k = 0 is 1.
-
-    For k >= 0 this is pochhammer_ratio(a, b, k). For k < 0 it equals
-    prod_{i=1..|k|} (b-i) / prod_{i=1..|k|} (a-i); a vanishing numerator
-    factor is an exact zero (the 1/Gamma pole wins), a vanishing denominator
-    factor is a genuine pole.
-    """
-    if k >= 0:
-        return pochhammer_ratio(a, b, k)
-    num = ONE
-    den = ONE
-    for i in range(1, -k + 1):
-        num *= b - i
-        den *= a - i
-    if den == 0:
-        raise PoleAtParameter(f"Gamma({a}{k:+d})/Gamma({a}) pole")
-    return num / den
-

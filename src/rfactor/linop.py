@@ -57,9 +57,8 @@ Pochhammer factors, and integer sums of integer key products; a Laurent term
 that does not cancel is then an error of the stage list, raised when the
 table is compiled, and a pole is raised, as the Pochhammer symbol that
 vanishes, for every point whose table needs it; that is the one statement
-of where a factor's poles lie. `run_pipeline` feeds every monomial
-through concrete stages at one point; it is kept as an evaluator independent
-of the tables (the sl2 closed form).
+of where a factor's poles lie. Every Gamma-ratio diagonal in the package,
+the sl2 closed form's included, is evaluated this way.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exactnum import PoleAtParameter, gamma_ratio_shift
+from .exactnum import PoleAtParameter
 from .polyspace import GradedBasis, comb_add_into, comb_mul, comb_pow
 
 NEG_INF = -(10**9)  # shift of an identically zero operator
@@ -637,27 +636,6 @@ def stage_subst(basis, rules):
     return run
 
 
-def stage_euler(basis, var, a, b):
-    """Diagonal stage: multiply by Gamma(n+a)/Gamma(n+b) normalized to 1 at
-    n = 0, where n is the exponent of `var`. Exact on any integer exponent."""
-    cache = {}
-
-    def eig(e):
-        if e not in cache:
-            cache[e] = gamma_ratio_shift(a, b, e)
-        return cache[e]
-
-    def run(comb):
-        out = {}
-        for mono, c in comb.items():
-            v = eig(mono[var]) * c
-            if v:
-                out[mono] = v
-        return out
-
-    return run
-
-
 def stage_laurent(basis, sign, num, den, target):
     """exp(sign * (num/den) * d/d(target)) expanded exactly.
 
@@ -729,7 +707,12 @@ def _output_index(basis, mono, m):
 def run_pipeline(basis, stages):
     """Feed every basis monomial through the stages; the final output must
     lie in the basis again (no Laurent residue, no cap overflow).
-    Height-homogeneous stages only: shift 0."""
+    Height-homogeneous stages only: shift 0.
+
+    It builds no factor: the tests use it as the path tables' reference.
+    It stays in the package because the benchmark's tracer
+    (perfbench/spans.py) looks it up by name for its `linop.pipeline`
+    layer; it can go when that layer does."""
     cols = {}
     for i, mono in enumerate(basis.monomials):
         comb = {mono: Fraction(1)}
@@ -755,8 +738,10 @@ def run_pipeline(basis, stages):
 # path coefficients T and one Gamma-ratio eigenvalue per (stage, exponent).
 
 class Euler(NamedTuple):
-    """Placeholder for stage_euler(basis, var, a, b) in a stage list: each of
-    a and b is a constant or a function of the factor's arguments."""
+    """Placeholder for the diagonal stage that multiplies a monomial by
+    Gamma(n+a)/Gamma(n+b), normalized to 1 at n = 0, where n is the exponent
+    of `var`: each of a and b is a constant or a function of the factor's
+    arguments."""
 
     var: int
     a: object
@@ -837,7 +822,8 @@ def path_table(basis, stage_list):
 
 def _euler_eigenvalues(a, b, exps, cap):
     """({e: N_e}, D) with integer numerators N_e over one positive
-    denominator D, N_e / D = gamma_ratio_shift(a, b, e), for sorted integer
+    denominator D, N_e / D = Gamma(e+a)/Gamma(e+b) normalized to 1 at e = 0
+    (a rising-factorial ratio), for sorted integer
     exps in [-cap, cap], by running integer products outward from e = 0. On
     each side of 0 the running denominator at the outermost exponent is a
     multiple of every inner one; D is the product of the two sides' outermost

@@ -9,18 +9,21 @@ product, the full swap Rhat, is assembled from the factor table in
 certified windows.
 
 A site is labelled by a suffix: `sl2_site(cap, "1")` is C[z1], and the pair
-basis joins sites "1" and "2". Both elementary R-operators are one stage
-list with the sites' roles swapped (`_sl2_swap_stages`).
+basis joins sites "1" and "2". Both elementary R-operators, and both
+conjugations of the closed form, are one stage list (`_sl2_swap_stages`)
+with the sites' roles swapped and Euler parameters of their own.
 
 Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
 generators and the direct and factored Lax matrices at a point are cached
 parts plus parameter times the unit operators 1 and z; and per pair basis
-the path table of each elementary R-operator (`linop.path_table`), so a
-factor at a point costs one Gamma ratio per exponent plus integer sums.
+the path table of each elementary R-operator and of the closed form's two
+conjugations (`linop.path_table`), so a factor at a point costs one Gamma
+ratio per exponent plus integer sums.
 Each form keeps its own term lists, so `lax-factor` still compares three
-formulas. The closed form (`sl2_rhat_closed`) runs its own pipelines at
-every call, so `closed-form` still compares two constructions. The
+formulas. The closed form (`sl2_rhat_closed`) has stage lists of its own,
+with parameters written through the weights rather than the Lax slots, so
+`closed-form` still compares two formulas. The
 generators are stated once, in the table `SL2_GENERATORS` of term lists,
 weight parts and defining matrices: `linop.generators` tabulates them, and
 `rfactor.verify` derives the structure constants and the gl(2) triangle
@@ -55,9 +58,9 @@ from .linop import (
     identity_op,
     int_echelon_nullspace,
     lax_mul,
-    run_pipeline,
+    path_op,
+    path_table,
     scaled_block,
-    stage_euler,
     stage_subst,
     zero_op,
 )
@@ -149,16 +152,16 @@ def sl2_lax_factored(basis, u1, u2):
 # ---------------------------------------------------------------------------
 # R-operators
 
-def _sl2_swap_stages(moved, fixed, b, pair):
-    """Swap of one parameter pair at arguments (u1, _, v2): diagonal
-    (u1 - v2, b(u1, _, v2)) Pochhammer ratios on powers of z_moved - z_fixed
-    for the site labels `moved`, `fixed`, conjugated back to the monomial
-    basis. mutate=(0, k) doubles the diagonal eigenvalue at exponent k."""
+def _sl2_swap_stages(moved, fixed, a, b, pair):
+    """Swap of one parameter pair: diagonal (a, b) Pochhammer ratios, each a
+    function of the factor's arguments, on powers of z_moved - z_fixed for
+    the site labels `moved`, `fixed`, conjugated back to the monomial basis.
+    mutate=(0, k) doubles the diagonal eigenvalue at exponent k."""
     z = pair.var_index("z" + moved)
     em, ef = pair.mono({"z" + moved: 1}), pair.mono({"z" + fixed: 1})
     return (
         stage_subst(pair, {z: {em: 1, ef: 1}}),
-        Euler(z, lambda u1, _, v2: u1 - v2, b),
+        Euler(z, a, b),
         stage_subst(pair, {z: {em: 1, ef: -1}}),
     )
 
@@ -166,33 +169,34 @@ def _sl2_swap_stages(moved, fixed, b, pair):
 # r1 swaps the first parameter pair at (u1, v1, v2): diagonal (u1 - v2, v1 - v2)
 # on powers of z2 - z1. r2 swaps the second at (u1, u2, v2): diagonal
 # (u1 - v2, u1 - u2) on powers of z1 - z2.
-_sl2_r1_stages = partial(_sl2_swap_stages, "2", "1", lambda u1, v1, v2: v1 - v2)
-_sl2_r2_stages = partial(_sl2_swap_stages, "1", "2", lambda u1, u2, v2: u1 - u2)
+_sl2_r1_stages = partial(
+    _sl2_swap_stages, "2", "1", lambda u1, _, v2: u1 - v2, lambda u1, v1, v2: v1 - v2
+)
+_sl2_r2_stages = partial(
+    _sl2_swap_stages, "1", "2", lambda u1, _, v2: u1 - v2, lambda u1, u2, v2: u1 - u2
+)
+
+# The closed form at (l1, l2, w), its parameters written through the weights:
+# diagonal (2 l1, l1+l2-w) on powers of z2 - z1, then (l1+l2+w, 2 l1) on
+# powers of z1 - z2.
+_SL2_CLOSED_STAGES = (
+    partial(
+        _sl2_swap_stages, "2", "1",
+        lambda l1, l2, w: 2 * l1, lambda l1, l2, w: l1 + l2 - w,
+    ),
+    partial(
+        _sl2_swap_stages, "1", "2",
+        lambda l1, l2, w: l1 + l2 + w, lambda l1, l2, w: 2 * l1,
+    ),
+)
 
 
 def sl2_rhat_closed(pair, l1, l2, w):
     """Independent closed form of Rhat as two Gamma-ratio conjugations with
-    parameters written directly through the weights: eigenvalues
-    (2 l1, l1+l2-w) on powers of (z2-z1), then (l1+l2+w, 2 l1) on powers of
-    (z1-z2), where w is the spectral parameter difference."""
-    z1, z2 = pair.var_index("z1"), pair.var_index("z2")
-    e1, e2 = pair.mono({"z1": 1}), pair.mono({"z2": 1})
-    f1 = run_pipeline(
-        pair,
-        [
-            stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(1)}}),
-            stage_euler(pair, z2, 2 * l1, l1 + l2 - w),
-            stage_subst(pair, {z2: {e2: Fraction(1), e1: Fraction(-1)}}),
-        ],
-    )
-    f2 = run_pipeline(
-        pair,
-        [
-            stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(1)}}),
-            stage_euler(pair, z1, l1 + l2 + w, 2 * l1),
-            stage_subst(pair, {z1: {e1: Fraction(1), e2: Fraction(-1)}}),
-        ],
-    )
+    parameters written directly through the weights (`_SL2_CLOSED_STAGES`),
+    where w is the spectral parameter difference: the first conjugation
+    applied after the second, each evaluated from its path table."""
+    f1, f2 = (path_op(path_table(pair, st), (l1, l2, w)) for st in _SL2_CLOSED_STAGES)
     return compose(f1, f2)
 
 

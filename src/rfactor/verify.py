@@ -814,19 +814,17 @@ def _factor_orders(alg, cap, draws, mutate):
 
 
 def _full_swap(alg, cap, draws, mutate):
-    """Rhat L1(t) L2(s) = L1(s) L2(t) Rhat, and its permuted form with
-    R = P Rhat."""
+    """Rhat L1(t) L2(s) = L1(s) L2(t) Rhat. Its permuted form, with
+    R = P Rhat and right-hand side L2 L1, is not tested apart: the site swap
+    P takes L(x, site 2) to L(x, site 1), so that residual is P times this
+    one and vanishes with it."""
     a = _algebra(alg)
     t, s = map(a.slots, a.point(draws))
     pair = a.pair(cap)
     A = rhat(alg, pair, t, s, 1, mutate)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
     w = cap - 2
-    P = lax_mul(L1, L2, w)
-    _intertwines(A, _blocks(P, lax_mul(L1p, L2p, w)), w)
-    # the aux-matrix ordering flips under the site permutation: the right-hand
-    # side is L(s, site 2) L(t, site 1) = L2 L1
-    _intertwines(compose(pair_swap(pair), A), _blocks(P, lax_mul(L2, L1, w)), w)
+    _intertwines(A, _blocks(lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)), w)
     return w, None
 
 

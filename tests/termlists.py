@@ -9,10 +9,18 @@ elementary R-operator the way the checks do, minus their guard.
 `blockwise_residual` builds the Lax residual R P - Q R block by block, the
 unfused reference for `verify._intertwines`, and `vanishing_pochhammer`
 words a pole the way the factors' skips do.
+
+The Fraction Gamma-ratio evaluator is kept here as the path tables'
+reference: `pochhammer`, `pochhammer_ratio` and `gamma_ratio_shift` give
+Gamma(k+a)/Gamma(k+b), normalized to 1 at k = 0, as a finite product of
+rationals for any integer shift k, and `stage_euler` is the diagonal stage
+that applies it, for `linop.run_pipeline`.
 """
 
+from fractions import Fraction
+
 from rfactor import linop
-from rfactor.exactnum import rat_str
+from rfactor.exactnum import PoleAtParameter, rat_str
 from rfactor.linop import (
     LaxOp,
     compose,
@@ -85,3 +93,65 @@ def vanishing_pochhammer(bases, cap):
             if b + j == 0:
                 return f"({rat_str(b)})_{j + 1} = 0"
     return None
+
+
+ONE = Fraction(1)
+
+
+def pochhammer(a, k):
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
+    if k < 0:
+        raise ValueError(f"pochhammer length must be nonnegative, got {k}")
+    out = ONE
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def pochhammer_ratio(a, b, k):
+    """(a)_k / (b)_k for k >= 0."""
+    den = pochhammer(b, k)
+    if den == 0:
+        raise PoleAtParameter(f"({b})_{k} = 0")
+    return pochhammer(a, k) / den
+
+
+def gamma_ratio_shift(a, b, k):
+    """Gamma(k+a)/Gamma(k+b) normalized so the value at k = 0 is 1.
+
+    For k >= 0 this is pochhammer_ratio(a, b, k). For k < 0 it equals
+    prod_{i=1..|k|} (b-i) / prod_{i=1..|k|} (a-i); a vanishing numerator
+    factor is an exact zero (the 1/Gamma pole wins), a vanishing denominator
+    factor is a genuine pole.
+    """
+    if k >= 0:
+        return pochhammer_ratio(a, b, k)
+    num = ONE
+    den = ONE
+    for i in range(1, -k + 1):
+        num *= b - i
+        den *= a - i
+    if den == 0:
+        raise PoleAtParameter(f"Gamma({a}{k:+d})/Gamma({a}) pole")
+    return num / den
+
+
+def stage_euler(basis, var, a, b):
+    """Diagonal stage: multiply by Gamma(n+a)/Gamma(n+b) normalized to 1 at
+    n = 0, where n is the exponent of `var`. Exact on any integer exponent."""
+    cache = {}
+
+    def eig(e):
+        if e not in cache:
+            cache[e] = gamma_ratio_shift(a, b, e)
+        return cache[e]
+
+    def run(comb):
+        out = {}
+        for mono, c in comb.items():
+            v = eig(mono[var]) * c
+            if v:
+                out[mono] = v
+        return out
+
+    return run

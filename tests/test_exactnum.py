@@ -14,12 +14,10 @@ from rfactor.exactnum import (
     MAX_DIGITS,
     DivisionByZero,
     PoleAtParameter,
-    gamma_ratio_shift,
-    pochhammer,
-    pochhammer_ratio,
     rat_from_str,
     rat_str,
 )
+from termlists import gamma_ratio_shift, pochhammer, pochhammer_ratio
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 

@@ -46,7 +46,6 @@ from rfactor.linop import (
     pair_swap,
     rational_op,
     run_pipeline,
-    stage_euler,
     stage_laurent,
     stage_subst,
     zero_op,
@@ -54,6 +53,7 @@ from rfactor.linop import (
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
 from rfactor.sl2core import sl2_lax, sl2_pair
 from rfactor.sl3core import sl3_lax, sl3_pair
+from termlists import stage_euler
 
 
 def zbasis(cap, name="z"):

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfactor import linop
-from rfactor.exactnum import PoleAtParameter, gamma_ratio_shift
+from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     Euler,
     LaurentLeak,
@@ -33,7 +33,6 @@ from rfactor.linop import (
     path_op,
     path_table,
     run_pipeline,
-    stage_euler,
 )
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
 from rfactor.sl3core import (
@@ -52,7 +51,7 @@ from rfactor.verify import (
     SL3_MUTATION_TAGS,
     parse_mutate,
 )
-from termlists import vanishing_pochhammer
+from termlists import gamma_ratio_shift, stage_euler, vanishing_pochhammer
 
 CAPS = {"sl2": 6, "sl3": 3}
 # factor name -> its key (algebra, factor) in the checks' factor table

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from rfactor.exactnum import pochhammer
 from rfactor.linop import (
     LaxOp,
     commutator,
@@ -51,7 +50,13 @@ from rfactor.sl2core import (
 )
 from rfactor import verify
 from rfactor.verify import CheckFailed, rhat
-from termlists import assert_same_op, factor, tabulate, tabulated_columns
+from termlists import (
+    assert_same_op,
+    factor,
+    pochhammer,
+    tabulate,
+    tabulated_columns,
+)
 
 L1, L2, U, V = F(1, 3), F(2, 5), F(7, 11), F(1, 7)
 

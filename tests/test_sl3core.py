@@ -42,7 +42,6 @@ from rfactor.linop import (
     op_sub,
     pair_swap,
     run_pipeline,
-    stage_euler,
     stage_laurent,
     subst_op,
     zero_op,
@@ -67,7 +66,13 @@ from rfactor.sl3core import (
 )
 from rfactor import verify
 from rfactor.verify import CheckFailed, rhat
-from termlists import assert_same_op, factor, tabulate, tabulated_columns
+from termlists import (
+    assert_same_op,
+    factor,
+    stage_euler,
+    tabulate,
+    tabulated_columns,
+)
 
 P1 = Sl3Params(F(1, 2), F(1, 3), F(2))
 P2 = Sl3Params(F(1, 5), F(2, 7), F(0))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfactor import linop, verify
+from rfactor import linop, sl2core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, diffop, generators, identity_op, is_zero, lax_is_zero,
@@ -277,6 +277,20 @@ def test_the_sl2_full_swap_guard_is_the_closed_form_lower_parameters(cap, data):
     sl2_rhat_closed(pair, l1, l2, u - v)
 
 
+def test_a_closed_form_with_one_parameter_moved_fails_the_closed_form_check(
+    monkeypatch,
+):
+    """closed-form compares the factors with a formula of its own: with l1 +
+    l2 - w replaced by l1 + l2 - w + 1 in the closed form alone, the check
+    fails at a generic point where it passes otherwise."""
+    assert run_check("sl2", "closed-form", 4, _POINT).status == "pass"
+    first, second = sl2core._SL2_CLOSED_STAGES
+    moved = partial(first.func, *first.args[:3], lambda l1, l2, w: l1 + l2 - w + 1)
+    monkeypatch.setattr(sl2core, "_SL2_CLOSED_STAGES", (moved, second))
+    res = run_check("sl2", "closed-form", 4, _POINT)
+    assert res.status == "fail", res
+
+
 # ---------------------------------------------------------------------------
 # Charges
 
@@ -477,6 +491,51 @@ def test_lax_products_read_only_on_window_cap_minus_two_stop_there(monkeypatch, 
     for P in products:
         for row in P.blocks:
             assert all(block.certified <= cap - 2 for block in row)
+
+
+def _block_indices(L):
+    return [(i, j) for i in range(L.size) for j in range(L.size)]
+
+
+# algebra -> (cap, a generic point)
+_SWAP_POINTS = {
+    "sl2": (5, [F(1, 3), F(2, 7), F(-3, 5), F(5, 11)]),
+    "sl3": (3, [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(2, 3), F(1, 4)]),
+}
+
+
+@pytest.mark.parametrize(
+    "alg, tag", [("sl2", None), ("sl2", "r1:1"), ("sl3", None), ("sl3", "r2:b")]
+)
+def test_the_permuted_full_swap_residual_is_the_swapped_residual(alg, tag):
+    """The site swap P takes L(x, site 2) to L(x, site 1) and back, so the
+    permuted relation (P Rhat) L1 L2 = L2' L1' (P Rhat) has residual P times
+    that of Rhat L1 L2 = L1' L2' Rhat, and `_full_swap` tests only the
+    latter; this holds for a mutated Rhat as for a true one."""
+    cap, draws = _SWAP_POINTS[alg]
+    a = verify._algebra(alg)
+    t, s = map(a.slots, a.point(draws))
+    pair = a.pair(cap)
+    sigma = pair_swap(pair)
+    w = cap - 2
+    for x in (t, s):
+        L1, L2 = a.lax(pair, *x, "1"), a.lax(pair, *x, "2")
+        for i, j in _block_indices(L1):
+            swapped = compose(sigma, compose(linop.lax_block(L2, i, j), sigma))
+            assert_same_op(swapped, linop.lax_block(L1, i, j), (x, i, j))
+    mutate = None if tag is None else parse_mutate(alg, tag)
+    A = rhat(alg, pair, t, s, 1, mutate)
+    L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, t, s, s, t)
+    P = lax_mul(L1, L2, w)
+    res = blockwise_residual(A, P, lax_mul(L1p, L2p, w))
+    permuted = blockwise_residual(compose(sigma, A), P, lax_mul(L2, L1, w))
+    nonzero = 0
+    for i, j in _block_indices(P):
+        want = compose(sigma, linop.lax_block(res, i, j), upto=w)
+        got = linop.lax_block(permuted, i, j)
+        assert (got.cols, got.den) == (want.cols, want.den), (i, j)
+        nonzero += not is_zero(got, w)[0]
+    assert (nonzero > 0) == (tag is not None)
 
 
 # ---------------------------------------------------------------------------
