@@ -1,9 +1,10 @@
 """Exact sparse linear maps on graded bases, with truncation windows.
 
-A SparseOp stores its action column by column over a GradedBasis, which holds
-every monomial of height <= cap (for a two-site basis: of total height <=
-cap). Since the bases are truncations of infinite modules, equality of stored
-matrices is meaningless by itself; instead every operator carries
+A SparseOp is a linear map of a GradedBasis to itself, stored column by
+column; the basis holds every monomial of height <= cap (for a two-site
+basis: of total height <= cap). Since the bases are truncations of infinite
+modules, equality of stored matrices is meaningless by itself; instead every
+operator carries
 
   shift      -- an upper bound on (output height - input height),
   certified  -- the largest input total height at which the stored action
@@ -38,10 +39,10 @@ its matrix in the defining representation.
 A Lax matrix (`LaxOp`) keeps such a block as its terms ((cached part, 1),
 (cached unit, coefficient), ...), so building one at a point tabulates and
 copies nothing. `lax_mul` makes each product block one `compose_sum` over
-the products of the factors' terms, an intertwining residual R A - B R of
-two blocks is one `compose_sum` over both blocks' terms (`lax_terms`), and
-a block becomes one operator (`lax_block`, an `op_comb`) only where a zero
-test reads it.
+the products of the factors' terms. A relation reads a block through its
+terms (`lax_terms`) too: an intertwining residual R A - B R of two blocks is
+one `compose_sum`, and a difference A - B one `op_comb`, over both blocks'
+terms.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -96,19 +97,14 @@ class DegenerateDecomposition(ValueError):
     """A lowest-weight kernel did not have the expected dimension."""
 
 
-class NotHomogeneous(ValueError):
-    """A substitution rule raises height."""
-
-
 class SparseOp:
     """Column-major integer numerators `cols` ({col: {row: int}}) over the
-    canonical denominator `den`."""
+    canonical denominator `den`: an endomorphism of `domain`."""
 
-    __slots__ = ("domain", "codomain", "cols", "den", "shift", "certified")
+    __slots__ = ("domain", "cols", "den", "shift", "certified")
 
-    def __init__(self, domain, codomain, cols, den, shift, certified):
+    def __init__(self, domain, cols, den, shift, certified):
         self.domain = domain
-        self.codomain = codomain
         self.cols = cols
         self.den = den
         self.shift = shift
@@ -133,7 +129,7 @@ class SparseOp:
         return {r: Fraction(w, den) for r, w in out.items()}
 
 
-def rational_op(domain, codomain, cols, shift, certified):
+def rational_op(domain, cols, shift, certified):
     """The SparseOp of columns {col: {row: nonzero rational}}.
 
     The least common denominator is canonical by itself: a prime power
@@ -141,16 +137,16 @@ def rational_op(domain, codomain, cols, shift, certified):
     that entry's scaled numerator is prime to it. Columns of ints have
     denominator 1 and are kept as they are."""
     if all(type(v) is int for col in cols.values() for v in col.values()):
-        return SparseOp(domain, codomain, cols, 1, shift, certified)
+        return SparseOp(domain, cols, 1, shift, certified)
     den = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
     nums = {
         i: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
         for i, col in cols.items()
     }
-    return SparseOp(domain, codomain, nums, den, shift, certified)
+    return SparseOp(domain, nums, den, shift, certified)
 
 
-def _reduced_op(domain, codomain, cols, den, shift, certified):
+def _reduced_op(domain, cols, den, shift, certified):
     """The SparseOp of integer columns over den, with their common factor
     divided out."""
     g = den
@@ -161,7 +157,7 @@ def _reduced_op(domain, codomain, cols, den, shift, certified):
     if g > 1:
         den //= g
         cols = {i: {r: v // g for r, v in col.items()} for i, col in cols.items()}
-    return SparseOp(domain, codomain, cols, den, shift, certified)
+    return SparseOp(domain, cols, den, shift, certified)
 
 
 def op_from_action(domain, action, shift):
@@ -191,12 +187,11 @@ def op_from_action(domain, action, shift):
             col[j] = c
         if col:
             cols[i] = col
-    return rational_op(domain, domain, cols, shift, certified)
+    return rational_op(domain, cols, shift, certified)
 
 
-def zero_op(domain, codomain=None):
-    cod = codomain if codomain is not None else domain
-    return SparseOp(domain, cod, {}, 1, NEG_INF, cod.cap)
+def zero_op(domain):
+    return SparseOp(domain, {}, 1, NEG_INF, domain.cap)
 
 
 def identity_op(basis):
@@ -223,12 +218,11 @@ def compose_sum(terms, *, upto=None) -> SparseOp:
     live = []
     for a, b, c in terms:
         if dom is None:
-            dom, cod = b.domain, a.codomain
-            certified = cod.cap if upto is None or upto > cod.cap else upto
-        if not (a.domain is b.codomain and b.domain is dom and a.codomain is cod):
-            _require_same(a.domain, b.codomain, "compose")
+            dom = b.domain
+            certified = dom.cap if upto is None or upto > dom.cap else upto
+        if not (a.domain is dom and b.domain is dom):
+            _require_same(a.domain, dom, "compose")
             _require_same(b.domain, dom, "compose")
-            _require_same(a.codomain, cod, "compose")
         if b.shift == NEG_INF or a.shift == NEG_INF:
             continue
         # b sends height h to heights <= h + b.shift, so a must be exact up to
@@ -264,13 +258,13 @@ def compose_sum(terms, *, upto=None) -> SparseOp:
                 cols[i] = out
             else:
                 cols.pop(i, None)
-    return _reduced_op(dom, cod, cols, den, shift, certified)
+    return _reduced_op(dom, cols, den, shift, certified)
 
 
-def compose(a: SparseOp, b: SparseOp, *, upto=None) -> SparseOp:
-    """a after b, certified at min(b.certified, a.certified - b.shift, upto):
-    only those columns are tabulated."""
-    return compose_sum(((a, b, 1),), upto=upto)
+def compose(a: SparseOp, b: SparseOp) -> SparseOp:
+    """a after b, certified at min(b.certified, a.certified - b.shift): only
+    those columns are tabulated."""
+    return compose_sum(((a, b, 1),))
 
 
 def op_comb(terms) -> SparseOp:
@@ -283,10 +277,9 @@ def op_comb(terms) -> SparseOp:
     live = []
     for a, c in terms:
         if dom is None:
-            dom, cod = a.domain, a.codomain
-        elif not (a.domain is dom and a.codomain is cod):
+            dom = a.domain
+        elif a.domain is not dom:
             _require_same(a.domain, dom, "add")
-            _require_same(a.codomain, cod, "add")
         if a.shift > shift:
             shift = a.shift
         if a.certified < certified:
@@ -313,23 +306,20 @@ def op_comb(terms) -> SparseOp:
                     del col[r]
             if not col:
                 del cols[i]
-    return _reduced_op(dom, cod, cols, den, shift, certified)
+    return _reduced_op(dom, cols, den, shift, certified)
 
 
 def op_add(a: SparseOp, b: SparseOp, cb=1) -> SparseOp:
     """a + cb*b for a rational cb. With cb = 0 the result is a, but shift
-    and certification are still those of a sum."""
+    and certification are still those of a sum. No package code calls it:
+    the benchmark's tracer (perfbench/spans.py) looks it up by name."""
     return op_comb(((a, 1), (b, cb)))
-
-
-def op_sub(a, b):
-    return op_add(a, b, -1)
 
 
 def op_scale(a: SparseOp, c) -> SparseOp:
     """c*a for a rational c; the zero operator where c is 0."""
     if not c:
-        return zero_op(a.domain, a.codomain)
+        return zero_op(a.domain)
     return op_comb(((a, c),))
 
 
@@ -351,7 +341,7 @@ def pair_swap(pair: GradedBasis) -> SparseOp:
         i: {pair.index[m[k:] + m[:k]]: 1}
         for i, m in enumerate(pair.monomials)
     }
-    return SparseOp(pair, pair, cols, 1, 0, pair.cap)
+    return SparseOp(pair, cols, 1, 0, pair.cap)
 
 
 def is_zero(op: SparseOp, window: int):
@@ -371,7 +361,7 @@ def is_zero(op: SparseOp, window: int):
             best = i
     if best is None:
         return True, None
-    witness = (dom.mono_str(dom.monomials[best]), op.codomain.comb_str(op.col(best)))
+    witness = (dom.mono_str(dom.monomials[best]), dom.comb_str(op.col(best)))
     return False, witness
 
 
@@ -563,20 +553,13 @@ def diffop(basis, *terms):
     return op_from_action(basis, lambda mono: diffop_apply(tab, mono), shift)
 
 
-def generators(basis, table, weights, suffix=""):
+def generators(basis, table, weights):
     """The generators of `table` ({name: (term list, weight parts, defining
-    matrix)}) on `basis` at `weights`, in table order, on the table's
-    variables + suffix. Each is its cached parameter-free part plus, per
-    weight part (c, mult), the dot product c.weights times the cached unit
-    operator of the variables in mult."""
-    def named(vs):
-        return tuple(v + suffix for v in vs)
-
+    matrix)}) on `basis` at `weights`, in table order. Each is its cached
+    parameter-free part plus, per weight part (c, mult), the dot product
+    c.weights times the cached unit operator of the variables in mult."""
     out = {}
     for name, (free, parts, _) in table.items():
-        if suffix:
-            free = tuple((c, named(mu), named(de)) for c, mu, de in free)
-            parts = tuple((c, named(mu)) for c, mu in parts)
         op = diffop(basis, *free)
         if parts:
             units = (
@@ -672,22 +655,11 @@ def stage_laurent(basis, sign, num, den, target):
 
 def subst_op(basis, rules):
     """Simultaneous substitution as an operator; rules: {var name: {monomial
-    tuple: coeff}}. A replacement may not raise the variable's height, so
-    the operator has shift 0."""
-    by_index = {}
-    shift = 0
-    for name, repl in rules.items():
-        vi = basis.var_index(name)
-        w = basis.weights[vi]
-        for mono in repl:
-            h = basis.height(mono)
-            if h > w:
-                raise NotHomogeneous(
-                    f"replacement term {mono} for {name} raises height"
-                )
-        by_index[vi] = repl
-    st = stage_subst(basis, by_index)
-    return op_from_action(basis, lambda m: st({m: 1}), shift)
+    tuple: coeff}}. A replacement may not raise the variable's height: the
+    operator is tabulated with shift 0, which raises ShiftViolation at the
+    first image that does."""
+    st = stage_subst(basis, {basis.var_index(n): r for n, r in rules.items()})
+    return op_from_action(basis, lambda m: st({m: 1}), 0)
 
 
 def _output_index(basis, mono, m):
@@ -724,7 +696,7 @@ def run_pipeline(basis, stages):
                 col[_output_index(basis, mono, m)] = c
         if col:
             cols[i] = col
-    return rational_op(basis, basis, cols, 0, basis.cap)
+    return rational_op(basis, cols, 0, basis.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +885,7 @@ def path_op(table, args, mutate=None):
                 col[j] = n
         if col:
             cols[i] = col
-    return _reduced_op(basis, basis, cols, den, 0, basis.cap)
+    return _reduced_op(basis, cols, den, 0, basis.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +903,7 @@ def lax_terms(block):
 def scaled_block(op, c):
     """The Lax block c*op; the zero operator where c is 0, as `op_scale`
     gives it."""
-    return ((op, c),) if c else zero_op(op.domain, op.codomain)
+    return ((op, c),) if c else zero_op(op.domain)
 
 
 class LaxOp:
@@ -957,12 +929,6 @@ class LaxOp:
                     raise ShiftViolation(
                         f"Lax block ({i},{j}) declares shift {shift} > {i - j}"
                     )
-
-
-def lax_block(A: LaxOp, i, j) -> SparseOp:
-    """Block (i, j) of A as one operator."""
-    b = A.blocks[i][j]
-    return b if isinstance(b, SparseOp) else op_comb(b)
 
 
 def lax_from_matrix(basis, M):
@@ -1007,34 +973,6 @@ def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
             for i in range(n)
         ]
     )
-
-
-def lax_add(A, B, cb=1):
-    """A + cb*B, each block one `op_comb` over both blocks' terms."""
-    return LaxOp(
-        [
-            [
-                op_comb(
-                    lax_terms(a) + tuple((t, cb * c) for t, c in lax_terms(b))
-                )
-                for a, b in zip(row_a, row_b)
-            ]
-            for row_a, row_b in zip(A.blocks, B.blocks)
-        ]
-    )
-
-
-def lax_sub(A, B):
-    return lax_add(A, B, -1)
-
-
-def lax_is_zero(A: LaxOp, window: int):
-    for i in range(A.size):
-        for j in range(A.size):
-            ok, wit = is_zero(lax_block(A, i, j), window)
-            if not ok:
-                return False, (f"block ({i},{j})", wit[0], wit[1])
-    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,19 @@ turns either outcome into a CheckResult.  Points are drawn from a seeded
 pool, so a report is a pure function of (suite, seed, cap).  Every factor a
 check builds skips itself: `_factor` turns the pole that evaluating its path
 table meets into CheckSkipped, with the Pochhammer symbol that vanishes as
-the reason, and a resample follows.  Every intertwining relation R A = B R
-is tested through `_intertwines` over labelled pairs (A, B): Lax blocks,
-generators or side operators.  The oracle checks re-derive each elementary
-R-operator as the nullspace of its first-order intertwining system, the
-same pairs (`_first_order` and the side pairs), by fraction-free
-elimination and compare the normalized generator with the factor its path
-table gives, entry by entry.
+the reason, and a resample follows.
+
+A check zero-tests in one place, `_vanishes`, which tests a residual on a
+given window or on its own certified height, fails with the relation's
+label in front of the witness and returns the height it tested; a pass
+reports the least such height as its window.  Every relation is a list of
+labelled pairs (label, A, B), A and B operators or Lax blocks: `_equal`
+tests A = B, each difference one `op_comb` over both sides' terms, and
+`_intertwines` tests R A = B R, each residual one `compose_sum`.  The oracle
+checks re-derive each elementary R-operator as the nullspace of its
+first-order intertwining system, the same labelled pairs (`_first_order` and
+the side pairs), by fraction-free elimination and compare the normalized
+generator with the factor its path table gives, entry by entry.
 """
 
 from __future__ import annotations
@@ -41,23 +47,20 @@ from .linop import (
     identity_op,
     int_echelon_nullspace,
     is_zero,
-    lax_add,
     lax_from_gl,
     lax_from_matrix,
-    lax_is_zero,
     lax_mul,
-    lax_sub,
     lax_terms,
     mat_inv,
     mat_mul,
     mat_sub,
     op_comb,
     op_scale,
-    op_sub,
     pair_swap,
     path_op,
     path_table,
     rational_op,
+    scaled_block,
     zero_op,
 )
 from .sl2core import (
@@ -94,10 +97,6 @@ from .sl3core import (
     sl3_site,
     sl3_weights,
 )
-
-
-class NotLowestWeightStable(ValueError):
-    """The operator does not fix the line through the vacuum vector."""
 
 
 class CheckSkipped(Exception):
@@ -178,18 +177,19 @@ def draw_rats(rng: random.Random, k: int):
 
 def lwv_normalize(op: SparseOp):
     """Scale so the vacuum line is fixed with coefficient 1; returns
-    (normalized op, original coefficient)."""
+    (normalized op, original coefficient). An operator that moves the vacuum
+    line fails at its basis' cap."""
     col = op.col(0)
     c = col.get(0, Fraction(0))
     tail = {k: v for k, v in col.items() if k != 0 and v}
     if c == 0 or tail:
         if tail:
             k = min(tail)
-            dom = op.codomain
+            dom = op.domain
             wit = (dom.mono_str(dom.monomials[k]), rat_str(tail[k]))
         else:
             wit = ("1", "0")
-        raise NotLowestWeightStable(wit)
+        raise CheckFailed(op.domain.cap, wit)
     return op_scale(op, 1 / c), c
 
 
@@ -249,8 +249,9 @@ def _vacuous(A, B, fa, fb, blocks):
     return True
 
 
-def intertwiner_oracle(constraints, basis):
-    """Solve X A = B X for all constraint pairs (A, B) simultaneously.
+def intertwiner_oracle(pairs, basis):
+    """Solve X A = B X for all labelled pairs (label, A, B) simultaneously,
+    A and B operators or Lax blocks, each made one operator (`op_comb`).
 
     The unknown X is restricted to the charge-preserving sector (the system
     splits by the row-minus-column charge difference of X, and the operators
@@ -269,7 +270,8 @@ def intertwiner_oracle(constraints, basis):
             for c in blocks[q]:
                 unknowns.append((r, c))
     equations = []
-    for A, B in constraints:
+    for _, A, B in pairs:
+        A, B = op_comb(lax_terms(A)), op_comb(lax_terms(B))
         top = min(A.certified, B.certified)
         # X A = B X over the common denominator A.den * B.den: the numerators
         # of A are scaled by B.den and those of B by A.den
@@ -304,12 +306,12 @@ def _solution_to_op(basis, sol):
     for (r, c), v in sol.items():
         if v:
             cols.setdefault(c, {})[r] = v
-    return rational_op(basis, basis, cols, 0, basis.cap)
+    return rational_op(basis, cols, 0, basis.cap)
 
 
-def _oracle_check(basis, constraints, closed):
+def _oracle_check(basis, pairs, closed):
     """The oracle's one solution and `closed` span the same line."""
-    sols = intertwiner_oracle(constraints, basis)
+    sols = intertwiner_oracle(pairs, basis)
     if not sols:
         raise CheckFailed(basis.cap, ("nullspace", "empty"))
     if len(sols) > 1:
@@ -318,19 +320,21 @@ def _oracle_check(basis, constraints, closed):
 
 
 # ---------------------------------------------------------------------------
-# Relation helpers shared by the check catalog: each raises CheckFailed on
-# the first failure
+# Relation helpers shared by the check catalog. A relation is a list of
+# labelled pairs (label, A, B), A and B operators or Lax blocks; each helper
+# raises CheckFailed on the first pair that fails and returns the least
+# height it tested.
 
-def _zero(op, window):
-    ok, wit = is_zero(op, window)
+def _vanishes(label, res, window=None):
+    """The one zero test of a check: `res` kills every monomial of height
+    <= `window`, or of its own certified height when no window is given.
+    Raises CheckFailed with the label (unless None) in front of the
+    witness; returns the height tested."""
+    h = res.certified if window is None else window
+    ok, wit = is_zero(res, h)
     if not ok:
-        raise CheckFailed(window, wit)
-
-
-def _lax_zero(A, window):
-    ok, wit = lax_is_zero(A, window)
-    if not ok:
-        raise CheckFailed(window, wit)
+        raise CheckFailed(h, wit if label is None else (label, *wit))
+    return h
 
 
 def _blocks(A, B):
@@ -345,25 +349,33 @@ def _blocks(A, B):
 
 
 def _intertwines(R, pairs, window=None):
-    """R A = B R for each (label, A, B) of `pairs`, A and B operators or Lax
-    blocks. Each residual R A - B R is one `compose_sum` over their terms,
-    tabulated up to `window` and zero-tested there, or on its own certified
-    height when no window is given. Raises CheckFailed at the first that
-    fails, its label (unless None) in front of the witness; returns the
-    least height tested."""
-    tested = []
-    for label, A, B in pairs:
-        res = compose_sum(
-            [(R, t, c) for t, c in lax_terms(A)]
-            + [(t, R, -c) for t, c in lax_terms(B)],
-            upto=window,
+    """R A = B R for each pair: the residual R A - B R is one `compose_sum`
+    over both sides' terms, tabulated up to `window`, and `_vanishes`."""
+    return min(
+        _vanishes(
+            label,
+            compose_sum(
+                [(R, t, c) for t, c in lax_terms(A)]
+                + [(t, R, -c) for t, c in lax_terms(B)],
+                upto=window,
+            ),
+            window,
         )
-        h = res.certified if window is None else window
-        ok, wit = is_zero(res, h)
-        if not ok:
-            raise CheckFailed(h, wit if label is None else (label, *wit))
-        tested.append(h)
-    return min(tested)
+        for label, A, B in pairs
+    )
+
+
+def _equal(pairs, window=None):
+    """A = B for each pair: the difference A - B is one `op_comb` over both
+    sides' terms, and `_vanishes`."""
+    return min(
+        _vanishes(
+            label,
+            op_comb(lax_terms(A) + tuple((t, -c) for t, c in lax_terms(B))),
+            window,
+        )
+        for label, A, B in pairs
+    )
 
 
 def _same_line(A, B):
@@ -371,9 +383,7 @@ def _same_line(A, B):
     certified window; returns (that window, A's vacuum coefficient)."""
     a, c = lwv_normalize(A)
     b, _ = lwv_normalize(B)
-    window = min(a.certified, b.certified)
-    _zero(op_sub(a, b), window)
-    return window, c
+    return _equal([(None, a, b)]), c
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +456,8 @@ def _sl3_invariance(cap, draws, mutate):
     a, b, c, m, n, u = draws
     basis = sl3_site(cap)
     fwd, inv = sl3_shift_flows(basis, a, b, c)
-    for left, right in ((fwd, inv), (inv, fwd)):
-        comp = compose(left, right)
-        _zero(op_sub(comp, identity_op(basis)), comp.certified)
+    one = identity_op(basis)
+    inverse = _equal([(None, compose(fwd, inv), one), (None, compose(inv, fwd), one)])
     M = sl3_invariance_matrix(a, b, c)
     L = sl3_lax(basis, *Sl3Params(m, n, u).triple)
     w = cap - 2
@@ -457,7 +466,7 @@ def _sl3_invariance(cap, draws, mutate):
     )
     # M^-1 L M = S^-1 L S on the module side, S = fwd: with inv . fwd = 1
     # tested above, that is S (M^-1 L M) = L S
-    return _intertwines(fwd, _blocks(lhs, L), w), None
+    return min(inverse, _intertwines(fwd, _blocks(lhs, L), w)), None
 
 
 def _sl3_sides_r1(pair):
@@ -509,12 +518,12 @@ def _sl3_global(cap, draws, mutate):
 
 
 def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
-    """The pairs (A, B) with R A = B R that pin the one-site third swap on
-    the x, y, z site `basis`: the generators T21, T23, T12 and T13 at the
+    """The pairs (name, A, B) with R A = B R that pin the one-site third swap
+    on the x, y, z site `basis`: the generators T21, T23, T12 and T13 at the
     weights of (u1, u2, u3) and of (u1, u2, v3)."""
     g = generators(basis, SL3_GENERATORS, sl3_weights(u1, u2, u3))
     h = generators(basis, SL3_GENERATORS, sl3_weights(u1, u2, v3))
-    return [(g[k], h[k]) for k in ("T21", "T23", "T12", "T13")]
+    return [(name, g[name], h[name]) for name in ("T21", "T23", "T12", "T13")]
 
 
 def _sl3_oracle_single(cap, draws, mutate):
@@ -661,12 +670,11 @@ def _commutators(alg, cap, draws, mutate):
     a = _algebra(alg)
     basis = a.site(cap)
     g = generators(basis, a.table, draws)
-    window = cap
-    for x, y, terms in _structure_constants(alg):
-        res = op_sub(commutator(g[x], g[y]), _combination(basis, g, terms))
-        window = min(window, res.certified)
-        _zero(res, res.certified)
-    return window, None
+    pairs = (
+        (None, commutator(g[x], g[y]), _combination(basis, g, terms))
+        for x, y, terms in _structure_constants(alg)
+    )
+    return _equal(pairs), None
 
 
 def _casimirs(alg, cap, draws, mutate):
@@ -675,15 +683,15 @@ def _casimirs(alg, cap, draws, mutate):
     a = _algebra(alg)
     basis = a.site(cap)
     casimirs = a.casimirs(_gl(alg, basis, draws), *draws)
+    one = identity_op(basis)
     window = cap
     for tag, C, expected in casimirs:
         s = op_scalar_part(C)
-        res = op_sub(C, op_scale(identity_op(basis), s))
-        window = min(window, res.certified)
-        _zero(res, res.certified)
+        h = _equal([(None, C, scaled_block(one, s))])
+        window = min(window, h)
         if expected is not None and s != expected:
             wit = (f"{tag} scalar", f"{rat_str(s)} != {rat_str(expected)}")
-            raise CheckFailed(res.certified, wit)
+            raise CheckFailed(h, wit)
     return window, op_scalar_part(casimirs[0][1])
 
 
@@ -695,13 +703,8 @@ def _lax_factor(alg, cap, draws, mutate):
     *weights, u = draws
     slots = a.slots(a.params(*draws))
     direct = a.lax(basis, *slots)
-    window = cap - 2
-    for other in (
-        lax_from_gl(_gl(alg, basis, weights), u),
-        a.lax_factored(basis, *slots),
-    ):
-        _lax_zero(lax_sub(direct, other), window)
-    return window, None
+    others = (lax_from_gl(_gl(alg, basis, weights), u), a.lax_factored(basis, *slots))
+    return min(_equal(_blocks(direct, L), cap - 2) for L in others), None
 
 
 def _factor_args(t, s, k):
@@ -768,9 +771,12 @@ def _exchange_laxes(a, pair, t1, t2, q1, q2):
 def _first_order(a, pair, t, s, q1, q2):
     """The first-order pairs of the exchange of L1(t) L2(s) for
     L1(q1) L2(q2): the blocks of L1(t) + L2(s) against those of
-    L1(q1) + L2(q2)."""
+    L1(q1) + L2(q2), each sum block the two blocks' terms."""
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
-    return _blocks(lax_add(L1, L2), lax_add(L1p, L2p))
+    return [
+        (label, lax_terms(a1) + lax_terms(a2), lax_terms(b1) + lax_terms(b2))
+        for (label, a1, b1), (_, a2, b2) in zip(_blocks(L1, L1p), _blocks(L2, L2p))
+    ]
 
 
 def _side_pairs(alg, k, pair):
@@ -797,9 +803,9 @@ def _factor_exchange(alg, k, cap, draws, mutate):
     a, pair, R, slots = _exchange(alg, k, cap, draws, _factor_mutation(mutate, k))
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, *slots)
     w = cap - 2
-    _intertwines(R, _blocks(lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)), w)
-    _intertwines(R, _side_pairs(alg, k, pair))
-    return w, None
+    P, Q = lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)
+    exchange = _intertwines(R, _blocks(P, Q), w)
+    return min(exchange, _intertwines(R, _side_pairs(alg, k, pair))), None
 
 
 def _factor_orders(alg, cap, draws, mutate):
@@ -824,8 +830,8 @@ def _full_swap(alg, cap, draws, mutate):
     A = rhat(alg, pair, t, s, 1, mutate)
     L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
     w = cap - 2
-    _intertwines(A, _blocks(lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)), w)
-    return w, None
+    P, Q = lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)
+    return _intertwines(A, _blocks(P, Q), w), None
 
 
 def _inverse_scalar(alg, cap, draws, mutate):
@@ -842,7 +848,7 @@ def _oracle(alg, k, cap, draws, mutate):
     compare it with the factor its path table gives."""
     a, pair, R, slots = _exchange(alg, k, cap, draws, None)
     pairs = _first_order(a, pair, *slots) + _side_pairs(alg, k, pair)
-    return _oracle_check(pair, [(A, B) for _, A, B in pairs], R)
+    return _oracle_check(pair, pairs, R)
 
 
 # ---------------------------------------------------------------------------
@@ -989,8 +995,7 @@ class SuiteConfig:
 def run_check(algebra, name, cap, draws, mutate=None):
     """The CheckResult of catalog check (algebra, name) at `draws`: a pass
     with its window and scalar, a skip with its reason, or a fail with its
-    window and witness. An operator that moves the vacuum line fails at
-    window cap."""
+    window and witness."""
     fn, _ = CATALOG[algebra, name]
     params = list(draws)
     try:
@@ -1001,8 +1006,6 @@ def run_check(algebra, name, cap, draws, mutate=None):
         return CheckResult(
             name, params, e.window, "fail", witness=_fmt_witness(e.witness)
         )
-    except NotLowestWeightStable as e:
-        return CheckResult(name, params, cap, "fail", witness=_fmt_witness(e.args[0]))
     return CheckResult(name, params, window, "pass", scalar=scalar)
 
 

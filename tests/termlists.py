@@ -6,9 +6,10 @@ keeps, so a test can compare the per-point operators (cached part plus
 parameter times unit operator) with the whole list. `tabulated_columns`
 counts the columns every tabulation touches. `factor` evaluates an
 elementary R-operator the way the checks do, minus their guard.
-`blockwise_residual` builds the Lax residual R P - Q R block by block, the
-unfused reference for `verify._intertwines`, and `vanishing_pochhammer`
-words a pole the way the factors' skips do.
+`whole_block` makes a Lax block one operator, `blockwise_pairs` builds
+both sides of the Lax relation R P = Q R block by block, the unfused
+reference for `verify._intertwines`, and `vanishing_pochhammer` words a pole
+the way the factors' skips do.
 
 The Fraction Gamma-ratio evaluator is kept here as the path tables'
 reference: `pochhammer`, `pochhammer_ratio` and `gamma_ratio_shift` give
@@ -22,16 +23,15 @@ from fractions import Fraction
 from rfactor import linop
 from rfactor.exactnum import PoleAtParameter, rat_str
 from rfactor.linop import (
-    LaxOp,
     compose,
     diffop_apply,
-    lax_block,
+    lax_terms,
+    op_comb,
     op_from_action,
-    op_sub,
     path_op,
     path_table,
 )
-from rfactor.verify import _FACTORS
+from rfactor.verify import _FACTORS, _blocks
 
 
 def _term(basis, coef, mult=None, der=None):
@@ -72,17 +72,16 @@ def factor(alg, k, basis, *args, mutate=None):
     return path_op(path_table(basis, _FACTORS[alg, k][0]), args, mutate)
 
 
-def blockwise_residual(R, P, Q):
-    """The Lax matrix R P - Q R for an operator R, each block
-    compose(R, P_ij) - compose(Q_ij, R) with both blocks made whole first."""
-    n = P.size
-    return LaxOp([
-        [
-            op_sub(compose(R, lax_block(P, i, j)), compose(lax_block(Q, i, j), R))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ])
+def whole_block(block):
+    """A Lax block as one operator: one `op_comb` over its terms."""
+    return op_comb(lax_terms(block))
+
+
+def blockwise_pairs(R, P, Q):
+    """The labelled pairs (block label, R P_ij, Q_ij R) of the Lax relation
+    R P = Q R for an operator R and Lax products P and Q (`lax_mul`), whose
+    blocks are whole operators: each side one `compose`."""
+    return [(label, compose(R, A), compose(B, R)) for label, A, B in _blocks(P, Q)]
 
 
 def vanishing_pochhammer(bases, cap):

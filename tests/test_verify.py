@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from rfactor import linop, sl2core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
-    LaurentLeak, compose, diffop, generators, identity_op, is_zero, lax_is_zero,
-    lax_mul, op_scale, op_sub, pair_swap, rational_op,
+    LaurentLeak, compose, compose_sum, diffop, generators, identity_op, is_zero,
+    lax_mul, op_add, op_scale, pair_swap, rational_op,
 )
 from rfactor.sl2core import SL2_GENERATORS, Sl2Params, sl2_pair, sl2_site
 from rfactor.sl2core import sl2_lax, sl2_rhat_closed, sl2_spectral
@@ -28,7 +28,6 @@ from rfactor.verify import (
     CheckFailed,
     CheckResult,
     CheckSkipped,
-    NotLowestWeightStable,
     SL2_MUTATION_TAGS,
     SL3_MUTATION_TAGS,
     SuiteConfig,
@@ -46,11 +45,12 @@ from rfactor.verify import (
 )
 from termlists import (
     assert_same_op,
-    blockwise_residual,
+    blockwise_pairs,
     factor,
     tabulate,
     tabulated_columns,
     vanishing_pochhammer,
+    whole_block,
 )
 
 
@@ -77,19 +77,19 @@ def test_lwv_normalize_scales_the_vacuum_coefficient_away():
     basis = sl2_site(3)
     n, c = lwv_normalize(op_scale(identity_op(basis), F(5)))
     assert c == 5
-    assert is_zero(op_sub(n, identity_op(basis)), 3)[0]
+    assert is_zero(op_add(n, identity_op(basis), -1), 3)[0]
 
 
 def test_lwv_normalize_rejects_operators_moving_the_vacuum():
     basis = sl2_site(3)
     z = diffop(basis, (1, ("z",), ()))
-    with pytest.raises(NotLowestWeightStable) as err:
+    with pytest.raises(CheckFailed) as err:
         lwv_normalize(z)
-    assert err.value.args[0] == ("z", "1")
+    assert err.value.args == (3, ("z", "1"))
     d = diffop(basis, (1, (), ("z",)))
-    with pytest.raises(NotLowestWeightStable) as err:
+    with pytest.raises(CheckFailed) as err:
         lwv_normalize(d)
-    assert err.value.args[0] == ("1", "0")
+    assert err.value.args == (3, ("1", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +328,15 @@ def _raising_op(cap, ell):
 
 def test_oracle_unique_solution_is_the_identity():
     basis, sp = _raising_op(4, F(3, 2))
-    sols = intertwiner_oracle([(sp, sp)], basis)
+    sols = intertwiner_oracle([("Sp", sp, sp)], basis)
     assert len(sols) == 1
     n, _ = lwv_normalize(sols[0])
-    assert is_zero(op_sub(n, identity_op(basis)), basis.cap)[0]
+    assert is_zero(op_add(n, identity_op(basis), -1), basis.cap)[0]
 
 
 def test_oracle_scaled_relation_forces_a_geometric_diagonal():
     basis, sp = _raising_op(4, F(3, 2))
-    sols = intertwiner_oracle([(sp, op_scale(sp, F(2)))], basis)
+    sols = intertwiner_oracle([("Sp", sp, op_scale(sp, F(2)))], basis)
     assert len(sols) == 1
     n, _ = lwv_normalize(sols[0])
     for k, h in enumerate(basis.heights):
@@ -345,8 +345,8 @@ def test_oracle_scaled_relation_forces_a_geometric_diagonal():
 
 def test_oracle_contradictory_relations_leave_no_solution():
     basis, sp = _raising_op(4, F(3, 2))
-    constraints = [(sp, sp), (sp, op_scale(sp, F(2)))]
-    assert len(intertwiner_oracle(constraints, basis)) == 0
+    pairs = [("Sp", sp, sp), ("2 Sp", sp, op_scale(sp, F(2)))]
+    assert len(intertwiner_oracle(pairs, basis)) == 0
 
 
 def test_oracle_unconstrained_system_is_degenerate():
@@ -442,9 +442,10 @@ def test_the_oracle_solves_the_first_order_and_side_pairs(monkeypatch, alg, k):
     pairs = verify._first_order(a, pair, *slots) + verify._side_pairs(alg, k, pair)
     (got,) = handed
     assert len(got) == len(pairs)
-    for (A, B), (_, A2, B2) in zip(got, pairs):
-        assert_same_op(A, A2, (alg, k))
-        assert_same_op(B, B2, (alg, k))
+    for (label, A, B), (label2, A2, B2) in zip(got, pairs):
+        assert label == label2
+        assert_same_op(whole_block(A), whole_block(A2), (alg, k))
+        assert_same_op(whole_block(B), whole_block(B2), (alg, k))
 
 
 @pytest.mark.parametrize(
@@ -470,8 +471,9 @@ def test_a_failing_exchange_fails_as_its_whole_products_do(alg, k, cap, tag, dra
     assert windowed.value.window == whole.value.window == cap - 2
     assert windowed.value.witness == whole.value.witness
     # the fused residual blocks fail as R P - Q R built blockwise does
-    ok, blockwise = lax_is_zero(blockwise_residual(R, P, Q), cap - 2)
-    assert not ok and blockwise == whole.value.witness
+    with pytest.raises(CheckFailed) as blockwise:
+        verify._equal(blockwise_pairs(R, P, Q), cap - 2)
+    assert blockwise.value.args == whole.value.args
 
 
 @pytest.mark.parametrize("name", ["3F2", "def3", "sl3-invariance"])
@@ -492,9 +494,6 @@ def test_lax_products_read_only_on_window_cap_minus_two_stop_there(monkeypatch, 
         for row in P.blocks:
             assert all(block.certified <= cap - 2 for block in row)
 
-
-def _block_indices(L):
-    return [(i, j) for i in range(L.size) for j in range(L.size)]
 
 
 # algebra -> (cap, a generic point)
@@ -520,20 +519,20 @@ def test_the_permuted_full_swap_residual_is_the_swapped_residual(alg, tag):
     w = cap - 2
     for x in (t, s):
         L1, L2 = a.lax(pair, *x, "1"), a.lax(pair, *x, "2")
-        for i, j in _block_indices(L1):
-            swapped = compose(sigma, compose(linop.lax_block(L2, i, j), sigma))
-            assert_same_op(swapped, linop.lax_block(L1, i, j), (x, i, j))
+        for label, b1, b2 in verify._blocks(L1, L2):
+            swapped = compose(sigma, compose(whole_block(b2), sigma))
+            assert_same_op(swapped, whole_block(b1), (x, label))
     mutate = None if tag is None else parse_mutate(alg, tag)
     A = rhat(alg, pair, t, s, 1, mutate)
     L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, t, s, s, t)
     P = lax_mul(L1, L2, w)
-    res = blockwise_residual(A, P, lax_mul(L1p, L2p, w))
-    permuted = blockwise_residual(compose(sigma, A), P, lax_mul(L2, L1, w))
+    res = blockwise_pairs(A, P, lax_mul(L1p, L2p, w))
+    permuted = blockwise_pairs(compose(sigma, A), P, lax_mul(L2, L1, w))
     nonzero = 0
-    for i, j in _block_indices(P):
-        want = compose(sigma, linop.lax_block(res, i, j), upto=w)
-        got = linop.lax_block(permuted, i, j)
-        assert (got.cols, got.den) == (want.cols, want.den), (i, j)
+    for (label, *sides), (_, *permuted_sides) in zip(res, permuted):
+        want = compose_sum(((sigma, op_add(*sides, -1), 1),), upto=w)
+        got = op_add(*permuted_sides, -1)
+        assert (got.cols, got.den) == (want.cols, want.den), label
         nonzero += not is_zero(got, w)[0]
     assert (nonzero > 0) == (tag is not None)
 
@@ -591,12 +590,13 @@ def test_run_check_labels_a_mutated_factor_failed_with_a_block_witness():
 
 def test_run_check_fails_a_check_that_moves_the_vacuum_at_the_cap(monkeypatch):
     def moves_the_vacuum(cap, draws, mutate):
-        raise NotLowestWeightStable(("z1", "3/2"))
+        pair = sl2_pair(cap)
+        return verify._same_line(diffop(pair, (1, ("z1",), ())), identity_op(pair))
 
     monkeypatch.setitem(verify.CATALOG, ("sl2", "closed-form"), (moves_the_vacuum, 4))
     res = run_check("sl2", "closed-form", 4, _POINT)
     assert res.status == "fail" and res.window == 4
-    assert res.witness == ("z1", "3/2")
+    assert res.witness == ("z1", "1")
 
 
 def test_a_failing_sl3_invariance_reports_through_the_lax_zero_test(monkeypatch):
@@ -671,6 +671,76 @@ def test_the_spectral_check_passes_where_an_eigenvalue_vanishes():
     swap = rhat("sl2", pair, (p1.u1, p1.u2), (p2.u1, p2.u2))
     rhos = sl2_spectral(compose(pair_swap(pair), swap), l1, l2, u - v, 6)
     assert all(rhos[:5]) and rhos[5] == rhos[6] == 0
+
+
+# ---------------------------------------------------------------------------
+# The window of a pass is the least height its zero tests covered
+
+_WINDOW_CAPS = {"sl2": 8, "sl3": 3}
+
+# (algebra, check) -> the window of its first passing seed-0 instance at the
+# cap above; None for the checks that zero-test no operator
+_PINNED_WINDOWS = {
+    ("sl2", "commutators"): 7,
+    ("sl2", "casimir"): 8,
+    ("sl2", "lax-factor"): 6,
+    ("sl2", "F1"): 6,
+    ("sl2", "F2"): 6,
+    ("sl2", "rfact-orders"): 8,
+    ("sl2", "spectral"): None,
+    ("sl2", "ybe-fundamental"): None,
+    ("sl2", "closed-form"): 8,
+    ("sl2", "global"): 6,
+    ("sl2", "inverse-scalar"): 8,
+    ("sl2", "oracle-r1"): 8,
+    ("sl2", "oracle-r2"): 8,
+    ("sl3", "commutators"): 0,
+    ("sl3", "casimirs"): 1,
+    ("sl3", "findim"): None,
+    ("sl3", "lax-factor3"): 1,
+    ("sl3", "sl3-invariance"): 1,
+    ("sl3", "3F1"): 1,
+    ("sl3", "3F2"): 1,
+    ("sl3", "3F3"): 1,
+    ("sl3", "rfact3-orders"): 3,
+    ("sl3", "def3"): 1,
+    ("sl3", "global3"): 1,
+    ("sl3", "inverse-scalar3"): 3,
+    ("sl3", "oracle-r1"): 3,
+    ("sl3", "oracle-r2"): 3,
+    ("sl3", "oracle-r3"): 3,
+    ("sl3", "oracle-r3-single"): 3,
+}
+
+
+def test_every_sl2_and_sl3_check_has_a_pinned_window():
+    assert set(_PINNED_WINDOWS) == {
+        key for key in verify.CATALOG if key[0] in _WINDOW_CAPS
+    }
+
+
+@pytest.mark.parametrize("alg, name", list(_PINNED_WINDOWS))
+def test_a_pass_reports_the_least_height_its_zero_tests_covered(
+    monkeypatch, alg, name
+):
+    cap = _WINDOW_CAPS[alg]
+    *_, first = run_one(alg, name, 0, cap, 0, None, None)
+    assert first.status == "pass"
+    heights = []
+    real = verify._vanishes
+
+    def recording(label, res, window=None):
+        heights.append(real(label, res, window))
+        return heights[-1]
+
+    monkeypatch.setattr(verify, "_vanishes", recording)
+    res = run_check(alg, name, cap, first.params)
+    assert res.status == "pass"
+    want = _PINNED_WINDOWS[alg, name]
+    if want is None:
+        assert heights == []
+    else:
+        assert res.window == min(heights) == want
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +1004,7 @@ def test_each_coefficient_matrix_maps_back_to_its_generator(alg, weights):
         terms = verify._in_generators(a.table, M)
         assert terms == ((name, 1),)
         op = verify._combination(basis, g, terms)
-        ok, wit = is_zero(op_sub(op, g[name]), g[name].certified)
+        ok, wit = is_zero(op_add(op, g[name], -1), g[name].certified)
         assert ok, (name, wit)
 
 
@@ -1071,7 +1141,8 @@ def test_the_oracle_hands_the_solver_nonempty_rows_of_nonzero_ints(monkeypatch, 
 
 
 def _oracle_r1_system(monkeypatch):
-    """(pair, constraints, closed form) of sl3 oracle-r1 at _ORACLE_POINT."""
+    """(pair, labelled pairs, closed form) of sl3 oracle-r1 at
+    _ORACLE_POINT."""
     calls = []
     check = verify._oracle_check
     monkeypatch.setattr(
@@ -1083,11 +1154,11 @@ def _oracle_r1_system(monkeypatch):
 
 
 def test_a_contradictory_constraint_empties_the_oracle_nullspace_early(monkeypatch):
-    pair, constraints, closed = _oracle_r1_system(monkeypatch)
+    pair, pairs, closed = _oracle_r1_system(monkeypatch)
     one = identity_op(pair)
     solves = _recorded_solves(monkeypatch)
     with pytest.raises(CheckFailed) as failed:
-        verify._oracle_check(pair, constraints + [(one, op_scale(one, F(2)))], closed)
+        verify._oracle_check(pair, pairs + [("2", one, op_scale(one, F(2)))], closed)
     assert failed.value.args == (3, ("nullspace", "empty"))
     ((eqs, _, sols, inserted),) = solves
     assert sols == [] and inserted < sum(1 for eq in eqs if any(eq.values()))
@@ -1162,9 +1233,10 @@ def test_the_r3_single_constraints_match_the_full_term_lists():
         assert len(got) == len(want)
         # the constraints are the generators T21, T23, T12, T13; the
         # reference lists are T21 and the negatives of the other three
-        for k, (g, w, sign) in enumerate(zip(got, want, (1, -1, -1, -1))):
-            assert_same_op(op_scale(g[0], sign), w[0], (pt, k, "A"))
-            assert_same_op(op_scale(g[1], sign), w[1], (pt, k, "B"))
+        assert [name for name, _, _ in got] == ["T21", "T23", "T12", "T13"]
+        for (name, A, B), w, sign in zip(got, want, (1, -1, -1, -1)):
+            assert_same_op(op_scale(A, sign), w[0], (pt, name, "A"))
+            assert_same_op(op_scale(B, sign), w[1], (pt, name, "B"))
 
 
 def test_a_second_oracle_r3_single_point_tabulates_no_column(monkeypatch):
@@ -1180,15 +1252,16 @@ def test_a_second_oracle_r3_single_point_tabulates_no_column(monkeypatch):
     assert sum(cols) == 0
 
 
-def _build_and_drop_rows(constraints, basis):
+def _build_and_drop_rows(pairs, basis):
     """Reference assembly of the oracle's equations: every row of every pair
-    built, the empty ones dropped."""
+    built, each side made whole first, the empty ones dropped."""
     charges = charge_vectors(basis)
     blocks = {}
     for i, q in enumerate(charges):
         blocks.setdefault(q, []).append(i)
     equations = []
-    for A, B in constraints:
+    for _, A, B in pairs:
+        A, B = whole_block(A), whole_block(B)
         top = min(A.certified, B.certified, basis.cap - max(0, A.shift))
         for m in range(len(basis)):
             if basis.heights[m] > top:
@@ -1207,37 +1280,37 @@ def _build_and_drop_rows(constraints, basis):
     return equations
 
 
-def _oracle_equations(monkeypatch, constraints, basis):
+def _oracle_equations(monkeypatch, pairs, basis):
     """The equation list intertwiner_oracle hands its solver (not solved)."""
     handed = []
     monkeypatch.setattr(
         verify, "int_echelon_nullspace", lambda eqs, unknowns: handed.append(eqs) or []
     )
-    intertwiner_oracle(constraints, basis)
+    intertwiner_oracle(pairs, basis)
     (eqs,) = handed
     return eqs
 
 
 def test_vacuous_constraint_pairs_add_no_equations(monkeypatch):
-    pair, constraints, _ = _oracle_r1_system(monkeypatch)
+    pair, pairs, _ = _oracle_r1_system(monkeypatch)
     charges = charge_vectors(pair)
-    eqs = _oracle_equations(monkeypatch, constraints, pair)
-    assert eqs == _build_and_drop_rows(constraints, pair)
+    eqs = _oracle_equations(monkeypatch, pairs, pair)
+    assert eqs == _build_and_drop_rows(pairs, pair)
     # the three diagonal Lax blocks of L1 + L2 and L1' + L2' say nothing
-    lax_rows = [bool(_build_and_drop_rows([ab], pair)) for ab in constraints[:9]]
+    lax_rows = [bool(_build_and_drop_rows([ab], pair)) for ab in pairs[:9]]
     assert lax_rows == [i != j for i in range(3) for j in range(3)]
 
     def diagonal(value):
         cols = {m: {m: value(m)} for m in range(len(pair)) if value(m)}
-        return rational_op(pair, pair, cols, 0, pair.cap)
+        return rational_op(pair, cols, 0, pair.cap)
 
     one = identity_op(pair)
     by_block = diagonal(lambda m: F(charges[m][0] - 3 * charges[m][1], 5))
     assert by_block.cols.keys() != set(range(len(pair)))  # a zero block too
-    more = constraints + [(one, one), (by_block, by_block)]
+    more = pairs + [("1", one, one), ("by block", by_block, by_block)]
     assert _oracle_equations(monkeypatch, more, pair) == eqs
     by_monomial = diagonal(lambda m: F(m + 1))
-    more = constraints + [(by_monomial, by_monomial)]
+    more = pairs + [("by monomial", by_monomial, by_monomial)]
     longer = _oracle_equations(monkeypatch, more, pair)
     assert longer[: len(eqs)] == eqs and len(longer) > len(eqs)
     assert longer == _build_and_drop_rows(more, pair)
