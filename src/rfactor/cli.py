@@ -1,5 +1,10 @@
 """Command-line driver: run verification suites, emit JSON reports.
 
+Each catalog check runs through its algebra's suite command,
+`rfactor sl2|sl3 --check NAME`, the oracle re-derivations (`oracle-r1`, ...)
+and the fundamental Yang-Baxter check (`sl2 --check ybe-fundamental`)
+included; `rfactor report PATH` summarizes a report written with `--out`.
+
 Exit codes: 0 when every non-skipped check passes, 1 when any check fails,
 2 for usage or IO errors and for a basis over the size limit
 (RFACTOR_SIZE_LIMIT, see polyspace).
@@ -13,36 +18,22 @@ import sys
 
 from .exactnum import rat_from_str
 from .polyspace import CapTooLarge
-from .verify import CATALOG, SuiteConfig, parse_mutate, report_to_json, run_suite
-
-# --op values: the catalog's oracle-* checks of each algebra, in catalog order
-ORACLE_OPS = {
-    algebra: tuple(
-        name.removeprefix("oracle-")
-        for alg, name in CATALOG
-        if alg == algebra and name.startswith("oracle-")
-    )
-    for algebra in ("sl2", "sl3")
-}
-
-ORACLE_DEFAULT_CAP = {"sl2": 6, "sl3": 3}
+from .verify import SuiteConfig, parse_mutate, report_to_json, run_suite
 
 
-def _add_common(sp, cap_default, trials_default, select=True, mutate=True):
-    """The run options; --check and --mutate only where they are read."""
+def _add_common(sp, cap_default, trials_default):
+    """The run options of a suite command."""
     sp.add_argument("--cap", type=int, default=cap_default,
                     help="height truncation of the representation spaces")
     sp.add_argument("--trials", type=int, default=trials_default,
                     help="sampled parameter points per check")
     sp.add_argument("--seed", type=int, default=0)
-    if select:
-        sp.add_argument("--check", action="append", metavar="NAME",
-                        help="run only this check (repeatable)")
+    sp.add_argument("--check", action="append", metavar="NAME",
+                    help="run only this check (repeatable)")
     sp.add_argument("--params", metavar="CSV",
                     help="explicit rational parameters, e.g. 1/2,1/3,0,1/5")
-    if mutate:
-        sp.add_argument("--mutate", metavar="TAG",
-                        help="inject an eigenvalue mutation, e.g. r1:1 or r2:b")
+    sp.add_argument("--mutate", metavar="TAG",
+                    help="inject an eigenvalue mutation, e.g. r1:1 or r2:b")
     sp.add_argument("--out", metavar="PATH",
                     help="write the JSON report here instead of stdout")
     sp.add_argument("--jobs", type=int, default=1)
@@ -56,13 +47,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("sl2", help="two-site sl2 suite"), 8, 20)
     _add_common(sub.add_parser("sl3", help="two-site sl3 suite"), 3, 10)
-    _add_common(sub.add_parser("ybe", help="fundamental Yang-Baxter"), 2, 10,
-                mutate=False)
-    orc = sub.add_parser("oracle", help="independent linear-solve comparison")
-    orc.add_argument("--algebra", required=True, choices=("sl2", "sl3"))
-    choices = "; ".join(f"{alg}: {', '.join(ops)}" for alg, ops in ORACLE_OPS.items())
-    orc.add_argument("--op", required=True, help=f"which R-operator ({choices})")
-    _add_common(orc, None, 5, select=False, mutate=False)
     rpt = sub.add_parser("report", help="summarize an existing JSON report")
     rpt.add_argument("path")
     return parser
@@ -76,19 +60,9 @@ def _parse_params(parser, text):
 
 
 def _make_config(parser, args) -> SuiteConfig:
-    if args.command == "oracle":
-        algebra = args.algebra
-        if args.op not in ORACLE_OPS[algebra]:
-            parser.error(
-                f"--op for {algebra} must be one of {ORACLE_OPS[algebra]}"
-            )
-        checks = (f"oracle-{args.op}",)
-        cap = args.cap if args.cap is not None else ORACLE_DEFAULT_CAP[algebra]
-    else:
-        algebra = args.command
-        checks = tuple(args.check) if args.check else ()
-        cap = args.cap
-    if cap < 2:
+    algebra = args.command
+    checks = tuple(args.check) if args.check else ()
+    if args.cap < 2:
         parser.error("--cap must be at least 2")
     if args.trials < 1:
         parser.error("--trials must be positive")
@@ -98,7 +72,7 @@ def _make_config(parser, args) -> SuiteConfig:
     if params is not None and len(checks) != 1:
         parser.error("--params requires exactly one --check")
     mutate = None
-    if getattr(args, "mutate", None):
+    if args.mutate:
         try:
             mutate = parse_mutate(algebra, args.mutate)
         except ValueError as e:
@@ -106,7 +80,7 @@ def _make_config(parser, args) -> SuiteConfig:
     try:
         return SuiteConfig(
             algebra=algebra,
-            cap=cap,
+            cap=args.cap,
             trials=args.trials,
             seed=args.seed,
             checks=checks,

@@ -93,10 +93,6 @@ class WindowBeyondCertified(ValueError):
     """A zero test asked about heights the operator is not exact at."""
 
 
-class DegenerateDecomposition(ValueError):
-    """A lowest-weight kernel did not have the expected dimension."""
-
-
 class SparseOp:
     """Column-major integer numerators `cols` ({col: {row: int}}) over the
     canonical denominator `den`: an endomorphism of `domain`."""

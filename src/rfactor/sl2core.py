@@ -29,6 +29,9 @@ weight parts and defining matrices: `linop.generators` tabulates them, and
 `rfactor.verify` derives the structure constants and the gl(2) triangle
 from the matrices.
 
+The spectral check reads the eigenvalues of P.Rhat on the lowest-weight
+vectors (z1 - z2)^n, written down in closed form (`sl2_spectral`).
+
 The fundamental check applies Yang's R = u + P on (C^d)^3 to basis triples
 in integers (`ybe_fundamental_residual`); no matrix is formed.
 """
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import comb
 
 from .exactnum import Rat
 from .polyspace import (
@@ -49,14 +53,12 @@ from .polyspace import (
     tensor_basis,
 )
 from .linop import (
-    DegenerateDecomposition,
     Euler,
     LaxOp,
     compose,
     compose_sum,
     diffop,
     identity_op,
-    int_echelon_nullspace,
     lax_mul,
     path_op,
     path_table,
@@ -213,29 +215,21 @@ def sl2_spectral(R, l1, l2, w, n_max):
     the sites carry weights l1, l2 and w is the spectral parameter
     difference.
 
-    Returns rhos: rho_n is the eigenvalue on the degree-n kernel vector of
-    the total lowering operator. The recurrence is asserted multiplied out,
+    Returns rhos: rho_n is the eigenvalue on (z1 - z2)^n, which spans the
+    degree-n kernel of the total lowering operator -d/dz1 - d/dz2. The
+    recurrence is asserted multiplied out,
     rho_{n+1} (l1 + l2 - w + n) = -(l1 + l2 + w + n) rho_n, so it divides by
-    nothing and holds wherever R exists. Raises DegenerateDecomposition if a
-    kernel is not one-dimensional and SpectralMismatch where either equation
-    fails.
+    nothing and holds wherever R exists. Raises SpectralMismatch where either
+    equation fails.
     """
     pair = R.domain
-    sm_tot = diffop(pair, (-1, (), ("z1",)), (-1, (), ("z2",)))
     rhos = []
     for n in range(n_max + 1):
-        cols = [i for i, h in enumerate(pair.heights) if h == n]
-        eqs = {}
-        for i in cols:
-            # the equations are homogeneous: numerators over sm_tot.den will do
-            for r, c in sm_tot.cols.get(i, {}).items():
-                eqs.setdefault(r, {})[i] = c
-        sols = int_echelon_nullspace(list(eqs.values()), cols)
-        if len(sols) != 1:
-            raise DegenerateDecomposition(
-                f"degree {n} lowest-weight space has dimension {len(sols)}"
-            )
-        omega = sols[0]
+        omega = {
+            pair.index[pair.mono({"z1": k, "z2": n - k})]:
+                (-1) ** (n - k) * comb(n, k)
+            for k in range(n + 1)
+        }
         image = R.apply_vec(omega)
         pivot = min(omega)
         rho = image.get(pivot, Fraction(0)) / omega[pivot]

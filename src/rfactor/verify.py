@@ -37,7 +37,6 @@ from typing import Callable, NamedTuple
 
 from .exactnum import PoleAtParameter, rat_str
 from .linop import (
-    DegenerateDecomposition,
     SparseOp,
     commutator,
     compose,
@@ -412,7 +411,7 @@ def _sl2_spectral(cap, draws, mutate):
     R = compose(pair_swap(pair), swap)
     try:
         sl2_spectral(R, l1, l2, u - v, n_max)
-    except (DegenerateDecomposition, SpectralMismatch) as e:
+    except SpectralMismatch as e:
         raise CheckFailed(n_max, (str(e), ""))
     return n_max, None
 
@@ -878,8 +877,6 @@ SL3_DEFAULT_CHECKS = (
     "def3",
 )
 
-YBE_DEFAULT_CHECKS = ("ybe-fundamental",)
-
 # (algebra, name) -> (check, number of sampled rationals). A check takes
 # (cap, draws, mutate) and returns (window, scalar or None) on a pass; it
 # raises CheckSkipped at a degenerate point and CheckFailed on a failing
@@ -914,7 +911,6 @@ CATALOG = {
     ("sl3", "oracle-r2"): (partial(_oracle, "sl3", 2), 6),
     ("sl3", "oracle-r3"): (partial(_oracle, "sl3", 3), 6),
     ("sl3", "oracle-r3-single"): (_sl3_oracle_single, 6),
-    ("ybe", "ybe-fundamental"): (_ybe_fundamental, 2),
 }
 
 # the checks that pass a mutation on to the R-operator they build; every
@@ -928,7 +924,6 @@ MUTATION_CHECKS = tuple(
 DEFAULT_CHECKS = {
     "sl2": SL2_DEFAULT_CHECKS,
     "sl3": SL3_DEFAULT_CHECKS,
-    "ybe": YBE_DEFAULT_CHECKS,
 }
 
 SL2_MUTATION_TAGS = ("r1:1", "r1:2", "r2:1", "r2:2")

@@ -81,20 +81,6 @@ def test_explicit_params_run_exactly_the_requested_point():
     assert "PASS  3F2 [1/2, 1/3, 0, 1/5, 1/7, 2/3]" in proc.stdout
 
 
-def test_oracle_subcommand_runs_and_validates_op():
-    proc = run_cli("oracle", "--algebra", "sl2", "--op", "r1",
-                   "--cap", "4", "--trials", "2", "--seed", "1")
-    assert proc.returncode == 0
-    assert "oracle-r1" in proc.stdout
-    assert run_cli("oracle", "--algebra", "sl2", "--op", "r9").returncode == 2
-
-
-def test_ybe_subcommand():
-    proc = run_cli("ybe", "--trials", "2", "--seed", "0")
-    assert proc.returncode == 0
-    assert "ybe-fundamental" in proc.stdout
-
-
 def test_report_subcommand_roundtrip(tmp_path):
     good = tmp_path / "good.json"
     run_cli("sl2", "--cap", "4", "--trials", "1", "--seed", "2",
@@ -149,9 +135,8 @@ def test_report_subcommand_roundtrip(tmp_path):
         ("sl2", "--params", "1,2"),
         ("sl2", "--check", "F1", "--check", "F2", "--params", "1,1,1,1"),
         ("sl2", "--check", "F1", "--mutate", "bogus"),
-        ("ybe", "--mutate", "r1:1"),
-        ("oracle", "--algebra", "sl2", "--op", "r1", "--mutate", "r1:1"),
-        ("oracle", "--algebra", "sl2", "--op", "r1", "--check", "F1"),
+        ("oracle", "--algebra", "sl2", "--op", "r1"),
+        ("ybe",),
         ("sl2", "--check", "F1", "--params", "1e5000,1,1,1", "--cap", "4"),
         ("sl2", "--check", "casimir", "--params", "7" * 4000, "--cap", "2"),
         ("sl2", "--check", "casimir", "--params", ""),

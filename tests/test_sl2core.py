@@ -6,6 +6,7 @@ implementation was written.
 """
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ from rfactor.linop import (
     diffop,
     generators,
     identity_op,
+    int_echelon_nullspace,
     is_zero,
     lax_from_gl,
     lax_from_matrix,
@@ -392,6 +394,27 @@ def test_inverse_is_scalar():
     Q = compose(B, A)
     ok, wit = is_zero(op_add(Q, identity_op(pair), -1), Q.certified)
     assert ok, wit
+
+
+def test_z1_minus_z2_to_the_n_spans_the_lowest_weight_line_of_degree_n():
+    # sl2_spectral writes its eigenvectors (z1 - z2)^n down instead of
+    # solving for them: each is killed by the total lowering operator, whose
+    # degree-n kernel is one-dimensional
+    pair = sl2_pair(8)
+    lower = diffop(pair, (-1, (), ("z1",)), (-1, (), ("z2",)))
+    for n in range(9):
+        omega = {
+            pair.index[pair.mono({"z1": k, "z2": n - k})]:
+                (-1) ** (n - k) * comb(n, k)
+            for k in range(n + 1)
+        }
+        assert lower.apply_vec(omega) == {}, n
+        cols = [i for i, h in enumerate(pair.heights) if h == n]
+        eqs = {}
+        for i in cols:
+            for r, c in lower.cols.get(i, {}).items():
+                eqs.setdefault(r, {})[i] = c
+        assert len(int_echelon_nullspace(list(eqs.values()), cols)) == 1, n
 
 
 def test_spectral_frozen_ratio():

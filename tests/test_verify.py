@@ -619,11 +619,11 @@ def test_a_failing_ybe_residual_reports_its_row_major_first_entry(monkeypatch):
     monkeypatch.setattr(
         verify, "ybe_fundamental_residual", lambda u, v, d: residuals[d]
     )
-    res = run_check("ybe", "ybe-fundamental", 2, [F(1, 2), F(1, 3)])
+    res = run_check("sl2", "ybe-fundamental", 2, [F(1, 2), F(1, 3)])
     assert res.status == "fail" and res.window == 0
     assert res.witness == ("d=2 entry (2,4)", "-5/3")
     residuals[2] = {}
-    res = run_check("ybe", "ybe-fundamental", 2, [F(1, 2), F(1, 3)])
+    res = run_check("sl2", "ybe-fundamental", 2, [F(1, 2), F(1, 3)])
     assert res.witness == ("d=3 entry (0,0)", "7")
 
 
@@ -811,7 +811,8 @@ def test_zero_draw_checks_run_once():
 def test_suite_config_validates_check_names():
     with pytest.raises(KeyError):
         SuiteConfig("sl2", 4, checks=("no-such-check",))
-    assert SuiteConfig("ybe", 2).checks == ("ybe-fundamental",)
+    with pytest.raises(KeyError):
+        SuiteConfig("ybe", 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Covers every catalog check of sl2 at caps 8 and 4 and of sl3 at caps 3 and 4,
 at seeds 0 and 1, the sl2 and sl3 default suites at seeds 3 and 7, every
-mutation tag on its algebra's default suite, and the `ybe` command and every
-`oracle --algebra A --op OP` at their defaults. Each configuration runs
+mutation tag on its algebra's default suite, and every oracle check alone at
+sl2 cap 6 or sl3 cap 3 with 5 trials. Each configuration runs
 in-process through `rfactor.cli.main` with a fresh `--out` file. Prints one
 JSON object, keyed by the space-joined arguments (without `--out`):
 
@@ -34,12 +34,13 @@ import tempfile
 from pathlib import Path
 
 from rfactor import cli
-from rfactor.cli import ORACLE_OPS
 from rfactor.verify import CATALOG, SL2_MUTATION_TAGS, SL3_MUTATION_TAGS
 
 CAPS = {"sl2": (8, 4), "sl3": (3, 4)}
 SEEDS = (0, 1)
 SUITE_SEEDS = (3, 7)
+ORACLE_CAPS = {"sl2": 6, "sl3": 3}
+ORACLE_TRIALS = 5
 
 
 def configurations():
@@ -57,10 +58,10 @@ def configurations():
     for algebra, tags in (("sl2", SL2_MUTATION_TAGS), ("sl3", SL3_MUTATION_TAGS)):
         for tag in tags:
             yield [algebra, "--mutate", tag]
-    yield ["ybe"]
-    for algebra, ops in ORACLE_OPS.items():
-        for op in ops:
-            yield ["oracle", "--algebra", algebra, "--op", op]
+    for algebra, name in CATALOG:
+        if name.startswith("oracle-"):
+            yield [algebra, "--check", name, "--cap", str(ORACLE_CAPS[algebra]),
+                   "--trials", str(ORACLE_TRIALS)]
 
 
 def _sha(data: bytes) -> str:
