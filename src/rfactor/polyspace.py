@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 DEFAULT_SIZE_LIMIT = 50_000
 SIZE_LIMIT_ENV = "RFACTOR_SIZE_LIMIT"
@@ -31,16 +31,20 @@ class NameCollision(ValueError):
     """Tensor factors share a variable name."""
 
 
-@dataclass(frozen=True)
-class VarSpec:
-    """One variable: its name and height weight (>= 1)."""
-
+class _VarFields(NamedTuple):
     name: str
     weight: int = 1
 
-    def __post_init__(self):
-        if self.weight < 1:
-            raise ValueError(f"weight of {self.name} must be >= 1")
+
+class VarSpec(_VarFields):
+    """One variable: its name and height weight (>= 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, weight=1):
+        if weight < 1:
+            raise ValueError(f"weight of {name} must be >= 1")
+        return super().__new__(cls, name, weight)
 
 
 def size_limit() -> int:

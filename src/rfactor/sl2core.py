@@ -38,11 +38,11 @@ in integers (`ybe_fundamental_residual`); no matrix is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import comb
+from typing import NamedTuple
 
 from .exactnum import Rat
 from .polyspace import (
@@ -71,8 +71,7 @@ from .linop import (
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Sl2Params:
+class Sl2Params(NamedTuple):
     """Weight ell and spectral parameter u; the Lax parameter pair is
     (u1, u2) = (u + ell, u - ell)."""
 

@@ -30,8 +30,8 @@ to monomials and tabulate nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import Rat
 from .polyspace import (
@@ -64,8 +64,7 @@ from .linop import (
 THIRD = Fraction(1, 3)
 
 
-@dataclass(frozen=True)
-class Sl3Params:
+class Sl3Params(NamedTuple):
     """Weight (m, n) and spectral parameter u.
 
     The Lax parameter triple is

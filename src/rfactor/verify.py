@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
@@ -115,19 +114,26 @@ class CheckFailed(Exception):
 # ---------------------------------------------------------------------------
 # Check results and report serialization
 
-@dataclass
 class CheckResult:
-    name: str
-    params: list
-    window: int
-    status: str  # "pass" | "fail" | "skipped"
-    witness: tuple | None = None
-    scalar: Fraction | None = None
-    reason: str | None = None
-
-    def __post_init__(self):
-        if self.status == "fail" and self.witness is None:
+    def __init__(
+        self,
+        name: str,
+        params: list,
+        window: int,
+        status: str,  # "pass" | "fail" | "skipped"
+        witness: tuple | None = None,
+        scalar: Fraction | None = None,
+        reason: str | None = None,
+    ):
+        if status == "fail" and witness is None:
             raise ValueError("a failing check must carry a witness")
+        self.name = name
+        self.params = params
+        self.window = window
+        self.status = status
+        self.witness = witness
+        self.scalar = scalar
+        self.reason = reason
 
     def to_json(self):
         out = {
@@ -250,7 +256,8 @@ def _vacuous(A, B, fa, fb, blocks):
 
 def intertwiner_oracle(pairs, basis):
     """Solve X A = B X for all labelled pairs (label, A, B) simultaneously,
-    A and B operators or Lax blocks, each made one operator (`op_comb`).
+    A and B operators, used as they are, or Lax blocks of terms, each made
+    one operator (`op_comb`).
 
     The unknown X is restricted to the charge-preserving sector (the system
     splits by the row-minus-column charge difference of X, and the operators
@@ -270,7 +277,7 @@ def intertwiner_oracle(pairs, basis):
                 unknowns.append((r, c))
     equations = []
     for _, A, B in pairs:
-        A, B = op_comb(lax_terms(A)), op_comb(lax_terms(B))
+        A, B = (X if isinstance(X, SparseOp) else op_comb(X) for X in (A, B))
         top = min(A.certified, B.certified)
         # X A = B X over the common denominator A.den * B.den: the numerators
         # of A are scaled by B.den and those of B by A.den
@@ -949,20 +956,26 @@ def parse_mutate(algebra: str, text: str):
     return (int(fac[1]), "cba".index(which), 1)
 
 
-@dataclass
 class SuiteConfig:
-    algebra: str
-    cap: int
-    trials: int = 10
-    seed: int = 0
-    checks: tuple = ()
-    params: tuple | None = None
-    mutate: tuple | None = None
-    jobs: int = 1
-
-    def __post_init__(self):
-        if not self.checks:
-            self.checks = DEFAULT_CHECKS[self.algebra]
+    def __init__(
+        self,
+        algebra: str,
+        cap: int,
+        trials: int = 10,
+        seed: int = 0,
+        checks: tuple = (),
+        params: tuple | None = None,
+        mutate: tuple | None = None,
+        jobs: int = 1,
+    ):
+        self.algebra = algebra
+        self.cap = cap
+        self.trials = trials
+        self.seed = seed
+        self.checks = checks or DEFAULT_CHECKS[algebra]
+        self.params = params
+        self.mutate = mutate
+        self.jobs = jobs
         for name in self.checks:
             if (self.algebra, name) not in CATALOG:
                 raise KeyError(f"unknown {self.algebra} check {name!r}")

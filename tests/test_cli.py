@@ -213,14 +213,22 @@ def test_report_exit_code_follows_the_statuses_not_the_stored_flag(tmp_path):
     assert "1 failed" in proc.stdout
 
 
-def test_importing_the_cli_leaves_the_process_pool_unimported():
-    # only --jobs > 1 runs a process pool; importing it costs start-up time
-    code = "import sys, rfactor.cli; print('concurrent.futures.process' in sys.modules)"
+def test_importing_the_cli_leaves_the_pool_dataclasses_and_inspect_unimported():
+    # only --jobs > 1 runs a process pool, and the package's value types
+    # need no dataclasses: each of these imports would cost every run
+    # start-up time. Modules loaded before the import, by a site hook say,
+    # do not count.
+    code = (
+        "import json, sys; before = set(sys.modules); import rfactor.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    added = set(json.loads(proc.stdout))
+    assert "rfactor.verify" in added
+    assert not added & {"concurrent.futures.process", "dataclasses", "inspect"}
 
 
 def test_zero_shift_parameter_does_not_crash_sl3_invariance():

@@ -22,6 +22,8 @@ from rfactor.polyspace import (
     mono_mul,
     tensor_basis,
 )
+from rfactor.sl2core import Sl2Params
+from rfactor.sl3core import Sl3Params
 
 SL3_VARS = [VarSpec("x", 1), VarSpec("y", 2), VarSpec("z", 1)]
 
@@ -117,10 +119,30 @@ def test_size_limit_env(monkeypatch):
 def test_varspec_validation():
     with pytest.raises(ValueError):
         VarSpec("x", weight=0)
+    with pytest.raises(ValueError, match="weight of x must be >= 1"):
+        VarSpec("x", 0)
     with pytest.raises(ValueError):
         enumerate_basis(SL3_VARS, -1)
     with pytest.raises(NameCollision):
         enumerate_basis([VarSpec("x"), VarSpec("x")], 2)
+
+
+@pytest.mark.parametrize(
+    "cls,args,field",
+    [
+        (VarSpec, ("y", 2), "weight"),
+        (Sl2Params, (F(1, 2), F(3)), "u"),
+        (Sl3Params, (F(1), F(0), F(1, 3)), "u"),
+    ],
+)
+def test_value_types_are_frozen_and_hashable(cls, args, field):
+    value = cls(*args)
+    with pytest.raises(AttributeError):
+        setattr(value, field, 5)
+    with pytest.raises(AttributeError):
+        value.extra = 5
+    assert hash(value) == hash(cls(*args))
+    assert {value: 1}[cls(*args)] == 1
 
 
 # -- combination helpers -----------------------------------------------------

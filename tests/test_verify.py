@@ -28,7 +28,9 @@ from rfactor.verify import (
     CheckFailed,
     CheckResult,
     CheckSkipped,
+    SL2_DEFAULT_CHECKS,
     SL2_MUTATION_TAGS,
+    SL3_DEFAULT_CHECKS,
     SL3_MUTATION_TAGS,
     SuiteConfig,
     charge_vectors,
@@ -806,6 +808,12 @@ def test_explicit_params_bypass_sampling_but_not_guards():
 def test_zero_draw_checks_run_once():
     out = run_one("sl3", "findim", 0, 3, 0, None, None)
     assert len(out) == 1 and out[0].status == "pass"
+
+
+def test_suite_config_fills_in_the_default_checks():
+    assert SuiteConfig("sl3", 3).checks == SL3_DEFAULT_CHECKS
+    assert SuiteConfig("sl2", 4).checks == SL2_DEFAULT_CHECKS
+    assert SuiteConfig("sl2", 4, checks=("F1",)).checks == ("F1",)
 
 
 def test_suite_config_validates_check_names():
