@@ -46,8 +46,10 @@ terms.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
-from stage lists. Their intermediate terms are combinations over any integer
-exponents, so no basis ever holds a negative power. A path table
+from stage lists. Every stage that does not depend on the point is a
+substitution (`stage_subst`): a Laurent flow exp(+-(n/d) d/dt) is the
+translation t -> t +- n/d. Their intermediate terms are combinations over
+any integer exponents, so no basis ever holds a negative power. A path table
 (`path_table`, cached per basis and stage list) runs the parameter-free
 stages once and keeps the Gamma-ratio diagonals as placeholders; with
 integer substitution rules every path is compiled in ints, seeded with 1,
@@ -615,40 +617,6 @@ def stage_subst(basis, rules):
     return run
 
 
-def stage_laurent(basis, sign, num, den, target):
-    """exp(sign * (num/den) * d/d(target)) expanded exactly.
-
-    On a monomial with target-exponent t >= 0 the series terminates after
-    t+1 terms; each term moves j units of target-exponent onto num and -j
-    onto den, which may go negative: a combination holds any integer
-    exponents, and only the final output must lie in the basis again."""
-
-    def run(comb):
-        out = {}
-        for mono, c in comb.items():
-            t = mono[target]
-            if t < 0:
-                raise LaurentLeak(
-                    f"flow stage needs polynomial {basis.vars[target].name}: {mono}"
-                )
-            m = list(mono)
-            for j in range(t + 1):
-                if j:
-                    m[target] -= 1
-                    m[num] += 1
-                    m[den] -= 1
-                # term j: c (sign num/den)^j C(t, j), in ints for an int c
-                key = tuple(m)
-                w = out.get(key, 0) + c * sign**j * math.comb(t, j)
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
-        return out
-
-    return run
-
-
 def subst_op(basis, rules):
     """Simultaneous substitution as an operator; rules: {var name: {monomial
     tuple: coeff}}. A replacement may not raise the variable's height: the
@@ -698,8 +666,8 @@ def run_pipeline(basis, stages):
 # ---------------------------------------------------------------------------
 # Path tables: a stage list compiled once per basis.
 #
-# A stage list mixes parameter-free stage closures (stage_subst,
-# stage_laurent) with Euler placeholders, whose (a, b) depend on the point.
+# A stage list mixes parameter-free substitution stages (stage_subst) with
+# Euler placeholders, whose (a, b) depend on the point.
 # Compiling runs every basis monomial through the closures once, keeping the
 # paths apart by the exponents the placeholders see: entry (j, i) of the
 # operator is then sum_key T[i][j][key] * prod_s eig_s(key_s), with integer

@@ -8,9 +8,12 @@ R-operators, each a stage list of Gamma-ratio diagonals and Laurent flows
 conjugated into the difference frame by one translation
 g(a, b, c) = exp(c (dz - x dy)) exp(b dy) exp(a dx) of one site's variables
 by the other's (`sl3_translation`, which also gives the numeric shift flows).
+Every stage but the diagonals is a substitution: a Laurent flow
+exp(+-(y/x) dz) is the translation z -> z +- y/x (`_laurent_flow`).
 Intermediate terms may carry negative exponents, but the output is
-certified polynomial. Rhat itself is assembled from the factor table in
-`rfactor.verify`, for sl2 and sl3 alike.
+certified polynomial. Rhat itself, like any product of factors, is
+assembled from the factor table by `rfactor.verify`'s one swap builder, for
+sl2 and sl3 alike.
 
 Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
@@ -55,7 +58,6 @@ from .linop import (
     lax_mul,
     op_comb,
     scaled_block,
-    stage_laurent,
     stage_subst,
     subst_op,
     zero_op,
@@ -382,6 +384,18 @@ def _sl3_frame(pair, names, by):
     )
 
 
+def _laurent_flow(basis, sign, num, den, target):
+    """The Laurent flow exp(sign (num/den) d/d target), variables given by
+    index, as the translation target -> target + sign num/den: a
+    substitution stage, whose images carry negative powers of den that the
+    whole stage list cancels."""
+    unit = [0] * len(basis.vars)
+    ratio = list(unit)
+    unit[target] = ratio[num] = 1
+    ratio[den] = -1
+    return stage_subst(basis, {target: {tuple(unit): 1, tuple(ratio): sign}})
+
+
 def _sl3_r1_stages(pair):
     """First-slot swap u1 <-> v1, at arguments (u1, v1, v2, v3).
 
@@ -397,10 +411,10 @@ def _sl3_r1_stages(pair):
         s1,
         w_bwd,
         Euler(x2, 1, lambda u1, v1, v2, v3: v1 - v2 + 1),
-        stage_laurent(pair, 1, num=y2, den=x2, target=z2),
+        _laurent_flow(pair, 1, num=y2, den=x2, target=z2),
         Euler(y2, lambda u1, v1, v2, v3: u1 - v3 + 1,
               lambda u1, v1, v2, v3: v1 - v3 + 1),
-        stage_laurent(pair, -1, num=y2, den=x2, target=z2),
+        _laurent_flow(pair, -1, num=y2, den=x2, target=z2),
         Euler(x2, lambda u1, v1, v2, v3: u1 - v2 + 1, 1),
         w_fwd,
         s1_inv,
@@ -414,10 +428,10 @@ def _sl3_r2_stages(pair):
     return (
         s2,
         Euler(z2, 1, lambda u1, u2, v2, v3: v2 - v3 + 1),
-        stage_laurent(pair, -1, num=y1, den=z2, target=x1),
+        _laurent_flow(pair, -1, num=y1, den=z2, target=x1),
         Euler(x1, lambda u1, u2, v2, v3: u1 - v2 + 1,
               lambda u1, u2, v2, v3: u1 - u2 + 1),
-        stage_laurent(pair, 1, num=y1, den=z2, target=x1),
+        _laurent_flow(pair, 1, num=y1, den=z2, target=x1),
         Euler(z2, lambda u1, u2, v2, v3: u2 - v3 + 1, 1),
         s2_inv,
     )
@@ -431,10 +445,10 @@ def _sl3_r3_single_stages(basis, suffix=""):
     x, y, z = (basis.var_index(v + suffix) for v in "xyz")
     return (
         Euler(z, 1, lambda u1, u2, u3, v3: u2 - u3 + 1),
-        stage_laurent(basis, -1, num=y, den=z, target=x),
+        _laurent_flow(basis, -1, num=y, den=z, target=x),
         Euler(y, lambda u1, u2, u3, v3: u1 - v3 + 1,
               lambda u1, u2, u3, v3: u1 - u3 + 1),
-        stage_laurent(basis, 1, num=y, den=z, target=x),
+        _laurent_flow(basis, 1, num=y, den=z, target=x),
         Euler(z, lambda u1, u2, u3, v3: u2 - v3 + 1, 1),
     )
 

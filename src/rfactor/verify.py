@@ -16,11 +16,19 @@ label in front of the witness and returns the height it tested; a pass
 reports the least such height as its window.  Every relation is a list of
 labelled pairs (label, A, B), A and B operators or Lax blocks: `_equal`
 tests A = B, each difference one `op_comb` over both sides' terms, and
-`_intertwines` tests R A = B R, each residual one `compose_sum`.  The oracle
-checks re-derive each elementary R-operator as the nullspace of its
-first-order intertwining system, the same labelled pairs (`_first_order` and
-the side pairs), by fraction-free elimination and compare the normalized
-generator with the factor its path table gives, entry by entry.
+`_intertwines` tests R A = B R, each residual one `compose_sum`.
+
+A factor and the full swap are one object: `_swap` builds the product of a
+list of elementary factors from the Lax slot tuples (t, s) and returns the
+slot tuples (t', s') it leaves, with R L1(t) L2(s) = L1(t') L2(s') R.  One
+check, `_exchange`, tests that relation for a single factor (`F1`/`F2`,
+`3F1`-`3F3`, which also commute with their side operators) and for the full
+swap (`global`, `def3`); `rhat`, `global3` and the oracles build their
+operators through `_swap` too.  The oracle checks re-derive each elementary
+R-operator as the nullspace of its first-order intertwining system, the
+same labelled pairs (`_first_order` and the side pairs), by fraction-free
+elimination and compare the normalized generator with the factor its path
+table gives, entry by entry.
 """
 
 from __future__ import annotations
@@ -411,9 +419,8 @@ def _sl2_sides(fixed, pair):
 
 def _sl2_spectral(cap, draws, mutate):
     l1, l2, u, v = draws
-    t, s = map(_sl2_slots, _sl2_point(draws))
+    _, pair, t, s = _point("sl2", cap, draws)
     n_max = min(6, cap - 1)
-    pair = sl2_pair(cap)
     swap = rhat("sl2", pair, t, s)
     R = compose(pair_swap(pair), swap)
     try:
@@ -507,16 +514,11 @@ def _sl3_global(cap, draws, mutate):
     its first-order pairs, the blocks of L1 + L2 at (t, s) to those at the
     slot tuples it leaves, which are the total generators at the shifted
     weights."""
-    a = _algebra("sl3")
-    t, s = map(a.slots, a.point(draws))
-    pair = a.pair(cap)
-    swap = rhat("sl3", pair, t, s)
-    # each factor k at (t, s) and the slot tuples it leaves, then the full swap
-    jobs = []
-    for k in (1, 2, 3):
-        args, q1, q2 = _factor_args(t, s, k)
-        jobs.append((_factor("sl3", k, pair, args), q1, q2))
-    jobs.append((swap, s, t))
+    a, pair, t, s = _point("sl3", cap, draws)
+    # the full swap is built before the single factors and tested after
+    # them: which skip or witness a point reports depends on that order
+    swap = _swap("sl3", pair, t, s, (3, 2, 1))
+    jobs = [_swap("sl3", pair, t, s, (k,)) for k in (1, 2, 3)] + [swap]
     window = min(
         _intertwines(R, _first_order(a, pair, t, s, q1, q2)) for R, q1, q2 in jobs
     )
@@ -722,23 +724,6 @@ def _factor_args(t, s, k):
     return t[:k] + s[j:], t[:j] + s[j:k] + t[k:], s[:j] + t[j:k] + s[k:]
 
 
-def _factor_mutation(mutate, k):
-    """The (Euler stage, exponent) that mutate=(factor, stage, exponent)
-    asks factor k to double, or None."""
-    return mutate[1:] if mutate is not None and mutate[0] == k else None
-
-
-def _swap_factors(t, s, order):
-    """(k, arguments) of the elementary factors of the full swap of
-    the Lax slot tuples t and s, in the order they apply: factors n..1 for
-    order 1 and 1..n for order 2, each taking the slots the factors before
-    it left."""
-    n = len(t)
-    for k in range(n, 0, -1) if order == 1 else range(1, n + 1):
-        args, t, s = _factor_args(t, s, k)
-        yield k, args
-
-
 def _factor(alg, k, basis, args, mutate=None):
     """Factor k of `alg` on `basis`: the path table of its stage list at
     `args`, with the eigenvalue mutation (Euler stage, exponent) `mutate` if
@@ -751,17 +736,39 @@ def _factor(alg, k, basis, args, mutate=None):
         raise CheckSkipped(str(e)) from None
 
 
-def rhat(alg, pair, t, s, order=1, mutate=None):
-    """The full swap Rhat(t | s) on `pair`: the product of the elementary
-    factors in the given order, each composed on the left of the factors
-    already applied. Order 1 is R1 . R2 (. R3), order 2 is (R3 .) R2 . R1.
+def _swap(alg, pair, t, s, factors, mutate=None):
+    """The product R of the elementary `factors` of `alg` on `pair`, from
+    the Lax slot tuples t and s, and the slot tuples it leaves: returns
+    (R, t', s') with R L1(t) L2(s) = L1(t') L2(s') R. The factors apply in
+    the order given, each at `_factor_args` of the slots the factors before
+    it left and composed on the left of them; the mutation
+    (factor, Euler stage, exponent) `mutate` reaches the factor it names.
     Each factor skips itself as it is built, so this raises CheckSkipped
     at the first factor, in the order they apply, that meets a pole."""
-    out = None
-    for k, args in _swap_factors(t, s, order):
-        R = _factor(alg, k, pair, args, _factor_mutation(mutate, k))
-        out = R if out is None else compose(R, out)
-    return out
+    R = None
+    for k in factors:
+        args, t, s = _factor_args(t, s, k)
+        hit = mutate[1:] if mutate is not None and mutate[0] == k else None
+        F = _factor(alg, k, pair, args, hit)
+        R = F if R is None else compose(F, R)
+    return R, t, s
+
+
+def rhat(alg, pair, t, s, order=1, mutate=None):
+    """The full swap Rhat(t | s) on `pair`, the swap of all n factors:
+    order 1 applies factors n..1 and is R1 . R2 (. R3), order 2 applies
+    1..n and is (R3 .) R2 . R1."""
+    n = len(t)
+    factors = range(n, 0, -1) if order == 1 else range(1, n + 1)
+    return _swap(alg, pair, t, s, factors, mutate)[0]
+
+
+def _point(alg, cap, draws):
+    """(algebra descriptor, pair basis at `cap`, t, s): the Lax slot
+    tuples t and s of the two sites at the point of `draws`."""
+    a = _algebra(alg)
+    t, s = map(a.slots, a.point(draws))
+    return a, a.pair(cap), t, s
 
 
 def _exchange_laxes(a, pair, t1, t2, q1, q2):
@@ -791,60 +798,36 @@ def _side_pairs(alg, k, pair):
     return [(None, op, op) for op in _FACTORS[alg, k][1](pair)]
 
 
-def _exchange(alg, k, cap, draws, mutate):
-    """Factor k at the point of `draws`, built on the pair basis with
-    `mutate`, and what it exchanges. Returns (algebra, pair, factor,
-    (t, s, t', s')), the Lax slot tuples taking L1(t) L2(s) to
-    L1(t') L2(s')."""
-    a = _algebra(alg)
-    t, s = map(a.slots, a.point(draws))
-    args, q1, q2 = _factor_args(t, s, k)
-    pair = a.pair(cap)
-    R = _factor(alg, k, pair, args, mutate)
-    return a, pair, R, (t, s, q1, q2)
-
-
-def _factor_exchange(alg, k, cap, draws, mutate):
-    """R_k L1(t) L2(s) = L1(t') L2(s') R_k, plus R_k's side relations."""
-    a, pair, R, slots = _exchange(alg, k, cap, draws, _factor_mutation(mutate, k))
-    L1, L2, L1p, L2p = _exchange_laxes(a, pair, *slots)
+def _exchange(alg, factors, cap, draws, mutate):
+    """R L1(t) L2(s) = L1(t') L2(s') R on window cap - 2 for the product R
+    of `factors` (`_swap`), and for a single factor its side relations.
+    For the full swap (t', s') = (s, t); its permuted form, with R = P Rhat
+    and right-hand side L2 L1, is not tested apart: the site swap P takes
+    L(x, site 2) to L(x, site 1), so that residual is P times this one and
+    vanishes with it."""
+    a, pair, t, s = _point(alg, cap, draws)
+    R, q1, q2 = _swap(alg, pair, t, s, factors, mutate)
+    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
     w = cap - 2
     P, Q = lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)
-    exchange = _intertwines(R, _blocks(P, Q), w)
-    return min(exchange, _intertwines(R, _side_pairs(alg, k, pair))), None
+    window = _intertwines(R, _blocks(P, Q), w)
+    if len(factors) == 1:
+        window = min(window, _intertwines(R, _side_pairs(alg, factors[0], pair)))
+    return window, None
 
 
 def _factor_orders(alg, cap, draws, mutate):
     """Both factorization orders of the full swap agree after lowest-weight
     normalization."""
-    a = _algebra(alg)
-    t, s = map(a.slots, a.point(draws))
-    pair = a.pair(cap)
+    _, pair, t, s = _point(alg, cap, draws)
     return _same_line(
         rhat(alg, pair, t, s, 1, mutate), rhat(alg, pair, t, s, 2, mutate)
     )
 
 
-def _full_swap(alg, cap, draws, mutate):
-    """Rhat L1(t) L2(s) = L1(s) L2(t) Rhat. Its permuted form, with
-    R = P Rhat and right-hand side L2 L1, is not tested apart: the site swap
-    P takes L(x, site 2) to L(x, site 1), so that residual is P times this
-    one and vanishes with it."""
-    a = _algebra(alg)
-    t, s = map(a.slots, a.point(draws))
-    pair = a.pair(cap)
-    A = rhat(alg, pair, t, s, 1, mutate)
-    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, s, t)
-    w = cap - 2
-    P, Q = lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)
-    return _intertwines(A, _blocks(P, Q), w), None
-
-
 def _inverse_scalar(alg, cap, draws, mutate):
     """The reverse swap after the forward one is a scalar."""
-    a = _algebra(alg)
-    t, s = map(a.slots, a.point(draws))
-    pair = a.pair(cap)
+    _, pair, t, s = _point(alg, cap, draws)
     forward = rhat(alg, pair, t, s)
     return _same_line(compose(rhat(alg, pair, s, t), forward), identity_op(pair))
 
@@ -852,8 +835,9 @@ def _inverse_scalar(alg, cap, draws, mutate):
 def _oracle(alg, k, cap, draws, mutate):
     """Re-derive factor k from its exchange and side relations alone and
     compare it with the factor its path table gives."""
-    a, pair, R, slots = _exchange(alg, k, cap, draws, None)
-    pairs = _first_order(a, pair, *slots) + _side_pairs(alg, k, pair)
+    a, pair, t, s = _point(alg, cap, draws)
+    R, q1, q2 = _swap(alg, pair, t, s, (k,))
+    pairs = _first_order(a, pair, t, s, q1, q2) + _side_pairs(alg, k, pair)
     return _oracle_check(pair, pairs, R)
 
 
@@ -892,13 +876,13 @@ CATALOG = {
     ("sl2", "commutators"): (partial(_commutators, "sl2"), 1),
     ("sl2", "casimir"): (partial(_casimirs, "sl2"), 1),
     ("sl2", "lax-factor"): (partial(_lax_factor, "sl2"), 2),
-    ("sl2", "F1"): (partial(_factor_exchange, "sl2", 1), 4),
-    ("sl2", "F2"): (partial(_factor_exchange, "sl2", 2), 4),
+    ("sl2", "F1"): (partial(_exchange, "sl2", (1,)), 4),
+    ("sl2", "F2"): (partial(_exchange, "sl2", (2,)), 4),
     ("sl2", "rfact-orders"): (partial(_factor_orders, "sl2"), 4),
     ("sl2", "spectral"): (_sl2_spectral, 4),
     ("sl2", "ybe-fundamental"): (_ybe_fundamental, 2),
     ("sl2", "closed-form"): (_sl2_closed_form, 4),
-    ("sl2", "global"): (partial(_full_swap, "sl2"), 4),
+    ("sl2", "global"): (partial(_exchange, "sl2", (2, 1)), 4),
     ("sl2", "inverse-scalar"): (partial(_inverse_scalar, "sl2"), 4),
     ("sl2", "oracle-r1"): (partial(_oracle, "sl2", 1), 4),
     ("sl2", "oracle-r2"): (partial(_oracle, "sl2", 2), 4),
@@ -907,11 +891,11 @@ CATALOG = {
     ("sl3", "findim"): (_sl3_findim, 0),
     ("sl3", "lax-factor3"): (partial(_lax_factor, "sl3"), 3),
     ("sl3", "sl3-invariance"): (_sl3_invariance, 6),
-    ("sl3", "3F1"): (partial(_factor_exchange, "sl3", 1), 6),
-    ("sl3", "3F2"): (partial(_factor_exchange, "sl3", 2), 6),
-    ("sl3", "3F3"): (partial(_factor_exchange, "sl3", 3), 6),
+    ("sl3", "3F1"): (partial(_exchange, "sl3", (1,)), 6),
+    ("sl3", "3F2"): (partial(_exchange, "sl3", (2,)), 6),
+    ("sl3", "3F3"): (partial(_exchange, "sl3", (3,)), 6),
     ("sl3", "rfact3-orders"): (partial(_factor_orders, "sl3"), 6),
-    ("sl3", "def3"): (partial(_full_swap, "sl3"), 6),
+    ("sl3", "def3"): (partial(_exchange, "sl3", (3, 2, 1)), 6),
     ("sl3", "global3"): (_sl3_global, 6),
     ("sl3", "inverse-scalar3"): (partial(_inverse_scalar, "sl3"), 6),
     ("sl3", "oracle-r1"): (partial(_oracle, "sl3", 1), 6),
@@ -925,7 +909,7 @@ CATALOG = {
 MUTATION_CHECKS = tuple(
     key
     for key, (fn, _) in CATALOG.items()
-    if getattr(fn, "func", None) in (_factor_exchange, _factor_orders, _full_swap)
+    if getattr(fn, "func", None) in (_exchange, _factor_orders)
 )
 
 DEFAULT_CHECKS = {

@@ -43,14 +43,13 @@ from rfactor.linop import (
     pair_swap,
     rational_op,
     run_pipeline,
-    stage_laurent,
     stage_subst,
     subst_op,
     zero_op,
 )
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
 from rfactor.sl2core import sl2_lax, sl2_pair
-from rfactor.sl3core import sl3_lax, sl3_pair, sl3_site
+from rfactor.sl3core import _laurent_flow, sl3_lax, sl3_pair, sl3_site
 from termlists import stage_euler
 
 
@@ -252,9 +251,10 @@ def test_stage_euler_diagonal_and_pole():
 
 
 def test_stage_laurent_flow():
-    # exp(+(y/z) d/dx) on x: x + y/z ; terminates on x-degree
+    # exp(+(y/z) d/dx) on x: x + y/z, the translation x -> x + y/z as a
+    # substitution stage; terminates on x-degree
     b = enumerate_basis([VarSpec("x"), VarSpec("y", 2), VarSpec("z")], 3)
-    st = stage_laurent(b, 1, num=1, den=2, target=0)
+    st = _laurent_flow(b, 1, num=1, den=2, target=0)
     out = st({(1, 0, 0): F(1)})
     assert out == {(1, 0, 0): F(1), (0, 1, -1): F(1)}
     # binomial coefficients on x^2
@@ -268,7 +268,7 @@ def test_stage_laurent_terms_are_exact_binomials(sign):
     # c sign^j C(t, j) x^(t-j) y^(1+j) z^(2-j): exact for a Fraction c, an
     # int for an int c
     b = enumerate_basis([VarSpec("x"), VarSpec("y", 2), VarSpec("z")], 3)
-    st = stage_laurent(b, sign, num=1, den=2, target=0)
+    st = _laurent_flow(b, sign, num=1, den=2, target=0)
     t = 6
     for c in (F(1, 3), F(-5, 7), 3):
         out = st({(t, 1, 2): c})
@@ -289,7 +289,7 @@ def test_run_pipeline_roundtrip_is_identity():
 
 def test_run_pipeline_detects_laurent_leak():
     b = enumerate_basis([VarSpec("x"), VarSpec("y", 2), VarSpec("z")], 3)
-    st = stage_laurent(b, 1, num=1, den=2, target=0)
+    st = _laurent_flow(b, 1, num=1, den=2, target=0)
     with pytest.raises(LaurentLeak):
         run_pipeline(b, [st])
 

@@ -38,11 +38,11 @@ from rfactor.linop import (
     op_scale,
     pair_swap,
     run_pipeline,
-    stage_laurent,
     subst_op,
     zero_op,
 )
 from rfactor.sl3core import (
+    _laurent_flow,
     _sl3_r1_stages,
     _sl3_r2_stages,
     _sl3_r3_stages,
@@ -772,9 +772,9 @@ def test_single_site_third_factor_reduction():
         site,
         [
             stage_euler(site, z, 1, u2 - u3 + 1),
-            stage_laurent(site, -1, num=y, den=z, target=x),
+            _laurent_flow(site, -1, num=y, den=z, target=x),
             stage_euler(site, y, u1 - v3 + 1, u1 - u3 + 1),
-            stage_laurent(site, 1, num=y, den=z, target=x),
+            _laurent_flow(site, 1, num=y, den=z, target=x),
             stage_euler(site, z, u2 - v3 + 1, 1),
         ],
     )

@@ -413,8 +413,11 @@ def test_each_factor_meets_its_first_order_pairs_on_every_certified_column(
     blocks raise the height by 1 and 2. A mutated factor fails them with a
     block witness."""
     cap, draws = _GENERIC[alg]
-    a, pair, R, slots = verify._exchange(alg, k, cap, draws, None)
-    pairs = verify._first_order(a, pair, *slots) + verify._side_pairs(alg, k, pair)
+    a, pair, t, s = verify._point(alg, cap, draws)
+    R, q1, q2 = verify._swap(alg, pair, t, s, (k,))
+    pairs = verify._first_order(a, pair, t, s, q1, q2) + verify._side_pairs(
+        alg, k, pair
+    )
     n = 2 if alg == "sl2" else 3
     sides = verify._FACTORS[alg, k][1](pair)
     assert [label for label, _, _ in pairs] == [
@@ -423,8 +426,7 @@ def test_each_factor_meets_its_first_order_pairs_on_every_certified_column(
     assert verify._intertwines(R, pairs) == (cap - 1 if alg == "sl2" else cap - 2)
     if tag is None:
         return
-    mutate = verify._factor_mutation(parse_mutate(alg, tag), k)
-    _, _, bad, _ = verify._exchange(alg, k, cap, draws, mutate)
+    bad, _, _ = verify._swap(alg, pair, t, s, (k,), parse_mutate(alg, tag))
     with pytest.raises(CheckFailed) as err:
         verify._intertwines(bad, pairs)
     assert err.value.witness[0].startswith("block (")
@@ -440,8 +442,11 @@ def test_the_oracle_solves_the_first_order_and_side_pairs(monkeypatch, alg, k):
     )
     cap, draws = _GENERIC[alg]
     verify._oracle(alg, k, cap, draws, None)
-    a, pair, _, slots = verify._exchange(alg, k, cap, draws, None)
-    pairs = verify._first_order(a, pair, *slots) + verify._side_pairs(alg, k, pair)
+    a, pair, t, s = verify._point(alg, cap, draws)
+    _, q1, q2 = verify._swap(alg, pair, t, s, (k,))
+    pairs = verify._first_order(a, pair, t, s, q1, q2) + verify._side_pairs(
+        alg, k, pair
+    )
     (got,) = handed
     assert len(got) == len(pairs)
     for (label, A, B), (label2, A2, B2) in zip(got, pairs):
@@ -461,15 +466,14 @@ def test_a_failing_exchange_fails_as_its_whole_products_do(alg, k, cap, tag, dra
     # the check builds its Lax products on window cap - 2 only; the residual
     # of the whole products must fail at the same window with the same witness
     mutate = parse_mutate(alg, tag)
-    a, pair, R, slots = verify._exchange(
-        alg, k, cap, draws, verify._factor_mutation(mutate, k)
-    )
-    L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, *slots)
+    a, pair, t, s = verify._point(alg, cap, draws)
+    R, q1, q2 = verify._swap(alg, pair, t, s, (k,), mutate)
+    L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, t, s, q1, q2)
     P, Q = lax_mul(L1, L2), lax_mul(L1p, L2p)
     with pytest.raises(CheckFailed) as whole:
         verify._intertwines(R, verify._blocks(P, Q), cap - 2)
     with pytest.raises(CheckFailed) as windowed:
-        verify._factor_exchange(alg, k, cap, draws, mutate)
+        verify._exchange(alg, (k,), cap, draws, mutate)
     assert windowed.value.window == whole.value.window == cap - 2
     assert windowed.value.witness == whole.value.witness
     # the fused residual blocks fail as R P - Q R built blockwise does
@@ -511,7 +515,7 @@ _SWAP_POINTS = {
 def test_the_permuted_full_swap_residual_is_the_swapped_residual(alg, tag):
     """The site swap P takes L(x, site 2) to L(x, site 1) and back, so the
     permuted relation (P Rhat) L1 L2 = L2' L1' (P Rhat) has residual P times
-    that of Rhat L1 L2 = L1' L2' Rhat, and `_full_swap` tests only the
+    that of Rhat L1 L2 = L1' L2' Rhat, and `_exchange` tests only the
     latter; this holds for a mutated Rhat as for a true one."""
     cap, draws = _SWAP_POINTS[alg]
     a = verify._algebra(alg)
@@ -715,10 +719,46 @@ _PINNED_WINDOWS = {
 }
 
 
+# (algebra, check) -> how many zero tests that instance makes: an exchange
+# check tests its Lax product blocks and, for a single factor, its side
+# pairs (F1/F2: 4 + 1, 3F1-3F3: 9 + 4), so a check that drops a relation
+# shows here even where the least height stays
+_PINNED_ZERO_TESTS = {
+    ("sl2", "commutators"): 3,
+    ("sl2", "casimir"): 1,
+    ("sl2", "lax-factor"): 8,
+    ("sl2", "F1"): 5,
+    ("sl2", "F2"): 5,
+    ("sl2", "rfact-orders"): 1,
+    ("sl2", "spectral"): 0,
+    ("sl2", "ybe-fundamental"): 0,
+    ("sl2", "closed-form"): 1,
+    ("sl2", "global"): 4,
+    ("sl2", "inverse-scalar"): 1,
+    ("sl2", "oracle-r1"): 1,
+    ("sl2", "oracle-r2"): 1,
+    ("sl3", "commutators"): 28,
+    ("sl3", "casimirs"): 2,
+    ("sl3", "findim"): 0,
+    ("sl3", "lax-factor3"): 18,
+    ("sl3", "sl3-invariance"): 11,
+    ("sl3", "3F1"): 13,
+    ("sl3", "3F2"): 13,
+    ("sl3", "3F3"): 13,
+    ("sl3", "rfact3-orders"): 1,
+    ("sl3", "def3"): 9,
+    ("sl3", "global3"): 36,
+    ("sl3", "inverse-scalar3"): 1,
+    ("sl3", "oracle-r1"): 1,
+    ("sl3", "oracle-r2"): 1,
+    ("sl3", "oracle-r3"): 1,
+    ("sl3", "oracle-r3-single"): 1,
+}
+
+
 def test_every_sl2_and_sl3_check_has_a_pinned_window():
-    assert set(_PINNED_WINDOWS) == {
-        key for key in verify.CATALOG if key[0] in _WINDOW_CAPS
-    }
+    keys = {key for key in verify.CATALOG if key[0] in _WINDOW_CAPS}
+    assert set(_PINNED_WINDOWS) == set(_PINNED_ZERO_TESTS) == keys
 
 
 @pytest.mark.parametrize("alg, name", list(_PINNED_WINDOWS))
@@ -738,6 +778,7 @@ def test_a_pass_reports_the_least_height_its_zero_tests_covered(
     monkeypatch.setattr(verify, "_vanishes", recording)
     res = run_check(alg, name, cap, first.params)
     assert res.status == "pass"
+    assert len(heights) == _PINNED_ZERO_TESTS[alg, name]
     want = _PINNED_WINDOWS[alg, name]
     if want is None:
         assert heights == []

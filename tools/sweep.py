@@ -4,11 +4,16 @@ Covers every catalog check of sl2 at caps 8 and 4 and of sl3 at caps 3 and 4,
 at seeds 0 and 1, the sl2 and sl3 default suites at seeds 3 and 7, every
 mutation tag on its algebra's default suite, and every oracle check alone at
 sl2 cap 6 or sl3 cap 3 with 5 trials. Each configuration runs
-in-process through `rfactor.cli.main` with a fresh `--out` file. Prints one
-JSON object, keyed by the space-joined arguments (without `--out`):
+in-process through `rfactor.cli.main` with a fresh `--out` file. It also
+hashes the compiled path table of every factor stage list (`_FACTORS`) at
+the same caps, so a change to how a stage list is written or compiled that
+moves a table shows even where no report moves. Prints one JSON object,
+keyed by the space-joined arguments (without `--out`) and by
+"path-table ALGEBRA FACTOR --cap CAP":
 
     {argv: [sha256 of the --out bytes, sha256 of stdout, sha256 of stderr,
-            exit code]}
+            exit code],
+     table: [sha256 of repr((exps, keys, cols))]}
 
 The output at the current source is committed as `tests/sweep.golden.json`,
 and `tests/test_sweep.py` re-runs the sweep against it. A change that moves a
@@ -34,7 +39,14 @@ import tempfile
 from pathlib import Path
 
 from rfactor import cli
-from rfactor.verify import CATALOG, SL2_MUTATION_TAGS, SL3_MUTATION_TAGS
+from rfactor.linop import path_table
+from rfactor.verify import (
+    _FACTORS,
+    CATALOG,
+    SL2_MUTATION_TAGS,
+    SL3_MUTATION_TAGS,
+    _algebra,
+)
 
 CAPS = {"sl2": (8, 4), "sl3": (3, 4)}
 SEEDS = (0, 1)
@@ -86,13 +98,30 @@ def run(argv, out: Path):
     ]
 
 
+def path_tables():
+    """{"path-table ALGEBRA FACTOR --cap CAP": [sha of the table]} for every
+    factor stage list at each sweep cap of its algebra, on the pair basis,
+    or on the site basis for the one-site third swap "r3-single"."""
+    out = {}
+    for (algebra, k), (stages, _) in _FACTORS.items():
+        a = _algebra(algebra)
+        for cap in CAPS[algebra]:
+            basis = a.site(cap) if k == "r3-single" else a.pair(cap)
+            table = path_table(basis, stages)
+            data = repr((table.exps, table.keys, table.cols)).encode()
+            out[f"path-table {algebra} {k} --cap {cap}"] = [_sha(data)]
+    return out
+
+
 def sweep(tmp: Path):
     """{space-joined argv: run(argv)} over every configuration, each with
-    its --out file in the directory `tmp`."""
-    return {
+    its --out file in the directory `tmp`, and the path-table hashes."""
+    results = {
         " ".join(argv): run(argv, tmp / f"{i}.json")
         for i, argv in enumerate(configurations())
     }
+    results.update(path_tables())
+    return results
 
 
 def main() -> int:
