@@ -28,7 +28,9 @@ operators through `_swap` too.  The oracle checks re-derive each elementary
 R-operator as the nullspace of its first-order intertwining system, the
 same labelled pairs (`_first_order` and the side pairs), by fraction-free
 elimination and compare the normalized generator with the factor its path
-table gives, entry by entry.
+table gives, entry by entry.  Its unknowns X[r, c] are the ints r * n + c,
+which sort as the pairs (r, c) do, and the charge structure they range over
+is built once per basis.
 """
 
 from __future__ import annotations
@@ -239,11 +241,20 @@ def charge_vectors(basis):
     ]
 
 
-def _charge_blocks(charges):
+@lru_cache(maxsize=16)
+def _charge_structure(basis):
+    """(charges, blocks, unknowns) of `basis`, built once per basis: the
+    charge vector of each monomial, {charge: monomial indices} and the
+    oracle's unknowns X[r, c] with r and c in one block, keyed by the int
+    r * n + c (n = len(basis)), blocks in sorted order, then r, then c.
+    As 0 <= c < n, the keys sort exactly as the pairs (r, c) do."""
+    charges = charge_vectors(basis)
     blocks = {}
     for i, q in enumerate(charges):
         blocks.setdefault(q, []).append(i)
-    return blocks
+    n = len(basis)
+    unknowns = [r * n + c for q in sorted(blocks) for r in blocks[q] for c in blocks[q]]
+    return charges, blocks, unknowns
 
 
 def _vacuous(A, B, fa, fb, blocks):
@@ -270,19 +281,17 @@ def intertwiner_oracle(pairs, basis):
     The unknown X is restricted to the charge-preserving sector (the system
     splits by the row-minus-column charge difference of X, and the operators
     being re-derived are charge-preserving, so that sector is complete).
+    The unknown X[r, c] is the int r * n + c, n = len(basis), listed in
+    (r, c) order within each charge block; the charges, the blocks and the
+    unknown list are built once per basis (`_charge_structure`).
     Equations are imposed on every basis column m with height inside the
     certified windows of A and B. A pair that is diagonal there with one
     value per charge block, the same for A and B, holds for every such X;
     it is skipped, since all its rows would cancel.
     Returns a list of solution operators, one per nullspace dimension.
     """
-    charges = charge_vectors(basis)
-    blocks = _charge_blocks(charges)
-    unknowns = []
-    for q in sorted(blocks):
-        for r in blocks[q]:
-            for c in blocks[q]:
-                unknowns.append((r, c))
+    n = len(basis)
+    charges, blocks, unknowns = _charge_structure(basis)
     equations = []
     for _, A, B in pairs:
         A, B = (X if isinstance(X, SparseOp) else op_comb(X) for X in (A, B))
@@ -293,32 +302,35 @@ def intertwiner_oracle(pairs, basis):
         imposed = [q for q in blocks.values() if basis.heights[q[0]] <= top]
         if _vacuous(A, B, fa, fb, imposed):  # a block has one height
             continue
-        for m in range(len(basis)):
+        for m in range(n):
             if basis.heights[m] > top:
                 continue
-            # row r collects the (r, c) entries of X A and the (rp, m)
-            # entries of B X; for a fixed column m only (r, m) can be both
+            # row r collects the X[r, c] entries of X A and the X[rp, m]
+            # entries of B X; for a fixed column m only X[r, m] can be both
             rows = {}
             for c, a in A.cols.get(m, {}).items():
                 for r in blocks[charges[c]]:
-                    rows.setdefault(r, {})[(r, c)] = a * fa
+                    rows.setdefault(r, {})[r * n + c] = a * fa
             for rp in blocks[charges[m]]:
+                k = rp * n + m
                 for r, b in B.cols.get(rp, {}).items():
                     acc = rows.setdefault(r, {})
-                    v = acc.get((rp, m), 0) - b * fb
+                    v = acc.get(k, 0) - b * fb
                     if v:
-                        acc[(rp, m)] = v
+                        acc[k] = v
                     else:
-                        del acc[(rp, m)]
+                        del acc[k]
             equations.extend(row for row in rows.values() if row)
     sols = int_echelon_nullspace(equations, unknowns)
     return [_solution_to_op(basis, s) for s in sols]
 
 
 def _solution_to_op(basis, sol):
+    n = len(basis)
     cols = {}
-    for (r, c), v in sol.items():
+    for k, v in sol.items():
         if v:
+            r, c = divmod(k, n)
             cols.setdefault(c, {})[r] = v
     return rational_op(basis, cols, 0, basis.cap)
 

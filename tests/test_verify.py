@@ -320,6 +320,27 @@ def test_charge_vectors_sl3_single_variables():
     assert by_mono["z"] == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "make", [partial(sl2_pair, 6), partial(sl3_pair, 3), partial(sl3_site, 3)],
+    ids=["sl2-pair-6", "sl3-pair-3", "sl3-site-3"],
+)
+def test_the_oracle_keys_x_rc_as_r_n_plus_c_in_pair_order(make):
+    """The oracle's unknown X[r, c] is the int r * n + c, listed by sorted
+    charge block, then r, then c; so the keys compare as the pairs do, and
+    the solver's leads and free unknown are those of the pairs."""
+    basis = make()
+    n = len(basis)
+    blocks = {}
+    for i, q in enumerate(charge_vectors(basis)):
+        blocks.setdefault(q, []).append(i)
+    pairs = [(r, c) for q in sorted(blocks) for r in blocks[q] for c in blocks[q]]
+    _, _, unknowns = verify._charge_structure(basis)
+    assert verify._charge_structure(basis)[2] is unknowns  # built once
+    assert [divmod(k, n) for k in unknowns] == pairs
+    by_key = sorted(range(len(unknowns)), key=unknowns.__getitem__)
+    assert by_key == sorted(range(len(pairs)), key=pairs.__getitem__)
+
+
 # ---------------------------------------------------------------------------
 # Intertwining oracle on a one-site toy system
 
@@ -1304,28 +1325,31 @@ def test_a_second_oracle_r3_single_point_tabulates_no_column(monkeypatch):
 
 def _build_and_drop_rows(pairs, basis):
     """Reference assembly of the oracle's equations: every row of every pair
-    built, each side made whole first, the empty ones dropped."""
+    built, each side made whole first, the empty ones dropped. X[r, c] is
+    keyed by r * n + c."""
     charges = charge_vectors(basis)
     blocks = {}
     for i, q in enumerate(charges):
         blocks.setdefault(q, []).append(i)
+    n = len(basis)
     equations = []
     for _, A, B in pairs:
         A, B = whole_block(A), whole_block(B)
         top = min(A.certified, B.certified, basis.cap - max(0, A.shift))
-        for m in range(len(basis)):
+        for m in range(n):
             if basis.heights[m] > top:
                 continue
             rows = {}
             for c, a in A.cols.get(m, {}).items():
                 for r in blocks[charges[c]]:
-                    rows.setdefault(r, {})[(r, c)] = a * B.den
+                    rows.setdefault(r, {})[r * n + c] = a * B.den
             for rp in blocks[charges[m]]:
                 for r, b in B.cols.get(rp, {}).items():
                     acc = rows.setdefault(r, {})
-                    acc[(rp, m)] = acc.get((rp, m), 0) - b * A.den
-                    if not acc[(rp, m)]:
-                        del acc[(rp, m)]
+                    k = rp * n + m
+                    acc[k] = acc.get(k, 0) - b * A.den
+                    if not acc[k]:
+                        del acc[k]
             equations.extend(row for row in rows.values() if row)
     return equations
 
