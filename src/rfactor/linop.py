@@ -321,6 +321,11 @@ def op_scale(a: SparseOp, c) -> SparseOp:
     return op_comb(((a, c),))
 
 
+def op_scalar_part(op):
+    """The coefficient on the lowest-weight vector 1 (basis index 0)."""
+    return op.col(0).get(0, Fraction(0))
+
+
 def commutator(a, b):
     return compose_sum(((a, b, 1), (b, a, -1)))
 

@@ -184,11 +184,6 @@ def sl3_casimirs(T, m, n):
     return [("C2", C2, sum(a * a for a in lam) + 2 * (m + n)), ("C3", C3, None)]
 
 
-def op_scalar_part(op):
-    """The coefficient on the lowest-weight vector 1 (basis index 0)."""
-    return op.col(0).get(0, Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # Finite-dimensional submodules
 

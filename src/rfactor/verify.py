@@ -16,7 +16,10 @@ label in front of the witness and returns the height it tested; a pass
 reports the least such height as its window.  Every relation is a list of
 labelled pairs (label, A, B), A and B operators or Lax blocks: `_equal`
 tests A = B, each difference one `op_comb` over both sides' terms, and
-`_intertwines` tests R A = B R, each residual one `compose_sum`.
+`_intertwines` tests R A = B R, each residual one `compose_sum`.  Two built
+operators are compared as built, entry by entry: the factor orders, the
+reverse swap after the forward one against the identity and the sl2 swap
+against its closed form.
 
 A factor and the full swap are one object: `_swap` builds the product of a
 list of elementary factors from the Lax slot tuples (t, s) and returns the
@@ -27,10 +30,11 @@ swap (`global`, `def3`); `rhat`, `global3` and the oracles build their
 operators through `_swap` too.  The oracle checks re-derive each elementary
 R-operator as the nullspace of its first-order intertwining system, the
 same labelled pairs (`_first_order` and the side pairs), by fraction-free
-elimination and compare the normalized generator with the factor its path
-table gives, entry by entry.  Its unknowns X[r, c] are the ints r * n + c,
-which sort as the pairs (r, c) do, and the charge structure they range over
-is built once per basis.
+elimination, scale the solution by its vacuum entry and compare it with the
+factor its path table gives, entry by entry.  That is the one
+normalization in the catalog: only the solver leaves a scale free.  Its
+unknowns X[r, c] are the ints r * n + c, which sort as the pairs (r, c) do,
+and the charge structure they range over is built once per basis.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .linop import (
     mat_mul,
     mat_sub,
     op_comb,
+    op_scalar_part,
     op_scale,
     pair_swap,
     path_op,
@@ -93,7 +98,6 @@ from .sl3core import (
     _sl3_r3_single_stages,
     SL3_GENERATORS,
     Sl3Params,
-    op_scalar_part,
     sl3_casimirs,
     sl3_findim_dim,
     sl3_findim_module,
@@ -171,7 +175,7 @@ def report_to_json(report) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parameter sampling and lowest-weight normalization
+# Parameter sampling
 
 POOL_NUM = 40
 POOL_DEN = 12
@@ -188,24 +192,6 @@ def draw_rats(rng: random.Random, k: int):
         Fraction(rng.randint(-POOL_NUM, POOL_NUM), rng.randint(1, POOL_DEN))
         for _ in range(k)
     ]
-
-
-def lwv_normalize(op: SparseOp):
-    """Scale so the vacuum line is fixed with coefficient 1; returns
-    (normalized op, original coefficient). An operator that moves the vacuum
-    line fails at its basis' cap."""
-    col = op.col(0)
-    c = col.get(0, Fraction(0))
-    tail = {k: v for k, v in col.items() if k != 0 and v}
-    if c == 0 or tail:
-        if tail:
-            k = min(tail)
-            dom = op.domain
-            wit = (dom.mono_str(dom.monomials[k]), rat_str(tail[k]))
-        else:
-            wit = ("1", "0")
-        raise CheckFailed(op.domain.cap, wit)
-    return op_scale(op, 1 / c), c
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +322,20 @@ def _solution_to_op(basis, sol):
 
 
 def _oracle_check(basis, pairs, closed):
-    """The oracle's one solution and `closed` span the same line."""
+    """The oracle's one solution, scaled by its vacuum entry c, equals
+    `closed`, whose vacuum entry is 1 as built; returns (the window, c).
+    This is the one check that normalizes, since only the solver leaves a
+    scale free. A solution that kills the vacuum fails at the cap; the
+    vacuum is alone in its charge block, so no solution moves it."""
     sols = intertwiner_oracle(pairs, basis)
     if not sols:
         raise CheckFailed(basis.cap, ("nullspace", "empty"))
     if len(sols) > 1:
         raise CheckSkipped(f"nullspace dimension {len(sols)}")
-    return _same_line(sols[0], closed)
+    c = op_scalar_part(sols[0])
+    if c == 0:
+        raise CheckFailed(basis.cap, ("1", "0"))
+    return _equal([(None, op_scale(sols[0], 1 / c), closed)]), c
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +397,6 @@ def _equal(pairs, window=None):
     )
 
 
-def _same_line(A, B):
-    """A and B agree after lowest-weight normalization on their common
-    certified window; returns (that window, A's vacuum coefficient)."""
-    a, c = lwv_normalize(A)
-    b, _ = lwv_normalize(B)
-    return _equal([(None, a, b)]), c
-
-
 # ---------------------------------------------------------------------------
 # sl2 checks
 
@@ -453,11 +438,10 @@ def _ybe_fundamental(cap, draws, mutate):
 
 
 def _sl2_closed_form(cap, draws, mutate):
-    p1, p2 = _sl2_point(draws)
-    l1, l2, w = p1.ell, p2.ell, p1.u - p2.u
-    t, s = _sl2_slots(p1), _sl2_slots(p2)
-    pair = sl2_pair(cap)
-    return _same_line(rhat("sl2", pair, t, s), sl2_rhat_closed(pair, l1, l2, w))
+    l1, l2, u, v = draws
+    _, pair, t, s = _point("sl2", cap, draws)
+    R = rhat("sl2", pair, t, s)
+    return _equal([(None, R, sl2_rhat_closed(pair, l1, l2, u - v))]), op_scalar_part(R)
 
 
 # ---------------------------------------------------------------------------
@@ -829,19 +813,20 @@ def _exchange(alg, factors, cap, draws, mutate):
 
 
 def _factor_orders(alg, cap, draws, mutate):
-    """Both factorization orders of the full swap agree after lowest-weight
-    normalization."""
+    """Both factorization orders of the full swap are equal, entry by
+    entry; reports the first order's vacuum coefficient."""
     _, pair, t, s = _point(alg, cap, draws)
-    return _same_line(
-        rhat(alg, pair, t, s, 1, mutate), rhat(alg, pair, t, s, 2, mutate)
-    )
+    R = rhat(alg, pair, t, s, 1, mutate)
+    return _equal([(None, R, rhat(alg, pair, t, s, 2, mutate))]), op_scalar_part(R)
 
 
 def _inverse_scalar(alg, cap, draws, mutate):
-    """The reverse swap after the forward one is a scalar."""
+    """The reverse swap after the forward one is the identity, entry by
+    entry; reports its vacuum coefficient."""
     _, pair, t, s = _point(alg, cap, draws)
     forward = rhat(alg, pair, t, s)
-    return _same_line(compose(rhat(alg, pair, s, t), forward), identity_op(pair))
+    R = compose(rhat(alg, pair, s, t), forward)
+    return _equal([(None, R, identity_op(pair))]), op_scalar_part(R)
 
 
 def _oracle(alg, k, cap, draws, mutate):

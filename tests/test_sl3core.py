@@ -35,6 +35,7 @@ from rfactor.linop import (
     lax_mul,
     mat_inv,
     op_add,
+    op_scalar_part,
     op_scale,
     pair_swap,
     run_pipeline,
@@ -58,7 +59,6 @@ from rfactor.sl3core import (
     sl3_shift_flows,
     sl3_site,
     sl3_weights,
-    op_scalar_part,
 )
 from rfactor import verify
 from rfactor.verify import CheckFailed, rhat

@@ -17,7 +17,7 @@ from rfactor import linop, sl2core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, compose_sum, diffop, generators, identity_op, is_zero,
-    lax_mul, op_add, op_scale, pair_swap, rational_op,
+    lax_mul, op_add, op_scalar_part, op_scale, pair_swap, rational_op,
 )
 from rfactor.sl2core import SL2_GENERATORS, Sl2Params, sl2_pair, sl2_site
 from rfactor.sl2core import sl2_lax, sl2_rhat_closed, sl2_spectral
@@ -37,7 +37,6 @@ from rfactor.verify import (
     check_rng,
     draw_rats,
     intertwiner_oracle,
-    lwv_normalize,
     parse_mutate,
     report_to_json,
     rhat,
@@ -73,25 +72,6 @@ def test_draw_rats_stays_in_the_pool():
     assert all(isinstance(v, F) for v in vals)
     assert all(abs(v) <= 40 for v in vals)
     assert all(v.denominator <= 12 for v in vals)
-
-
-def test_lwv_normalize_scales_the_vacuum_coefficient_away():
-    basis = sl2_site(3)
-    n, c = lwv_normalize(op_scale(identity_op(basis), F(5)))
-    assert c == 5
-    assert is_zero(op_add(n, identity_op(basis), -1), 3)[0]
-
-
-def test_lwv_normalize_rejects_operators_moving_the_vacuum():
-    basis = sl2_site(3)
-    z = diffop(basis, (1, ("z",), ()))
-    with pytest.raises(CheckFailed) as err:
-        lwv_normalize(z)
-    assert err.value.args == (3, ("z", "1"))
-    d = diffop(basis, (1, (), ("z",)))
-    with pytest.raises(CheckFailed) as err:
-        lwv_normalize(d)
-    assert err.value.args == (3, ("1", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +333,7 @@ def test_oracle_unique_solution_is_the_identity():
     basis, sp = _raising_op(4, F(3, 2))
     sols = intertwiner_oracle([("Sp", sp, sp)], basis)
     assert len(sols) == 1
-    n, _ = lwv_normalize(sols[0])
+    n = op_scale(sols[0], 1 / op_scalar_part(sols[0]))
     assert is_zero(op_add(n, identity_op(basis), -1), basis.cap)[0]
 
 
@@ -361,7 +341,7 @@ def test_oracle_scaled_relation_forces_a_geometric_diagonal():
     basis, sp = _raising_op(4, F(3, 2))
     sols = intertwiner_oracle([("Sp", sp, op_scale(sp, F(2)))], basis)
     assert len(sols) == 1
-    n, _ = lwv_normalize(sols[0])
+    n = op_scale(sols[0], 1 / op_scalar_part(sols[0]))
     for k, h in enumerate(basis.heights):
         assert n.col(k) == {k: F(2) ** h}
 
@@ -594,7 +574,7 @@ def test_run_check_labels_a_pass_with_its_scalar():
     res = run_check("sl2", "rfact-orders", 4, _POINT)
     pair = sl2_pair(4)
     p1, p2 = Sl2Params(F(1), F(1, 3)), Sl2Params(F(1, 2), F(-1, 4))
-    _, want = lwv_normalize(rhat("sl2", pair, (p1.u1, p1.u2), (p2.u1, p2.u2)))
+    want = op_scalar_part(rhat("sl2", pair, (p1.u1, p1.u2), (p2.u1, p2.u2)))
     assert (res.name, res.params, res.status) == ("rfact-orders", _POINT, "pass")
     assert res.scalar == want and res.window == 4
     assert res.witness is None and res.reason is None
@@ -615,15 +595,50 @@ def test_run_check_labels_a_mutated_factor_failed_with_a_block_witness():
     assert res.to_json()["witness"] == {"monomial": monomial, "value": value}
 
 
-def test_run_check_fails_a_check_that_moves_the_vacuum_at_the_cap(monkeypatch):
-    def moves_the_vacuum(cap, draws, mutate):
-        pair = sl2_pair(cap)
-        return verify._same_line(diffop(pair, (1, ("z1",), ())), identity_op(pair))
+def test_an_oracle_solution_that_kills_the_vacuum_fails_at_the_cap(monkeypatch):
+    def kills_the_vacuum(pairs, basis):
+        return [diffop(basis, (1, (), ("z1",)))]
 
-    monkeypatch.setitem(verify.CATALOG, ("sl2", "closed-form"), (moves_the_vacuum, 4))
-    res = run_check("sl2", "closed-form", 4, _POINT)
+    monkeypatch.setattr(verify, "intertwiner_oracle", kills_the_vacuum)
+    res = run_check("sl2", "oracle-r1", 4, _POINT)
     assert res.status == "fail" and res.window == 4
-    assert res.witness == ("z1", "1")
+    assert res.witness == ("1", "0")
+
+
+@pytest.mark.parametrize(
+    "make", [partial(sl2_pair, 8), partial(sl3_pair, 3), partial(sl3_site, 3)]
+)
+def test_the_vacuum_is_alone_in_its_charge_block(make):
+    """No charge-preserving operator moves the vacuum, so the oracle's
+    solution has no vacuum-column entry off the vacuum to normalize."""
+    charges, blocks, _ = verify._charge_structure(make())
+    assert blocks[charges[0]] == [0]
+
+
+def test_a_doubled_factor_fails_every_exact_comparison_with_a_fixed_operator(
+    monkeypatch,
+):
+    """With every factor doubled, the reverse swap after the forward one is
+    not the identity and the swap is not its closed form, at every point;
+    the two factor orders stay equal to each other, so rfact-orders passes
+    and reports the doubled vacuum coefficient 2 * 2."""
+    real = verify._factor
+    monkeypatch.setattr(verify, "_factor", lambda *args: op_scale(real(*args), 2))
+    for alg, cap, names in (
+        ("sl2", 6, ("inverse-scalar", "closed-form", "rfact-orders")),
+        ("sl3", 3, ("inverse-scalar3",)),
+    ):
+        report = run_suite(SuiteConfig(alg, cap, trials=4, seed=0, checks=names))
+        for name in names:
+            ran = [
+                r for r in report["checks"]
+                if r["name"] == name and r["status"] != "skipped"
+            ]
+            assert len(ran) == 4
+            if name == "rfact-orders":
+                assert {(r["status"], r["scalar"]) for r in ran} == {("pass", "4")}
+            else:
+                assert {r["status"] for r in ran} == {"fail"}
 
 
 def test_a_failing_sl3_invariance_reports_through_the_lax_zero_test(monkeypatch):
