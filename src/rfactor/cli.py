@@ -62,15 +62,7 @@ def _parse_params(parser, text):
 def _make_config(parser, args) -> SuiteConfig:
     algebra = args.command
     checks = tuple(args.check) if args.check else ()
-    if args.cap < 2:
-        parser.error("--cap must be at least 2")
-    if args.trials < 1:
-        parser.error("--trials must be positive")
-    if args.jobs < 1:
-        parser.error("--jobs must be positive")
     params = _parse_params(parser, args.params) if args.params is not None else None
-    if params is not None and len(checks) != 1:
-        parser.error("--params requires exactly one --check")
     mutate = None
     if args.mutate:
         try:

@@ -1,12 +1,15 @@
 """sl(2) on truncated polynomial modules C[z].
 
 A module is spanned by z^k, k <= cap, with lowest-weight vector 1 and weight
-parameter ell. The Lax matrix mixes a two-dimensional auxiliary space with
-differential operators on the module; the two elementary R-operators are
-compiled stage lists of substitutions and Gamma-ratio diagonals. Their
-product, the full swap Rhat, is assembled from the factor table in
-`rfactor.verify`, which checks every defining relation to literal zero on
-certified windows.
+parameter ell; a site of weight ell at spectral parameter u carries the Lax
+slots (u + ell, u - ell) (`sl2_slots`). The Lax matrix mixes a
+two-dimensional auxiliary space with differential operators on the module;
+the two elementary R-operators are compiled stage lists of substitutions and
+Gamma-ratio diagonals. The factor table `SL2_FACTORS` states each factor
+once: its stage list and its side relations, the term lists of the
+operators it commutes with. `rfactor.verify` reads the table, assembles the
+full swap Rhat as the factors' product and checks every defining relation
+to literal zero on certified windows.
 
 A site is labelled by a suffix: `sl2_site(cap, "1")` is C[z1], and the pair
 basis joins sites "1" and "2". Both elementary R-operators, and both
@@ -42,9 +45,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import comb
-from typing import NamedTuple
 
-from .exactnum import Rat
 from .polyspace import (
     GradedBasis,
     VarSpec,
@@ -71,20 +72,10 @@ from .linop import (
 HALF = Fraction(1, 2)
 
 
-class Sl2Params(NamedTuple):
-    """Weight ell and spectral parameter u; the Lax parameter pair is
-    (u1, u2) = (u + ell, u - ell)."""
-
-    ell: Rat
-    u: Rat
-
-    @property
-    def u1(self) -> Rat:
-        return self.u + self.ell
-
-    @property
-    def u2(self) -> Rat:
-        return self.u - self.ell
+def sl2_slots(ell, u):
+    """The Lax parameter pair (u1, u2) = (u + ell, u - ell) of weight ell
+    and spectral parameter u."""
+    return u + ell, u - ell
 
 
 @size_checked_cache(maxsize=16)
@@ -176,6 +167,14 @@ _sl2_r1_stages = partial(
 _sl2_r2_stages = partial(
     _sl2_swap_stages, "1", "2", lambda u1, _, v2: u1 - v2, lambda u1, u2, v2: u1 - u2
 )
+
+# factor k -> (stage list, side relations): each side is the term list
+# (`linop.diffop`) of an operator the factor commutes with. Factor k leaves
+# site k in place, so it commutes with multiplication by z_k.
+SL2_FACTORS = {
+    1: (_sl2_r1_stages, (((1, ("z1",), ()),),)),
+    2: (_sl2_r2_stages, (((1, ("z2",), ()),),)),
+}
 
 # The closed form at (l1, l2, w), its parameters written through the weights:
 # diagonal (2 l1, l1+l2-w) on powers of z2 - z1, then (l1+l2+w, 2 l1) on

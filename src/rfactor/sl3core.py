@@ -1,19 +1,23 @@
 """sl(3) on truncated polynomial modules C[x, y, z].
 
 The module is spanned by monomials x^a y^b z^c with height a + 2b + c <= cap;
-1 is the lowest-weight vector of weight (m, n), which `sl3_weights` reads
-off a Lax parameter triple. The Lax matrix has a three-dimensional auxiliary
-space; the full parameter swap Rhat factorizes into three elementary
-R-operators, each a stage list of Gamma-ratio diagonals and Laurent flows
-conjugated into the difference frame by one translation
-g(a, b, c) = exp(c (dz - x dy)) exp(b dy) exp(a dx) of one site's variables
-by the other's (`sl3_translation`, which also gives the numeric shift flows).
+1 is the lowest-weight vector of weight (m, n). A site of weight (m, n) at
+spectral parameter u carries the Lax parameter triple `sl3_slots(m, n, u)`,
+and `sl3_weights` reads the weight back off a triple. The Lax matrix has a
+three-dimensional auxiliary space; the full parameter swap Rhat factorizes
+into three elementary R-operators, each a stage list of Gamma-ratio
+diagonals and Laurent flows conjugated into the difference frame by one
+translation g(a, b, c) = exp(c (dz - x dy)) exp(b dy) exp(a dx) of one
+site's variables by the other's (`sl3_translation`, which also gives the
+numeric shift flows).
 Every stage but the diagonals is a substitution: a Laurent flow
 exp(+-(y/x) dz) is the translation z -> z +- y/x (`_laurent_flow`).
 Intermediate terms may carry negative exponents, but the output is
-certified polynomial. Rhat itself, like any product of factors, is
-assembled from the factor table by `rfactor.verify`'s one swap builder, for
-sl2 and sl3 alike.
+certified polynomial. The factor table `SL3_FACTORS` states each factor
+once: its stage list and its side relations, the term lists of the
+operators it commutes with. Rhat itself, like any product of factors, is
+assembled from that table by `rfactor.verify`'s one swap builder, for sl2
+and sl3 alike.
 
 Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
@@ -34,9 +38,7 @@ to monomials and tabulate nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .exactnum import Rat
 from .polyspace import (
     GradedBasis,
     VarSpec,
@@ -66,33 +68,15 @@ from .linop import (
 THIRD = Fraction(1, 3)
 
 
-class Sl3Params(NamedTuple):
-    """Weight (m, n) and spectral parameter u.
-
-    The Lax parameter triple is
+def sl3_slots(m, n, u):
+    """The Lax parameter triple of weight (m, n) and spectral parameter u,
       u1 = u - 2 - (m + 2n)/3, u2 = u - 1 + (n - m)/3, u3 = u + (n + 2m)/3,
-    which `sl3_weights` inverts.
-    """
-
-    m: Rat
-    n: Rat
-    u: Rat
-
-    @property
-    def u1(self) -> Rat:
-        return self.u - 2 - (self.m + 2 * self.n) * THIRD
-
-    @property
-    def u2(self) -> Rat:
-        return self.u - 1 + (self.n - self.m) * THIRD
-
-    @property
-    def u3(self) -> Rat:
-        return self.u + (self.n + 2 * self.m) * THIRD
-
-    @property
-    def triple(self):
-        return (self.u1, self.u2, self.u3)
+    which `sl3_weights` inverts."""
+    return (
+        u - 2 - (m + 2 * n) * THIRD,
+        u - 1 + (n - m) * THIRD,
+        u + (n + 2 * m) * THIRD,
+    )
 
 
 def sl3_weights(u1, u2, u3):
@@ -452,3 +436,39 @@ def _sl3_r3_stages(pair):
     """Third-slot swap u3 <-> v3, at arguments (u1, u2, u3, v3)."""
     s3, s3_inv = _sl3_frame(pair, ("x1", "y1", "z1"), ("x2", "y2", "z2"))
     return (s3, *_sl3_r3_single_stages(pair, "1"), s3_inv)
+
+
+# factor -> (stage list, side relations): each side is the term list
+# (`linop.diffop`) of an operator the factor commutes with; with the
+# first-order exchange pairs they pin the factor down. "r3-single", the
+# third swap reduced to one site, has none.
+SL3_FACTORS = {
+    1: (
+        _sl3_r1_stages,
+        (
+            ((1, ("x1",), ()),),
+            ((1, ("y1",), ()),),
+            ((1, ("z1",), ()),),
+            ((1, (), ("z2",)), (-1, ("x2",), ("y2",)), (1, ("x1",), ("y2",))),
+        ),
+    ),
+    2: (
+        _sl3_r2_stages,
+        (
+            ((1, ("y1",), ()), (1, ("x1", "z1"), ())),
+            ((1, ("z1",), ()),),
+            ((1, ("x2",), ()),),
+            ((1, ("y2",), ()),),
+        ),
+    ),
+    3: (
+        _sl3_r3_stages,
+        (
+            ((1, ("x2",), ()),),
+            ((1, ("y2",), ()),),
+            ((1, ("z2",), ()),),
+            ((1, (), ("x1",)), (-1, ("z2",), ("y1",))),
+        ),
+    ),
+    "r3-single": (_sl3_r3_single_stages, ()),
+}

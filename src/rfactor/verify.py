@@ -21,6 +21,9 @@ operators are compared as built, entry by entry: the factor orders, the
 reverse swap after the forward one against the identity and the sl2 swap
 against its closed form.
 
+Each factor, its stage list and its side relations, is stated once, in the
+factor tables of `sl2core` and `sl3core`, and each site's Lax slots come
+from the slot maps there (`sl2_slots`, `sl3_slots`).
 A factor and the full swap are one object: `_swap` builds the product of a
 list of elementary factors from the Lax slot tuples (t, s) and returns the
 slot tuples (t', s') it leaves, with R L1(t) L2(s) = L1(t') L2(s') R.  One
@@ -45,7 +48,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .exactnum import PoleAtParameter, rat_str
@@ -77,10 +79,8 @@ from .linop import (
     zero_op,
 )
 from .sl2core import (
-    _sl2_r1_stages,
-    _sl2_r2_stages,
+    SL2_FACTORS,
     SL2_GENERATORS,
-    Sl2Params,
     SpectralMismatch,
     sl2_casimirs,
     sl2_lax,
@@ -88,16 +88,13 @@ from .sl2core import (
     sl2_pair,
     sl2_rhat_closed,
     sl2_site,
+    sl2_slots,
     sl2_spectral,
     ybe_fundamental_residual,
 )
 from .sl3core import (
-    _sl3_r1_stages,
-    _sl3_r2_stages,
-    _sl3_r3_stages,
-    _sl3_r3_single_stages,
+    SL3_FACTORS,
     SL3_GENERATORS,
-    Sl3Params,
     sl3_casimirs,
     sl3_findim_dim,
     sl3_findim_module,
@@ -107,6 +104,7 @@ from .sl3core import (
     sl3_pair,
     sl3_shift_flows,
     sl3_site,
+    sl3_slots,
     sl3_weights,
 )
 
@@ -198,15 +196,11 @@ def draw_rats(rng: random.Random, k: int):
 # Charge bookkeeping and the intertwining-system oracle
 
 def charge_vectors(basis):
-    """Conserved charge tuple per basis monomial.
-
-    z-only bases grade by total degree.  For x/y/z site triples the two
-    charges per site are (#x + #y, #z - #x); both are preserved by every
-    R-operator, and height = 2*q1 + q2, so charge-preserving implies
-    height-preserving.
+    """Conserved charge pair per basis monomial: (#x + #y, #z - #x), summed
+    over the sites.  Both are preserved by every R-operator, and
+    height = 2*q1 + q2, so charge-preserving implies height-preserving; on
+    the z-only sl2 bases the charge is (0, degree).
     """
-    if all(v.name[0] == "z" for v in basis.vars):
-        return [(h,) for h in basis.heights]
     c1, c2 = [], []
     for v in basis.vars:
         lead = v.name[0]
@@ -400,20 +394,6 @@ def _equal(pairs, window=None):
 # ---------------------------------------------------------------------------
 # sl2 checks
 
-def _sl2_point(draws):
-    l1, l2, u, v = draws
-    return Sl2Params(l1, u), Sl2Params(l2, v)
-
-
-_sl2_slots = attrgetter("u1", "u2")
-
-
-def _sl2_sides(fixed, pair):
-    """The side relations of the sl2 factor that leaves site `fixed` in
-    place: it commutes with multiplication by that site's variable."""
-    return (diffop(pair, (1, ("z" + fixed,), ())),)
-
-
 def _sl2_spectral(cap, draws, mutate):
     l1, l2, u, v = draws
     _, pair, t, s = _point("sl2", cap, draws)
@@ -447,11 +427,6 @@ def _sl2_closed_form(cap, draws, mutate):
 # ---------------------------------------------------------------------------
 # sl3 checks
 
-def _sl3_point(draws):
-    m1, n1, u, m2, n2, v = draws
-    return Sl3Params(m1, n1, u), Sl3Params(m2, n2, v)
-
-
 def _sl3_findim(cap, draws, mutate):
     want = {(1, 0): 3, (0, 1): 3, (1, 1): 8, (2, 0): 6, (0, 2): 6, (2, 1): 15}
     for (M, N), d in sorted(want.items()):
@@ -468,7 +443,7 @@ def _sl3_invariance(cap, draws, mutate):
     one = identity_op(basis)
     inverse = _equal([(None, compose(fwd, inv), one), (None, compose(inv, fwd), one)])
     M = sl3_invariance_matrix(a, b, c)
-    L = sl3_lax(basis, *Sl3Params(m, n, u).triple)
+    L = sl3_lax(basis, *sl3_slots(m, n, u))
     w = cap - 2
     lhs = lax_mul(
         lax_from_matrix(basis, mat_inv(M)), lax_mul(L, lax_from_matrix(basis, M), w), w
@@ -476,33 +451,6 @@ def _sl3_invariance(cap, draws, mutate):
     # M^-1 L M = S^-1 L S on the module side, S = fwd: with inv . fwd = 1
     # tested above, that is S (M^-1 L M) = L S
     return min(inverse, _intertwines(fwd, _blocks(lhs, L), w)), None
-
-
-def _sl3_sides_r1(pair):
-    return (
-        diffop(pair, (1, ("x1",), ())),
-        diffop(pair, (1, ("y1",), ())),
-        diffop(pair, (1, ("z1",), ())),
-        diffop(pair, (1, (), ("z2",)), (-1, ("x2",), ("y2",)), (1, ("x1",), ("y2",))),
-    )
-
-
-def _sl3_sides_r2(pair):
-    return (
-        diffop(pair, (1, ("y1",), ()), (1, ("x1", "z1"), ())),
-        diffop(pair, (1, ("z1",), ())),
-        diffop(pair, (1, ("x2",), ())),
-        diffop(pair, (1, ("y2",), ())),
-    )
-
-
-def _sl3_sides_r3(pair):
-    return (
-        diffop(pair, (1, ("x2",), ())),
-        diffop(pair, (1, ("y2",), ())),
-        diffop(pair, (1, ("z2",), ())),
-        diffop(pair, (1, (), ("x1",)), (-1, ("z2",), ("y1",))),
-    )
 
 
 def _sl3_global(cap, draws, mutate):
@@ -531,8 +479,7 @@ def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
 
 
 def _sl3_oracle_single(cap, draws, mutate):
-    p1, p2 = _sl3_point(draws)
-    args = (*p1.triple, p2.u3)
+    args = (*sl3_slots(*draws[:3]), sl3_slots(*draws[3:])[2])
     basis = sl3_site(cap)
     R = _factor("sl3", "r3-single", basis, args)
     return _oracle_check(basis, _sl3_r3_single_constraints(basis, *args), R)
@@ -541,19 +488,19 @@ def _sl3_oracle_single(cap, draws, mutate):
 # ---------------------------------------------------------------------------
 # Relations shared by sl2 and sl3
 #
-# Each relation below is written once over a per-algebra descriptor and a
-# factor table.  The descriptors keep their functions as top-level tuple
-# entries of a module-level dict, which is where perfbench/spans.py rebinds
-# the public sl2core/sl3core functions; it leaves plain tuples behind, so
-# read a descriptor through `_algebra`.  It traces no factor table entry.
+# Each relation below is written once over a per-algebra descriptor and the
+# factor tables of sl2core and sl3core.  The descriptors keep their functions
+# as top-level tuple entries of a module-level dict, which is where
+# perfbench/spans.py rebinds the public sl2core/sl3core functions; it leaves
+# plain tuples behind, so read a descriptor through `_algebra`.  It traces no
+# factor table entry.
 
 class _Algebra(NamedTuple):
-    point: Callable  # draws -> (p1, p2)
-    slots: Callable  # params -> tuple of Lax parameters
+    sites: Callable  # draws -> the draws (*weights, u) of site 1 and of site 2
+    slots: Callable  # (*weights, u) -> tuple of Lax parameters
     lax: Callable  # (basis, *slots, site label) -> LaxOp
     pair: Callable  # cap -> pair basis
     site: Callable  # cap -> one-site basis
-    params: type  # (*weights, u) -> one-site parameters
     table: dict  # generator name -> (term list, weight parts, defining matrix)
     casimirs: Callable  # (gl triangle, *weights) -> [(tag, operator, scalar or None)]
     lax_factored: Callable  # (basis, *slots) -> triangular product LaxOp
@@ -561,39 +508,34 @@ class _Algebra(NamedTuple):
 
 _ALGEBRAS = {
     "sl2": _Algebra(
-        point=_sl2_point,
-        slots=_sl2_slots,
+        sites=lambda d: (d[0::2], d[1::2]),
+        slots=sl2_slots,
         lax=sl2_lax,
         pair=sl2_pair,
         site=sl2_site,
-        params=Sl2Params,
         table=SL2_GENERATORS,
         casimirs=sl2_casimirs,
         lax_factored=sl2_lax_factored,
     ),
     "sl3": _Algebra(
-        point=_sl3_point,
-        slots=attrgetter("triple"),
+        sites=lambda d: (d[:3], d[3:]),
+        slots=sl3_slots,
         lax=sl3_lax,
         pair=sl3_pair,
         site=sl3_site,
-        params=Sl3Params,
         table=SL3_GENERATORS,
         casimirs=sl3_casimirs,
         lax_factored=sl3_lax_factored,
     ),
 }
 
-# (algebra, factor k) -> (stage list, side operators commuting with the
-# factor), taking the basis. "r3-single" is the third swap reduced to one
-# site, which has no side operators.
+# (algebra, factor k) -> (stage list, side relations as term lists), read
+# off the factor tables of sl2core and sl3core. "r3-single" is the third
+# swap reduced to one site, which has no side relations.
 _FACTORS = {
-    ("sl2", 1): (_sl2_r1_stages, partial(_sl2_sides, "1")),
-    ("sl2", 2): (_sl2_r2_stages, partial(_sl2_sides, "2")),
-    ("sl3", 1): (_sl3_r1_stages, _sl3_sides_r1),
-    ("sl3", 2): (_sl3_r2_stages, _sl3_sides_r2),
-    ("sl3", 3): (_sl3_r3_stages, _sl3_sides_r3),
-    ("sl3", "r3-single"): (_sl3_r3_single_stages, None),
+    (alg, k): entry
+    for alg, table in (("sl2", SL2_FACTORS), ("sl3", SL3_FACTORS))
+    for k, entry in table.items()
 }
 
 
@@ -705,7 +647,7 @@ def _lax_factor(alg, cap, draws, mutate):
     a = _algebra(alg)
     basis = a.site(cap)
     *weights, u = draws
-    slots = a.slots(a.params(*draws))
+    slots = a.slots(*draws)
     direct = a.lax(basis, *slots)
     others = (lax_from_gl(_gl(alg, basis, weights), u), a.lax_factored(basis, *slots))
     return min(_equal(_blocks(direct, L), cap - 2) for L in others), None
@@ -763,7 +705,7 @@ def _point(alg, cap, draws):
     """(algebra descriptor, pair basis at `cap`, t, s): the Lax slot
     tuples t and s of the two sites at the point of `draws`."""
     a = _algebra(alg)
-    t, s = map(a.slots, a.point(draws))
+    t, s = (a.slots(*d) for d in a.sites(draws))
     return a, a.pair(cap), t, s
 
 
@@ -790,8 +732,9 @@ def _first_order(a, pair, t, s, q1, q2):
 
 def _side_pairs(alg, k, pair):
     """The side relations of factor k as pairs (None, op, op): it commutes
-    with each side operator."""
-    return [(None, op, op) for op in _FACTORS[alg, k][1](pair)]
+    with the operator of each side term list."""
+    ops = (diffop(pair, *terms) for terms in _FACTORS[alg, k][1])
+    return [(None, op, op) for op in ops]
 
 
 def _exchange(alg, factors, cap, draws, mutate):
@@ -938,6 +881,12 @@ def parse_mutate(algebra: str, text: str):
 
 
 class SuiteConfig:
+    """One suite run: its checks at `trials` sampled points each, or once
+    at the explicit `params`. Refuses, with ValueError, a cap below 2, no
+    trial or no job, explicit params without exactly one explicit check, a
+    params count the check does not take and a mutation no selected check
+    reads or no monomial reaches; KeyError for an unknown check."""
+
     def __init__(
         self,
         algebra: str,
@@ -949,6 +898,14 @@ class SuiteConfig:
         mutate: tuple | None = None,
         jobs: int = 1,
     ):
+        if cap < 2:
+            raise ValueError("--cap must be at least 2")
+        if trials < 1:
+            raise ValueError("--trials must be positive")
+        if jobs < 1:
+            raise ValueError("--jobs must be positive")
+        if params is not None and len(checks) != 1:
+            raise ValueError("--params requires exactly one --check")
         self.algebra = algebra
         self.cap = cap
         self.trials = trials

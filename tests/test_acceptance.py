@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from rfactor.linop import compose, pair_swap
 from rfactor.sl2core import (
-    Sl2Params,
     sl2_pair,
+    sl2_slots,
     sl2_spectral,
     ybe_fundamental_residual,
 )
@@ -40,12 +40,6 @@ from rfactor.verify import (
 )
 
 SEED = 0
-
-
-def _slots(ell, u):
-    """The sl2 Lax slots (u1, u2) of weight ell and spectral parameter u."""
-    p = Sl2Params(ell, u)
-    return p.u1, p.u2
 
 
 def _guarded_points(stream, ndraws, count, accept):
@@ -77,7 +71,7 @@ def _sl2_points():
 
     def ok(draws):
         l1, l2, u, v = draws
-        t, s = _slots(l1, u), _slots(l2, v)
+        t, s = sl2_slots(l1, u), sl2_slots(l2, v)
         return _builds((t, s, 1), (t, s, 2))
 
     return tuple(_guarded_points("sl2-rll", 4, 20, ok))
@@ -104,11 +98,11 @@ def test_sl2_factorization_orders_agree_at_the_same_points():
 def test_sl2_spectral_recurrence_through_degree_six():
     def ok(draws):
         l1, l2, u, v = draws
-        return _builds((_slots(l1, u), _slots(l2, v), 1))
+        return _builds((sl2_slots(l1, u), sl2_slots(l2, v), 1))
 
     def spectral(l1, l2, u, v):
         pair = sl2_pair(8)
-        R = rhat("sl2", pair, _slots(l1, u), _slots(l2, v))
+        R = rhat("sl2", pair, sl2_slots(l1, u), sl2_slots(l2, v))
         return sl2_spectral(compose(pair_swap(pair), R), l1, l2, u - v, 7)
 
     for l1, l2, u, v in _guarded_points("spectral-accept", 4, 10, ok):

@@ -10,7 +10,9 @@ that perfbench/spans.py looks up in the package to trace them.  A
 `__slots__` attribute counts as used when the package reads it, as an
 attribute, outside its class's `__init__`.  A name a module imports at top
 level (`__future__` features apart) counts as used when another top-level
-statement of that module refers to it.
+statement of that module refers to it.  No module imports another module's
+`_`-prefixed name, apart from those perfbench/spans.py reads off a package
+module.
 """
 
 import ast
@@ -37,6 +39,21 @@ def _traced_names():
                 if isinstance(k, ast.Constant) and isinstance(k.value, str)
             )
     return names
+
+
+def _private_lookups():
+    """The `_`-prefixed names perfbench/spans.py reads off a package module
+    (`linop._echelon_insert`), as opposed to its own attributes."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    return {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.value, ast.Name)
+        and n.value.id != "self"
+        and n.attr.startswith("_")
+        and not n.attr.startswith("__")
+    }
 
 
 def _referenced(node):
@@ -95,6 +112,7 @@ def test_the_exemptions_are_read_from_their_sources():
     assert "main" in _entry_points()
     traced = {"mat_scale", "mat_is_zero", "cert_cap", "run_pipeline", "op_add"}
     assert traced <= _traced_names()
+    assert _private_lookups() == {"_echelon_insert"}
 
 
 def test_every_slot_is_read_outside_its_init():
@@ -143,3 +161,17 @@ def test_every_imported_name_is_used_in_its_module():
                 if name not in refs:
                     unused.append(f"{path.name}:{name}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    exempt = _private_lookups()
+    private = [
+        f"{path.name}:{alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.walk(ast.parse(path.read_text()))
+        if isinstance(stmt, ast.ImportFrom)
+        and (stmt.level or (stmt.module or "").startswith("rfactor"))
+        for alias in stmt.names
+        if alias.name.startswith("_") and alias.name not in exempt
+    ]
+    assert not private, "imports a private name: " + ", ".join(private)

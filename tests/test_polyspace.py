@@ -22,8 +22,6 @@ from rfactor.polyspace import (
     mono_mul,
     tensor_basis,
 )
-from rfactor.sl2core import Sl2Params
-from rfactor.sl3core import Sl3Params
 
 SL3_VARS = [VarSpec("x", 1), VarSpec("y", 2), VarSpec("z", 1)]
 
@@ -131,8 +129,6 @@ def test_varspec_validation():
     "cls,args,field",
     [
         (VarSpec, ("y", 2), "weight"),
-        (Sl2Params, (F(1, 2), F(3)), "u"),
-        (Sl3Params, (F(1), F(0), F(1, 3)), "u"),
     ],
 )
 def test_value_types_are_frozen_and_hashable(cls, args, field):

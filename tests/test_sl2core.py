@@ -35,7 +35,6 @@ from rfactor.linop import (
 )
 from rfactor.polyspace import CapTooLarge, VarSpec, enumerate_basis
 from rfactor.sl2core import (
-    Sl2Params,
     SL2_GENERATORS,
     sl2_casimirs,
     sl2_lax,
@@ -43,6 +42,7 @@ from rfactor.sl2core import (
     sl2_pair,
     sl2_rhat_closed,
     sl2_site,
+    sl2_slots,
     sl2_spectral,
     ybe_fundamental_residual,
 )
@@ -257,26 +257,25 @@ def test_lax_invariance_under_lowering_conjugation():
 
 def _pair_setup(cap):
     pair = sl2_pair(cap)
-    p1, p2 = Sl2Params(L1, U), Sl2Params(L2, V)
-    return pair, p1, p2
+    return pair, sl2_slots(L1, U), sl2_slots(L2, V)
 
 
 def _rhat(pair, p1, p2, order=1):
-    return rhat("sl2", pair, (p1.u1, p1.u2), (p2.u1, p2.u2), order)
+    return rhat("sl2", pair, p1, p2, order)
 
 
 def _spectral(cap, l1, l2, u, v, n_max):
     """The ratios rho_{n+1} / rho_n of the eigenvalues sl2_spectral finds for
     P . Rhat at weights l1, l2 and spectral parameters u, v, and rho_0."""
     pair = sl2_pair(cap)
-    R = compose(pair_swap(pair), _rhat(pair, Sl2Params(l1, u), Sl2Params(l2, v)))
+    R = compose(pair_swap(pair), _rhat(pair, sl2_slots(l1, u), sl2_slots(l2, v)))
     rhos = sl2_spectral(R, l1, l2, u - v, n_max)
     return rhos[0], [b / a for a, b in zip(rhos, rhos[1:])]
 
 
 def test_r1_fixes_vacuum_and_diagonal_eigenvalue():
     pair, p1, p2 = _pair_setup(4)
-    u1, v1, v2 = p1.u1, p2.u1, p2.u2
+    (u1, _), (v1, v2) = p1, p2
     R1 = factor("sl2", 1, pair, u1, v1, v2)
     assert R1.col(0) == {0: F(1)}
     vec = {pair.index[(0, 1)]: F(1), pair.index[(1, 0)]: F(-1)}
@@ -310,7 +309,7 @@ def test_the_two_factors_are_one_stage_list_with_the_sites_swapped(cap):
 def test_defining_relation_first_factor():
     cap = 5
     pair, p1, p2 = _pair_setup(cap)
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
+    (u1, u2), (v1, v2) = p1, p2
     R1 = factor("sl2", 1, pair, u1, v1, v2)
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, v1, u2, "1"), sl2_lax(pair, u1, v2, "2"))
@@ -325,7 +324,7 @@ def test_defining_relation_first_factor():
 def test_defining_relation_second_factor():
     cap = 5
     pair, p1, p2 = _pair_setup(cap)
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
+    (u1, u2), (v1, v2) = p1, p2
     R2 = factor("sl2", 2, pair, u1, u2, v2)
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, u1, v2, "1"), sl2_lax(pair, v1, u2, "2"))
@@ -348,7 +347,7 @@ def test_factorization_orders_agree_exactly():
 def test_full_defining_relation():
     cap = 5
     pair, p1, p2 = _pair_setup(cap)
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
+    (u1, u2), (v1, v2) = p1, p2
     Rhat = _rhat(pair, p1, p2)
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, v1, v2, "1"), sl2_lax(pair, u1, u2, "2"))
@@ -358,7 +357,7 @@ def test_full_defining_relation():
 def test_rll_form_with_permutation():
     cap = 5
     pair, p1, p2 = _pair_setup(cap)
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
+    (u1, u2), (v1, v2) = p1, p2
     R = compose(pair_swap(pair), _rhat(pair, p1, p2))
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, v1, v2, "2"), sl2_lax(pair, u1, u2, "1"))
@@ -390,7 +389,7 @@ def test_inverse_is_scalar():
     # identity because both fix the vacuum
     pair, p1, p2 = _pair_setup(4)
     A = _rhat(pair, p1, p2)
-    B = _rhat(pair, Sl2Params(L2, V), Sl2Params(L1, U))
+    B = _rhat(pair, p2, p1)
     Q = compose(B, A)
     ok, wit = is_zero(op_add(Q, identity_op(pair), -1), Q.certified)
     assert ok, wit
@@ -478,7 +477,7 @@ def test_the_triple_residual_is_the_dense_product(u, v, d):
 def test_mutated_eigenvalue_breaks_defining_relation():
     cap = 4
     pair, p1, p2 = _pair_setup(cap)
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
+    (u1, u2), (v1, v2) = p1, p2
     R1 = factor("sl2", 1, pair, u1, v1, v2, mutate=(0, 1))
     P = lax_mul(sl2_lax(pair, u1, u2, "1"), sl2_lax(pair, v1, v2, "2"))
     Q = lax_mul(sl2_lax(pair, v1, u2, "1"), sl2_lax(pair, u1, v2, "2"))

@@ -48,7 +48,6 @@ from rfactor.sl3core import (
     _sl3_r2_stages,
     _sl3_r3_stages,
     SL3_GENERATORS,
-    Sl3Params,
     sl3_casimirs,
     sl3_findim_dim,
     sl3_findim_module,
@@ -58,6 +57,7 @@ from rfactor.sl3core import (
     sl3_pair,
     sl3_shift_flows,
     sl3_site,
+    sl3_slots,
     sl3_weights,
 )
 from rfactor import verify
@@ -71,8 +71,9 @@ from termlists import (
     whole_block,
 )
 
-P1 = Sl3Params(F(1, 2), F(1, 3), F(2))
-P2 = Sl3Params(F(1, 5), F(2, 7), F(0))
+# the weight (m, n) and spectral parameter u of each site
+P1 = (F(1, 2), F(1, 3), F(2))
+P2 = (F(1, 5), F(2, 7), F(0))
 
 
 def _idx(basis, **exps):
@@ -103,14 +104,14 @@ def _pair(cap):
 
 
 def _rhat(pair, p1, p2, order=1, mutate=None):
-    return rhat("sl3", pair, p1.triple, p2.triple, order, mutate)
+    return rhat("sl3", pair, sl3_slots(*p1), sl3_slots(*p2), order, mutate)
 
 
 @lru_cache(maxsize=None)
 def _factors(cap):
     pair = _pair(cap)
-    u1, u2, u3 = P1.triple
-    v1, v2, v3 = P2.triple
+    u1, u2, u3 = sl3_slots(*P1)
+    v1, v2, v3 = sl3_slots(*P2)
     r1 = factor("sl3", 1, pair, u1, v1, v2, v3)
     r2 = factor("sl3", 2, pair, u1, u2, v2, v3)
     r3 = factor("sl3", 3, pair, u1, u2, u3, v3)
@@ -139,14 +140,15 @@ def _defining_residual(cap, R, t1, t2, q1, q2):
 
 
 def test_parameter_triple_frozen():
-    p = Sl3Params(F(2, 3), F(1, 5), F(7, 11))
-    assert p.triple == (F(-851, 495), F(-257, 495), F(568, 495))
-    assert sum(p.triple) == 3 * p.u - 3
-    q = Sl3Params(F(1), F(0), F(1))
-    assert q.triple == (F(-4, 3), F(-1, 3), F(5, 3))
+    m, n, u = F(2, 3), F(1, 5), F(7, 11)
+    p = sl3_slots(m, n, u)
+    assert p == (F(-851, 495), F(-257, 495), F(568, 495))
+    assert sum(p) == 3 * u - 3
+    q = sl3_slots(F(1), F(0), F(1))
+    assert q == (F(-4, 3), F(-1, 3), F(5, 3))
     # weights recovered from differences
-    assert q.u3 - q.u2 - 1 == q.m and q.u2 - q.u1 - 1 == q.n
-    assert p.u3 - p.u2 - 1 == p.m and p.u2 - p.u1 - 1 == p.n
+    assert q[2] - q[1] - 1 == F(1) and q[1] - q[0] - 1 == F(0)
+    assert p[2] - p[1] - 1 == m and p[1] - p[0] - 1 == n
 
 
 def test_generator_actions_frozen():
@@ -366,11 +368,11 @@ def test_raising_flow_generating_function():
 def test_lax_direct_equals_casimir_form_and_factored():
     cap = 4
     b = sl3_site(cap)
-    p = Sl3Params(F(2, 3), F(1, 5), F(7, 11))
-    Ld = sl3_lax(b, *p.triple)
-    Lc = lax_from_gl(verify._gl("sl3", b, (p.m, p.n)), p.u)
+    m, n, u = F(2, 3), F(1, 5), F(7, 11)
+    Ld = sl3_lax(b, *sl3_slots(m, n, u))
+    Lc = lax_from_gl(verify._gl("sl3", b, (m, n)), u)
     assert verify._equal(verify._blocks(Ld, Lc), cap - 2) == cap - 2
-    Lf = sl3_lax_factored(b, *p.triple)
+    Lf = sl3_lax_factored(b, *sl3_slots(m, n, u))
     assert verify._equal(verify._blocks(Ld, Lf), cap - 2) == cap - 2
 
 
@@ -496,10 +498,10 @@ def _factored_reference(basis, u1, u2, u3):
 
 def test_lax_matches_the_full_term_lists_at_every_point():
     points = [
-        P1.triple,
-        Sl3Params(F(1, 2), F(0), F(1, 3)).triple,  # n = u2 - u1 - 1 = 0
-        Sl3Params(F(0), F(1, 5), F(2, 7)).triple,  # m = u3 - u2 - 1 = 0
-        Sl3Params(F(2, 5), F(-2, 5), F(1, 3)).triple,  # m + n = 0
+        sl3_slots(*P1),
+        sl3_slots(F(1, 2), F(0), F(1, 3)),  # n = u2 - u1 - 1 = 0
+        sl3_slots(F(0), F(1, 5), F(2, 7)),  # m = u3 - u2 - 1 = 0
+        sl3_slots(F(2, 5), F(-2, 5), F(1, 3)),  # m + n = 0
         (F(-2), F(1, 3), F(0)),  # u1 + 2 = 0 and u3 = 0
         (F(0), F(-1), F(2)),  # u2 + 1 = 0, u3 - u1 - 2 = 0 and u1 = 0
         (F(1, 4), F(0), F(3, 5)),  # u2 = 0
@@ -544,11 +546,12 @@ def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):
     basis = enumerate_basis([VarSpec("x", 1), VarSpec("y", 2), VarSpec("z", 1)], 4)
 
     def build(p):
-        sl3_lax(basis, *p.triple)
-        sl3_lax_factored(basis, *p.triple)
-        generators(basis, SL3_GENERATORS, (p.m, p.n))
-        verify._gl("sl3", basis, (p.m, p.n))
-        sl3_casimirs(verify._gl("sl3", basis, (p.m, p.n)), p.m, p.n)
+        m, n, _ = p
+        sl3_lax(basis, *sl3_slots(*p))
+        sl3_lax_factored(basis, *sl3_slots(*p))
+        generators(basis, SL3_GENERATORS, (m, n))
+        verify._gl("sl3", basis, (m, n))
+        sl3_casimirs(verify._gl("sl3", basis, (m, n)), m, n)
 
     build(P1)
     assert sum(tabulated) > 0
@@ -567,8 +570,7 @@ def test_shift_flow_inverse_and_lax_invariance():
     assert ok, wit
     ok, wit = is_zero(op_add(compose(Sinv, S), identity_op(b), -1), w)
     assert ok, wit
-    p = Sl3Params(F(2, 3), F(1, 5), F(7, 11))
-    L = sl3_lax(b, *p.triple)
+    L = sl3_lax(b, *sl3_slots(F(2, 3), F(1, 5), F(7, 11)))
     M = sl3_invariance_matrix(a_, b_, c_)
     lhs = lax_mul(lax_from_matrix(b, mat_inv(M)), lax_mul(L, lax_from_matrix(b, M)))
     # lhs = Sinv L S on the module side, that is S lhs = L S
@@ -595,7 +597,7 @@ _RATS = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
 @settings(max_examples=200, deadline=None)
 @given(_RATS, _RATS, _RATS)
 def test_the_weight_map_inverts_the_parameter_triple(m, n, u):
-    assert sl3_weights(*Sl3Params(m, n, u).triple) == (m, n)
+    assert sl3_weights(*sl3_slots(m, n, u)) == (m, n)
 
 
 def test_r_factors_fix_vacuum_and_frozen_columns():
@@ -630,8 +632,8 @@ def test_r_factors_fix_vacuum_and_frozen_columns():
 
 def test_defining_relation_each_factor():
     cap = 3
-    u1, u2, u3 = P1.triple
-    v1, v2, v3 = P2.triple
+    u1, u2, u3 = sl3_slots(*P1)
+    v1, v2, v3 = sl3_slots(*P2)
     r1, r2, r3 = _factors(cap)
     t, q = (u1, u2, u3), (v1, v2, v3)
     ok, wit = _defining_residual(cap, r1, t, q, (v1, u2, u3), (u1, v2, v3))
@@ -694,7 +696,7 @@ def test_factorization_order_independence():
 def test_full_defining_relation_and_permuted_form():
     cap = 3
     pair = _pair(cap)
-    t, q = P1.triple, P2.triple
+    t, q = sl3_slots(*P1), sl3_slots(*P2)
     A = _rhat(pair, P1, P2)
     ok, wit = _defining_residual(cap, A, t, q, q, t)
     assert ok, wit
@@ -734,7 +736,7 @@ def _total_generators(pair, t1, t2):
 def test_weight_shift_intertwining():
     pair = _pair(3)
     r1, r2, r3 = _factors(3)
-    t, q = P1.triple, P2.triple
+    t, q = sl3_slots(*P1), sl3_slots(*P2)
     (u1, u2, u3), (v1, v2, v3) = t, q
     told = _total_generators(pair, t, q)
     # each factor carries the total generators of the weights of the slot
@@ -764,8 +766,8 @@ def test_inverse_is_identity():
 
 def test_single_site_third_factor_reduction():
     site = sl3_site(3)
-    u1, u2, u3 = P1.triple
-    v3 = P2.u3
+    u1, u2, u3 = sl3_slots(*P1)
+    v3 = sl3_slots(*P2)[2]
     single = factor("sl3", "r3-single", site, u1, u2, u3, v3)
     z, y, x = map(site.var_index, "zyx")
     core = run_pipeline(
@@ -786,8 +788,8 @@ def test_single_site_third_factor_reduction():
 def test_mutation_breaks_defining_relation():
     cap = 3
     pair = _pair(cap)
-    u1, u2, u3 = P1.triple
-    v1, v2, v3 = P2.triple
+    u1, u2, u3 = sl3_slots(*P1)
+    v1, v2, v3 = sl3_slots(*P2)
     bad = factor("sl3", 3, pair, u1, u2, u3, v3, mutate=(1, 1))
     ok, wit = _defining_residual(
         cap, bad, (u1, u2, u3), (v1, v2, v3), (u1, u2, v3), (v1, v2, u3)

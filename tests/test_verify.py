@@ -13,15 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfactor import linop, sl2core, verify
+from rfactor import linop, sl2core, sl3core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, compose_sum, diffop, generators, identity_op, is_zero,
     lax_mul, op_add, op_scalar_part, op_scale, pair_swap, rational_op,
 )
-from rfactor.sl2core import SL2_GENERATORS, Sl2Params, sl2_pair, sl2_site
+from rfactor.sl2core import SL2_GENERATORS, sl2_pair, sl2_site, sl2_slots
 from rfactor.sl2core import sl2_lax, sl2_rhat_closed, sl2_spectral
-from rfactor.sl3core import Sl3Params, sl3_pair, sl3_site
+from rfactor.sl3core import sl3_pair, sl3_site, sl3_slots
 from rfactor.verify import (
     POOL_DEN,
     POOL_NUM,
@@ -160,7 +160,7 @@ def _sl3_draws(t, s):
     for u1, u2, u3 in (t, s):
         m, n = u3 - u2 - 1, u2 - u1 - 1
         out += [m, n, u1 + 2 + (m + 2 * n) / 3]
-    assert (Sl3Params(*out[:3]).triple, Sl3Params(*out[3:]).triple) == (t, s)
+    assert (sl3_slots(*out[:3]), sl3_slots(*out[3:])) == (t, s)
     return out
 
 
@@ -277,10 +277,18 @@ def test_a_closed_form_with_one_parameter_moved_fails_the_closed_form_check(
 # Charges
 
 def test_charge_vectors_grade_z_only_bases_by_degree():
-    basis = sl2_site(4)
-    assert charge_vectors(basis) == [(h,) for h in basis.heights]
-    pair = sl2_pair(3)
-    assert charge_vectors(pair) == [(h,) for h in pair.heights]
+    """The per-variable rule gives an sl2 monomial the charge (0, degree),
+    so the oracle's charge blocks on sl2 bases are the degree levels, in
+    degree order."""
+    for basis in (sl2_site(4), sl2_pair(3), sl2_pair(6)):
+        assert charge_vectors(basis) == [(0, h) for h in basis.heights]
+        levels = {}
+        for i, h in enumerate(basis.heights):
+            levels.setdefault(h, []).append(i)
+        _, blocks, _ = verify._charge_structure(basis)
+        assert [blocks[q] for q in sorted(blocks)] == [
+            levels[h] for h in sorted(levels)
+        ]
 
 
 def test_charge_vectors_sl3_refine_the_height():
@@ -363,8 +371,7 @@ def test_oracle_unconstrained_system_is_degenerate():
 
 def _r1_setup(cap):
     pair = sl2_pair(cap)
-    p1, p2 = Sl2Params(F(1), F(1, 3)), Sl2Params(F(1, 2), F(-1, 4))
-    u1, u2, v1, v2 = p1.u1, p1.u2, p2.u1, p2.u2
+    (u1, u2), (v1, v2) = sl2_slots(F(1), F(1, 3)), sl2_slots(F(1, 2), F(-1, 4))
     laxes = (
         sl2_lax(pair, u1, u2, "1"),
         sl2_lax(pair, v1, v2, "2"),
@@ -420,7 +427,7 @@ def test_each_factor_meets_its_first_order_pairs_on_every_certified_column(
         alg, k, pair
     )
     n = 2 if alg == "sl2" else 3
-    sides = verify._FACTORS[alg, k][1](pair)
+    sides = verify._FACTORS[alg, k][1]
     assert [label for label, _, _ in pairs] == [
         f"block ({i},{j})" for i in range(n) for j in range(n)
     ] + [None] * len(sides)
@@ -520,7 +527,7 @@ def test_the_permuted_full_swap_residual_is_the_swapped_residual(alg, tag):
     latter; this holds for a mutated Rhat as for a true one."""
     cap, draws = _SWAP_POINTS[alg]
     a = verify._algebra(alg)
-    t, s = map(a.slots, a.point(draws))
+    t, s = (a.slots(*d) for d in a.sites(draws))
     pair = a.pair(cap)
     sigma = pair_swap(pair)
     w = cap - 2
@@ -573,8 +580,8 @@ _POINT = [F(1), F(1, 2), F(1, 3), F(-1, 4)]
 def test_run_check_labels_a_pass_with_its_scalar():
     res = run_check("sl2", "rfact-orders", 4, _POINT)
     pair = sl2_pair(4)
-    p1, p2 = Sl2Params(F(1), F(1, 3)), Sl2Params(F(1, 2), F(-1, 4))
-    want = op_scalar_part(rhat("sl2", pair, (p1.u1, p1.u2), (p2.u1, p2.u2)))
+    t, s = sl2_slots(F(1), F(1, 3)), sl2_slots(F(1, 2), F(-1, 4))
+    want = op_scalar_part(rhat("sl2", pair, t, s))
     assert (res.name, res.params, res.status) == ("rfact-orders", _POINT, "pass")
     assert res.scalar == want and res.window == 4
     assert res.witness is None and res.reason is None
@@ -639,6 +646,44 @@ def test_a_doubled_factor_fails_every_exact_comparison_with_a_fixed_operator(
                 assert {(r["status"], r["scalar"]) for r in ran} == {("pass", "4")}
             else:
                 assert {r["status"] for r in ran} == {"fail"}
+
+
+def test_the_checks_factor_table_is_the_core_modules_tables():
+    assert list(verify._FACTORS) == [("sl2", 1), ("sl2", 2)] + [
+        ("sl3", k) for k in (1, 2, 3, "r3-single")
+    ]
+    for alg, table in (("sl2", sl2core.SL2_FACTORS), ("sl3", sl3core.SL3_FACTORS)):
+        for k, entry in table.items():
+            assert verify._FACTORS[alg, k] is entry
+
+
+@pytest.mark.parametrize(
+    "alg, cap, names, side, wrong",
+    [
+        ("sl3", 3, ("3F1", "oracle-r1"), 3,
+         ((1, (), ("z2",)), (-1, ("x2",), ("y2",)))),
+        ("sl2", 6, ("F1", "oracle-r1"), 0, ((1, ("z2",), ()),)),
+    ],
+    ids=["sl3-r1-side-without-x1-dy2", "sl2-r1-side-z2"],
+)
+def test_a_wrong_side_relation_in_the_factor_table_fails_its_factor(
+    monkeypatch, alg, cap, names, side, wrong
+):
+    """The exchange check and the oracle of factor 1 read its side
+    relations from the factor table: with one side made wrong (sl3: the
+    fourth without its x1 dy2 term; sl2: z2 for z1), both fail at every
+    seed-0 point."""
+    stages, sides = verify._FACTORS[alg, 1]
+    sides = sides[:side] + (wrong,) + sides[side + 1:]
+    monkeypatch.setitem(verify._FACTORS, (alg, 1), (stages, sides))
+    report = run_suite(SuiteConfig(alg, cap, trials=4, seed=0, checks=names))
+    for name in names:
+        ran = [
+            r for r in report["checks"]
+            if r["name"] == name and r["status"] != "skipped"
+        ]
+        assert len(ran) == 4
+        assert {r["status"] for r in ran} == {"fail"}
 
 
 def test_a_failing_sl3_invariance_reports_through_the_lax_zero_test(monkeypatch):
@@ -708,9 +753,8 @@ def test_the_spectral_check_passes_where_an_eigenvalue_vanishes():
     res = run_check("sl2", "spectral", 8, draws)
     assert res.status == "pass" and res.window == 6, res
     l1, l2, u, v = draws
-    p1, p2 = Sl2Params(l1, u), Sl2Params(l2, v)
     pair = sl2_pair(8)
-    swap = rhat("sl2", pair, (p1.u1, p1.u2), (p2.u1, p2.u2))
+    swap = rhat("sl2", pair, sl2_slots(l1, u), sl2_slots(l2, v))
     rhos = sl2_spectral(compose(pair_swap(pair), swap), l1, l2, u - v, 6)
     assert all(rhos[:5]) and rhos[5] == rhos[6] == 0
 
@@ -891,6 +935,29 @@ def test_suite_config_fills_in_the_default_checks():
     assert SuiteConfig("sl3", 3).checks == SL3_DEFAULT_CHECKS
     assert SuiteConfig("sl2", 4).checks == SL2_DEFAULT_CHECKS
     assert SuiteConfig("sl2", 4, checks=("F1",)).checks == ("F1",)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(cap=1), "--cap must be at least 2"),
+        (dict(trials=0), "--trials must be positive"),
+        (dict(jobs=0), "--jobs must be positive"),
+        (dict(params=(F(1),) * 4), "--params requires exactly one --check"),
+        (dict(checks=("F1", "F2"), params=(F(1),) * 4),
+         "--params requires exactly one --check"),
+    ],
+    ids=["cap", "trials", "jobs", "params-no-check", "params-two-checks"],
+)
+def test_suite_config_refuses_a_run_it_cannot_make(kwargs, message):
+    """A cap below 2 leaves F1/F2 an empty zero-test window, no trial runs
+    no check and reports all_passed; both are refused, as are no worker and
+    explicit params without exactly one explicit check."""
+    with pytest.raises(ValueError) as err:
+        SuiteConfig("sl2", **{"cap": 4, **kwargs})
+    assert str(err.value) == message
+    ok = {**kwargs, "cap": 2, "trials": 1, "jobs": 1, "checks": ("F1",)}
+    assert SuiteConfig("sl2", **ok).cap == 2
 
 
 def test_suite_config_validates_check_names():
