@@ -16,28 +16,27 @@ label in front of the witness and returns the height it tested; a pass
 reports the least such height as its window.  Every relation is a list of
 labelled pairs (label, A, B), A and B operators or Lax blocks: `_equal`
 tests A = B, each difference one `op_comb` over both sides' terms, and
-`_intertwines` tests R A = B R, each residual one `compose_sum`.  Two built
-operators are compared as built, entry by entry: the factor orders, the
-reverse swap after the forward one against the identity and the sl2 swap
-against its closed form.
+`_intertwines` tests R A = B R, each residual one `compose_sum`.
 
 Each factor, its stage list and its side relations, is stated once, in the
 factor tables of `sl2core` and `sl3core`, and each site's Lax slots come
-from the slot maps there (`sl2_slots`, `sl3_slots`).
-A factor and the full swap are one object: `_swap` builds the product of a
-list of elementary factors from the Lax slot tuples (t, s) and returns the
-slot tuples (t', s') it leaves, with R L1(t) L2(s) = L1(t') L2(s') R.  One
-check, `_exchange`, tests that relation for a single factor (`F1`/`F2`,
-`3F1`-`3F3`, which also commute with their side operators) and for the full
-swap (`global`, `def3`); `rhat`, `global3` and the oracles build their
-operators through `_swap` too.  The oracle checks re-derive each elementary
-R-operator as the nullspace of its first-order intertwining system, the
-same labelled pairs (`_first_order` and the side pairs), by fraction-free
-elimination, scale the solution by its vacuum entry and compare it with the
-factor its path table gives, entry by entry.  That is the one
-normalization in the catalog: only the solver leaves a scale free.  Its
-unknowns X[r, c] are the ints r * n + c, which sort as the pairs (r, c) do,
-and the charge structure they range over is built once per basis.
+from the slot maps there (`sl2_slots`, `sl3_slots`).  `_swap` builds the
+product R of a word of factors from the Lax slot tuples (t, s) and returns
+the tuples (t', s') it leaves, R L1(t) L2(s) = L1(t') L2(s') R; a factor is
+a one-letter word.  The catalog names the words each swap check builds, and
+three relations read them, the mutation reaching every factor they build:
+`_exchange` tests that relation for one word (a factor, which also commutes
+with its side operators, or the full swap), `_words` that every word builds
+the first word's operator, entry by entry (factor orders, a swap and its
+reverse, factors applied twice, the empty word as the identity), and
+`_first_orders` that each word carries its first-order pairs.  The oracle
+checks re-derive each factor as the nullspace of those first-order pairs
+and its side pairs, by fraction-free elimination, scale the solution by its
+vacuum entry and compare it with the factor, entry by entry, as the sl2
+swap is compared with its closed form.  That is the one normalization in
+the catalog: only the solver leaves a scale free.  Its unknowns X[r, c] are
+the ints r * n + c, which sort as the pairs (r, c) do, and the charge
+structure they range over is built once per basis.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, NamedTuple
 
 from .exactnum import PoleAtParameter, rat_str
@@ -453,22 +452,6 @@ def _sl3_invariance(cap, draws, mutate):
     return min(inverse, _intertwines(fwd, _blocks(lhs, L), w)), None
 
 
-def _sl3_global(cap, draws, mutate):
-    """Weight-shift intertwining: each factor, and the full swap, carries
-    its first-order pairs, the blocks of L1 + L2 at (t, s) to those at the
-    slot tuples it leaves, which are the total generators at the shifted
-    weights."""
-    a, pair, t, s = _point("sl3", cap, draws)
-    # the full swap is built before the single factors and tested after
-    # them: which skip or witness a point reports depends on that order
-    swap = _swap("sl3", pair, t, s, (3, 2, 1))
-    jobs = [_swap("sl3", pair, t, s, (k,)) for k in (1, 2, 3)] + [swap]
-    window = min(
-        _intertwines(R, _first_order(a, pair, t, s, q1, q2)) for R, q1, q2 in jobs
-    )
-    return window, None
-
-
 def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
     """The pairs (name, A, B) with R A = B R that pin the one-site third swap
     on the x, y, z site `basis`: the generators T21, T23, T12 and T13 at the
@@ -692,13 +675,9 @@ def _swap(alg, pair, t, s, factors, mutate=None):
     return R, t, s
 
 
-def rhat(alg, pair, t, s, order=1, mutate=None):
-    """The full swap Rhat(t | s) on `pair`, the swap of all n factors:
-    order 1 applies factors n..1 and is R1 . R2 (. R3), order 2 applies
-    1..n and is (R3 .) R2 . R1."""
-    n = len(t)
-    factors = range(n, 0, -1) if order == 1 else range(1, n + 1)
-    return _swap(alg, pair, t, s, factors, mutate)[0]
+def rhat(alg, pair, t, s):
+    """The full swap Rhat(t | s) on `pair`, factors n..1: R1 . R2 (. R3)."""
+    return _swap(alg, pair, t, s, range(len(t), 0, -1))[0]
 
 
 def _point(alg, cap, draws):
@@ -755,21 +734,24 @@ def _exchange(alg, factors, cap, draws, mutate):
     return window, None
 
 
-def _factor_orders(alg, cap, draws, mutate):
-    """Both factorization orders of the full swap are equal, entry by
-    entry; reports the first order's vacuum coefficient."""
+def _words(alg, words, cap, draws, mutate):
+    """Every word's `_swap` from the point's (t, s), the empty word's the
+    identity, equals the first word's, entry by entry; all are built, in
+    order, before any is tested. Reports the first's vacuum coefficient."""
     _, pair, t, s = _point(alg, cap, draws)
-    R = rhat(alg, pair, t, s, 1, mutate)
-    return _equal([(None, R, rhat(alg, pair, t, s, 2, mutate))]), op_scalar_part(R)
+    first, *others = (
+        _swap(alg, pair, t, s, w, mutate)[0] if w else identity_op(pair) for w in words
+    )
+    return _equal([(None, first, R) for R in others]), op_scalar_part(first)
 
 
-def _inverse_scalar(alg, cap, draws, mutate):
-    """The reverse swap after the forward one is the identity, entry by
-    entry; reports its vacuum coefficient."""
-    _, pair, t, s = _point(alg, cap, draws)
-    forward = rhat(alg, pair, t, s)
-    R = compose(rhat(alg, pair, s, t), forward)
-    return _equal([(None, R, identity_op(pair))]), op_scalar_part(R)
+def _first_orders(alg, words, cap, draws, mutate):
+    """Each word's `_swap` carries the blocks of L1 + L2 at (t, s) to those
+    at the slots it leaves, the total generators at the shifted weights;
+    all are built, in order, before any is tested."""
+    a, pair, t, s = _point(alg, cap, draws)
+    jobs = [_swap(alg, pair, t, s, w, mutate) for w in words]
+    return min(_intertwines(R, _first_order(a, pair, t, s, *q)) for R, *q in jobs), None
 
 
 def _oracle(alg, k, cap, draws, mutate):
@@ -818,12 +800,13 @@ CATALOG = {
     ("sl2", "lax-factor"): (partial(_lax_factor, "sl2"), 2),
     ("sl2", "F1"): (partial(_exchange, "sl2", (1,)), 4),
     ("sl2", "F2"): (partial(_exchange, "sl2", (2,)), 4),
-    ("sl2", "rfact-orders"): (partial(_factor_orders, "sl2"), 4),
+    ("sl2", "rfact-orders"): (partial(_words, "sl2", ((2, 1), (1, 2))), 4),
     ("sl2", "spectral"): (_sl2_spectral, 4),
     ("sl2", "ybe-fundamental"): (_ybe_fundamental, 2),
     ("sl2", "closed-form"): (_sl2_closed_form, 4),
     ("sl2", "global"): (partial(_exchange, "sl2", (2, 1)), 4),
-    ("sl2", "inverse-scalar"): (partial(_inverse_scalar, "sl2"), 4),
+    ("sl2", "inverse-scalar"): (partial(_words, "sl2", ((2, 1, 2, 1), ())), 4),
+    ("sl2", "involutions"): (partial(_words, "sl2", ((1, 1), (2, 2), ())), 4),
     ("sl2", "oracle-r1"): (partial(_oracle, "sl2", 1), 4),
     ("sl2", "oracle-r2"): (partial(_oracle, "sl2", 2), 4),
     ("sl3", "commutators"): (partial(_commutators, "sl3"), 2),
@@ -834,22 +817,28 @@ CATALOG = {
     ("sl3", "3F1"): (partial(_exchange, "sl3", (1,)), 6),
     ("sl3", "3F2"): (partial(_exchange, "sl3", (2,)), 6),
     ("sl3", "3F3"): (partial(_exchange, "sl3", (3,)), 6),
-    ("sl3", "rfact3-orders"): (partial(_factor_orders, "sl3"), 6),
+    ("sl3", "rfact3-orders"): (partial(_words, "sl3", ((3, 2, 1), (1, 2, 3))), 6),
     ("sl3", "def3"): (partial(_exchange, "sl3", (3, 2, 1)), 6),
-    ("sl3", "global3"): (_sl3_global, 6),
-    ("sl3", "inverse-scalar3"): (partial(_inverse_scalar, "sl3"), 6),
+    ("sl3", "global3"): (
+        partial(_first_orders, "sl3", ((3, 2, 1), (1,), (2,), (3,))), 6
+    ),
+    ("sl3", "inverse-scalar3"): (partial(_words, "sl3", ((3, 2, 1, 3, 2, 1), ())), 6),
+    ("sl3", "orders3"): (  # all six orders, the full swap's (3, 2, 1) first
+        partial(_words, "sl3", tuple(sorted(permutations((1, 2, 3)), reverse=True))), 6
+    ),
+    ("sl3", "involutions3"): (partial(_words, "sl3", ((1, 1), (2, 2), (3, 3), ())), 6),
     ("sl3", "oracle-r1"): (partial(_oracle, "sl3", 1), 6),
     ("sl3", "oracle-r2"): (partial(_oracle, "sl3", 2), 6),
     ("sl3", "oracle-r3"): (partial(_oracle, "sl3", 3), 6),
     ("sl3", "oracle-r3-single"): (_sl3_oracle_single, 6),
 }
 
-# the checks that pass a mutation on to the R-operator they build; every
-# other check ignores it
+# the checks that pass a mutation on to every word of factors they build;
+# every other check ignores it
 MUTATION_CHECKS = tuple(
     key
     for key, (fn, _) in CATALOG.items()
-    if getattr(fn, "func", None) in (_exchange, _factor_orders)
+    if getattr(fn, "func", None) in (_exchange, _words, _first_orders)
 )
 
 DEFAULT_CHECKS = {

@@ -30,6 +30,7 @@ from rfactor.verify import (
     SL2_MUTATION_TAGS,
     SL3_MUTATION_TAGS,
     SuiteConfig,
+    _swap,
     check_rng,
     draw_rats,
     parse_mutate,
@@ -55,11 +56,12 @@ def _guarded_points(stream, ndraws, count, accept):
 
 
 def _builds(*swaps):
-    """Whether every full swap (t, s, order) builds on the cap-8 sl2 pair
-    basis: each factor guards itself and raises CheckSkipped at a pole."""
+    """Whether every swap (t, s, word of factors) builds on the cap-8 sl2
+    pair basis: each factor guards itself and raises CheckSkipped at a
+    pole."""
     try:
-        for t, s, order in swaps:
-            rhat("sl2", sl2_pair(8), t, s, order)
+        for t, s, word in swaps:
+            _swap("sl2", sl2_pair(8), t, s, word)
     except CheckSkipped:
         return False
     return True
@@ -72,7 +74,7 @@ def _sl2_points():
     def ok(draws):
         l1, l2, u, v = draws
         t, s = sl2_slots(l1, u), sl2_slots(l2, v)
-        return _builds((t, s, 1), (t, s, 2))
+        return _builds((t, s, (2, 1)), (t, s, (1, 2)))
 
     return tuple(_guarded_points("sl2-rll", 4, 20, ok))
 
@@ -98,7 +100,7 @@ def test_sl2_factorization_orders_agree_at_the_same_points():
 def test_sl2_spectral_recurrence_through_degree_six():
     def ok(draws):
         l1, l2, u, v = draws
-        return _builds((sl2_slots(l1, u), sl2_slots(l2, v), 1))
+        return _builds((sl2_slots(l1, u), sl2_slots(l2, v), (2, 1)))
 
     def spectral(l1, l2, u, v):
         pair = sl2_pair(8)

@@ -165,9 +165,9 @@ def test_explicit_params_of_the_wrong_count_exit_two(args):
 @pytest.mark.parametrize(
     "args",
     [
-        ("sl2", "--check", "inverse-scalar", "--cap", "6", "--trials", "3"),
+        ("sl2", "--check", "closed-form", "--cap", "6", "--trials", "3"),
         ("sl2", "--check", "oracle-r1", "--check", "casimir", "--cap", "4"),
-        ("sl3", "--check", "inverse-scalar3", "--check", "oracle-r2",
+        ("sl3", "--check", "oracle-r3-single", "--check", "oracle-r2",
          "--trials", "2"),
     ],
 )
@@ -191,11 +191,11 @@ def test_mutation_exponent_above_the_cap_is_refused():
 
 def test_mutation_runs_when_one_selected_check_reads_it():
     proc = run_cli("sl2", "--cap", "4", "--trials", "1", "--seed", "0",
-                   "--check", "inverse-scalar", "--check", "F1",
+                   "--check", "closed-form", "--check", "F1",
                    "--mutate", "r1:1")
     assert proc.returncode == 1
     assert "FAIL  F1" in proc.stdout
-    assert "PASS  inverse-scalar" in proc.stdout
+    assert "PASS  closed-form" in proc.stdout
 
 
 def test_report_exit_code_follows_the_statuses_not_the_stored_flag(tmp_path):

@@ -47,7 +47,7 @@ from rfactor.sl2core import (
     ybe_fundamental_residual,
 )
 from rfactor import verify
-from rfactor.verify import CheckFailed, rhat
+from rfactor.verify import CheckFailed, _swap
 from termlists import (
     assert_same_op,
     factor,
@@ -260,8 +260,9 @@ def _pair_setup(cap):
     return pair, sl2_slots(L1, U), sl2_slots(L2, V)
 
 
-def _rhat(pair, p1, p2, order=1):
-    return rhat("sl2", pair, p1, p2, order)
+def _rhat(pair, p1, p2, word=(2, 1)):
+    """The swap of the factors of `word`, the full swap by default."""
+    return _swap("sl2", pair, p1, p2, word)[0]
 
 
 def _spectral(cap, l1, l2, u, v, n_max):
@@ -337,8 +338,8 @@ def test_defining_relation_second_factor():
 
 def test_factorization_orders_agree_exactly():
     pair, p1, p2 = _pair_setup(5)
-    A = _rhat(pair, p1, p2, order=1)
-    B = _rhat(pair, p1, p2, order=2)
+    A = _rhat(pair, p1, p2)
+    B = _rhat(pair, p1, p2, (1, 2))
     assert A.col(0) == {0: F(1)} and B.col(0) == {0: F(1)}
     ok, wit = is_zero(op_add(A, B, -1), min(A.certified, B.certified))
     assert ok, wit

@@ -61,7 +61,7 @@ from rfactor.sl3core import (
     sl3_weights,
 )
 from rfactor import verify
-from rfactor.verify import CheckFailed, rhat
+from rfactor.verify import CheckFailed, _swap
 from termlists import (
     assert_same_op,
     factor,
@@ -103,8 +103,9 @@ def _pair(cap):
     return sl3_pair(cap)
 
 
-def _rhat(pair, p1, p2, order=1, mutate=None):
-    return rhat("sl3", pair, sl3_slots(*p1), sl3_slots(*p2), order, mutate)
+def _rhat(pair, p1, p2, word=(3, 2, 1), mutate=None):
+    """The swap of the factors of `word`, the full swap by default."""
+    return _swap("sl3", pair, sl3_slots(*p1), sl3_slots(*p2), word, mutate)[0]
 
 
 @lru_cache(maxsize=None)
@@ -685,8 +686,8 @@ def test_factor_side_relations():
 
 def test_factorization_order_independence():
     pair = _pair(3)
-    A1 = _rhat(pair, P1, P2, order=1)
-    A2 = _rhat(pair, P1, P2, order=2)
+    A1 = _rhat(pair, P1, P2)
+    A2 = _rhat(pair, P1, P2, (1, 2, 3))
     w = min(A1.certified, A2.certified)
     assert w == 3
     ok, wit = is_zero(op_add(A1, A2, -1), w)
@@ -797,8 +798,8 @@ def test_mutation_breaks_defining_relation():
     assert not ok
     assert wit is not None and isinstance(wit[1], str)
     # mutating one factor inside the full swap also breaks order agreement
-    A1 = _rhat(pair, P1, P2, order=1, mutate=(2, 2, 1))
-    A2 = _rhat(pair, P1, P2, order=2)
+    A1 = _rhat(pair, P1, P2, mutate=(2, 2, 1))
+    A2 = _rhat(pair, P1, P2, (1, 2, 3))
     ok, wit = is_zero(op_add(A1, A2, -1), min(A1.certified, A2.certified))
     assert not ok and wit is not None
 

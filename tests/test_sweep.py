@@ -22,7 +22,28 @@ def _sweep_module():
 
 
 def test_every_sweep_configuration_leaves_what_the_golden_file_records(tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    now = _sweep_module().sweep(tmp_path)
-    changed = sorted(k for k in golden.keys() | now.keys() if golden.get(k) != now.get(k))
-    assert not changed, f"{len(changed)} configurations changed: " + "; ".join(changed)
+    sweep = _sweep_module()
+    changed, added, removed = sweep.compare(
+        json.loads(GOLDEN.read_text()), sweep.sweep(tmp_path)
+    )
+    moved = changed + added + removed
+    assert not moved, f"{len(moved)} configurations changed: " + "; ".join(moved)
+
+
+def test_against_lists_each_key_and_fails_only_on_a_changed_or_removed_one(
+    tmp_path, monkeypatch, capsys
+):
+    sweep = _sweep_module()
+    old = {"a": [1], "b": [2], "c": [3]}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    for now, code, lines in [
+        (old, 0, ["0 changed, 0 added, 0 removed"]),
+        ({**old, "d": [4]}, 0, ["added: d", "0 changed, 1 added, 0 removed"]),
+        ({**old, "b": [5]}, 1, ["changed: b", "1 changed, 0 added, 0 removed"]),
+        ({"a": [1], "c": [3], "d": [4]}, 1,
+         ["added: d", "removed: b", "0 changed, 1 added, 1 removed"]),
+    ]:
+        monkeypatch.setattr(sweep, "sweep", lambda tmp, now=now: now)
+        assert sweep.main(["--against", str(path)]) == code
+        assert capsys.readouterr().out.splitlines() == lines

@@ -8,6 +8,7 @@ schema, and mutation sensitivity of the seeded suites.
 import json
 from fractions import Fraction as F
 from functools import partial
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -81,7 +82,13 @@ def _same(a, b):
     return (a.cols, a.den, a.certified) == (b.cols, b.den, b.certified)
 
 
+def _word(alg, pair, t, s, word, mutate=None):
+    """The swap of the factors of `word` from (t, s)."""
+    return verify._swap(alg, pair, t, s, word, mutate)[0]
+
+
 def test_rhat_composes_the_sl2_factors_in_both_orders():
+    """rhat is the word (2, 1); (1, 2) is the other order."""
     pair = sl2_pair(5)
     u1, u2, v1, v2 = F(4, 3), F(-2, 3), F(5, 7), F(-3, 7)
     t, s = (u1, u2), (v1, v2)
@@ -89,22 +96,23 @@ def test_rhat_composes_the_sl2_factors_in_both_orders():
     r2 = partial(factor, "sl2", 2, pair)
     want1 = compose(r1(u1, v1, u2), r2(u1, u2, v2))
     want2 = compose(r2(v1, u2, v2), r1(u1, v1, v2))
-    assert _same(rhat("sl2", pair, t, s, 1), want1)
-    assert _same(rhat("sl2", pair, t, s, 2), want2)
+    assert _same(rhat("sl2", pair, t, s), want1)
+    assert _same(_word("sl2", pair, t, s, (1, 2)), want2)
     mutated = compose(r1(u1, v1, u2, mutate=(0, 2)), r2(u1, u2, v2))
-    assert _same(rhat("sl2", pair, t, s, 1, (1, 0, 2)), mutated)
-    # each factor guards itself in the order the factors apply: order 1
-    # meets r2's lower parameter u1 - u2 = -1 before r1's v1 - u2 = 0; order
-    # 2 passes r1's v1 - v2 = -1/3 and meets r2's, 0
+    assert _same(_word("sl2", pair, t, s, (2, 1), (1, 0, 2)), mutated)
+    # each factor guards itself in the order the factors apply: (2, 1)
+    # meets r2's lower parameter u1 - u2 = -1 before r1's v1 - u2 = 0;
+    # (1, 2) passes r1's v1 - v2 = -1/3 and meets r2's, 0
     pair = sl2_pair(4)
     t, s = (F(-1), F(0)), (F(0), F(1, 3))
     with pytest.raises(CheckSkipped, match=r"^\(-1\)_2 = 0$"):
-        rhat("sl2", pair, t, s, 1)
+        rhat("sl2", pair, t, s)
     with pytest.raises(CheckSkipped, match=r"^\(0\)_1 = 0$"):
-        rhat("sl2", pair, t, s, 2)
+        _word("sl2", pair, t, s, (1, 2))
 
 
 def test_rhat_composes_the_sl3_factors_in_both_orders():
+    """rhat is the word (3, 2, 1); (1, 2, 3) is the other order."""
     pair = sl3_pair(3)
     u1, u2, u3 = F(1, 2), F(-1, 3), F(5, 4)
     v1, v2, v3 = F(2, 7), F(-3, 5), F(7, 6)
@@ -118,13 +126,13 @@ def test_rhat_composes_the_sl3_factors_in_both_orders():
         r3(v1, v2, u3, v3),
         compose(r2(v1, u2, v2, v3), r1(u1, v1, v2, v3)),
     )
-    assert _same(rhat("sl3", pair, t, s, 1), want1)
-    assert _same(rhat("sl3", pair, t, s, 2), want2)
+    assert _same(rhat("sl3", pair, t, s), want1)
+    assert _same(_word("sl3", pair, t, s, (1, 2, 3)), want2)
     mutated = compose(
         r3(v1, v2, u3, v3),
         compose(r2(v1, u2, v2, v3, mutate=(1, 1)), r1(u1, v1, v2, v3)),
     )
-    assert _same(rhat("sl3", pair, t, s, 2, (2, 1, 1)), mutated)
+    assert _same(_word("sl3", pair, t, s, (1, 2, 3), (2, 1, 1)), mutated)
     assert not _same(mutated, want2)
 
 
@@ -145,13 +153,13 @@ def test_a_guard_accepted_full_swap_meets_no_pole(alg, cap, data):
     n = 2 if alg == "sl2" else 3
     t, s = (data.draw(st.tuples(*[_near_pole(cap)] * n)) for _ in range(2))
     pair = sl2_pair(cap) if alg == "sl2" else sl3_pair(cap)
-    for order in (1, 2):
+    for word in (tuple(range(n, 0, -1)), tuple(range(1, n + 1))):
         try:
-            rhat(alg, pair, t, s, order)
+            _word(alg, pair, t, s, word)
         except CheckSkipped:
             pass
         except PoleAtParameter as e:
-            raise AssertionError(f"guard accepted order {order}: {e}")
+            raise AssertionError(f"guard accepted order {word}: {e}")
 
 
 def _sl3_draws(t, s):
@@ -167,8 +175,8 @@ def _sl3_draws(t, s):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_the_global3_guard_covers_every_factor_it_builds(data):
-    """global3 builds each factor at (t, s) besides the full swap in order
-    1: near a pole it either skips or passes, and none of them raises."""
+    """global3 builds the full swap (3, 2, 1) and each factor at (t, s):
+    near a pole it either skips or passes, and none of them raises."""
     cap = 2
     t, s = (data.draw(st.tuples(*[_near_pole(cap)] * 3)) for _ in range(2))
     res = run_check("sl3", "global3", cap, _sl3_draws(t, s))
@@ -176,9 +184,10 @@ def test_the_global3_guard_covers_every_factor_it_builds(data):
 
 
 def test_global3_passes_where_only_a_swap_it_never_builds_meets_a_pole():
-    """At this draw the order-2 full swap's third factor has lower parameter
-    0, but global3 builds only the order-1 swap and the factors at (t, s),
-    and all of them exist, so the check passes rather than skipping."""
+    """At this draw the full swap (1, 2, 3)'s third factor has lower
+    parameter 0, but global3 builds only the swap (3, 2, 1) and the factors
+    at (t, s), and all of them exist, so the check passes rather than
+    skipping."""
     draws = [F(8, 7), F(-2, 5), F(27), F(-3), F(37, 12), F(-25, 8)]
     res = run_check("sl3", "global3", 3, draws)
     assert res.status == "pass", res
@@ -196,13 +205,14 @@ FACTOR_CHECKS = [
     ("sl2", name, 3)
     for name in (
         "F1", "F2", "rfact-orders", "global", "inverse-scalar",
-        "oracle-r1", "oracle-r2",
+        "involutions", "oracle-r1", "oracle-r2",
     )
 ] + [
     ("sl3", name, 3)
     for name in (
         "3F1", "3F2", "3F3", "rfact3-orders", "def3", "inverse-scalar3",
-        "oracle-r1", "oracle-r2", "oracle-r3", "oracle-r3-single",
+        "orders3", "involutions3", "oracle-r1", "oracle-r2", "oracle-r3",
+        "oracle-r3-single",
     )
 ]
 
@@ -537,7 +547,7 @@ def test_the_permuted_full_swap_residual_is_the_swapped_residual(alg, tag):
             swapped = compose(sigma, compose(whole_block(b2), sigma))
             assert_same_op(swapped, whole_block(b1), (x, label))
     mutate = None if tag is None else parse_mutate(alg, tag)
-    A = rhat(alg, pair, t, s, 1, mutate)
+    A = _word(alg, pair, t, s, range(len(t), 0, -1), mutate)
     L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, t, s, s, t)
     P = lax_mul(L1, L2, w)
     res = blockwise_pairs(A, P, lax_mul(L1p, L2p, w))
@@ -646,6 +656,93 @@ def test_a_doubled_factor_fails_every_exact_comparison_with_a_fixed_operator(
                 assert {(r["status"], r["scalar"]) for r in ran} == {("pass", "4")}
             else:
                 assert {r["status"] for r in ran} == {"fail"}
+
+
+# the relations that read words of factors off the catalog
+_WORD_RELATIONS = (verify._exchange, verify._words, verify._first_orders)
+
+
+def _catalog_words(fn):
+    """The words of factors a catalog check builds, () for a check that
+    reads none: `_exchange` takes one word, the others a tuple of them."""
+    func = getattr(fn, "func", None)
+    if func not in _WORD_RELATIONS:
+        return ()
+    words = fn.args[1]
+    return (words,) if func is verify._exchange else words
+
+
+def _swap_factors(alg):
+    """The factors of `alg` that exchange a Lax slot between two sites."""
+    return {k for a, k in verify._FACTORS if a == alg and k != "r3-single"}
+
+
+def _word_errors(alg, words):
+    """What is wrong with the words of one `_words` row: a factor that is
+    not one of its algebra's swap factors, or a word that leaves other
+    slots than the first word does. Each word runs `_factor_args` on the
+    symbolic slot tuples (t1, ..., tn), (s1, ..., sn)."""
+    factors = _swap_factors(alg)
+    n = len(factors)
+    start = tuple(f"t{i}" for i in range(1, n + 1)), tuple(
+        f"s{i}" for i in range(1, n + 1)
+    )
+    errors, left = [], {}
+    for word in words:
+        if not set(word) <= factors:
+            errors.append(f"{word} names a factor {alg} lacks")
+            continue
+        slots = start
+        for k in word:
+            slots = verify._factor_args(*slots, k)[1:]
+        left[word] = slots
+    first = next(iter(left.values()), None)
+    errors += [f"{w} leaves {q}, not {first}" for w, q in left.items() if q != first]
+    return errors
+
+
+def test_every_catalog_word_names_its_algebras_factors_and_leaves_one_slot_pair():
+    """The words of a `_words` row realise one permutation of the slots,
+    the empty word the identity, and every word a check builds names only
+    swap factors of its algebra; a row that breaks either is caught."""
+    rows = {
+        key: _catalog_words(fn) for key, (fn, _) in verify.CATALOG.items()
+    }
+    for (alg, name), words in rows.items():
+        assert all(set(w) <= _swap_factors(alg) for w in words), name
+        if getattr(verify.CATALOG[alg, name][0], "func", None) is verify._words:
+            assert _word_errors(alg, words) == [], name
+    orders = rows["sl3", "orders3"]
+    assert orders[0] == (3, 2, 1)
+    assert sorted(orders) == sorted(permutations((1, 2, 3)))
+    assert _word_errors("sl2", ((2, 1), (1,))) == [
+        "(1,) leaves (('s1', 't2'), ('t1', 's2')), not (('s1', 's2'), ('t1', 't2'))"
+    ]
+    assert _word_errors("sl2", ((2, 1), (3, 1))) == ["(3, 1) names a factor sl2 lacks"]
+    assert _word_errors("sl3", ((1, 1), ())) == []
+
+
+# (algebra, cap, check, tag): a check that builds words of factors, and a
+# mutation that fails it at every seed-0 point it does not skip
+_WORD_MUTANTS = [
+    ("sl2", 4, "inverse-scalar", "r1:1"),
+    ("sl3", 3, "inverse-scalar3", "r2:b"),
+    ("sl3", 3, "involutions3", "r2:b"),
+] + [("sl3", 3, "global3", tag) for tag in SL3_MUTATION_TAGS]
+
+
+@pytest.mark.parametrize("alg, cap, name, tag", _WORD_MUTANTS)
+def test_a_mutation_reaches_every_word_a_check_builds(alg, cap, name, tag):
+    """A mutation reaches every factor of every word of the catalog row,
+    so a swap and its reverse, a factor applied twice and each first-order
+    word fail at every seed-0 point the check does not skip."""
+    assert (alg, name) in verify.MUTATION_CHECKS
+    mutate = parse_mutate(alg, tag)
+    report = run_suite(SuiteConfig(alg, cap, trials=4, seed=0, checks=(name,),
+                                   mutate=mutate))
+    ran = [r for r in report["checks"] if r["status"] != "skipped"]
+    assert len(ran) == 4
+    assert {r["status"] for r in ran} == {"fail"}
 
 
 def test_the_checks_factor_table_is_the_core_modules_tables():
@@ -778,6 +875,7 @@ _PINNED_WINDOWS = {
     ("sl2", "closed-form"): 8,
     ("sl2", "global"): 6,
     ("sl2", "inverse-scalar"): 8,
+    ("sl2", "involutions"): 8,
     ("sl2", "oracle-r1"): 8,
     ("sl2", "oracle-r2"): 8,
     ("sl3", "commutators"): 0,
@@ -792,6 +890,8 @@ _PINNED_WINDOWS = {
     ("sl3", "def3"): 1,
     ("sl3", "global3"): 1,
     ("sl3", "inverse-scalar3"): 3,
+    ("sl3", "orders3"): 3,
+    ("sl3", "involutions3"): 3,
     ("sl3", "oracle-r1"): 3,
     ("sl3", "oracle-r2"): 3,
     ("sl3", "oracle-r3"): 3,
@@ -801,8 +901,9 @@ _PINNED_WINDOWS = {
 
 # (algebra, check) -> how many zero tests that instance makes: an exchange
 # check tests its Lax product blocks and, for a single factor, its side
-# pairs (F1/F2: 4 + 1, 3F1-3F3: 9 + 4), so a check that drops a relation
-# shows here even where the least height stays
+# pairs (F1/F2: 4 + 1, 3F1-3F3: 9 + 4), and a check of words tests each
+# word after the first, so a check that drops a relation shows here even
+# where the least height stays
 _PINNED_ZERO_TESTS = {
     ("sl2", "commutators"): 3,
     ("sl2", "casimir"): 1,
@@ -815,6 +916,7 @@ _PINNED_ZERO_TESTS = {
     ("sl2", "closed-form"): 1,
     ("sl2", "global"): 4,
     ("sl2", "inverse-scalar"): 1,
+    ("sl2", "involutions"): 2,
     ("sl2", "oracle-r1"): 1,
     ("sl2", "oracle-r2"): 1,
     ("sl3", "commutators"): 28,
@@ -829,6 +931,8 @@ _PINNED_ZERO_TESTS = {
     ("sl3", "def3"): 9,
     ("sl3", "global3"): 36,
     ("sl3", "inverse-scalar3"): 1,
+    ("sl3", "orders3"): 5,
+    ("sl3", "involutions3"): 3,
     ("sl3", "oracle-r1"): 1,
     ("sl3", "oracle-r2"): 1,
     ("sl3", "oracle-r3"): 1,

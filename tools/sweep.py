@@ -24,12 +24,17 @@ report regenerates that file in the same diff:
 Two source trees are compared by running the sweep against each:
 
     PYTHONPATH=path/to/parent/src python tools/sweep.py > parent.json
-    PYTHONPATH=src python tools/sweep.py > change.json
-    cmp parent.json change.json
+    PYTHONPATH=src python tools/sweep.py --against parent.json
+
+With `--against FILE` the sweep prints, instead of its JSON, every key whose
+entry differs from FILE's ("changed"), is new ("added") or is gone
+("removed"), and exits 1 if any key changed or was removed: a change that
+keeps every old report and only adds configurations exits 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -124,12 +129,34 @@ def sweep(tmp: Path):
     return results
 
 
-def main() -> int:
+def compare(old, new):
+    """(changed, added, removed): the sorted keys of `new` whose entry
+    differs from `old`'s, those only `new` has and those only `old` has."""
+    changed = sorted(k for k in old.keys() & new.keys() if old[k] != new[k])
+    return changed, sorted(new.keys() - old.keys()), sorted(old.keys() - new.keys())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument(
+        "--against", metavar="FILE",
+        help="list the keys that differ from this sweep output; "
+        "exit 1 if any existing key changed or vanished",
+    )
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         results = sweep(Path(tmp))
-    json.dump(results, sys.stdout, indent=1)
-    sys.stdout.write("\n")
-    return 0
+    if args.against is None:
+        json.dump(results, sys.stdout, indent=1)
+        sys.stdout.write("\n")
+        return 0
+    old = json.loads(Path(args.against).read_text())
+    changed, added, removed = compare(old, results)
+    for tag, keys in (("changed", changed), ("added", added), ("removed", removed)):
+        for key in keys:
+            print(f"{tag}: {key}")
+    print(f"{len(changed)} changed, {len(added)} added, {len(removed)} removed")
+    return 1 if changed or removed else 0
 
 
 if __name__ == "__main__":
