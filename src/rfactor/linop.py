@@ -38,11 +38,14 @@ its matrix in the defining representation.
 
 A Lax matrix (`LaxOp`) keeps such a block as its terms ((cached part, 1),
 (cached unit, coefficient), ...), so building one at a point tabulates and
-copies nothing. `lax_mul` makes each product block one `compose_sum` over
-the products of the factors' terms. A relation reads a block through its
-terms (`lax_terms`) too: an intertwining residual R A - B R of two blocks is
-one `compose_sum`, and a difference A - B one `op_comb`, over both blocks'
-terms.
+copies nothing. A product of Lax matrices (`lax_mul`) is one too: each
+block is its terms ((a after b, ca cb), ...) over the factors' terms, and
+each product of two parts is composed once per process (`_part_product`),
+so a product at a later point composes nothing, and its terms are cached
+parts again. A relation reads a block through its terms (`lax_terms`): an
+intertwining residual R A - B R of two blocks is one `compose_sum` of R and
+each block folded by one `op_comb`, and a difference A - B one `op_comb`,
+over both blocks' terms.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -188,7 +191,10 @@ def op_from_action(domain, action, shift):
     return rational_op(domain, cols, shift, certified)
 
 
+@lru_cache(maxsize=32)
 def zero_op(domain):
+    """The zero operator on `domain`, made once per basis, as the unit is;
+    callers share it, so none may change it."""
     return SparseOp(domain, {}, 1, NEG_INF, domain.cap)
 
 
@@ -860,9 +866,9 @@ def path_op(table, args, mutate=None):
 # ---------------------------------------------------------------------------
 # Lax matrices: small matrices of blocks over an auxiliary space. A block is
 # a SparseOp or a tuple of its terms ((SparseOp, rational coefficient), ...):
-# a block with parameters is kept as its cached parts times their
-# coefficients, and products and sums expand the terms into one fused kernel
-# call per block.
+# a block with parameters, and every block of a product, is kept as its
+# cached parts times their coefficients, and relations fold the terms in
+# one fused kernel call per block.
 
 def lax_terms(block):
     """The terms ((operator, coefficient), ...) of a Lax block."""
@@ -918,9 +924,20 @@ def lax_from_gl(T, u):
     )
 
 
+# the sl2 default suite at cap 8 holds 45 products, the sl3 one at cap 3 218,
+# and so do the whole catalogs: the oracles multiply no Lax matrices
+@lru_cache(maxsize=512)
+def _part_product(a, b, upto):
+    """a after b, no column above `upto`, for two cached Lax parts: composed
+    once per process. Callers share the product, so none may change it."""
+    return compose_sum(((a, b, 1),), upto=upto)
+
+
 def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
-    """A B, no block tabulated or certified above height `upto`; each block
-    is one `compose_sum` over the products of the factors' terms."""
+    """A B, no block tabulated or certified above height `upto`. Block
+    (i, k) is its terms (a after b, ca cb) over the terms (a, ca) of A_ij
+    and (b, cb) of B_jk, each product of two parts cached
+    (`_part_product`), so a product at a later point composes nothing."""
     n = A.size
     if B.size != n:
         raise BasisMismatch("Lax sizes differ")
@@ -928,14 +945,14 @@ def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
     return LaxOp(
         [
             [
-                compose_sum(
+                tuple(
                     (
-                        (a, b, cb if ca == 1 else ca if cb == 1 else ca * cb)
-                        for j in range(n)
-                        for a, ca in lax_terms(A.blocks[i][j])
-                        for b, cb in lax_terms(B.blocks[j][k])
-                    ),
-                    upto=upto,
+                        _part_product(a, b, upto),
+                        cb if ca == 1 else ca if cb == 1 else ca * cb,
+                    )
+                    for j in range(n)
+                    for a, ca in lax_terms(A.blocks[i][j])
+                    for b, cb in lax_terms(B.blocks[j][k])
                 )
                 for k in range(n)
             ]

@@ -18,8 +18,12 @@ with the sites' roles swapped and Euler parameters of their own.
 
 Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
-generators and the direct and factored Lax matrices at a point are cached
-parts plus parameter times the unit operators 1 and z; and per pair basis
+generators and the direct Lax matrix at a point are cached parts plus
+parameter times the unit operators 1 and z; the zero operator, once per
+basis (`linop.zero_op`); every product of two such parts that a product of
+Lax matrices takes, once per height limit (`linop._part_product`), so the
+factored Lax matrix and the exchange checks' Lax products at a point are
+cached part products times products of coefficients; and per pair basis
 the path table of each elementary R-operator and of the closed form's two
 conjugations (`linop.path_table`), so a factor at a point costs one Gamma
 ratio per exponent plus integer sums.

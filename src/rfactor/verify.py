@@ -16,7 +16,8 @@ label in front of the witness and returns the height it tested; a pass
 reports the least such height as its window.  Every relation is a list of
 labelled pairs (label, A, B), A and B operators or Lax blocks: `_equal`
 tests A = B, each difference one `op_comb` over both sides' terms, and
-`_intertwines` tests R A = B R, each residual one `compose_sum`.
+`_intertwines` tests R A = B R, each side's terms folded by one `op_comb`
+and each residual one `compose_sum` of the two.
 
 Each factor, its stage list and its side relations, is stated once, in the
 factor tables of `sl2core` and `sl3core`, and each site's Lax slots come
@@ -361,14 +362,14 @@ def _blocks(A, B):
 
 
 def _intertwines(R, pairs, window=None):
-    """R A = B R for each pair: the residual R A - B R is one `compose_sum`
-    over both sides' terms, tabulated up to `window`, and `_vanishes`."""
+    """R A = B R for each pair: each side's terms are folded by one
+    `op_comb`, the residual R A - B R is one `compose_sum` of the two,
+    tabulated up to `window`, and `_vanishes`."""
     return min(
         _vanishes(
             label,
             compose_sum(
-                [(R, t, c) for t, c in lax_terms(A)]
-                + [(t, R, -c) for t, c in lax_terms(B)],
+                ((R, op_comb(lax_terms(A)), 1), (op_comb(lax_terms(B)), R, -1)),
                 upto=window,
             ),
             window,

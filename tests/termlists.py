@@ -79,9 +79,12 @@ def whole_block(block):
 
 def blockwise_pairs(R, P, Q):
     """The labelled pairs (block label, R P_ij, Q_ij R) of the Lax relation
-    R P = Q R for an operator R and Lax products P and Q (`lax_mul`), whose
-    blocks are whole operators: each side one `compose`."""
-    return [(label, compose(R, A), compose(B, R)) for label, A, B in _blocks(P, Q)]
+    R P = Q R for an operator R and Lax products P and Q (`lax_mul`), each
+    block folded to one operator (`whole_block`): each side one `compose`."""
+    return [
+        (label, compose(R, whole_block(A)), compose(whole_block(B), R))
+        for label, A, B in _blocks(P, Q)
+    ]
 
 
 def vanishing_pochhammer(bases, cap):

@@ -6,6 +6,7 @@ loops and compared entry by entry on certified windows.
 
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from rfactor.linop import (
     is_zero,
     kron,
     lax_mul,
+    lax_terms,
     mat_eye,
     mat_inv,
     mat_is_zero,
@@ -48,9 +50,11 @@ from rfactor.linop import (
     zero_op,
 )
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
-from rfactor.sl2core import sl2_lax, sl2_pair
-from rfactor.sl3core import _laurent_flow, sl3_lax, sl3_pair, sl3_site
-from termlists import stage_euler
+from rfactor.sl2core import sl2_lax, sl2_lax_factored, sl2_pair, sl2_site
+from rfactor.sl3core import (
+    _laurent_flow, sl3_lax, sl3_lax_factored, sl3_pair, sl3_site,
+)
+from termlists import stage_euler, whole_block
 
 
 def zbasis(cap, name="z"):
@@ -324,11 +328,57 @@ def test_a_windowed_lax_product_is_the_whole_one_below_its_limit(lax, pair):
         part = lax_mul(A, B, upto=w)
         for row, whole_row in zip(part.blocks, whole.blocks):
             for blk, ref in zip(row, whole_row):
+                blk, ref = whole_block(blk), whole_block(ref)
                 assert blk.certified == min(ref.certified, w)
                 assert all(heights[i] <= w for i in blk.cols)
                 for i in range(len(pair)):
                     if heights[i] <= blk.certified:
                         assert blk.col(i) == ref.col(i)
+
+
+@pytest.mark.parametrize(
+    "lax, factored, site, points",
+    [
+        (sl2_lax, sl2_lax_factored, sl2_site(6), [(F(1, 3), F(-2, 5)), (F(1), F(0))]),
+        (
+            sl3_lax,
+            sl3_lax_factored,
+            sl3_site(4),
+            [(F(1, 3), F(-2, 5), F(3, 7)), (F(0), F(-1), F(2))],
+        ),
+    ],
+)
+def test_a_folded_lax_product_block_is_the_one_compose_sum_block(
+    lax, factored, site, points
+):
+    # the second point makes zero blocks (u1 = 0, or u1 = 1 and u2 = 0 in
+    # sl2's factored form) and zero coefficients; a factored Lax matrix is
+    # itself a product, whose blocks lax_mul used to return as one operator
+    # each; every Lax matrix is paired with its form before
+    laxes = [(L, L) for L in (lax(site, *p) for p in points)] + [
+        (L, LaxOp([[whole_block(b) for b in row] for row in L.blocks]))
+        for L in (factored(site, *p) for p in points)
+    ]
+    n = laxes[0][0].size
+    for (A, A_ref), (B, B_ref) in product(laxes, repeat=2):
+        for upto in [*range(site.cap + 1), None]:
+            P = lax_mul(A, B, upto)
+            for i, k in product(range(n), repeat=2):
+                # the block as lax_mul built it before: one compose_sum over
+                # the products of the factors' terms
+                want = compose_sum(
+                    (
+                        (a, b, ca * cb)
+                        for j in range(n)
+                        for a, ca in lax_terms(A_ref.blocks[i][j])
+                        for b, cb in lax_terms(B_ref.blocks[j][k])
+                    ),
+                    upto=upto,
+                )
+                got = whole_block(P.blocks[i][k])
+                assert (got.cols, got.den, got.shift, got.certified) == (
+                    want.cols, want.den, want.shift, want.certified
+                ), (upto, i, k)
 
 
 def test_dense_helpers_and_inverse():

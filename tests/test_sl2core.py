@@ -216,7 +216,8 @@ def test_lax_matches_the_full_term_lists_at_every_point():
         want = _factored_reference(site, *pt)
         for i, row in enumerate(want.blocks):
             for j, w in enumerate(row):
-                assert_same_op(Lf.blocks[i][j], w, ("factored", pt, i, j))
+                got = whole_block(Lf.blocks[i][j])
+                assert_same_op(got, whole_block(w), ("factored", pt, i, j))
         ell = (pt[0] - pt[1]) / 2
         for name, w in _generators_reference(site, ell).items():
             assert_same_op(g[name], w, (name, pt))

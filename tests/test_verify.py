@@ -18,7 +18,7 @@ from rfactor import linop, sl2core, sl3core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, compose_sum, diffop, generators, identity_op, is_zero,
-    lax_mul, op_add, op_scalar_part, op_scale, pair_swap, rational_op,
+    lax_mul, lax_terms, op_add, op_scalar_part, op_scale, pair_swap, rational_op,
 )
 from rfactor.sl2core import SL2_GENERATORS, sl2_pair, sl2_site, sl2_slots
 from rfactor.sl2core import sl2_lax, sl2_rhat_closed, sl2_spectral
@@ -516,7 +516,7 @@ def test_lax_products_read_only_on_window_cap_minus_two_stop_there(monkeypatch, 
     assert products
     for P in products:
         for row in P.blocks:
-            assert all(block.certified <= cap - 2 for block in row)
+            assert all(whole_block(block).certified <= cap - 2 for block in row)
 
 
 
@@ -559,6 +559,71 @@ def test_the_permuted_full_swap_residual_is_the_swapped_residual(alg, tag):
         assert (got.cols, got.den) == (want.cols, want.den), label
         nonzero += not is_zero(got, w)[0]
     assert (nonzero > 0) == (tag is not None)
+
+
+@pytest.mark.parametrize(
+    "alg, tag", [("sl2", None), ("sl2", "r1:1"), ("sl3", None), ("sl3", "r2:b")]
+)
+def test_the_folded_intertwining_residual_is_the_per_term_one(monkeypatch, alg, tag):
+    """`_intertwines` folds each side's terms by one op_comb before its one
+    compose_sum; its residual is the one compose_sum over every term of both
+    sides, for the exchange pairs of each factor and the full swap, their
+    first-order pairs and the factors' side pairs."""
+    residuals = []
+    real = verify._vanishes
+
+    def recording(label, res, window=None):
+        residuals.append(res)
+        return real(label, res, window)
+
+    monkeypatch.setattr(verify, "_vanishes", recording)
+    cap, draws = _SWAP_POINTS[alg]
+    a, pair, t, s = verify._point(alg, cap, draws)
+    mutate = None if tag is None else parse_mutate(alg, tag)
+    w = cap - 2
+    for word in [(k,) for k in range(1, len(t) + 1)] + [tuple(range(len(t), 0, -1))]:
+        R, q1, q2 = verify._swap(alg, pair, t, s, word, mutate)
+        L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, t, s, q1, q2)
+        jobs = [
+            (verify._blocks(lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)), w),
+            (verify._first_order(a, pair, t, s, q1, q2), None),
+        ]
+        if len(word) == 1:
+            jobs.append((verify._side_pairs(alg, word[0], pair), None))
+        for pairs, window in jobs:
+            for label, A, B in pairs:
+                residuals.clear()
+                try:
+                    verify._intertwines(R, [(label, A, B)], window)
+                except CheckFailed:
+                    pass
+                want = compose_sum(
+                    [(R, op, c) for op, c in lax_terms(A)]
+                    + [(op, R, -c) for op, c in lax_terms(B)],
+                    upto=window,
+                )
+                assert_same_op(residuals[0], want, (word, label))
+
+
+# the catalog checks that multiply Lax matrices
+_LAX_PRODUCT_CHECKS = [
+    ("sl2", "lax-factor"), ("sl2", "F1"), ("sl2", "F2"), ("sl2", "global"),
+    ("sl3", "lax-factor3"), ("sl3", "sl3-invariance"), ("sl3", "3F1"),
+    ("sl3", "3F2"), ("sl3", "3F3"), ("sl3", "def3"),
+]
+
+
+@pytest.mark.parametrize("alg, name", _LAX_PRODUCT_CHECKS)
+def test_the_part_product_cache_does_not_grow_with_trials(alg, name):
+    # every Lax part is cached per basis, the zero operator included, so
+    # the products of parts a check needs are the same at every point
+    cap = 6 if alg == "sl2" else 3
+    sizes = []
+    for trials in (2, 10):
+        linop._part_product.cache_clear()
+        run_suite(SuiteConfig(alg, cap, trials=trials, checks=(name,)))
+        sizes.append(linop._part_product.cache_info().currsize)
+    assert 0 < sizes[0] == sizes[1]
 
 
 # ---------------------------------------------------------------------------
