@@ -18,11 +18,16 @@ explicit height window and refuse to look beyond certification, so a
 reported zero is a statement about the actual operators, not an artifact of
 truncation.
 
-Entries are stored as nonzero integer numerators over one positive
-denominator `den` per operator, kept canonical: gcd(den, every numerator) is
-1 and an empty operator has den 1, so equal operators have equal
-(cols, den). Two kernels do all operator arithmetic, in integers over one
-common denominator per call: `compose_sum` (sum of c * (a after b), of which
+Entries are stored as nonzero integer numerators over one positive common
+denominator `den` per operator, not necessarily the least: each kernel keeps
+the denominator it computed, so equal operators may store different
+(cols, den). Nothing reads that form as a value: values leave through the
+Fraction edges below, which reduce, and every relation is a difference
+followed by a zero test. The one reduction is `_euler_eigenvalues`', which
+keeps each factor's eigenvalues at their least denominator.
+
+Two kernels do all operator arithmetic, in integers over one common
+denominator per call: `compose_sum` (sum of c * (a after b), of which
 `compose` is the one-term case) and `op_comb` (sum of c * a, of which
 `op_add` is the two-term case and `op_scale` the one-term one); with
 is_zero, path_op and the nullspace solver they work in integers only.
@@ -99,8 +104,10 @@ class WindowBeyondCertified(ValueError):
 
 
 class SparseOp:
-    """Column-major integer numerators `cols` ({col: {row: int}}) over the
-    canonical denominator `den`: an endomorphism of `domain`."""
+    """Column-major nonzero integer numerators `cols` ({col: {row: int}}),
+    no column empty, over a positive common denominator `den`, not
+    necessarily the least: an endomorphism of `domain`. Its values are read
+    through `col` and `apply_vec`."""
 
     __slots__ = ("domain", "cols", "den", "shift", "certified")
 
@@ -131,12 +138,9 @@ class SparseOp:
 
 
 def rational_op(domain, cols, shift, certified):
-    """The SparseOp of columns {col: {row: nonzero rational}}.
-
-    The least common denominator is canonical by itself: a prime power
-    exactly dividing it exactly divides some entry's reduced denominator, and
-    that entry's scaled numerator is prime to it. Columns of ints have
-    denominator 1 and are kept as they are."""
+    """The SparseOp of columns {col: {row: nonzero rational}} over their
+    least common denominator. Columns of ints have denominator 1 and are
+    kept as they are."""
     if all(type(v) is int for col in cols.values() for v in col.values()):
         return SparseOp(domain, cols, 1, shift, certified)
     den = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
@@ -145,20 +149,6 @@ def rational_op(domain, cols, shift, certified):
         for i, col in cols.items()
     }
     return SparseOp(domain, nums, den, shift, certified)
-
-
-def _reduced_op(domain, cols, den, shift, certified):
-    """The SparseOp of integer columns over den, with their common factor
-    divided out."""
-    g = den
-    for col in cols.values():
-        if g == 1:
-            break
-        g = math.gcd(g, *col.values())
-    if g > 1:
-        den //= g
-        cols = {i: {r: v // g for r, v in col.items()} for i, col in cols.items()}
-    return SparseOp(domain, cols, den, shift, certified)
 
 
 def op_from_action(domain, action, shift):
@@ -262,7 +252,7 @@ def compose_sum(terms, *, upto=None) -> SparseOp:
                 cols[i] = out
             else:
                 cols.pop(i, None)
-    return _reduced_op(dom, cols, den, shift, certified)
+    return SparseOp(dom, cols, den, shift, certified)
 
 
 def compose(a: SparseOp, b: SparseOp) -> SparseOp:
@@ -310,7 +300,7 @@ def op_comb(terms) -> SparseOp:
                     del col[r]
             if not col:
                 del cols[i]
-    return _reduced_op(dom, cols, den, shift, certified)
+    return SparseOp(dom, cols, den, shift, certified)
 
 
 def op_add(a: SparseOp, b: SparseOp, cb=1) -> SparseOp:
@@ -775,7 +765,9 @@ def _euler_eigenvalues(a, b, exps, cap):
     each side of 0 the running denominator at the outermost exponent is a
     multiple of every inner one; D is the product of the two sides' outermost
     ones, divided by its common factor with every N_e, which makes it the
-    least common denominator of the eigenvalues.
+    least common denominator of the eigenvalues. This is the one place the
+    package reduces an operator's entries: once per (stage, point), on a
+    handful of ints.
 
     A vanishing denominator is a pole, raised as PoleAtParameter with the
     Pochhammer symbol of length <= cap that vanishes, the positive side
@@ -860,7 +852,7 @@ def path_op(table, args, mutate=None):
                 col[j] = n
         if col:
             cols[i] = col
-    return _reduced_op(basis, cols, den, 0, basis.cap)
+    return SparseOp(basis, cols, den, 0, basis.cap)
 
 
 # ---------------------------------------------------------------------------

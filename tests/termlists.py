@@ -3,7 +3,8 @@
 `tabulate` builds the operator of a term list, parameters included, straight
 through `op_from_action`, bypassing the per-basis cache that `linop.diffop`
 keeps, so a test can compare the per-point operators (cached part plus
-parameter times unit operator) with the whole list. `tabulated_columns`
+parameter times unit operator) with the whole list; `assert_same_op` and
+`same_op` compare two operators by value (`op_value`). `tabulated_columns`
 counts the columns every tabulation touches. `factor` evaluates an
 elementary R-operator the way the checks do, minus their guard.
 `whole_block` makes a Lax block one operator, `blockwise_pairs` builds
@@ -46,10 +47,21 @@ def tabulate(basis, *terms):
     return op_from_action(basis, lambda m: diffop_apply(tab, m), shift)
 
 
-def assert_same_op(got, want, where):
-    assert got.shift == want.shift, where
-    assert got.certified == want.certified, where
-    assert (got.cols, got.den) == (want.cols, want.den), where
+def op_value(op):
+    """An operator as a value: (shift, certified, {col: {row: Fraction}}),
+    its columns read through `SparseOp.col`. A kernel keeps the common
+    denominator it computed, so equal operators may store different
+    (cols, den); their values are equal."""
+    return op.shift, op.certified, {i: op.col(i) for i in op.cols}
+
+
+def same_op(a, b):
+    """Whether a and b are the same operator: `op_value` equal."""
+    return op_value(a) == op_value(b)
+
+
+def assert_same_op(got, want, where=None):
+    assert op_value(got) == op_value(want), where
 
 
 def tabulated_columns(monkeypatch):

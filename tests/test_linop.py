@@ -41,6 +41,7 @@ from rfactor.linop import (
     op_add,
     op_comb,
     op_from_action,
+    op_scalar_part,
     op_scale,
     pair_swap,
     rational_op,
@@ -54,7 +55,7 @@ from rfactor.sl2core import sl2_lax, sl2_lax_factored, sl2_pair, sl2_site
 from rfactor.sl3core import (
     _laurent_flow, sl3_lax, sl3_lax_factored, sl3_pair, sl3_site,
 )
-from termlists import stage_euler, whole_block
+from termlists import assert_same_op, op_value, stage_euler, whole_block
 
 
 def zbasis(cap, name="z"):
@@ -375,10 +376,7 @@ def test_a_folded_lax_product_block_is_the_one_compose_sum_block(
                     ),
                     upto=upto,
                 )
-                got = whole_block(P.blocks[i][k])
-                assert (got.cols, got.den, got.shift, got.certified) == (
-                    want.cols, want.den, want.shift, want.certified
-                ), (upto, i, k)
+                assert_same_op(whole_block(P.blocks[i][k]), want, (upto, i, k))
 
 
 def test_dense_helpers_and_inverse():
@@ -578,17 +576,26 @@ def _rational_ops(draw, basis):
     shift = draw(st.integers(-1, 1))
     certified = draw(st.integers(0, basis.cap))
     op = rational_op(basis, cols, shift, certified)
-    _assert_canonical(op)
+    # rational_op keeps the columns it is given, so a drawn operator may hold
+    # columns above `certified`, which every kernel must drop
+    _assert_integer_form(op)
     assert _dense(op) == dense
     return op, dense
 
 
-def _assert_canonical(op):
-    nums = [v for col in op.cols.values() for v in col.values()]
+def _assert_integer_form(op):
+    """Nonzero integer numerators over a positive int `den`, not necessarily
+    the least common denominator, and no empty column."""
     assert type(op.den) is int and op.den >= 1
-    assert all(type(v) is int and v for v in nums)
+    assert all(type(v) is int and v for col in op.cols.values() for v in col.values())
     assert all(op.cols.values())
-    assert math.gcd(op.den, *nums) == 1
+
+
+def _assert_well_formed(op):
+    """The integer form, with no stored column above `certified`: what every
+    kernel returns."""
+    _assert_integer_form(op)
+    assert all(op.domain.heights[i] <= op.certified for i in op.cols)
 
 
 def _dense(op):
@@ -624,13 +631,13 @@ def test_integer_kernel_matches_dense_fractions(drawn_a, drawn_b, cb, data):
     n = len(_PAIR)
 
     ab = compose(a, b)
-    _assert_canonical(ab)
+    _assert_well_formed(ab)
     assert ab.certified == min(b.certified, a.certified - b.shift)
     assert _dense(ab) == _masked(mat_mul(da, db), _PAIR, ab.certified)
 
     combos = ((op_add(a, b), F(1)), (op_add(a, b, cb), cb), (op_add(a, b, -1), F(-1)))
     for got, c in combos:
-        _assert_canonical(got)
+        _assert_well_formed(got)
         assert (got.shift, got.certified) == (
             max(a.shift, b.shift), min(a.certified, b.certified)
         )
@@ -638,17 +645,15 @@ def test_integer_kernel_matches_dense_fractions(drawn_a, drawn_b, cb, data):
         assert _dense(got) == _masked(sums, _PAIR, got.certified)
 
     scaled = op_scale(a, cb)
-    _assert_canonical(scaled)
+    _assert_well_formed(scaled)
     assert _dense(scaled) == _masked(
         [[cb * x for x in row] for row in da], _PAIR, a.certified
     )
     if cb:
-        # canonical: equal operators store equal numerators and denominators
-        back = op_scale(scaled, 1 / cb)
-        want = _certified_part(a, a.certified)
-        assert (back.cols, back.den) == (want.cols, want.den)
+        # scaling back gives a's certified part again, as a value
+        assert_same_op(op_scale(scaled, 1 / cb), _certified_part(a, a.certified))
     gone = op_add(a, a, -1)
-    assert (gone.cols, gone.den) == ({}, 1)
+    assert gone.cols == {}
 
     vec = data.draw(st.dictionaries(st.integers(0, n - 1), _ENTRY.filter(bool)))
     assert a.apply_vec(vec) == {
@@ -675,7 +680,8 @@ def _factor(drawn, data):
 
 
 def _certified_part(op, top):
-    """op with every column above height top dropped, kept canonical."""
+    """op with every column above height top dropped, over the least common
+    denominator of the columns kept."""
     cols = {i: op.col(i) for i in op.cols if _PAIR.heights[i] <= top}
     return rational_op(_PAIR, cols, op.shift, op.certified)
 
@@ -695,15 +701,11 @@ def test_compose_sum_is_the_chained_compositions_on_its_certified_columns(
 ):
     terms = [(_factor(da, data), _factor(db, data), c) for da, db, c in drawn]
     got = compose_sum(terms, upto=upto)
-    _assert_canonical(got)
-    assert all(_PAIR.heights[i] <= got.certified for i in got.cols)
+    _assert_well_formed(got)
     chained = zero_op(_PAIR)
     for a, b, c in terms:
         chained = op_add(chained, compose_sum(((a, b, 1),), upto=upto), c)
-    want = _certified_part(chained, chained.certified)
-    assert (got.cols, got.den, got.shift, got.certified) == (
-        want.cols, want.den, want.shift, want.certified
-    )
+    assert_same_op(got, chained)
     # the rule itself: a term with a zero factor counts for neither, one with
     # a zero coefficient for both
     live = [
@@ -731,14 +733,12 @@ def test_compose_sum_is_the_chained_compositions_on_its_certified_columns(
 def test_op_comb_is_the_chained_sums(drawn, data):
     terms = [(_factor(d, data), c) for d, c in drawn]
     got = op_comb(terms)
-    _assert_canonical(got)
+    _assert_well_formed(got)
     (first, c0), *rest = terms
     chained = op_scale(first, c0) if c0 else op_add(zero_op(_PAIR), first, 0)
     for a, c in rest:
         chained = op_add(chained, a, c)
-    assert (got.cols, got.den, got.shift, got.certified) == (
-        chained.cols, chained.den, chained.shift, chained.certified
-    )
+    assert_same_op(got, chained)
     # a zero coefficient still counts toward the shift and certification
     assert got.shift == max(a.shift for a, _ in terms)
     assert got.certified == min(a.certified for a, _ in terms)
@@ -748,3 +748,43 @@ def test_op_comb_is_the_chained_sums(drawn, data):
         for r in range(n)
     ]
     assert _dense(got) == _masked(sums, _PAIR, got.certified)
+
+
+# ---------------------------------------------------------------------------
+# Values, not representations: each kernel keeps the common denominator it
+# computed, so one operator may be stored at (cols, den) and at
+# (k cols, k den); nothing may tell the two apart.
+
+def _rescaled(op, k):
+    """op stored at (k cols, k den): the same operator in another form."""
+    cols = {i: {r: k * v for r, v in col.items()} for i, col in op.cols.items()}
+    return SparseOp(op.domain, cols, k * op.den, op.shift, op.certified)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _rational_ops(_PAIR), _rational_ops(_PAIR), _SCALAR, st.integers(2, 12), st.data()
+)
+def test_the_edges_read_values_not_representations(drawn_a, drawn_b, c, k, data):
+    (a, _), (b, _) = drawn_a, drawn_b
+    a2, b2 = _rescaled(a, k), _rescaled(b, k)
+    n = len(_PAIR)
+    for op, twin in ((a, a2), (b, b2)):
+        assert [op.col(i) for i in range(n)] == [twin.col(i) for i in range(n)]
+        vec = data.draw(st.dictionaries(st.integers(0, n - 1), _ENTRY.filter(bool)))
+        assert op.apply_vec(vec) == twin.apply_vec(vec)
+        assert op_scalar_part(op) == op_scalar_part(twin)
+        window = data.draw(st.integers(0, op.certified))
+        assert is_zero(op, window) == is_zero(twin, window)
+    assert_same_op(
+        compose_sum(((a, b, c), (b, a, 1))), compose_sum(((a2, b, c), (b2, a2, 1)))
+    )
+    assert_same_op(op_comb(((a, c), (b, 1))), op_comb(((a2, c), (b2, 1))))
+    # the oracle scales each side of X A = B X by the other's den, and skips
+    # a pair that is one scalar per charge block (`one`) on both sides
+    one = op_scale(identity_op(_PAIR), c or 1)
+    pairs = [("a", a, a), ("b", b, b), ("one", one, one)]
+    twins = [("a", a2, a), ("b", b, b2), ("one", one, _rescaled(one, k))]
+    want = [op_value(x) for x in verify.intertwiner_oracle(pairs, _PAIR)]
+    assert want  # the unit intertwines every pair
+    assert [op_value(x) for x in verify.intertwiner_oracle(twins, _PAIR)] == want

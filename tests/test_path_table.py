@@ -51,7 +51,13 @@ from rfactor.verify import (
     SL3_MUTATION_TAGS,
     parse_mutate,
 )
-from termlists import gamma_ratio_shift, stage_euler, vanishing_pochhammer
+from termlists import (
+    assert_same_op,
+    gamma_ratio_shift,
+    same_op,
+    stage_euler,
+    vanishing_pochhammer,
+)
 
 CAPS = {"sl2": 6, "sl3": 3}
 # factor name -> its key (algebra, factor) in the checks' factor table
@@ -103,12 +109,6 @@ def _reference(table, args, mutate=None):
 def _shift(d):
     """A stage moving the exponent of a one-variable basis by d."""
     return lambda comb: {(m[0] + d,): c for m, c in comb.items()}
-
-
-def _same(a, b):
-    return (a.cols, a.den, a.shift, a.certified) == (
-        b.cols, b.den, b.shift, b.certified
-    )
 
 
 def _fresh_pair(algebra):
@@ -198,8 +198,8 @@ def test_a_mutated_table_equals_the_mutated_pipeline(algebra, tag):
         args = (F(7, 3), F(-2, 5), F(1, 4), F(5, 6))
     got = _build(name, pair, args, (stage, exponent))
     want = _reference(path_table(pair, stage_list), args, (stage, exponent))
-    assert _same(got, want)
-    assert not _same(got, _build(name, pair, args))
+    assert_same_op(got, want)
+    assert not same_op(got, _build(name, pair, args))
 
 
 def _point(cap, nargs):
@@ -314,7 +314,7 @@ def test_the_table_agrees_with_the_pipeline_near_poles(name, data):
     if want is None:
         assert got is None
     if got is not None:
-        assert _same(got, want)
+        assert_same_op(got, want)
 
 
 @pytest.mark.parametrize("name", ["sl3-r1", "sl3-r2", "sl3-r3"])
@@ -340,7 +340,7 @@ def test_the_closing_stage_pole_is_raised_only_where_a_kept_path_reaches_it(name
     # parameter 1, and the factor skips with that reason
     args = (F(-3),) * 4
     table = path_table(pair, FACTORS[name][0])
-    assert _same(_reference(table, args), identity_op(pair))
+    assert_same_op(_reference(table, args), identity_op(pair))
     with pytest.raises(PoleAtParameter, match=r"^\(-2\)_3 = 0$"):
         _build(name, pair, args)
     with pytest.raises(CheckSkipped, match=r"^\(-2\)_3 = 0$"):
@@ -354,7 +354,7 @@ def test_only_a_lower_parameter_of_one_drops_negative_exponents():
         stages = (_shift(-2), Euler(0, lambda a: a, b), _shift(2))
         table = compile_path_table(basis, stages)
         got = path_op(table, args)
-        assert _same(got, _reference(table, args))
+        assert_same_op(got, _reference(table, args))
         assert len(got.cols) == kept
 
 
@@ -383,7 +383,7 @@ def test_a_factor_builds_or_skips_and_never_raises_a_pole(name, data):
         base, length = re.fullmatch(r"\((-?\d+)\)_(\d+) = 0", e.args[0]).groups()
         assert 1 <= int(length) <= cap and int(base) + int(length) - 1 == 0
         return
-    assert _same(got, _build(name, pair, args, mutate))
+    assert_same_op(got, _build(name, pair, args, mutate))
 
 
 def test_a_negative_side_pole_skips_in_the_guards_words():

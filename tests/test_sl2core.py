@@ -52,6 +52,7 @@ from termlists import (
     assert_same_op,
     factor,
     pochhammer,
+    same_op,
     tabulate,
     tabulated_columns,
     whole_block,
@@ -302,10 +303,10 @@ def test_the_two_factors_are_one_stage_list_with_the_sites_swapped(cap):
         r1 = factor("sl2", 1, pair, u1, v1, v2, mutate=mutate)
         r2 = factor("sl2", 2, pair, u1, u1 - v1 + v2, v2, mutate=mutate)
         swapped = compose(P, compose(r1, P))
-        assert (swapped.cols, swapped.den) == (r2.cols, r2.den), (u1, v1, v2)
+        assert_same_op(swapped, r2, (u1, v1, v2))
         if mutate is not None:
             plain = factor("sl2", 2, pair, u1, u1 - v1 + v2, v2)
-            assert (plain.cols, plain.den) != (r2.cols, r2.den)
+            assert not same_op(plain, r2)
 
 
 def test_defining_relation_first_factor():

@@ -49,6 +49,7 @@ from termlists import (
     assert_same_op,
     blockwise_pairs,
     factor,
+    same_op,
     tabulate,
     tabulated_columns,
     vanishing_pochhammer,
@@ -78,10 +79,6 @@ def test_draw_rats_stays_in_the_pool():
 # ---------------------------------------------------------------------------
 # The full swap, built from the factor table; each factor guards itself
 
-def _same(a, b):
-    return (a.cols, a.den, a.certified) == (b.cols, b.den, b.certified)
-
-
 def _word(alg, pair, t, s, word, mutate=None):
     """The swap of the factors of `word` from (t, s)."""
     return verify._swap(alg, pair, t, s, word, mutate)[0]
@@ -96,10 +93,10 @@ def test_rhat_composes_the_sl2_factors_in_both_orders():
     r2 = partial(factor, "sl2", 2, pair)
     want1 = compose(r1(u1, v1, u2), r2(u1, u2, v2))
     want2 = compose(r2(v1, u2, v2), r1(u1, v1, v2))
-    assert _same(rhat("sl2", pair, t, s), want1)
-    assert _same(_word("sl2", pair, t, s, (1, 2)), want2)
+    assert_same_op(rhat("sl2", pair, t, s), want1)
+    assert_same_op(_word("sl2", pair, t, s, (1, 2)), want2)
     mutated = compose(r1(u1, v1, u2, mutate=(0, 2)), r2(u1, u2, v2))
-    assert _same(_word("sl2", pair, t, s, (2, 1), (1, 0, 2)), mutated)
+    assert_same_op(_word("sl2", pair, t, s, (2, 1), (1, 0, 2)), mutated)
     # each factor guards itself in the order the factors apply: (2, 1)
     # meets r2's lower parameter u1 - u2 = -1 before r1's v1 - u2 = 0;
     # (1, 2) passes r1's v1 - v2 = -1/3 and meets r2's, 0
@@ -126,14 +123,14 @@ def test_rhat_composes_the_sl3_factors_in_both_orders():
         r3(v1, v2, u3, v3),
         compose(r2(v1, u2, v2, v3), r1(u1, v1, v2, v3)),
     )
-    assert _same(rhat("sl3", pair, t, s), want1)
-    assert _same(_word("sl3", pair, t, s, (1, 2, 3)), want2)
+    assert_same_op(rhat("sl3", pair, t, s), want1)
+    assert_same_op(_word("sl3", pair, t, s, (1, 2, 3)), want2)
     mutated = compose(
         r3(v1, v2, u3, v3),
         compose(r2(v1, u2, v2, v3, mutate=(1, 1)), r1(u1, v1, v2, v3)),
     )
-    assert _same(_word("sl3", pair, t, s, (1, 2, 3), (2, 1, 1)), mutated)
-    assert not _same(mutated, want2)
+    assert_same_op(_word("sl3", pair, t, s, (1, 2, 3), (2, 1, 1)), mutated)
+    assert not same_op(mutated, want2)
 
 
 def _near_pole(cap):
@@ -556,7 +553,7 @@ def test_the_permuted_full_swap_residual_is_the_swapped_residual(alg, tag):
     for (label, *sides), (_, *permuted_sides) in zip(res, permuted):
         want = compose_sum(((sigma, op_add(*sides, -1), 1),), upto=w)
         got = op_add(*permuted_sides, -1)
-        assert (got.cols, got.den) == (want.cols, want.den), label
+        assert_same_op(got, want, label)
         nonzero += not is_zero(got, w)[0]
     assert (nonzero > 0) == (tag is not None)
 
