@@ -47,10 +47,16 @@ copies nothing. A product of Lax matrices (`lax_mul`) is one too: each
 block is its terms ((a after b, ca cb), ...) over the factors' terms, and
 each product of two parts is composed once per process (`_part_product`),
 so a product at a later point composes nothing, and its terms are cached
-parts again. A relation reads a block through its terms (`lax_terms`): an
-intertwining residual R A - B R of two blocks is one `compose_sum` of R and
-each block folded by one `op_comb`, and a difference A - B one `op_comb`,
-over both blocks' terms.
+parts again. A relation reads a block through its terms (`lax_terms`): a
+difference A - B is one `op_comb` over both blocks' terms.
+
+The product L1(t) L2(s) of two Lax matrices affine in their slot tuples
+is compiled once (`compile_lax_table`), read off `lax_mul` at the unit slot
+tuples: every coefficient of a product block is bilinear in (1, t) and
+(1, s), so each block entry is a few integer coefficients over one table
+denominator. At a point (`lax_table_op`) each block is one operator, one
+integer dot product per entry, and an intertwining residual R A - B R is
+one `compose_sum` of R and the two blocks as they are.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -879,7 +885,9 @@ class LaxOp:
     Auxiliary-space row/column indices are ordered by descending weight, so
     entry (i, j) may raise the height by at most i - j; the constructor
     enforces that bound on declared shifts, a block's shift being the
-    largest of its terms'.
+    largest of its terms'. A product of two such matrices keeps the band
+    by construction, so `lax_mul` and `lax_table_op` build theirs through
+    `_banded`, which does not walk the blocks again.
     """
 
     __slots__ = ("size", "blocks")
@@ -896,6 +904,16 @@ class LaxOp:
                     raise ShiftViolation(
                         f"Lax block ({i},{j}) declares shift {shift} > {i - j}"
                     )
+
+
+def _banded(blocks):
+    """The LaxOp of square `blocks` that keep the band already: block
+    (i, k) of a product sums products of blocks (i, j) and (j, k), whose
+    shifts are at most i - j and j - k."""
+    L = LaxOp.__new__(LaxOp)
+    L.size = len(blocks)
+    L.blocks = blocks
+    return L
 
 
 def lax_from_matrix(basis, M):
@@ -916,8 +934,9 @@ def lax_from_gl(T, u):
     )
 
 
-# the sl2 default suite at cap 8 holds 45 products, the sl3 one at cap 3 218,
-# and so do the whole catalogs: the oracles multiply no Lax matrices
+# the sl2 catalog at cap 8 holds 45 products (the exchange checks' table
+# compile 23 of them), the sl3 one at cap 3 218 (the compile 79); the
+# oracles multiply no Lax matrices
 @lru_cache(maxsize=512)
 def _part_product(a, b, upto):
     """a after b, no column above `upto`, for two cached Lax parts: composed
@@ -934,7 +953,7 @@ def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
     if B.size != n:
         raise BasisMismatch("Lax sizes differ")
     # a coefficient 1 is not multiplied: 1 * Fraction builds a new Fraction
-    return LaxOp(
+    return _banded(
         [
             [
                 tuple(
@@ -951,6 +970,164 @@ def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
             for i in range(n)
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# Lax product tables: the product L1(t) L2(s) of two Lax matrices whose
+# coefficients are affine in their slot tuples t and s, compiled once.
+#
+# Every coefficient of a product block is then bilinear: a combination of
+# the monomials of (1, t) x (1, s), the monomial of (a, b) being t_a s_b
+# with t_0 = s_0 = 1, listed a-major. Entry (j, i) of block (p, q) is
+# sum_m N[m] m(t, s) / den with integer N; at a point whose slots have least
+# common denominators T and S every m(t, s) T S is an integer, so the block
+# is one integer dot product per entry over the denominator den T S.
+
+class LaxTable(NamedTuple):
+    basis: GradedBasis
+    den: int  # the positive denominator of every coefficient
+    # rows of blocks (shift, certified, {i: ((j, ((m, N), ...)), ...)}): the
+    # nonzero integer coefficients N of entry (j, i) by monomial index m
+    blocks: tuple
+
+
+def _parts(L):
+    """The parts of each block of a Lax product, row by row."""
+    return [[tuple(op for op, _ in blk) for blk in row] for row in L.blocks]
+
+
+def _bilinear(r):
+    """The coefficients of t_a s_b, a-major, of a bilinear form in (1, t)
+    and (1, s) that reads r[a][b] at the slot tuples (e_a, e_b), e_0 = 0."""
+    n = len(r)
+    return tuple(
+        r[a][b]
+        - (r[0][b] if a else 0)
+        - (r[a][0] if b else 0)
+        + (r[0][0] if a and b else 0)
+        for a in range(n)
+        for b in range(n)
+    )
+
+
+def _table_block(terms, den):
+    """(shift, certified, {i: ((j, ((m, N), ...)), ...)}) of a block that is
+    the sum of its terms (part, coefficients of the monomials), each
+    coefficient of entry (j, i) N / den."""
+    heights = terms[0][0].domain.heights
+    certified = min(op.certified for op, _ in terms)
+    acc = {}
+    for op, coeffs in terms:
+        scaled = [
+            (m, den // (op.den * c.denominator) * c.numerator)
+            for m, c in enumerate(coeffs)
+            if c
+        ]
+        if not scaled:
+            continue
+        for i, col in op.cols.items():
+            if heights[i] > certified:
+                continue
+            out = acc.setdefault(i, {})
+            for j, v in col.items():
+                vec = out.setdefault(j, [0] * len(coeffs))
+                for m, f in scaled:
+                    vec[m] += v * f
+    cols = {}
+    for i, out in acc.items():
+        entries = tuple(
+            (j, tuple((m, c) for m, c in enumerate(vec) if c))
+            for j, vec in out.items()
+            if any(vec)
+        )
+        if entries:
+            cols[i] = entries
+    return max(op.shift for op, _ in terms), certified, cols
+
+
+def compile_lax_table(lax1, lax2, n, upto):
+    """The table of the product lax1(t) lax2(s), no block certified above
+    `upto`: lax1 and lax2 take a slot tuple of length n and return a LaxOp
+    whose block coefficients are affine in it.
+
+    The products (`lax_mul`) at every pair of the slot tuples 0, e_1, ...,
+    e_n are read; each must list the same parts in the same order, and each
+    term's coefficient of t_a s_b is read off them by inclusion and
+    exclusion. The product at one more pair of slot tuples must list the
+    same parts with the coefficients the table gives there, which fails
+    where a builder is not affine in its slots. Each block is shifted by
+    the largest and certified at the least of its parts', zero coefficients
+    included, as `op_comb` of its terms is, and keeps its columns up to
+    that height."""
+    slots = [tuple(int(a == b) for a in range(1, n + 1)) for b in range(n + 1)]
+    left, right = [lax1(t) for t in slots], [lax2(s) for s in slots]
+    reads = [[lax_mul(A, B, upto) for B in right] for A in left]
+    parts = _parts(reads[0][0])
+    if any(_parts(P) != parts for row in reads for P in row):
+        raise ValueError("the Lax builders' terms differ between slot tuples")
+    t = tuple(2 * k + 3 for k in range(n))
+    s = tuple(-2 * k - 11 for k in range(n))
+    at = [x * y for x in (1, *t) for y in (1, *s)]
+    probe = lax_mul(lax1(t), lax2(s), upto)
+    if _parts(probe) != parts:
+        raise ValueError("the Lax builders' terms differ between slot tuples")
+    blocks = []
+    for p, row in enumerate(parts):
+        blocks.append([])
+        for q, ops in enumerate(row):
+            terms = []
+            for k, op in enumerate(ops):
+                coeffs = _bilinear([[P.blocks[p][q][k][1] for P in R] for R in reads])
+                if probe.blocks[p][q][k][1] != sum(map(mul, coeffs, at)):
+                    raise ValueError("a Lax builder is not affine in its slots")
+                terms.append((op, coeffs))
+            blocks[p].append(terms)
+    den = math.lcm(
+        *(
+            op.den * c.denominator
+            for row in blocks
+            for terms in row
+            for op, coeffs in terms
+            for c in coeffs
+            if c
+        )
+    )
+    return LaxTable(
+        parts[0][0][0].domain,
+        den,
+        tuple(tuple(_table_block(terms, den) for terms in row) for row in blocks),
+    )
+
+
+def lax_table_op(table, t, s):
+    """The product the table compiles at the slot tuples t and s, a LaxOp
+    of operator blocks: one integer dot product per entry over the
+    denominator table.den T S, T and S the least common denominators of t
+    and of s."""
+    T = math.lcm(*(x.denominator for x in t))
+    S = math.lcm(*(x.denominator for x in s))
+    tv = (T, *(x.numerator * (T // x.denominator) for x in t))
+    sv = (S, *(x.numerator * (S // x.denominator) for x in s))
+    at = [x * y for x in tv for y in sv]
+    basis, den = table.basis, table.den * T * S
+    rows = []
+    for row in table.blocks:
+        out = []
+        for shift, certified, entries in row:
+            cols = {}
+            for i, col in entries.items():
+                vals = {}
+                for j, coeffs in col:
+                    v = 0
+                    for m, c in coeffs:
+                        v += c * at[m]
+                    if v:
+                        vals[j] = v
+                if vals:
+                    cols[i] = vals
+            out.append(SparseOp(basis, cols, den, shift, certified))
+        rows.append(out)
+    return _banded(rows)
 
 
 # ---------------------------------------------------------------------------

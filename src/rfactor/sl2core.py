@@ -22,9 +22,11 @@ generators and the direct Lax matrix at a point are cached parts plus
 parameter times the unit operators 1 and z; the zero operator, once per
 basis (`linop.zero_op`); every product of two such parts that a product of
 Lax matrices takes, once per height limit (`linop._part_product`), so the
-factored Lax matrix and the exchange checks' Lax products at a point are
-cached part products times products of coefficients; and per pair basis
-the path table of each elementary R-operator and of the closed form's two
+factored Lax matrix at a point is cached part products times products of
+coefficients; per pair basis the exchange checks' Lax product L1(t) L2(s)
+on window cap - 2 (`verify._lax_table`), compiled from `sl2_lax` at the
+first exchange check, so both products of a check cost one integer dot
+product per block entry; and per pair basis the path table of each elementary R-operator and of the closed form's two
 conjugations (`linop.path_table`), so a factor at a point costs one Gamma
 ratio per exponent plus integer sums.
 Each form keeps its own term lists, so `lax-factor` still compares three

@@ -16,8 +16,9 @@ label in front of the witness and returns the height it tested; a pass
 reports the least such height as its window.  Every relation is a list of
 labelled pairs (label, A, B), A and B operators or Lax blocks: `_equal`
 tests A = B, each difference one `op_comb` over both sides' terms, and
-`_intertwines` tests R A = B R, each side's terms folded by one `op_comb`
-and each residual one `compose_sum` of the two.
+`_intertwines` tests R A = B R, each side one operator (an operator as it
+is, a block's terms folded by one `op_comb`) and each residual one
+`compose_sum` of the two.
 
 Each factor, its stage list and its side relations, is stated once, in the
 factor tables of `sl2core` and `sl3core`, and each site's Lax slots come
@@ -27,7 +28,8 @@ the tuples (t', s') it leaves, R L1(t) L2(s) = L1(t') L2(s') R; a factor is
 a one-letter word.  The catalog names the words each swap check builds, and
 three relations read them, the mutation reaching every factor they build:
 `_exchange` tests that relation for one word (a factor, which also commutes
-with its side operators, or the full swap), `_words` that every word builds
+with its side operators, or the full swap), reading both Lax products off
+one table per pair basis (`_lax_table`), `_words` that every word builds
 the first word's operator, entry by entry (factor orders, a swap and its
 reverse, factors applied twice, the empty word as the identity), and
 `_first_orders` that each word carries its first-order pairs.  The oracle
@@ -54,6 +56,7 @@ from .exactnum import PoleAtParameter, rat_str
 from .linop import (
     SparseOp,
     commutator,
+    compile_lax_table,
     compose,
     compose_sum,
     diffop,
@@ -64,6 +67,7 @@ from .linop import (
     lax_from_gl,
     lax_from_matrix,
     lax_mul,
+    lax_table_op,
     lax_terms,
     mat_inv,
     mat_mul,
@@ -274,7 +278,7 @@ def intertwiner_oracle(pairs, basis):
     charges, blocks, unknowns = _charge_structure(basis)
     equations = []
     for _, A, B in pairs:
-        A, B = (X if isinstance(X, SparseOp) else op_comb(X) for X in (A, B))
+        A, B = _whole(A), _whole(B)
         top = min(A.certified, B.certified)
         # X A = B X over the common denominator A.den * B.den: the numerators
         # of A are scaled by B.den and those of B by A.den
@@ -361,17 +365,20 @@ def _blocks(A, B):
     ]
 
 
+def _whole(X):
+    """A side of a relation as one operator: an operator as it is, a Lax
+    block of terms folded by one `op_comb`."""
+    return X if isinstance(X, SparseOp) else op_comb(X)
+
+
 def _intertwines(R, pairs, window=None):
-    """R A = B R for each pair: each side's terms are folded by one
-    `op_comb`, the residual R A - B R is one `compose_sum` of the two,
-    tabulated up to `window`, and `_vanishes`."""
+    """R A = B R for each pair: each side is one operator (`_whole`), the
+    residual R A - B R is one `compose_sum` of the two, tabulated up to
+    `window`, and `_vanishes`."""
     return min(
         _vanishes(
             label,
-            compose_sum(
-                ((R, op_comb(lax_terms(A)), 1), (op_comb(lax_terms(B)), R, -1)),
-                upto=window,
-            ),
+            compose_sum(((R, _whole(A), 1), (_whole(B), R, -1)), upto=window),
             window,
         )
         for label, A, B in pairs
@@ -717,19 +724,33 @@ def _side_pairs(alg, k, pair):
     return [(None, op, op) for op in ops]
 
 
+@lru_cache(maxsize=8)
+def _lax_table(alg, pair):
+    """The exchange checks' Lax product L1(t) L2(s) on `pair`, compiled once
+    per process on window cap - 2 (`compile_lax_table`) from the algebra's
+    one Lax builder. A gl(n) Lax matrix is n x n in n slots, n the size of
+    the defining matrices."""
+    a = _algebra(alg)
+    n = len(next(iter(a.table.values()))[2])
+    return compile_lax_table(
+        lambda t: a.lax(pair, *t, "1"), lambda s: a.lax(pair, *s, "2"), n, pair.cap - 2
+    )
+
+
 def _exchange(alg, factors, cap, draws, mutate):
     """R L1(t) L2(s) = L1(t') L2(s') R on window cap - 2 for the product R
     of `factors` (`_swap`), and for a single factor its side relations.
-    For the full swap (t', s') = (s, t); its permuted form, with R = P Rhat
-    and right-hand side L2 L1, is not tested apart: the site swap P takes
-    L(x, site 2) to L(x, site 1), so that residual is P times this one and
-    vanishes with it."""
-    a, pair, t, s = _point(alg, cap, draws)
+    Both Lax products are the compiled table (`_lax_table`) evaluated at a
+    pair of slot tuples, each block one operator. For the full swap
+    (t', s') = (s, t); its permuted form, with R = P Rhat and right-hand
+    side L2 L1, is not tested apart: the site swap P takes L(x, site 2) to
+    L(x, site 1), so that residual is P times this one and vanishes with
+    it."""
+    _, pair, t, s = _point(alg, cap, draws)
     R, q1, q2 = _swap(alg, pair, t, s, factors, mutate)
-    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
-    w = cap - 2
-    P, Q = lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)
-    window = _intertwines(R, _blocks(P, Q), w)
+    table = _lax_table(alg, pair)
+    P, Q = lax_table_op(table, t, s), lax_table_op(table, q1, q2)
+    window = _intertwines(R, _blocks(P, Q), cap - 2)
     if len(factors) == 1:
         window = min(window, _intertwines(R, _side_pairs(alg, factors[0], pair)))
     return window, None

@@ -23,6 +23,7 @@ from rfactor.linop import (
     SparseOp,
     WindowBeyondCertified,
     commutator,
+    compile_lax_table,
     compose,
     compose_sum,
     diffop,
@@ -32,6 +33,7 @@ from rfactor.linop import (
     is_zero,
     kron,
     lax_mul,
+    lax_table_op,
     lax_terms,
     mat_eye,
     mat_inv,
@@ -46,6 +48,7 @@ from rfactor.linop import (
     pair_swap,
     rational_op,
     run_pipeline,
+    scaled_block,
     stage_subst,
     subst_op,
     zero_op,
@@ -306,6 +309,44 @@ def test_laxop_shift_band_enforced():
         LaxOp([[z, z], [z, z]])
     L = LaxOp([[identity_op(b), zero_op(b)], [z, identity_op(b)]])
     assert verify._equal(verify._blocks(L, L), 2) == 2
+
+
+def test_a_lax_product_keeps_the_band_its_factors_keep():
+    # lax_mul does not re-check the band: a product block (i, k) is a sum of
+    # products of blocks (i, j) and (j, k), shifted by at most i - k
+    pair = sl3_pair(3)
+    for L in (lax_mul(sl3_lax(pair, 1, 2, 3, "1"), sl3_lax(pair, 4, 5, 6, "2")),
+              sl3_lax_factored(sl3_site(3), 1, 2, 3)):
+        for i, row in enumerate(L.blocks):
+            for k, block in enumerate(row):
+                assert whole_block(block).shift <= i - k
+
+
+def test_a_lax_table_refuses_builders_not_affine_in_their_slots():
+    pair = sl2_pair(4)
+
+    def lax(suffix, square=False):
+        return lambda t: sl2_lax(pair, t[0] * t[0] if square else t[0], t[1], suffix)
+
+    table = compile_lax_table(lax("1"), lax("2"), 2, 2)
+    t, s = (F(2, 3), F(-1, 5)), (F(7, 2), F(1, 4))
+    P = lax_table_op(table, t, s)
+    want = lax_mul(lax("1")(t), lax("2")(s), 2)
+    for label, got, ref in verify._blocks(P, want):
+        assert_same_op(got, whole_block(ref), label)
+    # u1 = t1^2 reads as u1 = t1 at the slot tuples 0 and e_k; the extra
+    # point does not
+    with pytest.raises(ValueError, match="not affine"):
+        compile_lax_table(lax("1", square=True), lax("2"), 2, 2)
+    # a builder whose terms change with the slots (a zero coefficient made
+    # the zero block) has no table
+    one = identity_op(pair)
+
+    def changing(t):
+        return LaxOp([[scaled_block(one, t[0]), zero_op(pair)], [zero_op(pair), one]])
+
+    with pytest.raises(ValueError, match="terms differ"):
+        compile_lax_table(changing, changing, 2, 2)
 
 
 def test_lax_mul_blockwise():

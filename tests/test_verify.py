@@ -8,7 +8,7 @@ schema, and mutation sensitivity of the seeded suites.
 import json
 from fractions import Fraction as F
 from functools import partial
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,8 @@ from rfactor import linop, sl2core, sl3core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     LaurentLeak, compose, compose_sum, diffop, generators, identity_op, is_zero,
-    lax_mul, lax_terms, op_add, op_scalar_part, op_scale, pair_swap, rational_op,
+    lax_mul, lax_table_op, lax_terms, op_add, op_scalar_part, op_scale, pair_swap,
+    rational_op,
 )
 from rfactor.sl2core import SL2_GENERATORS, sl2_pair, sl2_site, sl2_slots
 from rfactor.sl2core import sl2_lax, sl2_rhat_closed, sl2_spectral
@@ -499,22 +500,108 @@ def test_a_failing_exchange_fails_as_its_whole_products_do(alg, k, cap, tag, dra
 
 @pytest.mark.parametrize("name", ["3F2", "def3", "sl3-invariance"])
 def test_lax_products_read_only_on_window_cap_minus_two_stop_there(monkeypatch, name):
-    products = []
+    """Every Lax product a check reads, multiplied (`lax_mul`) or evaluated
+    from the exchange checks' compiled table (`lax_table_op`), is certified
+    at most at cap - 2 and stores no column above it; so is the table."""
+    products, tables = [], []
 
-    def recording(A, B, *args, **kwargs):
-        out = lax_mul(A, B, *args, **kwargs)
-        products.append(out)
-        return out
+    def recording(fn):
+        def run(*args, **kwargs):
+            if fn is lax_table_op:
+                tables.append(args[0])
+            out = fn(*args, **kwargs)
+            products.append(out)
+            return out
 
-    monkeypatch.setattr(verify, "lax_mul", recording)
+        return run
+
+    for fn in (lax_mul, lax_table_op):
+        monkeypatch.setattr(verify, fn.__name__, recording(fn))
     cap = 3
+    w = cap - 2
+    heights = sl3_pair(cap).heights
     draws = draw_rats(check_rng(0, name, 0), verify.CATALOG["sl3", name][1])
     assert run_check("sl3", name, cap, draws).status == "pass"
     assert products
+    assert bool(tables) == (name != "sl3-invariance")
     for P in products:
         for row in P.blocks:
-            assert all(whole_block(block).certified <= cap - 2 for block in row)
+            for block in row:
+                for op, _ in lax_terms(block):
+                    assert op.certified <= w
+                    assert all(heights[i] <= w for i in op.cols)
+    for table in tables:
+        for row in table.blocks:
+            for _, certified, cols in row:
+                assert certified <= w and all(heights[i] <= w for i in cols)
 
+
+# algebra -> (a generic point, a point at which a slot zeroes a coefficient:
+# sl2 u1 = 0 and u1 - u2 = 0, sl3 u1 + 2 = 0, u2 + 1 = 0 and m = 0)
+_TABLE_POINTS = {
+    "sl2": [
+        ((F(1, 3), F(-2, 7)), (F(5, 4), F(-3, 10))),
+        ((F(0), F(1, 3)), (F(1, 2), F(1, 2))),
+    ],
+    "sl3": [
+        ((F(1, 3), F(-2, 7), F(3, 4)), (F(5, 6), F(-3, 10), F(1, 9))),
+        ((F(-2), F(1, 3), F(2, 5)), (F(1, 7), F(-1), F(0))),
+    ],
+}
+
+
+@pytest.mark.parametrize("alg, cap", [("sl2", 4), ("sl2", 8), ("sl3", 2), ("sl3", 3)])
+def test_the_evaluated_lax_table_is_the_folded_lax_product(alg, cap):
+    """The exchange checks' compiled Lax product, evaluated at a point, is
+    the product `lax_mul` builds there on window cap - 2, each block folded
+    by `op_comb` (`whole_block`): the same values, shift and certified
+    height, block by block; every block keeps the band."""
+    a = verify._algebra(alg)
+    pair = a.pair(cap)
+    points = _TABLE_POINTS[alg]
+    table = verify._lax_table(alg, pair)
+    for t, s in points:
+        P = lax_table_op(table, t, s)
+        want = lax_mul(a.lax(pair, *t, "1"), a.lax(pair, *s, "2"), cap - 2)
+        for (label, got, ref), (i, k) in zip(
+            verify._blocks(P, want), product(range(P.size), repeat=2)
+        ):
+            assert_same_op(got, whole_block(ref), (t, s, label))
+            assert got.shift <= i - k
+
+
+def _perturbed(table, m):
+    """The table with 1 added to the coefficient of monomial m in the
+    vacuum entry of block (0, 0)."""
+    rows = [list(row) for row in table.blocks]
+    shift, certified, cols = rows[0][0]
+    entries = dict(cols[0])
+    coeffs = dict(entries[0])
+    coeffs[m] = coeffs.get(m, 0) + table.den
+    entries[0] = tuple(sorted(coeffs.items()))
+    rows[0][0] = (shift, certified, {**cols, 0: tuple(entries.items())})
+    return table._replace(blocks=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("alg, cap, name", [("sl2", 6, "F1"), ("sl3", 3, "3F1")])
+def test_a_perturbed_lax_table_fails_the_first_factor_at_every_point(
+    monkeypatch, alg, cap, name
+):
+    """One table coefficient off by 1 fails the exchange check at every
+    seed-0 point it does not skip. The coefficient is that of t_1 in the
+    vacuum entry of block (0, 0): the first factor moves slot 1, so the two
+    products read it at t_1 and at s_1, and the residual's vacuum column is
+    (t_1 - s_1) times the vacuum. (A constant coefficient there would be
+    invisible: R fixes the vacuum.)"""
+    pair = verify._algebra(alg).pair(cap)
+    n = 2 if alg == "sl2" else 3
+    bad = _perturbed(verify._lax_table(alg, pair), n + 1)
+    monkeypatch.setattr(verify, "_lax_table", lambda *args: bad)
+    statuses = [
+        c["status"] for c in run_suite(SuiteConfig(alg, cap, checks=(name,)))["checks"]
+    ]
+    assert set(statuses) == {"fail", "skipped"}
+    assert statuses.count("fail") == 10
 
 
 # algebra -> (cap, a generic point)
@@ -613,14 +700,19 @@ _LAX_PRODUCT_CHECKS = [
 @pytest.mark.parametrize("alg, name", _LAX_PRODUCT_CHECKS)
 def test_the_part_product_cache_does_not_grow_with_trials(alg, name):
     # every Lax part is cached per basis, the zero operator included, so
-    # the products of parts a check needs are the same at every point
+    # the products of parts a check needs are the same at every point; the
+    # exchange checks compile one Lax table, at their first point
     cap = 6 if alg == "sl2" else 3
     sizes = []
     for trials in (2, 10):
         linop._part_product.cache_clear()
+        verify._lax_table.cache_clear()
         run_suite(SuiteConfig(alg, cap, trials=trials, checks=(name,)))
-        sizes.append(linop._part_product.cache_info().currsize)
-    assert 0 < sizes[0] == sizes[1]
+        sizes.append(
+            (linop._part_product.cache_info().currsize, verify._lax_table.cache_info().currsize)
+        )
+    exchange = getattr(verify.CATALOG[alg, name][0], "func", None) is verify._exchange
+    assert sizes[0] == sizes[1] and sizes[0][0] > 0 and sizes[0][1] == exchange
 
 
 # ---------------------------------------------------------------------------

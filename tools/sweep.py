@@ -6,14 +6,16 @@ mutation tag on its algebra's default suite, and every oracle check alone at
 sl2 cap 6 or sl3 cap 3 with 5 trials. Each configuration runs
 in-process through `rfactor.cli.main` with a fresh `--out` file. It also
 hashes the compiled path table of every factor stage list (`_FACTORS`) at
-the same caps, so a change to how a stage list is written or compiled that
-moves a table shows even where no report moves. Prints one JSON object,
-keyed by the space-joined arguments (without `--out`) and by
-"path-table ALGEBRA FACTOR --cap CAP":
+the same caps, and the compiled Lax product table of the exchange checks
+(`_lax_table`), so a change to how a stage list or a Lax matrix is written or
+compiled that moves a table shows even where no report moves. Prints one
+JSON object, keyed by the space-joined arguments (without `--out`), by
+"path-table ALGEBRA FACTOR --cap CAP" and by "lax-table ALGEBRA --cap CAP":
 
     {argv: [sha256 of the --out bytes, sha256 of stdout, sha256 of stderr,
             exit code],
-     table: [sha256 of repr((exps, keys, cols))]}
+     path table: [sha256 of repr((exps, keys, cols))],
+     lax table: [sha256 of repr((den, blocks))]}
 
 The output at the current source is committed as `tests/sweep.golden.json`,
 and `tests/test_sweep.py` re-runs the sweep against it. A change that moves a
@@ -51,6 +53,7 @@ from rfactor.verify import (
     SL2_MUTATION_TAGS,
     SL3_MUTATION_TAGS,
     _algebra,
+    _lax_table,
 )
 
 CAPS = {"sl2": (8, 4), "sl3": (3, 4)}
@@ -118,14 +121,28 @@ def path_tables():
     return out
 
 
+def lax_tables():
+    """{"lax-table ALGEBRA --cap CAP": [sha of the table]} for the exchange
+    checks' Lax product table at each sweep cap of its algebra."""
+    out = {}
+    for algebra, caps in CAPS.items():
+        for cap in caps:
+            table = _lax_table(algebra, _algebra(algebra).pair(cap))
+            data = repr((table.den, table.blocks)).encode()
+            out[f"lax-table {algebra} --cap {cap}"] = [_sha(data)]
+    return out
+
+
 def sweep(tmp: Path):
     """{space-joined argv: run(argv)} over every configuration, each with
-    its --out file in the directory `tmp`, and the path-table hashes."""
+    its --out file in the directory `tmp`, and the path- and Lax-table
+    hashes."""
     results = {
         " ".join(argv): run(argv, tmp / f"{i}.json")
         for i, argv in enumerate(configurations())
     }
     results.update(path_tables())
+    results.update(lax_tables())
     return results
 
 
