@@ -32,7 +32,7 @@ denominator per call: `compose_sum` (sum of c * (a after b), of which
 `op_add` is the two-term case and `op_scale` the one-term one); with
 is_zero, path_op and the nullspace solver they work in integers only.
 Fraction stays at the edges:
-parameters and scalars, `SparseOp.col`/`apply_vec`, zero-test witnesses and
+parameters and scalars, `SparseOp.col`, zero-test witnesses and
 nullspace solutions, which are Fractions, and `rational_op`, which builds an
 operator from rational columns. A parameter-free differential operator
 (`diffop`) is tabulated in integers once per basis and term list; one with
@@ -75,7 +75,10 @@ that does not cancel is then an error of the stage list, raised when the
 table is compiled, and a pole is raised, as the Pochhammer symbol that
 vanishes, for every point whose table needs it; that is the one statement
 of where a factor's poles lie. Every Gamma-ratio diagonal in the package,
-the sl2 closed form's included, is evaluated this way.
+the sl2 closed form's included, is evaluated this way. Under a height limit
+(`path_op(..., upto=h)`) only the columns up to h are evaluated and the
+operator is certified at h, while every eigenvalue is still computed, so a
+pole that only higher columns reach is raised all the same.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ class SparseOp:
     """Column-major nonzero integer numerators `cols` ({col: {row: int}}),
     no column empty, over a positive common denominator `den`, not
     necessarily the least: an endomorphism of `domain`. Its values are read
-    through `col` and `apply_vec`."""
+    through `col`."""
 
     __slots__ = ("domain", "cols", "den", "shift", "certified")
 
@@ -128,19 +131,6 @@ class SparseOp:
         """Column i as {row: Fraction}."""
         den = self.den
         return {r: Fraction(v, den) for r, v in self.cols.get(i, {}).items()}
-
-    def apply_vec(self, vec):
-        """Apply to an index-keyed vector {col: coeff}."""
-        out = {}
-        for i, c in vec.items():
-            for r, v in self.cols.get(i, {}).items():
-                w = out.get(r, 0) + c * v
-                if w:
-                    out[r] = w
-                else:
-                    del out[r]
-        den = self.den
-        return {r: Fraction(w, den) for r, w in out.items()}
 
 
 def rational_op(domain, cols, shift, certified):
@@ -328,12 +318,11 @@ def op_scalar_part(op):
     return op.col(0).get(0, Fraction(0))
 
 
-def commutator(a, b):
-    return compose_sum(((a, b, 1), (b, a, -1)))
-
-
+@lru_cache(maxsize=8)
 def pair_swap(pair: GradedBasis) -> SparseOp:
-    """The permutation of the two tensor factors (requires equal factors up to names)."""
+    """The permutation of the two tensor factors (requires equal factors up
+    to names), made once per pair basis, as the unit is; callers share it,
+    so none may change it."""
     if pair.factors is None:
         raise BasisMismatch("pair_swap target is not a tensor basis")
     b1, b2 = pair.factors
@@ -817,19 +806,24 @@ def _euler_eigenvalues(a, b, exps, cap):
     return vals, den
 
 
-def path_op(table, args, mutate=None):
+def path_op(table, args, mutate=None, *, upto=None):
     """The operator of a compiled stage list at the point `args`;
     mutate=(s, k) doubles the eigenvalue of the s-th Euler stage at exponent
-    k.
+    k. With a height limit `upto` no column above it is evaluated and the
+    operator is certified at `upto`, as `compose_sum` windows its columns.
 
     Each Euler eigenvalue is computed once per exponent a path showed,
     dropped paths included, so this raises PoleAtParameter wherever one of
     them is a pole, even if only dropped paths reach it: at the first stage
     that meets one, with the Pochhammer symbol that vanishes
     (`_euler_eigenvalues`). This is the one statement of where a factor's
-    poles lie. A path key's eigenvalue product is an integer product of
-    numerators over the product of the stage denominators."""
+    poles lie, and it holds under a height limit too: a pole that only
+    columns above `upto` reach is still raised. A path key's eigenvalue
+    product is an integer product of numerators over the product of the
+    stage denominators."""
     basis = table.basis
+    certified = basis.cap if upto is None or upto > basis.cap else upto
+    heights = basis.heights
     eig = []
     den = 1
     eulers = (st for st in table.stages if isinstance(st, Euler))
@@ -849,6 +843,8 @@ def path_op(table, args, mutate=None):
         nums.append(p)
     cols = {}
     for i, entries in table.cols.items():
+        if heights[i] > certified:
+            continue
         col = {}
         for j, terms in entries:
             n = 0
@@ -858,7 +854,7 @@ def path_op(table, args, mutate=None):
                 col[j] = n
         if col:
             cols[i] = col
-    return SparseOp(basis, cols, den, 0, basis.cap)
+    return SparseOp(basis, cols, den, 0, certified)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ weight parts and defining matrices: `linop.generators` tabulates them, and
 from the matrices.
 
 The spectral check reads the eigenvalues of P.Rhat on the lowest-weight
-vectors (z1 - z2)^n, written down in closed form (`sl2_spectral`).
+vectors (z1 - z2)^n, written down in closed form (`sl2_spectral`): it
+applies the factors of Rhat and then P to each vector, in integers, and
+builds no product.
 
 The fundamental check applies Yang's R = u + P on (C^d)^3 to basis triples
 in integers (`ybe_fundamental_residual`); no matrix is formed.
@@ -50,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .polyspace import (
     GradedBasis,
@@ -62,6 +64,7 @@ from .polyspace import (
 from .linop import (
     Euler,
     LaxOp,
+    WindowBeyondCertified,
     compose,
     compose_sum,
     diffop,
@@ -214,19 +217,45 @@ class SpectralMismatch(ValueError):
     eigenvalues break the spectral recurrence."""
 
 
-def sl2_spectral(R, l1, l2, w, n_max):
+def _apply(op, vec):
+    """The integer numerators, over op.den, of `op` applied to the integer
+    vector {col: int}; refuses a column above op's certified height."""
+    heights = op.domain.heights
+    out = {}
+    for i, c in vec.items():
+        if heights[i] > op.certified:
+            raise WindowBeyondCertified(
+                f"column of height {heights[i]} exceeds certified height "
+                f"{op.certified}"
+            )
+        for r, v in op.cols.get(i, {}).items():
+            x = out.get(r, 0) + c * v
+            if x:
+                out[r] = x
+            else:
+                del out[r]
+    return out
+
+
+def sl2_spectral(word, l1, l2, w, n_max):
     """Eigenvalues of R = P.Rhat on lowest-weight vectors per degree, where
     the sites carry weights l1, l2 and w is the spectral parameter
-    difference.
+    difference, and R is the product of the operators of `word` in the
+    order they apply (Rhat's factors, then P).
 
     Returns rhos: rho_n is the eigenvalue on (z1 - z2)^n, which spans the
-    degree-n kernel of the total lowering operator -d/dz1 - d/dz2. The
-    recurrence is asserted multiplied out,
+    degree-n kernel of the total lowering operator -d/dz1 - d/dz2. The word
+    is applied to each such vector in integers, over the product of its
+    operators' denominators, and never to a column above an operator's
+    certified height; the eigenvector equation is tested multiplied out, and
+    only rho_n and a failure's message are Fractions. The recurrence is
+    asserted multiplied out too,
     rho_{n+1} (l1 + l2 - w + n) = -(l1 + l2 + w + n) rho_n, so it divides by
     nothing and holds wherever R exists. Raises SpectralMismatch where either
     equation fails.
     """
-    pair = R.domain
+    pair = word[0].domain
+    den = prod(op.den for op in word)
     rhos = []
     for n in range(n_max + 1):
         omega = {
@@ -234,14 +263,18 @@ def sl2_spectral(R, l1, l2, w, n_max):
                 (-1) ** (n - k) * comb(n, k)
             for k in range(n + 1)
         }
-        image = R.apply_vec(omega)
+        image = omega
+        for op in word:
+            image = _apply(op, image)
         pivot = min(omega)
-        rho = image.get(pivot, Fraction(0)) / omega[pivot]
-        diff = {
-            k: image.get(k, Fraction(0)) - rho * omega.get(k, Fraction(0))
-            for k in set(omega) | set(image)
-        }
-        if any(diff.values()):
+        p, q = image.get(pivot, 0), omega[pivot]
+        rho = Fraction(p, den * q)
+        support = omega.keys() | image.keys()
+        if any(image.get(k, 0) * q != p * omega.get(k, 0) for k in support):
+            diff = {
+                k: Fraction(image.get(k, 0), den) - rho * omega.get(k, 0)
+                for k in support
+            }
             raise SpectralMismatch(
                 f"degree {n} kernel vector is not an eigenvector: "
                 f"{pair.comb_str({k: v2 for k, v2 in diff.items() if v2})}"

@@ -18,21 +18,29 @@ labelled pairs (label, A, B), A and B operators or Lax blocks: `_equal`
 tests A = B, each difference one `op_comb` over both sides' terms, and
 `_intertwines` tests R A = B R, each side one operator (an operator as it
 is, a block's terms folded by one `op_comb`) and each residual one
-`compose_sum` of the two.
+`compose_sum` of the two.  A relation between products reads them through
+that kernel instead of building them first: a commutator residual
+g_x g_y - g_y g_x - sum c g_z is one `compose_sum`, each g_z after the unit,
+and so is each residual of two words of factors.
 
 Each factor, its stage list and its side relations, is stated once, in the
 factor tables of `sl2core` and `sl3core`, and each site's Lax slots come
-from the slot maps there (`sl2_slots`, `sl3_slots`).  `_swap` builds the
-product R of a word of factors from the Lax slot tuples (t, s) and returns
-the tuples (t', s') it leaves, R L1(t) L2(s) = L1(t') L2(s') R; a factor is
-a one-letter word.  The catalog names the words each swap check builds, and
-three relations read them, the mutation reaching every factor they build:
-`_exchange` tests that relation for one word (a factor, which also commutes
-with its side operators, or the full swap), reading both Lax products off
-one table per pair basis (`_lax_table`), `_words` that every word builds
-the first word's operator, entry by entry (factor orders, a swap and its
-reverse, factors applied twice, the empty word as the identity), and
-`_first_orders` that each word carries its first-order pairs.  The oracle
+from the slot maps there (`sl2_slots`, `sl3_slots`).  `_word` builds
+the factors of a word from the Lax slot tuples (t, s), in the order they
+apply, and returns the tuples (t', s') their product R leaves,
+R L1(t) L2(s) = L1(t') L2(s') R; `_swap` composes them into R, and a
+factor is a one-letter word.  The catalog names the words each swap check
+builds, and three relations read them, the mutation reaching every factor
+they build: `_exchange` tests that relation for one word (a factor, which
+also commutes with its side operators, or the full swap), reading both Lax
+products off one table per pair basis (`_lax_table`), `_words` that every
+word builds the first word's operator, entry by entry (factor orders, a
+swap and its reverse, factors applied twice, the empty word as the
+identity), each other word's last factor composed inside its residual, and
+`_first_orders` that each word carries its first-order pairs.  The
+spectral check reads vectors, not operators: it evaluates the full swap's
+factors only up to the degree it reads and applies them, and then the site
+swap P, to the lowest-weight vectors (`sl2_spectral`).  The oracle
 checks re-derive each factor as the nullspace of those first-order pairs
 and its side pairs, by fraction-free elimination, scale the solution by its
 vacuum entry and compare it with the factor, entry by entry, as the sl2
@@ -54,8 +62,8 @@ from typing import Callable, NamedTuple
 
 from .exactnum import PoleAtParameter, rat_str
 from .linop import (
+    LaxOp,
     SparseOp,
-    commutator,
     compile_lax_table,
     compose,
     compose_sum,
@@ -402,13 +410,14 @@ def _equal(pairs, window=None):
 # sl2 checks
 
 def _sl2_spectral(cap, draws, mutate):
+    """P Rhat on the lowest-weight vectors of degree <= n_max: the word of
+    Rhat's factors, each evaluated only up to height n_max, then P."""
     l1, l2, u, v = draws
     _, pair, t, s = _point("sl2", cap, draws)
     n_max = min(6, cap - 1)
-    swap = rhat("sl2", pair, t, s)
-    R = compose(pair_swap(pair), swap)
+    word, _, _ = _word("sl2", pair, t, s, range(len(t), 0, -1), upto=n_max)
     try:
-        sl2_spectral(R, l1, l2, u - v, n_max)
+        sl2_spectral((*word, pair_swap(pair)), l1, l2, u - v, n_max)
     except SpectralMismatch as e:
         raise CheckFailed(n_max, (str(e), ""))
     return n_max, None
@@ -603,15 +612,20 @@ def _gl(alg, basis, weights):
 
 def _commutators(alg, cap, draws, mutate):
     """Every commutator of two generators equals its structure-constant
-    combination; draws are the weights."""
+    combination; draws are the weights. Each residual
+    g_x g_y - g_y g_x - sum c g_z is one `compose_sum`, a term c g_z being
+    g_z after the unit."""
     a = _algebra(alg)
     basis = a.site(cap)
     g = generators(basis, a.table, draws)
-    pairs = (
-        (None, commutator(g[x], g[y]), _combination(basis, g, terms))
+    one = identity_op(basis)
+    residuals = (
+        compose_sum(
+            ((g[x], g[y], 1), (g[y], g[x], -1), *((g[z], one, -c) for z, c in terms))
+        )
         for x, y, terms in _structure_constants(alg)
     )
-    return _equal(pairs), None
+    return min(_vanishes(None, res) for res in residuals), None
 
 
 def _casimirs(alg, cap, draws, mutate):
@@ -653,34 +667,52 @@ def _factor_args(t, s, k):
     return t[:k] + s[j:], t[:j] + s[j:k] + t[k:], s[:j] + t[j:k] + s[k:]
 
 
-def _factor(alg, k, basis, args, mutate=None):
+def _factor(alg, k, basis, args, mutate=None, upto=None):
     """Factor k of `alg` on `basis`: the path table of its stage list at
     `args`, with the eigenvalue mutation (Euler stage, exponent) `mutate` if
-    one is given. Raises CheckSkipped, with the Pochhammer symbol that
-    vanishes as its reason, exactly where evaluating the table meets a
-    pole."""
+    one is given, evaluated up to height `upto` if one is given. Raises
+    CheckSkipped, with the Pochhammer symbol that vanishes as its reason,
+    exactly where evaluating the table meets a pole."""
     try:
-        return path_op(path_table(basis, _FACTORS[alg, k][0]), args, mutate)
+        table = path_table(basis, _FACTORS[alg, k][0])
+        return path_op(table, args, mutate, upto=upto)
     except PoleAtParameter as e:
         raise CheckSkipped(str(e)) from None
 
 
-def _swap(alg, pair, t, s, factors, mutate=None):
-    """The product R of the elementary `factors` of `alg` on `pair`, from
-    the Lax slot tuples t and s, and the slot tuples it leaves: returns
-    (R, t', s') with R L1(t) L2(s) = L1(t') L2(s') R. The factors apply in
-    the order given, each at `_factor_args` of the slots the factors before
-    it left and composed on the left of them; the mutation
-    (factor, Euler stage, exponent) `mutate` reaches the factor it names.
-    Each factor skips itself as it is built, so this raises CheckSkipped
-    at the first factor, in the order they apply, that meets a pole."""
-    R = None
+def _word(alg, pair, t, s, factors, mutate=None, upto=None):
+    """The elementary `factors` of `alg` on `pair`, from the Lax slot tuples
+    t and s, in the order they apply, and the slot tuples their product
+    leaves: returns ([F, ...], t', s'). Each factor is built at
+    `_factor_args` of the slots the factors before it left, up to height
+    `upto` if one is given; the mutation (factor, Euler stage, exponent)
+    `mutate` reaches the factor it names. Each factor skips itself as it is
+    built, so this raises CheckSkipped at the first factor, in the order
+    they apply, that meets a pole."""
+    ops = []
     for k in factors:
         args, t, s = _factor_args(t, s, k)
         hit = mutate[1:] if mutate is not None and mutate[0] == k else None
-        F = _factor(alg, k, pair, args, hit)
-        R = F if R is None else compose(F, R)
-    return R, t, s
+        ops.append(_factor(alg, k, pair, args, hit, upto))
+    return ops, t, s
+
+
+def _product(pair, ops):
+    """The product of `ops` in the order they apply, each composed on the
+    left of those before it; the identity on `pair` if there is none."""
+    if not ops:
+        return identity_op(pair)
+    R = ops[0]
+    for F in ops[1:]:
+        R = compose(F, R)
+    return R
+
+
+def _swap(alg, pair, t, s, factors, mutate=None):
+    """The product R of the word of `factors` (`_word`) and the slot tuples
+    it leaves: returns (R, t', s') with R L1(t) L2(s) = L1(t') L2(s') R."""
+    ops, t, s = _word(alg, pair, t, s, factors, mutate)
+    return _product(pair, ops), t, s
 
 
 def rhat(alg, pair, t, s):
@@ -696,25 +728,23 @@ def _point(alg, cap, draws):
     return a, a.pair(cap), t, s
 
 
-def _exchange_laxes(a, pair, t1, t2, q1, q2):
-    """L1(t1), L2(t2), L1(q1), L2(q2) on the pair basis."""
-    return (
-        a.lax(pair, *t1, "1"),
-        a.lax(pair, *t2, "2"),
-        a.lax(pair, *q1, "1"),
-        a.lax(pair, *q2, "2"),
+def _lax_sum(a, pair, t, s):
+    """L1(t) + L2(s) on the pair basis, each block one operator: one
+    `op_comb` over the two blocks' terms."""
+    L1, L2 = a.lax(pair, *t, "1"), a.lax(pair, *s, "2")
+    return LaxOp(
+        [
+            [op_comb(lax_terms(b1) + lax_terms(b2)) for b1, b2 in zip(r1, r2)]
+            for r1, r2 in zip(L1.blocks, L2.blocks)
+        ]
     )
 
 
 def _first_order(a, pair, t, s, q1, q2):
     """The first-order pairs of the exchange of L1(t) L2(s) for
     L1(q1) L2(q2): the blocks of L1(t) + L2(s) against those of
-    L1(q1) + L2(q2), each sum block the two blocks' terms."""
-    L1, L2, L1p, L2p = _exchange_laxes(a, pair, t, s, q1, q2)
-    return [
-        (label, lax_terms(a1) + lax_terms(a2), lax_terms(b1) + lax_terms(b2))
-        for (label, a1, b1), (_, a2, b2) in zip(_blocks(L1, L1p), _blocks(L2, L2p))
-    ]
+    L1(q1) + L2(q2) (`_lax_sum`)."""
+    return _blocks(_lax_sum(a, pair, t, s), _lax_sum(a, pair, q1, q2))
 
 
 def _side_pairs(alg, k, pair):
@@ -757,23 +787,37 @@ def _exchange(alg, factors, cap, draws, mutate):
 
 
 def _words(alg, words, cap, draws, mutate):
-    """Every word's `_swap` from the point's (t, s), the empty word's the
-    identity, equals the first word's, entry by entry; all are built, in
-    order, before any is tested. Reports the first's vacuum coefficient."""
+    """Every word's product from the point's (t, s) equals the first
+    word's, entry by entry. The first word's product R is built
+    (`_product`); every other word's is its last factor after the product
+    of the rest, the empty word's 1 after 1, and stays inside its residual,
+    one `compose_sum` (R . 1) - (last . rest), so no other word's whole
+    product is built. All factors are built, in order, before any residual
+    is tested. Reports R's vacuum coefficient."""
     _, pair, t, s = _point(alg, cap, draws)
-    first, *others = (
-        _swap(alg, pair, t, s, w, mutate)[0] if w else identity_op(pair) for w in words
+    one = identity_op(pair)
+    first, *others = (_word(alg, pair, t, s, w, mutate)[0] for w in words)
+    R = _product(pair, first)
+    ends = [
+        (ops[-1], _product(pair, ops[:-1])) if ops else (one, one) for ops in others
+    ]
+    window = min(
+        _vanishes(None, compose_sum(((R, one, 1), (a, b, -1)))) for a, b in ends
     )
-    return _equal([(None, first, R) for R in others]), op_scalar_part(first)
+    return window, op_scalar_part(R)
 
 
 def _first_orders(alg, words, cap, draws, mutate):
     """Each word's `_swap` carries the blocks of L1 + L2 at (t, s) to those
     at the slots it leaves, the total generators at the shifted weights;
-    all are built, in order, before any is tested."""
+    all are built, in order, before any is tested, and the blocks at
+    (t, s), the same for every word, are summed once (`_lax_sum`)."""
     a, pair, t, s = _point(alg, cap, draws)
     jobs = [_swap(alg, pair, t, s, w, mutate) for w in words]
-    return min(_intertwines(R, _first_order(a, pair, t, s, *q)) for R, *q in jobs), None
+    left = _lax_sum(a, pair, t, s)
+    return min(
+        _intertwines(R, _blocks(left, _lax_sum(a, pair, *q))) for R, *q in jobs
+    ), None
 
 
 def _oracle(alg, k, cap, draws, mutate):

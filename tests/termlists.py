@@ -4,13 +4,16 @@
 through `op_from_action`, bypassing the per-basis cache that `linop.diffop`
 keeps, so a test can compare the per-point operators (cached part plus
 parameter times unit operator) with the whole list; `assert_same_op` and
-`same_op` compare two operators by value (`op_value`). `tabulated_columns`
+`same_op` compare two operators by value (`op_value`). `apply_vec` applies
+an operator to a vector and `commutator` composes one, both in Fractions'
+values, for tests that read an operator that way. `tabulated_columns`
 counts the columns every tabulation touches. `factor` evaluates an
 elementary R-operator the way the checks do, minus their guard.
-`whole_block` makes a Lax block one operator, `blockwise_pairs` builds
-both sides of the Lax relation R P = Q R block by block, the unfused
-reference for `verify._intertwines`, and `vanishing_pochhammer` words a pole
-the way the factors' skips do.
+`whole_block` makes a Lax block one operator, `exchange_laxes` builds the
+four Lax matrices of an exchange, `blockwise_pairs` builds both sides of
+the Lax relation R P = Q R block by block, the unfused reference for
+`verify._intertwines`, and `vanishing_pochhammer` words a pole the way the
+factors' skips do.
 
 The Fraction Gamma-ratio evaluator is kept here as the path tables'
 reference: `pochhammer`, `pochhammer_ratio` and `gamma_ratio_shift` give
@@ -25,6 +28,7 @@ from rfactor import linop
 from rfactor.exactnum import PoleAtParameter, rat_str
 from rfactor.linop import (
     compose,
+    compose_sum,
     diffop_apply,
     lax_terms,
     op_comb,
@@ -64,6 +68,25 @@ def assert_same_op(got, want, where=None):
     assert op_value(got) == op_value(want), where
 
 
+def apply_vec(op, vec):
+    """`op` applied to an index-keyed vector {col: coeff}, as
+    {row: Fraction}."""
+    out = {}
+    for i, c in vec.items():
+        for r, v in op.cols.get(i, {}).items():
+            w = out.get(r, 0) + c * v
+            if w:
+                out[r] = w
+            else:
+                del out[r]
+    return {r: Fraction(w, op.den) for r, w in out.items()}
+
+
+def commutator(a, b):
+    """a b - b a, one `compose_sum`."""
+    return compose_sum(((a, b, 1), (b, a, -1)))
+
+
 def tabulated_columns(monkeypatch):
     """A list that receives the column count of every later tabulation."""
     cols = []
@@ -87,6 +110,17 @@ def factor(alg, k, basis, *args, mutate=None):
 def whole_block(block):
     """A Lax block as one operator: one `op_comb` over its terms."""
     return op_comb(lax_terms(block))
+
+
+def exchange_laxes(a, pair, t1, t2, q1, q2):
+    """L1(t1), L2(t2), L1(q1), L2(q2) on the pair basis, from the algebra
+    descriptor `a` (`verify._algebra`)."""
+    return (
+        a.lax(pair, *t1, "1"),
+        a.lax(pair, *t2, "2"),
+        a.lax(pair, *q1, "1"),
+        a.lax(pair, *q2, "2"),
+    )
 
 
 def blockwise_pairs(R, P, Q):

@@ -105,7 +105,7 @@ def test_sl2_spectral_recurrence_through_degree_six():
     def spectral(l1, l2, u, v):
         pair = sl2_pair(8)
         R = rhat("sl2", pair, sl2_slots(l1, u), sl2_slots(l2, v))
-        return sl2_spectral(compose(pair_swap(pair), R), l1, l2, u - v, 7)
+        return sl2_spectral((compose(pair_swap(pair), R),), l1, l2, u - v, 7)
 
     for l1, l2, u, v in _guarded_points("spectral-accept", 4, 10, ok):
         rhos = spectral(l1, l2, u, v)

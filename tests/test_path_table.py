@@ -35,6 +35,7 @@ from rfactor.linop import (
     run_pipeline,
 )
 from rfactor.polyspace import VarSpec, enumerate_basis, tensor_basis
+from rfactor.sl2core import sl2_pair
 from rfactor.sl3core import (
     _sl3_r1_stages,
     _sl3_r2_stages,
@@ -411,3 +412,37 @@ def test_a_factor_at_cap_c_is_the_truncation_of_the_factor_at_c_plus_one(name):
 
     small, big = (_build(name, pair_of(cap), args) for cap in (c, c + 1))
     assert entries(small) == entries(big)
+
+
+@pytest.mark.parametrize("name", FACTORS)
+def test_a_height_limit_evaluates_the_columns_below_it_and_certifies_there(name):
+    """path_op(table, args, upto=h) is the full evaluation restricted to the
+    columns of height <= h, certified at h (at most the cap), with no
+    column above it, mutated or not."""
+    stage_list, basis_of, cap = FACTORS[name]
+    basis = basis_of(cap)
+    table = path_table(basis, stage_list)
+    sl2 = name.startswith("sl2")
+    args = (F(7, 3), F(-2, 5), F(1, 4), F(5, 6))[: 3 if sl2 else 4]
+    for mutate in (None, (0, 1)):
+        full = path_op(table, args, mutate)
+        for h in range(-1, cap + 2):
+            got = path_op(table, args, mutate, upto=h)
+            assert got.certified == min(h, cap) and got.shift == full.shift
+            assert all(basis.heights[i] <= h for i in got.cols)
+            assert {i: got.col(i) for i in got.cols} == {
+                i: full.col(i) for i in full.cols if basis.heights[i] <= h
+            }
+
+
+def test_a_pole_only_columns_above_the_height_limit_reach_is_raised():
+    """sl2 r1 at v1 - v2 = -3 divides by (-3)_4 = 0 at exponent 4, which
+    only columns of height >= 4 reach: the table evaluated up to height 2
+    raises that pole all the same, in the same words."""
+    table = path_table(sl2_pair(6), _FACTORS["sl2", 1][0])
+    args = (F(1, 2), F(0), F(3))
+    with pytest.raises(PoleAtParameter) as full:
+        path_op(table, args)
+    with pytest.raises(PoleAtParameter) as windowed:
+        path_op(table, args, upto=2)
+    assert str(windowed.value) == str(full.value) == "(-3)_4 = 0"

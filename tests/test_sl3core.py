@@ -23,7 +23,6 @@ from rfactor.polyspace import (
 from rfactor.linop import (
     LaxOp,
     _echelon_insert,
-    commutator,
     compose,
     diffop,
     generators,
@@ -63,7 +62,9 @@ from rfactor.sl3core import (
 from rfactor import verify
 from rfactor.verify import CheckFailed, _swap
 from termlists import (
+    apply_vec,
     assert_same_op,
+    commutator,
     factor,
     stage_euler,
     tabulate,
@@ -85,7 +86,7 @@ def vec_series_exp(op, lam, vec, max_terms=200):
     acc = dict(vec)
     cur = dict(vec)
     for k in range(1, max_terms + 1):
-        cur = op.apply_vec(cur)
+        cur = apply_vec(op, cur)
         if not cur:
             return acc
         cur = {i: c * lam / k for i, c in cur.items()}
@@ -238,7 +239,7 @@ def test_fundamental_representation_correspondence():
     for name in SL3_GENERATORS:
         M = mats[name]
         for j in range(3):
-            got = g[name].apply_vec(e[j])
+            got = apply_vec(g[name], e[j])
             want = {}
             for i in range(3):
                 if M[i][j]:
@@ -255,7 +256,7 @@ def test_fundamental_representation_correspondence():
     for name in SL3_GENERATORS:
         M = mats[name]
         for j in range(3):
-            got = g[name].apply_vec(e[j])
+            got = apply_vec(g[name], e[j])
             want = {}
             for i in range(3):
                 if M[i][j]:
@@ -285,7 +286,7 @@ def test_findim_dimensions():
         assert len(echelon) == dim
         for v in vectors:
             for op in gens.values():
-                _echelon_insert(int_row(op.apply_vec(v)), echelon)
+                _echelon_insert(int_row(apply_vec(op, v)), echelon)
                 assert len(echelon) == dim, (M, N)
 
 
@@ -306,7 +307,7 @@ def test_findim_tabulates_nothing_and_grows_the_tabulated_generators_module():
             new = []
             for vec in frontier:
                 for op in gens.values():
-                    w = op.apply_vec(vec)
+                    w = apply_vec(op, vec)
                     rank = len(echelon)
                     _echelon_insert(int_row(w), echelon)
                     if len(echelon) > rank:
@@ -328,7 +329,7 @@ def test_findim_variable_support():
     twist = subst_op(basis, rules)
     xi = names.index("x")
     for v in vectors:
-        for k in twist.apply_vec(v):
+        for k in apply_vec(twist, v):
             assert basis.monomials[k][xi] == 0
     # weight (0, N): module vectors are z-free as they stand
     basis, vectors = sl3_findim_module(0, 2)

@@ -22,7 +22,7 @@ from rfactor.linop import (
     rational_op,
 )
 from rfactor.sl2core import SL2_GENERATORS, sl2_pair, sl2_site, sl2_slots
-from rfactor.sl2core import sl2_lax, sl2_rhat_closed, sl2_spectral
+from rfactor.sl2core import SpectralMismatch, sl2_lax, sl2_rhat_closed, sl2_spectral
 from rfactor.sl3core import sl3_pair, sl3_site, sl3_slots
 from rfactor.verify import (
     POOL_DEN,
@@ -49,6 +49,8 @@ from rfactor.verify import (
 from termlists import (
     assert_same_op,
     blockwise_pairs,
+    commutator,
+    exchange_laxes,
     factor,
     same_op,
     tabulate,
@@ -484,7 +486,7 @@ def test_a_failing_exchange_fails_as_its_whole_products_do(alg, k, cap, tag, dra
     mutate = parse_mutate(alg, tag)
     a, pair, t, s = verify._point(alg, cap, draws)
     R, q1, q2 = verify._swap(alg, pair, t, s, (k,), mutate)
-    L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, t, s, q1, q2)
+    L1, L2, L1p, L2p = exchange_laxes(a, pair, t, s, q1, q2)
     P, Q = lax_mul(L1, L2), lax_mul(L1p, L2p)
     with pytest.raises(CheckFailed) as whole:
         verify._intertwines(R, verify._blocks(P, Q), cap - 2)
@@ -632,7 +634,7 @@ def test_the_permuted_full_swap_residual_is_the_swapped_residual(alg, tag):
             assert_same_op(swapped, whole_block(b1), (x, label))
     mutate = None if tag is None else parse_mutate(alg, tag)
     A = _word(alg, pair, t, s, range(len(t), 0, -1), mutate)
-    L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, t, s, s, t)
+    L1, L2, L1p, L2p = exchange_laxes(a, pair, t, s, s, t)
     P = lax_mul(L1, L2, w)
     res = blockwise_pairs(A, P, lax_mul(L1p, L2p, w))
     permuted = blockwise_pairs(compose(sigma, A), P, lax_mul(L2, L1, w))
@@ -667,7 +669,7 @@ def test_the_folded_intertwining_residual_is_the_per_term_one(monkeypatch, alg, 
     w = cap - 2
     for word in [(k,) for k in range(1, len(t) + 1)] + [tuple(range(len(t), 0, -1))]:
         R, q1, q2 = verify._swap(alg, pair, t, s, word, mutate)
-        L1, L2, L1p, L2p = verify._exchange_laxes(a, pair, t, s, q1, q2)
+        L1, L2, L1p, L2p = exchange_laxes(a, pair, t, s, q1, q2)
         jobs = [
             (verify._blocks(lax_mul(L1, L2, w), lax_mul(L1p, L2p, w)), w),
             (verify._first_order(a, pair, t, s, q1, q2), None),
@@ -1006,8 +1008,232 @@ def test_the_spectral_check_passes_where_an_eigenvalue_vanishes():
     l1, l2, u, v = draws
     pair = sl2_pair(8)
     swap = rhat("sl2", pair, sl2_slots(l1, u), sl2_slots(l2, v))
-    rhos = sl2_spectral(compose(pair_swap(pair), swap), l1, l2, u - v, 6)
+    rhos = sl2_spectral((compose(pair_swap(pair), swap),), l1, l2, u - v, 6)
     assert all(rhos[:5]) and rhos[5] == rhos[6] == 0
+
+
+# ---------------------------------------------------------------------------
+# Relations read products through the kernels instead of building them
+
+def _passing_params(alg, name, cap, seed):
+    """The draws of the first instance of a check that does not skip."""
+    *_, first = run_one(alg, name, 0, cap, seed, None, None)
+    assert first.status == "pass", first.to_json()
+    return first.params
+
+
+def _spectral_words(pair, t, s, n_max, mutate=None):
+    """The spectral check's word, Rhat's factors up to height n_max and
+    then P, and the whole product P Rhat it stands for."""
+    P = pair_swap(pair)
+    word, _, _ = verify._word("sl2", pair, t, s, (2, 1), mutate, n_max)
+    return (*word, P), compose(P, verify._swap("sl2", pair, t, s, (2, 1), mutate)[0])
+
+
+@pytest.mark.parametrize("cap", [4, 6, 8])
+def test_the_spectral_word_reads_the_eigenvalues_of_the_whole_product(cap):
+    """sl2_spectral on the word gives the rho list it gives on P Rhat
+    composed, and under a perturbed word it fails with the same message:
+    P times (degree + 1) and r1 with its exponent-2 eigenvalue doubled
+    break the recurrence, P times 1 + z1 d/dz2 the eigenvectors."""
+    n_max = min(6, cap - 1)
+    for seed in range(5):
+        l1, l2, u, v = draws = _passing_params("sl2", "spectral", cap, seed)
+        _, pair, t, s = verify._point("sl2", cap, draws)
+        word, whole = _spectral_words(pair, t, s, n_max)
+        rhos = sl2_spectral(word, l1, l2, u - v, n_max)
+        assert rhos == sl2_spectral((whole,), l1, l2, u - v, n_max)
+        assert len(rhos) == n_max + 1
+        perturbed = [_spectral_words(pair, t, s, n_max, parse_mutate("sl2", "r1:2"))]
+        for terms in (
+            ((1, (), ()), (1, ("z1",), ("z1",)), (1, ("z2",), ("z2",))),
+            ((1, (), ()), (1, ("z1",), ("z2",))),
+        ):
+            twist = diffop(pair, *terms)
+            perturbed.append(((*word, twist), compose(twist, whole)))
+        messages = []
+        for bad, bad_whole in perturbed:
+            with pytest.raises(SpectralMismatch) as got:
+                sl2_spectral(bad, l1, l2, u - v, n_max)
+            with pytest.raises(SpectralMismatch) as want:
+                sl2_spectral((bad_whole,), l1, l2, u - v, n_max)
+            assert str(got.value) == str(want.value)
+            messages.append(str(got.value).split(":")[0])
+        assert messages == [
+            "spectral recurrence fails at degree 1",
+            "spectral recurrence fails at degree 0",
+            "degree 1 kernel vector is not an eigenvector",
+        ]
+
+
+def test_the_spectral_word_refuses_a_column_above_a_factors_certified_height():
+    pair = sl2_pair(6)
+    t, s = sl2_slots(F(1, 2), F(2)), sl2_slots(F(1, 3), F(1, 5))
+    word, _ = _spectral_words(pair, t, s, 3)
+    with pytest.raises(linop.WindowBeyondCertified):
+        sl2_spectral(word, F(1, 2), F(1, 3), F(9, 5), 4)
+
+
+def _recorded_residuals(monkeypatch):
+    """A list that receives every residual `_vanishes` is given, before it
+    is tested."""
+    got = []
+    real = verify._vanishes
+
+    def recording(label, res, window=None):
+        got.append(res)
+        return real(label, res, window)
+
+    monkeypatch.setattr(verify, "_vanishes", recording)
+    return got
+
+
+@pytest.mark.parametrize("alg, cap, weights", [
+    ("sl2", 8, (F(2, 3),)),
+    ("sl3", 3, (F(2, 3), F(-1, 5))),
+    ("sl3", 4, (F(-7, 4), F(3, 2))),
+])
+def test_a_commutator_residual_is_the_commutator_less_its_combination(
+    monkeypatch, alg, cap, weights
+):
+    """Each fused residual g_x g_y - g_y g_x - sum c g_z equals, by value,
+    shift and certified height, the difference of the commutator and the
+    combination built apart; with every structure constant doubled the
+    first that fails fails with the same witness."""
+    a = verify._algebra(alg)
+    basis = a.site(cap)
+    g = generators(basis, a.table, weights)
+    real = verify._structure_constants
+    residuals = _recorded_residuals(monkeypatch)
+    for scale in (1, 2):
+        constants = [
+            (x, y, tuple((z, scale * c) for z, c in terms)) for x, y, terms in real(alg)
+        ]
+        monkeypatch.setattr(verify, "_structure_constants", lambda alg: constants)
+        want = [
+            op_add(commutator(g[x], g[y]), verify._combination(basis, g, terms), -1)
+            for x, y, terms in constants
+        ]
+        residuals.clear()
+        try:
+            window, _ = verify._commutators(alg, cap, list(weights), None)
+        except CheckFailed as e:
+            assert scale == 2
+            last = want[len(residuals) - 1]
+            witness = is_zero(last, last.certified)[1]
+            assert (e.window, e.witness) == (last.certified, witness)
+        else:
+            assert scale == 1 and len(residuals) == len(want)
+            assert window == min(w.certified for w in want)
+        for got, w in zip(residuals, want):
+            assert_same_op(got, w)
+
+
+# (algebra, check, mutation tag) for every `_words` row: the tag makes the
+# first residual at the row's seed-0 point nonzero
+_WORD_ROWS = [
+    ("sl2", "rfact-orders", "r1:1"),
+    ("sl2", "inverse-scalar", "r1:1"),
+    ("sl2", "involutions", "r1:1"),
+    ("sl3", "rfact3-orders", "r2:b"),
+    ("sl3", "inverse-scalar3", "r2:b"),
+    ("sl3", "involutions3", "r2:b"),
+    ("sl3", "orders3", "r2:b"),
+]
+
+
+def test_the_word_rows_are_every_words_row_of_the_catalog():
+    rows = {
+        key for key, (fn, _) in verify.CATALOG.items()
+        if getattr(fn, "func", None) is verify._words
+    }
+    assert rows == {(alg, name) for alg, name, _ in _WORD_ROWS}
+
+
+@pytest.mark.parametrize("alg, name, tag", _WORD_ROWS)
+def test_a_word_residual_is_the_difference_of_the_whole_products(
+    monkeypatch, alg, name, tag
+):
+    """Each residual of a `_words` row equals, by value, shift and
+    certified height, the first word's whole product less the other
+    word's (the empty word's the unit); under a mutation the first failing
+    residual fails with the same window and witness."""
+    cap = _WINDOW_CAPS[alg]
+    words = verify.CATALOG[alg, name][0].args[1]
+    draws = _passing_params(alg, name, cap, 0)
+    _, pair, t, s = verify._point(alg, cap, draws)
+    residuals = _recorded_residuals(monkeypatch)
+    for mutate in (None, parse_mutate(alg, tag)):
+        first, *others = (
+            _word(alg, pair, t, s, w, mutate) if w else identity_op(pair) for w in words
+        )
+        want = [op_add(first, R, -1) for R in others]
+        residuals.clear()
+        try:
+            window, scalar = verify._words(alg, words, cap, draws, mutate)
+        except CheckFailed as e:
+            assert mutate is not None and len(residuals) == 1
+            assert (e.window, e.witness) == (cap, is_zero(want[0], cap)[1])
+        else:
+            assert mutate is None and len(residuals) == len(want)
+            assert (window, scalar) == (cap, op_scalar_part(first))
+        for got, w in zip(residuals, want):
+            assert_same_op(got, w)
+
+
+def _recording(calls, name, fn):
+    def run(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.setdefault(name, []).append((args, kwargs, out))
+        return out
+
+    return run
+
+
+def test_relations_read_products_through_the_kernels(monkeypatch):
+    """spectral composes nothing and evaluates each factor up to n_max;
+    commutators makes one `compose_sum` per structure constant and no
+    `op_comb`; a `_words` row builds the first word's product once and no
+    other word's whole product, one `compose_sum` per other word."""
+    calls = {}
+    for name in ("compose", "compose_sum", "op_comb", "path_op", "_factor"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, _recording(calls, name, real))
+
+    draws = _passing_params("sl2", "spectral", 8, 0)
+    calls.clear()
+    assert run_check("sl2", "spectral", 8, draws).status == "pass"
+    assert "compose" not in calls and "compose_sum" not in calls
+    assert [kw["upto"] for _, kw, _ in calls["path_op"]] == [6, 6]
+    assert pair_swap(sl2_pair(8)) is pair_swap(sl2_pair(8))
+
+    for alg, cap in _WINDOW_CAPS.items():
+        draws = _passing_params(alg, "commutators", cap, 0)
+        calls.clear()
+        assert run_check(alg, "commutators", cap, draws).status == "pass"
+        assert len(calls["compose_sum"]) == len(verify._structure_constants(alg))
+        assert "op_comb" not in calls and "compose" not in calls
+
+    for alg, name, _ in _WORD_ROWS:
+        cap = _WINDOW_CAPS[alg]
+        words = verify.CATALOG[alg, name][0].args[1]
+        draws = _passing_params(alg, name, cap, 0)
+        calls.clear()
+        assert run_check(alg, name, cap, draws).status == "pass"
+        # each factor by its place in build order, each product by its factors
+        letters = {id(out): (n,) for n, (*_, out) in enumerate(calls["_factor"])}
+        products = []
+        for (a, b), _, out in calls.get("compose", []):
+            letters[id(out)] = letters[id(b)] + letters[id(a)]
+            products.append(letters[id(out)])
+        start = 0
+        for j, w in enumerate(words):
+            whole = tuple(range(start, start + len(w)))
+            start += len(w)
+            built = products.count(whole)
+            assert built == (j == 0 and len(w) > 1), (name, w)
+        assert start == len(calls["_factor"])
+        assert len(calls["compose_sum"]) == len(words) - 1
 
 
 # ---------------------------------------------------------------------------
