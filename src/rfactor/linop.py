@@ -43,20 +43,23 @@ its matrix in the defining representation.
 
 A Lax matrix (`LaxOp`) keeps such a block as its terms ((cached part, 1),
 (cached unit, coefficient), ...), so building one at a point tabulates and
-copies nothing. A product of Lax matrices (`lax_mul`) is one too: each
-block is its terms ((a after b, ca cb), ...) over the factors' terms, and
-each product of two parts is composed once per process (`_part_product`),
-so a product at a later point composes nothing, and its terms are cached
-parts again. A relation reads a block through its terms (`lax_terms`): a
-difference A - B is one `op_comb` over both blocks' terms.
+copies nothing. A relation reads a block through its terms (`lax_terms`): a
+difference A - B is one `op_comb` over both blocks' terms. A product of Lax
+matrices (`lax_mul`) has operator blocks, each one `compose_sum` over the
+products of the factors' terms; the one-site checks `lax-factor`,
+`lax-factor3` and `sl3-invariance` take such products.
 
 The product L1(t) L2(s) of two Lax matrices affine in their slot tuples
-is compiled once (`compile_lax_table`), read off `lax_mul` at the unit slot
-tuples: every coefficient of a product block is bilinear in (1, t) and
-(1, s), so each block entry is a few integer coefficients over one table
-denominator. At a point (`lax_table_op`) each block is one operator, one
-integer dot product per entry, and an intertwining residual R A - B R is
-one `compose_sum` of R and the two blocks as they are.
+is compiled once (`compile_lax_table`) from the two builders: each is read
+at the slot tuples 0 and e_k, which gives every term's coefficient as an
+affine form in the slots (`_affine`), and each term of a product block is
+a product of two parts, composed once, with the product of their
+coefficients, bilinear in (1, t) and (1, s). So each block entry is a few
+integer coefficients over one table denominator. At a point
+(`lax_table_op`) each block is one operator, one integer dot product per
+entry in the loop that also evaluates path tables (`_dot`), and an
+intertwining residual R A - B R is one `compose_sum` of R and the two
+blocks as they are.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -841,28 +844,38 @@ def path_op(table, args, mutate=None, *, upto=None):
         for vals, e in zip(eig, key):
             p *= vals[e]
         nums.append(p)
+    cols = _dot(table.cols, nums, heights, certified)
+    return SparseOp(basis, cols, den, 0, certified)
+
+
+def _dot(entries, values, heights, certified):
+    """The columns of compiled table entries {i: ((j, ((k, c), ...)), ...)}
+    at integer `values`: entry (j, i) is the sum of c * values[k], no column
+    above height `certified`, and no entry or column zero. Both compiled
+    tables evaluate here: a path table at its key products (`path_op`), a
+    Lax product table at its slot monomials (`lax_table_op`)."""
     cols = {}
-    for i, entries in table.cols.items():
+    for i, col_entries in entries.items():
         if heights[i] > certified:
             continue
         col = {}
-        for j, terms in entries:
+        for j, terms in col_entries:
             n = 0
             for k, c in terms:
-                n += c * nums[k]
+                n += c * values[k]
             if n:
                 col[j] = n
         if col:
             cols[i] = col
-    return SparseOp(basis, cols, den, 0, certified)
+    return cols
 
 
 # ---------------------------------------------------------------------------
 # Lax matrices: small matrices of blocks over an auxiliary space. A block is
 # a SparseOp or a tuple of its terms ((SparseOp, rational coefficient), ...):
-# a block with parameters, and every block of a product, is kept as its
-# cached parts times their coefficients, and relations fold the terms in
-# one fused kernel call per block.
+# a block with parameters is kept as its cached parts times their
+# coefficients, and relations fold the terms in one fused kernel call per
+# block; a product's blocks are operators.
 
 def lax_terms(block):
     """The terms ((operator, coefficient), ...) of a Lax block."""
@@ -881,8 +894,9 @@ class LaxOp:
     Auxiliary-space row/column indices are ordered by descending weight, so
     entry (i, j) may raise the height by at most i - j; the constructor
     enforces that bound on declared shifts, a block's shift being the
-    largest of its terms'. A product of two such matrices keeps the band
-    by construction, so `lax_mul` and `lax_table_op` build theirs through
+    largest of its terms'. A block is an operator or its terms; a product's
+    blocks are operators. A product of two such matrices keeps the band by
+    construction, so `lax_mul` and `lax_table_op` build theirs through
     `_banded`, which does not walk the blocks again.
     """
 
@@ -930,36 +944,24 @@ def lax_from_gl(T, u):
     )
 
 
-# the sl2 catalog at cap 8 holds 45 products (the exchange checks' table
-# compile 23 of them), the sl3 one at cap 3 218 (the compile 79); the
-# oracles multiply no Lax matrices
-@lru_cache(maxsize=512)
-def _part_product(a, b, upto):
-    """a after b, no column above `upto`, for two cached Lax parts: composed
-    once per process. Callers share the product, so none may change it."""
-    return compose_sum(((a, b, 1),), upto=upto)
-
-
 def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
-    """A B, no block tabulated or certified above height `upto`. Block
-    (i, k) is its terms (a after b, ca cb) over the terms (a, ca) of A_ij
-    and (b, cb) of B_jk, each product of two parts cached
-    (`_part_product`), so a product at a later point composes nothing."""
+    """A B, no block tabulated or certified above height `upto`: block
+    (i, k) is one `compose_sum` of (a, b, ca cb) over the terms (a, ca) of
+    A_ij and (b, cb) of B_jk."""
     n = A.size
     if B.size != n:
         raise BasisMismatch("Lax sizes differ")
-    # a coefficient 1 is not multiplied: 1 * Fraction builds a new Fraction
     return _banded(
         [
             [
-                tuple(
+                compose_sum(
                     (
-                        _part_product(a, b, upto),
-                        cb if ca == 1 else ca if cb == 1 else ca * cb,
-                    )
-                    for j in range(n)
-                    for a, ca in lax_terms(A.blocks[i][j])
-                    for b, cb in lax_terms(B.blocks[j][k])
+                        (a, b, ca * cb)
+                        for j in range(n)
+                        for a, ca in lax_terms(A.blocks[i][j])
+                        for b, cb in lax_terms(B.blocks[j][k])
+                    ),
+                    upto=upto,
                 )
                 for k in range(n)
             ]
@@ -987,23 +989,33 @@ class LaxTable(NamedTuple):
     blocks: tuple
 
 
-def _parts(L):
-    """The parts of each block of a Lax product, row by row."""
-    return [[tuple(op for op, _ in blk) for blk in row] for row in L.blocks]
-
-
-def _bilinear(r):
-    """The coefficients of t_a s_b, a-major, of a bilinear form in (1, t)
-    and (1, s) that reads r[a][b] at the slot tuples (e_a, e_b), e_0 = 0."""
-    n = len(r)
-    return tuple(
-        r[a][b]
-        - (r[0][b] if a else 0)
-        - (r[a][0] if b else 0)
-        + (r[0][0] if a and b else 0)
-        for a in range(n)
-        for b in range(n)
-    )
+def _affine(lax, n):
+    """The blocks of lax(t), a LaxOp whose coefficients are affine in the
+    slot tuple t of length n, as rows of terms (part, (c_0, ..., c_n)), the
+    coefficient c_0 + c_1 t_1 + ... + c_n t_n: read at the slot tuples 0,
+    e_1, ..., e_n, which must list the same parts in the same order. The
+    builder at one more slot tuple must list them with the coefficients so
+    read, which fails where it is not affine in its slots."""
+    probe = tuple(2 * k + 3 for k in range(n))
+    slots = [tuple(int(a == b) for a in range(1, n + 1)) for b in range(n + 1)]
+    reads = [lax(t).blocks for t in (*slots, probe)]
+    rows = []
+    for p, row in enumerate(reads[0]):
+        rows.append([])
+        for q in range(len(row)):
+            blocks = [lax_terms(L[p][q]) for L in reads]
+            parts = [op for op, _ in blocks[0]]
+            if any([op for op, _ in blk] != parts for blk in blocks):
+                raise ValueError("the Lax builders' terms differ between slot tuples")
+            terms = []
+            for k, op in enumerate(parts):
+                c0, *units, at_probe = (blk[k][1] for blk in blocks)
+                coeffs = (c0, *(c - c0 for c in units))
+                if at_probe != c0 + sum(map(mul, coeffs[1:], probe)):
+                    raise ValueError("a Lax builder is not affine in its slots")
+                terms.append((op, coeffs))
+            rows[p].append(terms)
+    return rows
 
 
 def _table_block(terms, den):
@@ -1044,40 +1056,32 @@ def _table_block(terms, den):
 def compile_lax_table(lax1, lax2, n, upto):
     """The table of the product lax1(t) lax2(s), no block certified above
     `upto`: lax1 and lax2 take a slot tuple of length n and return a LaxOp
-    whose block coefficients are affine in it.
+    whose block coefficients are affine in it (`_affine`, which reads each
+    builder n + 2 times).
 
-    The products (`lax_mul`) at every pair of the slot tuples 0, e_1, ...,
-    e_n are read; each must list the same parts in the same order, and each
-    term's coefficient of t_a s_b is read off them by inclusion and
-    exclusion. The product at one more pair of slot tuples must list the
-    same parts with the coefficients the table gives there, which fails
-    where a builder is not affine in its slots. Each block is shifted by
-    the largest and certified at the least of its parts', zero coefficients
-    included, as `op_comb` of its terms is, and keeps its columns up to
-    that height."""
-    slots = [tuple(int(a == b) for a in range(1, n + 1)) for b in range(n + 1)]
-    left, right = [lax1(t) for t in slots], [lax2(s) for s in slots]
-    reads = [[lax_mul(A, B, upto) for B in right] for A in left]
-    parts = _parts(reads[0][0])
-    if any(_parts(P) != parts for row in reads for P in row):
-        raise ValueError("the Lax builders' terms differ between slot tuples")
-    t = tuple(2 * k + 3 for k in range(n))
-    s = tuple(-2 * k - 11 for k in range(n))
-    at = [x * y for x in (1, *t) for y in (1, *s)]
-    probe = lax_mul(lax1(t), lax2(s), upto)
-    if _parts(probe) != parts:
-        raise ValueError("the Lax builders' terms differ between slot tuples")
-    blocks = []
-    for p, row in enumerate(parts):
-        blocks.append([])
-        for q, ops in enumerate(row):
-            terms = []
-            for k, op in enumerate(ops):
-                coeffs = _bilinear([[P.blocks[p][q][k][1] for P in R] for R in reads])
-                if probe.blocks[p][q][k][1] != sum(map(mul, coeffs, at)):
-                    raise ValueError("a Lax builder is not affine in its slots")
-                terms.append((op, coeffs))
-            blocks[p].append(terms)
+    Block (i, k) is the sum of the terms (a after b, ca cb) over the terms
+    (a, ca) of block (i, j) of lax1 and (b, cb) of block (j, k) of lax2,
+    the coefficients of the monomials t_a s_b being the products of those
+    of t_a and s_b. Each block is shifted by the largest and certified at
+    the least of its terms', zero coefficients included, as `compose_sum`
+    of its terms is, and keeps its columns up to that height."""
+    A, B = _affine(lax1, n), _affine(lax2, n)
+    size = len(A)
+    blocks = [
+        [
+            [
+                (
+                    compose_sum(((a, b, 1),), upto=upto),
+                    [x * y for x in ca for y in cb],
+                )
+                for j in range(size)
+                for a, ca in A[i][j]
+                for b, cb in B[j][k]
+            ]
+            for k in range(size)
+        ]
+        for i in range(size)
+    ]
     den = math.lcm(
         *(
             op.den * c.denominator
@@ -1089,7 +1093,7 @@ def compile_lax_table(lax1, lax2, n, upto):
         )
     )
     return LaxTable(
-        parts[0][0][0].domain,
+        A[0][0][0][0].domain,
         den,
         tuple(tuple(_table_block(terms, den) for terms in row) for row in blocks),
     )
@@ -1097,7 +1101,7 @@ def compile_lax_table(lax1, lax2, n, upto):
 
 def lax_table_op(table, t, s):
     """The product the table compiles at the slot tuples t and s, a LaxOp
-    of operator blocks: one integer dot product per entry over the
+    of operator blocks: one integer dot product per entry (`_dot`) over the
     denominator table.den T S, T and S the least common denominators of t
     and of s."""
     T = math.lcm(*(x.denominator for x in t))
@@ -1106,24 +1110,15 @@ def lax_table_op(table, t, s):
     sv = (S, *(x.numerator * (S // x.denominator) for x in s))
     at = [x * y for x in tv for y in sv]
     basis, den = table.basis, table.den * T * S
-    rows = []
-    for row in table.blocks:
-        out = []
-        for shift, certified, entries in row:
-            cols = {}
-            for i, col in entries.items():
-                vals = {}
-                for j, coeffs in col:
-                    v = 0
-                    for m, c in coeffs:
-                        v += c * at[m]
-                    if v:
-                        vals[j] = v
-                if vals:
-                    cols[i] = vals
-            out.append(SparseOp(basis, cols, den, shift, certified))
-        rows.append(out)
-    return _banded(rows)
+    return _banded(
+        [
+            [
+                SparseOp(basis, _dot(cols, at, basis.heights, top), den, shift, top)
+                for shift, top, cols in row
+            ]
+            for row in table.blocks
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,15 @@ with the sites' roles swapped and Euler parameters of their own.
 Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
 generators and the direct Lax matrix at a point are cached parts plus
-parameter times the unit operators 1 and z; the zero operator, once per
-basis (`linop.zero_op`); every product of two such parts that a product of
-Lax matrices takes, once per height limit (`linop._part_product`), so the
-factored Lax matrix at a point is cached part products times products of
-coefficients; per pair basis the exchange checks' Lax product L1(t) L2(s)
-on window cap - 2 (`verify._lax_table`), compiled from `sl2_lax` at the
-first exchange check, so both products of a check cost one integer dot
-product per block entry; and per pair basis the path table of each elementary R-operator and of the closed form's two
-conjugations (`linop.path_table`), so a factor at a point costs one Gamma
-ratio per exponent plus integer sums.
+parameter times the unit operators 1 and z, and each block of the factored
+Lax matrix is one `compose_sum` of cached parts; the zero operator, once
+per basis (`linop.zero_op`); per pair basis the exchange checks' Lax
+product L1(t) L2(s) on window cap - 2 (`verify._lax_table`), compiled from
+`sl2_lax` at the first exchange check, so both products of a check cost
+one integer dot product per block entry; and per pair basis the path table
+of each elementary R-operator and of the closed form's two conjugations
+(`linop.path_table`), so a factor at a point costs one Gamma ratio per
+exponent plus integer sums.
 Each form keeps its own term lists, so `lax-factor` still compares three
 formulas. The closed form (`sl2_rhat_closed`) has stage lists of its own,
 with parameters written through the weights rather than the Lax slots, so

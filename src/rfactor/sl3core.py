@@ -22,19 +22,17 @@ and sl3 alike.
 Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
 generators and the direct Lax matrix at a point are cached parts plus
-parameters times the unit operators 1, x, y, z and xz, while each form
-keeps its own term lists and `lax-factor3` still compares three formulas;
-the zero operator, once per basis (`linop.zero_op`); every product of two
-such parts that a product of Lax matrices takes, once per height limit
-(`linop._part_product`), so the factored Lax matrix at a point is cached
-part products times products of coefficients; per pair basis the exchange
-checks' Lax product L1(t) L2(s) on window cap - 2 (`verify._lax_table`),
-compiled from `sl3_lax` at the first exchange check, so both products of
-a check cost one integer dot product per block entry; per pair basis the
-path table of each elementary
-R-operator (`linop.path_table`), and per site basis that of the third swap
-reduced to one site (`_sl3_r3_single_stages`, the core of r3's stage list),
-so a factor at a point costs one Gamma ratio per stage and exponent plus
+parameters times the unit operators 1, x, y, z and xz, each block of the
+factored Lax matrix is one `compose_sum` of cached parts, and each form
+keeps its own term lists, so `lax-factor3` still compares three formulas;
+the zero operator, once per basis (`linop.zero_op`); per pair basis the
+exchange checks' Lax product L1(t) L2(s) on window cap - 2
+(`verify._lax_table`), compiled from `sl3_lax` at the first exchange check,
+so both products of a check cost one integer dot product per block entry;
+per pair basis the path table of each elementary R-operator
+(`linop.path_table`), and per site basis that of the third swap reduced to
+one site (`_sl3_r3_single_stages`, the core of r3's stage list), so a
+factor at a point costs one Gamma ratio per stage and exponent plus
 integer sums.
 The generators are stated once, in the table `SL3_GENERATORS` of term lists,
 weight parts and defining matrices: `linop.generators` tabulates them,

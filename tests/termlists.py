@@ -125,8 +125,8 @@ def exchange_laxes(a, pair, t1, t2, q1, q2):
 
 def blockwise_pairs(R, P, Q):
     """The labelled pairs (block label, R P_ij, Q_ij R) of the Lax relation
-    R P = Q R for an operator R and Lax products P and Q (`lax_mul`), each
-    block folded to one operator (`whole_block`): each side one `compose`."""
+    R P = Q R for an operator R and Lax matrices P and Q, each block one
+    operator (`whole_block`): each side one `compose`."""
     return [
         (label, compose(R, whole_block(A)), compose(whole_block(B), R))
         for label, A, B in _blocks(P, Q)

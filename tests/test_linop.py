@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfactor import linop, verify
+from rfactor import linop, sl2core, sl3core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     BasisMismatch,
@@ -350,6 +350,31 @@ def test_a_lax_table_refuses_builders_not_affine_in_their_slots():
         compile_lax_table(changing, changing, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "lax, pair, n", [(sl2_lax, sl2_pair(4), 2), (sl3_lax, sl3_pair(3), 3)]
+)
+def test_a_lax_table_reads_each_builder_n_plus_two_times_and_multiplies_nothing(
+    monkeypatch, lax, pair, n
+):
+    # each builder is read at 0, e_1, ..., e_n and at one probe; the table
+    # composes the builders' parts itself, so no Lax product is taken
+    calls = {"1": 0, "2": 0}
+
+    def counted(suffix):
+        def build(t):
+            calls[suffix] += 1
+            return lax(pair, *t, suffix)
+
+        return build
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table compile multiplied Lax matrices")
+
+    monkeypatch.setattr(linop, "lax_mul", refuse)
+    compile_lax_table(counted("1"), counted("2"), n, pair.cap - 2)
+    assert calls == {"1": n + 2, "2": n + 2}
+
+
 def test_lax_mul_blockwise():
     b = zbasis(4)
     one, zero = identity_op(b), zero_op(b)
@@ -379,6 +404,35 @@ def test_a_windowed_lax_product_is_the_whole_one_below_its_limit(lax, pair):
                         assert blk.col(i) == ref.col(i)
 
 
+def _compose_sum_product(A, B, upto):
+    """The Lax product A B built block by block as one compose_sum over the
+    products of the factors' terms."""
+    n = A.size
+    return [
+        [
+            compose_sum(
+                (
+                    (a, b, ca * cb)
+                    for j in range(n)
+                    for a, ca in lax_terms(A.blocks[i][j])
+                    for b, cb in lax_terms(B.blocks[j][k])
+                ),
+                upto=upto,
+            )
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _assert_compose_sum_blocks(P, A, B, upto, where=None):
+    want = _compose_sum_product(A, B, upto)
+    for i, k in product(range(P.size), repeat=2):
+        block = P.blocks[i][k]
+        assert isinstance(block, SparseOp), (where, upto, i, k)
+        assert_same_op(block, want[i][k], (where, upto, i, k))
+
+
 @pytest.mark.parametrize(
     "lax, factored, site, points",
     [
@@ -396,29 +450,46 @@ def test_a_folded_lax_product_block_is_the_one_compose_sum_block(
 ):
     # the second point makes zero blocks (u1 = 0, or u1 = 1 and u2 = 0 in
     # sl2's factored form) and zero coefficients; a factored Lax matrix is
-    # itself a product, whose blocks lax_mul used to return as one operator
-    # each; every Lax matrix is paired with its form before
-    laxes = [(L, L) for L in (lax(site, *p) for p in points)] + [
-        (L, LaxOp([[whole_block(b) for b in row] for row in L.blocks]))
-        for L in (factored(site, *p) for p in points)
-    ]
-    n = laxes[0][0].size
-    for (A, A_ref), (B, B_ref) in product(laxes, repeat=2):
+    # itself a product, so its blocks are operators, not term lists
+    laxes = [lax(site, *p) for p in points] + [factored(site, *p) for p in points]
+    for A, B in product(laxes, repeat=2):
         for upto in [*range(site.cap + 1), None]:
-            P = lax_mul(A, B, upto)
-            for i, k in product(range(n), repeat=2):
-                # the block as lax_mul built it before: one compose_sum over
-                # the products of the factors' terms
-                want = compose_sum(
-                    (
-                        (a, b, ca * cb)
-                        for j in range(n)
-                        for a, ca in lax_terms(A_ref.blocks[i][j])
-                        for b, cb in lax_terms(B_ref.blocks[j][k])
-                    ),
-                    upto=upto,
-                )
-                assert_same_op(whole_block(P.blocks[i][k]), want, (upto, i, k))
+            _assert_compose_sum_blocks(lax_mul(A, B, upto), A, B, upto)
+
+
+def _sl3_invariance_once():
+    draws = verify.draw_rats(verify.check_rng(0, "sl3-invariance", 0), 6)
+    assert verify.run_check("sl3", "sl3-invariance", 3, draws).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "module, run",
+    [
+        (sl2core, lambda: sl2_lax_factored(sl2_site(6), F(1, 3), F(-2, 5))),
+        (sl2core, lambda: sl2_lax_factored(sl2_site(6), F(1), F(0))),
+        (sl3core, lambda: sl3_lax_factored(sl3_site(4), F(1, 3), F(-2, 5), F(3, 7))),
+        (sl3core, lambda: sl3_lax_factored(sl3_site(4), F(0), F(-1), F(2))),
+        (verify, _sl3_invariance_once),
+    ],
+    ids=["sl2-factored", "sl2-factored-zero", "sl3-factored", "sl3-factored-zero",
+         "sl3-invariance"],
+)
+def test_each_block_of_a_lax_product_is_one_compose_sum(monkeypatch, module, run):
+    """Every product that the factored Lax matrices and `sl3-invariance`'s
+    windowed M^-1 (L M) take is a LaxOp of operator blocks, each the one
+    `compose_sum` of its terms under the same height limit."""
+    products = []
+
+    def recording(A, B, upto=None):
+        P = lax_mul(A, B, upto)
+        products.append((P, A, B, upto))
+        return P
+
+    monkeypatch.setattr(module, "lax_mul", recording)
+    run()
+    assert len(products) == 2
+    for P, A, B, upto in products:
+        _assert_compose_sum_blocks(P, A, B, upto, module.__name__)
 
 
 def test_dense_helpers_and_inverse():
