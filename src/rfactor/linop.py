@@ -44,22 +44,20 @@ its matrix in the defining representation.
 A Lax matrix (`LaxOp`) keeps such a block as its terms ((cached part, 1),
 (cached unit, coefficient), ...), so building one at a point tabulates and
 copies nothing. A relation reads a block through its terms (`lax_terms`): a
-difference A - B is one `op_comb` over both blocks' terms. A product of Lax
-matrices (`lax_mul`) has operator blocks, each one `compose_sum` over the
-products of the factors' terms; the one-site checks `lax-factor`,
-`lax-factor3` and `sl3-invariance` take such products.
+difference A - B is one `op_comb` over both blocks' terms.
 
-The product L1(t) L2(s) of two Lax matrices affine in their slot tuples
-is compiled once (`compile_lax_table`) from the two builders: each is read
+Lax matrices are multiplied in one place. The product L1(t) L2(s) of two
+Lax matrices affine in their slot tuples (a constant one included) is
+compiled once (`compile_lax_table`) from the two builders: each is read
 at the slot tuples 0 and e_k, which gives every term's coefficient as an
 affine form in the slots (`_affine`), and each term of a product block is
 a product of two parts, composed once, with the product of their
 coefficients, bilinear in (1, t) and (1, s). So each block entry is a few
 integer coefficients over one table denominator. At a point
 (`lax_table_op`) each block is one operator, one integer dot product per
-entry in the loop that also evaluates path tables (`_dot`), and an
-intertwining residual R A - B R is one `compose_sum` of R and the two
-blocks as they are.
+entry in the loop that also evaluates path tables (`_dot`), and a relation
+between products, an exchange R A = B R or a factorization L M = M D,
+reads the two blocks as they are.
 
 Operators whose construction leaves the basis (substitutions, Gamma-ratio
 diagonals and Laurent flows with negative intermediate exponents) are built
@@ -882,12 +880,6 @@ def lax_terms(block):
     return ((block, 1),) if isinstance(block, SparseOp) else block
 
 
-def scaled_block(op, c):
-    """The Lax block c*op; the zero operator where c is 0, as `op_scale`
-    gives it."""
-    return ((op, c),) if c else zero_op(op.domain)
-
-
 class LaxOp:
     """A size x size matrix of blocks on a common module basis.
 
@@ -896,8 +888,8 @@ class LaxOp:
     enforces that bound on declared shifts, a block's shift being the
     largest of its terms'. A block is an operator or its terms; a product's
     blocks are operators. A product of two such matrices keeps the band by
-    construction, so `lax_mul` and `lax_table_op` build theirs through
-    `_banded`, which does not walk the blocks again.
+    construction, so `lax_table_op` builds its products through `_banded`,
+    which does not walk the blocks again.
     """
 
     __slots__ = ("size", "blocks")
@@ -917,20 +909,13 @@ class LaxOp:
 
 
 def _banded(blocks):
-    """The LaxOp of square `blocks` that keep the band already: block
-    (i, k) of a product sums products of blocks (i, j) and (j, k), whose
-    shifts are at most i - j and j - k."""
+    """The LaxOp of the square blocks of a product (`lax_table_op`), which
+    keep the band already: block (i, k) sums products of blocks (i, j) and
+    (j, k), whose shifts are at most i - j and j - k."""
     L = LaxOp.__new__(LaxOp)
     L.size = len(blocks)
     L.blocks = blocks
     return L
-
-
-def lax_from_matrix(basis, M):
-    """The numeric matrix M as a LaxOp of scaled identities on `basis`; M
-    must be lower triangular, like every Lax band."""
-    one = identity_op(basis)
-    return LaxOp([[scaled_block(one, c) for c in row] for row in M])
 
 
 def lax_from_gl(T, u):
@@ -941,32 +926,6 @@ def lax_from_gl(T, u):
     rows = range(1, n + 1)
     return LaxOp(
         [[((T[i, i], 1), (one, u)) if i == j else T[j, i] for j in rows] for i in rows]
-    )
-
-
-def lax_mul(A: LaxOp, B: LaxOp, upto=None) -> LaxOp:
-    """A B, no block tabulated or certified above height `upto`: block
-    (i, k) is one `compose_sum` of (a, b, ca cb) over the terms (a, ca) of
-    A_ij and (b, cb) of B_jk."""
-    n = A.size
-    if B.size != n:
-        raise BasisMismatch("Lax sizes differ")
-    return _banded(
-        [
-            [
-                compose_sum(
-                    (
-                        (a, b, ca * cb)
-                        for j in range(n)
-                        for a, ca in lax_terms(A.blocks[i][j])
-                        for b, cb in lax_terms(B.blocks[j][k])
-                    ),
-                    upto=upto,
-                )
-                for k in range(n)
-            ]
-            for i in range(n)
-        ]
     )
 
 

@@ -18,16 +18,17 @@ with the sites' roles swapped and Euler parameters of their own.
 
 Cached per process: the site and pair bases (`sl2_site`, `sl2_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
-generators and the direct Lax matrix at a point are cached parts plus
-parameter times the unit operators 1 and z, and each block of the factored
-Lax matrix is one `compose_sum` of cached parts; the zero operator, once
-per basis (`linop.zero_op`); per pair basis the exchange checks' Lax
-product L1(t) L2(s) on window cap - 2 (`verify._lax_table`), compiled from
-`sl2_lax` at the first exchange check, so both products of a check cost
-one integer dot product per block entry; and per pair basis the path table
-of each elementary R-operator and of the closed form's two conjugations
-(`linop.path_table`), so a factor at a point costs one Gamma ratio per
-exponent plus integer sums.
+generators, the direct Lax matrix and the triangular factors M and D of
+its factored form L = M D M^-1 at a point are cached parts plus parameter
+times the unit operators 1 and z; the zero operator, once per basis
+(`linop.zero_op`); per pair basis the exchange checks' Lax product
+L1(t) L2(s), and per site basis the factorization's products L(t) M and
+M D(s), each on window cap - 2 (`verify._lax_table`), compiled from
+`sl2_lax` and `sl2_lax_factored` at the first check that reads it, so
+every product a check reads costs one integer dot product per block
+entry; and per pair basis the path table of each elementary R-operator
+and of the closed form's two conjugations (`linop.path_table`), so a
+factor at a point costs one Gamma ratio per exponent plus integer sums.
 Each form keeps its own term lists, so `lax-factor` still compares three
 formulas. The closed form (`sl2_rhat_closed`) has stage lists of its own,
 with parameters written through the weights rather than the Lax slots, so
@@ -68,10 +69,8 @@ from .linop import (
     compose_sum,
     diffop,
     identity_op,
-    lax_mul,
     path_op,
     path_table,
-    scaled_block,
     stage_subst,
     zero_op,
 )
@@ -134,19 +133,21 @@ def sl2_lax(basis, u1, u2, suffix=""):
 
 
 def sl2_lax_factored(basis, u1, u2):
-    """[[1,0],[z,1]] . [[u1-1, -d],[0, u2]] . [[1,0],[-z,1]]."""
+    """The triangular factors (M, D) of the direct Lax matrix,
+    L = M D M^-1 with M = [[1,0],[z,1]] and D = [[u1-1, -d],[0, u2]]; each
+    diagonal block of D is its term ((1, coefficient),), a zero
+    coefficient included."""
     z = ("z",)
     one = identity_op(basis)
     zero = zero_op(basis)
     M_plus = LaxOp([[one, zero], [diffop(basis, (1, z, ())), one]])
-    M_minus = LaxOp([[one, zero], [diffop(basis, (-1, z, ())), one]])
     D = LaxOp(
         [
-            [scaled_block(one, u1 - 1), diffop(basis, (-1, (), z))],
-            [zero, scaled_block(one, u2)],
+            [((one, u1 - 1),), diffop(basis, (-1, (), z))],
+            [zero, ((one, u2),)],
         ]
     )
-    return lax_mul(lax_mul(M_plus, D), M_minus)
+    return M_plus, D
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,16 @@ and sl3 alike.
 
 Cached per process: the site and pair bases (`sl3_site`, `sl3_pair`); every
 parameter-free term list, once per basis (`linop.diffop`), so the
-generators and the direct Lax matrix at a point are cached parts plus
-parameters times the unit operators 1, x, y, z and xz, each block of the
-factored Lax matrix is one `compose_sum` of cached parts, and each form
+generators, the direct Lax matrix and the triangular factors M and U of
+its factored form L = M U M^-1 at a point are cached parts plus
+parameters times the unit operators 1, x, y, z and xz, and each form
 keeps its own term lists, so `lax-factor3` still compares three formulas;
 the zero operator, once per basis (`linop.zero_op`); per pair basis the
-exchange checks' Lax product L1(t) L2(s) on window cap - 2
-(`verify._lax_table`), compiled from `sl3_lax` at the first exchange check,
-so both products of a check cost one integer dot product per block entry;
+exchange checks' Lax product L1(t) L2(s), and per site basis the
+factorization's products L(t) M and M U(s), each on window cap - 2
+(`verify._lax_table`), compiled from `sl3_lax` and `sl3_lax_factored` at
+the first check that reads it, so every product a check reads costs one
+integer dot product per block entry;
 per pair basis the path table of each elementary R-operator
 (`linop.path_table`), and per site basis that of the third swap reduced to
 one site (`_sl3_r3_single_stages`, the core of r3's stage list), so a
@@ -63,9 +65,7 @@ from .linop import (
     diffop_apply,
     diffop_terms,
     identity_op,
-    lax_mul,
     op_comb,
-    scaled_block,
     stage_subst,
     subst_op,
     zero_op,
@@ -269,7 +269,10 @@ def sl3_lax(basis, u1, u2, u3, suffix=""):
 
 
 def sl3_lax_factored(basis, u1, u2, u3):
-    """Lower-triangular . upper-triangular . lower-triangular factorization."""
+    """The triangular factors (M, U) of the direct Lax matrix,
+    L = M U M^-1: M lower unitriangular, U upper triangular with the slots
+    on its diagonal, each diagonal block of U its term ((1, slot),), a zero
+    slot included."""
 
     def op(*terms):
         return diffop(basis, *terms)
@@ -286,24 +289,15 @@ def sl3_lax_factored(basis, u1, u2, u3):
     U = LaxOp(
         [
             [
-                scaled_block(one, u1),
+                ((one, u1),),
                 op((1, (), ("x",)), (-1, ("z",), ("y",))),
                 op((1, (), ("y",))),
             ],
-            [zero, scaled_block(one, u2), op((1, (), ("z",)))],
-            [zero, zero, scaled_block(one, u3)],
+            [zero, ((one, u2),), op((1, (), ("z",)))],
+            [zero, zero, ((one, u3),)],
         ]
     )
-    M_right = LaxOp(
-        [
-            [one, zero, zero],
-            [op((1, ("x",), ())), one, zero],
-            [op((1, ("y",), ()), (1, ("x", "z"), ())), op((1, ("z",), ())), one],
-        ]
-    )
-    # associate as M_left . (U . M_right): keeps every block certified to
-    # cap - 2 (the other association loses two more heights on block (2,0))
-    return lax_mul(M_left, lax_mul(U, M_right))
+    return M_left, U
 
 
 def sl3_translation(basis, names, a, b, c):

@@ -40,7 +40,12 @@ identity), each other word's last factor composed inside its residual, and
 `_first_orders` that each word carries its first-order pairs.  The
 spectral check reads vectors, not operators: it evaluates the full swap's
 factors only up to the degree it reads and applies them, and then the site
-swap P, to the lowest-weight vectors (`sl2_spectral`).  The oracle
+swap P, to the lowest-weight vectors (`sl2_spectral`).  Lax matrices are
+multiplied only through compiled tables, one per basis and pair of Lax
+builders (`_lax_table`): besides the exchange checks' L1(t) L2(s),
+`lax-factor` reads L(t) M and M D(t), which tests the triangular
+factorization L = M D M^-1, and `sl3-invariance` multiplies L by a numeric
+matrix alone, as scalar combinations of its blocks.  The oracle
 checks re-derive each factor as the nullspace of those first-order pairs
 and its side pairs, by fraction-free elimination, scale the solution by its
 vacuum entry and compare it with the factor, entry by entry, as the sl2
@@ -73,8 +78,6 @@ from .linop import (
     int_echelon_nullspace,
     is_zero,
     lax_from_gl,
-    lax_from_matrix,
-    lax_mul,
     lax_table_op,
     lax_terms,
     mat_inv,
@@ -87,7 +90,6 @@ from .linop import (
     path_op,
     path_table,
     rational_op,
-    scaled_block,
     zero_op,
 )
 from .sl2core import (
@@ -453,20 +455,27 @@ def _sl3_findim(cap, draws, mutate):
 
 
 def _sl3_invariance(cap, draws, mutate):
+    """The shift flows fwd and inv are inverse to each other, and
+    fwd (L M) = (M L) fwd on window cap - 2 for the numeric matrix M paired
+    with them, which commutes with fwd: that is M^-1 L M = inv L fwd. Each
+    block of L M and M L is a sum of L's blocks times entries of M, kept as
+    their terms, zero entries dropped; M is unitriangular, so no block is
+    empty and each keeps the band."""
     a, b, c, m, n, u = draws
     basis = sl3_site(cap)
     fwd, inv = sl3_shift_flows(basis, a, b, c)
     one = identity_op(basis)
     inverse = _equal([(None, compose(fwd, inv), one), (None, compose(inv, fwd), one)])
     M = sl3_invariance_matrix(a, b, c)
-    L = sl3_lax(basis, *sl3_slots(m, n, u))
-    w = cap - 2
-    lhs = lax_mul(
-        lax_from_matrix(basis, mat_inv(M)), lax_mul(L, lax_from_matrix(basis, M), w), w
-    )
-    # M^-1 L M = S^-1 L S on the module side, S = fwd: with inv . fwd = 1
-    # tested above, that is S (M^-1 L M) = L S
-    return min(inverse, _intertwines(fwd, _blocks(lhs, L), w)), None
+    L = sl3_lax(basis, *sl3_slots(m, n, u)).blocks
+    rng = range(len(M))
+
+    def comb(entries):
+        return tuple((op, e * x) for e, X in entries if e for op, x in lax_terms(X))
+
+    LM = [[comb((M[j][k], L[i][j]) for j in rng) for k in rng] for i in rng]
+    ML = [[comb((M[i][j], L[j][k]) for j in rng) for k in rng] for i in rng]
+    return min(inverse, _intertwines(fwd, _blocks(LaxOp(LM), LaxOp(ML)), cap - 2)), None
 
 
 def _sl3_r3_single_constraints(basis, u1, u2, u3, v3):
@@ -503,7 +512,7 @@ class _Algebra(NamedTuple):
     site: Callable  # cap -> one-site basis
     table: dict  # generator name -> (term list, weight parts, defining matrix)
     casimirs: Callable  # (gl triangle, *weights) -> [(tag, operator, scalar or None)]
-    lax_factored: Callable  # (basis, *slots) -> triangular product LaxOp
+    lax_factored: Callable  # (basis, *slots) -> triangular factors (M, D)
 
 
 _ALGEBRAS = {
@@ -638,7 +647,7 @@ def _casimirs(alg, cap, draws, mutate):
     window = cap
     for tag, C, expected in casimirs:
         s = op_scalar_part(C)
-        h = _equal([(None, C, scaled_block(one, s))])
+        h = _equal([(None, C, ((one, s),))])
         window = min(window, h)
         if expected is not None and s != expected:
             wit = (f"{tag} scalar", f"{rat_str(s)} != {rat_str(expected)}")
@@ -647,15 +656,21 @@ def _casimirs(alg, cap, draws, mutate):
 
 
 def _lax_factor(alg, cap, draws, mutate):
-    """The direct Lax matrix equals its gl-generator form and its triangular
-    product on window cap - 2; draws are the weights and u."""
+    """The direct Lax matrix L(t) equals its gl-generator form, and its
+    triangular factorization L = M D M^-1 holds as L(t) M = M D(t), on
+    window cap - 2; both products are compiled tables (`_lax_table`)
+    evaluated at the slots t. Draws are the weights and u."""
     a = _algebra(alg)
     basis = a.site(cap)
     *weights, u = draws
-    slots = a.slots(*draws)
-    direct = a.lax(basis, *slots)
-    others = (lax_from_gl(_gl(alg, basis, weights), u), a.lax_factored(basis, *slots))
-    return min(_equal(_blocks(direct, L), cap - 2) for L in others), None
+    t = a.slots(*draws)
+    w = cap - 2
+    gl = _equal(_blocks(a.lax(basis, *t), lax_from_gl(_gl(alg, basis, weights), u)), w)
+    LM, MD = (
+        lax_table_op(_lax_table(alg, basis, *names), t, t)
+        for names in (("L", "M"), ("M", "D"))
+    )
+    return min(gl, _equal(_blocks(LM, MD), w)), None
 
 
 def _factor_args(t, s, k):
@@ -754,17 +769,29 @@ def _side_pairs(alg, k, pair):
     return [(None, op, op) for op in ops]
 
 
-@lru_cache(maxsize=8)
-def _lax_table(alg, pair):
-    """The exchange checks' Lax product L1(t) L2(s) on `pair`, compiled once
-    per process on window cap - 2 (`compile_lax_table`) from the algebra's
-    one Lax builder. A gl(n) Lax matrix is n x n in n slots, n the size of
-    the defining matrices."""
+# The Lax builders a product table multiplies, by name, each read on a basis
+# at a slot tuple: site "1" or "2" of a pair basis, a one-site basis ("L"),
+# and the triangular factors of the latter's factored form, L = M D M^-1.
+_LAX_READS = {
+    "1": lambda a, basis, t: a.lax(basis, *t, "1"),
+    "2": lambda a, basis, t: a.lax(basis, *t, "2"),
+    "L": lambda a, basis, t: a.lax(basis, *t),
+    "M": lambda a, basis, t: a.lax_factored(basis, *t)[0],
+    "D": lambda a, basis, t: a.lax_factored(basis, *t)[1],
+}
+
+
+@lru_cache(maxsize=16)
+def _lax_table(alg, basis, first, second):
+    """The product of the Lax builders named `first` and `second`
+    (`_LAX_READS`) on `basis`, compiled once per process on window cap - 2
+    (`compile_lax_table`): the exchange checks' L1(t) L2(s) on a pair basis,
+    and the factorization's L(t) M and M D(s) on a site basis. A gl(n) Lax
+    matrix is n x n in n slots, n the size of the defining matrices."""
     a = _algebra(alg)
     n = len(next(iter(a.table.values()))[2])
-    return compile_lax_table(
-        lambda t: a.lax(pair, *t, "1"), lambda s: a.lax(pair, *s, "2"), n, pair.cap - 2
-    )
+    lax1, lax2 = (partial(_LAX_READS[name], a, basis) for name in (first, second))
+    return compile_lax_table(lax1, lax2, n, basis.cap - 2)
 
 
 def _exchange(alg, factors, cap, draws, mutate):
@@ -778,7 +805,7 @@ def _exchange(alg, factors, cap, draws, mutate):
     it."""
     _, pair, t, s = _point(alg, cap, draws)
     R, q1, q2 = _swap(alg, pair, t, s, factors, mutate)
-    table = _lax_table(alg, pair)
+    table = _lax_table(alg, pair, "1", "2")
     P, Q = lax_table_op(table, t, s), lax_table_op(table, q1, q2)
     window = _intertwines(R, _blocks(P, Q), cap - 2)
     if len(factors) == 1:

@@ -13,7 +13,11 @@ elementary R-operator the way the checks do, minus their guard.
 four Lax matrices of an exchange, `blockwise_pairs` builds both sides of
 the Lax relation R P = Q R block by block, the unfused reference for
 `verify._intertwines`, and `vanishing_pochhammer` words a pole the way the
-factors' skips do.
+factors' skips do. `lax_mul` multiplies two Lax matrices at a point, each
+block one `compose_sum` over the products of the factors' terms: the
+reference that the compiled Lax product tables (`linop.compile_lax_table`)
+are tested against; `lax_from_matrix` makes a numeric matrix a Lax matrix
+for it.
 
 The Fraction Gamma-ratio evaluator is kept here as the path tables'
 reference: `pochhammer`, `pochhammer_ratio` and `gamma_ratio_shift` give
@@ -27,14 +31,17 @@ from fractions import Fraction
 from rfactor import linop
 from rfactor.exactnum import PoleAtParameter, rat_str
 from rfactor.linop import (
+    LaxOp,
     compose,
     compose_sum,
     diffop_apply,
+    identity_op,
     lax_terms,
     op_comb,
     op_from_action,
     path_op,
     path_table,
+    zero_op,
 )
 from rfactor.verify import _FACTORS, _blocks
 
@@ -110,6 +117,39 @@ def factor(alg, k, basis, *args, mutate=None):
 def whole_block(block):
     """A Lax block as one operator: one `op_comb` over its terms."""
     return op_comb(lax_terms(block))
+
+
+def lax_mul(A, B, upto=None):
+    """A B, no block tabulated or certified above height `upto`: block
+    (i, k) is one `compose_sum` of (a, b, ca cb) over the terms (a, ca) of
+    A_ij and (b, cb) of B_jk."""
+    n = A.size
+    assert B.size == n, "Lax sizes differ"
+    return LaxOp(
+        [
+            [
+                compose_sum(
+                    (
+                        (a, b, ca * cb)
+                        for j in range(n)
+                        for a, ca in lax_terms(A.blocks[i][j])
+                        for b, cb in lax_terms(B.blocks[j][k])
+                    ),
+                    upto=upto,
+                )
+                for k in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def lax_from_matrix(basis, M):
+    """The numeric matrix M as a LaxOp of scaled identities on `basis`, a
+    zero entry the zero operator; M must be lower triangular, like every
+    Lax band."""
+    one = identity_op(basis)
+    return LaxOp([[((one, c),) if c else zero_op(basis) for c in row] for row in M])
 
 
 def exchange_laxes(a, pair, t1, t2, q1, q2):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfactor import linop, sl2core, sl3core, verify
+from rfactor import linop, sl3core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
     BasisMismatch,
@@ -31,7 +31,6 @@ from rfactor.linop import (
     int_echelon_nullspace,
     is_zero,
     kron,
-    lax_mul,
     lax_table_op,
     lax_terms,
     mat_eye,
@@ -47,7 +46,6 @@ from rfactor.linop import (
     pair_swap,
     rational_op,
     run_pipeline,
-    scaled_block,
     stage_subst,
     subst_op,
     zero_op,
@@ -58,7 +56,8 @@ from rfactor.sl3core import (
     _laurent_flow, sl3_lax, sl3_lax_factored, sl3_pair, sl3_site,
 )
 from termlists import (
-    apply_vec, assert_same_op, commutator, op_value, stage_euler, whole_block,
+    apply_vec, assert_same_op, commutator, lax_from_matrix, lax_mul, op_value,
+    stage_euler, whole_block,
 )
 
 
@@ -313,14 +312,18 @@ def test_laxop_shift_band_enforced():
 
 
 def test_a_lax_product_keeps_the_band_its_factors_keep():
-    # lax_mul does not re-check the band: a product block (i, k) is a sum of
-    # products of blocks (i, j) and (j, k), shifted by at most i - k
-    pair = sl3_pair(3)
-    for L in (lax_mul(sl3_lax(pair, 1, 2, 3, "1"), sl3_lax(pair, 4, 5, 6, "2")),
-              sl3_lax_factored(sl3_site(3), 1, 2, 3)):
-        for i, row in enumerate(L.blocks):
+    # lax_table_op does not re-check the band: a product block (i, k) is a
+    # sum of products of blocks (i, j) and (j, k), shifted by at most i - k;
+    # so for the exchange checks' L1(t) L2(s) and the factorization's
+    # L(t) M and M D(s)
+    t, s = (F(1), F(2), F(3)), (F(4), F(5), F(6))
+    for basis, names in [
+        (sl3_pair(3), ("1", "2")), (sl3_site(3), ("L", "M")), (sl3_site(3), ("M", "D")),
+    ]:
+        P = lax_table_op(verify._lax_table("sl3", basis, *names), t, s)
+        for i, row in enumerate(P.blocks):
             for k, block in enumerate(row):
-                assert whole_block(block).shift <= i - k
+                assert block.shift <= i - k
 
 
 def test_a_lax_table_refuses_builders_not_affine_in_their_slots():
@@ -344,7 +347,8 @@ def test_a_lax_table_refuses_builders_not_affine_in_their_slots():
     one = identity_op(pair)
 
     def changing(t):
-        return LaxOp([[scaled_block(one, t[0]), zero_op(pair)], [zero_op(pair), one]])
+        block = ((one, t[0]),) if t[0] else zero_op(pair)
+        return LaxOp([[block, zero_op(pair)], [zero_op(pair), one]])
 
     with pytest.raises(ValueError, match="terms differ"):
         compile_lax_table(changing, changing, 2, 2)
@@ -357,7 +361,8 @@ def test_a_lax_table_reads_each_builder_n_plus_two_times_and_multiplies_nothing(
     monkeypatch, lax, pair, n
 ):
     # each builder is read at 0, e_1, ..., e_n and at one probe; the table
-    # composes the builders' parts itself, so no Lax product is taken
+    # composes each pair of the builders' parts once, one compose_sum of one
+    # term each, so no Lax product is taken
     calls = {"1": 0, "2": 0}
 
     def counted(suffix):
@@ -367,12 +372,23 @@ def test_a_lax_table_reads_each_builder_n_plus_two_times_and_multiplies_nothing(
 
         return build
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the table compile multiplied Lax matrices")
+    composed = []
+    real = linop.compose_sum
 
-    monkeypatch.setattr(linop, "lax_mul", refuse)
+    def recording(terms, **kwargs):
+        terms = list(terms)
+        composed.append(len(terms))
+        return real(terms, **kwargs)
+
+    monkeypatch.setattr(linop, "compose_sum", recording)
     compile_lax_table(counted("1"), counted("2"), n, pair.cap - 2)
     assert calls == {"1": n + 2, "2": n + 2}
+    A, B = (lax(pair, *range(1, n + 1), suffix).blocks for suffix in "12")
+    parts = sum(
+        len(lax_terms(A[i][j])) * len(lax_terms(B[j][k]))
+        for i, j, k in product(range(n), repeat=3)
+    )
+    assert composed == [1] * parts
 
 
 def test_lax_mul_blockwise():
@@ -448,48 +464,81 @@ def _assert_compose_sum_blocks(P, A, B, upto, where=None):
 def test_a_folded_lax_product_block_is_the_one_compose_sum_block(
     lax, factored, site, points
 ):
-    # the second point makes zero blocks (u1 = 0, or u1 = 1 and u2 = 0 in
-    # sl2's factored form) and zero coefficients; a factored Lax matrix is
-    # itself a product, so its blocks are operators, not term lists
-    laxes = [lax(site, *p) for p in points] + [factored(site, *p) for p in points]
-    for A, B in product(laxes, repeat=2):
-        for upto in [*range(site.cap + 1), None]:
-            _assert_compose_sum_blocks(lax_mul(A, B, upto), A, B, upto)
+    # the factorization's compiled products L(t) M and M D(s), at every
+    # height limit and pair of points, are block by block the one
+    # compose_sum over the products of the factors' terms; the second point
+    # makes zero coefficients (sl2: u2 in L, u1 - 1 and u2 in D; sl3:
+    # u2 + 1 and m + n in L, u1 in U), which count toward shift and
+    # certified height
+    reads = {
+        "L": lambda t: lax(site, *t),
+        "M": lambda t: factored(site, *t)[0],
+        "D": lambda t: factored(site, *t)[1],
+    }
+    for first, second in (("L", "M"), ("M", "D")):
+        for upto in range(site.cap + 1):
+            table = compile_lax_table(reads[first], reads[second], len(points[0]), upto)
+            for t, s in product(points, repeat=2):
+                A, B = reads[first](t), reads[second](s)
+                P = lax_table_op(table, t, s)
+                _assert_compose_sum_blocks(P, A, B, upto, (first, second, t, s))
 
 
-def _sl3_invariance_once():
-    draws = verify.draw_rats(verify.check_rng(0, "sl3-invariance", 0), 6)
-    assert verify.run_check("sl3", "sl3-invariance", 3, draws).status == "pass"
+# (algebra, check, draws); the second point of each algebra zeroes
+# diagonal coefficients of D: sl2 at (ell, u) = (1/2, 1/2) has the slots
+# (1, 0), so u1 - 1 = u2 = 0, and sl3 at (m, n, u) = (2/5, -1, 22/15) the
+# slots (0, 0, 7/5), so u1 = u2 = 0
+_LAX_PRODUCT_READS = [
+    ("sl2", "lax-factor", [F(1, 3), F(-2, 5)]),
+    ("sl2", "lax-factor", [F(1, 2), F(1, 2)]),
+    ("sl3", "lax-factor3", [F(1, 3), F(-2, 5), F(3, 7)]),
+    ("sl3", "lax-factor3", [F(2, 5), F(-1), F(22, 15)]),
+    ("sl3", "sl3-invariance", [F(1, 2), F(-2, 5), F(3, 4), F(2, 3), F(1, 5), F(7, 11)]),
+]
 
 
 @pytest.mark.parametrize(
-    "module, run",
-    [
-        (sl2core, lambda: sl2_lax_factored(sl2_site(6), F(1, 3), F(-2, 5))),
-        (sl2core, lambda: sl2_lax_factored(sl2_site(6), F(1), F(0))),
-        (sl3core, lambda: sl3_lax_factored(sl3_site(4), F(1, 3), F(-2, 5), F(3, 7))),
-        (sl3core, lambda: sl3_lax_factored(sl3_site(4), F(0), F(-1), F(2))),
-        (verify, _sl3_invariance_once),
-    ],
+    "alg, name, draws",
+    _LAX_PRODUCT_READS,
     ids=["sl2-factored", "sl2-factored-zero", "sl3-factored", "sl3-factored-zero",
          "sl3-invariance"],
 )
-def test_each_block_of_a_lax_product_is_one_compose_sum(monkeypatch, module, run):
-    """Every product that the factored Lax matrices and `sl3-invariance`'s
-    windowed M^-1 (L M) take is a LaxOp of operator blocks, each the one
-    `compose_sum` of its terms under the same height limit."""
-    products = []
+def test_each_block_of_a_lax_product_is_one_compose_sum(monkeypatch, alg, name, draws):
+    """Every Lax product a one-site check reads is, block by block, the
+    reference product `lax_mul` (one `compose_sum` of its terms per block)
+    on window cap - 2: the factorization's L(t) M and M D(t), compiled
+    tables, with the same shift and certified height, and `sl3-invariance`'s
+    L M and M L, L's terms times entries of M, as values."""
+    relations = []
+    helper = "_intertwines" if name == "sl3-invariance" else "_equal"
+    real = getattr(verify, helper)
 
-    def recording(A, B, upto=None):
-        P = lax_mul(A, B, upto)
-        products.append((P, A, B, upto))
-        return P
+    def recording(*args):
+        relations.append(args[1] if helper == "_intertwines" else args[0])
+        return real(*args)
 
-    monkeypatch.setattr(module, "lax_mul", recording)
-    run()
-    assert len(products) == 2
-    for P, A, B, upto in products:
-        _assert_compose_sum_blocks(P, A, B, upto, module.__name__)
+    monkeypatch.setattr(verify, helper, recording)
+    a = verify._algebra(alg)
+    cap = 6 if alg == "sl2" else 4
+    w = cap - 2
+    basis = a.site(cap)
+    assert verify.run_check(alg, name, cap, draws).status == "pass"
+    if name == "sl3-invariance":
+        L = sl3_lax(basis, *sl3core.sl3_slots(*draws[3:]))
+        M = lax_from_matrix(basis, sl3core.sl3_invariance_matrix(*draws[:3]))
+        P, Q = lax_mul(L, M, w), lax_mul(M, L, w)
+    else:
+        t = a.slots(*draws)
+        M, D = a.lax_factored(basis, *t)
+        P, Q = lax_mul(a.lax(basis, *t), M, w), lax_mul(M, D, w)
+    pairs = verify._blocks(P, Q)
+    assert len(relations[-1]) == len(pairs)
+    for (label, A, B), (_, A_ref, B_ref) in zip(relations[-1], pairs):
+        for got, ref in ((A, A_ref), (B, B_ref)):
+            if name == "sl3-invariance":
+                assert verify._equal([(label, got, ref)], w) == w
+            else:
+                assert_same_op(got, ref, label)
 
 
 def test_dense_helpers_and_inverse():

@@ -19,8 +19,6 @@ from rfactor.linop import (
     int_echelon_nullspace,
     is_zero,
     lax_from_gl,
-    lax_from_matrix,
-    lax_mul,
     kron,
     mat_add,
     mat_eye,
@@ -52,6 +50,8 @@ from termlists import (
     assert_same_op,
     commutator,
     factor,
+    lax_from_matrix,
+    lax_mul,
     pochhammer,
     same_op,
     tabulate,
@@ -139,8 +139,12 @@ def test_lax_direct_equals_generator_form_and_factorization():
     Lg = lax_from_gl(verify._gl("sl2", b, (ell,)), u)
     # each block vanishes on its own certified window
     verify._equal(verify._blocks(Ld, Lg))
-    Lf = sl2_lax_factored(b, u + ell, u - ell)
-    verify._equal(verify._blocks(Ld, Lf))
+    # the factorization as a formula, L = M D M^-1, each factor tabulated
+    # from its full term list; the builder's factors satisfy L M = M D
+    M_plus, D, M_minus = _factors_reference(b, u + ell, u - ell)
+    verify._equal(verify._blocks(Ld, lax_mul(lax_mul(M_plus, D), M_minus)))
+    M, D = sl2_lax_factored(b, u + ell, u - ell)
+    verify._equal(verify._blocks(lax_mul(Ld, M), lax_mul(M, D)))
 
 
 def _lax_reference(basis, u1, u2, var="z"):
@@ -158,9 +162,9 @@ def _lax_reference(basis, u1, u2, var="z"):
     ]
 
 
-def _factored_reference(basis, u1, u2):
-    """The triangular product with every factor block tabulated from its
-    full term list."""
+def _factors_reference(basis, u1, u2):
+    """The triangular factors M, D and M^-1 of L = M D M^-1, every block
+    tabulated from its full term list."""
     z1 = {"z": 1}
     one, zero = tabulate(basis, (1,)), zero_op(basis)
     M_plus = LaxOp([[one, zero], [tabulate(basis, (1, z1, None)), one]])
@@ -171,7 +175,7 @@ def _factored_reference(basis, u1, u2):
         ]
     )
     M_minus = LaxOp([[one, zero], [tabulate(basis, (-1, z1, None)), one]])
-    return lax_mul(lax_mul(M_plus, D), M_minus)
+    return M_plus, D, M_minus
 
 
 def _generators_reference(basis, ell):
@@ -214,12 +218,12 @@ def test_lax_matches_the_full_term_lists_at_every_point():
         for i, row in enumerate(_lax_reference(basis, *pt, "z" + suffix)):
             for j, want in enumerate(row):
                 assert_same_op(whole_block(L.blocks[i][j]), want, (suffix, pt, i, j))
-    for pt, Lf, g in one_site:
-        want = _factored_reference(site, *pt)
-        for i, row in enumerate(want.blocks):
-            for j, w in enumerate(row):
-                got = whole_block(Lf.blocks[i][j])
-                assert_same_op(got, whole_block(w), ("factored", pt, i, j))
+    for pt, factors, g in one_site:
+        for tag, got, want in zip("MD", factors, _factors_reference(site, *pt)):
+            for i, row in enumerate(want.blocks):
+                for j, w in enumerate(row):
+                    got_ij = whole_block(got.blocks[i][j])
+                    assert_same_op(got_ij, w, ("factored", tag, pt, i, j))
         ell = (pt[0] - pt[1]) / 2
         for name, w in _generators_reference(site, ell).items():
             assert_same_op(g[name], w, (name, pt))

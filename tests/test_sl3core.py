@@ -30,8 +30,6 @@ from rfactor.linop import (
     int_row,
     is_zero,
     lax_from_gl,
-    lax_from_matrix,
-    lax_mul,
     mat_inv,
     op_add,
     op_scalar_part,
@@ -66,6 +64,8 @@ from termlists import (
     assert_same_op,
     commutator,
     factor,
+    lax_from_matrix,
+    lax_mul,
     stage_euler,
     tabulate,
     tabulated_columns,
@@ -374,8 +374,16 @@ def test_lax_direct_equals_casimir_form_and_factored():
     Ld = sl3_lax(b, *sl3_slots(m, n, u))
     Lc = lax_from_gl(verify._gl("sl3", b, (m, n)), u)
     assert verify._equal(verify._blocks(Ld, Lc), cap - 2) == cap - 2
-    Lf = sl3_lax_factored(b, *sl3_slots(m, n, u))
+    # the factorization as a formula, L = M U M^-1, each factor tabulated
+    # from its full term list; the builder's factors satisfy L M = M U
+    M_left, U, M_right = _factors_reference(b, *sl3_slots(m, n, u))
+    # associated as M (U M^-1), every block is certified to cap - 2 (the
+    # other association loses two more heights on block (2,0))
+    Lf = lax_mul(M_left, lax_mul(U, M_right))
     assert verify._equal(verify._blocks(Ld, Lf), cap - 2) == cap - 2
+    M, U = sl3_lax_factored(b, *sl3_slots(m, n, u))
+    LM, MU = lax_mul(Ld, M), lax_mul(M, U)
+    assert verify._equal(verify._blocks(LM, MU), cap - 2) == cap - 2
 
 
 def test_lax_band_structure():
@@ -461,9 +469,9 @@ def _generators_reference(basis, m, n):
     }
 
 
-def _factored_reference(basis, u1, u2, u3):
-    """The triangular product with every factor block tabulated from its
-    full term list."""
+def _factors_reference(basis, u1, u2, u3):
+    """The triangular factors M, U and M^-1 of L = M U M^-1, every block
+    tabulated from its full term list."""
     x, y, z = "x", "y", "z"
 
     def op(*terms):
@@ -495,7 +503,7 @@ def _factored_reference(basis, u1, u2, u3):
             [op((1, {y: 1}), (1, {x: 1, z: 1})), op((1, {z: 1})), one],
         ]
     )
-    return lax_mul(M_left, lax_mul(U, M_right))
+    return M_left, U, M_right
 
 
 def test_lax_matches_the_full_term_lists_at_every_point():
@@ -534,11 +542,12 @@ def test_lax_matches_the_full_term_lists_at_every_point():
             continue
         for name, want in _generators_reference(basis, *weights).items():
             assert_same_op(g[name], want, (name, sfx, pt))
-    for pt, Lf in factored:
-        for i, row in enumerate(_factored_reference(site, *pt).blocks):
-            for j, want in enumerate(row):
-                got, want = whole_block(Lf.blocks[i][j]), whole_block(want)
-                assert_same_op(got, want, ("factored", pt, i, j))
+    for pt, factors in factored:
+        for tag, got, ref in zip("MU", factors, _factors_reference(site, *pt)):
+            for i, row in enumerate(ref.blocks):
+                for j, want in enumerate(row):
+                    got_ij = whole_block(got.blocks[i][j])
+                    assert_same_op(got_ij, want, ("factored", tag, pt, i, j))
 
 
 def test_second_lax_on_a_basis_tabulates_nothing(monkeypatch):

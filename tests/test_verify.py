@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from rfactor import linop, sl2core, sl3core, verify
 from rfactor.exactnum import PoleAtParameter
 from rfactor.linop import (
-    LaurentLeak, compose, compose_sum, diffop, generators, identity_op, is_zero,
-    lax_mul, lax_table_op, lax_terms, op_add, op_scalar_part, op_scale, pair_swap,
+    LaurentLeak, LaxOp, compose, compose_sum, diffop, generators, identity_op,
+    is_zero, lax_table_op, lax_terms, op_add, op_scalar_part, op_scale, pair_swap,
     rational_op,
 )
 from rfactor.sl2core import SL2_GENERATORS, sl2_pair, sl2_site, sl2_slots
@@ -52,6 +52,7 @@ from termlists import (
     commutator,
     exchange_laxes,
     factor,
+    lax_mul,
     same_op,
     tabulate,
     tabulated_columns,
@@ -500,71 +501,94 @@ def test_a_failing_exchange_fails_as_its_whole_products_do(alg, k, cap, tag, dra
     assert blockwise.value.args == whole.value.args
 
 
-@pytest.mark.parametrize("name", ["3F2", "def3", "sl3-invariance"])
+@pytest.mark.parametrize("name", ["3F2", "def3", "sl3-invariance", "lax-factor3"])
 def test_lax_products_read_only_on_window_cap_minus_two_stop_there(monkeypatch, name):
-    """Every Lax product a check reads, multiplied (`lax_mul`) or evaluated
-    from the exchange checks' compiled table (`lax_table_op`), is certified
-    at most at cap - 2 and stores no column above it; so is the table."""
-    products, tables = [], []
+    """Every Lax product a check reads, evaluated from a compiled table
+    (`lax_table_op`), is certified at most at cap - 2 and stores no column
+    above it; so is the table. `sl3-invariance` reads no product: its sides
+    are L's blocks times entries of a numeric matrix, and its residuals
+    with the flow, zero-tested on that window, stop there."""
+    products, tables, residuals = [], [], []
 
-    def recording(fn):
-        def run(*args, **kwargs):
-            if fn is lax_table_op:
-                tables.append(args[0])
-            out = fn(*args, **kwargs)
-            products.append(out)
-            return out
+    def evaluating(table, *args):
+        tables.append(table)
+        products.append(lax_table_op(table, *args))
+        return products[-1]
 
-        return run
+    def vanishing(label, res, window=None):
+        if window == w:
+            residuals.append(res)
+        return real(label, res, window)
 
-    for fn in (lax_mul, lax_table_op):
-        monkeypatch.setattr(verify, fn.__name__, recording(fn))
+    real = verify._vanishes
+    monkeypatch.setattr(verify, "lax_table_op", evaluating)
+    monkeypatch.setattr(verify, "_vanishes", vanishing)
     cap = 3
     w = cap - 2
-    heights = sl3_pair(cap).heights
     draws = draw_rats(check_rng(0, name, 0), verify.CATALOG["sl3", name][1])
     assert run_check("sl3", name, cap, draws).status == "pass"
-    assert products
-    assert bool(tables) == (name != "sl3-invariance")
+    one_site = name in ("sl3-invariance", "lax-factor3")
+    heights = (sl3_site if one_site else sl3_pair)(cap).heights
+    if name == "sl3-invariance":
+        assert not products and len(residuals) == 9
+        for res in residuals:
+            assert res.certified <= w and all(heights[i] <= w for i in res.cols)
+    else:
+        assert products
     for P in products:
         for row in P.blocks:
             for block in row:
-                for op, _ in lax_terms(block):
-                    assert op.certified <= w
-                    assert all(heights[i] <= w for i in op.cols)
+                assert block.certified <= w
+                assert all(heights[i] <= w for i in block.cols)
     for table in tables:
         for row in table.blocks:
             for _, certified, cols in row:
                 assert certified <= w and all(heights[i] <= w for i in cols)
 
 
-# algebra -> (a generic point, a point at which a slot zeroes a coefficient:
-# sl2 u1 = 0 and u1 - u2 = 0, sl3 u1 + 2 = 0, u2 + 1 = 0 and m = 0)
+# algebra -> [(t, s)]: a generic point, and points at which a slot zeroes a
+# coefficient: in L1 L2, sl2 u1 = 0 and u1 - u2 = 0, sl3 u1 + 2 = 0,
+# u2 + 1 = 0 and m = 0; on the diagonal of the factored form D, sl2
+# u1 - 1 = 0 and u2 = 0, sl3 u1 = 0, u2 = 0 and u3 = 0
 _TABLE_POINTS = {
     "sl2": [
         ((F(1, 3), F(-2, 7)), (F(5, 4), F(-3, 10))),
         ((F(0), F(1, 3)), (F(1, 2), F(1, 2))),
+        ((F(1), F(2, 5)), (F(1), F(0))),
     ],
     "sl3": [
         ((F(1, 3), F(-2, 7), F(3, 4)), (F(5, 6), F(-3, 10), F(1, 9))),
         ((F(-2), F(1, 3), F(2, 5)), (F(1, 7), F(-1), F(0))),
+        ((F(0), F(1, 3), F(2, 5)), (F(1, 7), F(0), F(3, 4))),
+        ((F(2, 3), F(1, 5), F(0)), (F(0), F(0), F(0))),
     ],
 }
 
+# the tables the checks read: the exchange checks' L1(t) L2(s) on the pair
+# basis, and the factorization's L(t) M and M D(s) on the site basis
+_TABLES = [
+    pytest.param(
+        alg, cap, first, second,
+        id=f"{alg}-{cap}" + ("" if first == "1" else f"-{first}{second}"),
+    )
+    for alg, cap in [("sl2", 4), ("sl2", 8), ("sl3", 2), ("sl3", 3)]
+    for first, second in [("1", "2"), ("L", "M"), ("M", "D")]
+]
 
-@pytest.mark.parametrize("alg, cap", [("sl2", 4), ("sl2", 8), ("sl3", 2), ("sl3", 3)])
-def test_the_evaluated_lax_table_is_the_folded_lax_product(alg, cap):
-    """The exchange checks' compiled Lax product, evaluated at a point, is
-    the product `lax_mul` builds there on window cap - 2, each block folded
-    by `op_comb` (`whole_block`): the same values, shift and certified
-    height, block by block; every block keeps the band."""
+
+@pytest.mark.parametrize("alg, cap, first, second", _TABLES)
+def test_the_evaluated_lax_table_is_the_folded_lax_product(alg, cap, first, second):
+    """A compiled Lax product, evaluated at a point, is the product
+    `lax_mul` builds there on window cap - 2, each block folded by
+    `op_comb` (`whole_block`): the same values, shift and certified height,
+    block by block; every block keeps the band."""
     a = verify._algebra(alg)
-    pair = a.pair(cap)
-    points = _TABLE_POINTS[alg]
-    table = verify._lax_table(alg, pair)
-    for t, s in points:
+    basis = a.pair(cap) if first == "1" else a.site(cap)
+    table = verify._lax_table(alg, basis, first, second)
+    read1, read2 = (verify._LAX_READS[name] for name in (first, second))
+    for t, s in _TABLE_POINTS[alg]:
         P = lax_table_op(table, t, s)
-        want = lax_mul(a.lax(pair, *t, "1"), a.lax(pair, *s, "2"), cap - 2)
+        want = lax_mul(read1(a, basis, t), read2(a, basis, s), cap - 2)
         for (label, got, ref), (i, k) in zip(
             verify._blocks(P, want), product(range(P.size), repeat=2)
         ):
@@ -597,7 +621,7 @@ def test_a_perturbed_lax_table_fails_the_first_factor_at_every_point(
     invisible: R fixes the vacuum.)"""
     pair = verify._algebra(alg).pair(cap)
     n = 2 if alg == "sl2" else 3
-    bad = _perturbed(verify._lax_table(alg, pair), n + 1)
+    bad = _perturbed(verify._lax_table(alg, pair, "1", "2"), n + 1)
     monkeypatch.setattr(verify, "_lax_table", lambda *args: bad)
     statuses = [
         c["status"] for c in run_suite(SuiteConfig(alg, cap, checks=(name,)))["checks"]
@@ -691,24 +715,64 @@ def test_the_folded_intertwining_residual_is_the_per_term_one(monkeypatch, alg, 
                 assert_same_op(residuals[0], want, (word, label))
 
 
-# the catalog checks that multiply Lax matrices
-_LAX_PRODUCT_CHECKS = [
-    ("sl2", "lax-factor"), ("sl2", "F1"), ("sl2", "F2"), ("sl2", "global"),
-    ("sl3", "lax-factor3"), ("sl3", "sl3-invariance"), ("sl3", "3F1"),
-    ("sl3", "3F2"), ("sl3", "3F3"), ("sl3", "def3"),
-]
+# the catalog checks that read Lax products -> how many compiled tables
+# they hold: an exchange check L1(t) L2(s), the factorization checks L(t) M
+# and M D(s), and `sl3-invariance`, whose M is numeric, none
+_LAX_PRODUCT_CHECKS = {
+    ("sl2", "lax-factor"): 2, ("sl2", "F1"): 1, ("sl2", "F2"): 1,
+    ("sl2", "global"): 1, ("sl3", "lax-factor3"): 2, ("sl3", "sl3-invariance"): 0,
+    ("sl3", "3F1"): 1, ("sl3", "3F2"): 1, ("sl3", "3F3"): 1, ("sl3", "def3"): 1,
+}
 
 
-@pytest.mark.parametrize("alg, name", _LAX_PRODUCT_CHECKS)
+@pytest.mark.parametrize("alg, name", list(_LAX_PRODUCT_CHECKS))
 def test_an_exchange_check_holds_one_lax_table_at_any_trial_count(alg, name):
-    # the exchange checks compile one Lax table, at their first point; every
-    # other check that multiplies Lax matrices compiles none
+    # each check compiles its tables at its first point, and no more after
     cap = 6 if alg == "sl2" else 3
-    exchange = getattr(verify.CATALOG[alg, name][0], "func", None) is verify._exchange
     for trials in (2, 10):
         verify._lax_table.cache_clear()
         run_suite(SuiteConfig(alg, cap, trials=trials, checks=(name,)))
-        assert verify._lax_table.cache_info().currsize == int(exchange), trials
+        held = verify._lax_table.cache_info().currsize
+        assert held == _LAX_PRODUCT_CHECKS[alg, name], trials
+
+
+def _changed_block(L, i, j, change):
+    """The Lax matrix L with each coefficient c of block (i, j) made
+    change(c)."""
+    blocks = [list(row) for row in L.blocks]
+    blocks[i][j] = tuple((op, change(c)) for op, c in lax_terms(blocks[i][j]))
+    return LaxOp(blocks)
+
+
+@pytest.mark.parametrize(
+    "alg, cap, factor, i, j, change",
+    [
+        pytest.param(alg, cap, *wrong, id=f"{alg}-{cap}-{tag}")
+        for alg, cap in [("sl2", 6), ("sl3", 3), ("sl3", 4)]
+        for tag, wrong in [
+            ("M", (0, 1, 0, lambda c: 2 * c)), ("D", (1, 0, 0, lambda c: c + 1))
+        ]
+    ],
+)
+def test_a_wrong_triangular_factor_fails_the_factorization_at_every_point(
+    monkeypatch, fresh_lax_tables, alg, cap, factor, i, j, change
+):
+    """L(t) M = M D(t) fails at every seed-0 point when M alone has one
+    changed entry (block (1, 0) doubled) or D's first diagonal entry is
+    shifted by 1: L M - M D is then L E - E D for the change E of M, whose
+    block (0, 0) is L_01 E_10, minus the first derivative times the
+    variable, or -1 for the change of D; neither kills the vacuum."""
+    real = verify._algebra(alg)
+    name = "lax-factor" if alg == "sl2" else "lax-factor3"
+
+    def wrong(basis, *t):
+        parts = list(real.lax_factored(basis, *t))
+        parts[factor] = _changed_block(parts[factor], i, j, change)
+        return tuple(parts)
+
+    monkeypatch.setitem(verify._ALGEBRAS, alg, real._replace(lax_factored=wrong))
+    report = run_suite(SuiteConfig(alg, cap, trials=4, checks=(name,)))
+    assert [c["status"] for c in report["checks"]] == ["fail"] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -1661,7 +1725,9 @@ def test_the_gl_triangles_are_the_traceless_units_in_the_generators():
     }
 
 
-def test_a_wrong_sl2_coefficient_table_fails_the_commutators(monkeypatch):
+def test_a_wrong_sl2_coefficient_table_fails_the_commutators(
+    monkeypatch, fresh_lax_tables
+):
     # S's defining matrix doubled: the structure constants and the gl(2)
     # triangle derived from the table are both wrong
     table = verify._algebra("sl2").table

@@ -6,11 +6,14 @@ mutation tag on its algebra's default suite, and every oracle check alone at
 sl2 cap 6 or sl3 cap 3 with 5 trials. Each configuration runs
 in-process through `rfactor.cli.main` with a fresh `--out` file. It also
 hashes the compiled path table of every factor stage list (`_FACTORS`) at
-the same caps, and the compiled Lax product table of the exchange checks
-(`_lax_table`), so a change to how a stage list or a Lax matrix is written or
-compiled that moves a table shows even where no report moves. Prints one
-JSON object, keyed by the space-joined arguments (without `--out`), by
-"path-table ALGEBRA FACTOR --cap CAP" and by "lax-table ALGEBRA --cap CAP":
+the same caps, and every compiled Lax product table (`_lax_table`): the
+exchange checks' L1(t) L2(s) on the pair basis and the factorization's
+L(t) M and M D(s) on the site basis, so a change to how a stage list or a
+Lax matrix is written or compiled that moves a table shows even where no
+report moves. Prints one JSON object, keyed by the space-joined arguments
+(without `--out`), by "path-table ALGEBRA FACTOR --cap CAP", by
+"lax-table ALGEBRA --cap CAP" for the exchange table and by
+"lax-table ALGEBRA L.M --cap CAP" and "lax-table ALGEBRA M.D --cap CAP":
 
     {argv: [sha256 of the --out bytes, sha256 of stdout, sha256 of stderr,
             exit code],
@@ -122,14 +125,22 @@ def path_tables():
 
 
 def lax_tables():
-    """{"lax-table ALGEBRA --cap CAP": [sha of the table]} for the exchange
-    checks' Lax product table at each sweep cap of its algebra."""
+    """{"lax-table ALGEBRA [FIRST.SECOND] --cap CAP": [sha of the table]}
+    for every Lax product table at each sweep cap of its algebra: the
+    exchange checks' on the pair basis, unlabelled, and the factorization's
+    L.M and M.D on the site basis."""
     out = {}
     for algebra, caps in CAPS.items():
+        a = _algebra(algebra)
         for cap in caps:
-            table = _lax_table(algebra, _algebra(algebra).pair(cap))
-            data = repr((table.den, table.blocks)).encode()
-            out[f"lax-table {algebra} --cap {cap}"] = [_sha(data)]
+            for basis, names, label in [
+                (a.pair(cap), ("1", "2"), ""),
+                (a.site(cap), ("L", "M"), " L.M"),
+                (a.site(cap), ("M", "D"), " M.D"),
+            ]:
+                table = _lax_table(algebra, basis, *names)
+                data = repr((table.den, table.blocks)).encode()
+                out[f"lax-table {algebra}{label} --cap {cap}"] = [_sha(data)]
     return out
 
 
